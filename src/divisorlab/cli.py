@@ -31,6 +31,7 @@ from . import __version__, exponents, laurent, remainder, sieve, zetasum
 from .errors import ConfigError, PreconditionError, SelfCheckError
 
 CACHE_ENV = "DIVISORLAB_CACHE"
+MIN_PRECISION_BITS = 53  # results are reported as float64; fewer bits lose digits
 
 CONVENTIONS = {
     "rho_orientation": "log_t_over_log_N",
@@ -183,7 +184,10 @@ def _parse_grid(spec: str, half_odd: bool) -> list[float]:
 
 
 def _parse_list(spec: str, cast):
-    return [cast(tok) for tok in spec.split(",") if tok.strip()]
+    try:
+        return [cast(tok) for tok in spec.split(",") if tok.strip()]
+    except ValueError as e:
+        raise ConfigError(f"bad list {spec!r}: {e}") from e
 
 
 # ---------------------------------------------------------------- commands
@@ -335,10 +339,14 @@ def cmd_meansquare(cfg: RunConfig, args) -> tuple[list[dict], dict]:
 
 def cmd_expsum(cfg: RunConfig, args) -> tuple[list[dict], dict]:
     if args.N_list:
+        if args.t_list is None:
+            raise ConfigError("expsum --N-list needs --t-list")
         reports = zetasum.expsum_bound_grid(_parse_list(args.N_list, int),
                                             _parse_list(args.t_list, float),
                                             cfg.precision_bits)
     else:
+        if args.N is None or args.t is None:
+            raise ConfigError("expsum needs --N and --t, or --N-list and --t-list")
         Np = args.N_prime if args.N_prime is not None else 2 * args.N
         reports = [zetasum.exp_sum(args.N, Np, args.t, cfg.precision_bits)]
     rows = [{"N": r.N, "N_prime": r.N_prime, "t": r.t,
@@ -515,17 +523,21 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
     if not rest:
         raise ConfigError("config file requires a command on the CLI")
     command, after = rest[0], rest[1:]
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"cannot read config file {path!r}: {e}") from e
     tokens = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"config line is not key=value: {line!r}")
-            key, value = (tok.strip() for tok in line.split("=", 1))
-            flag = "--" + key.replace("_", "-")
-            tokens.extend([flag, value])
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"config line is not key=value: {line!r}")
+        key, value = (tok.strip() for tok in line.split("=", 1))
+        flag = "--" + key.replace("_", "-")
+        tokens.extend([flag, value])
     # config tokens first so explicit flags override them
     merged = [command] + tokens + after
     # reject unknown keys for this command
@@ -544,6 +556,9 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as e:
             return 2 if e.code not in (0, None) else 0
+        if args.precision_bits < MIN_PRECISION_BITS:
+            raise ConfigError(f"--precision-bits must be >= {MIN_PRECISION_BITS} "
+                              f"(float64), got {args.precision_bits}")
         cfg = RunConfig(
             command=args.command,
             params={k: v for k, v in vars(args).items()

@@ -1,6 +1,5 @@
 """Small numerical building blocks: golden-section search, bracketing,
-cubic root finding, directed decimal rounding, and a self-checking
-composite Gauss-Legendre integrator for oscillatory float integrands.
+cubic root finding, directed decimal rounding, and least-squares slopes.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BracketError, QuadratureError
+from .errors import BracketError
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
@@ -117,57 +116,6 @@ def round_up(x, decimals: int) -> float:
     """Round x toward +inf at the given number of decimals (exact in Fraction)."""
     q = Fraction(10) ** decimals
     return float(math.ceil(Fraction(float(x)) * q) / q)
-
-
-def oscillation_panel_width(max_phase_derivative: float) -> float:
-    """Panel width sized by oscillation: at most 2*pi/(10 * phase derivative)."""
-    f = max(max_phase_derivative, 1e-9)
-    return 2.0 * math.pi / (10.0 * f)
-
-
-def _gl_nodes(order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
-
-
-def composite_gl(f_vec: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                 panels: int, order: int = 8) -> float:
-    """Composite Gauss-Legendre integral of a vectorised real integrand."""
-    x, w = _gl_nodes(order)
-    edges = np.linspace(a, b, panels + 1)
-    lo = edges[:-1]
-    half = 0.5 * (edges[1:] - lo)
-    mid = lo + half
-    # nodes laid out panel-major; evaluated in chunks to bound memory
-    total = 0.0
-    chunk = max(1, (1 << 20) // order)
-    for i in range(0, panels, chunk):
-        m = mid[i:i + chunk, None]
-        h = half[i:i + chunk, None]
-        pts = (m + h * x[None, :]).ravel()
-        vals = f_vec(pts).reshape(-1, order)
-        total += float(np.sum((vals @ w) * half[i:i + chunk]))
-    return total
-
-
-def integrate_selfchecked(f_vec: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                          panels: int, order: int = 8, rel_tol: float = 0.01,
-                          what: str = "integral") -> float:
-    """Composite GL with a panel-doubling self-check.
-
-    Returns the finer result; raises QuadratureError when doubling the panel
-    count moves the value by more than rel_tol relatively.
-    """
-    coarse = composite_gl(f_vec, a, b, panels, order)
-    fine = composite_gl(f_vec, a, b, 2 * panels, order)
-    scale = max(abs(fine), abs(coarse), 1e-300)
-    if abs(fine - coarse) > rel_tol * scale:
-        raise QuadratureError(
-            f"{what}: panel doubling moved the value by "
-            f"{abs(fine - coarse) / scale:.3g} (> {rel_tol:g} relative), "
-            f"panels={panels}->{2 * panels}"
-        )
-    return fine
 
 
 def ols_slope(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:

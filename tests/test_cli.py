@@ -134,6 +134,9 @@ def test_config_file_and_unknown_key(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("k=2\nx=10.5\nwibble=1\n")
     assert cli.main(["--config", str(bad), "delta"]) == 2
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"k=2\n\xff\xfe=1\n")
+    assert cli.main(["--config", str(binary), "delta"]) == 2
 
 
 def test_zeta_command_with_chi_and_afe(tmp_path):
@@ -164,6 +167,32 @@ def test_exit_code_precondition(tmp_path):
                      "--output", str(tmp_path / "x")]) == 2
     assert cli.main(["delta", "--k", "0", "--x", "10.5",
                      "--output", str(tmp_path / "y")]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--config", "/nonexistent", "constants"],
+    ["sieve", "--k", "2", "--x-list", "10,abc"],
+    ["expsum", "--N", "10"],
+    ["delta", "--k", "2", "--x", "1000.5", "--precision-bits", "-5"],
+    ["moment", "--k", "1", "--sigma", "2", "--T", "100", "--panels", "0"],
+    ["moment", "--k", "1", "--sigma", "2", "--T", "100", "--panels", "-3"],
+])
+def test_malformed_input_exits_2_with_message(argv, capsys):
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("precondition violation: ")
+    assert "Traceback" not in err
+
+
+def test_precision_floor_is_float64(tmp_path):
+    # at the 53-bit floor the main term is still resolved (delta = 2.782)
+    code, text = run(["delta", "--k", "2", "--x", "1000.5",
+                      "--precision-bits", "53"], tmp_path)
+    assert code == 0
+    _, rows = parse_csv(text)
+    assert abs(float(rows[0]["delta"]) - 2.78217) < 1e-4
+    assert cli.main(["delta", "--k", "2", "--x", "1000.5",
+                     "--precision-bits", "52"]) == 2
 
 
 def test_exit_code_selfcheck(tmp_path, monkeypatch):

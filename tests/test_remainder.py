@@ -11,7 +11,7 @@ import pytest
 
 from divisorlab import remainder as rl
 from divisorlab import sieve as sv
-from divisorlab.errors import DomainError, RangeError
+from divisorlab.errors import DomainError, MemoryBudgetError, RangeError
 
 
 def test_delta_at_k2_half_odd():
@@ -144,6 +144,14 @@ def test_sign_changes_k2_every_window():
     for X, loc in rows:
         assert X <= loc <= 10 ** 4
         assert abs((loc - math.floor(loc)) - 0.5) < 1e-9
+
+
+def test_sign_change_scan_memory_budget(monkeypatch):
+    # ~72 MB for a scan up to 1e6 exceeds a 1 MiB budget: refused before
+    # anything is allocated
+    monkeypatch.setattr(sv, "MEMORY_BUDGET_BYTES", 1 << 20)
+    with pytest.raises(MemoryBudgetError, match="budget is 1 MiB"):
+        rl.sign_change_scan(2, 1e3, 1e6)
 
 
 # -------------------------------------------------------------- mean square

@@ -19,7 +19,7 @@ from divisorlab import exponents as ex
 from divisorlab import laurent as la
 from divisorlab import sieve as sv
 from divisorlab import zetasum as zs
-from divisorlab.errors import DomainError, PrecisionError
+from divisorlab.errors import DomainError, PrecisionError, QuadratureError
 
 
 def lgamma_stirling(z: complex) -> complex:
@@ -256,6 +256,50 @@ def test_moment_panels_override_and_domain():
         zs.moment_integral(7, 2.0, 100.0)
     with pytest.raises(DomainError):
         zs.moment_integral(1, 2.0, 10 ** 6)
+    for panels in (0, -3):
+        with pytest.raises(DomainError):
+            zs.moment_integral(1, 2.0, 100.0, panels=panels)
+
+
+def test_moment_panel_doubling_selfcheck_raises():
+    # 16 panels on [1000, 2000] are far too coarse: doubling moves the
+    # integral by ~0.2 relative, above the 1% threshold
+    with pytest.raises(QuadratureError, match="panel doubling moved the integral"):
+        zs.moment_integral(1, 0.75, 1000.0, panels=16)
+
+
+@pytest.mark.parametrize("nodes_per_chunk, entries", [
+    (zs._NODES_PER_CHUNK, zs._ENTRIES),
+    (8 * 150, 4 * 64 * 8),  # several chunks, padded blocks and row batches
+])
+def test_panel_kernel_matches_direct_sum(monkeypatch, nodes_per_chunk, entries):
+    # oracles: the unfactorised sum at every node, and the exact integral of
+    # |S|^2 = sum_{m,n} w_m conj(w_n) (n/m)^{it}
+    monkeypatch.setattr(zs, "_NODES_PER_CHUNK", nodes_per_chunk)
+    monkeypatch.setattr(zs, "_ENTRIES", entries)
+    rng = np.random.default_rng(20231)
+    w = rng.normal(size=64) + 1j * rng.normal(size=64)
+    logn = np.log(np.arange(1, 65))
+    a, b = 123.456789, 234.567891
+    seen = []
+
+    def post(t, S):
+        seen.append((t.copy(), S.copy()))
+        return np.abs(S) ** 2
+
+    value = zs._panel_quadrature(lambda ts: (w, logn, post), a, b, 200, 8, "test")
+    assert sum(t.size for t, _ in seen) == 8 * (200 + 400)
+    # rounding of the phases scales with t log N sum |w_n|
+    for t, S in seen:
+        direct = np.exp(-1j * np.outer(t.ravel(), logn)) @ w
+        assert np.max(np.abs(S.ravel() - direct)) <= 1e-12 * np.sum(np.abs(w))
+    dlog = logn[:, None] - logn[None, :]
+    same = dlog == 0
+    dlog[same] = 1.0
+    arcs = np.where(same, b - a, (np.exp(-1j * b * dlog) - np.exp(-1j * a * dlog))
+                    / (-1j * dlog))
+    exact = float(np.sum(w[:, None] * np.conj(w)[None, :] * arcs).real)
+    assert abs(value - exact) <= 1e-12 * exact
 
 
 # ---------------------------------------------------------------------- mvt
