@@ -11,6 +11,8 @@ Subpackages:
   mean squares, comparison envelopes.
 * ``zetasum``   -- exponential sums, Euler-Maclaurin zeta, chi factor,
   approximate functional equation, moment integrals, mean-value checks.
+* ``store``     -- atomic file writes and the checksummed-row CSV format
+  of the caches.
 * ``cli``       -- batch command-line surface and caches.
 """
 

@@ -6,8 +6,10 @@ Configuration comes from an optional key=value file plus command-line flags
 (flags win); unknown config keys are rejected.  Every output carries a
 metadata header recording inputs and conventions (half-odd sampling flag,
 rho orientation, AFE length mode, rounding directions), and no timestamps,
-so reruns are byte-identical.  Cache writes are atomic
-(write-temp-then-rename); checksum mismatches trigger recomputation.
+so reruns are byte-identical.  Every file written (output, plot series,
+caches) is written atomically (temp file, then rename).  Each cache file
+carries its checksums inside, one per row, with no sidecar file; a
+mismatch triggers recomputation.
 
 Exit codes: 0 success, 2 precondition violation, 3 numeric self-check failure.
 """
@@ -16,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import json
 import math
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
-from . import __version__, exponents, laurent, remainder, sieve, zetasum
+from . import __version__, exponents, laurent, remainder, sieve, store, zetasum
 from .errors import ConfigError, PreconditionError, SelfCheckError
 
 CACHE_ENV = "DIVISORLAB_CACHE"
@@ -50,13 +51,6 @@ class RunConfig:
 
 
 # ------------------------------------------------------------ file helpers
-
-def _atomic_write(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
 
 def _fmt(v) -> str:
     if v is None:
@@ -110,7 +104,7 @@ def emit(cfg: RunConfig, rows: list[dict], conventions: dict) -> str:
                 writer.writerow([_fmt(r.get(c)) for c in cols])
         text = "\n".join(lines) + "\n" + body.getvalue()
     if cfg.output_path:
-        _atomic_write(cfg.output_path, text)
+        store.atomic_write(cfg.output_path, text)
     else:
         sys.stdout.write(text)
     return text
@@ -125,25 +119,10 @@ def _cache_dir(cfg: RunConfig) -> str | None:
     return d
 
 
-def _load_stieltjes(cfg: RunConfig) -> None:
-    d = _cache_dir(cfg)
-    if d:
-        laurent.load_stieltjes_cache(os.path.join(d, "stieltjes.csv"))
-
-
-def _save_stieltjes(cfg: RunConfig) -> None:
-    d = _cache_dir(cfg)
-    if d:
-        path = os.path.join(d, "stieltjes.csv")
-        tmp = path + ".tmp"
-        laurent.save_stieltjes_cache(tmp)
-        os.replace(tmp, path)
-
-
 def _cached_partial_sums(cfg: RunConfig, k: int, xs: list[int]) -> dict[int, int]:
     """Checkpoint sums with CSV caching (checksum-verified, atomic)."""
     d = _cache_dir(cfg)
-    key = hashlib.sha256(f"{k}:{','.join(map(str, xs))}".encode()).hexdigest()[:12]
+    key = store.checksum(f"{k}:{','.join(map(str, xs))}", 12)
     path = os.path.join(d, f"sieve_k{k}_{key}.csv") if d else None
     if path:
         hit = sieve.load_checkpoints_csv(path)
@@ -151,10 +130,7 @@ def _cached_partial_sums(cfg: RunConfig, k: int, xs: list[int]) -> dict[int, int
             return dict(hit.checkpoints)
     series = sieve.dk_partial_sums(k, xs[-1], xs)
     if path:
-        tmp_base = path + ".tmpw"
-        sieve.save_checkpoints_csv(tmp_base, series)
-        os.replace(tmp_base, path)
-        os.replace(tmp_base + ".sha256", path + ".sha256")
+        sieve.save_checkpoints_csv(path, series)
     return dict(series.checkpoints)
 
 
@@ -162,7 +138,7 @@ def _write_plot_series(plot_dir: str, name: str, pairs) -> None:
     """Bare (x, y) CSV series, one file per curve, no header."""
     os.makedirs(plot_dir, exist_ok=True)
     body = "".join(f"{_fmt(x)},{_fmt(y)}\n" for x, y in pairs if y is not None)
-    _atomic_write(os.path.join(plot_dir, name + ".csv"), body)
+    store.atomic_write(os.path.join(plot_dir, name + ".csv"), body)
 
 
 # ------------------------------------------------------------ grid parsing
@@ -195,12 +171,8 @@ def _parse_list(spec: str, cast):
 def cmd_constants(cfg: RunConfig, args) -> tuple[list[dict], dict]:
     B = args.B if args.B is not None else float(exponents.heath_brown_B())
     opt = exponents.optimize_theta(B)
-    with mp.workdps(40):
-        Bm = mp.mpf(B)
-        two3 = mp.mpf(2) / 3
-        D_alpha = float(two3 ** two3 * Bm ** -two3)
-        D_beta = float((mp.mpf(5) / 6) ** two3 * Bm ** -two3)
-    large_k = float(exponents.large_k_constant())
+    table = exponents.historical_table(args.B_richert, B)
+    route = {rep.name: rep for rep in table}
     rows = [
         {"name": "theta_star", "value": opt.theta_star, "reported": opt.theta_star,
          "validity": "maximiser of k1"},
@@ -216,17 +188,15 @@ def cmd_constants(cfg: RunConfig, args) -> tuple[list[dict], dict]:
         {"name": "alpha_k_threshold", "value": 2 * opt.k0_star,
          "reported": exponents.report_k_threshold(2 * opt.k0_star),
          "validity": "k range for the pointwise bound"},
-        {"name": "karatsuba_D_alpha", "value": D_alpha,
-         "reported": exponents.report_karatsuba(D_alpha),
-         "validity": "pointwise, large-k limit"},
-        {"name": "karatsuba_D_beta", "value": D_beta,
-         "reported": exponents.report_karatsuba(D_beta),
-         "validity": "mean square, large-k limit"},
-        {"name": "karatsuba_D_expsum", "value": large_k,
-         "reported": exponents.report_karatsuba(large_k),
-         "validity": "expsum route, k sufficiently large"},
     ]
-    for rep in exponents.historical_table(args.B_richert, B):
+    for name, source, validity in (
+            ("karatsuba_D_alpha", "moment-route(alpha)", "pointwise, large-k limit"),
+            ("karatsuba_D_beta", "moment-route(beta)", "mean square, large-k limit"),
+            ("karatsuba_D_expsum", "expsum-route(limit)",
+             "expsum route, k sufficiently large")):
+        rows.append({"name": name, "value": route[source].karatsuba_D_exact,
+                     "reported": route[source].karatsuba_D, "validity": validity})
+    for rep in table:
         rows.append({"name": f"table:{rep.name}", "value": rep.karatsuba_D_exact,
                      "reported": rep.karatsuba_D, "validity": rep.validity})
     return rows, {}
@@ -271,7 +241,7 @@ def _delta_rows(cfg: RunConfig, k: int, xs: list[float], bits: int) -> list[dict
     sums = _cached_partial_sums(cfg, k, floors)
     rows = []
     for x in xs:
-        s = remainder._sample_from_D(k, x, sums[math.floor(x)], bits)
+        s = remainder.sample_from_D(k, x, sums[math.floor(x)], bits)
         row = {"k": k, "x": x, "D": s.D, "main": float(s.main),
                "delta": s.delta, "half_odd": s.half_odd}
         if k >= 2:
@@ -285,7 +255,6 @@ def _delta_rows(cfg: RunConfig, k: int, xs: list[float], bits: int) -> list[dict
 
 
 def cmd_delta(cfg: RunConfig, args) -> tuple[list[dict], dict]:
-    _load_stieltjes(cfg)
     if args.grid:
         xs = _parse_grid(args.grid, not args.integer_x)
     else:
@@ -301,17 +270,14 @@ def cmd_delta(cfg: RunConfig, args) -> tuple[list[dict], dict]:
                                [(r["x"], r["conjecture"]) for r in rows])
             _write_plot_series(args.plot_dir, f"tong_window_k{args.k}",
                                [(r["x"], r["tong_window"]) for r in rows])
-    _save_stieltjes(cfg)
     mode = "integer" if args.integer_x else "half_odd"
     return rows, {"abscissa_sampling": mode}
 
 
 def cmd_fit(cfg: RunConfig, args) -> tuple[list[dict], dict]:
-    _load_stieltjes(cfg)
     xs = _parse_grid(args.grid, not args.integer_x)
     samples = remainder.delta_scan(args.k, xs, cfg.precision_bits)
     slope, err = remainder.fit_exponent(samples, args.drop_below)
-    _save_stieltjes(cfg)
     return ([{"k": args.k, "n_samples": len(samples), "slope": slope,
               "stderr": err,
               "drop_below": args.drop_below if args.drop_below is not None else ""}],
@@ -319,20 +285,16 @@ def cmd_fit(cfg: RunConfig, args) -> tuple[list[dict], dict]:
 
 
 def cmd_signs(cfg: RunConfig, args) -> tuple[list[dict], dict]:
-    _load_stieltjes(cfg)
     rows = [{"k": args.k, "window_start": w, "change_location": loc,
              "C": args.C}
             for w, loc in remainder.sign_change_scan(args.k, args.X0, args.X1,
                                                      args.C, cfg.precision_bits)]
-    _save_stieltjes(cfg)
     return rows, {"abscissa_sampling": "half_odd"}
 
 
 def cmd_meansquare(cfg: RunConfig, args) -> tuple[list[dict], dict]:
-    _load_stieltjes(cfg)
     value = remainder.mean_square(args.k, args.x, args.panels,
                                   precision_bits=cfg.precision_bits)
-    _save_stieltjes(cfg)
     return [{"k": args.k, "x": args.x, "panels_per_unit": args.panels,
              "mean_square": value}], {}
 
@@ -394,7 +356,6 @@ def cmd_moment(cfg: RunConfig, args) -> tuple[list[dict], dict]:
 
 
 def cmd_report(cfg: RunConfig, args) -> tuple[list[dict], dict]:
-    _load_stieltjes(cfg)
     rows, _ = cmd_constants(cfg, args)
     for r in rows:
         r["section"] = "constants"
@@ -402,9 +363,11 @@ def cmd_report(cfg: RunConfig, args) -> tuple[list[dict], dict]:
         for d in _delta_rows(cfg, 2, [x], cfg.precision_bits):
             d["section"] = "delta_k2"
             rows.append(d)
-    _save_stieltjes(cfg)
     return rows, {"abscissa_sampling": "half_odd"}
 
+
+# commands whose main terms use Stieltjes constants, cached across runs
+STIELTJES_COMMANDS = frozenset({"delta", "fit", "signs", "meansquare", "report"})
 
 COMMANDS = {
     "constants": cmd_constants,
@@ -570,7 +533,13 @@ def main(argv=None) -> int:
             output_path=args.output_path,
             cache_dir=args.cache_dir,
         )
+        cache = _cache_dir(cfg) if args.command in STIELTJES_COMMANDS else None
+        stieltjes_path = os.path.join(cache, "stieltjes.csv") if cache else None
+        if stieltjes_path:
+            laurent.load_stieltjes_cache(stieltjes_path)
         rows, conventions = COMMANDS[args.command](cfg, args)
+        if stieltjes_path:
+            laurent.save_stieltjes_cache(stieltjes_path)
         emit(cfg, rows, conventions)
         return 0
     except PreconditionError as e:

@@ -5,8 +5,9 @@ problem.
 Conventions baked in here:
 
 * ``k0(theta) = (24*theta - 9) / (2*(4*theta - 1)*(1 - theta))`` on
-  ``[1/2, 1)``; ``k1`` and ``k2`` subtract ``1/(3*B*(1-theta)^{3/2})``
-  resp. ``1/(3*(B+eps0)*(1-theta)^{3/2})`` from it.
+  ``[1/2, 1)`` is written once (``_k0``); ``k1`` and ``k2`` subtract
+  ``1/(3*B*(1-theta)^{3/2})`` resp. ``1/(3*(B+eps0)*(1-theta)^{3/2})`` from
+  it (``k1`` is ``k2`` at ``eps0 = 0``), and ``ivic_m`` is ``2*k0``.
 * Pointwise bounds read ``x^exponent`` with
   ``exponent = 1 - (2/(3B(k - 2 k1)))^{2/3}``; mean-square bounds use
   ``1 - (5/(6B(k - k1)))^{2/3}``.  The "Karatsuba constant" of a bound is
@@ -14,6 +15,7 @@ Conventions baked in here:
 * Reported numbers are always weaker than computed ones: D values are
   rounded down, exponents are rounded up, subtracted thresholds (8.37,
   4.18) are rounded down, k-range thresholds are rounded up to integers.
+  The decimals live in the ``report_*`` helpers, which every report uses.
 * Everything is evaluated through mpmath at ``WORK_DPS`` digits; operations
   whose inputs are exact rationals (Fraction/int) run an exact Fraction
   path instead.
@@ -186,6 +188,16 @@ def _check_theta(theta) -> None:
         raise DomainError(f"theta must lie in [1/2, 1), got {theta}")
 
 
+def _k0(t):
+    """The one k0 expression, in the arithmetic of t (Fraction or mpf)."""
+    return (24 * t - 9) / (2 * (4 * t - 1) * (1 - t))
+
+
+def _k2(t, B):
+    """k0(t) - 1/(3*B*(1-t)^{3/2}) for mpf t at the caller's precision."""
+    return _k0(t) - 1 / (3 * B * (1 - t) ** mp.mpf("1.5"))
+
+
 def k0_theta(theta):
     """(24*theta - 9) / (2*(4*theta - 1)*(1 - theta)); pole at theta = 1.
 
@@ -193,22 +205,14 @@ def k0_theta(theta):
     """
     _check_theta(theta)
     if isinstance(theta, (int, Fraction)):
-        t = Fraction(theta)
-        return (24 * t - 9) / (2 * (4 * t - 1) * (1 - t))
+        return _k0(Fraction(theta))
     with _wp():
-        t = mp.mpf(theta)
-        return (24 * t - 9) / (2 * (4 * t - 1) * (1 - t))
+        return _k0(mp.mpf(theta))
 
 
 def k1_theta(theta, B):
-    """k0(theta) - 1/(3*B*(1-theta)^{3/2})."""
-    _check_theta(theta)
-    if not B > 0:
-        raise DomainError(f"B must be positive, got {B}")
-    with _wp():
-        t = mp.mpf(float(theta)) if not isinstance(theta, mp.mpf) else theta
-        k0 = (24 * t - 9) / (2 * (4 * t - 1) * (1 - t))
-        return k0 - 1 / (3 * mp.mpf(B) * (1 - t) ** mp.mpf("1.5"))
+    """k0(theta) - 1/(3*B*(1-theta)^{3/2}), which is k2 at eps0 = 0."""
+    return k2_theta(theta, B, 0)
 
 
 def k2_theta(theta, B, eps0):
@@ -220,8 +224,7 @@ def k2_theta(theta, B, eps0):
         raise DomainError(f"eps0 must be non-negative, got {eps0}")
     with _wp():
         t = mp.mpf(float(theta)) if not isinstance(theta, mp.mpf) else theta
-        k0 = (24 * t - 9) / (2 * (4 * t - 1) * (1 - t))
-        return k0 - 1 / (3 * (mp.mpf(B) + mp.mpf(eps0)) * (1 - t) ** mp.mpf("1.5"))
+        return _k2(t, mp.mpf(B) + mp.mpf(eps0))
 
 
 THETA_SEARCH_LO = 0.5 + 1e-6
@@ -244,9 +247,7 @@ def optimize_theta(B) -> ThetaOptimum:
         Bm = mp.mpf(B)
 
         def f(t):
-            t = mp.mpf(t)
-            k0 = (24 * t - 9) / (2 * (4 * t - 1) * (1 - t))
-            return k0 - 1 / (3 * Bm * (1 - t) ** mp.mpf("1.5"))
+            return _k2(mp.mpf(t), Bm)
 
         lo, hi = bracket_max(f, mp.mpf(THETA_SEARCH_LO), mp.mpf(THETA_SEARCH_HI),
                              n=THETA_SCAN_POINTS)
@@ -280,8 +281,8 @@ def alpha_bound(k: int, params: ExponentParams) -> BoundReport:
         return BoundReport(
             name="pointwise-alpha",
             exponent=float(expo),
-            exponent_reported=round_up(float(expo), 5),
-            karatsuba_D=round_down(float(D), 3),
+            exponent_reported=report_exponent(expo),
+            karatsuba_D=report_karatsuba(D),
             karatsuba_D_exact=float(D),
             validity=f"k >= 2*k0(theta) = {float(2 * k0):.4f}",
             k=k,
@@ -310,8 +311,8 @@ def beta_bound(k: int, params: ExponentParams,
         return BoundReport(
             name="meansquare-beta",
             exponent=float(expo),
-            exponent_reported=round_up(float(expo), 5),
-            karatsuba_D=round_down(float(D), 3),
+            exponent_reported=report_exponent(expo),
+            karatsuba_D=report_karatsuba(D),
             karatsuba_D_exact=float(D),
             validity=f"k >= {float(threshold):.4f}",
             k=k,
@@ -330,7 +331,7 @@ def kolpakova_D(k: int, B: float) -> float:
 def _table_row(name: str, D, validity: str) -> BoundReport:
     return BoundReport(
         name=name,
-        karatsuba_D=round_down(float(D), 3),
+        karatsuba_D=report_karatsuba(D),
         karatsuba_D_exact=float(D),
         validity=validity,
     )
@@ -371,7 +372,7 @@ def historical_table(B_richert: float = RICHERT_B,
             _table_row("moment-route(alpha)", two3 ** two3 * Bh ** -two3, "k >= 30"),
             _table_row("moment-route(beta)", (mp.mpf(5) / 6) ** two3 * Bh ** -two3,
                        "k >= 15, mean square"),
-            _table_row("expsum-route(limit)", 3 / 2 ** two3,
+            _table_row("expsum-route(limit)", large_k_constant(),
                        "k sufficiently large"),
         ]
     return rows
@@ -382,21 +383,22 @@ def historical_table(B_richert: float = RICHERT_B,
 # ---------------------------------------------------------------------------
 
 def ivic_m(sigma):
-    """Classical moment-order lower bound (24s - 9)/((4s - 1)(1 - s)) on [1/2, 1).
+    """Classical moment-order lower bound (24s - 9)/((4s - 1)(1 - s)) = 2*k0(s)
+    on [1/2, 1).
 
-    Fraction input follows an exact rational path.
+    Fraction input follows an exact rational path.  The factor 2 is a power
+    of two, so the mpf path rounds exactly as the quotient written out would.
     """
     if isinstance(sigma, (int, Fraction)):
         s = Fraction(sigma)
         if not (Fraction(1, 2) <= s < 1):
             raise DomainError(f"sigma must lie in [1/2, 1), got {sigma}")
-        return (24 * s - 9) / ((4 * s - 1) * (1 - s))
+        return 2 * _k0(s)
     s = float(sigma)
     if not (0.5 <= s < 1.0):
         raise DomainError(f"sigma must lie in [1/2, 1), got {sigma}")
     with _wp():
-        sm = mp.mpf(s)
-        return (24 * sm - 9) / ((4 * sm - 1) * (1 - sm))
+        return 2 * _k0(mp.mpf(s))
 
 
 def m0_validity_threshold(params: ExponentParams) -> float:
@@ -850,7 +852,7 @@ def thm3_exponent(k: int, delta: float, A: float = 1.0) -> LargeKExponent:
             f"(calibration constant A={A}), got k={k}")
     with _wp():
         d = mp.mpf(delta)
-        C = 3 / 2 ** (mp.mpf(2) / 3)
+        C = large_k_constant()
         k23 = mp.mpf(k) ** (-mp.mpf(2) / 3)
         one_minus_beta = (C - 2 ** (mp.mpf(2) / 3) * d) * k23
         if one_minus_beta <= 0:

@@ -14,7 +14,6 @@ All series values are immutable after construction; everything here is pure.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,6 +21,7 @@ from typing import Optional
 
 import mpmath as mp
 
+from . import store
 from .errors import (
     DomainError,
     InsufficientOrderError,
@@ -137,23 +137,16 @@ def stieltjes(n: int, precision_bits: int = 256) -> mp.mpf:
 
 # ------------------------------------------------------- CSV cache (n, bits)
 
-def _stieltjes_row_checksum(n: int, bits: int, value: str) -> str:
-    return hashlib.sha256(f"{n},{bits},{value}".encode()).hexdigest()[:16]
-
-
 def save_stieltjes_cache(path) -> int:
-    """Write the in-memory Stieltjes memo as CSV rows
-    (n, precision_bits, value-as-decimal-string, checksum).  Returns rows written."""
+    """Write the in-memory Stieltjes memo atomically as checksummed CSV rows
+    (n, precision_bits, value-as-decimal-string).  Returns rows written."""
     rows = []
     for n in sorted(_stieltjes_memo):
         bits, value = _stieltjes_memo[n]
         dps = int((bits + 16) * 0.30103) + 12  # enough digits to round-trip
         with mp.workdps(dps + 8):
-            text = mp.nstr(value, dps, strip_zeros=False)
-        rows.append(f"{n},{bits},{text},{_stieltjes_row_checksum(n, bits, text)}")
-    with open(path, "w") as fh:
-        fh.write("n,precision_bits,value,checksum\n")
-        fh.write("\n".join(rows) + ("\n" if rows else ""))
+            rows.append((n, bits, mp.nstr(value, dps, strip_zeros=False)))
+    store.write_rows(path, "n,precision_bits,value", rows)
     return len(rows)
 
 
@@ -163,26 +156,16 @@ def load_stieltjes_cache(path) -> tuple[int, int]:
     Returns (rows_loaded, rows_rejected); a checksum mismatch simply means
     the value will be recomputed on demand, never silently reused.
     """
-    loaded = rejected = 0
-    try:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-    except OSError:
+    got = store.read_rows(path)
+    if got is None:
         return 0, 0
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 4:
-            rejected += 1
-            continue
-        ns, bs, text, chk = parts
+    rows, rejected = got
+    loaded = 0
+    for fields in rows:
         try:
+            ns, bs, text = fields
             n, bits = int(ns), int(bs)
         except ValueError:
-            rejected += 1
-            continue
-        if _stieltjes_row_checksum(n, bits, text) != chk:
             rejected += 1
             continue
         with mp.workprec(bits + 16):

@@ -21,7 +21,8 @@ import mpmath as mp
 import numpy as np
 
 from . import laurent, sieve
-from .errors import DomainError, MemoryBudgetError, QuadratureError, RangeError
+from .errors import (DomainError, MemoryBudgetError, QuadratureError, RangeError,
+                     SieveOverflowError)
 from .numerics import ols_slope
 
 MAIN_BITS_DEFAULT = 192
@@ -73,10 +74,11 @@ def delta_at(k: int, x: float, precision_bits: int = MAIN_BITS_DEFAULT) -> Remai
         raise DomainError(f"x must lie in (1, {sieve.DESK_X_CAP}], got {x}")
     n = math.floor(x)
     D = sieve.dk_partial_sums(k, n, [n]).checkpoints[0][1]
-    return _sample_from_D(k, x, D, precision_bits)
+    return sample_from_D(k, x, D, precision_bits)
 
 
-def _sample_from_D(k: int, x: float, D: int, bits: int) -> RemainderSample:
+def sample_from_D(k: int, x: float, D: int, bits: int) -> RemainderSample:
+    """The sample at x from a known D = D_k(floor x), main term at ``bits``."""
     poly = _main_poly(k, bits)
     main = laurent.eval_main_term(poly, x)
     with mp.workprec(bits):
@@ -99,7 +101,7 @@ def delta_scan(k: int, x_grid: Sequence[float],
     uniq = sorted(set(floors))
     series = sieve.dk_partial_sums(k, uniq[-1], uniq)
     Dmap = dict(series.checkpoints)
-    return [_sample_from_D(k, x, Dmap[n], precision_bits)
+    return [sample_from_D(k, x, Dmap[n], precision_bits)
             for x, n in zip(xs, floors)]
 
 
@@ -126,6 +128,21 @@ def fit_exponent(samples: Sequence[RemainderSample],
 
 # ------------------------------------------------------------ sign changes
 
+def _cumulative_D(k: int, n: int) -> np.ndarray:
+    """D_k(1), ..., D_k(n) as uint64, from one d_k table over [1, n].
+
+    Refuses a saturated table, and a cumulative sum that wrapped 64 bits:
+    every d_k(m) is below 2^64, so a wrap shows as a step down.
+    """
+    block = sieve.dk_block(k, 1, n + 1)
+    if block.overflow_flag:
+        raise SieveOverflowError(f"d_{k} saturated below {n}")
+    cums = np.cumsum(block.values, dtype=np.uint64)
+    if np.any(cums[1:] < cums[:-1]):
+        raise SieveOverflowError("cumulative sum wrapped 64 bits")
+    return cums
+
+
 # the scan's own int64/float64 arrays per point; tracemalloc puts a scan of
 # [1e3, 1e6] at 72 B per point, 16 B of it the d_k table and its sums
 SCAN_BYTES_PER_POINT = 56
@@ -150,19 +167,12 @@ def sign_change_scan(k: int, X0: float, X1: float, C: float = 5.0,
     points = n_hi - n_lo + 1
     if points < 2:
         raise DomainError("range too narrow to hold two half-odd points")
-    sieve._check_caps(k, n_hi + 1)
     need = 16 * n_hi + SCAN_BYTES_PER_POINT * points  # + the d_k table and its sums
     if need > sieve.MEMORY_BUDGET_BYTES:
         raise MemoryBudgetError(f"scan up to {n_hi} needs ~{need >> 20} MiB, "
                                 f"budget is {sieve.MEMORY_BUDGET_BYTES >> 20} MiB")
     ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)
-    table, overflowed = sieve._dk_table(k, int(ns[-1]))
-    if overflowed:
-        raise sieve.SieveOverflowError(f"d_{k} saturated below {ns[-1]}")
-    cums = np.cumsum(table, dtype=np.uint64)
-    if int(cums[-1]) != sieve._exact_sum_uint64(table):
-        raise sieve.SieveOverflowError("cumulative sum wrapped 64 bits")
-    D = cums[ns - 1].astype(np.float64)
+    D = _cumulative_D(k, n_hi)[ns - 1].astype(np.float64)
     xs = ns.astype(np.float64) + 0.5
     coeffs = _main_poly(k, precision_bits).as_floats()
     mains = xs * np.polynomial.polynomial.polyval(np.log(xs), coeffs)
@@ -202,13 +212,7 @@ def mean_square(k: int, x: float, panels_per_unit: int = 2,
     if panels_per_unit < 2:
         raise DomainError("panels_per_unit must be >= 2")
     n_top = math.floor(x)
-    table, overflowed = sieve._dk_table(k, n_top)
-    if overflowed:
-        raise sieve.SieveOverflowError(f"d_{k} saturated below {n_top}")
-    cums = np.cumsum(table, dtype=np.uint64)
-    if int(cums[-1]) != sieve._exact_sum_uint64(table):
-        raise sieve.SieveOverflowError("cumulative sum wrapped 64 bits")
-    Dfloat = cums.astype(np.float64)
+    Dfloat = _cumulative_D(k, n_top).astype(np.float64)
     coeffs = _main_poly(k, precision_bits).as_floats()
 
     def integral(ppu: int) -> float:

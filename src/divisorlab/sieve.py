@@ -15,12 +15,12 @@ repeated runs are byte-identical.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import store
 from .errors import DomainError, MemoryBudgetError, SieveOverflowError
 
 DESK_X_CAP = 10 ** 9
@@ -204,35 +204,19 @@ def d2_summatory_hyperbola(x: int) -> int:
 
 # ------------------------------------------------------- checkpoint cache
 
-def checkpoint_cache_checksum(payload: str) -> str:
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
 def save_checkpoints_csv(path, series: PartialSumSeries) -> None:
-    """CSV (k, x, D_k) with a header row; wide D rendered in decimal.
-    A sidecar <path>.sha256 carries the file checksum for corruption checks."""
-    body = "k,x,D\n" + "".join(
-        f"{series.k},{x},{d}\n" for x, d in series.checkpoints)
-    with open(path, "w") as fh:
-        fh.write(body)
-    with open(str(path) + ".sha256", "w") as fh:
-        fh.write(checkpoint_cache_checksum(body) + "\n")
+    """Checksummed-row CSV (k, x, D_k), written atomically; wide D in decimal."""
+    store.write_rows(path, "k,x,D", ((series.k, x, d) for x, d in series.checkpoints))
 
 
 def load_checkpoints_csv(path):
-    """Reload a checkpoint cache; returns None when missing or corrupted."""
-    try:
-        with open(path) as fh:
-            body = fh.read()
-        with open(str(path) + ".sha256") as fh:
-            want = fh.read().strip()
-    except OSError:
+    """Reload a checkpoint cache; returns None when missing or when any row
+    is corrupted."""
+    got = store.read_rows(path)
+    if got is None:
         return None
-    if checkpoint_cache_checksum(body) != want:
-        return None
-    lines = body.splitlines()
-    rows = [line.split(",") for line in lines[1:] if line.strip()]
-    if not rows:
+    rows, rejected = got
+    if rejected or not rows:
         return None
     k = int(rows[0][0])
     cps = tuple((int(x), int(d)) for _, x, d in rows)

@@ -118,6 +118,19 @@ def test_cache_corruption_triggers_recompute(tmp_path):
     assert text3 == text1
 
 
+def test_cache_file_carries_its_checksums(tmp_path):
+    cache = tmp_path / "cache"
+    argv = ["sieve", "--k", "3", "--x-list", "10,100", "--cache-dir", str(cache)]
+    code1, text1 = run(argv, tmp_path, "s1")
+    assert code1 == 0
+    files = list(cache.iterdir())
+    # no checksum sidecar and no temp file left beside the cache file
+    assert len(files) == 1 and files[0].suffix == ".csv"
+    files[0].write_bytes(b"\xff\xfe not text")
+    code2, text2 = run(argv, tmp_path, "s2")
+    assert code2 == 0 and text2 == text1
+
+
 def test_config_file_and_unknown_key(tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("k=2\nx=10.5\n")

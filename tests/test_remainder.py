@@ -147,11 +147,13 @@ def test_sign_changes_k2_every_window():
 
 
 def test_sign_change_scan_memory_budget(monkeypatch):
-    # ~72 MB for a scan up to 1e6 exceeds a 1 MiB budget: refused before
-    # anything is allocated
+    # ~72 MB for a scan up to 1e6, and the 1.6 MB d_k table of a mean square
+    # up to 1e5, exceed a 1 MiB budget: refused before anything is allocated
     monkeypatch.setattr(sv, "MEMORY_BUDGET_BYTES", 1 << 20)
     with pytest.raises(MemoryBudgetError, match="budget is 1 MiB"):
         rl.sign_change_scan(2, 1e3, 1e6)
+    with pytest.raises(MemoryBudgetError, match="budget is 1 MiB"):
+        rl.mean_square(2, 1e5)
 
 
 # -------------------------------------------------------------- mean square
@@ -165,7 +167,7 @@ def test_mean_square_k1_closed_form():
 def test_mean_square_riemann_oracle():
     val = rl.mean_square(2, 10 ** 3)
     # oracle: midpoint Riemann sum, 1e4 points per unit, in float64
-    table, _ = sv._dk_table(2, 10 ** 3)
+    table = sv.dk_block(2, 1, 10 ** 3 + 1).values
     D = np.cumsum(table, dtype=np.uint64).astype(np.float64)
     coeffs = rl._main_poly(2).as_floats()
     total = 0.0
