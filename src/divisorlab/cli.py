@@ -52,24 +52,19 @@ class RunConfig:
 
 # ------------------------------------------------------------ file helpers
 
+def _jsonable(v):
+    if isinstance(v, mp.mpf):
+        return float(v)
+    if v is None or isinstance(v, (int, str, bool, float)):
+        return v
+    return str(v)
+
+
 def _fmt(v) -> str:
+    v = _jsonable(v)
     if v is None:
         return ""
-    if isinstance(v, (mp.mpf,)):
-        return repr(float(v))
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
-def _jsonable(v):
-    if v is None or isinstance(v, (int, str, bool)):
-        return v
-    if isinstance(v, (mp.mpf,)):
-        return float(v)
-    if isinstance(v, float):
-        return v
-    return str(v)
+    return repr(v) if isinstance(v, float) else str(v)
 
 
 def emit(cfg: RunConfig, rows: list[dict], conventions: dict) -> str:
@@ -263,13 +258,10 @@ def cmd_delta(cfg: RunConfig, args) -> tuple[list[dict], dict]:
         xs = [float(args.x)]
     rows = _delta_rows(cfg, args.k, xs, cfg.precision_bits)
     if args.plot_dir:
-        _write_plot_series(args.plot_dir, f"delta_k{args.k}",
-                           [(r["x"], r["delta"]) for r in rows])
-        if args.k >= 2:
-            _write_plot_series(args.plot_dir, f"conjecture_k{args.k}",
-                               [(r["x"], r["conjecture"]) for r in rows])
-            _write_plot_series(args.plot_dir, f"tong_window_k{args.k}",
-                               [(r["x"], r["tong_window"]) for r in rows])
+        curves = ("delta", "conjecture", "tong_window") if args.k >= 2 else ("delta",)
+        for col in curves:
+            _write_plot_series(args.plot_dir, f"{col}_k{args.k}",
+                               [(r["x"], r[col]) for r in rows])
     mode = "integer" if args.integer_x else "half_odd"
     return rows, {"abscissa_sampling": mode}
 
@@ -320,12 +312,9 @@ def cmd_expsum(cfg: RunConfig, args) -> tuple[list[dict], dict]:
     if args.plot_dir:
         keyed = sorted((r for r in rows if r["rho"] is not None),
                        key=lambda r: r["rho"])
-        _write_plot_series(args.plot_dir, "rho_vs_refined_exp",
-                           [(r["rho"], r["refined_exp"]) for r in keyed])
-        _write_plot_series(args.plot_dir, "rho_vs_hb_exp",
-                           [(r["rho"], r["hb_exp"]) for r in keyed])
-        _write_plot_series(args.plot_dir, "rho_vs_ratio_refined",
-                           [(r["rho"], r["ratio_refined"]) for r in keyed])
+        for col in ("refined_exp", "hb_exp", "ratio_refined"):
+            _write_plot_series(args.plot_dir, f"rho_vs_{col}",
+                               [(r["rho"], r[col]) for r in keyed])
     return rows, {}
 
 

@@ -31,12 +31,9 @@ _poly_cache: dict[tuple[int, int], laurent.MainTermPoly] = {}
 
 
 def _main_poly(k: int, bits: int = MAIN_BITS_DEFAULT) -> laurent.MainTermPoly:
-    key = (k, bits)
-    poly = _poly_cache.get(key)
-    if poly is None:
-        poly = laurent.main_term_poly(k, bits)
-        _poly_cache[key] = poly
-    return poly
+    if (k, bits) not in _poly_cache:
+        _poly_cache[k, bits] = laurent.main_term_poly(k, bits)
+    return _poly_cache[k, bits]
 
 
 @dataclass(frozen=True)
@@ -205,7 +202,8 @@ def mean_square(k: int, x: float, panels_per_unit: int = 2,
     On each unit interval the integrand (D_k(n) - y P(log y))^2 is smooth,
     so composite Gauss-Legendre with ``panels_per_unit`` panels converges
     fast; the panel count is doubled once as a self-check (must agree to
-    1e-6 relative).
+    1e-6 relative).  The d_k table comes from ``sieve.dk_block``, so k is
+    capped at ``sieve.DESK_K_CAP`` and the table is held to the memory budget.
     """
     if not 2 <= x <= 10 ** 7:
         raise DomainError(f"x must lie in [2, 1e7], got {x}")

@@ -205,19 +205,26 @@ def d2_summatory_hyperbola(x: int) -> int:
 # ------------------------------------------------------- checkpoint cache
 
 def save_checkpoints_csv(path, series: PartialSumSeries) -> None:
-    """Checksummed-row CSV (k, x, D_k), written atomically; wide D in decimal."""
-    store.write_rows(path, "k,x,D", ((series.k, x, d) for x, d in series.checkpoints))
+    """Chained checksummed-row CSV (k, count, x, D_k), written atomically;
+    wide D in decimal.  The row count catches a file cut short."""
+    n = len(series.checkpoints)
+    store.write_rows(path, "k,count,x,D",
+                     ((series.k, n, x, d) for x, d in series.checkpoints), chained=True)
 
 
 def load_checkpoints_csv(path):
-    """Reload a checkpoint cache; returns None when missing or when any row
-    is corrupted."""
-    got = store.read_rows(path)
+    """Reload a checkpoint cache; returns None when the file is missing or
+    any row is corrupted, missing, extra or out of place."""
+    got = store.read_rows(path, chained=True)
     if got is None:
         return None
     rows, rejected = got
-    if rejected or not rows:
+    try:
+        table = [tuple(map(int, row)) for row in rows]
+        k, count = table[0][:2]
+        cps = tuple((x, d) for _, _, x, d in table)
+    except (ValueError, IndexError):
         return None
-    k = int(rows[0][0])
-    cps = tuple((int(x), int(d)) for _, x, d in rows)
+    if rejected or count != len(cps):
+        return None
     return PartialSumSeries(k=k, checkpoints=cps)

@@ -187,6 +187,8 @@ def test_mean_square_panel_invariance():
     assert abs(a - b) / a < 1e-6
     with pytest.raises(DomainError):
         rl.mean_square(2, 500.0, panels_per_unit=1)
+    with pytest.raises(DomainError):  # k is capped as in the sieve
+        rl.mean_square(31, 500.0)
 
 
 # --------------------------------------------------------------- envelopes
