@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, islice
 from typing import Optional
 
 import mpmath as mp
@@ -31,6 +32,8 @@ from .errors import (
 
 STIELTJES_MAX_N = 64
 STIELTJES_MAX_BITS = 4096
+EM_J_GRID = (8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256)  # Euler-Maclaurin terms
+EM_M_GRID = (64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384)  # direct-sum cutoffs
 
 _stieltjes_memo: dict[int, tuple[int, mp.mpf]] = {}  # n -> (bits, value)
 
@@ -39,17 +42,17 @@ _stieltjes_memo: dict[int, tuple[int, mp.mpf]] = {}  # n -> (bits, value)
 # Stieltjes constants by Euler-Maclaurin
 # ---------------------------------------------------------------------------
 
-def _deriv_poly(n: int, m: int) -> list[int]:
-    """Coefficients (ascending in u = log x) of p_m with
+def _deriv_polys(n: int):
+    """Yield p_0, p_1, ... (coefficients ascending in u = log x) with
     d^m/dx^m [(log x)^n / x] = p_m(log x) / x^{m+1}.
 
     p_0(u) = u^n and p_{m+1} = p_m' - (m+1) p_m, exactly over the integers.
     """
     p = [0] * n + [1]
-    for j in range(m):
+    for m in count(1):
+        yield p
         dp = [(i + 1) * c for i, c in enumerate(p[1:])] + [0]
-        p = [a - (j + 1) * b for a, b in zip(dp, p)]
-    return p
+        p = [a - m * b for a, b in zip(dp, p)]
 
 
 def _log_power_tail(i: int, s: int, M: int):
@@ -63,27 +66,33 @@ def _log_power_tail(i: int, s: int, M: int):
     return mp.mpf(M) ** (-s) * total
 
 
-def _em_tail_bound(n: int, J: int, M: int):
-    """Rigorous bound for the Euler-Maclaurin remainder after J terms:
+def _em_tail_bound(p2J: list[int], J: int, M: int):
+    """Rigorous bound for the Euler-Maclaurin remainder after J terms, given
+    p2J = p_{2J} of ``_deriv_polys``:
     |R| <= 4/(2 pi)^{2J} * integral_M^inf |f^{(2J)}(x)| dx  (|periodic
     Bernoulli| <= 2 (2J)! zeta(2J) / (2 pi)^{2J} and zeta(2J) < 2).
     """
-    p = _deriv_poly(n, 2 * J)
     integral = mp.mpf(0)
-    for i, c in enumerate(p):
+    for i, c in enumerate(p2J):
         if c:
             integral += abs(c) * _log_power_tail(i, 2 * J, M)
     return 4 / (2 * mp.pi) ** (2 * J) * integral
 
 
 def _pick_em_parameters(n: int, target_log2: float) -> tuple[int, int]:
-    """Cheapest (J, M) whose rigorous tail bound beats 2^{target_log2}."""
+    """Cheapest (J, M) on the grids whose rigorous tail bound beats
+    2^{target_log2}: the smallest M >= 2n (the direct sum costs M logarithms,
+    the corrections only J cheap terms) for which some J does, with the
+    smallest such J.
+    """
+    seq = islice(_deriv_polys(n), 2 * EM_J_GRID[-1] + 1)
+    polys = {m // 2: p for m, p in enumerate(seq) if m % 2 == 0 and m // 2 in EM_J_GRID}
     with mp.workdps(40):
-        for J in (8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256):
-            for M in (64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384):
-                if M < 2 * n:
-                    continue
-                bound = _em_tail_bound(n, J, M)
+        for M in EM_M_GRID:
+            if M < 2 * n:
+                continue
+            for J in EM_J_GRID:
+                bound = _em_tail_bound(polys[J], J, M)
                 if bound > 0 and mp.log(bound, 2) < target_log2 - 1:
                     return J, M
     raise PrecisionError(
@@ -120,8 +129,8 @@ def stieltjes(n: int, precision_bits: int = 256) -> mp.mpf:
             total += mp.log(k) ** n / k
         total -= lm ** (n + 1) / (n + 1)
         total -= lm ** n / (2 * M)
-        for j in range(1, J + 1):
-            p = _deriv_poly(n, 2 * j - 1)
+        odd = islice(_deriv_polys(n), 1, 2 * J, 2)  # p_1, p_3, ..., p_{2J-1}
+        for j, p in enumerate(odd, 1):
             deriv = mp.mpf(0)
             for i, c in enumerate(p):
                 if c:
@@ -371,6 +380,8 @@ CONTOUR_MIN_NODES = 4096  # spectral accuracy long before this for radius 1/2
 
 
 def _contour_zetas(nodes: int, prec: int) -> tuple:
+    """(s_j, zeta(s_j)) at s_j = 1 + e^{2 pi i j / nodes} / 2 for j = 0..nodes//2;
+    the lower half circle holds their conjugates, zeta(conj s) = conj zeta(s)."""
     key = (nodes, prec)
     hit = _contour_cache.get(key)
     if hit is not None:
@@ -378,12 +389,18 @@ def _contour_zetas(nodes: int, prec: int) -> tuple:
     with mp.workprec(prec):
         r = mp.mpf(1) / 2
         pts = []
-        for j in range(nodes):
+        for j in range(nodes // 2 + 1):
             s = 1 + r * mp.expjpi(mp.mpf(2 * j) / nodes)
             pts.append((s, mp.zeta(s)))
     out = tuple(pts)
     _contour_cache[key] = out
     return out
+
+
+def _trapezoid(re_vals: list, nodes: int):
+    """(1/nodes) sum_j g(s_j) over the circle, g(conj s) = conj g(s), from Re g
+    at j = 0..nodes//2: each node off the real axis also stands for its conjugate."""
+    return mp.fsum(v if 2 * j % nodes == 0 else 2 * v for j, v in enumerate(re_vals)) / nodes
 
 
 def residue_contour_oracle(k: int, precision_bits: int, x_probe: float,
@@ -394,8 +411,9 @@ def residue_contour_oracle(k: int, precision_bits: int, x_probe: float,
 
     The integrand is analytic in an annulus around the circle, so the
     trapezoid rule converges spectrally; node doubling is the convergence
-    check.  This path is independent of the series pipeline: library zeta
-    evaluations and quadrature against series arithmetic over in-repo
+    check.  It is real on the real axis, so only the upper half circle is
+    evaluated.  This path is independent of the series pipeline: library
+    zeta evaluations and quadrature against series arithmetic over in-repo
     Stieltjes constants.
     """
     if not (1 <= k <= 12):
@@ -410,13 +428,12 @@ def residue_contour_oracle(k: int, precision_bits: int, x_probe: float,
     pts = _contour_zetas(2 * nodes, prec)
     with mp.workprec(prec):
         logx = mp.log(mp.mpf(x_probe))
-        vals = [zs ** k * mp.exp(s * logx) / s * (s - 1) for s, zs in pts]
-        fine = mp.fsum(vals) / (2 * nodes)
-        coarse = mp.fsum(vals[::2]) / nodes
-    with mp.workprec(prec):
+        vals = [mp.re(zs ** k * mp.exp(s * logx) / s * (s - 1)) for s, zs in pts]
+        fine = _trapezoid(vals, 2 * nodes)
+        coarse = _trapezoid(vals[::2], nodes)
         tol = mp.mpf(2) ** (-(precision_bits // 2)) * (1 + abs(fine))
         if abs(fine - coarse) > tol:
             raise QuadratureError(
                 f"contour oracle did not converge: node doubling moved the "
                 f"residue by {mp.nstr(abs(fine - coarse), 5)}")
-        return mp.re(fine) / mp.mpf(x_probe)
+        return fine / mp.mpf(x_probe)

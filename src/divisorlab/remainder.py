@@ -195,6 +195,12 @@ def sign_change_scan(k: int, X0: float, X1: float, C: float = 5.0,
 
 # -------------------------------------------------------------- mean square
 
+# nodes per quadrature chunk when the budget allows, and the float64 arrays
+# alive per node (tracemalloc: ~62 B per node in mean_square(2, 1e6))
+MS_NODES_PER_CHUNK = 1 << 22
+MS_BYTES_PER_NODE = 64
+
+
 def mean_square(k: int, x: float, panels_per_unit: int = 2,
                 order: int = 6, precision_bits: int = MAIN_BITS_DEFAULT) -> float:
     """||Delta_k(x)||_2 = ((1/x) int_1^x Delta_k(y)^2 dy)^{1/2}.
@@ -203,20 +209,29 @@ def mean_square(k: int, x: float, panels_per_unit: int = 2,
     so composite Gauss-Legendre with ``panels_per_unit`` panels converges
     fast; the panel count is doubled once as a self-check (must agree to
     1e-6 relative).  The d_k table comes from ``sieve.dk_block``, so k is
-    capped at ``sieve.DESK_K_CAP`` and the table is held to the memory budget.
+    capped at ``sieve.DESK_K_CAP``.  The table (16 B per n) and the
+    quadrature chunks (``MS_BYTES_PER_NODE`` per node, at most
+    ``MS_NODES_PER_CHUNK`` nodes) are held to the memory budget.
     """
     if not 2 <= x <= 10 ** 7:
         raise DomainError(f"x must lie in [2, 1e7], got {x}")
     if panels_per_unit < 2:
         raise DomainError("panels_per_unit must be >= 2")
     n_top = math.floor(x)
+    spare = sieve.MEMORY_BUDGET_BYTES - 16 * (n_top + 1)
+    chunk_nodes = min(MS_NODES_PER_CHUNK, spare // MS_BYTES_PER_NODE)
+    unit_nodes = 2 * panels_per_unit * order  # one unit interval, doubled panels
+    if chunk_nodes < unit_nodes:
+        need = 16 * (n_top + 1) + MS_BYTES_PER_NODE * unit_nodes
+        raise MemoryBudgetError(f"mean square up to {n_top} needs ~{need >> 20} MiB, "
+                                f"budget is {sieve.MEMORY_BUDGET_BYTES >> 20} MiB")
     Dfloat = _cumulative_D(k, n_top).astype(np.float64)
     coeffs = _main_poly(k, precision_bits).as_floats()
 
     def integral(ppu: int) -> float:
         nodes, weights = np.polynomial.legendre.leggauss(order)
         total = 0.0
-        chunk = max(1, (1 << 22) // (ppu * order))
+        chunk = chunk_nodes // (ppu * order)
         for n0 in range(1, n_top + 1, chunk):
             n1 = min(n0 + chunk, n_top + 1)
             lo = np.arange(n0, n1, dtype=np.float64)

@@ -181,6 +181,13 @@ def zeta_em(sigma: float, t: float, precision_bits: int = 128) -> mp.mpc:
 _B2J = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
 
 
+def _zeta_cutoff(sigma: float, t_max: float, abs_tol: float = 1e-5) -> tuple[int, int]:
+    """Direct-sum cutoff M and Bernoulli-term count J of ``_zeta_series``."""
+    if sigma > 1:
+        return int(min(4096, max(256, (t_max / (12 * abs_tol)) ** (1.0 / (sigma + 1))))), 1
+    return max(64, int(t_max / 4) + 1), 8
+
+
 def _zeta_series(sigma: float, ts: np.ndarray, abs_tol: float = 1e-5):
     """Coefficients n^{-sigma} and log n for n <= M, and ``add_tail(ts, out)``
     adding the integral, half and Bernoulli tail terms to sums ``out`` in place.
@@ -188,13 +195,7 @@ def _zeta_series(sigma: float, ts: np.ndarray, abs_tol: float = 1e-5):
     one Bernoulli term; sigma <= 1: float Euler-Maclaurin with M = max(64,
     t_max/4) and 8 Bernoulli terms (calibrated error ~1e-6).
     """
-    t_max = float(ts.max(initial=1.0))
-    if sigma > 1:
-        M = int(min(4096, max(256, (t_max / (12 * abs_tol)) ** (1.0 / (sigma + 1)))))
-        J = 1
-    else:
-        M = max(64, int(t_max / 4) + 1)
-        J = 8
+    M, J = _zeta_cutoff(sigma, float(ts.max(initial=1.0)), abs_tol)
     n = np.arange(1, M + 1)
 
     def add_tail(ts: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -352,17 +353,27 @@ class MomentEstimate:
             raise DomainError("moments are non-negative")
 
 
-def _moment_dyadic(k: int, sigma: float, T: float, panels: Optional[int]) -> float:
+# quadrature nodes x zeta cutoff over the three dyadic integrals, coarse and
+# fine runs: 1.8e10 for moment_integral(1, 2, 1e5), which takes 7.7 s on a
+# 2-CPU x86 host; at sigma <= 1 the cutoff t/4 makes it grow like T^2
+MOMENT_COST_CAP = 2 * 10 ** 10
+_MOMENT_ORDER = 8
+
+
+def _moment_panels(k: int, sigma: float, T: float, panels: Optional[int]) -> int:
     # oscillation-sized panels; for sigma well above 1 the integrand's
     # amplitude-weighted frequency collapses and wider panels suffice
     width = 2 * math.pi / ((4 if sigma > 1.5 else 12) * k)
-    p = panels if panels is not None else max(8, int(T / width))
+    return panels if panels is not None else max(8, int(T / width))
 
+
+def _moment_dyadic(k: int, sigma: float, T: float, panels: Optional[int]) -> float:
     def series(ts: np.ndarray):
         w, logn, add_tail = _zeta_series(sigma, ts)
         return w, logn, lambda t, S: np.abs(add_tail(t, S)) ** (2 * k)
 
-    return _panel_quadrature(series, T, 2 * T, p, 8, f"moment k={k} sigma={sigma}")
+    return _panel_quadrature(series, T, 2 * T, _moment_panels(k, sigma, T, panels),
+                             _MOMENT_ORDER, f"moment k={k} sigma={sigma}")
 
 
 def moment_integral(k: int, sigma: float, T: float,
@@ -370,6 +381,9 @@ def moment_integral(k: int, sigma: float, T: float,
     """int_T^{2T} |zeta(sigma+it)|^{2k} dt with panel-doubling self-check,
     normalised by T; mu_slope estimates the growth exponent from the dyadic
     integrals at T, 2T and 4T.
+
+    Cost guard: T <= T_CAP_MOMENT, and quadrature nodes times zeta cutoff,
+    summed over all six runs, at most MOMENT_COST_CAP = 2e10 (DomainError).
     """
     if not (1 <= k <= 6):
         raise DomainError(f"k must lie in [1, 6], got {k}")
@@ -379,6 +393,12 @@ def moment_integral(k: int, sigma: float, T: float,
         raise DomainError(f"T must lie in (1, {T_CAP_MOMENT}] (cost guard), got {T}")
     if panels is not None and panels < 1:
         raise DomainError(f"panels must be >= 1, got {panels}")
+    cost = sum(3 * _MOMENT_ORDER * _moment_panels(k, sigma, X, panels)
+               * _zeta_cutoff(sigma, 2 * X)[0] for X in (T, 2 * T, 4 * T))
+    if cost > MOMENT_COST_CAP:
+        raise DomainError(
+            f"moment k={k} sigma={sigma} T={T} needs ~{cost:.2g} quadrature "
+            f"node x zeta term products, cost cap is {MOMENT_COST_CAP:.0e}")
     base = _moment_dyadic(k, sigma, T, panels)
     logs = [math.log(base / T)]
     for X in (2 * T, 4 * T):

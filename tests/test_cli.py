@@ -189,6 +189,7 @@ def test_exit_code_precondition(tmp_path):
     ["delta", "--k", "2", "--x", "1000.5", "--precision-bits", "-5"],
     ["moment", "--k", "1", "--sigma", "2", "--T", "100", "--panels", "0"],
     ["moment", "--k", "1", "--sigma", "2", "--T", "100", "--panels", "-3"],
+    ["moment", "--k", "1", "--sigma", "0.75", "--T", "8000"],
 ])
 def test_malformed_input_exits_2_with_message(argv, capsys):
     assert cli.main(argv) == 2

@@ -25,13 +25,65 @@ def test_gamma0_euler_mascheroni():
         assert abs(v - mp.euler) < mp.mpf("1e-20")
 
 
-@pytest.mark.parametrize("n", range(0, 11))
+@pytest.mark.parametrize("n", range(0, 12))
 def test_stieltjes_vs_library_oracle(n):
-    # oracle: mpmath's independent stieltjes implementation
-    v = la.stieltjes(n, 128)
-    with mp.workdps(50):
-        ref = mp.stieltjes(n)
-        assert abs(v - ref) < mp.mpf(2) ** (-120)
+    # oracle: mpmath's independent stieltjes implementation; the documented
+    # error is below 2^{-bits+8}
+    for bits in (128, 256):
+        la._stieltjes_memo.pop(n, None)
+        v = la.stieltjes(n, bits)
+        with mp.workprec(bits + 48):
+            ref = mp.stieltjes(n)
+            assert abs(v - ref) <= mp.mpf(2) ** (8 - bits)
+
+
+def _deriv_poly_reference(n, m):
+    """p_m of d^m/dx^m [(log x)^n / x] = p_m(log x) / x^{m+1}, rebuilt from p_0."""
+    p = [0] * n + [1]
+    for j in range(m):
+        dp = [(i + 1) * c for i, c in enumerate(p[1:])] + [0]
+        p = [a - (j + 1) * b for a, b in zip(dp, p)]
+    return p
+
+
+def test_deriv_polys_sequence():
+    from itertools import islice
+    for n in (0, 3, 11):
+        seq = list(islice(la._deriv_polys(n), 40))
+        assert seq == [_deriv_poly_reference(n, m) for m in range(40)]
+    # numerical derivative oracle at x = 3 for p_3 with n = 2
+    p3 = _deriv_poly_reference(2, 3)
+    with mp.workdps(40):
+        x = mp.mpf(3)
+        got = sum(c * mp.log(x) ** i for i, c in enumerate(p3)) / x ** 4
+        ref = mp.diff(lambda y: mp.log(y) ** 2 / y, x, 3)
+        assert abs(got - ref) < mp.mpf("1e-30")
+
+
+@pytest.mark.parametrize("n,bits", [(0, 128), (5, 352), (11, 352), (20, 512), (40, 256)])
+def test_pick_em_parameters_smallest_cutoff(n, bits):
+    # brute force over the whole grid: the pick is the smallest M >= 2n for
+    # which any J meets the tail bound, with the smallest such J
+    target = -(bits + 4)
+    feasible = []
+    with mp.workdps(40):
+        for M in la.EM_M_GRID:
+            if M < 2 * n:
+                continue
+            for J in la.EM_J_GRID:
+                bound = la._em_tail_bound(_deriv_poly_reference(n, 2 * J), J, M)
+                if bound > 0 and mp.log(bound, 2) < target - 1:
+                    feasible.append((M, J))
+    M, J = min(feasible)
+    assert la._pick_em_parameters(n, target) == (J, M)
+
+
+def test_pick_em_parameters_small_cutoff_at_352_bits():
+    # the main terms ask for gamma_n, n <= 11, at 352 bits: a few hundred
+    # logarithms, not the 8192-16384 of a J-first search
+    for n in range(12):
+        J, M = la._pick_em_parameters(n, -(352 + 4))
+        assert M <= 128
 
 
 def test_gamma1_reference():
@@ -233,6 +285,34 @@ def test_contour_oracle_agreement():
     oracle5 = la.residue_contour_oracle(5, BITS, 1000)
     with mp.workdps(90):
         assert abs(oracle5 - direct5) < mp.mpf("1e-15")
+
+
+def test_contour_oracle_half_circle(monkeypatch):
+    # one sweep of 2N nodes evaluates zeta at the N + 1 nodes of the upper
+    # half circle only, and the folded sum equals the full-circle trapezoid
+    k, bits, x, N = 3, 32, 100.0, la.CONTOUR_MIN_NODES
+    calls = []
+    zeta = mp.zeta
+
+    def counted(s, *args, **kw):
+        calls.append(s)
+        return zeta(s, *args, **kw)
+
+    monkeypatch.setattr(la, "_contour_cache", {})
+    monkeypatch.setattr(mp, "zeta", counted)
+    got = la.residue_contour_oracle(k, bits, x, nodes=N)
+    assert len(calls) == N + 1
+    monkeypatch.setattr(mp, "zeta", zeta)
+
+    prec = bits + 32
+    with mp.workprec(prec):
+        logx = mp.log(mp.mpf(x))
+        total = mp.mpc(0)
+        for j in range(2 * N):
+            s = 1 + mp.expjpi(mp.mpf(2 * j) / (2 * N)) / 2
+            total += mp.zeta(s) ** k * mp.exp(s * logx) / s * (s - 1)
+        full = mp.re(total / (2 * N)) / x
+        assert abs(got - full) <= mp.mpf(2) ** (8 - prec) * (1 + abs(full))
 
 
 def test_contour_oracle_domain():

@@ -4,6 +4,7 @@ closed forms for k=1, and a Riemann-sum quadrature cross-check.
 """
 
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -154,6 +155,18 @@ def test_sign_change_scan_memory_budget(monkeypatch):
         rl.sign_change_scan(2, 1e3, 1e6)
     with pytest.raises(MemoryBudgetError, match="budget is 1 MiB"):
         rl.mean_square(2, 1e5)
+    # 4 MiB holds the table, and the quadrature chunks shrink to fit the rest
+    monkeypatch.undo()
+    full = rl.mean_square(2, 1e5)  # also fills the main-term cache outside the trace
+    monkeypatch.setattr(sv, "MEMORY_BUDGET_BYTES", 4 << 20)
+    tracemalloc.start()
+    try:
+        small = rl.mean_square(2, 1e5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 << 20
+    assert abs(small - full) <= 1e-12 * full
 
 
 # -------------------------------------------------------------- mean square

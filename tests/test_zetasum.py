@@ -256,6 +256,10 @@ def test_moment_panels_override_and_domain():
         zs.moment_integral(7, 2.0, 100.0)
     with pytest.raises(DomainError):
         zs.moment_integral(1, 2.0, 10 ** 6)
+    # inside the T cap, but at sigma <= 1 the zeta cutoff t/4 makes the work
+    # grow like T^2: refused before any quadrature runs
+    with pytest.raises(DomainError, match=r"needs ~3\.1e\+10 .* cost cap is 2e\+10"):
+        zs.moment_integral(1, 0.75, 8000.0)
     for panels in (0, -3):
         with pytest.raises(DomainError):
             zs.moment_integral(1, 2.0, 100.0, panels=panels)
