@@ -655,18 +655,21 @@ def hb_exponent(rho):
 REFINED_HB_CROSSOVER = Fraction(240, 31)  # where 1 - 3/rho = 49/80 exactly
 
 
-def ck_inequality_scan(k_max: int, samples_per_interval: int = 10) -> ScanReport:
+def ck_inequality_scan(k_max: int) -> ScanReport:
     """Exact-integer verification, for k = 2..k_max, of
     (i) c_k strictly monotone in the direction the piecewise comparison
     needs (c_{k+1} > c_k, so that -c_{k+1} rho^{-2} <= -c_k rho^{-2}),
     (ii) c_k > 1 - 3/rho_{k+1}, and
-    (iii) phi(rho) <= -c_k * rho^{-2} at sample points of [rho_k, rho_{k+1}].
+    (iii) phi(rho) <= -c_k * rho^{-2} on all of [rho_k, rho_{k+1}].
+
+    (iii) is A rho^3 + B rho^2 + c_k <= 0 with A > 0 > B, whose only
+    stationary point on rho > 0, -2B/(3A), is a local minimum: the cubic
+    peaks at an endpoint of [rho_k, rho_{k+1}], and two endpoints prove (iii).
 
     All comparisons are cross-multiplied integer comparisons; no rounding.
     """
     if k_max < 2:
         raise DomainError(f"k_max must be >= 2, got {k_max}")
-    s = samples_per_interval - 1
     for k in range(2, k_max + 1):
         # c_k = mu/nu
         mu = (k * k + 1) ** 2
@@ -684,20 +687,14 @@ def ck_inequality_scan(k_max: int, samples_per_interval: int = 10) -> ScanReport
         #   A = 2/alpha, Bcoef = -beta/((k+1)*alpha), alpha = k^2 (k+3)
         alpha = k * k * (k + 3)
         beta = 3 * k * k + 3 * k + 2
-        n1, d1 = k * k + 1, k + 1
-        n2, d2 = (k + 1) ** 2 + 1, k + 2
-        D9 = s * d1 * d2
-        step = n2 * d1 - n1 * d2
-        base = s * n1 * d2
-        for j in range(s + 1):
-            N = base + j * step  # rho = N/D9
+        ends = (("rho_k", k * k + 1, k + 1), ("rho_{k+1}", (k + 1) ** 2 + 1, k + 2))
+        for where, N, D in ends:  # rho = N/D
             # A rho^3 + Bcoef rho^2 + c_k <= 0, multiplied up by
-            # D9^3 * alpha * (k+1) * nu > 0:
-            lhs = 2 * (k + 1) * nu * N ** 3 - beta * nu * N * N * D9 \
-                + mu * alpha * (k + 1) * D9 ** 3
+            # D^3 * alpha * (k+1) * nu > 0:
+            lhs = 2 * (k + 1) * nu * N ** 3 - beta * nu * N * N * D \
+                + mu * alpha * (k + 1) * D ** 3
             if lhs > 0:
-                return ScanReport(False, k_max,
-                                  (k, f"phi above -c_k/rho^2 at sample {j}"))
+                return ScanReport(False, k_max, (k, f"phi above -c_k/rho^2 at {where}"))
     return ScanReport(True, k_max, None)
 
 
@@ -886,17 +883,17 @@ def large_k_constant() -> mp.mpf:
 
 def report_karatsuba(D) -> float:
     """Round a Karatsuba constant down at 3 decimals (weakens the claim)."""
-    return round_down(float(D), 3)
+    return round_down(D, 3)
 
 
 def report_exponent(a) -> float:
     """Round a bound exponent up at 5 decimals (weakens the claim)."""
-    return round_up(float(a), 5)
+    return round_up(a, 5)
 
 
 def report_subtracted_threshold(c) -> float:
     """Round a subtracted constant like 2*k1 down at 2 decimals."""
-    return round_down(float(c), 2)
+    return round_down(c, 2)
 
 
 def report_k_threshold(x) -> int:

@@ -8,6 +8,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Sequence
 
+import mpmath as mp
 import numpy as np
 
 from .errors import BracketError
@@ -106,16 +107,24 @@ def real_cubic_roots(c3: float, c2: float, c1: float, c0: float,
     return sorted(out)
 
 
+def _exact_fraction(x) -> Fraction:
+    """x as an exact Fraction, an mpf through its mantissa and exponent."""
+    if isinstance(x, mp.mpf) and mp.isfinite(x):
+        man, exp = x.man_exp  # |x| = man * 2^exp
+        return Fraction(-man if x < 0 else man) * Fraction(2) ** exp
+    return Fraction(x)
+
+
 def round_down(x, decimals: int) -> float:
     """Round x toward -inf at the given number of decimals (exact in Fraction)."""
     q = Fraction(10) ** decimals
-    return float(math.floor(Fraction(float(x)) * q) / q)
+    return float(math.floor(_exact_fraction(x) * q) / q)
 
 
 def round_up(x, decimals: int) -> float:
     """Round x toward +inf at the given number of decimals (exact in Fraction)."""
     q = Fraction(10) ** decimals
-    return float(math.ceil(Fraction(float(x)) * q) / q)
+    return float(math.ceil(_exact_fraction(x) * q) / q)
 
 
 def ols_slope(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:

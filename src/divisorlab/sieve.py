@@ -1,16 +1,15 @@
 """Exact d_k(n) blocks and partial sums D_k(x) at desk scale.
 
-d_k on [1, hi) is built by k-1 successive Dirichlet convolutions with the
-all-ones function.  Segment interaction scheme: each convolution level is
-completed over the full base range [1, hi) before the next level starts
-("level-complete sweeps"); any output segmentation is a view of a completed
-level, so segmented results concatenate to the full-range result exactly.
-Within one sweep the divisor loop is split into a per-divisor region and a
-quotient-grouped region so the Python-level work is O(hi^{1/3}) slice adds.
+Both come from one segmented multiplicative sieve (after Bays and Hudson,
+BIT 17, 1977): each segment of SEGMENT entries of [lo, hi) strips the
+exponents a_p of every n with the primes p <= sqrt(hi - 1) and sets
+d_k(n) = prod_p C(a_p + k - 1, k - 1), times k where a prime cofactor is
+left.  A block costs only its own range, whatever k is, and partial sums
+stream segment by segment in O(SEGMENT) memory plus the prime table.
 
-Values are uint64 with saturation detection; partial sums accumulate in
-Python integers (exact well past 128 bits).  Everything is deterministic:
-repeated runs are byte-identical.
+Values are uint64; a segment is flagged as overflowed when a float log2 sum
+of the factors exceeds OVERFLOW_LOG2 = 63, a 2x margin below 2^64.  Partial
+sums accumulate in Python integers.  Repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -27,10 +26,11 @@ DESK_X_CAP = 10 ** 9
 DESK_K_CAP = 30
 MEMORY_BUDGET_BYTES = 3 << 30
 
-# d(n) <= 1344 for n <= 1e9, so one ones-convolution multiplies the maximum
-# value by at most 1344 < 2^11; inputs below 2^52 therefore cannot saturate.
-_SAFE_INPUT_MAX = 1 << 52
-_OVERFLOW_SHADOW_LIMIT = float(1 << 62)
+SEGMENT = 1 << 16
+# one segment's working set (values, cofactors, log2 sums, their temporaries
+# and the prime table); tracemalloc measures ~41 B per entry
+SEGMENT_BYTES = 48 * SEGMENT
+OVERFLOW_LOG2 = 63
 
 
 @dataclass(frozen=True)
@@ -61,77 +61,76 @@ class PartialSumSeries:
             raise DomainError("partial sums must be strictly increasing")
 
 
-def _ones_convolve(a: np.ndarray) -> tuple[np.ndarray, bool]:
-    """One Dirichlet convolution with 1: b[n] = sum_{d|n} a[d] on [1, len(a)].
-
-    Index m-1 holds the value at integer m.  Returns (b, overflowed).
-    """
-    n = len(a)
-    overflow_risk = bool(a.max(initial=0) >= _SAFE_INPUT_MAX)
-    shadow = a.astype(np.float64) if overflow_risk else None
-    b = a.copy()
-    J = int((2 * max(n, 2)) ** (1.0 / 3.0)) + 1
-    d_small_max = n // (J + 1)
-    for d in range(1, d_small_max + 1):
-        b[2 * d - 1::d] += a[d - 1]
-        if overflow_risk:
-            shadow[2 * d - 1::d] += shadow[d - 1]
-    for j in range(2, J + 1):
-        dlo = max(n // (j + 1) + 1, d_small_max + 1)
-        dhi = n // j
-        if dhi < dlo:
-            continue
-        for m in range(2, j + 1):
-            b[m * dlo - 1: m * dhi: m] += a[dlo - 1: dhi]
-            if overflow_risk:
-                shadow[m * dlo - 1: m * dhi: m] += shadow[dlo - 1: dhi]
-    overflowed = overflow_risk and bool(shadow.max() > _OVERFLOW_SHADOW_LIMIT)
-    return b, overflowed
+def _primes_upto(m: int) -> list[int]:
+    """The primes <= m, by the sieve of Eratosthenes."""
+    is_prime = np.ones(m + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, math.isqrt(m) + 1):
+        if is_prime[p]:
+            is_prime[p * p::p] = False
+    return np.flatnonzero(is_prime).tolist()
 
 
-def _dk_table(k: int, n_max: int) -> tuple[np.ndarray, bool]:
-    """d_k(n) for n in [1, n_max], via k-1 level-complete sweeps."""
-    a = np.ones(n_max, dtype=np.uint64)
-    overflowed = False
-    for _ in range(k - 1):
-        a, over = _ones_convolve(a)
-        overflowed = overflowed or over
-    return a, overflowed
+def _dk_segments(k: int, lo: int, hi: int):
+    """Yield (start, d_k values, overflowed) for each segment of [lo, hi).
+    Stripping the primes p <= sqrt(hi - 1) leaves 1 or one prime above it."""
+    primes = _primes_upto(math.isqrt(hi - 1))
+    binom = [math.comb(a + k - 1, k - 1) for a in range(64)]  # a_p < log2(hi) < 64
+    log2_binom = [math.log2(c) for c in binom]
+    for s in range(lo, hi, SEGMENT):
+        n = min(SEGMENT, hi - s)
+        v = np.ones(n, dtype=np.uint64)
+        rest = np.arange(s, s + n, dtype=np.uint64)
+        lg = np.zeros(n)
+        for p in primes:
+            for a in range(1, 64):  # the multiples of p^a: a_p grows from a - 1 to a
+                first = -s % p ** a
+                if first >= n:
+                    break
+                sl = slice(first, None, p ** a)
+                if a > 1:
+                    v[sl] //= binom[a - 1]
+                v[sl] *= binom[a]
+                lg[sl] += log2_binom[a] - log2_binom[a - 1]
+                rest[sl] //= p
+        cofactor = rest > 1
+        np.multiply(v, k, out=v, where=cofactor)
+        np.add(lg, log2_binom[1], out=lg, where=cofactor)
+        yield s, v, bool(lg.max() > OVERFLOW_LOG2)
 
 
-def _check_caps(k: int, hi: int) -> None:
+def _check_caps(k: int, hi: int, table_bytes: int) -> None:
+    """Refuse k or hi beyond the caps, or table_bytes plus a segment over budget."""
     if not (1 <= k <= DESK_K_CAP):
         raise DomainError(f"k must lie in [1, {DESK_K_CAP}], got {k}")
     if hi > DESK_X_CAP + 1:
         raise DomainError(f"range cap is {DESK_X_CAP}, requested up to {hi - 1}")
-    need = 2 * 8 * hi  # two uint64 tables (input + output per sweep)
+    need = table_bytes + SEGMENT_BYTES
     if need > MEMORY_BUDGET_BYTES:
         raise MemoryBudgetError(
-            f"range [1, {hi}) needs ~{need >> 20} MiB, budget is "
+            f"range up to {hi - 1} needs ~{need >> 20} MiB, budget is "
             f"{MEMORY_BUDGET_BYTES >> 20} MiB")
 
 
 def dk_block(k: int, lo: int, hi: int) -> DivisorBlock:
-    """Exact d_k(n) for n in [lo, hi) (computed over the base range [1, hi))."""
+    """Exact d_k(n) for n in [lo, hi), sieved over [lo, hi) alone."""
     if not (1 <= lo < hi):
         raise DomainError(f"need 1 <= lo < hi, got [{lo}, {hi})")
-    _check_caps(k, hi)
-    table, overflowed = _dk_table(k, hi - 1)
-    return DivisorBlock(k=k, lo=lo, hi=hi, values=table[lo - 1: hi - 1].copy(),
-                        overflow_flag=overflowed)
+    _check_caps(k, hi, 8 * (hi - lo))
+    values = np.empty(hi - lo, dtype=np.uint64)
+    overflowed = False
+    for s, seg, over in _dk_segments(k, lo, hi):
+        values[s - lo: s - lo + len(seg)] = seg
+        overflowed = overflowed or over
+    return DivisorBlock(k=k, lo=lo, hi=hi, values=values, overflow_flag=overflowed)
 
 
 def _exact_sum_uint64(values: np.ndarray) -> int:
-    """Exact integer sum of a uint64 array via 32-bit split, chunked so the
-    partial sums cannot wrap."""
-    total = 0
-    mask = np.uint64(0xFFFFFFFF)
-    for i in range(0, len(values), 1 << 20):
-        chunk = values[i: i + (1 << 20)]
-        lo = int(np.sum(chunk & mask, dtype=np.uint64))
-        hi = int(np.sum(chunk >> np.uint64(32), dtype=np.uint64))
-        total += lo + (hi << 32)
-    return total
+    """Exact integer sum of fewer than 2^32 uint64 values via a 32-bit split:
+    neither half's sum can wrap."""
+    lo = int(np.sum(values & np.uint64(0xFFFFFFFF), dtype=np.uint64))
+    hi = int(np.sum(values >> np.uint64(32), dtype=np.uint64))
+    return lo + (hi << 32)
 
 
 def dk_partial_sums(k: int, x_max: int, checkpoints) -> PartialSumSeries:
@@ -141,17 +140,19 @@ def dk_partial_sums(k: int, x_max: int, checkpoints) -> PartialSumSeries:
         raise DomainError("checkpoints must be sorted")
     if not cps or cps[-1] > x_max or cps[0] < 1:
         raise DomainError("checkpoints must lie in [1, x_max]")
-    _check_caps(k, x_max + 1)
-    table, overflowed = _dk_table(k, x_max)
-    if overflowed:
-        raise SieveOverflowError(f"d_{k} saturated 64 bits below {x_max}")
-    out = []
-    acc = 0
-    prev = 0
-    for x in cps:
-        acc += _exact_sum_uint64(table[prev:x])
-        prev = x
-        out.append((x, acc))
+    _check_caps(k, x_max + 1, 0)
+    out, acc, i = [], 0, 0
+    for s, seg, over in _dk_segments(k, 1, cps[-1] + 1):
+        if over:
+            raise SieveOverflowError(f"d_{k} may exceed 2^{OVERFLOW_LOG2} below {cps[-1] + 1}")
+        done = 0
+        while i < len(cps) and cps[i] < s + len(seg):
+            end = cps[i] - s + 1
+            acc += _exact_sum_uint64(seg[done:end])
+            done = end
+            out.append((cps[i], acc))
+            i += 1
+        acc += _exact_sum_uint64(seg[done:])
     return PartialSumSeries(k=k, checkpoints=tuple(out))
 
 

@@ -213,14 +213,6 @@ def _zeta_series(sigma: float, ts: np.ndarray, abs_tol: float = 1e-5):
     return n ** (-sigma), np.log(n), add_tail
 
 
-def _zeta_grid_float(sigma: float, ts: np.ndarray, abs_tol: float = 1e-5) -> np.ndarray:
-    """zeta(sigma + i ts) in complex128 by direct summation: the unfactorised
-    reference for ``_panel_quadrature`` (terms from ``_zeta_series``)."""
-    ts = np.asarray(ts, dtype=float)
-    w, logn, add_tail = _zeta_series(sigma, ts, abs_tol)
-    return add_tail(ts, np.exp(-1j * np.outer(ts, logn)) @ w)
-
-
 _NODES_PER_CHUNK = 1 << 18  # GL nodes per chunk; the zeta cutoff follows each chunk
 _ENTRIES = 1 << 19          # complex entries per phase matrix
 

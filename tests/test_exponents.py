@@ -507,6 +507,13 @@ def test_ck_scan_small_cases():
     assert Fraction(10201, 13310) > 1 - Fraction(36, 122)
     rep = ex.ck_inequality_scan(200)
     assert rep.ok, rep.failure
+    # the scan's endpoint proof of (iii) against exact sampling of each interval
+    for k in range(2, 31):
+        piece, c = ex.phi_piece_for_index(k + 1), ex.phi_piece_for_index(k).c
+        lo, hi = ex.rho_node(k), ex.rho_node(k + 1)
+        for j in range(33):
+            rho = lo + (hi - lo) * Fraction(j, 32)
+            assert piece.A * rho ** 3 + piece.Bcoef * rho ** 2 + c <= 0
 
 
 # ------------------------------------------------------- cubic maximisers
@@ -633,6 +640,12 @@ def test_report_rounding_helpers():
     assert ex.report_exponent(0.8421628) == 0.84217
     assert ex.report_subtracted_threshold(8.37482) == 8.37
     assert ex.report_k_threshold(29.4419) == 30
+    # within one double ulp of a decimal boundary: rounded on the mpf itself,
+    # not on the nearest float, which lies on or across the boundary
+    with mp.workprec(200):
+        assert ex.report_karatsuba(mp.mpf("1.889") - mp.mpf(2) ** -80) == 1.888
+        assert ex.report_exponent(mp.mpf("0.5") + mp.mpf(2) ** -80) == 0.50001
+        assert ex.report_subtracted_threshold(mp.mpf("8.38") - mp.mpf(2) ** -80) == 8.37
 
 
 def test_params_validation():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from divisorlab import sieve as sv, store
-from divisorlab.errors import DomainError, MemoryBudgetError
+from divisorlab.errors import DomainError, MemoryBudgetError, SieveOverflowError
 
 
 def d2_brute(n: int) -> int:
@@ -47,6 +47,14 @@ def test_dk_at_one_and_primes():
         assert blk.values[0] == 1
         for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
             assert blk.values[p - 1] == k
+            assert sv.dk_block(k, p, p + 1).values[0] == k  # p is its own cofactor
+
+
+def test_window_at_a_prime_square():
+    # n = p^2 is the one n < hi whose prime p is exactly sqrt(hi - 1)
+    for p in (2, 3, 7, 31607):
+        blk = sv.dk_block(5, p * p, p * p + 1)
+        assert int(blk.values[0]) == sv.dk_factor(5, p * p) == 15
 
 
 def test_block_offset_slicing():
@@ -83,7 +91,8 @@ def test_partial_sums_checkpoint_consistency():
 
 def test_hyperbola_identity():
     # independent O(sqrt x) oracle for D_2
-    xs = [1, 2, 10, 99, 1000, 54321, 10 ** 6]
+    seg = sv.SEGMENT
+    xs = [1, 2, 10, 99, 1000, 54321, seg - 1, seg, seg + 1, 3 * seg, 10 ** 6]
     series = sv.dk_partial_sums(2, 10 ** 6, xs)
     for x, d in series.checkpoints:
         assert d == sv.d2_summatory_hyperbola(x)
@@ -99,10 +108,15 @@ def test_dk_factor_against_brute():
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.integers(2, 8), st.integers(1, 3000))
-def test_dk_factor_matches_sieve(k, n):
-    blk = sv.dk_block(k, n, n + 1)
-    assert int(blk.values[0]) == sv.dk_factor(k, n)
+@given(st.integers(1, sv.DESK_K_CAP), st.integers(1, sv.DESK_X_CAP), st.integers(1, 8))
+def test_dk_factor_matches_sieve(k, n, width):
+    # a window anywhere below the cap is sieved over itself alone
+    hi = min(n + width, sv.DESK_X_CAP + 1)
+    blk = sv.dk_block(k, n, hi)
+    want = [sv.dk_factor(k, m) for m in range(n, hi)]
+    assert blk.overflow_flag == (max(want) >= 1 << sv.OVERFLOW_LOG2)
+    if not blk.overflow_flag:
+        assert [int(v) for v in blk.values] == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -138,11 +152,34 @@ def test_exact_sum_uint64_wide():
     assert got == 3 * (1 << 20) * ((1 << 63) + 12345)
 
 
-def test_overflow_detection_synthetic():
-    # feed a synthetic near-saturation table through one convolution sweep
-    a = np.full(64, 1 << 60, dtype=np.uint64)
-    b, overflowed = sv._ones_convolve(a)
-    assert overflowed
+def test_overflow_detection_first_wide_value():
+    # 139345920 = 2^14 3^5 5 7 is the smallest n with d_30(n) >= 2^64
+    n = 2 ** 14 * 3 ** 5 * 5 * 7
+    assert n == 139345920
+    assert sv.dk_factor(30, n) >= 1 << 64 > sv.dk_factor(30, n - 1)
+    assert sv.dk_block(30, n, n + 1).overflow_flag
+    assert not sv.dk_block(30, n - 1, n).overflow_flag
+
+
+def test_one_flagged_segment_flags_the_whole_request(monkeypatch):
+    # d_30(4) = C(32, 29) = 4960 > 2^8 in the first segment; the last
+    # segment holds only the prime 65537, d_30 = 30 < 2^8
+    monkeypatch.setattr(sv, "OVERFLOW_LOG2", 8)
+    assert sv.dk_block(30, 1, sv.SEGMENT + 2).overflow_flag
+    with pytest.raises(SieveOverflowError):
+        sv.dk_partial_sums(30, 100, [100])
+    # the factor k of a prime cofactor counts too: d_30(31) = 30 > 2^4
+    monkeypatch.setattr(sv, "OVERFLOW_LOG2", 4)
+    assert sv.dk_block(30, 31, 32).overflow_flag
+
+
+def test_partial_sums_stream_within_segment_budget(monkeypatch):
+    # D_2(1e7) needs only one segment at a time, not a 1e7-entry table
+    monkeypatch.setattr(sv, "MEMORY_BUDGET_BYTES", 64 << 20)
+    x = 10 ** 7
+    assert sv.dk_partial_sums(2, x, [x]).checkpoints == ((x, sv.d2_summatory_hyperbola(x)),)
+    with pytest.raises(MemoryBudgetError):
+        sv.dk_block(2, 1, x + 1)
 
 
 def test_precondition_errors():
