@@ -144,7 +144,7 @@ def _parse_grid(spec: str, half_odd: bool) -> list[float]:
         lo, hi, n = float(lo), float(hi), int(n)
     except ValueError as e:
         raise ConfigError(f"grid must be lo:hi:n, got {spec!r}") from e
-    if not (1 < lo < hi and n >= 2):
+    if not (1 < lo < hi < math.inf and n >= 2):
         raise ConfigError(f"bad grid bounds {spec!r}")
     pts = np.geomspace(lo, hi, n)
     if half_odd:
@@ -227,6 +227,8 @@ def cmd_bounds(cfg: RunConfig, args) -> tuple[list[dict], dict]:
 
 def cmd_sieve(cfg: RunConfig, args) -> tuple[list[dict], dict]:
     xs = sorted(set(_parse_list(args.x_list, int)))
+    if not xs:
+        raise ConfigError("--x-list needs at least one value")
     sums = _cached_partial_sums(cfg, args.k, xs)
     return [{"k": args.k, "x": x, "D": sums[x]} for x in xs], {}
 
@@ -255,6 +257,8 @@ def cmd_delta(cfg: RunConfig, args) -> tuple[list[dict], dict]:
     else:
         if args.x is None:
             raise ConfigError("delta needs --x or --grid")
+        if not math.isfinite(args.x):
+            raise ConfigError(f"--x must be finite, got {args.x}")
         xs = [float(args.x)]
     rows = _delta_rows(cfg, args.k, xs, cfg.precision_bits)
     if args.plot_dir:

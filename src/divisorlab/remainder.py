@@ -5,10 +5,11 @@ Sampling defaults to half-odd abscissae x = n + 1/2 (the summatory function
 is locally constant there, so the remainder is smooth across the sample
 point); any other x is accepted but flagged via ``half_odd=False``.
 
-Exact summatory values come from the sieve; main terms from the residue
-polynomials.  High-volume paths (mean square, scans) run in float64 with
-the main-term polynomial coefficients rounded once; per-sample paths keep
-full mpmath precision.
+Exact summatory values come from ``sieve.dk_partial_sums`` (isolated
+floor-value sums for sparse points, the sieve for dense ones); main terms
+from the residue polynomials.  High-volume paths (mean square, scans) run
+in float64 with the main-term polynomial coefficients rounded once;
+per-sample paths keep full mpmath precision.
 """
 
 from __future__ import annotations
@@ -66,7 +67,10 @@ def _is_half_odd(x: float) -> bool:
 
 
 def delta_at(k: int, x: float, precision_bits: int = MAIN_BITS_DEFAULT) -> RemainderSample:
-    """Delta_k(x) = D_k(floor x) - x P_{k-1}(log x), exactly-minus-smooth."""
+    """Delta_k(x) = D_k(floor x) - x P_{k-1}(log x), exactly-minus-smooth.
+
+    D_k(floor x) is one checkpoint of ``sieve.dk_partial_sums``, which takes
+    the isolated route over the floor values unless its bounds refuse."""
     if not 1 < x <= sieve.DESK_X_CAP:
         raise DomainError(f"x must lie in (1, {sieve.DESK_X_CAP}], got {x}")
     n = math.floor(x)
@@ -86,7 +90,9 @@ def sample_from_D(k: int, x: float, D: int, bits: int) -> RemainderSample:
 
 def delta_scan(k: int, x_grid: Sequence[float],
                precision_bits: int = MAIN_BITS_DEFAULT) -> list[RemainderSample]:
-    """One streaming sieve pass servicing a sorted grid of abscissae."""
+    """Samples on a sorted grid of abscissae from one ``sieve.dk_partial_sums``
+    call over the distinct floors: isolated sums for a sparse grid, one
+    streaming sieve pass for a dense one."""
     xs = list(x_grid)
     if any(a > b for a, b in zip(xs, xs[1:])):
         raise DomainError("grid must be sorted")

@@ -1,15 +1,25 @@
 """Exact d_k(n) blocks and partial sums D_k(x) at desk scale.
 
-Both come from one segmented multiplicative sieve (after Bays and Hudson,
+Blocks come from one segmented multiplicative sieve (after Bays and Hudson,
 BIT 17, 1977): each segment of SEGMENT entries of [lo, hi) strips the
 exponents a_p of every n with the primes p <= sqrt(hi - 1) and sets
 d_k(n) = prod_p C(a_p + k - 1, k - 1), times k where a prime cofactor is
-left.  A block costs only its own range, whatever k is, and partial sums
-stream segment by segment in O(SEGMENT) memory plus the prime table.
+left.  A block costs only its own range, whatever k is.
+
+Partial sums take one of two exact routes, picked by a fixed cost rule
+(``_isolated_chunk``): isolated work of about (k - 1) 2 x^{3/4} pairs per
+checkpoint against sieve work of max x entries.
+  - Sparse checkpoints: the hyperbola identity over the floor values
+    {x // b} (Lagarias, Miller and Odlyzko, Math. Comp. 44, 1985; Deleglise
+    and Rivat, Experiment. Math. 5, 1996), level by level for j = 2..k in
+    int64, where an a-priori bound shows it cannot wrap.
+  - Dense checkpoints: the sieve, streamed segment by segment in
+    O(SEGMENT) memory plus the prime table; it is also the oracle for the
+    isolated route.
 
 Values are uint64; a segment is flagged as overflowed when a float log2 sum
 of the factors exceeds OVERFLOW_LOG2 = 63, a 2x margin below 2^64.  Partial
-sums accumulate in Python integers.  Repeated runs are byte-identical.
+sums are exact Python integers.  Repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -133,14 +143,8 @@ def _exact_sum_uint64(values: np.ndarray) -> int:
     return lo + (hi << 32)
 
 
-def dk_partial_sums(k: int, x_max: int, checkpoints) -> PartialSumSeries:
-    """D_k at each checkpoint (sorted integers <= x_max), exactly."""
-    cps = list(checkpoints)
-    if any(a > b for a, b in zip(cps, cps[1:])):
-        raise DomainError("checkpoints must be sorted")
-    if not cps or cps[-1] > x_max or cps[0] < 1:
-        raise DomainError("checkpoints must lie in [1, x_max]")
-    _check_caps(k, x_max + 1, 0)
+def _sieved_sums(k: int, cps: list[int]) -> tuple:
+    """(x, D_k(x)) at the sorted checkpoints from one streaming sieve pass."""
     out, acc, i = [], 0, 0
     for s, seg, over in _dk_segments(k, 1, cps[-1] + 1):
         if over:
@@ -153,7 +157,138 @@ def dk_partial_sums(k: int, x_max: int, checkpoints) -> PartialSumSeries:
             out.append((cps[i], acc))
             i += 1
         acc += _exact_sum_uint64(seg[done:])
-    return PartialSumSeries(k=k, checkpoints=tuple(out))
+    return tuple(out)
+
+
+# ------------------------------------------------------- isolated route
+
+# bytes a (b, m) pair of the isolated route holds alive (tracemalloc: ~73 B),
+# and the cost rule in sieved entries (~90 ns each at 1e6): a pair per level
+# takes 6-20 ns, a checkpoint's fixed numpy overhead 65-190 us for k = 2-10
+PAIR_BYTES = 80
+PAIR_COST = 0.15
+POINT_COST = 1500
+
+
+def _isqrt_array(v: np.ndarray) -> np.ndarray:
+    """isqrt of each int64 entry below 2^52: the float root is off by at most one."""
+    r = np.sqrt(v.astype(np.float64)).astype(np.int64)
+    r -= r * r > v
+    r += (r + 1) * (r + 1) <= v
+    return r
+
+
+def _pairs(x: int, s: int, b0: int, r: np.ndarray):
+    """The pairs (b, m) with b0 <= b < b0 + len(r) and m <= r_b, grouped by b:
+    group starts, m, q = x // (bm), and where D(q) sits in a level table
+    (D(q) of a large q is the entry of b' = bm, since x // bm = q)."""
+    starts = np.cumsum(r) - r
+    m = np.arange(int(starts[-1] + r[-1]), dtype=np.int64) - np.repeat(starts - 1, r)
+    bm = np.repeat(np.arange(b0, b0 + len(r), dtype=np.int64), r) * m
+    q = x // bm
+    return starts, m, q, np.where(q <= s, s + q, bm - 1)
+
+
+def _level(prev: np.ndarray, d_prev: np.ndarray, s: int, r: np.ndarray,
+           starts, m, q, idx) -> np.ndarray:
+    """D_j(x // b) for a chunk of b by the hyperbola identity
+    sum_{m <= r_b} [D_{j-1}(x // bm) + d_{j-1}(m) (x // bm)] - r_b D_{j-1}(r_b)."""
+    vals = prev[idx]
+    vals += d_prev[m] * q
+    out = np.add.reduceat(vals, starts)
+    out -= r * prev[s + r]
+    return out
+
+
+def _isolated_dk(k: int, x: int, d: np.ndarray, D: np.ndarray, chunk: int) -> int:
+    """D_k(x) over the floor values x // b, level by level for j = 2..k.
+
+    Row j - 1 of the level table holds D_j(x // b) at b - 1 for b <= s =
+    isqrt(x) and D_j(v) at s + v for v <= s (from the small tables d, D).
+    Inner levels need every b <= s; D_j(x // b) reads level j - 1 only at
+    b' = bm >= b, so chunks of about ``chunk`` >= s pairs (no group of
+    r_b <= s pairs spans two cuts) run from the largest b down, all levels
+    each.  The top level needs only b = 1.
+    """
+    if k == 1:
+        return x
+    s = math.isqrt(x)
+    tab = np.empty((k - 1, 2 * s + 1), dtype=np.int64)
+    tab[:, s:] = D[1:, :s + 1]
+    tab[0, :s] = x // np.arange(1, s + 1)
+    r = _isqrt_array(x // np.arange(1, (s if k > 2 else 1) + 1, dtype=np.int64))
+    if k > 2:
+        ends = np.cumsum(r)
+        cuts = np.searchsorted(ends, np.arange(chunk, ends[-1], chunk), side="right")
+        edges = [0, *cuts.tolist(), s]
+        for lo, hi in reversed(list(zip(edges, edges[1:]))):
+            pairs = _pairs(x, s, lo + 1, r[lo:hi])
+            for j in range(2, k):
+                tab[j - 1, lo:hi] = _level(tab[j - 2], d[j - 1], s, r[lo:hi], *pairs)
+    top = _pairs(x, s, 1, r[:1])
+    return int(_level(tab[k - 2], d[k - 1], s, r[:1], *top)[0])
+
+
+def _isolated_sums(k: int, cps: list[int], chunk: int) -> tuple:
+    """(x, D_k(x)) at each checkpoint by the isolated route; d_j and D_j on
+    [0, isqrt(max x)] for j < k come from small sieved blocks, built once."""
+    s = math.isqrt(cps[-1])
+    d = np.zeros((k, s + 1), dtype=np.int64)
+    for j in range(1, k):
+        d[j, 1:] = dk_block(j, 1, s + 1).values
+    D = np.cumsum(d, axis=1)
+    return tuple((x, _isolated_dk(k, x, d, D, chunk)) for x in cps)
+
+
+def _isolated_chunk(k: int, cps: list[int]) -> int:
+    """Pairs per chunk of the isolated route, or 0 where the sieve answers.
+
+    The isolated route is taken only where it is exact and as safe as the
+    sieve.  D_j(y) = sum_{n <= y} D_{j-1}(y / n) gives D_k(x) <= x H(x)^{k-1}
+    <= x (1 + ln x)^{k-1} by induction, and that bound at the last
+    checkpoint must lie below 2^min(62, OVERFLOW_LOG2) (in float log2, whose
+    rounding, like the sieve's, is far below the 1e-9 slack).  Then
+      - every intermediate is at most 2 D_k(x) < 2^63: a level's terms sum
+        to D_j(v) + r D_{j-1}(r), and r D_{j-1}(r) <= D_j(v), so int64
+        cannot wrap;
+      - every d_k(n <= x) <= D_k(x) lies below the sieve's flag, so the
+        sieve would not have raised SieveOverflowError either.
+    Past that, a cost rule picks the route: POINT_COST per checkpoint plus
+    PAIR_COST for each of its about (k - 1) 2 x^{3/4} pair-levels (isqrt(x)
+    for k = 2; D_1(x) = x costs nothing), against the sieve's max x
+    entries.  A chunk holds at most chunk + isqrt(x) pairs and the tables
+    under 40 k (isqrt(x) + 1) bytes; chunk >= isqrt(x) must fit the memory
+    budget beside them and a sieve segment (the small tables are sieved).
+    Otherwise the sieve answers.
+    """
+    x = cps[-1]
+    s = math.isqrt(x)
+    if math.log2(x) + (k - 1) * math.log2(1 + math.log(x)) >= min(62, OVERFLOW_LOG2) - 1e-9:
+        return 0
+    pairs = sum(math.isqrt(c) if k == 2 else (k - 1) * 2 * c ** 0.75 for c in cps)
+    if POINT_COST * len(cps) * (k > 1) + PAIR_COST * pairs >= x:
+        return 0
+    spare = MEMORY_BUDGET_BYTES - SEGMENT_BYTES - 40 * k * (s + 1)
+    chunk = min(SEGMENT, spare // PAIR_BYTES - s)
+    return chunk if chunk >= s else 0
+
+
+def dk_partial_sums(k: int, x_max: int, checkpoints) -> PartialSumSeries:
+    """D_k at each checkpoint (sorted integers <= x_max), exactly.
+
+    Sparse checkpoints take the isolated route over the floor values, dense
+    ones the streaming sieve; ``_isolated_chunk`` holds the cost rule and
+    the bounds that make both routes give the same answer or error.
+    """
+    cps = list(checkpoints)
+    if any(a > b for a, b in zip(cps, cps[1:])):
+        raise DomainError("checkpoints must be sorted")
+    if not cps or cps[-1] > x_max or cps[0] < 1:
+        raise DomainError("checkpoints must lie in [1, x_max]")
+    _check_caps(k, x_max + 1, 0)
+    chunk = _isolated_chunk(k, cps)
+    sums = _isolated_sums(k, cps, chunk) if chunk else _sieved_sums(k, cps)
+    return PartialSumSeries(k=k, checkpoints=sums)
 
 
 # ---------------------------------------------------------------- oracles

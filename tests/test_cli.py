@@ -2,11 +2,14 @@
 cache warm-run determinism and corruption recovery, exit codes.
 """
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from divisorlab import cli
+from divisorlab import cli, sieve
 from divisorlab import zetasum
 from divisorlab.errors import QuadratureError
 
@@ -190,12 +193,49 @@ def test_exit_code_precondition(tmp_path):
     ["moment", "--k", "1", "--sigma", "2", "--T", "100", "--panels", "0"],
     ["moment", "--k", "1", "--sigma", "2", "--T", "100", "--panels", "-3"],
     ["moment", "--k", "1", "--sigma", "0.75", "--T", "8000"],
+    ["delta", "--k", "2", "--x", "nan"],
+    ["delta", "--k", "2", "--x", "inf"],
+    ["delta", "--k", "2", "--grid", "10:inf:4"],
+    ["sieve", "--k", "2", "--x-list", ","],
 ])
 def test_malformed_input_exits_2_with_message(argv, capsys):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("precondition violation: ")
     assert "Traceback" not in err
+
+
+def test_delta_at_the_desk_cap(capsys):
+    # D_2(999999999) by the isolated route, checked against the hyperbola
+    assert cli.main(["delta", "--k", "2", "--x", "999999999.5", "--format", "json"]) == 0
+    row, = json.loads(capsys.readouterr().out)["rows"]
+    assert row["D"] == sieve.d2_summatory_hyperbola(999999999)
+
+
+# argv values: malformed, non-finite, out of range, and cheap in-range ones
+NUMBER = st.one_of(
+    st.sampled_from(["-5", "0", "0.5", "1", "1.5", "nan", "inf", "-inf", "1e12",
+                     "1000000001", "abc", ""]),
+    st.integers(-10, 10 ** 6).map(str), st.floats(1, 1e6).map(repr))
+K = st.one_of(st.integers(-2, 32).map(str), st.sampled_from(["nan", "2.5", ""]))
+GRID = st.builds("{}:{}:{}".format, NUMBER, NUMBER,
+                 st.one_of(st.integers(-2, 6).map(str), st.sampled_from(["nan", ""])))
+ARGV = st.one_of(
+    st.builds(lambda k, xs: ["sieve", "--k", k, "--x-list", ",".join(xs)],
+              K, st.lists(NUMBER, max_size=4)),
+    st.builds(lambda k, x: ["delta", "--k", k, "--x", x], K, NUMBER),
+    st.builds(lambda k, g: ["delta", "--k", k, "--grid", g], K, GRID),
+    st.builds(lambda k, g: ["fit", "--k", k, "--grid", g], K, GRID))
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=ARGV)
+def test_argv_fuzz_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_precision_floor_is_float64(tmp_path):

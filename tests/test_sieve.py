@@ -2,6 +2,7 @@
 counting, the factorisation formula, and the Dirichlet hyperbola identity.
 """
 
+import math
 import random
 
 import numpy as np
@@ -180,6 +181,62 @@ def test_partial_sums_stream_within_segment_budget(monkeypatch):
     assert sv.dk_partial_sums(2, x, [x]).checkpoints == ((x, sv.d2_summatory_hyperbola(x)),)
     with pytest.raises(MemoryBudgetError):
         sv.dk_block(2, 1, x + 1)
+
+
+SEGMENT_EDGES = [sv.SEGMENT - 1, sv.SEGMENT, sv.SEGMENT + 1]
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+@settings(max_examples=6, deadline=None)
+@given(xs=st.lists(st.integers(1, 10 ** 6), min_size=1, max_size=5),
+       roots=st.lists(st.integers(1, 1000), max_size=3),
+       chunk=st.sampled_from([sv.SEGMENT, 1000]))
+def test_isolated_route_equals_sieve(k, xs, roots, chunk):
+    # each route called explicitly, so the cost rule hides neither; perfect
+    # squares and n^2 - 1 are the isqrt edges of the floor-value set
+    cps = sorted({*xs, *SEGMENT_EDGES, *(r * r for r in roots), *(r * r - 1 for r in roots)} - {0})
+    assert sv._isolated_sums(k, cps, chunk) == sv._sieved_sums(k, cps)
+
+
+def test_route_choice(monkeypatch):
+    # sparse points go isolated, a dense list to the sieve; k = 30 at 1e6
+    # fails the int64 bound, so the sieve answers
+    assert sv._isolated_chunk(5, [10 ** 6]) == sv.SEGMENT
+    assert sv._isolated_chunk(1, list(range(1, 10 ** 4))) == sv.SEGMENT
+    assert sv._isolated_chunk(3, list(range(1000, 10 ** 6, 1000))) == 0
+    assert sv._isolated_chunk(30, [10 ** 6]) == 0
+
+    def refuse(*a):
+        raise AssertionError("isolated route taken")
+    monkeypatch.setattr(sv, "_isolated_sums", refuse)
+    got = sv.dk_partial_sums(30, 10 ** 6, [10 ** 6])
+    assert got.checkpoints == sv._sieved_sums(30, [10 ** 6])
+
+
+def test_isolated_route_within_memory_budget(monkeypatch):
+    import tracemalloc
+    x, k = 3 * 10 ** 6, 5
+    s = math.isqrt(x)
+    want = sv._sieved_sums(k, [x])
+    # 1 MiB beside a segment leaves room for chunks of a few thousand pairs;
+    # 100 KiB does not hold the tables, so the streaming sieve answers
+    for spare, chunked in ((1 << 20, True), (100 << 10, False)):
+        budget = sv.SEGMENT_BYTES + spare
+        monkeypatch.setattr(sv, "MEMORY_BUDGET_BYTES", budget)
+        chunk = sv._isolated_chunk(k, [x])
+        assert (s <= chunk < sv.SEGMENT) if chunked else chunk == 0
+        tracemalloc.start()
+        try:
+            got = sv.dk_partial_sums(k, x, [x])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.checkpoints == want
+        assert peak <= budget
+        if chunked:
+            # the small tables sieve s entries, not a whole segment, so the
+            # pairs and tables alone must fit in the spare bytes
+            assert peak <= spare + sv.SEGMENT_BYTES // sv.SEGMENT * s
 
 
 def test_precondition_errors():
