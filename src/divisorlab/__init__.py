@@ -14,8 +14,20 @@ Subpackages:
 * ``store``     -- atomic file writes and the checksummed-row CSV format
   of the caches.
 * ``cli``       -- batch command-line surface and caches.
+
+Submodules load on first attribute access (``divisorlab.sieve``), so a
+process imports numpy only when a layer that uses it is reached.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from . import exponents, laurent, sieve, remainder, zetasum  # noqa: F401
+_SUBMODULES = frozenset({"cli", "errors", "exponents", "laurent", "numerics",
+                         "remainder", "sieve", "store", "zetasum"})
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -26,13 +26,18 @@ import sys
 from dataclasses import dataclass
 
 import mpmath as mp
-import numpy as np
 
-from . import __version__, exponents, laurent, remainder, sieve, store, zetasum
+# numpy, sieve and remainder are imported by the commands that use them, so
+# constants, bounds, theta-opt, zeta and expsum start without numpy
+from . import __version__, exponents, laurent, store, zetasum
 from .errors import ConfigError, PreconditionError, SelfCheckError
 
 CACHE_ENV = "DIVISORLAB_CACHE"
 MIN_PRECISION_BITS = 53  # results are reported as float64; fewer bits lose digits
+# --grid sizes above this exit 2: each point costs ~0.3 ms of mp main term and
+# envelopes, so `delta --k 2 --grid 10:999999999:20000` takes ~6 s on a 2-CPU
+# x86 host, near the ~8 s of a run at the moment cost cap
+GRID_POINTS_CAP = 20000
 
 CONVENTIONS = {
     "rho_orientation": "log_t_over_log_N",
@@ -116,6 +121,7 @@ def _cache_dir(cfg: RunConfig) -> str | None:
 
 def _cached_partial_sums(cfg: RunConfig, k: int, xs: list[int]) -> dict[int, int]:
     """Checkpoint sums with CSV caching (checksum-verified, atomic)."""
+    from . import sieve
     d = _cache_dir(cfg)
     key = store.checksum(f"{k}:{','.join(map(str, xs))}", 12)
     path = os.path.join(d, f"sieve_k{k}_{key}.csv") if d else None
@@ -146,6 +152,9 @@ def _parse_grid(spec: str, half_odd: bool) -> list[float]:
         raise ConfigError(f"grid must be lo:hi:n, got {spec!r}") from e
     if not (1 < lo < hi < math.inf and n >= 2):
         raise ConfigError(f"bad grid bounds {spec!r}")
+    if n > GRID_POINTS_CAP:
+        raise ConfigError(f"grid of {n} points exceeds the cap of {GRID_POINTS_CAP}")
+    import numpy as np
     pts = np.geomspace(lo, hi, n)
     if half_odd:
         xs = sorted({math.floor(p) + 0.5 for p in pts})
@@ -234,6 +243,7 @@ def cmd_sieve(cfg: RunConfig, args) -> tuple[list[dict], dict]:
 
 
 def _delta_rows(cfg: RunConfig, k: int, xs: list[float], bits: int) -> list[dict]:
+    from . import remainder
     floors = sorted({math.floor(x) for x in xs})
     sums = _cached_partial_sums(cfg, k, floors)
     rows = []
@@ -271,6 +281,7 @@ def cmd_delta(cfg: RunConfig, args) -> tuple[list[dict], dict]:
 
 
 def cmd_fit(cfg: RunConfig, args) -> tuple[list[dict], dict]:
+    from . import remainder
     xs = _parse_grid(args.grid, not args.integer_x)
     samples = remainder.delta_scan(args.k, xs, cfg.precision_bits)
     slope, err = remainder.fit_exponent(samples, args.drop_below)
@@ -281,6 +292,7 @@ def cmd_fit(cfg: RunConfig, args) -> tuple[list[dict], dict]:
 
 
 def cmd_signs(cfg: RunConfig, args) -> tuple[list[dict], dict]:
+    from . import remainder
     rows = [{"k": args.k, "window_start": w, "change_location": loc,
              "C": args.C}
             for w, loc in remainder.sign_change_scan(args.k, args.X0, args.X1,
@@ -289,6 +301,7 @@ def cmd_signs(cfg: RunConfig, args) -> tuple[list[dict], dict]:
 
 
 def cmd_meansquare(cfg: RunConfig, args) -> tuple[list[dict], dict]:
+    from . import remainder
     value = remainder.mean_square(args.k, args.x, args.panels,
                                   precision_bits=cfg.precision_bits)
     return [{"k": args.k, "x": args.x, "panels_per_unit": args.panels,

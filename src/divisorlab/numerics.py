@@ -9,7 +9,6 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 import mpmath as mp
-import numpy as np
 
 from .errors import BracketError
 
@@ -91,6 +90,7 @@ def check_unimodal(f: Callable, lo, hi, samples: int = 33, rel_tol=1e-12) -> boo
 def real_cubic_roots(c3: float, c2: float, c1: float, c0: float,
                      newton_steps: int = 3) -> list[float]:
     """Real roots of c3 x^3 + c2 x^2 + c1 x + c0, ascending, Newton-polished."""
+    import numpy as np
     roots = np.roots([c3, c2, c1, c0])
     out = []
     for r in roots:
@@ -129,6 +129,7 @@ def round_up(x, decimals: int) -> float:
 
 def ols_slope(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
     """Least-squares slope of ys against xs and its standard error."""
+    import numpy as np
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     n = len(x)

@@ -11,8 +11,9 @@ Conventions:
 * The approximate functional equation defaults to symmetric sum length
   L = floor(sqrt(t/(2 pi))); the sqrt(t) variant sits behind ``length_mode``.
 
-Two evaluation tiers: ``zeta_em`` is the certified mpmath route (cutoff
-M >= max(2|t|, 64), explicit Bernoulli tail bound); quadrature-heavy
+Two evaluation tiers: ``zeta_em`` is the certified mpmath route (the
+smallest cutoff M, about |t|/4 at large |t|, whose explicit Bernoulli tail
+bound beats the target); quadrature-heavy
 operations use a vectorised float64 route whose cutoffs were calibrated
 against the certified one and whose results are guarded by panel-doubling
 self-checks.  All evaluators are pure.
@@ -31,14 +32,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import mpmath as mp
-import numpy as np
 
-from . import exponents, sieve
+from . import exponents
 from .errors import DomainError, PrecisionError, QuadratureError
 from .numerics import ols_slope
+
+# numpy is imported inside the float evaluators that use it, so the mpmath
+# routes (exp_sum, zeta_em, chi_factor, afe_residual) run without it
+if TYPE_CHECKING:
+    import numpy as np
 
 T_CAP_EXPSUM = 10 ** 12
 T_CAP_ZETA = 10 ** 6
@@ -71,12 +76,16 @@ class ExpSumReport:
     trivial: bool
 
 
+def _check_expsum_t(t: float) -> None:
+    if not (0 <= t <= T_CAP_EXPSUM):
+        raise DomainError(f"t must lie in [0, 1e12], got {t}")
+
+
 def exp_sum(N: int, N_prime: int, t: float, precision_bits: int = 128) -> ExpSumReport:
     """Direct high-precision summation of sum_{N < n <= N'} e^{-it log n}."""
     if not (1 <= N < N_prime <= 2 * N):
         raise DomainError(f"need 1 <= N < N' <= 2N, got N={N}, N'={N_prime}")
-    if not (0 <= t <= T_CAP_EXPSUM):
-        raise DomainError(f"t must lie in [0, 1e12], got {t}")
+    _check_expsum_t(t)
     if t * 2.0 ** (-precision_bits) >= 1e-6:
         raise PrecisionError(
             f"phase error t*2^-p = {t * 2.0 ** (-precision_bits):.2e} too "
@@ -111,6 +120,7 @@ def expsum_bound_grid(N_list: Sequence[int], t_list: Sequence[float],
     """
     out = []
     for t in t_list:
+        _check_expsum_t(t)
         for N in N_list:
             if N > math.isqrt(int(t)):
                 continue
@@ -122,52 +132,63 @@ def expsum_bound_grid(N_list: Sequence[int], t_list: Sequence[float],
 # certified Euler-Maclaurin zeta
 # ---------------------------------------------------------------------------
 
-def zeta_em(sigma: float, t: float, precision_bits: int = 128) -> mp.mpc:
-    """zeta(sigma + it) by Euler-Maclaurin with cutoff M >= max(2|t|, 64),
-    at least 8 Bernoulli correction terms, and a certified remainder below
-    2^{-precision_bits/2}:
+def _em_cutoff(sigma: float, t: float, precision_bits: int) -> tuple[int, int]:
+    """Cutoff M and Bernoulli-term count J of ``zeta_em``: for each J in
+    8, 12, ..., 64 the smallest M whose remainder bound (Edwards, Riemann's
+    Zeta Function, 1974, 6.4; valid for any M >= 1 when sigma > -2J-1)
 
         |R_J| <= |B_{2J+2}/(2J+2)!| |s(s+1)...(s+2J)| M^{-sigma-2J-1}
-                 * |(s+2J+1)/(sigma+2J+1)|.
+                 * |(s+2J+1)/(sigma+2J+1)|
+
+    lies below 2^{-precision_bits/2}; the pair with the smallest M + J wins.
+    M is capped at max(8|t|, 256); a precision needing more raises
+    PrecisionError.
+    """
+    M_cap = max(8 * math.ceil(abs(t)), 256)
+    best = None
+    with mp.workprec(precision_bits + 32):
+        s = mp.mpc(sigma, t)
+        tol = mp.mpf(2) ** -(precision_bits // 2)
+        poch = mp.mpc(1)
+        i = 0
+        for J in range(8, 65, 4):
+            while i < 2 * J + 1:
+                poch *= s + i
+                i += 1
+            e = sigma + 2 * J + 1
+            c = (abs(mp.bernoulli(2 * J + 2)) / mp.factorial(2 * J + 2)
+                 * abs(poch) * abs(s + 2 * J + 1) / e)
+            M = max(1, int((c / tol) ** (1 / mp.mpf(e))))
+            while c * mp.mpf(M) ** -e >= tol:
+                M += 1
+            if M <= M_cap and (best is None or M + J < sum(best)):
+                best = (M, J)
+    if best is None:
+        raise PrecisionError(
+            f"tail bound 2^-{precision_bits // 2} needs a cutoff above "
+            f"{M_cap} at s={sigma}+{t}j")
+    return best
+
+
+def zeta_em(sigma: float, t: float, precision_bits: int = 128) -> mp.mpc:
+    """zeta(sigma + it) by Euler-Maclaurin at the smallest certified cutoff
+    of ``_em_cutoff``: M direct terms and J Bernoulli correction terms, with
+    a remainder below 2^{-precision_bits/2}.
     """
     if not (0 <= sigma <= 3):
         raise DomainError(f"sigma must lie in [0, 3], got {sigma}")
-    if abs(t) > T_CAP_ZETA:
+    if not abs(t) <= T_CAP_ZETA:
         raise DomainError(f"|t| capped at 1e6, got {t}")
     if sigma == 1 and t == 0:
         raise DomainError("pole at s = 1")
-    M = max(2 * math.ceil(abs(t)), 64)
-    target_exp = -(precision_bits // 2)
+    M, J = _em_cutoff(sigma, t, precision_bits)
     with mp.workprec(precision_bits + 32):
         s = mp.mpc(sigma, t)
-        for _ in range(3):
-            # find a J whose certified remainder beats the target
-            J_ok = None
-            poch = mp.mpc(1)
-            i = 0
-            J = 8
-            while J <= 64:
-                while i < 2 * J + 1:
-                    poch *= s + i
-                    i += 1
-                rem = (abs(mp.bernoulli(2 * J + 2)) / mp.factorial(2 * J + 2)
-                       * abs(poch) * mp.mpf(M) ** (-sigma - 2 * J - 1)
-                       * abs(s + 2 * J + 1) / (sigma + 2 * J + 1))
-                if rem < mp.mpf(2) ** target_exp:
-                    J_ok = J
-                    break
-                J += 4
-            if J_ok is not None:
-                break
-            M *= 2
-        else:
-            raise PrecisionError(
-                f"tail bound 2^{target_exp} not reachable at s={sigma}+{t}j")
         total = mp.fsum(mp.exp(-s * mp.log(n)) for n in range(1, M + 1))
         Ms = mp.exp(-s * mp.log(M))
         total += M * Ms / (s - 1) - Ms / 2
         poch = s
-        for j in range(1, J_ok + 1):
+        for j in range(1, J + 1):
             total += (mp.bernoulli(2 * j) / mp.factorial(2 * j) * poch
                       * Ms * mp.mpf(M) ** (-(2 * j - 1)))
             poch *= (s + 2 * j - 1) * (s + 2 * j)
@@ -195,6 +216,7 @@ def _zeta_series(sigma: float, ts: np.ndarray, abs_tol: float = 1e-5):
     one Bernoulli term; sigma <= 1: float Euler-Maclaurin with M = max(64,
     t_max/4) and 8 Bernoulli terms (calibrated error ~1e-6).
     """
+    import numpy as np
     M, J = _zeta_cutoff(sigma, float(ts.max(initial=1.0)), abs_tol)
     n = np.arange(1, M + 1)
 
@@ -225,6 +247,7 @@ def _panel_quadrature(series, a: float, b: float, panels: int, order: int,
     ``(w, logn, post)``; ``post(ts, S)`` returns integrand values and may
     overwrite S.  A block of B panels shares one exp row e^{-i m log n}.
     """
+    import numpy as np
     x, gw = np.polynomial.legendre.leggauss(order)
     chunk = max(1, _NODES_PER_CHUNK // order)
 
@@ -303,7 +326,7 @@ def afe_residual(sigma: float, t: float, precision_bits: int = 128,
     ``length_mode="sqrt_t"`` switches to L = floor(sqrt(t)).  Also records
     |chi(1-s)| / t^{sigma-1/2} as an order-of-magnitude diagnostic.
     """
-    if t < 50:
+    if not t >= 50:
         raise DomainError(f"t must be >= 50, got {t}")
     if not (0.5 <= sigma <= 1):
         raise DomainError(f"sigma must lie in [1/2, 1], got {sigma}")
@@ -360,6 +383,8 @@ def _moment_panels(k: int, sigma: float, T: float, panels: Optional[int]) -> int
 
 
 def _moment_dyadic(k: int, sigma: float, T: float, panels: Optional[int]) -> float:
+    import numpy as np
+
     def series(ts: np.ndarray):
         w, logn, add_tail = _zeta_series(sigma, ts)
         return w, logn, lambda t, S: np.abs(add_tail(t, S)) ** (2 * k)
@@ -426,6 +451,9 @@ def mvt_check(N: int, T: float, coeff_mode: str = "ones",
     (seeded uniform in [0.5, 1.5)).  The budget constant 3 is an engineering
     allowance, not a sharp theorem constant.
     """
+    import numpy as np
+
+    from . import sieve
     if not (1 <= N <= 4096):
         raise DomainError(f"N must lie in [1, 4096], got {N}")
     if not (1 < T <= T_CAP_MOMENT):

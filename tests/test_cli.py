@@ -197,12 +197,23 @@ def test_exit_code_precondition(tmp_path):
     ["delta", "--k", "2", "--x", "inf"],
     ["delta", "--k", "2", "--grid", "10:inf:4"],
     ["sieve", "--k", "2", "--x-list", ","],
+    ["delta", "--k", "2", "--grid", "10:20:1000000000000"],
+    ["fit", "--k", "2", "--grid", "10:20:20001"],
 ])
 def test_malformed_input_exits_2_with_message(argv, capsys):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("precondition violation: ")
     assert "Traceback" not in err
+
+
+def test_grid_size_cap(capsys):
+    assert cli.main(["delta", "--k", "2", "--grid", "10:20:1000000000000"]) == 2
+    assert f"cap of {cli.GRID_POINTS_CAP}" in capsys.readouterr().err
+    # a grid at the cap runs; its 20000 points fall on three floors
+    assert cli.main(["delta", "--k", "2", "--grid",
+                     f"10:12:{cli.GRID_POINTS_CAP}", "--format", "json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["rows"]) == 3
 
 
 def test_delta_at_the_desk_cap(capsys):
@@ -213,22 +224,65 @@ def test_delta_at_the_desk_cap(capsys):
 
 
 # argv values: malformed, non-finite, out of range, and cheap in-range ones
+BAD = ["nan", "inf", "-inf", "abc", ""]
 NUMBER = st.one_of(
-    st.sampled_from(["-5", "0", "0.5", "1", "1.5", "nan", "inf", "-inf", "1e12",
-                     "1000000001", "abc", ""]),
+    st.sampled_from(["-5", "0", "0.5", "1", "1.5", "1e12", "1000000001"] + BAD),
     st.integers(-10, 10 ** 6).map(str), st.floats(1, 1e6).map(repr))
 K = st.one_of(st.integers(-2, 32).map(str), st.sampled_from(["nan", "2.5", ""]))
-GRID = st.builds("{}:{}:{}".format, NUMBER, NUMBER,
-                 st.one_of(st.integers(-2, 6).map(str), st.sampled_from(["nan", ""])))
+SMALL = st.one_of(st.integers(-3, 64).map(str), st.sampled_from(["1e12", "2.5"] + BAD))
+UNIT = st.one_of(st.floats(-0.5, 3.5).map(repr), st.sampled_from(["0", "1", "1e12"] + BAD))
+CHEAP = st.one_of(st.floats(-100, 100).map(repr),
+                  st.sampled_from(["-5", "0", "1", "50", "1e12"] + BAD))
+BITS = st.sampled_from(["-5", "52", "53", "64", "128", "2048", "abc"])
+# grid sizes: small ones, and ones past the cap, refused before any work (a size
+# just below the cap over a wide range would take seconds)
+GRID = st.builds("{}:{}:{}".format, NUMBER, NUMBER, st.one_of(
+    st.integers(-2, 6), st.integers(cli.GRID_POINTS_CAP + 1, 10 ** 12),
+    st.sampled_from(["nan", ""])))
+
+
+def command(name, required=(), optional=()):
+    """argv of one command: required flags always, optional ones maybe."""
+    req = [v.map(lambda x, f=f: [f, x]) for f, v in required]
+    opt = [st.one_of(st.just([]), v.map(lambda x, f=f: [f, x])) for f, v in optional]
+    return st.tuples(*req, *opt).map(lambda ps: [name] + [t for p in ps for t in p])
+
+
+def switch(flag):
+    return st.sampled_from([[], [flag]])
+
+
 ARGV = st.one_of(
     st.builds(lambda k, xs: ["sieve", "--k", k, "--x-list", ",".join(xs)],
               K, st.lists(NUMBER, max_size=4)),
     st.builds(lambda k, x: ["delta", "--k", k, "--x", x], K, NUMBER),
     st.builds(lambda k, g: ["delta", "--k", k, "--grid", g], K, GRID),
-    st.builds(lambda k, g: ["fit", "--k", k, "--grid", g], K, GRID))
+    st.builds(lambda k, g: ["fit", "--k", k, "--grid", g], K, GRID),
+    command("constants", optional=[("--B", NUMBER), ("--B-richert", NUMBER)]),
+    command("theta-opt", optional=[("--B", NUMBER)]),
+    command("bounds", optional=[
+        ("--B", NUMBER), ("--theta", UNIT), ("--eps0", UNIT), ("--k", NUMBER),
+        ("--k-list", st.lists(K, max_size=3).map(",".join)),
+        ("--which", st.sampled_from(["alpha", "beta", "both", "none"]))]),
+    command("signs", [("--k", K), ("--X0", NUMBER), ("--X1", NUMBER)],
+            [("--C", NUMBER)]),
+    command("meansquare", [("--k", K), ("--x", CHEAP)], [("--panels", SMALL)]),
+    command("expsum", optional=[
+        ("--N", SMALL), ("--N-prime", SMALL), ("--t", NUMBER),
+        ("--N-list", st.lists(SMALL, max_size=3).map(",".join)),
+        ("--t-list", st.lists(NUMBER, max_size=2).map(",".join)),
+        ("--precision-bits", BITS)]),
+    st.builds(lambda argv, chi, afe: argv + chi + afe,
+              command("zeta", [("--sigma", UNIT), ("--t", CHEAP)], [
+                  ("--afe-length", st.sampled_from(["sqrt_t", "sqrt_t_over_2pi", "x"])),
+                  ("--precision-bits", BITS)]),
+              switch("--chi"), switch("--afe")),
+    command("moment", [("--k", K), ("--sigma", UNIT), ("--T", CHEAP)],
+            [("--panels", SMALL)]),
+    command("report", optional=[("--B", NUMBER), ("--B-richert", NUMBER)]))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(argv=ARGV)
 def test_argv_fuzz_exits_cleanly(argv):
     out, err = io.StringIO(), io.StringIO()

@@ -75,6 +75,9 @@ def test_exp_sum_preconditions():
         zs.exp_sum(10, 10, 5.0)
     with pytest.raises(PrecisionError):
         zs.exp_sum(10, 20, 1e12, precision_bits=16)
+    for t in (-5.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            zs.expsum_bound_grid([1], [t])
 
 
 def test_expsum_grid_properties():
@@ -122,6 +125,32 @@ def test_zeta_em_vs_library(sigma, t):
         assert abs(got - ref) < mp.mpf(2) ** (-60)
 
 
+@pytest.mark.parametrize("bits", [128, 192])
+def test_zeta_em_cutoff_is_a_fraction_of_t(bits):
+    # the certified cutoff sits near |t|/4, not at the old 2|t|
+    M, J = zs._em_cutoff(0.75, 1000.0, bits)
+    assert M <= 500 and 8 <= J <= 64
+
+
+@pytest.mark.parametrize("bits", [64, 128, 192, 256])
+def test_zeta_em_within_its_certified_tolerance(bits):
+    # oracle: mpmath's zeta at twice the precision; zeta_em promises 2^{-bits/2}
+    for sigma in (0.0, 0.5, 1.0, 3.0):
+        for t in (0.0, 14.134725, -40.0, 1000.0):
+            if sigma == 1.0 and t == 0.0:
+                continue
+            got = zs.zeta_em(sigma, t, bits)
+            with mp.workprec(2 * bits):
+                ref = mp.zeta(mp.mpc(sigma, t))
+                assert abs(got - ref) < mp.mpf(2) ** -(bits // 2), (sigma, t)
+
+
+def test_zeta_em_precision_beyond_the_cutoff_cap():
+    # 2^-1024 at t = 1000 needs a cutoff near 38000, above the cap of 8000
+    with pytest.raises(PrecisionError):
+        zs.zeta_em(0.5, 1000.0, 2048)
+
+
 def test_zeta_em_partial_sum_tail():
     # invariant: for sigma > 1, zeta minus the M-term partial sum is within
     # the integral tail M^{1-sigma}/(sigma-1)
@@ -138,6 +167,8 @@ def test_zeta_em_domain():
         zs.zeta_em(1.0, 0.0)
     with pytest.raises(DomainError):
         zs.zeta_em(-0.5, 1.0)
+    with pytest.raises(DomainError):
+        zs.zeta_em(0.5, math.nan)
     with pytest.raises(DomainError):
         zs.zeta_em(0.5, 2e6)
 
@@ -230,6 +261,8 @@ def test_afe_domain():
         zs.afe_residual(0.75, 10.0)
     with pytest.raises(DomainError):
         zs.afe_residual(0.3, 500.0)
+    with pytest.raises(DomainError):
+        zs.afe_residual(0.75, math.nan)
 
 
 # ------------------------------------------------------------------ moments

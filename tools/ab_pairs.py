@@ -1,0 +1,156 @@
+"""Alternating parent/change pairs of the benchmark, summarised in one file.
+
+    python3 tools/ab_pairs.py --parent REV --pr N \\
+        --set cli-session:1:10 --set remainder-sieve:1:5 [--set W:SEED:PAIRS:1]
+
+Run from the root of a git checkout.  ``git archive`` exports the parent
+revision and the change revision (``--change``, default HEAD; commit the
+change first) into a temporary directory, and ``compileall`` compiles both
+trees, so neither side pays for bytecode compilation the other skips.
+Each ``--set WORKLOAD:SEED:PAIRS[:TRACE]`` then runs
+
+    python3 perfbench/run.py --workload WORKLOAD --seed SEED --seconds S --trace TRACE
+
+PAIRS times on each side, alternating which side runs first, and reads the
+JSON object on the last line of its output.  ``BENCH_<pr>.json`` gets the
+machine facts, every run, and per metric each side's median and quartiles
+(linear interpolation), the number of pairs the change won (ties count for
+neither side), whether the median gap exceeds the parent's interquartile
+range, and whether the change is worse than the parent beyond the bound in
+BENCHMARK.json; plus the ``src/`` line count of each tree.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+FACT_KEYS = ("nproc", "cpu_count", "cpu_model", "L2", "L3", "python", "numpy", "mpmath",
+             "mpmath_backend", "openblas_threads")
+
+
+def export(rev: str, dest: Path) -> str:
+    """Write the tree of ``rev`` under ``dest``, compile it, return its commit."""
+    commit = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"],
+                            capture_output=True, text=True, check=True).stdout.strip()
+    archive = dest.with_suffix(".tar")
+    subprocess.run(["git", "archive", "--format=tar", "-o", str(archive), commit], check=True)
+    dest.mkdir()
+    with tarfile.open(archive) as tar:
+        tar.extractall(dest, filter="data")
+    archive.unlink()
+    subprocess.run([sys.executable, "-m", "compileall", "-q", str(dest / "src"),
+                    str(dest / "perfbench")], check=True)
+    return commit
+
+
+def src_lines(tree: Path) -> int:
+    return sum(len(p.read_text().splitlines()) for p in (tree / "src").rglob("*.py"))
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", f"{seconds:g}", "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n"
+                           f"{proc.stderr[-2000:]}")
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    with open(tree / "perfbench" / "out" / f"{workload}-seed{seed}-trace{trace}.json") as fh:
+        facts = json.load(fh)["facts"]
+    return {"result": result, "facts": {k: facts.get(k) for k in FACT_KEYS}}
+
+
+def quartiles(xs: list[float]) -> dict:
+    if len(xs) == 1:
+        return {"q1": xs[0], "median": xs[0], "q3": xs[0]}
+    q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return {"q1": q1, "median": med, "q3": q3}
+
+
+def summarise(parent: list[float], change: list[float], better: str,
+              bound: float | None) -> dict:
+    sign = 1 if better == "lower" else -1
+    p, c = quartiles(parent), quartiles(change)
+    out = {"parent": p, "change": c,
+           "median_ratio": c["median"] / p["median"] if p["median"] else None,
+           "change_wins": sum(sign * (a - b) > 0 for a, b in zip(parent, change)),
+           "median_gap_exceeds_parent_iqr":
+               sign * (p["median"] - c["median"]) > p["q3"] - p["q1"],
+           "parent_runs": parent, "change_runs": change}
+    if bound is not None:
+        out["bound"] = bound
+        out["worse_beyond_bound"] = sign * (c["median"] - p["median"]) > bound * abs(p["median"])
+    return out
+
+
+def parse_set(text: str) -> tuple[str, int, int, int]:
+    parts = text.split(":")
+    if len(parts) not in (3, 4):
+        raise argparse.ArgumentTypeError(f"expected WORKLOAD:SEED:PAIRS[:TRACE], got {text!r}")
+    trace = int(parts[3]) if len(parts) == 4 else 0
+    return parts[0], int(parts[1]), int(parts[2]), trace
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", required=True, help="parent revision")
+    ap.add_argument("--change", default="HEAD", help="change revision (default HEAD)")
+    ap.add_argument("--pr", required=True, help="names the output file BENCH_<pr>.json")
+    ap.add_argument("--set", dest="sets", type=parse_set, action="append", required=True,
+                    metavar="WORKLOAD:SEED:PAIRS[:TRACE]")
+    args = ap.parse_args(argv)
+    bench = json.loads(Path("BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
+    seconds = bench["run_seconds"]
+    path = Path(f"BENCH_{args.pr}.json")
+    out = {"parent_commit": None, "change_commit": None, "machine": None,
+           "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} "
+                      "--trace T",
+           "method": "parent and change exported by git archive and compiled by compileall; "
+                     "pairs alternate which side runs first; quartiles by linear "
+                     "interpolation; a win is a pair whose change reads better",
+           "sets": {}, "src_lines": {}}
+    with tempfile.TemporaryDirectory(prefix="ab_pairs-") as tmp:
+        trees = {side: Path(tmp) / side for side in ("parent", "change")}
+        out["parent_commit"] = export(args.parent, trees["parent"])
+        out["change_commit"] = export(args.change, trees["change"])
+        out["src_lines"] = {side: src_lines(tree) for side, tree in trees.items()}
+        for workload, seed, pairs, trace in args.sets:
+            runs = {"parent": [], "change": []}
+            for i in range(pairs):
+                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                for side in order:
+                    run = run_once(trees[side], workload, seed, seconds, trace)
+                    out["machine"] = out["machine"] or run["facts"]
+                    runs[side].append(run["result"])
+                    print(f"{workload} seed={seed} trace={trace} pair {i + 1}/{pairs} {side}: "
+                          + " ".join(f"{k}={v['value']:.4g}"
+                                     for k, v in run["result"]["metrics"].items()),
+                          flush=True)
+            metrics = {}
+            for name, m in runs["parent"][0]["metrics"].items():
+                metrics[name] = {"unit": m["unit"], **summarise(
+                    [r["metrics"][name]["value"] for r in runs["parent"]],
+                    [r["metrics"][name]["value"] for r in runs["change"]],
+                    better.get(name, "lower"), bounds.get(name) if not trace else None)}
+            out["sets"][f"{workload} seed={seed} trace={trace}"] = {
+                "workload": workload, "seed": seed, "trace": trace, "pairs": pairs,
+                "ops_attempted": {s: sum(r["attempted"] for r in runs[s]) for s in runs},
+                "ops_failed": {s: sum(r["failed"] for r in runs[s]) for s in runs},
+                "all_correct": all(r["correct"] for s in runs for r in runs[s]),
+                "metrics": metrics}
+            path.write_text(json.dumps(out, indent=1) + "\n")  # after every set
+            print(f"wrote {path}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
