@@ -12,8 +12,8 @@ Subpackages:
 * ``zetasum``   -- exponential sums, Euler-Maclaurin zeta, chi factor,
   approximate functional equation, moment integrals, mean-value checks.
 * ``store``     -- atomic file writes and the checksummed-row CSV format
-  of the caches.
-* ``cli``       -- batch command-line surface and caches.
+  of the Stieltjes cache.
+* ``cli``       -- batch command-line surface and its Stieltjes cache.
 
 Submodules load on first attribute access (``divisorlab.sieve``), so a
 process imports numpy only when a layer that uses it is reached.

@@ -1,15 +1,16 @@
 """Batch command-line surface: constants, bounds, sieve tables, remainder
 samples, fits, sign scans, mean squares, exponential sums, zeta values and
-moment integrals, with CSV/JSON emission and persistent caches.
+moment integrals, with CSV/JSON emission and a persistent cache of Stieltjes
+constants.
 
 Configuration comes from an optional key=value file plus command-line flags
 (flags win); unknown config keys are rejected.  Every output carries a
 metadata header recording inputs and conventions (half-odd sampling flag,
 rho orientation, AFE length mode, rounding directions), and no timestamps,
 so reruns are byte-identical.  Every file written (output, plot series,
-caches) is written atomically (temp file, then rename).  Each cache file
-carries its checksums inside, one per row, with no sidecar file; a
-mismatch triggers recomputation.
+cache) is written atomically (temp file, then rename).  The cache file
+carries its checksums inside, one per row, with no sidecar file; a row
+that fails its checksum is recomputed.
 
 Exit codes: 0 success, 2 precondition violation, 3 numeric self-check failure.
 """
@@ -110,29 +111,13 @@ def emit(cfg: RunConfig, rows: list[dict], conventions: dict) -> str:
     return text
 
 
-# ------------------------------------------------------------------ caches
+# ------------------------------------------------------------ cache, plots
 
 def _cache_dir(cfg: RunConfig) -> str | None:
     d = cfg.cache_dir or os.environ.get(CACHE_ENV)
     if d:
         os.makedirs(d, exist_ok=True)
     return d
-
-
-def _cached_partial_sums(cfg: RunConfig, k: int, xs: list[int]) -> dict[int, int]:
-    """Checkpoint sums with CSV caching (checksum-verified, atomic)."""
-    from . import sieve
-    d = _cache_dir(cfg)
-    key = store.checksum(f"{k}:{','.join(map(str, xs))}", 12)
-    path = os.path.join(d, f"sieve_k{k}_{key}.csv") if d else None
-    if path:
-        hit = sieve.load_checkpoints_csv(path)
-        if hit is not None and hit.k == k and [x for x, _ in hit.checkpoints] == xs:
-            return dict(hit.checkpoints)
-    series = sieve.dk_partial_sums(k, xs[-1], xs)
-    if path:
-        sieve.save_checkpoints_csv(path, series)
-    return dict(series.checkpoints)
 
 
 def _write_plot_series(plot_dir: str, name: str, pairs) -> None:
@@ -238,21 +223,19 @@ def cmd_sieve(cfg: RunConfig, args) -> tuple[list[dict], dict]:
     xs = sorted(set(_parse_list(args.x_list, int)))
     if not xs:
         raise ConfigError("--x-list needs at least one value")
-    sums = _cached_partial_sums(cfg, args.k, xs)
-    return [{"k": args.k, "x": x, "D": sums[x]} for x in xs], {}
+    from . import sieve
+    series = sieve.dk_partial_sums(args.k, xs[-1], xs)
+    return [{"k": args.k, "x": x, "D": D} for x, D in series.checkpoints], {}
 
 
-def _delta_rows(cfg: RunConfig, k: int, xs: list[float], bits: int) -> list[dict]:
+def _delta_rows(k: int, xs: list[float], bits: int) -> list[dict]:
     from . import remainder
-    floors = sorted({math.floor(x) for x in xs})
-    sums = _cached_partial_sums(cfg, k, floors)
     rows = []
-    for x in xs:
-        s = remainder.sample_from_D(k, x, sums[math.floor(x)], bits)
-        row = {"k": k, "x": x, "D": s.D, "main": float(s.main),
+    for s in remainder.delta_scan(k, xs, bits):
+        row = {"k": k, "x": s.x, "D": s.D, "main": float(s.main),
                "delta": s.delta, "half_odd": s.half_odd}
         if k >= 2:
-            env = remainder.envelopes(k, x, C_tong=5.0)
+            env = remainder.envelopes(k, s.x, C_tong=5.0)
             row.update({"conjecture": env.conjecture,
                         "omega_lower": env.omega_lower,
                         "thm1_upper": env.thm1_upper,
@@ -267,10 +250,8 @@ def cmd_delta(cfg: RunConfig, args) -> tuple[list[dict], dict]:
     else:
         if args.x is None:
             raise ConfigError("delta needs --x or --grid")
-        if not math.isfinite(args.x):
-            raise ConfigError(f"--x must be finite, got {args.x}")
-        xs = [float(args.x)]
-    rows = _delta_rows(cfg, args.k, xs, cfg.precision_bits)
+        xs = [args.x]
+    rows = _delta_rows(args.k, xs, cfg.precision_bits)
     if args.plot_dir:
         curves = ("delta", "conjecture", "tong_window") if args.k >= 2 else ("delta",)
         for col in curves:
@@ -365,10 +346,9 @@ def cmd_report(cfg: RunConfig, args) -> tuple[list[dict], dict]:
     rows, _ = cmd_constants(cfg, args)
     for r in rows:
         r["section"] = "constants"
-    for x in (10.5, 100.5, 1000.5):
-        for d in _delta_rows(cfg, 2, [x], cfg.precision_bits):
-            d["section"] = "delta_k2"
-            rows.append(d)
+    for d in _delta_rows(2, [10.5, 100.5, 1000.5], cfg.precision_bits):
+        d["section"] = "delta_k2"
+        rows.append(d)
     return rows, {"abscissa_sampling": "half_odd"}
 
 

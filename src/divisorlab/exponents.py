@@ -32,7 +32,7 @@ from typing import Optional, Sequence, Union
 
 import mpmath as mp
 
-from .errors import DomainError, RangeError, SelfCheckError
+from .errors import BracketError, DomainError, RangeError, SelfCheckError
 from .numerics import (
     bracket_max,
     check_unimodal,
@@ -239,7 +239,9 @@ def optimize_theta(B) -> ThetaOptimum:
     sampling before the golden-section refinement.  The refinement runs to
     1e-16 in theta (well past the 1e-8 contract) because k1 can be sharply
     curved near its maximiser for large B; first-order optimality then holds
-    to ~1e-8 even at curvatures of order 1e8.
+    to ~1e-8 even at curvatures of order 1e8.  A B whose scan maximum sits
+    on the search boundary has no interior maximiser (RangeError); a bracket
+    that fails the unimodality check is a self-check failure.
     """
     if not B > 0:
         raise DomainError(f"B must be positive, got {B}")
@@ -249,8 +251,12 @@ def optimize_theta(B) -> ThetaOptimum:
         def f(t):
             return _k2(mp.mpf(t), Bm)
 
-        lo, hi = bracket_max(f, mp.mpf(THETA_SEARCH_LO), mp.mpf(THETA_SEARCH_HI),
-                             n=THETA_SCAN_POINTS)
+        try:
+            lo, hi = bracket_max(f, mp.mpf(THETA_SEARCH_LO), mp.mpf(THETA_SEARCH_HI),
+                                 n=THETA_SCAN_POINTS)
+        except BracketError as e:  # the input's fault, not a self-check's
+            raise RangeError(f"B = {B} gives k1(theta) no interior maximum in "
+                             f"[{THETA_SEARCH_LO}, {THETA_SEARCH_HI}]") from e
         if not check_unimodal(f, lo, hi):
             raise SelfCheckError(
                 f"k1(theta) not unimodal on bracket [{float(lo)}, {float(hi)}]")

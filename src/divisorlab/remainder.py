@@ -67,15 +67,9 @@ def _is_half_odd(x: float) -> bool:
 
 
 def delta_at(k: int, x: float, precision_bits: int = MAIN_BITS_DEFAULT) -> RemainderSample:
-    """Delta_k(x) = D_k(floor x) - x P_{k-1}(log x), exactly-minus-smooth.
-
-    D_k(floor x) is one checkpoint of ``sieve.dk_partial_sums``, which takes
-    the isolated route over the floor values unless its bounds refuse."""
-    if not 1 < x <= sieve.DESK_X_CAP:
-        raise DomainError(f"x must lie in (1, {sieve.DESK_X_CAP}], got {x}")
-    n = math.floor(x)
-    D = sieve.dk_partial_sums(k, n, [n]).checkpoints[0][1]
-    return sample_from_D(k, x, D, precision_bits)
+    """Delta_k(x) = D_k(floor x) - x P_{k-1}(log x), exactly-minus-smooth:
+    the one-point ``delta_scan``."""
+    return delta_scan(k, [x], precision_bits)[0]
 
 
 def sample_from_D(k: int, x: float, D: int, bits: int) -> RemainderSample:
@@ -99,7 +93,8 @@ def delta_scan(k: int, x_grid: Sequence[float],
     if not xs:
         return []
     if not (1 < xs[0] and xs[-1] <= sieve.DESK_X_CAP):
-        raise DomainError("grid must lie in (1, desk cap]")
+        bad = xs[-1] if 1 < xs[0] else xs[0]
+        raise DomainError(f"x must lie in (1, {sieve.DESK_X_CAP}], got {bad}")
     floors = [math.floor(x) for x in xs]
     uniq = sorted(set(floors))
     series = sieve.dk_partial_sums(k, uniq[-1], uniq)

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import store
 from .errors import DomainError, MemoryBudgetError, SieveOverflowError
 
 DESK_X_CAP = 10 ** 9
@@ -337,30 +336,3 @@ def d2_summatory_hyperbola(x: int) -> int:
     r = math.isqrt(x)
     return 2 * sum(x // m for m in range(1, r + 1)) - r * r
 
-
-# ------------------------------------------------------- checkpoint cache
-
-def save_checkpoints_csv(path, series: PartialSumSeries) -> None:
-    """Chained checksummed-row CSV (k, count, x, D_k), written atomically;
-    wide D in decimal.  The row count catches a file cut short."""
-    n = len(series.checkpoints)
-    store.write_rows(path, "k,count,x,D",
-                     ((series.k, n, x, d) for x, d in series.checkpoints), chained=True)
-
-
-def load_checkpoints_csv(path):
-    """Reload a checkpoint cache; returns None when the file is missing or
-    any row is corrupted, missing, extra or out of place."""
-    got = store.read_rows(path, chained=True)
-    if got is None:
-        return None
-    rows, rejected = got
-    try:
-        table = [tuple(map(int, row)) for row in rows]
-        k, count = table[0][:2]
-        cps = tuple((x, d) for _, _, x, d in table)
-    except (ValueError, IndexError):
-        return None
-    if rejected or count != len(cps):
-        return None
-    return PartialSumSeries(k=k, checkpoints=cps)

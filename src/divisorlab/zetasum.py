@@ -48,6 +48,9 @@ if TYPE_CHECKING:
 T_CAP_EXPSUM = 10 ** 12
 T_CAP_ZETA = 10 ** 6
 T_CAP_MOMENT = 10 ** 5
+# summed terms per exp_sum call or expsum_bound_grid table: each costs ~40 us
+# of mp work at 192 bits, so the cap takes ~8 s on a 2-CPU x86 host
+EXPSUM_TERMS_CAP = 2 * 10 ** 5
 
 
 # ---------------------------------------------------------------------------
@@ -81,11 +84,18 @@ def _check_expsum_t(t: float) -> None:
         raise DomainError(f"t must lie in [0, 1e12], got {t}")
 
 
+def _check_expsum_terms(terms: int) -> None:
+    if terms > EXPSUM_TERMS_CAP:
+        raise DomainError(f"{terms} summed terms exceed the cost cap of "
+                          f"{EXPSUM_TERMS_CAP}")
+
+
 def exp_sum(N: int, N_prime: int, t: float, precision_bits: int = 128) -> ExpSumReport:
     """Direct high-precision summation of sum_{N < n <= N'} e^{-it log n}."""
     if not (1 <= N < N_prime <= 2 * N):
         raise DomainError(f"need 1 <= N < N' <= 2N, got N={N}, N'={N_prime}")
     _check_expsum_t(t)
+    _check_expsum_terms(N_prime - N)
     if t * 2.0 ** (-precision_bits) >= 1e-6:
         raise PrecisionError(
             f"phase error t*2^-p = {t * 2.0 ** (-precision_bits):.2e} too "
@@ -116,16 +126,16 @@ def expsum_bound_grid(N_list: Sequence[int], t_list: Sequence[float],
     """Ratio table over a grid of dyadic sums [N, 2N] vs their bounds.
 
     Pairs with N > sqrt(t) fall outside the bound's stated range and are
-    omitted; nothing asymptotic is asserted, only ratios are recorded.
+    omitted; nothing asymptotic is asserted, only ratios are recorded.  The
+    whole table's terms are held to EXPSUM_TERMS_CAP before any is summed.
     """
-    out = []
+    pairs = []
     for t in t_list:
         _check_expsum_t(t)
-        for N in N_list:
-            if N > math.isqrt(int(t)):
-                continue
-            out.append(exp_sum(N, 2 * N, t, precision_bits))
-    return out
+        pairs += [(N, t) for N in N_list if N <= math.isqrt(int(t))]
+    # an N < 1 adds no terms: exp_sum refuses it
+    _check_expsum_terms(sum(max(N, 0) for N, _ in pairs))
+    return [exp_sum(N, 2 * N, t, precision_bits) for N, t in pairs]
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,20 @@ cache warm-run determinism and corruption recovery, exit codes.
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import divisorlab
 from divisorlab import cli, sieve
 from divisorlab import zetasum
 from divisorlab.errors import QuadratureError
+
+SRC = str(Path(divisorlab.__file__).resolve().parents[1])
 
 
 def run(argv, tmp_path, name="out"):
@@ -92,46 +99,63 @@ def test_signs_command(tmp_path):
     assert rows and all(r["change_location"] != "" for r in rows)
 
 
+def run_fresh(argv, cwd):
+    """Exit code and stdout of the CLI in a fresh interpreter, so that only
+    the cache directory carries state from one run to the next."""
+    env = {k: v for k, v in os.environ.items() if k != cli.CACHE_ENV}
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-m", "divisorlab.cli", *argv], cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout
+
+
 def test_warm_cache_byte_identical(tmp_path):
     cache = tmp_path / "cache"
     argv = ["delta", "--k", "2", "--grid", "100:2000:6",
             "--cache-dir", str(cache)]
-    code1, text1 = run(argv, tmp_path, "r1")
-    code2, text2 = run(argv, tmp_path, "r2")
+    code1, text1 = run_fresh(argv, tmp_path)
+    code2, text2 = run_fresh(argv, tmp_path)
     assert code1 == code2 == 0
     assert text1 == text2
-    assert (cache / "stieltjes.csv").exists()
-    assert any(p.name.startswith("sieve_k2_") and p.suffix == ".csv"
-               for p in cache.iterdir())
+    # the cache holds the Stieltjes constants and nothing else
+    assert [p.name for p in cache.iterdir()] == ["stieltjes.csv"]
+
+
+# k = 3 reads gamma_0 and gamma_1, the two rows of its Stieltjes cache
+STIELTJES_ARGV = ["delta", "--k", "3", "--x", "1000.5"]
 
 
 def test_cache_corruption_triggers_recompute(tmp_path):
     cache = tmp_path / "cache"
-    argv = ["sieve", "--k", "3", "--x-list", "10,100", "--cache-dir", str(cache)]
-    code1, text1 = run(argv, tmp_path, "s1")
+    argv = STIELTJES_ARGV + ["--cache-dir", str(cache)]
+    code1, text1 = run_fresh(argv, tmp_path)
     assert code1 == 0
-    target = next(p for p in cache.iterdir()
-                  if p.name.startswith("sieve_k3_") and p.suffix == ".csv")
-    target.write_text(target.read_text().replace("53", "54"))
-    code2, text2 = run(argv, tmp_path, "s2")
+    target = cache / "stieltjes.csv"
+    good = target.read_text()
+    header, row0, row1 = good.splitlines()
+    n, bits, value, chk = row1.split(",")
+    assert n == "1"
+    damaged = ",".join([n, bits, value.replace("7", "8", 1), chk])
+    target.write_text("\n".join([header, row0, damaged]) + "\n")
+    code2, text2 = run_fresh(argv, tmp_path)
     assert code2 == 0
-    assert text1 == text2  # corrupted cache was not silently reused
-    # and the cache has been healed
-    code3, text3 = run(argv, tmp_path, "s3")
-    assert text3 == text1
+    assert text1 == text2  # the damaged gamma_1 was not silently reused
+    assert target.read_text() == good  # and the cache has been healed
 
 
 def test_cache_file_carries_its_checksums(tmp_path):
     cache = tmp_path / "cache"
-    argv = ["sieve", "--k", "3", "--x-list", "10,100", "--cache-dir", str(cache)]
-    code1, text1 = run(argv, tmp_path, "s1")
+    argv = STIELTJES_ARGV + ["--cache-dir", str(cache)]
+    code1, text1 = run_fresh(argv, tmp_path)
     assert code1 == 0
-    files = list(cache.iterdir())
     # no checksum sidecar and no temp file left beside the cache file
-    assert len(files) == 1 and files[0].suffix == ".csv"
+    files = list(cache.iterdir())
+    assert [p.name for p in files] == ["stieltjes.csv"]
+    good = files[0].read_text()
     files[0].write_bytes(b"\xff\xfe not text")
-    code2, text2 = run(argv, tmp_path, "s2")
+    code2, text2 = run_fresh(argv, tmp_path)
     assert code2 == 0 and text2 == text1
+    assert files[0].read_text() == good
 
 
 def test_config_file_and_unknown_key(tmp_path):
@@ -198,6 +222,10 @@ def test_exit_code_precondition(tmp_path):
     ["delta", "--k", "2", "--grid", "10:inf:4"],
     ["sieve", "--k", "2", "--x-list", ","],
     ["fit", "--k", "2", "--grid", "10:20:20001"],
+    ["theta-opt", "--B", "958462.87"],
+    ["constants", "--B", "958462.87"],
+    ["expsum", "--N", "10000000", "--t", "1e6"],
+    ["expsum", "--N-list", "100000,100001", "--t-list", "1e12"],
 ])
 def test_malformed_input_exits_2_with_message(argv, capsys):
     assert cli.main(argv) == 2
@@ -232,6 +260,8 @@ SMALL = st.one_of(st.integers(-3, 64).map(str), st.sampled_from(["1e12", "2.5"] 
 UNIT = st.one_of(st.floats(-0.5, 3.5).map(repr), st.sampled_from(["0", "1", "1e12"] + BAD))
 CHEAP = st.one_of(st.floats(-100, 100).map(repr),
                   st.sampled_from(["-5", "0", "1", "50", "1e12"] + BAD))
+# expsum sizes: small ones, and ones past the term cap, refused before any work
+TERMS = st.one_of(SMALL, st.integers(zetasum.EXPSUM_TERMS_CAP + 1, 10 ** 12).map(str))
 BITS = st.sampled_from(["-5", "52", "53", "64", "128", "2048", "abc"])
 # grid sizes: small ones, and ones past the cap, refused before any work (a size
 # just below the cap over a wide range would take seconds)
@@ -267,8 +297,8 @@ ARGV = st.one_of(
             [("--C", NUMBER)]),
     command("meansquare", [("--k", K), ("--x", CHEAP)], [("--panels", SMALL)]),
     command("expsum", optional=[
-        ("--N", SMALL), ("--N-prime", SMALL), ("--t", NUMBER),
-        ("--N-list", st.lists(SMALL, max_size=3).map(",".join)),
+        ("--N", TERMS), ("--N-prime", SMALL), ("--t", NUMBER),
+        ("--N-list", st.lists(TERMS, max_size=3).map(",".join)),
         ("--t-list", st.lists(NUMBER, max_size=2).map(",".join)),
         ("--precision-bits", BITS)]),
     st.builds(lambda argv, chi, afe: argv + chi + afe,

@@ -123,6 +123,11 @@ def test_optimize_theta_grid_domination():
 def test_optimize_theta_bad_B():
     with pytest.raises(DomainError):
         ex.optimize_theta(-1.0)
+    # k1 peaks on the edge of [1/2, 1) for these B: an input fault, not a
+    # failed self-check
+    for B in (0.1, 958462.87):
+        with pytest.raises(RangeError, match=f"B = {B} "):
+            ex.optimize_theta(B)
 
 
 # ------------------------------------------------------------ alpha / beta

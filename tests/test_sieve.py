@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from divisorlab import sieve as sv, store
+from divisorlab import sieve as sv
 from divisorlab.errors import DomainError, MemoryBudgetError, SieveOverflowError
 
 
@@ -254,42 +254,3 @@ def test_precondition_errors():
         sv.dk_partial_sums(2, 100, [50, 20])
     with pytest.raises(DomainError):
         sv.dk_partial_sums(2, 100, [150])
-
-
-def test_checkpoint_cache_roundtrip(tmp_path):
-    series = sv.dk_partial_sums(10, 20000, [100, 20000])
-    path = tmp_path / "ck.csv"
-    sv.save_checkpoints_csv(path, series)
-    again = sv.load_checkpoints_csv(path)
-    assert again == series
-    # corruption is detected and reported as a miss
-    body = path.read_text().replace("100", "101", 1)
-    path.write_text(body)
-    assert sv.load_checkpoints_csv(path) is None
-
-
-def test_checkpoint_cache_rejects_missing_or_moved_rows(tmp_path):
-    # every row checks out on its own, yet the file as a whole is damaged
-    series = sv.dk_partial_sums(3, 1000, [10, 100, 1000])
-    path = tmp_path / "ck.csv"
-    sv.save_checkpoints_csv(path, series)
-    header, *rows = path.read_text().splitlines()
-    other = tmp_path / "other.csv"
-    sv.save_checkpoints_csv(other, sv.dk_partial_sums(3, 1000, [20, 200, 1000]))
-    foreign = other.read_text().splitlines()[2]
-    damaged = {
-        "middle row deleted": [rows[0], rows[2]],
-        "last row deleted": rows[:2],
-        "row doubled": [rows[0], rows[1], rows[1], rows[2]],
-        "rows swapped": [rows[1], rows[0], rows[2]],
-        "row from another file": [rows[0], foreign, rows[2]],
-    }
-    for case, lines in damaged.items():
-        path.write_text("\n".join([header, *lines]) + "\n")
-        assert sv.load_checkpoints_csv(path) is None, case
-    # files in the earlier layouts are a miss, not an error: (k, x, D) with
-    # a sidecar, and (k, x, D) rows with their own unchained checksums
-    path.write_text("k,x,D\n3,10,53\n")
-    assert sv.load_checkpoints_csv(path) is None
-    path.write_text("k,x,D,checksum\n1,1,1,%s\n" % store.checksum("1,1,1"))
-    assert sv.load_checkpoints_csv(path) is None

@@ -78,6 +78,13 @@ def test_exp_sum_preconditions():
     for t in (-5.0, math.inf, math.nan):
         with pytest.raises(DomainError):
             zs.expsum_bound_grid([1], [t])
+    # the term cap refuses before any mp work: one sum, and a table whose
+    # sums each fit under the cap
+    cap = zs.EXPSUM_TERMS_CAP
+    with pytest.raises(DomainError, match="cost cap"):
+        zs.exp_sum(cap + 1, 2 * cap + 2, 1e6)
+    with pytest.raises(DomainError, match="cost cap"):
+        zs.expsum_bound_grid([cap // 2, cap // 2 + 1], [1e12])
 
 
 def test_expsum_grid_properties():
