@@ -383,7 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", dest="output_format", choices=("csv", "json"),
                         default="csv")
         sp.add_argument("--output", dest="output_path", default=None)
-        sp.add_argument("--cache-dir", dest="cache_dir", default=None)
+        sp.add_argument("--cache-dir", dest="cache_dir", default=None,
+                        help="Stieltjes-constant cache (else $DIVISORLAB_CACHE), read by "
+                             f"{', '.join(sorted(STIELTJES_COMMANDS))}; others ignore it")
         sp.add_argument("--precision-bits", dest="precision_bits", type=int,
                         default=192)
 

@@ -196,9 +196,13 @@ def sign_change_scan(k: int, X0: float, X1: float, C: float = 5.0,
 
 # -------------------------------------------------------------- mean square
 
-# nodes per quadrature chunk when the budget allows, and the float64 arrays
-# alive per node (tracemalloc: ~62 B per node in mean_square(2, 1e6))
+# nodes per reduction group when the budget allows, nodes per cache-sized
+# pass inside a group (256 KiB per float64 array), and the bytes charged per
+# node of a group: a pass's arrays take ~60 B per node and the group's panel
+# 8 / order B (tracemalloc: 5.7 MiB at mean_square(2, 1e5), 1.5 MiB of it
+# the d_k table and its sums)
 MS_NODES_PER_CHUNK = 1 << 22
+MS_NODES_PER_SUBCHUNK = 1 << 15
 MS_BYTES_PER_NODE = 64
 
 
@@ -210,9 +214,15 @@ def mean_square(k: int, x: float, panels_per_unit: int = 2,
     so composite Gauss-Legendre with ``panels_per_unit`` panels converges
     fast; the panel count is doubled once as a self-check (must agree to
     1e-6 relative).  The d_k table comes from ``sieve.dk_block``, so k is
-    capped at ``sieve.DESK_K_CAP``.  The table (16 B per n) and the
-    quadrature chunks (``MS_BYTES_PER_NODE`` per node, at most
-    ``MS_NODES_PER_CHUNK`` nodes) are held to the memory budget.
+    capped at ``sieve.DESK_K_CAP``.
+
+    Nodes are summed in reduction groups of ``MS_NODES_PER_CHUNK`` nodes,
+    fewer under the memory budget, each ending in one float sum over its
+    (units, panels) array; inside a group the integrand is computed in
+    cache-sized passes of about ``MS_NODES_PER_SUBCHUNK`` nodes, a multiple
+    of 16 units, which give every node the bits one pass over the group
+    would.  The table (16 B per n) and the groups (``MS_BYTES_PER_NODE``
+    per node) are held to the memory budget.
     """
     if not 2 <= x <= 10 ** 7:
         raise DomainError(f"x must lie in [2, 1e7], got {x}")
@@ -231,23 +241,28 @@ def mean_square(k: int, x: float, panels_per_unit: int = 2,
 
     def integral(ppu: int) -> float:
         nodes, weights = np.polynomial.legendre.leggauss(order)
+        offs = np.linspace(0.0, 1.0, ppu + 1)[:-1]
         total = 0.0
-        chunk = chunk_nodes // (ppu * order)
+        chunk = chunk_nodes // (ppu * order)  # units per reduction group
+        sub = max(16, MS_NODES_PER_SUBCHUNK // (ppu * order) // 16 * 16)  # units per pass
         for n0 in range(1, n_top + 1, chunk):
             n1 = min(n0 + chunk, n_top + 1)
-            lo = np.arange(n0, n1, dtype=np.float64)
-            hi = np.minimum(lo + 1.0, x)
-            offs = np.linspace(0.0, 1.0, ppu + 1)[:-1]
-            width = (hi - lo) / ppu
-            plo = lo[:, None] + offs[None, :] * (hi - lo)[:, None]
-            half = 0.5 * width[:, None]
-            mid = plo + half
-            y = mid[:, :, None] + half[:, :, None] * nodes[None, None, :]
-            yf = y.reshape(-1)
-            delta = np.repeat(Dfloat[n0 - 1: n1 - 1], ppu * order) \
-                - yf * np.polynomial.polynomial.polyval(np.log(yf), coeffs)
-            vals = (delta ** 2).reshape(-1, order) @ weights
-            total += float(np.sum(vals.reshape(len(lo), ppu) * half))
+            panel = np.empty((n1 - n0, ppu))
+            for s0 in range(n0, n1, sub):
+                s1 = min(s0 + sub, n1)
+                lo = np.arange(s0, s1, dtype=np.float64)
+                hi = np.minimum(lo + 1.0, x)
+                width = (hi - lo) / ppu
+                plo = lo[:, None] + offs[None, :] * (hi - lo)[:, None]
+                half = 0.5 * width[:, None]
+                mid = plo + half
+                y = mid[:, :, None] + half[:, :, None] * nodes[None, None, :]
+                yf = y.reshape(-1)
+                delta = np.repeat(Dfloat[s0 - 1: s1 - 1], ppu * order) \
+                    - yf * np.polynomial.polynomial.polyval(np.log(yf), coeffs)
+                vals = (delta ** 2).reshape(-1, order) @ weights
+                np.multiply(vals.reshape(s1 - s0, ppu), half, out=panel[s0 - n0: s1 - n0])
+            total += float(np.sum(panel))
         return total
 
     coarse = integral(panels_per_unit)

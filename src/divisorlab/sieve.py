@@ -36,8 +36,8 @@ DESK_K_CAP = 30
 MEMORY_BUDGET_BYTES = 3 << 30
 
 SEGMENT = 1 << 16
-# one segment's working set (values, cofactors, log2 sums, their temporaries
-# and the prime table); tracemalloc measures ~41 B per entry
+# one segment's working set (values, stripped prime products, log2 sums,
+# their temporaries and the prime table); tracemalloc measures ~42 B per entry
 SEGMENT_BYTES = 48 * SEGMENT
 OVERFLOW_LOG2 = 63
 
@@ -82,14 +82,15 @@ def _primes_upto(m: int) -> list[int]:
 
 def _dk_segments(k: int, lo: int, hi: int):
     """Yield (start, d_k values, overflowed) for each segment of [lo, hi).
-    Stripping the primes p <= sqrt(hi - 1) leaves 1 or one prime above it."""
+    Stripping the primes p <= sqrt(hi - 1) from n leaves n / stripped = 1 or
+    one prime above them, so stripped < n marks a prime cofactor."""
     primes = _primes_upto(math.isqrt(hi - 1))
     binom = [math.comb(a + k - 1, k - 1) for a in range(64)]  # a_p < log2(hi) < 64
     log2_binom = [math.log2(c) for c in binom]
     for s in range(lo, hi, SEGMENT):
         n = min(SEGMENT, hi - s)
         v = np.ones(n, dtype=np.uint64)
-        rest = np.arange(s, s + n, dtype=np.uint64)
+        stripped = np.ones(n, dtype=np.uint64)  # the prime powers stripped so far
         lg = np.zeros(n)
         for p in primes:
             for a in range(1, 64):  # the multiples of p^a: a_p grows from a - 1 to a
@@ -101,8 +102,8 @@ def _dk_segments(k: int, lo: int, hi: int):
                     v[sl] //= binom[a - 1]
                 v[sl] *= binom[a]
                 lg[sl] += log2_binom[a] - log2_binom[a - 1]
-                rest[sl] //= p
-        cofactor = rest > 1
+                stripped[sl] *= p
+        cofactor = stripped < np.arange(s, s + n, dtype=np.uint64)
         np.multiply(v, k, out=v, where=cofactor)
         np.add(lg, log2_binom[1], out=lg, where=cofactor)
         yield s, v, bool(lg.max() > OVERFLOW_LOG2)

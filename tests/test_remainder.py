@@ -204,6 +204,45 @@ def test_mean_square_panel_invariance():
         rl.mean_square(31, 500.0)
 
 
+# repr of values from the kernel that computed each reduction group in one
+# pass; the cache-sized passes must reproduce every bit.  The fine pass of
+# 4e5 + 0.37 and 1e6 spans several groups of 174762 units; 4 MiB shrinks the
+# groups (and moves the last bit); a non-integer x ends in a partial unit
+MS_PINNED = [
+    (2, 1e4, 2, None, "7.768195065444527"),
+    (2, 1e5, 2, None, "14.14935154842061"),
+    (2, 4e5 + 0.37, 2, None, "20.142124116406404"),
+    (2, 1e6, 2, None, "25.404892293051677"),
+    (2, 1e5, 2, 4 << 20, "14.149351548420611"),
+    (2, 10000.37, 2, None, "7.768857481379004"),
+    (3, 12345.5, 2, None, "109.00801507487093"),
+    (1, 1e4, 2, None, "0.5773214009544552"),
+    (2, 1e5, 3, None, "14.149351548420928"),
+    (2, 4e5 + 0.37, 3, None, "20.142124116404826"),
+    (5, 54321.25, 3, None, "12807.408497869254"),
+]
+
+
+@pytest.mark.parametrize("k, x, ppu, budget, want", MS_PINNED)
+def test_mean_square_bits_pinned(monkeypatch, k, x, ppu, budget, want):
+    if budget:
+        monkeypatch.setattr(sv, "MEMORY_BUDGET_BYTES", budget)
+    assert repr(rl.mean_square(k, x, panels_per_unit=ppu)) == want
+
+
+def test_mean_square_memory_in_cache_sized_passes():
+    # the 1.5 MiB table, a 3.2 MB panel and ~2 MiB of pass arrays; a group
+    # computed in one pass of 2^22 nodes peaked at 120 MiB
+    rl.mean_square(2, 1e5)  # fills the main-term cache outside the trace
+    tracemalloc.start()
+    try:
+        rl.mean_square(2, 1e5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 << 20
+
+
 # --------------------------------------------------------------- envelopes
 
 def test_envelope_conjecture_value():
