@@ -11,9 +11,7 @@ Subpackages:
   mean squares, comparison envelopes.
 * ``zetasum``   -- exponential sums, Euler-Maclaurin zeta, chi factor,
   approximate functional equation, moment integrals, mean-value checks.
-* ``store``     -- atomic file writes and the checksummed-row CSV format
-  of the Stieltjes cache.
-* ``cli``       -- batch command-line surface and its Stieltjes cache.
+* ``cli``       -- batch command-line surface.
 
 Submodules load on first attribute access (``divisorlab.sieve``), so a
 process imports numpy only when a layer that uses it is reached.
@@ -24,7 +22,7 @@ import importlib
 __version__ = "0.1.0"
 
 _SUBMODULES = frozenset({"cli", "errors", "exponents", "laurent", "numerics",
-                         "remainder", "sieve", "store", "zetasum"})
+                         "remainder", "sieve", "zetasum"})
 
 
 def __getattr__(name):

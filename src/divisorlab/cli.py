@@ -1,16 +1,15 @@
 """Batch command-line surface: constants, bounds, sieve tables, remainder
 samples, fits, sign scans, mean squares, exponential sums, zeta values and
-moment integrals, with CSV/JSON emission and a persistent cache of Stieltjes
-constants.
+moment integrals, with CSV/JSON emission.
 
 Configuration comes from an optional key=value file plus command-line flags
 (flags win); unknown config keys are rejected.  Every output carries a
 metadata header recording inputs and conventions (half-odd sampling flag,
 rho orientation, AFE length mode, rounding directions), and no timestamps,
-so reruns are byte-identical.  Every file written (output, plot series,
-cache) is written atomically (temp file, then rename).  The cache file
-carries its checksums inside, one per row, with no sidecar file; a row
-that fails its checksum is recomputed.
+so reruns are byte-identical.  Every file written (output, plot series)
+is written atomically (temp file, then rename); a file that cannot be
+written exits 2 and leaves no temp file.  No state carries from one run to
+the next: ``--cache-dir`` is accepted and ignored.
 
 Exit codes: 0 success, 2 precondition violation, 3 numeric self-check failure.
 """
@@ -18,6 +17,7 @@ Exit codes: 0 success, 2 precondition violation, 3 numeric self-check failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -30,10 +30,9 @@ import mpmath as mp
 
 # numpy, sieve and remainder are imported by the commands that use them, so
 # constants, bounds, theta-opt, zeta and expsum start without numpy
-from . import __version__, exponents, laurent, store, zetasum
+from . import __version__, exponents, zetasum
 from .errors import ConfigError, PreconditionError, SelfCheckError
 
-CACHE_ENV = "DIVISORLAB_CACHE"
 MIN_PRECISION_BITS = 53  # results are reported as float64; fewer bits lose digits
 # --grid sizes above this exit 2: each point costs ~0.3 ms of mp main term and
 # envelopes, so `delta --k 2 --grid 10:999999999:20000` takes ~6 s on a 2-CPU
@@ -53,10 +52,24 @@ class RunConfig:
     precision_bits: int
     output_format: str
     output_path: str | None
-    cache_dir: str | None
 
 
 # ------------------------------------------------------------ file helpers
+
+def _atomic_write(path, text: str) -> None:
+    """Write a temp file beside ``path`` and rename it over ``path``, so a
+    reader sees the old file or the new one, never a part.  A failed write
+    removes the temp file and raises ConfigError naming ``path``."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as e:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise ConfigError(f"cannot write {os.fspath(path)!r}: {e.strerror}") from e
+
 
 def _jsonable(v):
     if isinstance(v, mp.mpf):
@@ -105,26 +118,22 @@ def emit(cfg: RunConfig, rows: list[dict], conventions: dict) -> str:
                 writer.writerow([_fmt(r.get(c)) for c in cols])
         text = "\n".join(lines) + "\n" + body.getvalue()
     if cfg.output_path:
-        store.atomic_write(cfg.output_path, text)
+        _atomic_write(cfg.output_path, text)
     else:
         sys.stdout.write(text)
     return text
 
 
-# ------------------------------------------------------------ cache, plots
-
-def _cache_dir(cfg: RunConfig) -> str | None:
-    d = cfg.cache_dir or os.environ.get(CACHE_ENV)
-    if d:
-        os.makedirs(d, exist_ok=True)
-    return d
-
+# ------------------------------------------------------------------ plots
 
 def _write_plot_series(plot_dir: str, name: str, pairs) -> None:
     """Bare (x, y) CSV series, one file per curve, no header."""
-    os.makedirs(plot_dir, exist_ok=True)
+    try:
+        os.makedirs(plot_dir, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot create plot directory {plot_dir!r}: {e.strerror}") from e
     body = "".join(f"{_fmt(x)},{_fmt(y)}\n" for x, y in pairs if y is not None)
-    store.atomic_write(os.path.join(plot_dir, name + ".csv"), body)
+    _atomic_write(os.path.join(plot_dir, name + ".csv"), body)
 
 
 # ------------------------------------------------------------ grid parsing
@@ -352,9 +361,6 @@ def cmd_report(cfg: RunConfig, args) -> tuple[list[dict], dict]:
     return rows, {"abscissa_sampling": "half_odd"}
 
 
-# commands whose main terms use Stieltjes constants, cached across runs
-STIELTJES_COMMANDS = frozenset({"delta", "fit", "signs", "meansquare", "report"})
-
 COMMANDS = {
     "constants": cmd_constants,
     "theta-opt": cmd_theta_opt,
@@ -384,8 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default="csv")
         sp.add_argument("--output", dest="output_path", default=None)
         sp.add_argument("--cache-dir", dest="cache_dir", default=None,
-                        help="Stieltjes-constant cache (else $DIVISORLAB_CACHE), read by "
-                             f"{', '.join(sorted(STIELTJES_COMMANDS))}; others ignore it")
+                        help="accepted and ignored: no command keeps a cache")
         sp.add_argument("--precision-bits", dest="precision_bits", type=int,
                         default=192)
 
@@ -519,15 +524,8 @@ def main(argv=None) -> int:
             precision_bits=args.precision_bits,
             output_format=args.output_format,
             output_path=args.output_path,
-            cache_dir=args.cache_dir,
         )
-        cache = _cache_dir(cfg) if args.command in STIELTJES_COMMANDS else None
-        stieltjes_path = os.path.join(cache, "stieltjes.csv") if cache else None
-        if stieltjes_path:
-            laurent.load_stieltjes_cache(stieltjes_path)
         rows, conventions = COMMANDS[args.command](cfg, args)
-        if stieltjes_path:
-            laurent.save_stieltjes_cache(stieltjes_path)
         emit(cfg, rows, conventions)
         return 0
     except PreconditionError as e:

@@ -22,7 +22,6 @@ from typing import Optional
 
 import mpmath as mp
 
-from . import store
 from .errors import (
     DomainError,
     InsufficientOrderError,
@@ -55,48 +54,94 @@ def _deriv_polys(n: int):
         p = [a - m * b for a, b in zip(dp, p)]
 
 
-def _log_power_tail(i: int, s: int, M: int):
-    """integral_M^inf (log x)^i x^{-s-1} dx = M^{-s} sum_r (i)_r (log M)^{i-r} / s^{r+1}."""
-    lm = mp.log(M)
-    total = mp.mpf(0)
-    fall = 1
-    for r in range(i + 1):
-        total += fall * lm ** (i - r) / mp.mpf(s) ** (r + 1)
-        fall *= i - r
-    return mp.mpf(M) ** (-s) * total
-
-
 def _em_tail_bound(p2J: list[int], J: int, M: int):
     """Rigorous bound for the Euler-Maclaurin remainder after J terms, given
     p2J = p_{2J} of ``_deriv_polys``:
     |R| <= 4/(2 pi)^{2J} * integral_M^inf |f^{(2J)}(x)| dx  (|periodic
-    Bernoulli| <= 2 (2J)! zeta(2J) / (2 pi)^{2J} and zeta(2J) < 2).
+    Bernoulli| <= 2 (2J)! zeta(2J) / (2 pi)^{2J} and zeta(2J) < 2), where
+    integral_M^inf (log x)^i x^{-s-1} dx = M^{-s} sum_r (i)_r (log M)^{i-r} / s^{r+1}.
     """
+    s, lm = 2 * J, mp.log(M)
     integral = mp.mpf(0)
     for i, c in enumerate(p2J):
         if c:
-            integral += abs(c) * _log_power_tail(i, 2 * J, M)
+            tail, fall = mp.mpf(0), 1
+            for r in range(i + 1):
+                tail += fall * lm ** (i - r) / mp.mpf(s) ** (r + 1)
+                fall *= i - r
+            integral += abs(c) * (mp.mpf(M) ** (-s) * tail)
     return 4 / (2 * mp.pi) ** (2 * J) * integral
 
 
-def _pick_em_parameters(n: int, target_log2: float) -> tuple[int, int]:
-    """Cheapest (J, M) on the grids whose rigorous tail bound beats
-    2^{target_log2}: the smallest M >= 2n (the direct sum costs M logarithms,
-    the corrections only J cheap terms) for which some J does, with the
-    smallest such J.
+def _lazy_polys(n: int):
+    """upto(m) -> [p_0, ..., p_m, ...] of ``_deriv_polys(n)``, built only as far as asked."""
+    gen, polys = _deriv_polys(n), []
+
+    def upto(m: int) -> list:
+        polys.extend(islice(gen, max(m + 1 - len(polys), 0)))
+        return polys
+    return upto
+
+
+def _pick_em_parameters(ns, target_log2: float, polys=None) -> tuple[int, int]:
+    """Cheapest (J, M) on the grids at which the rigorous tail bound of every
+    gamma_n, n in ``ns``, beats 2^{target_log2}: the smallest M >= 2 max(ns)
+    (the direct sums cost M logarithms, the corrections only J cheap terms)
+    for which some J does, with the smallest such J.  The largest n, whose
+    bound is usually the largest, goes first.  ``polys`` maps n to
+    ``_lazy_polys(n)``.
     """
-    seq = islice(_deriv_polys(n), 2 * EM_J_GRID[-1] + 1)
-    polys = {m // 2: p for m, p in enumerate(seq) if m % 2 == 0 and m // 2 in EM_J_GRID}
+    ns = sorted(ns, reverse=True)
+    polys = polys or {n: _lazy_polys(n) for n in ns}
     with mp.workdps(40):
         for M in EM_M_GRID:
-            if M < 2 * n:
+            if M < 2 * ns[0]:
                 continue
             for J in EM_J_GRID:
-                bound = _em_tail_bound(polys[J], J, M)
-                if bound > 0 and mp.log(bound, 2) < target_log2 - 1:
+                bounds = (_em_tail_bound(polys[n](2 * J)[2 * J], J, M) for n in ns)
+                if all(b > 0 and mp.log(b, 2) < target_log2 - 1 for b in bounds):
                     return J, M
     raise PrecisionError(
-        f"no Euler-Maclaurin parameters reach 2^{target_log2:.0f} for gamma_{n}")
+        f"no Euler-Maclaurin parameters reach 2^{target_log2:.0f} for gamma_{ns[0]}")
+
+
+def _stieltjes_batch(ns, precision_bits: int) -> list:
+    """[gamma_n for n in ns]; those not in the memo at ``precision_bits`` or
+    more come from one Euler-Maclaurin pass with one (J, M) (see ``stieltjes``)."""
+    for n in ns:
+        if not (0 <= n <= STIELTJES_MAX_N):
+            raise DomainError(f"n must lie in [0, {STIELTJES_MAX_N}], got {n}")
+    if not (1 <= precision_bits <= STIELTJES_MAX_BITS):
+        raise DomainError(
+            f"precision_bits must lie in [1, {STIELTJES_MAX_BITS}], got {precision_bits}")
+    missing = [n for n in ns if _stieltjes_memo.get(n, (0,))[0] < precision_bits]
+    if missing:
+        polys = {n: _lazy_polys(n) for n in missing}
+        J, M = _pick_em_parameters(missing, -(precision_bits + 4), polys)
+    for n in missing:
+        # cancellation headroom: partial sums reach (log M)^{n+1}/(n+1)
+        guard = int((n + 1) * max(math.log2(math.log(M)), 1.0)) + 64
+        with mp.workprec(precision_bits + guard):
+            lm = mp.log(M)
+            total = mp.mpf(0)
+            for k in range(1, M + 1):
+                total += mp.log(k) ** n / k
+            total -= lm ** (n + 1) / (n + 1)
+            total -= lm ** n / (2 * M)
+            lpow = [lm ** i for i in range(n + 1)]
+            odd = polys[n](2 * J)[1:2 * J:2]  # p_1, p_3, ..., p_{2J-1}
+            for j, p in enumerate(odd, 1):
+                deriv = mp.mpf(0)
+                for c, lp in zip(p, lpow):
+                    if c:
+                        deriv += c * lp
+                deriv /= mp.mpf(M) ** (2 * j)
+                total -= mp.bernoulli(2 * j) / mp.factorial(2 * j) * deriv
+        # round to a fixed mantissa, independent of n's guard bits; without it
+        # every main term built on gamma_n would move in its last bits
+        with mp.workprec(precision_bits + 16):
+            _stieltjes_memo[n] = (precision_bits, +total)
+    return [_stieltjes_memo[n][1] for n in ns]
 
 
 def stieltjes(n: int, precision_bits: int = 256) -> mp.mpf:
@@ -109,81 +154,7 @@ def stieltjes(n: int, precision_bits: int = 256) -> mp.mpf:
 
     with (J, M) chosen so the rigorous bound on R_J beats the target.
     """
-    if not (0 <= n <= STIELTJES_MAX_N):
-        raise DomainError(f"n must lie in [0, {STIELTJES_MAX_N}], got {n}")
-    if not (1 <= precision_bits <= STIELTJES_MAX_BITS):
-        raise DomainError(
-            f"precision_bits must lie in [1, {STIELTJES_MAX_BITS}], got {precision_bits}")
-    cached = _stieltjes_memo.get(n)
-    if cached is not None and cached[0] >= precision_bits:
-        return cached[1]
-
-    target = -(precision_bits + 4)
-    J, M = _pick_em_parameters(n, target)
-    # cancellation headroom: partial sums reach (log M)^{n+1}/(n+1)
-    guard = int((n + 1) * max(math.log2(math.log(M)), 1.0)) + 64
-    with mp.workprec(precision_bits + guard):
-        lm = mp.log(M)
-        total = mp.mpf(0)
-        for k in range(1, M + 1):
-            total += mp.log(k) ** n / k
-        total -= lm ** (n + 1) / (n + 1)
-        total -= lm ** n / (2 * M)
-        odd = islice(_deriv_polys(n), 1, 2 * J, 2)  # p_1, p_3, ..., p_{2J-1}
-        for j, p in enumerate(odd, 1):
-            deriv = mp.mpf(0)
-            for i, c in enumerate(p):
-                if c:
-                    deriv += c * lm ** i
-            deriv /= mp.mpf(M) ** (2 * j)
-            total -= mp.bernoulli(2 * j) / mp.factorial(2 * j) * deriv
-    # round to a fixed mantissa so the decimal cache round-trips bit-exactly
-    with mp.workprec(precision_bits + 16):
-        value = +total
-    _stieltjes_memo[n] = (precision_bits, value)
-    return value
-
-
-# ------------------------------------------------------- CSV cache (n, bits)
-
-def save_stieltjes_cache(path) -> int:
-    """Write the in-memory Stieltjes memo atomically as checksummed CSV rows
-    (n, precision_bits, value-as-decimal-string).  Returns rows written."""
-    rows = []
-    for n in sorted(_stieltjes_memo):
-        bits, value = _stieltjes_memo[n]
-        dps = int((bits + 16) * 0.30103) + 12  # enough digits to round-trip
-        with mp.workdps(dps + 8):
-            rows.append((n, bits, mp.nstr(value, dps, strip_zeros=False)))
-    store.write_rows(path, "n,precision_bits,value", rows)
-    return len(rows)
-
-
-def load_stieltjes_cache(path) -> tuple[int, int]:
-    """Merge a CSV cache into the memo, dropping corrupted rows.
-
-    Returns (rows_loaded, rows_rejected); a checksum mismatch simply means
-    the value will be recomputed on demand, never silently reused.
-    """
-    got = store.read_rows(path)
-    if got is None:
-        return 0, 0
-    rows, rejected = got
-    loaded = 0
-    for fields in rows:
-        try:
-            ns, bs, text = fields
-            n, bits = int(ns), int(bs)
-        except ValueError:
-            rejected += 1
-            continue
-        with mp.workprec(bits + 16):
-            value = mp.mpf(text)
-        have = _stieltjes_memo.get(n)
-        if have is None or have[0] < bits:
-            _stieltjes_memo[n] = (bits, value)
-        loaded += 1
-    return loaded, rejected
+    return _stieltjes_batch([n], precision_bits)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -274,11 +245,11 @@ def zeta_laurent(terms: int, precision_bits: int = 256) -> LaurentData:
     """
     if not (1 <= terms <= STIELTJES_MAX_N):
         raise DomainError(f"terms must lie in [1, {STIELTJES_MAX_N}], got {terms}")
+    gammas = _stieltjes_batch(range(terms), precision_bits + 32)
     with mp.workprec(precision_bits + 32):
         coeffs = [mp.mpf(1)]
-        for n in range(terms):
-            coeffs.append((-1) ** n * stieltjes(n, precision_bits + 32)
-                          / mp.factorial(n))
+        for n, g in enumerate(gammas):
+            coeffs.append((-1) ** n * g / mp.factorial(n))
     return LaurentData(-1, tuple(coeffs), terms - 1, precision_bits)
 
 
@@ -287,6 +258,8 @@ def zeta_laurent(terms: int, precision_bits: int = 256) -> LaurentData:
 # ---------------------------------------------------------------------------
 
 MAIN_TERM_K_CAP = 40  # factorial coefficient growth past desk scale
+# the Stieltjes constants of a main term carry 96 bits more than it
+MAIN_TERM_MAX_BITS = STIELTJES_MAX_BITS - 96
 
 
 @dataclass(frozen=True)
@@ -342,6 +315,9 @@ def main_term_poly(k: int, precision_bits: int = 256) -> MainTermPoly:
     """
     if not (1 <= k <= MAIN_TERM_K_CAP):
         raise DomainError(f"k must lie in [1, {MAIN_TERM_K_CAP}], got {k}")
+    if not (1 <= precision_bits <= MAIN_TERM_MAX_BITS):
+        raise DomainError(
+            f"precision_bits must lie in [1, {MAIN_TERM_MAX_BITS}], got {precision_bits}")
     with mp.workprec(precision_bits + 64):
         zser = zeta_laurent(max(k - 1, 1), precision_bits + 64)
         zk = series_pow(zser, k)

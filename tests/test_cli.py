@@ -1,5 +1,5 @@
 """CLI tests: payload equivalence across formats, metadata conventions,
-cache warm-run determinism and corruption recovery, exit codes.
+ignored cache flags, failed writes, exit codes.
 """
 
 import contextlib
@@ -99,63 +99,58 @@ def test_signs_command(tmp_path):
     assert rows and all(r["change_location"] != "" for r in rows)
 
 
-def run_fresh(argv, cwd):
-    """Exit code and stdout of the CLI in a fresh interpreter, so that only
-    the cache directory carries state from one run to the next."""
-    env = {k: v for k, v in os.environ.items() if k != cli.CACHE_ENV}
+def run_fresh(argv, cwd, **env):
+    """Exit code and stdout of the CLI in a fresh interpreter, with ``env``
+    added to an environment that has no DIVISORLAB_CACHE."""
+    env = {**{k: v for k, v in os.environ.items() if k != "DIVISORLAB_CACHE"}, **env}
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run([sys.executable, "-m", "divisorlab.cli", *argv], cwd=cwd,
                           env=env, capture_output=True, text=True, timeout=120)
     return proc.returncode, proc.stdout
 
 
-def test_warm_cache_byte_identical(tmp_path):
-    cache = tmp_path / "cache"
-    argv = ["delta", "--k", "2", "--grid", "100:2000:6",
-            "--cache-dir", str(cache)]
+# the commands that once read a Stieltjes cache, at small sizes
+FORMER_CACHE_ARGV = [
+    ["delta", "--k", "3", "--x", "1000.5"],
+    ["fit", "--k", "2", "--grid", "1000:100000:8"],
+    ["signs", "--k", "2", "--X0", "1000", "--X1", "3000"],
+    ["meansquare", "--k", "2", "--x", "1000"],
+    ["report"],
+]
+
+
+@pytest.mark.parametrize("argv", FORMER_CACHE_ARGV, ids=lambda a: a[0])
+def test_old_cache_flags_change_nothing(argv, tmp_path):
     code1, text1 = run_fresh(argv, tmp_path)
-    code2, text2 = run_fresh(argv, tmp_path)
+    code2, text2 = run_fresh(argv + ["--cache-dir", "d"], tmp_path, DIVISORLAB_CACHE="e")
     assert code1 == code2 == 0
-    assert text1 == text2
-    # the cache holds the Stieltjes constants and nothing else
-    assert [p.name for p in cache.iterdir()] == ["stieltjes.csv"]
+    assert text2 == text1
+    assert list(tmp_path.iterdir()) == []
 
 
-# k = 3 reads gamma_0 and gamma_1, the two rows of its Stieltjes cache
-STIELTJES_ARGV = ["delta", "--k", "3", "--x", "1000.5"]
+@pytest.mark.parametrize("argv, target", [
+    (["bounds", "--k", "30", "--output", "missing/x.csv"], "missing/x.csv"),
+    (["bounds", "--k", "30", "--output", "file/x.csv"], "file/x.csv"),
+    (["bounds", "--k", "30", "--output", "dir"], "dir"),
+    (["delta", "--k", "2", "--x", "10.5", "--plot-dir", "file"], "file"),
+], ids=["missing-dir", "under-a-file", "onto-a-dir", "plot-dir-is-a-file"])
+def test_failed_write_exits_2_and_leaves_no_temp_file(argv, target, tmp_path,
+                                                      monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "file").write_text("a regular file\n")
+    (tmp_path / "dir").mkdir()
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("precondition violation: ") and repr(target) in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]
+    assert (tmp_path / "file").read_text() == "a regular file\n"
+    assert list((tmp_path / "dir").iterdir()) == []
 
 
-def test_cache_corruption_triggers_recompute(tmp_path):
-    cache = tmp_path / "cache"
-    argv = STIELTJES_ARGV + ["--cache-dir", str(cache)]
-    code1, text1 = run_fresh(argv, tmp_path)
-    assert code1 == 0
-    target = cache / "stieltjes.csv"
-    good = target.read_text()
-    header, row0, row1 = good.splitlines()
-    n, bits, value, chk = row1.split(",")
-    assert n == "1"
-    damaged = ",".join([n, bits, value.replace("7", "8", 1), chk])
-    target.write_text("\n".join([header, row0, damaged]) + "\n")
-    code2, text2 = run_fresh(argv, tmp_path)
-    assert code2 == 0
-    assert text1 == text2  # the damaged gamma_1 was not silently reused
-    assert target.read_text() == good  # and the cache has been healed
-
-
-def test_cache_file_carries_its_checksums(tmp_path):
-    cache = tmp_path / "cache"
-    argv = STIELTJES_ARGV + ["--cache-dir", str(cache)]
-    code1, text1 = run_fresh(argv, tmp_path)
-    assert code1 == 0
-    # no checksum sidecar and no temp file left beside the cache file
-    files = list(cache.iterdir())
-    assert [p.name for p in files] == ["stieltjes.csv"]
-    good = files[0].read_text()
-    files[0].write_bytes(b"\xff\xfe not text")
-    code2, text2 = run_fresh(argv, tmp_path)
-    assert code2 == 0 and text2 == text1
-    assert files[0].read_text() == good
+def test_precision_error_names_the_given_bits(capsys):
+    assert cli.main(["delta", "--k", "3", "--x", "100.5",
+                     "--precision-bits", "4050"]) == 2
+    assert capsys.readouterr().err.rstrip().endswith("got 4050")
 
 
 def test_config_file_and_unknown_key(tmp_path):

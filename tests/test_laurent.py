@@ -75,15 +75,17 @@ def test_pick_em_parameters_smallest_cutoff(n, bits):
                 if bound > 0 and mp.log(bound, 2) < target - 1:
                     feasible.append((M, J))
     M, J = min(feasible)
-    assert la._pick_em_parameters(n, target) == (J, M)
+    assert la._pick_em_parameters([n], target) == (J, M)
 
 
 def test_pick_em_parameters_small_cutoff_at_352_bits():
     # the main terms ask for gamma_n, n <= 11, at 352 bits: a few hundred
     # logarithms, not the 8192-16384 of a J-first search
     for n in range(12):
-        J, M = la._pick_em_parameters(n, -(352 + 4))
+        J, M = la._pick_em_parameters([n], -(352 + 4))
         assert M <= 128
+    # one pick for all twelve: a pair at which every tail bound holds
+    assert la._pick_em_parameters(range(12), -(352 + 4)) == (64, 64)
 
 
 def test_gamma1_reference():
@@ -109,20 +111,50 @@ def test_stieltjes_domain():
         la.stieltjes(0, 10 ** 6)
 
 
-def test_stieltjes_cache_roundtrip(tmp_path):
-    la.stieltjes(0, 128)
-    la.stieltjes(2, 128)
-    path = tmp_path / "stieltjes.csv"
-    wrote = la.save_stieltjes_cache(path)
-    assert wrote >= 2
-    loaded, rejected = la.load_stieltjes_cache(path)
-    assert loaded == wrote and rejected == 0
-    # corrupt one row: it must be rejected, not silently reused
-    lines = path.read_text().splitlines()
-    lines[1] = lines[1].replace(",", ",9", 1)  # mangle the bits field
-    path.write_text("\n".join(lines) + "\n")
-    loaded2, rejected2 = la.load_stieltjes_cache(path)
-    assert rejected2 == 1 and loaded2 == wrote - 1
+# gamma_0 .. gamma_10 as (signed mantissa, exponent), computed one constant at
+# a time by commit 8b1ac55; 288 bits serve the CLI's default main terms and
+# 352 bits those at 256
+GAMMA_PINS = {
+    288: [
+        (0x49e233f1bed863d268df1fc080a965ab50e7661d7b2e600c8601ef9a384d7fdec725acfd01d5, -303),
+        (-0x12a40f2afba4a1cb6746b42301f95eed259498de8b37c5b3a80a1b74cc1a5ed53e5e3504365d, -304),
+        (-0x9ec4543ffbe22c6da87d05e086d509939a7df49e9371c541939d39ce443e86d252fde69e2cbb, -310),
+        (0x86999faaa66d8dc025fb45527af3ac23f745e068174d033cecc5f0ba565dd0dc8a3e6dd0c437, -312),
+        (0x26194f18774427597b8456a365a44d96f16e31aeb70736471ffb3a5204eb4acce75da85c3435, -310),
+        (0x67fb87b36da692e4bc044fadd767170c9a3ce2ef83af34a35b3c3b8fbec7aaf659d057c193dd, -313),
+        (-0x3e978a1ea0bc6ddaa594feb5c4688a28cf8a1a678834d4521461b68be8eed04551aa55d9365d, -314),
+        (-0x8a39cdc8bd68d14a047840c338214a33c9135a80d4e4e875b77d20795b1d8d033fe8af86ba53, -314),
+        (-0x5c4e9927abf45b1c8702537e3f3763502727ed14a469605ec9d6356b3f84cf973ec09ca657ad, -314),
+        (-0x12086373426594c18321ae8df8a5a42d6cad8917ff885d57e4664d4b43294099c6da7310a2d, -311),
+        (0xd74e9b98e76634414bd845146df3293beb1af644199e74958344cf825ff1d28e2ca4b13044b1, -316),
+    ],
+    352: [
+        (0x93c467e37db0c7a4d1be3f810152cb56a1cecc3af65cc0190c03df34709affbd8e4b59fa03a9f0eed0649ccb621, -364),
+        (-0x12a40f2afba4a1cb6746b42301f95eed259498de8b37c5b3a80a1b74cc1a5ed53e5e3504365cf7f74f4a16e6c4cf, -368),
+        (-0x9ec4543ffbe22c6da87d05e086d509939a7df49e9371c541939d39ce443e86d252fde69e2cbb4a670068fb1e1c65, -374),
+        (0x86999faaa66d8dc025fb45527af3ac23f745e068174d033cecc5f0ba565dd0dc8a3e6dd0c4376176e6bf5dc2bdad, -376),
+        (0x98653c61dd109d65ee115a8d9691365bc5b8c6badc1cd91c7fece94813ad2b339d76a170d0d3a63c676d50ce0e9, -372),
+        (0xcff70f66db4d25c978089f5baece2e193479c5df075e6946b678771f7d8f55ecb3a0af8327ba33fe7621473d8ecf, -378),
+        (-0x7d2f143d4178dbb54b29fd6b88d114519f1434cf1069a8a428c36d17d1dda08aa354abb26cb9e5f08dc0a7d4ae01, -379),
+        (-0x8a39cdc8bd68d14a047840c338214a33c9135a80d4e4e875b77d20795b1d8d033fe8af86ba531fbc21355662514b, -378),
+        (-0xb89d324f57e8b6390e04a6fc7e6ec6a04e4fda2948d2c0bd93ac6ad67f099f2e7d81394caf5a25791104d8cfa54f, -379),
+        (-0x90431b9a132ca60c190d746fc52d216b656c48bffc42eabf23326a5a194a04ce36d39885167fd63a0aa53d9b6459, -382),
+        (0x35d3a6e639d98d1052f611451b7cca4efac6bd9106679d2560d133e097fc74a38b292c4c112c53a0002b87276bc5, -378),
+    ],
+}
+
+
+@pytest.mark.parametrize("bits", sorted(GAMMA_PINS))
+def test_stieltjes_bits_pinned(bits, monkeypatch):
+    def man_exp(v):
+        return int(mp.sign(v)) * v.man, v.exp
+    pins = GAMMA_PINS[bits]
+    # the one pass of a main term, and each constant on its own
+    monkeypatch.setattr(la, "_stieltjes_memo", {})
+    assert [man_exp(v) for v in la._stieltjes_batch(range(11), bits)] == pins
+    for n in range(11):
+        monkeypatch.setattr(la, "_stieltjes_memo", {})
+        assert man_exp(la.stieltjes(n, bits)) == pins[n]
 
 
 # -------------------------------------------------------- laurent algebra
@@ -248,6 +280,14 @@ def test_main_term_precision_doubling():
     with mp.workdps(90):
         for x, y in zip(a.coeffs, b.coeffs):
             assert abs(x - y) < mp.mpf(2) ** (-120) * (1 + abs(y))
+
+
+def test_main_term_precision_range_names_the_callers_bits():
+    # its Stieltjes constants carry 96 bits more, up to STIELTJES_MAX_BITS
+    assert la.MAIN_TERM_MAX_BITS == la.STIELTJES_MAX_BITS - 96
+    for bits in (0, la.MAIN_TERM_MAX_BITS + 1, 4050):
+        with pytest.raises(DomainError, match=rf"\[1, {la.MAIN_TERM_MAX_BITS}\], got {bits}$"):
+            la.main_term_poly(3, bits)
 
 
 def test_eval_main_term_values():
