@@ -112,8 +112,8 @@ def test_stieltjes_domain():
 
 
 # gamma_0 .. gamma_10 as (signed mantissa, exponent), computed one constant at
-# a time by commit 8b1ac55; 288 bits serve the CLI's default main terms and
-# 352 bits those at 256
+# a time by commit 8b1ac55; 288 bits serve the main terms at the CLI's default
+# 192 bits, and 352 bits those of main_term_poly(k, 256)
 GAMMA_PINS = {
     288: [
         (0x49e233f1bed863d268df1fc080a965ab50e7661d7b2e600c8601ef9a384d7fdec725acfd01d5, -303),
