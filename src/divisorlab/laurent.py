@@ -245,6 +245,9 @@ def zeta_laurent(terms: int, precision_bits: int = 256) -> LaurentData:
     """
     if not (1 <= terms <= STIELTJES_MAX_N):
         raise DomainError(f"terms must lie in [1, {STIELTJES_MAX_N}], got {terms}")
+    if not (1 <= precision_bits <= STIELTJES_MAX_BITS - 32):
+        raise DomainError(f"precision_bits must lie in [1, {STIELTJES_MAX_BITS - 32}], "
+                          f"got {precision_bits}")
     gammas = _stieltjes_batch(range(terms), precision_bits + 32)
     with mp.workprec(precision_bits + 32):
         coeffs = [mp.mpf(1)]

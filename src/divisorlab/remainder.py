@@ -8,8 +8,8 @@ point); any other x is accepted but flagged via ``half_odd=False``.
 Exact summatory values come from ``sieve.dk_partial_sums`` (isolated
 floor-value sums for sparse points, the sieve for dense ones); main terms
 from the residue polynomials.  High-volume paths (mean square, scans) run
-in float64 with the main-term polynomial coefficients rounded once;
-per-sample paths keep full mpmath precision.
+in float64 with the main-term polynomial coefficients rounded once, one
+sieve segment at a time; per-sample paths keep full mpmath precision.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ import mpmath as mp
 import numpy as np
 
 from . import laurent, sieve
-from .errors import (DomainError, MemoryBudgetError, QuadratureError, RangeError,
-                     SieveOverflowError)
+from .errors import DomainError, MemoryBudgetError, QuadratureError, RangeError
 from .numerics import ols_slope
 
 MAIN_BITS_DEFAULT = 192
@@ -126,24 +125,44 @@ def fit_exponent(samples: Sequence[RemainderSample],
 
 # ------------------------------------------------------------ sign changes
 
-def _cumulative_D(k: int, n: int) -> np.ndarray:
-    """D_k(1), ..., D_k(n) as uint64, from one d_k table over [1, n].
-
-    Refuses a saturated table, and a cumulative sum that wrapped 64 bits:
-    every d_k(m) is below 2^64, so a wrap shows as a step down.
-    """
-    block = sieve.dk_block(k, 1, n + 1)
-    if block.overflow_flag:
-        raise SieveOverflowError(f"d_{k} saturated below {n}")
-    cums = np.cumsum(block.values, dtype=np.uint64)
-    if np.any(cums[1:] < cums[:-1]):
-        raise SieveOverflowError("cumulative sum wrapped 64 bits")
-    return cums
+# the scan's own arrays per point of a segment, beside the sieve's
+# SEGMENT_BYTES; tracemalloc puts both at 107-118 B per point of a segment
+SCAN_BYTES_PER_POINT = 72
 
 
-# the scan's own int64/float64 arrays per point; tracemalloc puts a scan of
-# [1e3, 1e6] at 72 B per point, 16 B of it the d_k table and its sums
-SCAN_BYTES_PER_POINT = 56
+def _sign_budget(coeffs: list[float], x: float, D: int) -> float:
+    """6k u (D + x S), with u = 2^-53, S = sum |c_j| L^j and L = log x: a bound
+    on |fast - exact delta| at every half-odd point up to x (D, x, S grow with x).
+    The fast fl(fl(D) - fl(x fl(p(fl(log x))))), p of degree n = k - 1, errs to
+    first order by x S times u (float c_j), 4n u (numpy's log, taken within 2 ulp;
+    NumPy's tests hold it to 1), 2n u (Horner, gamma_{2n} S: Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., 5.1) and u (the product), plus u D
+    (float(D), exact below 2^53).  The 4u x S left covers second-order terms and
+    the rounding of both deltas to floats."""
+    L = math.log(x)
+    return 6 * len(coeffs) * 2.0 ** -53 * (D + x * sum(abs(c) * L ** j
+                                                   for j, c in enumerate(coeffs)))
+
+
+def _segment_flips(k: int, n_lo: int, n_hi: int, precision_bits: int):
+    """Yield (flips' left points, last point) per sieve segment of the n + 1/2,
+    n_lo <= n <= n_hi, then (none, inf); ``sample_from_D`` decides |delta| <= budget."""
+    coeffs = _main_poly(k, precision_bits).as_floats()
+    prev = np.empty(0)  # the sign of the previous segment's last point
+    for s, cums in sieve.dk_cumulative_segments(k, n_hi):
+        if s + len(cums) <= n_lo:
+            continue
+        xs = np.arange(max(s, n_lo), s + len(cums)) + 0.5
+        cums = cums[len(cums) - len(xs):]
+        deltas = cums.astype(np.float64) \
+            - xs * np.polynomial.polynomial.polyval(np.log(xs), coeffs)
+        signs = np.sign(deltas)
+        for i in np.flatnonzero(np.abs(deltas) <= _sign_budget(coeffs, xs[-1], int(cums[-1]))):
+            signs[i] = np.sign(sample_from_D(k, xs[i], int(cums[i]), precision_bits).delta)
+        ext = np.concatenate((prev, signs))
+        yield xs[0] - len(prev) + np.flatnonzero(ext[:-1] * ext[1:] < 0), xs[-1]
+        prev = signs[-1:]
+    yield np.empty(0), math.inf
 
 
 def sign_change_scan(k: int, X0: float, X1: float, C: float = 5.0,
@@ -154,7 +173,8 @@ def sign_change_scan(k: int, X0: float, X1: float, C: float = 5.0,
     Returns one (window_start, change_location) pair per window, where
     change_location is the left half-odd point of the first unit gap on
     which the sign flips, or None when the window shows no change (absence
-    is data, not an error).  Localisation stops at unit intervals.
+    is data, not an error).  Localisation stops at unit intervals.  Memory
+    is O(segment): only the open window outlives a ``_segment_flips`` segment.
     """
     if not (1 < X0 < X1 <= sieve.DESK_X_CAP):
         raise DomainError(f"need 1 < X0 < X1 <= {sieve.DESK_X_CAP}")
@@ -165,32 +185,22 @@ def sign_change_scan(k: int, X0: float, X1: float, C: float = 5.0,
     points = n_hi - n_lo + 1
     if points < 2:
         raise DomainError("range too narrow to hold two half-odd points")
-    need = 16 * n_hi + SCAN_BYTES_PER_POINT * points  # + the d_k table and its sums
+    need = sieve.SEGMENT_BYTES + SCAN_BYTES_PER_POINT * min(points, sieve.SEGMENT)
     if need > sieve.MEMORY_BUDGET_BYTES:
         raise MemoryBudgetError(f"scan up to {n_hi} needs ~{need >> 20} MiB, "
                                 f"budget is {sieve.MEMORY_BUDGET_BYTES >> 20} MiB")
-    ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)
-    D = _cumulative_D(k, n_hi)[ns - 1].astype(np.float64)
-    xs = ns.astype(np.float64) + 0.5
-    coeffs = _main_poly(k, precision_bits).as_floats()
-    mains = xs * np.polynomial.polynomial.polyval(np.log(xs), coeffs)
-    deltas = D - mains
-    signs = np.sign(deltas)
-
-    out = []
-    X = float(X0)
-    while X < X1:
-        width = C * X ** (1.0 - 1.0 / k)
-        x_end = min(X + width, X1)
-        i0 = np.searchsorted(xs, X, side="left")
-        i1 = np.searchsorted(xs, x_end, side="right")
-        location = None
-        win = signs[i0:i1]
-        flips = np.nonzero(win[:-1] * win[1:] < 0)[0]
-        if len(flips):
-            location = float(xs[i0 + flips[0]])
-        out.append((X, location))
-        X += width
+    out, X = [], float(X0)
+    width = C * X ** (1.0 - 1.0 / k)
+    for lefts, last in _segment_flips(k, n_lo, n_hi, precision_bits):
+        while X < X1:
+            x_end = min(X + width, X1)
+            j = np.searchsorted(lefts, X)
+            if j == len(lefts) and x_end >= last + 1:
+                break  # the window's first flip may lie in a later segment
+            found = j < len(lefts) and lefts[j] + 1 <= x_end
+            out.append((X, float(lefts[j]) if found else None))
+            X += width
+            width = C * X ** (1.0 - 1.0 / k)
     return out
 
 
@@ -199,8 +209,8 @@ def sign_change_scan(k: int, X0: float, X1: float, C: float = 5.0,
 # nodes per reduction group when the budget allows, nodes per cache-sized
 # pass inside a group (256 KiB per float64 array), and the bytes charged per
 # node of a group: a pass's arrays take ~60 B per node and the group's panel
-# 8 / order B (tracemalloc: 5.7 MiB at mean_square(2, 1e5), 1.5 MiB of it
-# the d_k table and its sums)
+# 8 / order B (tracemalloc: 5.7 MiB at mean_square(2, 1e5), 0.8 MiB of it
+# the float64 D table)
 MS_NODES_PER_CHUNK = 1 << 22
 MS_NODES_PER_SUBCHUNK = 1 << 15
 MS_BYTES_PER_NODE = 64
@@ -213,15 +223,15 @@ def mean_square(k: int, x: float, panels_per_unit: int = 2,
     On each unit interval the integrand (D_k(n) - y P(log y))^2 is smooth,
     so composite Gauss-Legendre with ``panels_per_unit`` panels converges
     fast; the panel count is doubled once as a self-check (must agree to
-    1e-6 relative).  The d_k table comes from ``sieve.dk_block``, so k is
-    capped at ``sieve.DESK_K_CAP``.
+    1e-6 relative).  k is capped at ``sieve.DESK_K_CAP``, as in the sieve.
 
     Nodes are summed in reduction groups of ``MS_NODES_PER_CHUNK`` nodes,
     fewer under the memory budget, each ending in one float sum over its
     (units, panels) array; inside a group the integrand is computed in
     cache-sized passes of about ``MS_NODES_PER_SUBCHUNK`` nodes, a multiple
     of 16 units, which give every node the bits one pass over the group
-    would.  The table (16 B per n) and the groups (``MS_BYTES_PER_NODE``
+    would.  The float64 D table (charged 16 B per n, as the uint64 table and
+    sums before it, so every bit stays) and the groups (``MS_BYTES_PER_NODE``
     per node) are held to the memory budget.
     """
     if not 2 <= x <= 10 ** 7:
@@ -236,7 +246,9 @@ def mean_square(k: int, x: float, panels_per_unit: int = 2,
         need = 16 * (n_top + 1) + MS_BYTES_PER_NODE * unit_nodes
         raise MemoryBudgetError(f"mean square up to {n_top} needs ~{need >> 20} MiB, "
                                 f"budget is {sieve.MEMORY_BUDGET_BYTES >> 20} MiB")
-    Dfloat = _cumulative_D(k, n_top).astype(np.float64)
+    Dfloat = np.empty(n_top)
+    for s, cums in sieve.dk_cumulative_segments(k, n_top):
+        Dfloat[s - 1: s - 1 + len(cums)] = cums
     coeffs = _main_poly(k, precision_bits).as_floats()
 
     def integral(ppu: int) -> float:

@@ -135,6 +135,21 @@ def dk_block(k: int, lo: int, hi: int) -> DivisorBlock:
     return DivisorBlock(k=k, lo=lo, hi=hi, values=values, overflow_flag=overflowed)
 
 
+def dk_cumulative_segments(k: int, n_hi: int):
+    """Yield (start, uint64 D_k from start on) per segment of [1, n_hi]; refuses a
+    flagged segment and a 64-bit wrap (each d_k(m) < 2^64: a wrap steps down)."""
+    _check_caps(k, n_hi + 1, 0)
+    carry = np.uint64(0)
+    for s, seg, over in _dk_segments(k, 1, n_hi + 1):
+        if over:
+            raise SieveOverflowError(f"d_{k} saturated below {n_hi}")
+        cums = np.cumsum(seg, dtype=np.uint64) + carry
+        if cums[0] < carry or np.any(cums[1:] < cums[:-1]):
+            raise SieveOverflowError("cumulative sum wrapped 64 bits")
+        carry = cums[-1]
+        yield s, cums
+
+
 def _exact_sum_uint64(values: np.ndarray) -> int:
     """Exact integer sum of fewer than 2^32 uint64 values via a 32-bit split:
     neither half's sum can wrap."""

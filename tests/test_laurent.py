@@ -290,6 +290,14 @@ def test_main_term_precision_range_names_the_callers_bits():
             la.main_term_poly(3, bits)
 
 
+def test_zeta_laurent_precision_range_names_the_callers_bits():
+    # it asks the Stieltjes build for 32 bits more
+    top = la.STIELTJES_MAX_BITS - 32
+    for bits in (0, top + 1, 4080):
+        with pytest.raises(DomainError, match=rf"\[1, {top}\], got {bits}$"):
+            la.zeta_laurent(5, bits)
+
+
 def test_eval_main_term_values():
     p1 = la.main_term_poly(1, 128)
     assert abs(la.eval_main_term(p1, 10) - 10) < 1e-30

@@ -4,6 +4,7 @@ closed forms for k=1, and a Riemann-sum quadrature cross-check.
 """
 
 import math
+import random
 import tracemalloc
 
 import mpmath as mp
@@ -167,6 +168,104 @@ def test_sign_change_scan_memory_budget(monkeypatch):
         tracemalloc.stop()
     assert peak <= 4 << 20
     assert abs(small - full) <= 1e-12 * full
+
+
+def _array_scan(k, X0, X1, C=5.0, precision_bits=rl.MAIN_BITS_DEFAULT):
+    """The whole-range scan that the streaming one replaced: one d_k table
+    over [1, n_hi] and every sign held at once.  The reference for windows."""
+    n_hi = math.floor(X1 - 0.5)
+    n_lo = max(1, math.ceil(X0 - 0.5))
+    ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)
+    cums = np.cumsum(sv.dk_block(k, 1, n_hi + 1).values, dtype=np.uint64)
+    D = cums[ns - 1].astype(np.float64)
+    xs = ns.astype(np.float64) + 0.5
+    coeffs = rl._main_poly(k, precision_bits).as_floats()
+    signs = np.sign(D - xs * np.polynomial.polynomial.polyval(np.log(xs), coeffs))
+    out = []
+    X = float(X0)
+    while X < X1:
+        width = C * X ** (1.0 - 1.0 / k)
+        x_end = min(X + width, X1)
+        i0 = np.searchsorted(xs, X, side="left")
+        i1 = np.searchsorted(xs, x_end, side="right")
+        win = signs[i0:i1]
+        flips = np.nonzero(win[:-1] * win[1:] < 0)[0]
+        out.append((X, float(xs[i0 + flips[0]]) if len(flips) else None))
+        X += width
+    return out
+
+
+def test_streaming_scan_matches_array_scan():
+    # ranges up to 3e5 cross up to four segment edges; k = 1 has windows of
+    # constant width C, so its ranges stay short
+    rng = random.Random(12)
+    bad = []
+    for _ in range(40):
+        k = rng.randint(1, 12)
+        X0 = 10 ** rng.uniform(0.1, math.log10(2.5e5))
+        X1 = min(rng.uniform(X0 + 2, 3e5), X0 + 2e4 if k == 1 else 3e5)
+        C = rng.uniform(0.5, 20)
+        if repr(rl.sign_change_scan(k, X0, X1, C)) != repr(_array_scan(k, X0, X1, C)):
+            bad.append((k, X0, X1, C))
+    assert not bad
+
+
+def test_streaming_scan_flips_across_segment_edges(monkeypatch):
+    # the first flip of a window at or above 655360 = 10 SEGMENT pairs the
+    # last point of one segment with the first of the next
+    edge = 10 * sv.SEGMENT
+    want = [(float(edge), edge + 0.5)]
+    assert rl.sign_change_scan(2, edge, edge + 40) == _array_scan(2, edge, edge + 40) == want
+    # 97-entry segments put many flips on an edge (the last n of a segment
+    # is a multiple of 97)
+    monkeypatch.setattr(sv, "SEGMENT", 97)
+    on_edge = 0
+    for k in (2, 3, 5):
+        rows = rl.sign_change_scan(k, 10, 3e4, C=0.5)
+        assert repr(rows) == repr(_array_scan(k, 10, 3e4, C=0.5))
+        on_edge += sum(loc is not None and math.floor(loc) % 97 == 0 for _, loc in rows)
+    assert on_edge >= 5
+
+
+def test_exact_fallback_keeps_the_windows(monkeypatch):
+    # a budget of infinity sends every point through sample_from_D
+    want = _array_scan(3, 10, 2000, C=2.0)
+    assert any(loc is not None for _, loc in want)
+    calls = []
+    sample = rl.sample_from_D
+    monkeypatch.setattr(rl, "_sign_budget", lambda *a: math.inf)
+    monkeypatch.setattr(rl, "sample_from_D", lambda *a: calls.append(a) or sample(*a))
+    assert rl.sign_change_scan(3, 10, 2000, C=2.0) == want
+    assert len(calls) == 1999 - 10 + 1
+
+
+@pytest.mark.parametrize("k", [2, 5, 8, 12])
+def test_sign_budget_bounds_the_float_delta(k):
+    # the scan's float delta against sample_from_D's, at random half-odd points
+    rng = random.Random(k)
+    ns = sorted(rng.sample(range(1, 10 ** 6), 40))
+    Ds = dict(sv.dk_partial_sums(k, ns[-1], ns).checkpoints)
+    coeffs = rl._main_poly(k).as_floats()
+    for n in ns:
+        xs = np.array([n + 0.5])
+        fast = np.array([Ds[n]], dtype=np.uint64).astype(np.float64) \
+            - xs * np.polynomial.polynomial.polyval(np.log(xs), coeffs)
+        exact = rl.sample_from_D(k, n + 0.5, Ds[n], rl.MAIN_BITS_DEFAULT).delta
+        assert abs(float(fast[0]) - exact) <= rl._sign_budget(coeffs, n + 0.5, Ds[n])
+
+
+def test_sign_change_scan_memory_is_one_segment():
+    rl._main_poly(2)  # fills the main-term cache outside the trace
+    peaks = []
+    for X1 in (2e5, 1e6):
+        tracemalloc.start()
+        try:
+            rl.sign_change_scan(2, 1e3, X1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 16 << 20
+    assert peaks[1] <= 1.5 * peaks[0]
 
 
 # -------------------------------------------------------------- mean square

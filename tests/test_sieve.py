@@ -174,6 +174,24 @@ def test_one_flagged_segment_flags_the_whole_request(monkeypatch):
     assert sv.dk_block(30, 31, 32).overflow_flag
 
 
+def test_cumulative_segments_carry_and_refuse(monkeypatch):
+    n = 2 * sv.SEGMENT + 123
+    parts = list(sv.dk_cumulative_segments(5, n))
+    assert [s for s, _ in parts] == [1, sv.SEGMENT + 1, 2 * sv.SEGMENT + 1]
+    whole = np.cumsum(sv.dk_block(5, 1, n + 1).values, dtype=np.uint64)
+    assert np.array_equal(np.concatenate([c for _, c in parts]), whole)
+    monkeypatch.setattr(sv, "OVERFLOW_LOG2", 8)  # d_30(4) = 4960 > 2^8
+    with pytest.raises(SieveOverflowError, match="saturated"):
+        list(sv.dk_cumulative_segments(30, 100))
+    # a wrap inside a segment, and one at a segment's first entry
+    top = 1 << 63
+    for segs in ([[1, top, top]], [[top], [top]]):
+        fake = [(1 + i, np.array(v, dtype=np.uint64), False) for i, v in enumerate(segs)]
+        monkeypatch.setattr(sv, "_dk_segments", lambda k, lo, hi, fake=fake: iter(fake))
+        with pytest.raises(SieveOverflowError, match="wrapped 64 bits"):
+            list(sv.dk_cumulative_segments(2, 10))
+
+
 def test_partial_sums_stream_within_segment_budget(monkeypatch):
     # D_2(1e7) needs only one segment at a time, not a 1e7-entry table
     monkeypatch.setattr(sv, "MEMORY_BUDGET_BYTES", 64 << 20)
