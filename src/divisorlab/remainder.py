@@ -125,9 +125,11 @@ def fit_exponent(samples: Sequence[RemainderSample],
 
 # ------------------------------------------------------------ sign changes
 
-# the scan's own arrays per point of a segment, beside the sieve's
-# SEGMENT_BYTES; tracemalloc puts both at 107-118 B per point of a segment
+# per point of a segment: the scan's arrays beside SEGMENT_BYTES (tracemalloc: 107-118 B
+# for both); per window of about k (X1^{1/k} - X0^{1/k}) / C + 1: the output at the peak
+# of `signs --format json`, tuple, CLI row, JSON copy and text (1245 B; 310 B as CSV)
 SCAN_BYTES_PER_POINT = 72
+SCAN_BYTES_PER_WINDOW = 1280
 
 
 def _sign_budget(coeffs: list[float], x: float, D: int) -> float:
@@ -146,7 +148,7 @@ def _sign_budget(coeffs: list[float], x: float, D: int) -> float:
 
 def _segment_flips(k: int, n_lo: int, n_hi: int, precision_bits: int):
     """Yield (flips' left points, last point) per sieve segment of the n + 1/2,
-    n_lo <= n <= n_hi, then (none, inf); ``sample_from_D`` decides |delta| <= budget."""
+    n_lo <= n <= n_hi; ``sample_from_D`` decides |delta| <= budget."""
     coeffs = _main_poly(k, precision_bits).as_floats()
     prev = np.empty(0)  # the sign of the previous segment's last point
     for s, cums in sieve.dk_cumulative_segments(k, n_hi):
@@ -154,15 +156,13 @@ def _segment_flips(k: int, n_lo: int, n_hi: int, precision_bits: int):
             continue
         xs = np.arange(max(s, n_lo), s + len(cums)) + 0.5
         cums = cums[len(cums) - len(xs):]
-        deltas = cums.astype(np.float64) \
-            - xs * np.polynomial.polynomial.polyval(np.log(xs), coeffs)
+        deltas = cums - xs * np.polynomial.polynomial.polyval(np.log(xs), coeffs)
         signs = np.sign(deltas)
         for i in np.flatnonzero(np.abs(deltas) <= _sign_budget(coeffs, xs[-1], int(cums[-1]))):
             signs[i] = np.sign(sample_from_D(k, xs[i], int(cums[i]), precision_bits).delta)
         ext = np.concatenate((prev, signs))
         yield xs[0] - len(prev) + np.flatnonzero(ext[:-1] * ext[1:] < 0), xs[-1]
         prev = signs[-1:]
-    yield np.empty(0), math.inf
 
 
 def sign_change_scan(k: int, X0: float, X1: float, C: float = 5.0,
@@ -174,25 +174,27 @@ def sign_change_scan(k: int, X0: float, X1: float, C: float = 5.0,
     change_location is the left half-odd point of the first unit gap on
     which the sign flips, or None when the window shows no change (absence
     is data, not an error).  Localisation stops at unit intervals.  Memory
-    is O(segment): only the open window outlives a ``_segment_flips`` segment.
+    is O(segment) plus the windows, and the budget charges both.
     """
     if not (1 < X0 < X1 <= sieve.DESK_X_CAP):
         raise DomainError(f"need 1 < X0 < X1 <= {sieve.DESK_X_CAP}")
-    if C <= 0:
+    if not C > 0:
         raise DomainError("C must be positive")
-    n_hi = math.floor(X1 - 0.5)
-    n_lo = max(1, math.ceil(X0 - 0.5))
-    points = n_hi - n_lo + 1
-    if points < 2:
+    n_lo, n_hi = max(1, math.ceil(X0 - 0.5)), math.floor(X1 - 0.5)
+    if n_hi - n_lo < 1:
         raise DomainError("range too narrow to hold two half-odd points")
-    need = sieve.SEGMENT_BYTES + SCAN_BYTES_PER_POINT * min(points, sieve.SEGMENT)
+    if not (1 <= k <= sieve.DESK_K_CAP):
+        raise DomainError(f"k must lie in [1, {sieve.DESK_K_CAP}], got {k}")
+    windows = min(k * (X1 ** (1 / k) - X0 ** (1 / k)) / C + 1, 2.0 ** 53)
+    need = sieve.SEGMENT_BYTES + SCAN_BYTES_PER_POINT * min(n_hi - n_lo + 1, sieve.SEGMENT) \
+        + SCAN_BYTES_PER_WINDOW * int(windows)
     if need > sieve.MEMORY_BUDGET_BYTES:
         raise MemoryBudgetError(f"scan up to {n_hi} needs ~{need >> 20} MiB, "
                                 f"budget is {sieve.MEMORY_BUDGET_BYTES >> 20} MiB")
     out, X = [], float(X0)
-    width = C * X ** (1.0 - 1.0 / k)
     for lefts, last in _segment_flips(k, n_lo, n_hi, precision_bits):
         while X < X1:
+            width = C * X ** (1.0 - 1.0 / k)
             x_end = min(X + width, X1)
             j = np.searchsorted(lefts, X)
             if j == len(lefts) and x_end >= last + 1:
@@ -200,7 +202,6 @@ def sign_change_scan(k: int, X0: float, X1: float, C: float = 5.0,
             found = j < len(lefts) and lefts[j] + 1 <= x_end
             out.append((X, float(lefts[j]) if found else None))
             X += width
-            width = C * X ** (1.0 - 1.0 / k)
     return out
 
 
@@ -230,8 +231,7 @@ def mean_square(k: int, x: float, panels_per_unit: int = 2,
     (units, panels) array; inside a group the integrand is computed in
     cache-sized passes of about ``MS_NODES_PER_SUBCHUNK`` nodes, a multiple
     of 16 units, which give every node the bits one pass over the group
-    would.  The float64 D table (charged 16 B per n, as the uint64 table and
-    sums before it, so every bit stays) and the groups (``MS_BYTES_PER_NODE``
+    would.  The D table (charged 16 B per n) and the groups (``MS_BYTES_PER_NODE``
     per node) are held to the memory budget.
     """
     if not 2 <= x <= 10 ** 7:

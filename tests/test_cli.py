@@ -99,6 +99,11 @@ def test_signs_command(tmp_path):
     assert rows and all(r["change_location"] != "" for r in rows)
 
 
+def test_signs_refuses_a_window_count_over_the_budget(tmp_path):
+    code, text = run(["signs", "--k", "1", "--X0", "2", "--X1", "1e9"], tmp_path)
+    assert code == 2 and text == ""
+
+
 def run_fresh(argv, cwd, **env):
     """Exit code and stdout of the CLI in a fresh interpreter, with ``env``
     added to an environment that has no DIVISORLAB_CACHE."""

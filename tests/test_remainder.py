@@ -254,6 +254,25 @@ def test_sign_budget_bounds_the_float_delta(k):
         assert abs(float(fast[0]) - exact) <= rl._sign_budget(coeffs, n + 0.5, Ds[n])
 
 
+def test_sign_change_scan_charges_its_windows():
+    # k = 1 makes (X1 - X0) / C windows, ~2e8 of them up to 1e9 at C = 5:
+    # refused before any sieving, though one segment fits the budget
+    with pytest.raises(MemoryBudgetError, match="budget is 3072 MiB"):
+        rl.sign_change_scan(1, 2, 1e9)
+    with pytest.raises(MemoryBudgetError):
+        rl.sign_change_scan(1, 2, 1e4, C=1e-6)
+    with pytest.raises(DomainError, match="C must be positive"):
+        rl.sign_change_scan(2, 1e3, 1e4, C=float("nan"))
+    for k in (0, -1, 31, 41):  # k is checked before the windows are counted
+        with pytest.raises(DomainError, match=f"k must lie in \\[1, 30\\], got {k}"):
+            rl.sign_change_scan(k, 2, 100)
+    # and the window count it charges is close to the count it makes
+    for k, X0, X1, C in [(1, 2, 1e4, 5.0), (2, 1.2, 1e5, 0.5), (5, 10, 3e4, 2.0),
+                         (12, 1.2, 1e6, 0.5)]:
+        n = len(rl.sign_change_scan(k, X0, X1, C))
+        assert abs(k * (X1 ** (1 / k) - X0 ** (1 / k)) / C + 1 - n) <= 0.15 * n + 2
+
+
 def test_sign_change_scan_memory_is_one_segment():
     rl._main_poly(2)  # fills the main-term cache outside the trace
     peaks = []
