@@ -4,7 +4,18 @@ Blocks come from one segmented multiplicative sieve (after Bays and Hudson,
 BIT 17, 1977): each segment of SEGMENT entries of [lo, hi) strips the
 exponents a_p of every n with the primes p <= sqrt(hi - 1) and sets
 d_k(n) = prod_p C(a_p + k - 1, k - 1), times k where a prime cofactor is
-left.  A block costs only its own range, whatever k is.
+left.  A block costs only its own range, whatever k is.  One kernel does it
+in four steps (``_dk_segments``):
+  - Wheel (Pritchard, Acta Inform. 17, 1982): a segment starts from the
+    pattern of the period WHEEL = 2^5 3^2 5 7, rotated to s mod WHEEL, which
+    holds the factor, the stripped product and the log2 sum of the prime
+    powers dividing WHEEL.
+  - Strided slices: one multiply per higher power of 2, 3, 5 and 7, and per
+    prime power up to STRIDE_MAX, on its multiples.
+  - Batched scatter: the larger prime powers touch few entries each, so one
+    index build per exponent level (in pieces of about SCATTER_PIECE
+    indices) and unbuffered ``ufunc.at`` calls strike them all.
+  - Cofactor: v *= cofactor (k - 1) + 1, without a masked (branchy) ufunc.
 
 Partial sums take one of two exact routes, picked by a fixed cost rule
 (``_isolated_chunk``): isolated work of about (k - 1) 2 x^{3/4} pairs per
@@ -24,6 +35,8 @@ sums are exact Python integers.  Repeated runs are byte-identical.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -37,9 +50,16 @@ MEMORY_BUDGET_BYTES = 3 << 30
 
 SEGMENT = 1 << 16
 # one segment's working set (values, stripped prime products, log2 sums,
-# their temporaries and the prime table); tracemalloc measures ~42 B per entry
+# their temporaries, the wheel pattern and the prime table); tracemalloc
+# measures 36.5 B per entry in a streaming pass to 1e6, 37.5 near 1e9
 SEGMENT_BYTES = 48 * SEGMENT
 OVERFLOW_LOG2 = 63
+# the wheel period 2^5 3^2 5 7, prime powers up to STRIDE_MAX struck by
+# strided slices, and the indices of one batched scatter piece
+WHEEL = 10080
+WHEEL_EXPONENTS = ((2, 5), (3, 2), (5, 1), (7, 1))
+STRIDE_MAX = 64
+SCATTER_PIECE = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -70,43 +90,159 @@ class PartialSumSeries:
             raise DomainError("partial sums must be strictly increasing")
 
 
-def _primes_upto(m: int) -> list[int]:
-    """The primes <= m, by the sieve of Eratosthenes."""
+def _primes_upto(m: int) -> np.ndarray:
+    """The primes <= m (int64), by the sieve of Eratosthenes."""
     is_prime = np.ones(m + 1, dtype=bool)
     is_prime[:2] = False
     for p in range(2, math.isqrt(m) + 1):
         if is_prime[p]:
             is_prime[p * p::p] = False
-    return np.flatnonzero(is_prime).tolist()
+    return np.flatnonzero(is_prime)
+
+
+def _wheel_classes() -> np.ndarray:
+    """The class 12 e_2 + 4 e_3 + 2 e_5 + e_7 of each residue n mod WHEEL,
+    e_p = min(a_p, the wheel's exponent of p)."""
+    cls = np.zeros(WHEEL, dtype=np.intp)
+    for (p, e), weight in zip(WHEEL_EXPONENTS, (12, 4, 2, 1)):
+        for a in range(1, e + 1):
+            cls[::p ** a] += weight
+    return cls
+
+
+WHEEL_CLASS = _wheel_classes()
+# each class's exponents (e_2, e_3, e_5, e_7) and stripped product
+CLASS_EXPONENTS = np.array(list(itertools.product(range(6), range(3), range(2), range(2))))
+CLASS_STRIPPED = np.prod(np.array([2, 3, 5, 7]) ** CLASS_EXPONENTS, axis=1).astype(np.uint32)
+
+
+@functools.cache
+def _factors(k: int):
+    """C(a + k - 1, k - 1) and the step of its log2 from a - 1 to a, for
+    a < 64 (a_p <= log2(hi - 1) < 30); each wheel class's factor and log2."""
+    binom = [math.comb(a + k - 1, k - 1) for a in range(64)]
+    log2_binom = [math.log2(c) for c in binom]
+    dlog = [0.0] + [b - a for a, b in zip(log2_binom, log2_binom[1:])]
+    class_v = np.prod(np.array(binom[:6], dtype=np.uint64)[CLASS_EXPONENTS], axis=1)
+    class_lg = np.array(log2_binom[:6])[CLASS_EXPONENTS].sum(axis=1)
+    return binom, dlog, class_v, class_lg
+
+
+def _wheel_pattern(k: int, lo: int, span: int):
+    """(v, stripped, lg) of n = lo, ..., lo + span - 1 with only the prime
+    powers dividing WHEEL stripped."""
+    _, _, class_v, class_lg = _factors(k)
+    cls = _rotate(WHEEL_CLASS, lo % WHEEL, span)
+    return class_v[cls], CLASS_STRIPPED[cls], class_lg[cls]
+
+
+def _rotate(pattern: np.ndarray, r: int, n: int) -> np.ndarray:
+    """pattern[(r + i) % len(pattern)] for i < n."""
+    out = np.empty(n, dtype=pattern.dtype)
+    head = min(n, len(pattern) - r)
+    out[:head] = pattern[r:r + head]
+    for pos in range(head, n, len(pattern)):
+        out[pos:pos + len(pattern)] = pattern[:min(n - pos, len(pattern))]
+    return out
+
+
+def _plan(primes: np.ndarray, hi: int):
+    """Split the prime powers p^a < hi beyond the wheel between the strides
+    and the scatter.  Strided: 2, 3, 5 and 7 (all higher powers) and the
+    p^a <= STRIDE_MAX.  Scattered: the rest, in pieces (a, p, p^a) of one
+    level a with fewer than SCATTER_PIECE + SEGMENT // STRIDE_MAX multiples
+    in any segment.  Levels ascend, so a_p reaches a - 1 before a."""
+    strided = [(p, a) for p, e in WHEEL_EXPONENTS for a in range(e + 1, hi.bit_length())
+               if p ** a < hi]
+    small = int(np.searchsorted(primes, STRIDE_MAX, side="right"))
+    strided += [(p, 1) for p in primes[4:small].tolist()]
+    pieces = []
+    for a in range(1, hi.bit_length()):
+        if a > 1 and 11 ** a >= hi:
+            break
+        r = round((hi - 1) ** (1 / a))  # then the largest r with r^a < hi
+        r -= r ** a >= hi
+        r += (r + 1) ** a < hi
+        ps = primes[small if a == 1 else 4:np.searchsorted(primes, r, side="right")]
+        if len(ps):
+            qs = ps ** a
+            ends = np.cumsum(SEGMENT // qs + 1)  # multiples of q in a segment, at most
+            cuts = np.searchsorted(ends, np.arange(SCATTER_PIECE, ends[-1], SCATTER_PIECE)).tolist()
+            pieces += [(a, ps[i:j].astype(np.uint32), qs[i:j])
+                       for i, j in zip([0, *cuts], [*cuts, len(ps)])]
+    return strided, pieces
+
+
+def _strike(seg, s: int, p: int, a: int, binom, dlog) -> None:
+    """Raise a_p from a - 1 to a on the multiples of p^a in the segment seg =
+    (v, stripped, lg) of n = s, s + 1, ..."""
+    q = p ** a
+    first = -s % q
+    if first < len(seg[0]):
+        v, stripped, lg = seg[0][first::q], seg[1][first::q], seg[2][first::q]
+        if a > 1:
+            v //= binom[a - 1]
+        v *= binom[a]
+        lg += dlog[a]
+        stripped *= p
+
+
+def _scatter(seg, s: int, a: int, ps: np.ndarray, qs: np.ndarray, binom, dlog) -> None:
+    """Raise a_p from a - 1 to a on the multiples of every q = p^a of one
+    piece in the segment seg of n = s, s + 1, ...  The unbuffered ufunc.at
+    applies an index as often as it repeats (n divisible by two such q)."""
+    v, stripped, lg = seg
+    first = -s % qs
+    cnt = (len(v) - 1 - first) // qs + 1  # >= 0, as first < q
+    ends = np.cumsum(cnt)
+    if not ends[-1]:
+        return
+    # the j-th index of the piece is first + (j - head) q, head = ends - cnt
+    idx = np.repeat(first - (ends - cnt) * qs, cnt) + np.arange(ends[-1]) * np.repeat(qs, cnt)
+    if a > 1:
+        np.floor_divide.at(v, idx, np.uint64(binom[a - 1]))
+    np.multiply.at(v, idx, np.uint64(binom[a]))
+    np.add.at(lg, idx, np.float64(dlog[a]))
+    np.multiply.at(stripped, idx, np.repeat(ps, cnt))
+
+
+def _finish(k: int, s: int, seg, strided, pieces, binom, dlog):
+    """(d_k values, overflowed) of the segment seg = (v, stripped, lg) of
+    n = s, s + 1, ..., which holds the wheel pattern: strike the other
+    prime powers, then multiply by k where a prime cofactor is left."""
+    for p, a in strided:
+        _strike(seg, s, p, a, binom, dlog)
+    for a, ps, qs in pieces:
+        _scatter(seg, s, a, ps, qs, binom, dlog)
+    v, stripped, lg = seg
+    cofactor = stripped < np.arange(s, s + len(v), dtype=np.uint32)
+    v *= cofactor * np.uint8(k - 1) + np.uint8(1)
+    # log2 d_k(n) is lg, plus log2 k at a cofactor
+    over = (lg > OVERFLOW_LOG2 - dlog[1]) & cofactor | (lg > OVERFLOW_LOG2)
+    return v, bool(over.any())
 
 
 def _dk_segments(k: int, lo: int, hi: int):
     """Yield (start, d_k values, overflowed) for each segment of [lo, hi).
-    Stripping the primes p <= sqrt(hi - 1) from n leaves n / stripped = 1 or
-    one prime above them, so stripped < n marks a prime cofactor."""
-    primes = _primes_upto(math.isqrt(hi - 1))
-    binom = [math.comb(a + k - 1, k - 1) for a in range(64)]  # a_p < log2(hi) < 64
-    log2_binom = [math.log2(c) for c in binom]
+
+    Stripping 2, 3, 5, 7 and the primes p <= sqrt(hi - 1) from n leaves
+    n / stripped = 1 or one prime above them, so stripped < n marks a prime
+    cofactor.  In a segment that is not flagged every product and quotient
+    is exact in uint64 (C(a + k - 1, k - 1) grows with a, so every partial
+    product is at most d_k(n) <= 2^63), so their order does not matter.  The flag sums log2 factors in float: lg
+    of n has at most 35 terms below 64 (4 from the wheel class, one per
+    exponent step beyond it, at most 29 for n <= DESK_X_CAP), each off by at
+    most 3 ulp at 64 and each addition by half an ulp, so |lg - log2 d_k(n)|
+    < 35 * 3.5 * 2^-46 < 2e-12.  No n <= DESK_X_CAP and k <= DESK_K_CAP has
+    log2 d_k(n) within 1.16e-3 of OVERFLOW_LOG2 (``test_overflow_flag_is_exact``),
+    so the flag is the exact test d_k(n) > 2^OVERFLOW_LOG2 in any order.
+    """
+    binom, dlog, _, _ = _factors(k)
+    strided, pieces = _plan(_primes_upto(math.isqrt(hi - 1)), hi)
+    pattern = _wheel_pattern(k, lo, min(WHEEL, hi - lo))
     for s in range(lo, hi, SEGMENT):
-        n = min(SEGMENT, hi - s)
-        v = np.ones(n, dtype=np.uint64)
-        stripped = np.ones(n, dtype=np.uint64)  # the prime powers stripped so far
-        lg = np.zeros(n)
-        for p in primes:
-            for a in range(1, 64):  # the multiples of p^a: a_p grows from a - 1 to a
-                first = -s % p ** a
-                if first >= n:
-                    break
-                sl = slice(first, None, p ** a)
-                if a > 1:
-                    v[sl] //= binom[a - 1]
-                v[sl] *= binom[a]
-                lg[sl] += log2_binom[a] - log2_binom[a - 1]
-                stripped[sl] *= p
-        cofactor = stripped < np.arange(s, s + n, dtype=np.uint64)
-        np.multiply(v, k, out=v, where=cofactor)
-        np.add(lg, log2_binom[1], out=lg, where=cofactor)
-        yield s, v, bool(lg.max() > OVERFLOW_LOG2)
+        yield s, *_finish(k, s, tuple(_rotate(x, (s - lo) % WHEEL, min(SEGMENT, hi - s))
+                                      for x in pattern), strided, pieces, binom, dlog)
 
 
 def _check_caps(k: int, hi: int, table_bytes: int) -> None:
@@ -143,7 +279,8 @@ def dk_cumulative_segments(k: int, n_hi: int):
     for s, seg, over in _dk_segments(k, 1, n_hi + 1):
         if over:
             raise SieveOverflowError(f"d_{k} saturated below {n_hi}")
-        cums = np.cumsum(seg, dtype=np.uint64) + carry
+        cums = np.cumsum(seg, out=seg)
+        cums += carry
         if cums[0] < carry or np.any(cums[1:] < cums[:-1]):
             raise SieveOverflowError("cumulative sum wrapped 64 bits")
         carry = cums[-1]
@@ -178,10 +315,10 @@ def _sieved_sums(k: int, cps: list[int]) -> tuple:
 # ------------------------------------------------------- isolated route
 
 # bytes a (b, m) pair of the isolated route holds alive (tracemalloc: ~73 B),
-# and the cost rule in sieved entries (~90 ns each at 1e6): a pair per level
-# takes 6-20 ns, a checkpoint's fixed numpy overhead 65-190 us for k = 2-10
+# and the cost rule in sieved entries (30-40 ns each at 1e6 on a 2-CPU
+# host): a pair per level takes 6-20 ns, a k = 2 checkpoint about 70 us
 PAIR_BYTES = 80
-PAIR_COST = 0.15
+PAIR_COST = 0.35
 POINT_COST = 1500
 
 

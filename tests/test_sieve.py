@@ -4,10 +4,11 @@ counting, the factorisation formula, and the Dirichlet hyperbola identity.
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from divisorlab import sieve as sv
 from divisorlab.errors import DomainError, MemoryBudgetError, SieveOverflowError
@@ -272,3 +273,140 @@ def test_precondition_errors():
         sv.dk_partial_sums(2, 100, [50, 20])
     with pytest.raises(DomainError):
         sv.dk_partial_sums(2, 100, [150])
+
+
+# ------------------------------------------------- the kernel against its reference
+
+def _reference_primes_upto(m: int) -> list[int]:
+    """The primes <= m, by the sieve of Eratosthenes."""
+    is_prime = np.ones(m + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, math.isqrt(m) + 1):
+        if is_prime[p]:
+            is_prime[p * p::p] = False
+    return np.flatnonzero(is_prime).tolist()
+
+
+def _reference_segments(k: int, lo: int, hi: int):
+    """The per-prime kernel the wheel, scatter and cofactor steps replaced,
+    kept verbatim: one strided multiply per prime power, masked cofactor."""
+    SEGMENT, OVERFLOW_LOG2 = sv.SEGMENT, sv.OVERFLOW_LOG2
+    primes = _reference_primes_upto(math.isqrt(hi - 1))
+    binom = [math.comb(a + k - 1, k - 1) for a in range(64)]  # a_p < log2(hi) < 64
+    log2_binom = [math.log2(c) for c in binom]
+    for s in range(lo, hi, SEGMENT):
+        n = min(SEGMENT, hi - s)
+        v = np.ones(n, dtype=np.uint64)
+        stripped = np.ones(n, dtype=np.uint64)  # the prime powers stripped so far
+        lg = np.zeros(n)
+        for p in primes:
+            for a in range(1, 64):  # the multiples of p^a: a_p grows from a - 1 to a
+                first = -s % p ** a
+                if first >= n:
+                    break
+                sl = slice(first, None, p ** a)
+                if a > 1:
+                    v[sl] //= binom[a - 1]
+                v[sl] *= binom[a]
+                lg[sl] += log2_binom[a] - log2_binom[a - 1]
+                stripped[sl] *= p
+        cofactor = stripped < np.arange(s, s + n, dtype=np.uint64)
+        np.multiply(v, k, out=v, where=cofactor)
+        np.add(lg, log2_binom[1], out=lg, where=cofactor)
+        yield s, v, bool(lg.max() > OVERFLOW_LOG2)
+
+
+TOP_PERIOD = sv.DESK_X_CAP // sv.WHEEL * sv.WHEEL  # s = 0 (mod WHEEL) near the cap
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, sv.DESK_K_CAP), st.integers(1, sv.DESK_X_CAP),
+       st.integers(1, 3 * sv.SEGMENT))
+# 169 = 13^2 is struck at level 2 although no level-1 piece has a multiple
+@example(4, 150, 50)
+# segments starting at s = 0 and s = -1 (mod WHEEL), short and over a period
+@example(7, sv.WHEEL, 2 * sv.WHEEL + 1)
+@example(7, sv.WHEEL - 1, 2 * sv.WHEEL + 1)
+@example(3, TOP_PERIOD, sv.SEGMENT + 5)
+@example(3, TOP_PERIOD - 1, sv.SEGMENT + 5)
+# segment edges: one full segment, then a one-entry segment
+@example(2, 1, sv.SEGMENT)
+@example(2, 1, sv.SEGMENT + 1)
+@example(5, sv.DESK_X_CAP - sv.SEGMENT, sv.SEGMENT + 1)
+# 139345920, the smallest n with d_30(n) >= 2^64, and the block just below it
+@example(30, 139345920 - 2, 4)
+@example(30, 139345919, 1)
+def test_kernel_equals_reference(k, lo, width):
+    # unflagged values bit-identical, flags identical, segment by segment
+    hi = min(lo + width, sv.DESK_X_CAP + 1)
+    got = list(sv._dk_segments(k, lo, hi))
+    want = list(_reference_segments(k, lo, hi))
+    assert [(s, len(v), f) for s, v, f in got] == [(s, len(v), f) for s, v, f in want]
+    for (_, v, flagged), (_, w, _) in zip(got, want):
+        assert v.dtype == w.dtype == np.uint64
+        assert flagged or np.array_equal(v, w)
+
+
+# the kernel docstring's bound on |lg - log2 d_k(n)| for n <= DESK_X_CAP
+FLOAT_SUM_BOUND = 2e-12
+
+
+def _signatures(limit: int) -> list[tuple]:
+    """The exponent signatures (a_1 >= a_2 >= ...) of the n <= limit: the
+    smallest n of a signature puts a_i on the i-th prime."""
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]  # 2 * 3 * ... * 31 > 1e9
+    out = []
+
+    def grow(i, n, cap, sig):
+        out.append(sig)
+        for a in range(1, cap + 1):
+            n *= primes[i]
+            if n > limit:
+                break
+            grow(i + 1, n, a, sig + (a,))
+    grow(0, 1, limit.bit_length(), ())
+    return out
+
+
+def test_overflow_flag_is_exact():
+    # d_k(n) depends on n only through its signature; over every signature
+    # below the cap and every k, log2 d_k stays 1.16e-3 or more away from
+    # the flag's threshold, so a float sum within FLOAT_SUM_BOUND decides
+    # d_k(n) > 2^OVERFLOW_LOG2 exactly, in any order of summation
+    sigs = _signatures(sv.DESK_X_CAP)
+    assert len(sigs) == 1274
+    assert max(sum(s) for s in sigs) == 29  # exponent steps, as the bound assumes
+    margin, k, sig = min(
+        (abs(math.log2(math.prod(math.comb(a + k - 1, k - 1) for a in s)) - sv.OVERFLOW_LOG2), k, s)
+        for k in range(1, sv.DESK_K_CAP + 1) for s in sigs)
+    assert (k, sig) == (28, (18, 7))
+    assert 1.16e-3 < margin < 1.17e-3
+    assert margin > 1e8 * FLOAT_SUM_BOUND
+
+
+@pytest.mark.parametrize("n_hi, segments", [(10 ** 6, None), (sv.DESK_X_CAP, 3)])
+def test_cumulative_pass_within_segment_bytes(n_hi, segments):
+    # one streaming pass holds a segment and its temporaries, not the range:
+    # the whole pass to 1e6, and the first segments of a pass to the cap,
+    # whose prime table and scatter pieces are the largest
+    tracemalloc.start()
+    try:
+        for i, _ in enumerate(sv.dk_cumulative_segments(30, n_hi)):
+            if i + 1 == segments:
+                break
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= sv.SEGMENT_BYTES
+
+
+def test_block_near_cap_within_its_charge():
+    # dk_block's charge: its uint64 table plus one segment's working set
+    lo, hi = sv.DESK_X_CAP - 2 * sv.SEGMENT, sv.DESK_X_CAP + 1
+    tracemalloc.start()
+    try:
+        sv.dk_block(2, lo, hi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (hi - lo) + sv.SEGMENT_BYTES
