@@ -119,19 +119,20 @@ CLASS_STRIPPED = np.prod(np.array([2, 3, 5, 7]) ** CLASS_EXPONENTS, axis=1).asty
 @functools.cache
 def _factors(k: int):
     """C(a + k - 1, k - 1) and the step of its log2 from a - 1 to a, for
-    a < 64 (a_p <= log2(hi - 1) < 30); each wheel class's factor and log2."""
-    binom = [math.comb(a + k - 1, k - 1) for a in range(64)]
+    a < 64 (a_p <= log2(hi - 1) < 30); each wheel class's factor and log2.
+    Cached per k, so all of it is read-only."""
+    binom = tuple(math.comb(a + k - 1, k - 1) for a in range(64))
     log2_binom = [math.log2(c) for c in binom]
-    dlog = [0.0] + [b - a for a, b in zip(log2_binom, log2_binom[1:])]
+    dlog = (0.0, *(b - a for a, b in zip(log2_binom, log2_binom[1:])))
     class_v = np.prod(np.array(binom[:6], dtype=np.uint64)[CLASS_EXPONENTS], axis=1)
     class_lg = np.array(log2_binom[:6])[CLASS_EXPONENTS].sum(axis=1)
+    class_v.flags.writeable = class_lg.flags.writeable = False
     return binom, dlog, class_v, class_lg
 
 
-def _wheel_pattern(k: int, lo: int, span: int):
+def _wheel_pattern(lo: int, span: int, class_v: np.ndarray, class_lg: np.ndarray):
     """(v, stripped, lg) of n = lo, ..., lo + span - 1 with only the prime
     powers dividing WHEEL stripped."""
-    _, _, class_v, class_lg = _factors(k)
     cls = _rotate(WHEEL_CLASS, lo % WHEEL, span)
     return class_v[cls], CLASS_STRIPPED[cls], class_lg[cls]
 
@@ -158,7 +159,7 @@ def _plan(primes: np.ndarray, hi: int):
     strided += [(p, 1) for p in primes[4:small].tolist()]
     pieces = []
     for a in range(1, hi.bit_length()):
-        if a > 1 and 11 ** a >= hi:
+        if a > 1 and 11 ** a >= hi:  # 11 is the first prime past the wheel
             break
         r = round((hi - 1) ** (1 / a))  # then the largest r with r^a < hi
         r -= r ** a >= hi
@@ -227,19 +228,23 @@ def _dk_segments(k: int, lo: int, hi: int):
 
     Stripping 2, 3, 5, 7 and the primes p <= sqrt(hi - 1) from n leaves
     n / stripped = 1 or one prime above them, so stripped < n marks a prime
-    cofactor.  In a segment that is not flagged every product and quotient
-    is exact in uint64 (C(a + k - 1, k - 1) grows with a, so every partial
-    product is at most d_k(n) <= 2^63), so their order does not matter.  The flag sums log2 factors in float: lg
-    of n has at most 35 terms below 64 (4 from the wheel class, one per
-    exponent step beyond it, at most 29 for n <= DESK_X_CAP), each off by at
-    most 3 ulp at 64 and each addition by half an ulp, so |lg - log2 d_k(n)|
-    < 35 * 3.5 * 2^-46 < 2e-12.  No n <= DESK_X_CAP and k <= DESK_K_CAP has
-    log2 d_k(n) within 1.16e-3 of OVERFLOW_LOG2 (``test_overflow_flag_is_exact``),
-    so the flag is the exact test d_k(n) > 2^OVERFLOW_LOG2 in any order.
+    cofactor.
+
+    In a segment that is not flagged every product and quotient is exact
+    in uint64 (C(a + k - 1, k - 1) grows with a, so every partial product
+    is at most d_k(n) <= 2^63), and their order does not matter.  The flag
+    sums log2 factors in float: lg of n has at most 35 terms below 64 (4
+    from the wheel class, one per exponent step beyond it, at most 29 for
+    n <= DESK_X_CAP), each off by at most 3 ulp at 64 and each addition by
+    half an ulp, so |lg - log2 d_k(n)| < 35 * 3.5 * 2^-46 < 2e-12.  No
+    n <= DESK_X_CAP and k <= DESK_K_CAP has log2 d_k(n) within 1.16e-3 of
+    OVERFLOW_LOG2 (``test_overflow_flag_is_exact``), so in any order of
+    summation the flag is the exact test d_k(n) > 2^OVERFLOW_LOG2.
     """
-    binom, dlog, _, _ = _factors(k)
+    binom, dlog, class_v, class_lg = _factors(k)
     strided, pieces = _plan(_primes_upto(math.isqrt(hi - 1)), hi)
-    pattern = _wheel_pattern(k, lo, min(WHEEL, hi - lo))
+    # one period of the wheel pattern from n = lo on, or [lo, hi) if shorter
+    pattern = _wheel_pattern(lo, min(WHEEL, hi - lo), class_v, class_lg)
     for s in range(lo, hi, SEGMENT):
         yield s, *_finish(k, s, tuple(_rotate(x, (s - lo) % WHEEL, min(SEGMENT, hi - s))
                                       for x in pattern), strided, pieces, binom, dlog)
