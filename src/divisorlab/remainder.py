@@ -125,7 +125,7 @@ def fit_exponent(samples: Sequence[RemainderSample],
 
 # ------------------------------------------------------------ sign changes
 
-# per point of a segment: the scan's arrays beside SEGMENT_BYTES (tracemalloc: 107-118 B
+# per point of a segment: the scan's arrays beside SEGMENT_BYTES (tracemalloc: about 77 B
 # for both); per window of about k (X1^{1/k} - X0^{1/k}) / C + 1: the output at the peak
 # of `signs --format json`, tuple, CLI row, JSON copy and text (1245 B; 310 B as CSV)
 SCAN_BYTES_PER_POINT = 72

@@ -320,10 +320,11 @@ def _sieved_sums(k: int, cps: list[int]) -> tuple:
 # ------------------------------------------------------- isolated route
 
 # bytes a (b, m) pair of the isolated route holds alive (tracemalloc: ~73 B),
-# and the cost rule in sieved entries (30-40 ns each at 1e6 on a 2-CPU
-# host): a pair per level takes 6-20 ns, a k = 2 checkpoint about 70 us
+# and the cost rule in sieved entries, fitted where a wrong pick costs most:
+# near 1e9 an entry takes ~45 ns and a pair per level ~7.5 ns on a 2-CPU
+# host (at 1e6, 30-40 ns and 10-15 ns), a k = 2 checkpoint about 70 us
 PAIR_BYTES = 80
-PAIR_COST = 0.35
+PAIR_COST = 0.15
 POINT_COST = 1500
 
 
