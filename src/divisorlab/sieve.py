@@ -101,19 +101,21 @@ def _primes_upto(m: int) -> np.ndarray:
 
 
 def _wheel_classes() -> np.ndarray:
-    """The class 12 e_2 + 4 e_3 + 2 e_5 + e_7 of each residue n mod WHEEL,
-    e_p = min(a_p, the wheel's exponent of p)."""
+    """The class of each residue n mod WHEEL: the row of CLASS_EXPONENTS
+    that holds (e_2, e_3, e_5, e_7), e_p = min(a_p, the wheel's exponent)."""
     cls = np.zeros(WHEEL, dtype=np.intp)
-    for (p, e), weight in zip(WHEEL_EXPONENTS, (12, 4, 2, 1)):
+    for p, e in WHEEL_EXPONENTS:
+        cls *= e + 1
         for a in range(1, e + 1):
-            cls[::p ** a] += weight
+            cls[::p ** a] += 1
     return cls
 
 
 WHEEL_CLASS = _wheel_classes()
-# each class's exponents (e_2, e_3, e_5, e_7) and stripped product
-CLASS_EXPONENTS = np.array(list(itertools.product(range(6), range(3), range(2), range(2))))
-CLASS_STRIPPED = np.prod(np.array([2, 3, 5, 7]) ** CLASS_EXPONENTS, axis=1).astype(np.uint32)
+# each class's exponents (e_2, e_3, e_5, e_7), at most 5, and stripped product
+CLASS_EXPONENTS = np.array(list(itertools.product(*(range(e + 1) for _, e in WHEEL_EXPONENTS))))
+CLASS_STRIPPED = np.prod(np.array([p for p, _ in WHEEL_EXPONENTS]) ** CLASS_EXPONENTS,
+                         axis=1).astype(np.uint32)
 
 
 @functools.cache
@@ -124,7 +126,7 @@ def _factors(k: int):
     binom = tuple(math.comb(a + k - 1, k - 1) for a in range(64))
     log2_binom = [math.log2(c) for c in binom]
     dlog = (0.0, *(b - a for a, b in zip(log2_binom, log2_binom[1:])))
-    class_v = np.prod(np.array(binom[:6], dtype=np.uint64)[CLASS_EXPONENTS], axis=1)
+    class_v = np.prod(np.array(binom[:6], dtype=np.uint64)[CLASS_EXPONENTS], axis=1)  # e_p <= 5
     class_lg = np.array(log2_binom[:6])[CLASS_EXPONENTS].sum(axis=1)
     class_v.flags.writeable = class_lg.flags.writeable = False
     return binom, dlog, class_v, class_lg
@@ -155,16 +157,17 @@ def _plan(primes: np.ndarray, hi: int):
     in any segment.  Levels ascend, so a_p reaches a - 1 before a."""
     strided = [(p, a) for p, e in WHEEL_EXPONENTS for a in range(e + 1, hi.bit_length())
                if p ** a < hi]
+    w = len(WHEEL_EXPONENTS)  # primes[w] = 11, the first prime past the wheel
     small = int(np.searchsorted(primes, STRIDE_MAX, side="right"))
-    strided += [(p, 1) for p in primes[4:small].tolist()]
+    strided += [(p, 1) for p in primes[w:small].tolist()]
     pieces = []
     for a in range(1, hi.bit_length()):
-        if a > 1 and 11 ** a >= hi:  # 11 is the first prime past the wheel
+        if a > 1 and 11 ** a >= hi:
             break
         r = round((hi - 1) ** (1 / a))  # then the largest r with r^a < hi
         r -= r ** a >= hi
         r += (r + 1) ** a < hi
-        ps = primes[small if a == 1 else 4:np.searchsorted(primes, r, side="right")]
+        ps = primes[small if a == 1 else w:np.searchsorted(primes, r, side="right")]
         if len(ps):
             qs = ps ** a
             ends = np.cumsum(SEGMENT // qs + 1)  # multiples of q in a segment, at most
