@@ -112,7 +112,8 @@ def _wheel_classes() -> np.ndarray:
 
 
 WHEEL_CLASS = _wheel_classes()
-# each class's exponents (e_2, e_3, e_5, e_7), at most 5, and stripped product
+# each class's exponents (e_2, e_3, e_5, e_7), at most 5, and stripped product;
+# stripped products divide n <= DESK_X_CAP < 2^32, so they fit uint32
 CLASS_EXPONENTS = np.array(list(itertools.product(*(range(e + 1) for _, e in WHEEL_EXPONENTS))))
 CLASS_STRIPPED = np.prod(np.array([p for p, _ in WHEEL_EXPONENTS]) ** CLASS_EXPONENTS,
                          axis=1).astype(np.uint32)
