@@ -5,8 +5,8 @@ Sampling defaults to half-odd abscissae x = n + 1/2 (the summatory function
 is locally constant there, so the remainder is smooth across the sample
 point); any other x is accepted but flagged via ``half_odd=False``.
 
-Exact summatory values come from ``sieve.dk_partial_sums`` (isolated
-floor-value sums for sparse points, the sieve for dense ones); main terms
+Exact summatory values come from ``sieve.dk_partial_sums`` (small tables
+sieved to a bound y of its cost rule, floor-value sums above y); main terms
 from the residue polynomials.  High-volume paths (mean square, scans) run
 in float64 with the main-term polynomial coefficients rounded once, one
 sieve segment at a time; per-sample paths keep full mpmath precision.
@@ -84,16 +84,16 @@ def sample_from_D(k: int, x: float, D: int, bits: int) -> RemainderSample:
 def delta_scan(k: int, x_grid: Sequence[float],
                precision_bits: int = MAIN_BITS_DEFAULT) -> list[RemainderSample]:
     """Samples on a sorted grid of abscissae from one ``sieve.dk_partial_sums``
-    call over the distinct floors: isolated sums for a sparse grid, one
-    streaming sieve pass for a dense one."""
+    call over the distinct floors n = floor(x) <= DESK_X_CAP, so x may reach
+    just below DESK_X_CAP + 1."""
     xs = list(x_grid)
     if any(a > b for a, b in zip(xs, xs[1:])):
         raise DomainError("grid must be sorted")
     if not xs:
         return []
-    if not (1 < xs[0] and xs[-1] <= sieve.DESK_X_CAP):
+    if not (1 < xs[0] and xs[-1] < sieve.DESK_X_CAP + 1):  # floor(x) <= DESK_X_CAP
         bad = xs[-1] if 1 < xs[0] else xs[0]
-        raise DomainError(f"x must lie in (1, {sieve.DESK_X_CAP}], got {bad}")
+        raise DomainError(f"x must lie in (1, {sieve.DESK_X_CAP + 1}), got {bad}")
     floors = [math.floor(x) for x in xs]
     uniq = sorted(set(floors))
     series = sieve.dk_partial_sums(k, uniq[-1], uniq)

@@ -17,16 +17,13 @@ in four steps (``_dk_segments``):
     indices) and unbuffered ``ufunc.at`` calls strike them all.
   - Cofactor: v *= cofactor (k - 1) + 1, without a masked (branchy) ufunc.
 
-Partial sums take one of two exact routes, picked by a fixed cost rule
-(``_isolated_chunk``): isolated work of about (k - 1) 2 x^{3/4} pairs per
-checkpoint against sieve work of max x entries.
-  - Sparse checkpoints: the hyperbola identity over the floor values
-    {x // b} (Lagarias, Miller and Odlyzko, Math. Comp. 44, 1985; Deleglise
-    and Rivat, Experiment. Math. 5, 1996), level by level for j = 2..k in
-    int64, where an a-priori bound shows it cannot wrap.
-  - Dense checkpoints: the sieve, streamed segment by segment in
-    O(SEGMENT) memory plus the prime table; it is also the oracle for the
-    isolated route.
+Partial sums take one exact route with a parameter y, isqrt(max x) <= y <=
+max x, that a cost rule picks (``_floor_bound``).  Checkpoints up to y come
+from one streaming pass of the sieve in O(SEGMENT) memory; each larger one
+from the hyperbola identity over the floor values {x // b} (Lagarias, Miller
+and Odlyzko, Math. Comp. 44, 1985; Deleglise and Rivat, Experiment. Math. 5,
+1996), level by level in int64, with d_j and D_j sieved on [0, y].  At y =
+isqrt(x) only floor values are paired, at y = max x only the sieve runs.
 
 Values are uint64; a segment is flagged as overflowed when a float log2 sum
 of the factors exceeds OVERFLOW_LOG2 = 63, a 2x margin below 2^64.  Partial
@@ -35,6 +32,7 @@ sums are exact Python integers.  Repeated runs are byte-identical.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -321,91 +319,92 @@ def _sieved_sums(k: int, cps: list[int]) -> tuple:
     return tuple(out)
 
 
-# ------------------------------------------------------- isolated route
+# --------------------------------------------------- floor-value route
 
-# bytes a (b, m) pair of the isolated route holds alive (tracemalloc: ~73 B),
-# and the cost rule in sieved entries, fitted where a wrong pick costs most:
-# near 1e9 an entry takes ~45 ns and a pair per level ~7.5 ns on a 2-CPU
-# host (at 1e6, 30-40 ns and 10-15 ns), a k = 2 checkpoint about 70 us
-PAIR_BYTES = 80
-PAIR_COST = 0.15
-POINT_COST = 1500
-
-
-def _isqrt_array(v: np.ndarray) -> np.ndarray:
-    """isqrt of each int64 entry below 2^52: the float root is off by at most one."""
-    r = np.sqrt(v.astype(np.float64)).astype(np.int64)
-    r -= r * r > v
-    r += (r + 1) * (r + 1) <= v
-    return r
+# bytes a (b, m) pair holds alive (tracemalloc: 35-44 B), and the cost rule in
+# sieved entries of 33-41 ns on a 2-CPU host: a pair-level takes 6-7.5 ns and a
+# checkpoint above y about 30 us per level k of fixed numpy calls
+PAIR_BYTES = 48
+PAIR_COST = 0.18
+POINT_COST = 800
 
 
-def _pairs(x: int, s: int, b0: int, r: np.ndarray):
+def _pairs(c: int, y: int, b0: int, r: np.ndarray):
     """The pairs (b, m) with b0 <= b < b0 + len(r) and m <= r_b, grouped by b:
-    group starts, m, q = x // (bm), and where D(q) sits in a level table
-    (D(q) of a large q is the entry of b' = bm, since x // bm = q)."""
+    group starts, m, q = c // (bm), the pairs with q > y and their bm - 1."""
     starts = np.cumsum(r) - r
     m = np.arange(int(starts[-1] + r[-1]), dtype=np.int64) - np.repeat(starts - 1, r)
     bm = np.repeat(np.arange(b0, b0 + len(r), dtype=np.int64), r) * m
-    q = x // bm
-    return starts, m, q, np.where(q <= s, s + q, bm - 1)
+    q = c // bm
+    big = np.flatnonzero(q > y)
+    return starts, m, q, big, bm[big] - 1
 
 
-def _level(prev: np.ndarray, d_prev: np.ndarray, s: int, r: np.ndarray,
-           starts, m, q, idx) -> np.ndarray:
-    """D_j(x // b) for a chunk of b by the hyperbola identity
-    sum_{m <= r_b} [D_{j-1}(x // bm) + d_{j-1}(m) (x // bm)] - r_b D_{j-1}(r_b)."""
-    vals = prev[idx]
+def _level(D_prev, d_prev, level_prev, r, starts, m, q, big, at) -> np.ndarray:
+    """D_j(c // b) for a chunk of b by the hyperbola identity
+    sum_{m <= r_b} [D_{j-1}(c // bm) + d_{j-1}(m) (c // bm)] - r_b D_{j-1}(r_b).
+    D_{j-1}(q) is read in place: from the small table if q <= y, else from
+    level j - 1 at b' = bm (q > y means bm <= B, and c // bm = q)."""
+    vals = D_prev.take(q, mode="clip")
+    vals[big] = level_prev[at]
     vals += d_prev[m] * q
     out = np.add.reduceat(vals, starts)
-    out -= r * prev[s + r]
+    out -= r * D_prev[r]
     return out
 
 
-def _isolated_dk(k: int, x: int, d: np.ndarray, D: np.ndarray, chunk: int) -> int:
-    """D_k(x) over the floor values x // b, level by level for j = 2..k.
+def _floor_dk(k: int, c: int, y: int, d: np.ndarray, D: np.ndarray, chunk: int) -> int:
+    """D_k(c), c > y, over the floor values c // b, level by level for j = 2..k.
 
-    Row j - 1 of the level table holds D_j(x // b) at b - 1 for b <= s =
-    isqrt(x) and D_j(v) at s + v for v <= s (from the small tables d, D).
-    Inner levels need every b <= s; D_j(x // b) reads level j - 1 only at
-    b' = bm >= b, so chunks of about ``chunk`` >= s pairs (no group of
-    r_b <= s pairs spans two cuts) run from the largest b down, all levels
-    each.  The top level needs only b = 1.
+    Row j - 1 of the level table holds D_j(c // b) at b - 1 for the b <= B =
+    c // (y + 1), exactly those with c // b > y.  D_j(c // b) reads level
+    j - 1 only at b' = bm >= b, so chunks of about ``chunk`` >= isqrt(c)
+    pairs (no group of r_b <= isqrt(c) pairs spans two cuts) run from the
+    largest b down, all levels each.  The top level needs only b = 1.
+    isqrt(c // b) is exact in float, as c // b < 2^30: the root of n^2 - 1
+    lies 1 / 2n, far more than an ulp, below n.
     """
-    if k == 1:
-        return x
-    s = math.isqrt(x)
-    tab = np.empty((k - 1, 2 * s + 1), dtype=np.int64)
-    tab[:, s:] = D[1:, :s + 1]
-    tab[0, :s] = x // np.arange(1, s + 1)
-    r = _isqrt_array(x // np.arange(1, (s if k > 2 else 1) + 1, dtype=np.int64))
+    B = c // (y + 1)
+    level = np.empty((k - 1, B), dtype=np.int64)
+    level[0] = c // np.arange(1, B + 1, dtype=np.int64)
     if k > 2:
-        ends = np.cumsum(r)
-        cuts = np.searchsorted(ends, np.arange(chunk, ends[-1], chunk), side="right")
-        edges = [0, *cuts.tolist(), s]
+        r = np.sqrt(level[0]).astype(np.int64)
+        cuts = np.searchsorted(np.cumsum(r), np.arange(chunk, r.sum(), chunk), side="right")
+        edges = [0, *cuts.tolist(), B]
         for lo, hi in reversed(list(zip(edges, edges[1:]))):
-            pairs = _pairs(x, s, lo + 1, r[lo:hi])
+            pairs = _pairs(c, y, lo + 1, r[lo:hi])
             for j in range(2, k):
-                tab[j - 1, lo:hi] = _level(tab[j - 2], d[j - 1], s, r[lo:hi], *pairs)
-    top = _pairs(x, s, 1, r[:1])
-    return int(_level(tab[k - 2], d[k - 1], s, r[:1], *top)[0])
+                level[j - 1, lo:hi] = _level(D[j - 2], d[j - 2], level[j - 2], r[lo:hi], *pairs)
+    r = np.array([math.isqrt(c)])
+    return int(_level(D[k - 2], d[k - 2], level[k - 2], r, *_pairs(c, y, 1, r))[0])
 
 
-def _isolated_sums(k: int, cps: list[int], chunk: int) -> tuple:
-    """(x, D_k(x)) at each checkpoint by the isolated route; d_j and D_j on
-    [0, isqrt(max x)] for j < k come from small sieved blocks, built once."""
+def _floor_sums(k: int, cps: list[int], y: int, chunk: int) -> tuple:
+    """(x, D_k(x)) at the sorted checkpoints, for any isqrt(max x) <= y:
+    those <= y from one streaming sieve pass, the others by ``_floor_dk``
+    from d_j on [0, isqrt(max x)] and D_j on [0, y], j < k.  D_1(x) = x."""
+    if k == 1:
+        return tuple((x, x) for x in cps)
+    n_low = bisect.bisect_right(cps, y)
+    low = _sieved_sums(k, cps[:n_low]) if n_low else ()
+    if n_low == len(cps):
+        return low
     s = math.isqrt(cps[-1])
-    d = np.zeros((k, s + 1), dtype=np.int64)
-    for j in range(1, k):
-        d[j, 1:] = dk_block(j, 1, s + 1).values
-    D = np.cumsum(d, axis=1)
-    return tuple((x, _isolated_dk(k, x, d, D, chunk)) for x in cps)
+    D, d = np.empty((k - 1, y + 1), np.int64), np.empty((k - 1, s + 1), np.int64)
+    for j in range(1, k):  # row j - 1 holds d_j, then D_j in place
+        row = D[j - 1]
+        row[0], row[1:] = 0, 1
+        for start, seg, _ in _dk_segments(j, 1, y + 1) if j > 1 else ():
+            row[start:start + len(seg)] = seg
+        d[j - 1] = row[:s + 1]
+        np.cumsum(row, out=row)
+    return low + tuple((x, _floor_dk(k, x, y, d, D, chunk)) for x in cps[n_low:])
 
 
-def _isolated_chunk(k: int, cps: list[int]) -> int:
-    """Pairs per chunk of the isolated route, or 0 where the sieve answers.
+def _floor_bound(k: int, cps: list[int]) -> tuple[int, int]:
+    """(y, chunk) for ``_floor_sums``; y = max x streams every checkpoint.
 
-    The isolated route is taken only where it is exact and as safe as the
+    Floor values are used only where they are exact and as safe as the
     sieve.  D_j(y) = sum_{n <= y} D_{j-1}(y / n) gives D_k(x) <= x H(x)^{k-1}
     <= x (1 + ln x)^{k-1} by induction, and that bound at the last
     checkpoint must lie below 2^min(62, OVERFLOW_LOG2) (in float log2, whose
@@ -415,47 +414,48 @@ def _isolated_chunk(k: int, cps: list[int]) -> int:
         cannot wrap;
       - every d_k(n <= x) <= D_k(x) lies below the sieve's flag, so the
         sieve would not have raised SieveOverflowError either.
-    Past that, a cost rule picks the route: POINT_COST per checkpoint plus
-    PAIR_COST for each of its about (k - 1) 2 x^{3/4} pair-levels (isqrt(x)
-    for k = 2; D_1(x) = x costs nothing), against the sieve's max x
-    entries.  A chunk holds at most chunk + isqrt(x) pairs and the tables
-    under 40 k (isqrt(x) + 1) bytes; chunk >= isqrt(x) must fit the memory
-    budget beside them and a sieve segment (the small tables are sieved).
-    Otherwise the sieve answers.
+    D_1(x) = x needs no y.  Otherwise y is the cheapest of isqrt(x) 2^i and
+    x in sieved entries: the largest streamed checkpoint, (k - 2) y of tables
+    (D_1 is a range), and per c > y POINT_COST k plus PAIR_COST per
+    pair-level, about (k - 1) 2 c / sqrt(y) + sqrt(c) for k > 2 (building
+    pairs costs about a level).  A y fits if its tables, 8 (k - 1) (y + s +
+    2) B for s = isqrt(x), level rows, 8 (k + 3) x // (y + 1) B, and chunks
+    of chunk >= s pairs fit the budget beside a segment.
     """
-    x = cps[-1]
-    s = math.isqrt(x)
-    if math.log2(x) + (k - 1) * math.log2(1 + math.log(x)) >= min(62, OVERFLOW_LOG2) - 1e-9:
-        return 0
-    pairs = sum(math.isqrt(c) if k == 2 else (k - 1) * 2 * c ** 0.75 for c in cps)
-    if POINT_COST * len(cps) * (k > 1) + PAIR_COST * pairs >= x:
-        return 0
-    spare = MEMORY_BUDGET_BYTES - SEGMENT_BYTES - 40 * k * (s + 1)
-    chunk = min(SEGMENT, spare // PAIR_BYTES - s)
-    return chunk if chunk >= s else 0
+    x, s = cps[-1], math.isqrt(cps[-1])
+    if k == 1 or (math.log2(x) + (k - 1) * math.log2(1 + math.log(x))
+                  >= min(62, OVERFLOW_LOG2) - 1e-9):
+        return x, SEGMENT
+    # tail[i]: the sums of c and sqrt(c) over the checkpoints from cps[i] on
+    tail = np.cumsum([(c, math.sqrt(c)) for c in reversed(cps)], axis=0)[::-1].tolist()
+    best = (x, x, SEGMENT)  # (cost, y, chunk)
+    for y in (s << i for i in range(x.bit_length()) if s << i < x):
+        i = bisect.bisect_right(cps, y)
+        pairs = (k - 2 + (k > 2)) * 2 * tail[i][0] / math.sqrt(y) + tail[i][1]
+        cost = ((cps[i - 1] if i else 0) + (k - 2) * y + PAIR_COST * pairs
+                + POINT_COST * k * (len(cps) - i))
+        spare = (MEMORY_BUDGET_BYTES - SEGMENT_BYTES - 8 * (k - 1) * (y + s + 2)
+                 - 8 * (k + 3) * (x // (y + 1)))
+        chunk = min(SEGMENT, spare // PAIR_BYTES - s)
+        if chunk >= s:
+            best = min(best, (cost, y, chunk))
+    return best[1:]
 
 
 def dk_partial_sums(k: int, x_max: int, checkpoints) -> PartialSumSeries:
-    """D_k at each checkpoint (sorted integers <= x_max), exactly.
-
-    Sparse checkpoints take the isolated route over the floor values, dense
-    ones the streaming sieve; ``_isolated_chunk`` holds the cost rule and
-    the bounds that make both routes give the same answer or error.
-    """
+    """D_k at each checkpoint (sorted integers <= x_max), exactly."""
     cps = list(checkpoints)
     if any(a > b for a, b in zip(cps, cps[1:])):
         raise DomainError("checkpoints must be sorted")
     if not cps or cps[-1] > x_max or cps[0] < 1:
         raise DomainError("checkpoints must lie in [1, x_max]")
     _check_caps(k, x_max + 1, 0)
-    chunk = _isolated_chunk(k, cps)
-    sums = _isolated_sums(k, cps, chunk) if chunk else _sieved_sums(k, cps)
-    return PartialSumSeries(k=k, checkpoints=sums)
+    return PartialSumSeries(k=k, checkpoints=_floor_sums(k, cps, *_floor_bound(k, cps)))
 
 
 # ---------------------------------------------------------------- oracles
 
-_WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
+_TRIAL_STEPS = (4, 2, 4, 2, 4, 6, 2, 6)
 
 
 def dk_factor(k: int, n: int) -> int:
@@ -485,7 +485,7 @@ def dk_factor(k: int, n: int) -> int:
                 m //= p
                 a += 1
             result *= math.comb(a + k - 1, k - 1)
-        p += _WHEEL[i]
+        p += _TRIAL_STEPS[i]
         i = (i + 1) & 7
     if m > 1:
         result *= k

@@ -226,6 +226,8 @@ def test_exit_code_precondition(tmp_path):
     ["constants", "--B", "958462.87"],
     ["expsum", "--N", "10000000", "--t", "1e6"],
     ["expsum", "--N-list", "100000,100001", "--t-list", "1e12"],
+    ["delta", "--k", "2", "--x", "1000000001"],
+    ["delta", "--k", "2", "--x", "1e12"],
 ])
 def test_malformed_input_exits_2_with_message(argv, capsys):
     assert cli.main(argv) == 2
@@ -244,10 +246,22 @@ def test_grid_size_cap(capsys):
 
 
 def test_delta_at_the_desk_cap(capsys):
-    # D_2(999999999) by the isolated route, checked against the hyperbola
+    # D_2(999999999) from the floor values above y = isqrt(x), checked against
+    # the hyperbola
     assert cli.main(["delta", "--k", "2", "--x", "999999999.5", "--format", "json"]) == 0
     row, = json.loads(capsys.readouterr().out)["rows"]
     assert row["D"] == sieve.d2_summatory_hyperbola(999999999)
+
+
+def test_grid_reaching_the_desk_cap(capsys):
+    # the grid's last point 1e9 becomes x = 1e9 + 0.5, whose floor is the cap
+    assert cli.main(["delta", "--k", "2", "--grid", "10:1000000000:4", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert rows[-1]["x"] == 1000000000.5
+    assert rows[-1]["D"] == sieve.d2_summatory_hyperbola(10 ** 9)
+    # floor(1000000001) is past the cap; the message states the range of x
+    assert cli.main(["delta", "--k", "2", "--x", "1000000001"]) == 2
+    assert "x must lie in (1, 1000000001), got 1000000001.0" in capsys.readouterr().err
 
 
 # argv values: malformed, non-finite, out of range, and cheap in-range ones

@@ -209,56 +209,85 @@ SEGMENT_EDGES = [sv.SEGMENT - 1, sv.SEGMENT, sv.SEGMENT + 1]
 @settings(max_examples=6, deadline=None)
 @given(xs=st.lists(st.integers(1, 10 ** 6), min_size=1, max_size=5),
        roots=st.lists(st.integers(1, 1000), max_size=3),
-       chunk=st.sampled_from([sv.SEGMENT, 1000]))
-def test_isolated_route_equals_sieve(k, xs, roots, chunk):
-    # each route called explicitly, so the cost rule hides neither; perfect
-    # squares and n^2 - 1 are the isqrt edges of the floor-value set
+       chunk=st.sampled_from([sv.SEGMENT, 1000]), data=st.data())
+def test_isolated_route_equals_sieve(k, xs, roots, chunk, data):
+    # the floor-value route at y = isqrt(max x), the old isolated route, and at
+    # a random y up to max x, pinned to y = c and c - 1 for a checkpoint c,
+    # called directly so the cost rule hides no y; perfect squares and n^2 - 1
+    # are the isqrt edges of the floor-value set
     cps = sorted({*xs, *SEGMENT_EDGES, *(r * r for r in roots), *(r * r - 1 for r in roots)} - {0})
-    assert sv._isolated_sums(k, cps, chunk) == sv._sieved_sums(k, cps)
+    s = math.isqrt(cps[-1])
+    y = data.draw(st.one_of(st.integers(s, cps[-1]),
+                            st.sampled_from([c - e for c in cps for e in (0, 1) if c - e >= s])))
+    want = sv._sieved_sums(k, cps)
+    assert sv._floor_sums(k, cps, s, chunk) == want
+    assert sv._floor_sums(k, cps, y, chunk) == want
 
 
 def test_route_choice(monkeypatch):
-    # sparse points go isolated, a dense list to the sieve; k = 30 at 1e6
-    # fails the int64 bound, so the sieve answers
-    assert sv._isolated_chunk(5, [10 ** 6]) == sv.SEGMENT
-    assert sv._isolated_chunk(1, list(range(1, 10 ** 4))) == sv.SEGMENT
-    assert sv._isolated_chunk(3, list(range(1000, 10 ** 6, 1000))) == 0
-    assert sv._isolated_chunk(30, [10 ** 6]) == 0
-    # the dense k = 5 grid to the cap stays isolated: 22 s, against 46 s sieved
+    # k = 2 pairs only its top level: y = isqrt(x) at one point
+    assert sv._floor_bound(2, [10 ** 6]) == (1000, sv.SEGMENT)
+    assert sv._floor_bound(2, [10 ** 9])[0] == math.isqrt(10 ** 9)
+    # a sparse point pairs floor values above some y < x, in whole segments
+    y, chunk = sv._floor_bound(5, [10 ** 6])
+    assert 1000 <= y < 10 ** 6 and chunk == sv.SEGMENT
+    # a dense list streams: y = x_max
+    assert sv._floor_bound(3, list(range(1000, 10 ** 6 + 1, 1000)))[0] == 10 ** 6
+    # the 1000-point k = 5 grid to the cap lies in between
     grid = sorted({int(x) for x in np.geomspace(10, sv.DESK_X_CAP - 1, 1000)})
-    assert sv._isolated_chunk(5, grid) > 0
+    assert math.isqrt(grid[-1]) < sv._floor_bound(5, grid)[0] < grid[-1]
+    # k = 30 at 1e6 fails the int64 bound, so the sieve answers
+    assert sv._floor_bound(30, [10 ** 6])[0] == 10 ** 6
 
     def refuse(*a):
-        raise AssertionError("isolated route taken")
-    monkeypatch.setattr(sv, "_isolated_sums", refuse)
+        raise AssertionError("floor values paired")
+    monkeypatch.setattr(sv, "_floor_dk", refuse)
     got = sv.dk_partial_sums(30, 10 ** 6, [10 ** 6])
     assert got.checkpoints == sv._sieved_sums(30, [10 ** 6])
+    # D_1(x) = x sieves nothing
+    monkeypatch.setattr(sv, "_dk_segments", refuse)
+    cps = list(range(1, 10 ** 4))
+    assert sv.dk_partial_sums(1, cps[-1], cps).checkpoints == tuple(zip(cps, cps))
+
+
+def _traced(f):
+    tracemalloc.start()
+    try:
+        return f(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_isolated_route_within_memory_budget(monkeypatch):
-    import tracemalloc
     x, k = 3 * 10 ** 6, 5
-    s = math.isqrt(x)
     want = sv._sieved_sums(k, [x])
-    # 1 MiB beside a segment leaves room for chunks of a few thousand pairs;
-    # 100 KiB does not hold the tables, so the streaming sieve answers
-    for spare, chunked in ((1 << 20, True), (100 << 10, False)):
+    # 1 MiB beside a segment leaves room for tables and chunks of a few
+    # thousand pairs; 100 KiB does not hold the tables, so the streaming sieve
+    # answers
+    for spare, paired in ((1 << 20, True), (100 << 10, False)):
         budget = sv.SEGMENT_BYTES + spare
         monkeypatch.setattr(sv, "MEMORY_BUDGET_BYTES", budget)
-        chunk = sv._isolated_chunk(k, [x])
-        assert (s <= chunk < sv.SEGMENT) if chunked else chunk == 0
-        tracemalloc.start()
-        try:
-            got = sv.dk_partial_sums(k, x, [x])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        y, chunk = sv._floor_bound(k, [x])
+        assert (y < x and math.isqrt(x) <= chunk < sv.SEGMENT) if paired else y == x
+        got, peak = _traced(lambda: sv.dk_partial_sums(k, x, [x]))
         assert got.checkpoints == want
         assert peak <= budget
-        if chunked:
-            # the small tables sieve s entries, not a whole segment, so the
+        if paired:
+            # the small tables sieve y entries, not a whole segment, so the
             # pairs and tables alone must fit in the spare bytes
-            assert peak <= spare + sv.SEGMENT_BYTES // sv.SEGMENT * s
+            assert peak <= spare + sv.SEGMENT_BYTES // sv.SEGMENT * y
+    # where the cheapest y does not fit, the rule shrinks y rather than
+    # refusing, streaming or overrunning
+    cps = list(range(31250, 10 ** 6 + 1, 31250))
+    want = sv._sieved_sums(k, cps)
+    y_free = sv._floor_bound(k, cps)[0]
+    budget = sv.SEGMENT_BYTES + 8 * (k - 1) * (y_free + 1000 + 2)  # its tables alone
+    monkeypatch.setattr(sv, "MEMORY_BUDGET_BYTES", budget)
+    y, chunk = sv._floor_bound(k, cps)
+    assert 1000 <= y < y_free
+    got, peak = _traced(lambda: sv.dk_partial_sums(k, cps[-1], cps))
+    assert got.checkpoints == want
+    assert peak <= budget
 
 
 def test_precondition_errors():
