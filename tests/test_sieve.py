@@ -211,8 +211,8 @@ SEGMENT_EDGES = [sv.SEGMENT - 1, sv.SEGMENT, sv.SEGMENT + 1]
        roots=st.lists(st.integers(1, 1000), max_size=3),
        chunk=st.sampled_from([sv.SEGMENT, 1000]), data=st.data())
 def test_isolated_route_equals_sieve(k, xs, roots, chunk, data):
-    # the floor-value route at y = isqrt(max x), the old isolated route, and at
-    # a random y up to max x, pinned to y = c and c - 1 for a checkpoint c,
+    # the floor-value route at y = isqrt(max x), the isolated end, and at a
+    # random y up to max x, pinned to y = c and c - 1 for a checkpoint c,
     # called directly so the cost rule hides no y; perfect squares and n^2 - 1
     # are the isqrt edges of the floor-value set
     cps = sorted({*xs, *SEGMENT_EDGES, *(r * r for r in roots), *(r * r - 1 for r in roots)} - {0})
@@ -232,7 +232,8 @@ def test_route_choice(monkeypatch):
     y, chunk = sv._floor_bound(5, [10 ** 6])
     assert 1000 <= y < 10 ** 6 and chunk == sv.SEGMENT
     # a dense list streams: y = x_max
-    assert sv._floor_bound(3, list(range(1000, 10 ** 6 + 1, 1000)))[0] == 10 ** 6
+    dense = list(range(1000, 10 ** 6, 1000))
+    assert sv._floor_bound(3, dense)[0] == dense[-1]
     # the 1000-point k = 5 grid to the cap lies in between
     grid = sorted({int(x) for x in np.geomspace(10, sv.DESK_X_CAP - 1, 1000)})
     assert math.isqrt(grid[-1]) < sv._floor_bound(5, grid)[0] < grid[-1]
@@ -288,6 +289,15 @@ def test_isolated_route_within_memory_budget(monkeypatch):
     got, peak = _traced(lambda: sv.dk_partial_sums(k, cps[-1], cps))
     assert got.checkpoints == want
     assert peak <= budget
+
+
+def test_float_isqrt_is_exact_below_the_cap():
+    # _floor_dk floors the float root of c // b <= DESK_X_CAP; the rounded
+    # root is monotone, so n^2 - 1 and n^2 are the only cases to check
+    n = np.arange(1, math.isqrt(sv.DESK_X_CAP) + 2, dtype=np.int64)
+    v = np.concatenate([n * n - 1, n * n])
+    r = np.sqrt(v).astype(np.int64)
+    assert np.all(r * r <= v) and np.all((r + 1) * (r + 1) > v)
 
 
 def test_precondition_errors():
