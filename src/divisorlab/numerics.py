@@ -14,9 +14,14 @@ from .errors import BracketError
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
+# the fixed settings of golden_max, check_unimodal and real_cubic_roots
+GOLDEN_MAXITER = 200
+UNIMODAL_SAMPLES = 33
+UNIMODAL_REL_TOL = 1e-12
+NEWTON_STEPS = 3
 
 
-def golden_max(f: Callable, a, b, xtol=1e-10, maxiter=200):
+def golden_max(f: Callable, a, b, xtol=1e-10):
     """Golden-section search for the maximum of a unimodal f on [a, b].
 
     Returns (x_star, f(x_star)).  Works with floats or mpmath mpfs; the
@@ -29,7 +34,7 @@ def golden_max(f: Callable, a, b, xtol=1e-10, maxiter=200):
     d = a + INV_PHI * h
     yc = f(c)
     yd = f(d)
-    for _ in range(maxiter):
+    for _ in range(GOLDEN_MAXITER):
         if h <= xtol:
             break
         h = INV_PHI * h
@@ -46,7 +51,7 @@ def golden_max(f: Callable, a, b, xtol=1e-10, maxiter=200):
     return d, yd
 
 
-def bracket_max(f: Callable, a, b, n: int = 1000):
+def bracket_max(f: Callable, a, b, n: int):
     """Locate a bracket around the maximum of f on [a, b] by an n-point scan.
 
     Returns (lo, hi) such that the grid maximum is interior to (lo, hi).
@@ -65,30 +70,26 @@ def bracket_max(f: Callable, a, b, n: int = 1000):
     return xs[i - 1], xs[i + 1]
 
 
-def check_unimodal(f: Callable, lo, hi, samples: int = 33, rel_tol=1e-12) -> bool:
+def check_unimodal(f: Callable, lo, hi) -> bool:
     """Sample f on [lo, hi] and verify a rise-then-fall (unimodal) pattern.
 
-    Differences smaller than rel_tol * scale are treated as flat so that a
-    numerically flat peak does not count as extra sign changes.
+    Differences smaller than UNIMODAL_REL_TOL * scale are treated as flat so
+    that a numerically flat peak does not count as extra sign changes.
     """
-    xs = [lo + (hi - lo) * i / (samples - 1) for i in range(samples)]
+    xs = [lo + (hi - lo) * i / (UNIMODAL_SAMPLES - 1) for i in range(UNIMODAL_SAMPLES)]
     ys = [f(x) for x in xs]
     scale = max(abs(y) for y in ys) or 1.0
-    state = +1  # expect rising
+    fell = False
     for y0, y1 in zip(ys, ys[1:]):
         d = y1 - y0
-        if abs(d) <= rel_tol * scale:
-            continue
-        if d > 0:
-            if state < 0:  # rose again after falling
+        if abs(d) > UNIMODAL_REL_TOL * scale:
+            if d > 0 and fell:  # rose again after falling
                 return False
-        else:
-            state = -1
+            fell = fell or d < 0
     return True
 
 
-def real_cubic_roots(c3: float, c2: float, c1: float, c0: float,
-                     newton_steps: int = 3) -> list[float]:
+def real_cubic_roots(c3: float, c2: float, c1: float, c0: float) -> list[float]:
     """Real roots of c3 x^3 + c2 x^2 + c1 x + c0, ascending, Newton-polished."""
     import numpy as np
     roots = np.roots([c3, c2, c1, c0])
@@ -97,7 +98,7 @@ def real_cubic_roots(c3: float, c2: float, c1: float, c0: float,
         if abs(r.imag) > 1e-8 * (1.0 + abs(r.real)):
             continue
         x = float(r.real)
-        for _ in range(newton_steps):
+        for _ in range(NEWTON_STEPS):
             fx = ((c3 * x + c2) * x + c1) * x + c0
             dfx = (3.0 * c3 * x + 2.0 * c2) * x + c1
             if dfx == 0.0:

@@ -340,23 +340,26 @@ def _pairs(c: int, y: int, b0: int, r: np.ndarray):
     return starts, m, q, big, bm[big] - 1
 
 
-def _level(D_prev, d_prev, level_prev, r, starts, m, q, big, at) -> np.ndarray:
+def _level(j: int, D, d, level, r, starts, m, q, big, at) -> np.ndarray:
     """D_j(c // b) for a chunk of b by the hyperbola identity
-    sum_{m <= r_b} [D_{j-1}(c // bm) + d_{j-1}(m) (c // bm)] - r_b D_{j-1}(r_b).
-    D_{j-1}(q) is read in place: from the small table if q <= y, else from
-    level j - 1 at b' = bm (q > y means bm <= B, and c // bm = q)."""
-    vals = D_prev.take(q, mode="clip")
-    vals[big] = level_prev[at]
-    vals += d_prev[m] * q
+    sum_{m <= r_b} [D_{j-1}(c // bm) + d_{j-1}(m) (c // bm)] - r_b D_{j-1}(r_b),
+    2 sum q - r_b^2 at j = 2 (D_1(q) = q).  Above, D_{j-1}(q) is read in place:
+    from the table if q <= y, else from level j - 1 at b' = bm (q > y means
+    bm <= B, and c // bm = q)."""
+    if j == 2:
+        return 2 * np.add.reduceat(q, starts) - r * r
+    vals = D[j - 3].take(q, mode="clip")
+    vals[big] = level[j - 3][at]
+    vals += d[j - 3][m] * q
     out = np.add.reduceat(vals, starts)
-    out -= r * D_prev[r]
+    out -= r * D[j - 3][r]
     return out
 
 
 def _floor_dk(k: int, c: int, y: int, d: np.ndarray, D: np.ndarray, chunk: int) -> int:
     """D_k(c), c > y, over the floor values c // b, level by level for j = 2..k.
 
-    Row j - 1 of the level table holds D_j(c // b) at b - 1 for the b <= B =
+    Row j - 2 of the level table holds D_j(c // b) at b - 1 for the b <= B =
     c // (y + 1), exactly those with c // b > y.  D_j(c // b) reads level
     j - 1 only at b' = bm >= b, so chunks of about ``chunk`` >= isqrt(c)
     pairs (no group of r_b <= isqrt(c) pairs spans two cuts) run from the
@@ -365,24 +368,23 @@ def _floor_dk(k: int, c: int, y: int, d: np.ndarray, D: np.ndarray, chunk: int) 
     lies 1 / 2n, far more than an ulp, below n.
     """
     B = c // (y + 1)
-    level = np.empty((k - 1, B), dtype=np.int64)
-    level[0] = c // np.arange(1, B + 1, dtype=np.int64)
+    level = np.empty((k - 2, B), dtype=np.int64)
     if k > 2:
-        r = np.sqrt(level[0]).astype(np.int64)
+        r = np.sqrt(c // np.arange(1, B + 1, dtype=np.int64)).astype(np.int64)
         cuts = np.searchsorted(np.cumsum(r), np.arange(chunk, r.sum(), chunk), side="right")
         edges = [0, *cuts.tolist(), B]
         for lo, hi in reversed(list(zip(edges, edges[1:]))):
             pairs = _pairs(c, y, lo + 1, r[lo:hi])
             for j in range(2, k):
-                level[j - 1, lo:hi] = _level(D[j - 2], d[j - 2], level[j - 2], r[lo:hi], *pairs)
+                level[j - 2, lo:hi] = _level(j, D, d, level, r[lo:hi], *pairs)
     r = np.array([math.isqrt(c)])
-    return int(_level(D[k - 2], d[k - 2], level[k - 2], r, *_pairs(c, y, 1, r))[0])
+    return int(_level(k, D, d, level, r, *_pairs(c, y, 1, r))[0])
 
 
 def _floor_sums(k: int, cps: list[int], y: int, chunk: int) -> tuple:
     """(x, D_k(x)) at the sorted checkpoints, for any isqrt(max x) <= y:
     those <= y from one streaming sieve pass, the others by ``_floor_dk``
-    from d_j on [0, isqrt(max x)] and D_j on [0, y], j < k.  D_1(x) = x."""
+    from d_j on [0, isqrt(max x)] and D_j on [0, y], 2 <= j < k.  D_1(x) = x."""
     if k == 1:
         return tuple((x, x) for x in cps)
     n_low = bisect.bisect_right(cps, y)
@@ -390,13 +392,12 @@ def _floor_sums(k: int, cps: list[int], y: int, chunk: int) -> tuple:
     if n_low == len(cps):
         return low
     s = math.isqrt(cps[-1])
-    D, d = np.empty((k - 1, y + 1), np.int64), np.empty((k - 1, s + 1), np.int64)
-    for j in range(1, k):  # row j - 1 holds d_j, then D_j in place
-        row = D[j - 1]
-        row[0], row[1:] = 0, 1
-        for start, seg, _ in _dk_segments(j, 1, y + 1) if j > 1 else ():
+    D, d = np.zeros((k - 2, y + 1), np.int64), np.empty((k - 2, s + 1), np.int64)
+    for j in range(2, k):  # row j - 2 holds d_j, then D_j in place
+        row = D[j - 2]
+        for start, seg, _ in _dk_segments(j, 1, y + 1):
             row[start:start + len(seg)] = seg
-        d[j - 1] = row[:s + 1]
+        d[j - 2] = row[:s + 1]
         np.cumsum(row, out=row)
     return low + tuple((x, _floor_dk(k, x, y, d, D, chunk)) for x in cps[n_low:])
 
@@ -405,26 +406,30 @@ def _floor_bound(k: int, cps: list[int]) -> tuple[int, int]:
     """(y, chunk) for ``_floor_sums``; y = max x streams every checkpoint.
 
     Floor values are used only where they are exact and as safe as the
-    sieve.  D_j(y) = sum_{n <= y} D_{j-1}(y / n) gives D_k(x) <= x H(x)^{k-1}
-    <= x (1 + ln x)^{k-1} by induction, and that bound at the last
-    checkpoint must lie below 2^min(62, OVERFLOW_LOG2) (in float log2, whose
-    rounding, like the sieve's, is far below the 1e-9 slack).  Then
+    sieve.  D_k(x) <= x (ln x + k - 1)^{k-1} / (k - 1)! for real x >= 1, by
+    induction from D_1(x) <= x: the bound (x / t) (ln(x / t) + k - 2)^{k-2} /
+    (k - 2)! on D_{k-1}(x / t) decreases in t, so D_k(x) = sum_{n <= x}
+    D_{k-1}(x / n) is at most its n = 1 term plus its integral over [1, x],
+    x [(k - 1) A^{k-2} + A^{k-1}] / (k - 1)! for A = ln x + k - 2: the top
+    two terms of (A + 1)^{k-1}.  That bound at the last checkpoint must lie
+    below 2^min(62, OVERFLOW_LOG2) (in float log2, whose rounding, like the
+    sieve's, is far below the 1e-9 slack).  Then
       - every intermediate is at most 2 D_k(x) < 2^63: a level's terms sum
         to D_j(v) + r D_{j-1}(r), and r D_{j-1}(r) <= D_j(v), so int64
         cannot wrap;
       - every d_k(n <= x) <= D_k(x) lies below the sieve's flag, so the
         sieve would not have raised SieveOverflowError either.
     D_1(x) = x needs no y.  Otherwise y is the cheapest of isqrt(x) 2^i and
-    x in sieved entries: the largest streamed checkpoint, (k - 2) y of tables
-    (D_1 is a range), and per c > y POINT_COST k plus PAIR_COST per
-    pair-level, about (k - 1) 2 c / sqrt(y) + sqrt(c) for k > 2 (building
-    pairs costs about a level).  A y fits if its tables, 8 (k - 1) (y + s +
-    2) B for s = isqrt(x), level rows, 8 (k + 3) x // (y + 1) B, and chunks
-    of chunk >= s pairs fit the budget beside a segment.
+    x in sieved entries: the largest streamed checkpoint, (k - 2) y of tables,
+    and per c > y POINT_COST k plus PAIR_COST per pair-level, about (k - 1)
+    2 c / sqrt(y) + sqrt(c) for k > 2 (building pairs costs about a level).
+    A y fits if its tables, 8 (k - 2) (y + s + 2) B for s = isqrt(x), level
+    rows and roots for k > 2, 8 (k + 2) x // (y + 1) B, and chunks of
+    chunk >= s pairs fit the budget beside a segment.
     """
     x, s = cps[-1], math.isqrt(cps[-1])
-    if k == 1 or (math.log2(x) + (k - 1) * math.log2(1 + math.log(x))
-                  >= min(62, OVERFLOW_LOG2) - 1e-9):
+    if k == 1 or (math.log2(x) + (k - 1) * math.log2(math.log(x) + k - 1)
+                  - math.log2(math.factorial(k - 1)) >= min(62, OVERFLOW_LOG2) - 1e-9):
         return x, SEGMENT
     # tail[i]: the sums of c and sqrt(c) over the checkpoints from cps[i] on
     tail = np.cumsum([(c, math.sqrt(c)) for c in reversed(cps)], axis=0)[::-1].tolist()
@@ -434,8 +439,8 @@ def _floor_bound(k: int, cps: list[int]) -> tuple[int, int]:
         pairs = (k - 2 + (k > 2)) * 2 * tail[i][0] / math.sqrt(y) + tail[i][1]
         cost = ((cps[i - 1] if i else 0) + (k - 2) * y + PAIR_COST * pairs
                 + POINT_COST * k * (len(cps) - i))
-        spare = (MEMORY_BUDGET_BYTES - SEGMENT_BYTES - 8 * (k - 1) * (y + s + 2)
-                 - 8 * (k + 3) * (x // (y + 1)))
+        spare = (MEMORY_BUDGET_BYTES - SEGMENT_BYTES - 8 * (k - 2) * (y + s + 2)
+                 - 8 * (k + 2) * (x // (y + 1)) * (k > 2))
         chunk = min(SEGMENT, spare // PAIR_BYTES - s)
         if chunk >= s:
             best = min(best, (cost, y, chunk))
@@ -443,10 +448,10 @@ def _floor_bound(k: int, cps: list[int]) -> tuple[int, int]:
 
 
 def dk_partial_sums(k: int, x_max: int, checkpoints) -> PartialSumSeries:
-    """D_k at each checkpoint (sorted integers <= x_max), exactly."""
+    """D_k at each checkpoint (strictly increasing integers <= x_max), exactly."""
     cps = list(checkpoints)
-    if any(a > b for a, b in zip(cps, cps[1:])):
-        raise DomainError("checkpoints must be sorted")
+    if any(a >= b for a, b in zip(cps, cps[1:])):
+        raise DomainError("checkpoints must be strictly increasing")
     if not cps or cps[-1] > x_max or cps[0] < 1:
         raise DomainError("checkpoints must lie in [1, x_max]")
     _check_caps(k, x_max + 1, 0)
@@ -467,26 +472,17 @@ def dk_factor(k: int, n: int) -> int:
         raise DomainError(f"k must lie in [1, {DESK_K_CAP}], got {k}")
     if not (1 <= n <= 10 ** 12):
         raise DomainError(f"n must lie in [1, 1e12], got {n}")
-    result = 1
-    m = n
-    for p in (2, 3, 5):
-        if m % p == 0:
-            a = 0
-            while m % p == 0:
-                m //= p
-                a += 1
+    result, m, p = 1, n, 1
+    for step in itertools.chain((1, 1, 2, 2), itertools.cycle(_TRIAL_STEPS)):
+        p += step  # 2, 3, 5, 7, then the wheel: 11, 13, 17, 19, 23, 29, 31, 37, ...
+        if p * p > m:
+            break
+        a = 0
+        while m % p == 0:
+            m //= p
+            a += 1
+        if a:
             result *= math.comb(a + k - 1, k - 1)
-    p = 7
-    i = 0
-    while p * p <= m:
-        if m % p == 0:
-            a = 0
-            while m % p == 0:
-                m //= p
-                a += 1
-            result *= math.comb(a + k - 1, k - 1)
-        p += _TRIAL_STEPS[i]
-        i = (i + 1) & 7
     if m > 1:
         result *= k
     return result

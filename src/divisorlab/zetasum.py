@@ -209,17 +209,18 @@ def zeta_em(sigma: float, t: float, precision_bits: int = 128) -> mp.mpc:
 # fast float evaluators (calibrated against zeta_em; guarded by self-checks)
 # ---------------------------------------------------------------------------
 
+_ZETA_ABS_TOL = 1e-5  # the absolute error the sigma > 1 cutoff M aims at
 _B2J = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
 
 
-def _zeta_cutoff(sigma: float, t_max: float, abs_tol: float = 1e-5) -> tuple[int, int]:
+def _zeta_cutoff(sigma: float, t_max: float) -> tuple[int, int]:
     """Direct-sum cutoff M and Bernoulli-term count J of ``_zeta_series``."""
     if sigma > 1:
-        return int(min(4096, max(256, (t_max / (12 * abs_tol)) ** (1.0 / (sigma + 1))))), 1
+        return int(min(4096, max(256, (t_max / (12 * _ZETA_ABS_TOL)) ** (1.0 / (sigma + 1))))), 1
     return max(64, int(t_max / 4) + 1), 8
 
 
-def _zeta_series(sigma: float, ts: np.ndarray, abs_tol: float = 1e-5):
+def _zeta_series(sigma: float, ts: np.ndarray):
     """Coefficients n^{-sigma} and log n for n <= M, and ``add_tail(ts, out)``
     adding the integral, half and Bernoulli tail terms to sums ``out`` in place.
     M follows the largest of ``ts``: sigma > 1: M ~ (t_max/(12 tol))^{1/(sigma+1)},
@@ -227,7 +228,7 @@ def _zeta_series(sigma: float, ts: np.ndarray, abs_tol: float = 1e-5):
     t_max/4) and 8 Bernoulli terms (calibrated error ~1e-6).
     """
     import numpy as np
-    M, J = _zeta_cutoff(sigma, float(ts.max(initial=1.0)), abs_tol)
+    M, J = _zeta_cutoff(sigma, float(ts.max(initial=1.0)))
     n = np.arange(1, M + 1)
 
     def add_tail(ts: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -247,10 +248,11 @@ def _zeta_series(sigma: float, ts: np.ndarray, abs_tol: float = 1e-5):
 
 _NODES_PER_CHUNK = 1 << 18  # GL nodes per chunk; the zeta cutoff follows each chunk
 _ENTRIES = 1 << 19          # complex entries per phase matrix
+_PANEL_REL_TOL = 0.01       # largest relative move under panel doubling
 
 
 def _panel_quadrature(series, a: float, b: float, panels: int, order: int,
-                      what: str, rel_tol: float = 0.01) -> float:
+                      what: str) -> float:
     """int_a^b post(t, S(t)) dt, S(t) = sum_n w_n e^{-it log n}, by composite
     Gauss-Legendre on uniform panels with a panel-doubling self-check (see the
     module docstring).  ``series(ts)`` maps one chunk's nodes to
@@ -286,10 +288,10 @@ def _panel_quadrature(series, a: float, b: float, panels: int, order: int,
     coarse = run(panels)
     fine = run(2 * panels)
     scale = max(abs(fine), 1e-300)
-    if abs(fine - coarse) > rel_tol * scale:
+    if abs(fine - coarse) > _PANEL_REL_TOL * scale:
         raise QuadratureError(
             f"{what}: panel doubling moved the integral by "
-            f"{abs(fine - coarse) / scale:.3g} relative (> {rel_tol:g})")
+            f"{abs(fine - coarse) / scale:.3g} relative (> {_PANEL_REL_TOL:g})")
     return fine
 
 

@@ -6,6 +6,7 @@ import math
 import random
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -282,13 +283,45 @@ def test_isolated_route_within_memory_budget(monkeypatch):
     cps = list(range(31250, 10 ** 6 + 1, 31250))
     want = sv._sieved_sums(k, cps)
     y_free = sv._floor_bound(k, cps)[0]
-    budget = sv.SEGMENT_BYTES + 8 * (k - 1) * (y_free + 1000 + 2)  # its tables alone
+    budget = sv.SEGMENT_BYTES + 8 * (k - 2) * (y_free + 1000 + 2)  # its tables alone
     monkeypatch.setattr(sv, "MEMORY_BUDGET_BYTES", budget)
     y, chunk = sv._floor_bound(k, cps)
     assert 1000 <= y < y_free
     got, peak = _traced(lambda: sv.dk_partial_sums(k, cps[-1], cps))
     assert got.checkpoints == want
     assert peak <= budget
+
+
+def test_d2_pairs_without_tables(monkeypatch):
+    # k = 2 reads D_1(q) = q from its pairs and sieves no table, so a budget
+    # of its top level's isqrt(x) pairs alone pairs floor values rather than
+    # streaming [1, x]
+    x = 10 ** 7
+    s = math.isqrt(x)
+    budget = sv.SEGMENT_BYTES + 2 * sv.PAIR_BYTES * (s + 1)
+    monkeypatch.setattr(sv, "MEMORY_BUDGET_BYTES", budget)
+    assert sv._floor_bound(2, [x]) == (s, s + 2)
+    got, peak = _traced(lambda: sv.dk_partial_sums(2, x, [x]))
+    assert got.checkpoints == ((x, sv.d2_summatory_hyperbola(x)),)
+    assert peak <= budget - sv.SEGMENT_BYTES  # the pairs alone: no table, no segment
+
+
+def test_int64_bound_holds():
+    # D_k(x) <= x (ln x + k - 1)^{k-1} / (k - 1)!, the bound _floor_bound
+    # checks against 2^62, on a geometric grid of exact sums
+    xs = sorted({int(x) for x in np.geomspace(1, 2e5, 40)})
+    for k in range(1, sv.DESK_K_CAP + 1):
+        for x, D in sv._sieved_sums(k, xs):
+            bound = x * (mp.log(x) + k - 1) ** (k - 1) / mp.factorial(k - 1)
+            assert D <= bound, (k, x)
+
+
+def test_sharper_bound_reaches_k12_at_1e6():
+    # (1 + ln x)^{k-1} forced the sieve of [1, 1e6] here; the sharper bound
+    # pairs floor values above some y < x, and the values stay exact
+    x = 10 ** 6
+    assert sv._floor_bound(12, [x])[0] < x
+    assert sv.dk_partial_sums(12, x, [x]).checkpoints == sv._sieved_sums(12, [x])
 
 
 def test_float_isqrt_is_exact_below_the_cap():
@@ -315,6 +348,9 @@ def test_precondition_errors():
         sv.dk_partial_sums(2, 100, [50, 20])
     with pytest.raises(DomainError):
         sv.dk_partial_sums(2, 100, [150])
+    # a repeated checkpoint is the input's fault, not the output's
+    with pytest.raises(DomainError, match="checkpoints must be strictly increasing"):
+        sv.dk_partial_sums(2, 10, [5, 5])
 
 
 # ------------------------------------------------- the kernel against its reference
