@@ -14,6 +14,7 @@ sieve segment at a time; per-sample paths keep full mpmath precision.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -305,6 +306,21 @@ def soundararajan_exponent2(k: int) -> float:
     return (k + 1) / (2.0 * k) * (float(k) ** (2.0 * k / (k + 1.0)) - 1.0)
 
 
+@functools.cache
+def _envelope_exponents(k: int) -> tuple:
+    """The exponents of ``envelopes`` that depend on k alone, at 40 digits:
+    the conjecture's, the Tong window's, the omega envelope's three, and
+    Theorem 1's (None below THM1_K_MIN)."""
+    with mp.workdps(40):
+        e2 = mp.mpf(k + 1) / (2 * k) * (mp.mpf(k) ** (mp.mpf(2 * k) / (k + 1)) - 1)
+        thm1 = None
+        if k >= THM1_K_MIN:
+            thm1 = 1 - mp.mpf(THM1_D) * (k - mp.mpf(THM1_SHIFT)) ** (-mp.mpf(2) / 3)
+        return (mp.mpf(1) / 2 - mp.mpf(1) / (2 * k), 1 - mp.mpf(1) / k,
+                mp.mpf(k - 1) / (2 * k), e2, -mp.mpf(1) / 2 - mp.mpf(k - 1) / (4 * k),
+                thm1)
+
+
 def envelopes(k: int, x, C_tong: float = 5.0) -> EnvelopeSet:
     """Comparison envelopes at (k, x): the conjectured x^{1/2 - 1/(2k)}, the
     omega-result lower envelope, the k>=30 pointwise upper envelope with the
@@ -317,22 +333,18 @@ def envelopes(k: int, x, C_tong: float = 5.0) -> EnvelopeSet:
         raise DomainError(f"k must be >= 2, got {k}")
     if not x > 1:
         raise DomainError(f"x must exceed 1, got {x}")
+    conj_exp, tong_exp, e1, e2, e3, thm1_exp = _envelope_exponents(k)
     with mp.workdps(40):
         xm = mp.mpf(x)
-        conjecture = xm ** (mp.mpf(1) / 2 - mp.mpf(1) / (2 * k))
-        tong = C_tong * xm ** (1 - mp.mpf(1) / k)
+        conjecture = xm ** conj_exp
+        tong = C_tong * xm ** tong_exp
         omega = None
         if xm > E_TRIPLE:
             L1 = mp.log(xm)
             L2 = mp.log(L1)
             L3 = mp.log(L2)
-            e2 = mp.mpf(k + 1) / (2 * k) * (mp.mpf(k) ** (mp.mpf(2 * k) / (k + 1)) - 1)
-            omega = ((xm * L1) ** (mp.mpf(k - 1) / (2 * k))
-                     * L2 ** e2
-                     * L3 ** (-mp.mpf(1) / 2 - mp.mpf(k - 1) / (4 * k)))
-        thm1 = None
-        if k >= THM1_K_MIN:
-            thm1 = xm ** (1 - mp.mpf(THM1_D) * (k - mp.mpf(THM1_SHIFT)) ** (-mp.mpf(2) / 3))
+            omega = (xm * L1) ** e1 * L2 ** e2 * L3 ** e3
+        thm1 = None if thm1_exp is None else xm ** thm1_exp
 
         def out(v):
             if v is None:

@@ -18,6 +18,12 @@ operations use a vectorised float64 route whose cutoffs were calibrated
 against the certified one and whose results are guarded by panel-doubling
 self-checks.  All evaluators are pure.
 
+The mp sums (``exp_sum``, the direct part of ``zeta_em``, both sums of
+``afe_residual``) share one kernel, ``_dirichlet_sum``: by complete
+multiplicativity, (mn)^{-s} = m^{-s} n^{-s}, it spends one mp.exp per prime
+and one fixed-point complex product per composite, within an error bound
+no larger than the direct sum's.
+
 The moment and mean-value integrals share one kernel, ``_panel_quadrature``:
 composite Gauss-Legendre of a function of S(t) = sum_{n<=M} w_n n^{-it} on
 uniform panels, where the phase at a node splits into e^{-i m log n} for the
@@ -31,10 +37,13 @@ a few ulp of t, so S matches the direct sum to ~2^-53 t log M sum|w_n|.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import mpmath as mp
+from mpmath.libmp import to_fixed
 
 from . import exponents
 from .errors import DomainError, PrecisionError, QuadratureError
@@ -48,9 +57,79 @@ if TYPE_CHECKING:
 T_CAP_EXPSUM = 10 ** 12
 T_CAP_ZETA = 10 ** 6
 T_CAP_MOMENT = 10 ** 5
-# summed terms per exp_sum call or expsum_bound_grid table: each costs ~40 us
-# of mp work at 192 bits, so the cap takes ~8 s on a 2-CPU x86 host
+# summed terms per exp_sum call or expsum_bound_grid table: at the cap,
+# exp_sum(2e5, 4e5, 1e12, 192) spends ~40 us of mp.exp on each of the 33860
+# primes up to 4e5 and ~1 us on each composite, ~2-3 s and ~50 MiB RSS on a
+# 2-CPU x86 host
 EXPSUM_TERMS_CAP = 2 * 10 ** 5
+
+
+# ---------------------------------------------------------------------------
+# the n^{-s} kernel
+# ---------------------------------------------------------------------------
+
+def _smallest_prime_factors(n: int) -> array:
+    """spf[m] for m <= n: the smallest prime factor of a composite m, else 0.
+    Larger p write first, so the smallest d >= 2 with d | m and d^2 <= m, a
+    prime, writes last."""
+    spf = array("I", [0]) * (n + 1)
+    for p in range(math.isqrt(n), 1, -1):
+        spf[p * p::p] = array("I", [p]) * ((n - p * p) // p + 1)
+    return spf
+
+
+def _dirichlet_sum(s, lo: int, hi: int, precision_bits: int) -> mp.mpc:
+    """sum_{lo < n <= hi} n^{-s} rounded to p = precision_bits bits, by
+    (mn)^{-s} = m^{-s} n^{-s} (Apostol, Introduction to Analytic Number
+    Theory, 2.9).  Entry n is a pair of ints E(n) ~ 2^wp n^{-s}, wp = p +
+    2 bitlen(hi) + 8: a prime gets one mp.exp(-s log p) at P = wp + 8 bits,
+    floored; a composite m the product of E(spf(m)) and E(m / spf(m)),
+    floored by >> wp.  Entries up to hi // 2 are kept, and the terms add up
+    exactly.  Under hi / 8 terms the table costs more than it saves, so none
+    is kept and each term gets its own mp.exp.
+
+    Error, for Re s >= 0 (every caller), so |n^{-s}| <= 1.  Let E(n) =
+    2^wp (n^{-s} + e_n), u = 2^-wp.  A prime's rounded log and product with
+    s put its argument off by <= 2.01 |s| log p 2^-P (the phase error
+    |t| log p 2^-P), the exp adds <= 4 2^-P and the floors < sqrt(2) u:
+    |e_p| <= ((|s| log p + 1) / 64 + 1.5) u.  A product m = a b is off by
+    <= |e_a| + |e_b| + |e_a e_b| + 1.5 u, so over the Omega(n) <= log2 n
+    factors of n, with X = (|s| log n / 64 + 3.02 Omega(n)) u <= 1 (true for
+    |s| < 2^p), |e_n| <= e^X - 1 <= 1.72 X <= (|s| log n / 32 + 6 log2 n) u.
+    The integer sum S~ is exact, and its rounding adds <= 2^-p |S~|:
+
+        |computed - S| <= 2^-p |S~| + (hi - lo)(|s| log hi / 32 + 6 log2 hi) 2^-wp,
+
+    where 2^-wp < 2^-p / (256 hi^2).  The direct sum pays the same final
+    rounding and charges each term n >= 2 at least (|s| log n + 1) 2^-p
+    n^{-sigma}.  For hi < 2^42 the second part stays below that charge at
+    n = hi when sigma <= 1 (exp_sum, afe_residual's second sum), and at
+    n = 2 when lo = 0 and sigma <= 3 (zeta_em, afe_residual): the bound
+    never exceeds the direct sum's.
+    """
+    wp = precision_bits + 2 * hi.bit_length() + 8
+    keep = hi // 2 if 8 * (hi - lo) >= hi else 0
+    spf = _smallest_prime_factors(hi if keep else 0)
+    re, im = [1 << wp] * (keep + 1), [0] * (keep + 1)
+    sum_re, sum_im = (1 << wp) * (lo == 0), 0
+    with mp.workprec(wp + 8):
+        s = mp.mpc(s)
+        for n in chain(range(2, keep + 1), range(max(lo, keep, 1) + 1, hi + 1)):
+            p = spf[n] if keep else 0
+            if p:
+                a, b, m = re[p], im[p], n // p
+                x = (a * re[m] - b * im[m]) >> wp
+                y = (a * im[m] + b * re[m]) >> wp
+            else:
+                z = mp.exp(-s * mp.log(n))
+                x, y = to_fixed(z.real._mpf_, wp), to_fixed(z.imag._mpf_, wp)
+            if n <= keep:
+                re[n], im[n] = x, y
+            if n > lo:
+                sum_re += x
+                sum_im += y
+    with mp.workprec(precision_bits):
+        return mp.mpc(mp.mpf((sum_re, -wp)), mp.mpf((sum_im, -wp)))
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +170,7 @@ def _check_expsum_terms(terms: int) -> None:
 
 
 def exp_sum(N: int, N_prime: int, t: float, precision_bits: int = 128) -> ExpSumReport:
-    """Direct high-precision summation of sum_{N < n <= N'} e^{-it log n}."""
+    """sum_{N < n <= N'} e^{-it log n} at precision_bits by ``_dirichlet_sum``."""
     if not (1 <= N < N_prime <= 2 * N):
         raise DomainError(f"need 1 <= N < N' <= 2N, got N={N}, N'={N_prime}")
     _check_expsum_t(t)
@@ -101,8 +180,7 @@ def exp_sum(N: int, N_prime: int, t: float, precision_bits: int = 128) -> ExpSum
             f"phase error t*2^-p = {t * 2.0 ** (-precision_bits):.2e} too "
             f"large at {precision_bits} bits; raise precision_bits")
     with mp.workprec(precision_bits):
-        tm = mp.mpf(t)
-        value = mp.fsum(mp.expj(-tm * mp.log(n)) for n in range(N + 1, N_prime + 1))
+        value = _dirichlet_sum(complex(0, t), N, N_prime, precision_bits)
         modulus = float(abs(value))
     rho = refined = hb = ratio_r = ratio_h = None
     trivial = False
@@ -194,7 +272,7 @@ def zeta_em(sigma: float, t: float, precision_bits: int = 128) -> mp.mpc:
     M, J = _em_cutoff(sigma, t, precision_bits)
     with mp.workprec(precision_bits + 32):
         s = mp.mpc(sigma, t)
-        total = mp.fsum(mp.exp(-s * mp.log(n)) for n in range(1, M + 1))
+        total = _dirichlet_sum(s, 0, M, precision_bits + 32)
         Ms = mp.exp(-s * mp.log(M))
         total += M * Ms / (s - 1) - Ms / 2
         poch = s
@@ -352,8 +430,8 @@ def afe_residual(sigma: float, t: float, precision_bits: int = 128,
     chi1s = chi_factor(1 - sigma, -t, precision_bits)
     with mp.workprec(precision_bits):
         s = mp.mpc(sigma, t)
-        S1 = mp.fsum(mp.exp(-s * mp.log(n)) for n in range(1, L + 1))
-        S2 = mp.fsum(mp.exp((s - 1) * mp.log(n)) for n in range(1, L + 1))
+        S1 = _dirichlet_sum(s, 0, L, precision_bits)
+        S2 = _dirichlet_sum(1 - s, 0, L, precision_bits)
         residual = float(abs(z - S1 - chi1s * S2))
         ratio = float(abs(chi1s) / mp.mpf(t) ** (sigma - mp.mpf(1) / 2))
     return AfeReport(sigma=sigma, t=t, L=L, residual=residual,

@@ -8,6 +8,7 @@ rational crossover algebra.
 
 import cmath
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
@@ -104,6 +105,82 @@ def test_expsum_grid_properties():
             assert r.refined_exp > r.hb_exp
         elif r.rho < float(Fraction(240, 31)):
             assert r.refined_exp < r.hb_exp
+
+
+# ------------------------------------------------------------ n^{-s} kernel
+
+def naive_dirichlet(s, lo, hi, bits):
+    """The per-term sum the kernel replaced, one mp.exp per n."""
+    with mp.workprec(bits):
+        s = mp.mpc(s)
+        return mp.fsum(mp.exp(-s * mp.log(n)) for n in range(lo + 1, hi + 1))
+
+
+def kernel_bound(s, lo, hi, bits, value):
+    """The error bound in the docstring of ``zs._dirichlet_sum``."""
+    wp = bits + 2 * hi.bit_length() + 8
+    spread = (hi - lo) * (abs(s) * math.log(hi) / 32 + 6 * math.log2(hi))
+    return 2.0 ** -bits * abs(complex(value)) + spread * 2.0 ** -wp
+
+
+PRIMES = [n for n in range(2, 400) if all(n % d for d in range(2, math.isqrt(n) + 1))]
+RANGES = st.one_of(
+    st.just((0, 1)), st.just((0, 2)),
+    st.sampled_from(PRIMES).map(lambda p: (0, p)),
+    st.integers(0, 10 ** 9).map(lambda lo: (lo, lo + 1)),
+    st.integers(2, 200).flatmap(lambda N: st.tuples(st.just(N), st.integers(N + 1, 2 * N - 1))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(RANGES, st.floats(0, 3), st.floats(-1e6, 1e6), st.sampled_from([53, 128, 192]))
+def test_dirichlet_kernel_within_its_bound(lo_hi, sigma, t, bits):
+    lo, hi = lo_hi
+    s = complex(sigma, t)
+    value = zs._dirichlet_sum(s, lo, hi, bits)
+    exact = naive_dirichlet(s, lo, hi, 2 * bits)
+    # the oracle's own error at 2 bits: one rounding of the sum, and each
+    # term's phase error and rounding
+    slack = 2.0 ** (-2 * bits) * (abs(complex(exact))
+                                  + 8 * (hi - lo) * (abs(s) * math.log(hi) + 1))
+    with mp.workprec(2 * bits):
+        err = float(abs(value - exact))
+    assert err <= kernel_bound(s, lo, hi, bits, value) + slack
+
+
+# the expsum pairs of the golden corpus, at the CLI's default precision
+@pytest.mark.parametrize("N, t", [(256, 1e6), (256, 1e8), (1024, 1e8), (4096, 1e8)])
+def test_exp_sum_float_identical_to_the_naive_sum(N, t):
+    rep = zs.exp_sum(N, 2 * N, t, 192)
+    naive = naive_dirichlet(complex(0, t), N, 2 * N, 192)
+    with mp.workprec(192):
+        assert rep.value == complex(naive)
+        assert rep.modulus == float(abs(naive))
+
+
+def test_dirichlet_kernel_memory_per_entry():
+    # hi // 2 kept entries of two 166-bit ints (48 B each, plus its 8 B list
+    # slot) and 8 B of smallest prime factors: 120 B; 137 B measured
+    hi, PEAK_BYTES_PER_ENTRY = 20000, 160
+    tracemalloc.start()
+    try:
+        zs._dirichlet_sum(complex(0.5, 1000.0), 0, hi, 128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (hi // 2) < PEAK_BYTES_PER_ENTRY
+
+
+def test_short_sum_far_out_keeps_no_table():
+    # fewer than hi / 8 terms: one mp.exp per term and no table of size hi
+    tracemalloc.start()
+    try:
+        value = zs._dirichlet_sum(complex(0, 1e6), 10 ** 12, 10 ** 12 + 3, 128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    exact = naive_dirichlet(complex(0, 1e6), 10 ** 12, 10 ** 12 + 3, 256)
+    assert abs(complex(value) - complex(exact)) < 1e-30
 
 
 # ------------------------------------------------------------------ zeta_em
