@@ -9,6 +9,11 @@ with the gamma_n computed in-repo by Euler-Maclaurin (with a rigorous tail
 bound), so the artifact is self-contained.  Series carry an explicit
 truncation order and operations fail loudly when the order is insufficient.
 
+The contour oracle checks those residues independently, by trapezoid
+quadrature of zeta^k(s) x^s / s on |s - 1| = 1/2.  Its cost floor is one
+cached mp.zeta sweep per (nodes, precision); each call forms the integrand
+from the sweep in fixed-point ints, within a stated error bound.
+
 All series values are immutable after construction; everything here is pure.
 """
 
@@ -21,6 +26,8 @@ from itertools import count, islice
 from typing import Optional
 
 import mpmath as mp
+from mpmath.libmp import (from_int, from_man_exp, mpf_cos_sin, mpf_div, mpf_exp, mpf_log,
+                          mpf_mul, round_nearest, to_fixed)
 
 from .errors import (
     DomainError,
@@ -356,30 +363,58 @@ def eval_main_term(poly: MainTermPoly, x) -> mp.mpf:
 _contour_cache: dict[tuple[int, int], tuple] = {}
 
 CONTOUR_MIN_NODES = 4096  # spectral accuracy long before this for radius 1/2
+# fixed-point guard bits of the integrand over the sweep's precision: 2 * 12
+# for |zeta|^k <= 4^k at k <= 12, and 5 for the per-node constant 16 + L/50 < 2^5
+# (see residue_contour_oracle)
+CONTOUR_GUARD_BITS = 2 * 12 + 5
 
 
 def _contour_zetas(nodes: int, prec: int) -> tuple:
-    """(s_j, zeta(s_j)) at s_j = 1 + e^{2 pi i j / nodes} / 2 for j = 0..nodes//2;
-    the lower half circle holds their conjugates, zeta(conj s) = conj zeta(s)."""
+    """Per node s_j = 1 + e^{2 pi i j / nodes} / 2, j = 0..nodes//2, rounded to
+    ``prec`` bits: the raw mpf parts of s_j - 1, then zeta(s_j) and h_j =
+    (s_j - 1)/s_j as ints scaled by 2^wp, wp = prec + CONTOUR_GUARD_BITS.  The
+    lower half circle holds their conjugates, zeta(conj s) = conj zeta(s).
+
+    zeta(s_j) is floored; h_j = 1 - conj(s)/|s|^2 comes from the floored
+    parts of s_j with one int division (error analysis in
+    ``residue_contour_oracle``).
+    """
     key = (nodes, prec)
     hit = _contour_cache.get(key)
     if hit is not None:
         return hit
+    wp = prec + CONTOUR_GUARD_BITS
+    one = 1 << wp
+    pts = []
     with mp.workprec(prec):
         r = mp.mpf(1) / 2
-        pts = []
         for j in range(nodes // 2 + 1):
             s = 1 + r * mp.expjpi(mp.mpf(2 * j) / nodes)
-            pts.append((s, mp.zeta(s)))
+            z = mp.zeta(s)
+            sr, si = to_fixed(s.real._mpf_, wp), to_fixed(s.imag._mpf_, wp)
+            inv = (one << 2 * wp) // (sr * sr + si * si)  # 2^wp / |s|^2
+            pts.append(((s.real - 1)._mpf_, s.imag._mpf_,
+                        to_fixed(z.real._mpf_, wp), to_fixed(z.imag._mpf_, wp),
+                        one - (sr * inv >> wp), si * inv >> wp))
     out = tuple(pts)
     _contour_cache[key] = out
     return out
 
 
-def _trapezoid(re_vals: list, nodes: int):
-    """(1/nodes) sum_j g(s_j) over the circle, g(conj s) = conj g(s), from Re g
-    at j = 0..nodes//2: each node off the real axis also stands for its conjugate."""
-    return mp.fsum(v if 2 * j % nodes == 0 else 2 * v for j, v in enumerate(re_vals)) / nodes
+def _fixed_pow(re: int, im: int, k: int, wp: int) -> tuple[int, int]:
+    """(re + i im)^k, k >= 1, for ints scaled by 2^wp: binary powering with
+    floor(log2 k) squarings and popcount(k) - 1 products, each floored."""
+    pr = pi = None
+    while True:
+        if k & 1:
+            if pr is None:
+                pr, pi = re, im
+            else:
+                pr, pi = (pr * re - pi * im) >> wp, (pr * im + pi * re) >> wp
+        k >>= 1
+        if not k:
+            return pr, pi
+        re, im = ((re + im) * (re - im)) >> wp, (re * im) >> (wp - 1)
 
 
 def residue_contour_oracle(k: int, precision_bits: int, x_probe: float,
@@ -389,11 +424,49 @@ def residue_contour_oracle(k: int, precision_bits: int, x_probe: float,
     P_{k-1}(log x_probe).
 
     The integrand is analytic in an annulus around the circle, so the
-    trapezoid rule converges spectrally; node doubling is the convergence
-    check.  It is real on the real axis, so only the upper half circle is
-    evaluated.  This path is independent of the series pipeline: library
-    zeta evaluations and quadrature against series arithmetic over in-repo
-    Stieltjes constants.
+    trapezoid rule converges spectrally (Trefethen and Weideman, SIAM Review
+    56, 2014); node doubling is the convergence check.  It is real on the
+    real axis, so only the upper half circle is evaluated.  This path is
+    independent of the series pipeline: library zeta evaluations and
+    quadrature against series arithmetic over in-repo Stieltjes constants.
+
+    With ds = i (s - 1) dtheta the scaled residue is the mean over the circle
+    of t(s) = zeta(s)^k x^{s-1} h(s), h = (s - 1)/s.  The zeta sweep at prec =
+    precision_bits + 32 bits (``_contour_zetas``, cached per (nodes, prec))
+    is the cost floor; each call forms Re t_j in ints scaled by 2^wp, wp =
+    prec + CONTOUR_GUARD_BITS, u = 2^-wp: zeta_j^k by ``_fixed_pow``, x^{s-1}
+    from one mp.exp and one mp.cos_sin of L (s_j - 1), L = log x_probe, at
+    P = wp + 8 bits, and the folded sum is exact.  Per node, with x = x_probe:
+
+    * |zeta| <= |s|/|s-1| + |s|/sigma <= 4 on the circle (Titchmarsh, The
+      Theory of the Riemann Zeta-Function, 2.1: zeta(s) = s/(s-1) -
+      s int_1^inf {v} v^{-s-1} dv for sigma > 0; the bound, 2|s| + |s|/sigma
+      as a function of cos theta, peaks at s = 3/2), |h| <= 1 as |s| >= 1/2,
+      and |x^{s-1}| <= x^{1/2}: every term is at most 4^k x^{1/2};
+    * zeta^k: zeta_j is floored (< sqrt(2) u), and each of the at most
+      2 log2 12 floored products (5 for k <= 12) adds < sqrt(2) u; measured
+      against 4^{m-1} for the m-th power, the errors add, so the computed
+      zeta^k is off by < (k + 5/4) sqrt(2) u 4^{k-1} < 4.7 u 4^k;
+    * x^{s-1}: with mpmath's elementary functions within 4 2^-P, as in
+      ``zetasum._dirichlet_sum``, the log and its rounded products with the
+      parts of s - 1 (each at most 1/2) put both arguments off by
+      < 2.5 L 2^-P < (L/100) u; the exp adds 4 2^-P relative, cos_sin 4 2^-P
+      per part, and flooring u per part: e^{L Re(s-1)} is off by
+      < (L/100 + 1.02) u x^{1/2} and e^{i L Im(s-1)} by < (L/100 + 1.44) u;
+    * h_j: the floored parts of s_j are off by < u, which moves 1 - 1/s by
+      < 4 u, and the division and its two products add < 3 u: < 7 u; its
+      floored product with e^{i L Im(s-1)} adds < sqrt(2) u.
+
+    So each Re t_j is off by < (16 + L/50) u 4^k x^{1/2}, and so is their
+    folded mean, whose weights sum to 2 nodes.  With the final division
+    rounded once, for k <= 12 and any float x_probe (L < 710):
+
+        |oracle - F| <= 2^-prec |F| + (16 + L/50) 4^k x^{1/2} 2^-wp
+                     <= 2^-prec (|F| + x^{1/2}),
+
+    F the exact folded trapezoid sum at the sweep's nodes and zeta values.
+    At the half-circle test's k = 3, x = 100 and 32 bits the second part is
+    < 2^-prec / 50000, far inside its 2^{8-prec} (1 + |full|).
     """
     if not (1 <= k <= 12):
         raise DomainError(f"contour oracle supports 1 <= k <= 12, got {k}")
@@ -402,17 +475,37 @@ def residue_contour_oracle(k: int, precision_bits: int, x_probe: float,
     if not x_probe > 1:
         raise DomainError(f"x_probe must exceed 1, got {x_probe}")
     prec = precision_bits + 32
+    wp = prec + CONTOUR_GUARD_BITS
+    P = wp + 8
     # the n-node set is the even-index subset of the 2n-node set, so one
     # zeta sweep serves both the value and its doubling check
     pts = _contour_zetas(2 * nodes, prec)
     with mp.workprec(prec):
-        logx = mp.log(mp.mpf(x_probe))
-        vals = [mp.re(zs ** k * mp.exp(s * logx) / s * (s - 1)) for s, zs in pts]
-        fine = _trapezoid(vals, 2 * nodes)
-        coarse = _trapezoid(vals[::2], nodes)
-        tol = mp.mpf(2) ** (-(precision_bits // 2)) * (1 + abs(fine))
-        if abs(fine - coarse) > tol:
+        xm = mp.mpf(x_probe)
+    logx = mpf_log(xm._mpf_, P, round_nearest)
+    fine = coarse = 0  # Re t_j scaled by 2^{3 wp}, each conjugate pair folded
+    for j, (a, b, zr, zi, hr, hi) in enumerate(pts):
+        pr, pi = _fixed_pow(zr, zi, k, wp)
+        e = to_fixed(mpf_exp(mpf_mul(logx, a, P, round_nearest), P, round_nearest), wp)
+        c, s = mpf_cos_sin(mpf_mul(logx, b, P, round_nearest), P, round_nearest)
+        c, s = to_fixed(c, wp), to_fixed(s, wp)
+        qr, qi = (hr * c - hi * s) >> wp, (hr * s + hi * c) >> wp
+        t = (pr * qr - pi * qi) * e
+        if j and j != nodes:  # s = 3/2 and s = 1/2 are their own conjugates
+            t *= 2
+        fine += t
+        if not j & 1:
+            coarse += t
+    with mp.workprec(prec):
+        # the int sums are exact, so each mean rounds once
+        fine = mp.mpf(mpf_div(from_man_exp(fine, -3 * wp), from_int(2 * nodes), prec,
+                              round_nearest))
+        coarse = mp.mpf(mpf_div(from_man_exp(coarse, -3 * wp), from_int(nodes), prec,
+                                round_nearest))
+        tol = mp.mpf(2) ** (-(precision_bits // 2)) * (1 + abs(fine * xm))
+        moved = abs(fine - coarse) * xm
+        if moved > tol:
             raise QuadratureError(
                 f"contour oracle did not converge: node doubling moved the "
-                f"residue by {mp.nstr(abs(fine - coarse), 5)}")
-        return fine / mp.mpf(x_probe)
+                f"residue by {mp.nstr(moved, 5)}")
+        return fine

@@ -12,7 +12,7 @@ import mpmath as mp
 import pytest
 
 from divisorlab import laurent as la
-from divisorlab.errors import DomainError, InsufficientOrderError
+from divisorlab.errors import DomainError, InsufficientOrderError, QuadratureError
 
 BITS = 256
 
@@ -361,6 +361,59 @@ def test_contour_oracle_half_circle(monkeypatch):
             total += mp.zeta(s) ** k * mp.exp(s * logx) / s * (s - 1)
         full = mp.re(total / (2 * N)) / x
         assert abs(got - full) <= mp.mpf(2) ** (8 - prec) * (1 + abs(full))
+
+
+def _reference_trapezoid(k, bits, x, nodes):
+    """The oracle's folded trapezoid sum over its cached sweep, with the
+    integrand formed in mpc at twice the working precision from the same
+    nodes and the same floored zeta values."""
+    prec = bits + 32
+    wp = prec + la.CONTOUR_GUARD_BITS
+    with mp.workprec(2 * prec):
+        L = mp.log(x)
+        total = mp.mpf(0)
+        for j, (a, b, zr, zi, _, _) in enumerate(la._contour_zetas(2 * nodes, prec)):
+            s1 = mp.mpc(mp.mpf(a), mp.mpf(b))  # s - 1
+            z = mp.mpc(mp.mpf((zr, -wp)), mp.mpf((zi, -wp)))
+            t = mp.re(z ** k * mp.exp(L * s1) * s1 / (1 + s1))
+            total += t if j in (0, nodes) else 2 * t
+        return total / (2 * nodes)
+
+
+# every k and every x_probe at both precisions, on two sweeps: the 32-bit
+# one the large-x pins share, and a 64-bit one with an odd node count, whose
+# coarse half of the fold has no node at s = 1/2
+CONTOUR_REFERENCE_CASES = (
+    [(32, 4096, k, x) for k, x in ((1, 1.0001), (2, 100.0), (7, 1e4), (12, 1e16))]
+    + [(64, 4097, k, x) for k, x in ((1, 1e16), (2, 1e4), (7, 100.0), (12, 1.0001))])
+
+
+@pytest.mark.parametrize("bits,nodes,k,x", CONTOUR_REFERENCE_CASES)
+def test_contour_oracle_integrand_bound(bits, nodes, k, x):
+    # the documented bound of the int integrand: |oracle - F| <= 2^-prec |F|
+    # + (16 + L/50) 4^k x^{1/2} 2^-wp <= 2^-prec (|F| + x^{1/2})
+    got = la.residue_contour_oracle(k, bits, x, nodes=nodes)
+    ref = _reference_trapezoid(k, bits, x, nodes)
+    prec = bits + 32
+    with mp.workprec(2 * prec):
+        bound = (abs(ref) * mp.mpf(2) ** -prec + (16 + math.log(x) / 50) * 4 ** k
+                 * mp.sqrt(x) * mp.mpf(2) ** -(prec + la.CONTOUR_GUARD_BITS))
+        assert abs(got - ref) <= bound
+        assert bound <= (abs(ref) + mp.sqrt(x)) * mp.mpf(2) ** -prec
+
+
+def test_contour_oracle_large_x():
+    # at 1e30 the oracle still meets the series (1.4e-14 relative before the
+    # int integrand); at 1e60 4096 nodes cannot resolve x^s and node doubling
+    # must say so rather than return a value
+    poly = la.main_term_poly(12, 64)
+    with mp.workprec(96):
+        direct = la.eval_main_term(poly, 1e30) / mp.mpf(1e30)
+    got = la.residue_contour_oracle(12, 32, 1e30)
+    with mp.workprec(96):
+        assert abs(got - direct) <= abs(direct) * mp.mpf(2) ** -32
+    with pytest.raises(QuadratureError, match="node doubling moved the residue by"):
+        la.residue_contour_oracle(12, 32, 1e60)
 
 
 def test_contour_oracle_domain():

@@ -18,6 +18,10 @@ machine facts, every run, and per metric each side's median and quartiles
 neither side), whether the median gap exceeds the parent's interquartile
 range, and whether the change is worse than the parent beyond the bound in
 BENCHMARK.json; plus the ``src/`` line count of each tree.
+
+The exit status is 1, with the sets named on standard error, when any run of
+any set is incorrect or has failed operations; every set is still run and
+recorded.
 """
 
 from __future__ import annotations
@@ -149,6 +153,11 @@ def main(argv=None) -> int:
                 "metrics": metrics}
             path.write_text(json.dumps(out, indent=1) + "\n")  # after every set
             print(f"wrote {path}", flush=True)
+    bad = [name for name, s in out["sets"].items()
+           if not s["all_correct"] or any(s["ops_failed"].values())]
+    if bad:
+        print(f"incorrect outputs or failed operations in: {'; '.join(bad)}", file=sys.stderr)
+        return 1
     return 0
 
 
