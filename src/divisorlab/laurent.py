@@ -371,14 +371,11 @@ CONTOUR_GUARD_BITS = 2 * 12 + 5
 
 def _contour_zetas(nodes: int, prec: int) -> tuple:
     """Per node s_j = 1 + e^{2 pi i j / nodes} / 2, j = 0..nodes//2, rounded to
-    ``prec`` bits: the raw mpf parts of s_j - 1, then zeta(s_j) and h_j =
-    (s_j - 1)/s_j as ints scaled by 2^wp, wp = prec + CONTOUR_GUARD_BITS.  The
-    lower half circle holds their conjugates, zeta(conj s) = conj zeta(s).
-
-    zeta(s_j) is floored; h_j = 1 - conj(s)/|s|^2 comes from the floored
-    parts of s_j with one int division (error analysis in
-    ``residue_contour_oracle``).
-    """
+    ``prec`` bits: the raw mpf parts of s_j - 1, then zeta(s_j), floored, and
+    h_j = (s_j - 1)/s_j = 1 - conj(s_j)/|s_j|^2 from the floored parts of s_j
+    with one int division, both as ints scaled by 2^wp, wp = prec +
+    CONTOUR_GUARD_BITS.  The lower half circle holds their conjugates,
+    zeta(conj s) = conj zeta(s).  This sweep is the oracle's only mp.zeta call."""
     key = (nodes, prec)
     hit = _contour_cache.get(key)
     if hit is not None:
@@ -402,19 +399,16 @@ def _contour_zetas(nodes: int, prec: int) -> tuple:
 
 
 def _fixed_pow(re: int, im: int, k: int, wp: int) -> tuple[int, int]:
-    """(re + i im)^k, k >= 1, for ints scaled by 2^wp: binary powering with
-    floor(log2 k) squarings and popcount(k) - 1 products, each floored."""
-    pr = pi = None
-    while True:
+    """(re + i im)^k for ints scaled by 2^wp, by binary powering: floor(log2 k)
+    squarings and popcount(k) - 1 products floored, and one exact product by 1."""
+    pr, pi = 1 << wp, 0
+    while k:
         if k & 1:
-            if pr is None:
-                pr, pi = re, im
-            else:
-                pr, pi = (pr * re - pi * im) >> wp, (pr * im + pi * re) >> wp
+            pr, pi = (pr * re - pi * im) >> wp, (pr * im + pi * re) >> wp
         k >>= 1
-        if not k:
-            return pr, pi
-        re, im = ((re + im) * (re - im)) >> wp, (re * im) >> (wp - 1)
+        if k:
+            re, im = ((re + im) * (re - im)) >> wp, (re * im) >> (wp - 1)
+    return pr, pi
 
 
 def residue_contour_oracle(k: int, precision_bits: int, x_probe: float,
