@@ -441,8 +441,8 @@ def residue_contour_oracle(k: int, precision_bits: int, x_probe: float,
       2 log2 12 floored products (5 for k <= 12) adds < sqrt(2) u; measured
       against 4^{m-1} for the m-th power, the errors add, so the computed
       zeta^k is off by < (k + 5/4) sqrt(2) u 4^{k-1} < 4.7 u 4^k;
-    * x^{s-1}: with mpmath's elementary functions within 4 2^-P, as in
-      ``zetasum._dirichlet_sum``, the log and its rounded products with the
+    * x^{s-1}: with mpmath's elementary functions within 4 2^-P, as in the
+      n^{-s} kernel of ``zetasum``, the log and its rounded products with the
       parts of s - 1 (each at most 1/2) put both arguments off by
       < 2.5 L 2^-P < (L/100) u; the exp adds 4 2^-P relative, cos_sin 4 2^-P
       per part, and flooring u per part: e^{L Re(s-1)} is off by

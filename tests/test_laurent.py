@@ -403,9 +403,9 @@ def test_contour_oracle_integrand_bound(bits, nodes, k, x):
 
 
 def test_contour_oracle_large_x():
-    # at 1e30 the oracle still meets the series (1.4e-14 relative before the
-    # int integrand); at 1e60 4096 nodes cannot resolve x^s and node doubling
-    # must say so rather than return a value
+    # at 1e30 the oracle still meets the series (to about 1e-14, the floor of
+    # the 64-bit sweep); at 1e60 4096 nodes cannot resolve x^s and node
+    # doubling must say so rather than return a value
     poly = la.main_term_poly(12, 64)
     with mp.workprec(96):
         direct = la.eval_main_term(poly, 1e30) / mp.mpf(1e30)
