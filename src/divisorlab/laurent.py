@@ -468,6 +468,8 @@ def residue_contour_oracle(k: int, precision_bits: int, x_probe: float,
         raise DomainError(f"need at least {CONTOUR_MIN_NODES} nodes, got {nodes}")
     if not x_probe > 1:
         raise DomainError(f"x_probe must exceed 1, got {x_probe}")
+    if mp.isinf(x_probe):
+        raise DomainError(f"x_probe must be finite, got {x_probe}")
     prec = precision_bits + 32
     wp = prec + CONTOUR_GUARD_BITS
     P = wp + 8

@@ -421,3 +421,5 @@ def test_contour_oracle_domain():
         la.residue_contour_oracle(13, 128, 100)
     with pytest.raises(DomainError):
         la.residue_contour_oracle(2, 128, 100, nodes=512)
+    with pytest.raises(DomainError, match="finite"):
+        la.residue_contour_oracle(2, 128, float("inf"))
