@@ -157,11 +157,14 @@ def _parse_grid(spec: str, half_odd: bool) -> list[float]:
     return [x for x in xs if x > 1]
 
 
-def _parse_list(spec: str, cast):
+def _parse_list(spec: str, cast, flag: str) -> list:
     try:
-        return [cast(tok) for tok in spec.split(",") if tok.strip()]
+        values = [cast(tok) for tok in spec.split(",") if tok.strip()]
     except ValueError as e:
         raise ConfigError(f"bad list {spec!r}: {e}") from e
+    if not values:
+        raise ConfigError(f"{flag} needs at least one value")
+    return values
 
 
 # ---------------------------------------------------------------- commands
@@ -212,7 +215,7 @@ def cmd_bounds(cfg: RunConfig, args) -> tuple[list[dict], dict]:
     params = exponents.ExponentParams(
         B=args.B if args.B is not None else float(exponents.heath_brown_B()),
         theta=args.theta, eps0=args.eps0)
-    ks = _parse_list(args.k_list, int) if args.k_list else [args.k]
+    ks = _parse_list(args.k_list, int, "--k-list") if args.k_list else [args.k]
     rows = []
     for k in ks:
         for which, fn in (("alpha", exponents.alpha_bound),
@@ -229,9 +232,7 @@ def cmd_bounds(cfg: RunConfig, args) -> tuple[list[dict], dict]:
 
 
 def cmd_sieve(cfg: RunConfig, args) -> tuple[list[dict], dict]:
-    xs = sorted(set(_parse_list(args.x_list, int)))
-    if not xs:
-        raise ConfigError("--x-list needs at least one value")
+    xs = sorted(set(_parse_list(args.x_list, int, "--x-list")))
     from . import sieve
     series = sieve.dk_partial_sums(args.k, xs[-1], xs)
     return [{"k": args.k, "x": x, "D": D} for x, D in series.checkpoints], {}
@@ -302,8 +303,8 @@ def cmd_expsum(cfg: RunConfig, args) -> tuple[list[dict], dict]:
     if args.N_list:
         if args.t_list is None:
             raise ConfigError("expsum --N-list needs --t-list")
-        reports = zetasum.expsum_bound_grid(_parse_list(args.N_list, int),
-                                            _parse_list(args.t_list, float),
+        reports = zetasum.expsum_bound_grid(_parse_list(args.N_list, int, "--N-list"),
+                                            _parse_list(args.t_list, float, "--t-list"),
                                             cfg.precision_bits)
     else:
         if args.N is None or args.t is None:

@@ -11,8 +11,9 @@ truncation order and operations fail loudly when the order is insufficient.
 
 The contour oracle checks those residues independently, by trapezoid
 quadrature of zeta^k(s) x^s / s on |s - 1| = 1/2.  Its cost floor is one
-cached mp.zeta sweep per (nodes, precision); each call forms the integrand
-from the sweep in fixed-point ints, within a stated error bound.
+cached mp.zeta sweep per (nodes, precision), split over the usable CPUs;
+each call forms the integrand from the sweep in fixed-point ints, within a
+stated error bound.
 
 All series values are immutable after construction; everything here is pure.
 """
@@ -20,6 +21,7 @@ All series values are immutable after construction; everything here is pure.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
@@ -369,30 +371,54 @@ CONTOUR_MIN_NODES = 4096  # spectral accuracy long before this for radius 1/2
 CONTOUR_GUARD_BITS = 2 * 12 + 5
 
 
+def _contour_part(nodes: int, prec: int, start: int, step: int) -> list:
+    """Sweep rows for j = start, start + step, ... <= nodes//2 (see
+    ``_contour_zetas``); top level, so a pool worker can run it."""
+    wp = prec + CONTOUR_GUARD_BITS
+    one = 1 << wp
+    rows = []
+    with mp.workprec(prec):
+        r = mp.mpf(1) / 2
+        for j in range(start, nodes // 2 + 1, step):
+            s = 1 + r * mp.expjpi(mp.mpf(2 * j) / nodes)
+            z = mp.zeta(s)
+            sr, si = to_fixed(s.real._mpf_, wp), to_fixed(s.imag._mpf_, wp)
+            inv = (one << 2 * wp) // (sr * sr + si * si)  # 2^wp / |s|^2
+            rows.append(((s.real - 1)._mpf_, s.imag._mpf_,
+                         to_fixed(z.real._mpf_, wp), to_fixed(z.imag._mpf_, wp),
+                         one - (sr * inv >> wp), si * inv >> wp))
+    return rows
+
+
 def _contour_zetas(nodes: int, prec: int) -> tuple:
     """Per node s_j = 1 + e^{2 pi i j / nodes} / 2, j = 0..nodes//2, rounded to
     ``prec`` bits: the raw mpf parts of s_j - 1, then zeta(s_j), floored, and
     h_j = (s_j - 1)/s_j = 1 - conj(s_j)/|s_j|^2 from the floored parts of s_j
     with one int division, both as ints scaled by 2^wp, wp = prec +
     CONTOUR_GUARD_BITS.  The lower half circle holds their conjugates,
-    zeta(conj s) = conj zeta(s).  This sweep is the oracle's only mp.zeta call."""
+    zeta(conj s) = conj zeta(s).  This sweep is the oracle's only mp.zeta call
+    and its cost floor; it is split over up to 8 usable CPUs, worker w taking
+    the nodes j = w mod (workers), in a fork-context pool that is joined
+    before it returns.  Every node is computed as in one process, so the
+    tuple is the same for any number of workers."""
     key = (nodes, prec)
     hit = _contour_cache.get(key)
     if hit is not None:
         return hit
-    wp = prec + CONTOUR_GUARD_BITS
-    one = 1 << wp
-    pts = []
-    with mp.workprec(prec):
-        r = mp.mpf(1) / 2
-        for j in range(nodes // 2 + 1):
-            s = 1 + r * mp.expjpi(mp.mpf(2 * j) / nodes)
-            z = mp.zeta(s)
-            sr, si = to_fixed(s.real._mpf_, wp), to_fixed(s.imag._mpf_, wp)
-            inv = (one << 2 * wp) // (sr * sr + si * si)  # 2^wp / |s|^2
-            pts.append(((s.real - 1)._mpf_, s.imag._mpf_,
-                        to_fixed(z.real._mpf_, wp), to_fixed(z.imag._mpf_, wp),
-                        one - (sr * inv >> wp), si * inv >> wp))
+    import multiprocessing  # here, not at the top: remainder imports laurent
+    from concurrent.futures import ProcessPoolExecutor
+
+    n = nodes // 2 + 1
+    w = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1, 8, n)
+    if (w > 1 and "fork" in multiprocessing.get_all_start_methods()
+            and not multiprocessing.current_process().daemon):
+        with ProcessPoolExecutor(w, mp_context=multiprocessing.get_context("fork")) as pool:
+            parts = list(pool.map(_contour_part, [nodes] * w, [prec] * w, range(w), [w] * w))
+    else:
+        parts = [_contour_part(nodes, prec, 0, 1)]
+    pts = [None] * n
+    for start, part in enumerate(parts):
+        pts[start::len(parts)] = part
     out = tuple(pts)
     _contour_cache[key] = out
     return out

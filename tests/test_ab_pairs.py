@@ -1,12 +1,14 @@
 """tools/ab_pairs.py: its exit status reports incorrect outputs and failed
-operations.  The git export and the benchmark runs are stubbed, so no
-benchmark runs here."""
+operations, and SIGTERM leaves no export behind.  The git export and the
+benchmark runs are stubbed, so no benchmark runs here."""
 
 from __future__ import annotations
 
 import importlib.util
 import json
+import os
 import shutil
+import signal
 from pathlib import Path
 
 import pytest
@@ -66,3 +68,25 @@ def test_ab_pairs_exits_1_and_names_the_set(ab_pairs, monkeypatch, capsys, bad):
     # every set is still recorded
     out = json.loads(Path("BENCH_0.json").read_text())
     assert len(out["sets"]) == 2
+
+
+def test_ab_pairs_sigterm_removes_the_exports(ab_pairs, monkeypatch):
+    trees = []
+
+    def run_once(tree, workload, seed, seconds, trace):
+        trees.append(tree)
+        assert tree.is_dir()
+        os.kill(os.getpid(), signal.SIGTERM)
+        raise AssertionError("SIGTERM did not stop the run")
+    monkeypatch.setattr(ab_pairs, "run_once", run_once)
+    def default(signum, frame):  # stands in for termination, so pytest survives
+        raise RuntimeError("ab_pairs installed no SIGTERM handler")
+    previous = signal.signal(signal.SIGTERM, default)
+    try:
+        with pytest.raises(SystemExit) as exc:
+            ab_pairs.main(ARGS)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    assert exc.value.code == 128 + signal.SIGTERM
+    assert len(trees) == 1
+    assert not trees[0].parent.exists()

@@ -236,6 +236,19 @@ def test_malformed_input_exits_2_with_message(argv, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["sieve", "--k", "2", "--x-list", ","], "--x-list"),
+    (["bounds", "--k-list", ","], "--k-list"),
+    (["expsum", "--N-list", ",", "--t-list", "1e6"], "--N-list"),
+    (["expsum", "--N-list", "16", "--t-list", ","], "--t-list"),
+])
+def test_empty_list_exits_2_naming_the_flag(argv, flag, capsys):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"{flag} needs at least one value" in captured.err
+    assert captured.out == ""
+
+
 def test_grid_size_cap(capsys):
     assert cli.main(["delta", "--k", "2", "--grid", "10:20:1000000000000"]) == 2
     assert f"cap of {cli.GRID_POINTS_CAP}" in capsys.readouterr().err

@@ -6,6 +6,7 @@ independent route the main-term pipeline is checked against).
 """
 
 import math
+import multiprocessing
 from fractions import Fraction
 
 import mpmath as mp
@@ -337,19 +338,21 @@ def test_contour_oracle_agreement():
 
 def test_contour_oracle_half_circle(monkeypatch):
     # one sweep of 2N nodes evaluates zeta at the N + 1 nodes of the upper
-    # half circle only, and the folded sum equals the full-circle trapezoid
+    # half circle only, and the folded sum equals the full-circle trapezoid;
+    # the count sits in shared memory, as the sweep's pool workers call zeta
     k, bits, x, N = 3, 32, 100.0, la.CONTOUR_MIN_NODES
-    calls = []
+    calls = multiprocessing.Value("q", 0)
     zeta = mp.zeta
 
     def counted(s, *args, **kw):
-        calls.append(s)
+        with calls.get_lock():
+            calls.value += 1
         return zeta(s, *args, **kw)
 
     monkeypatch.setattr(la, "_contour_cache", {})
     monkeypatch.setattr(mp, "zeta", counted)
     got = la.residue_contour_oracle(k, bits, x, nodes=N)
-    assert len(calls) == N + 1
+    assert calls.value == N + 1
     monkeypatch.setattr(mp, "zeta", zeta)
 
     prec = bits + 32
@@ -414,6 +417,30 @@ def test_contour_oracle_large_x():
         assert abs(got - direct) <= abs(direct) * mp.mpf(2) ** -32
     with pytest.raises(QuadratureError, match="node doubling moved the residue by"):
         la.residue_contour_oracle(12, 32, 1e60)
+
+
+@pytest.mark.parametrize("cpus", [1, 3, 16])
+def test_contour_sweep_any_worker_count(monkeypatch, cpus):
+    # 26 nodes give 14 rows: three workers take 5, 5 and 4 of them, sixteen
+    # CPUs still make 8 workers; the interleaved tuple is the serial one
+    monkeypatch.setattr(la, "_contour_cache", {})
+    monkeypatch.setattr(la.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    for prec in (64, 128):
+        assert la._contour_zetas(26, prec) == tuple(la._contour_part(26, prec, 0, 1))
+    assert multiprocessing.active_children() == []
+
+
+def test_contour_oracle_leaves_no_worker(monkeypatch):
+    # a cold sweep runs in a pool of three workers here, whatever the host's
+    # CPUs; each is joined before the oracle returns
+    monkeypatch.setattr(la, "_contour_cache", {})
+    monkeypatch.setattr(la, "CONTOUR_MIN_NODES", 64)
+    monkeypatch.setattr(la.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    got = la.residue_contour_oracle(2, 32, 100.0, nodes=64)
+    assert multiprocessing.active_children() == []
+    assert len(la._contour_cache[(128, 64)]) == 65
+    with mp.workprec(64):
+        assert abs(got - la.eval_main_term(la.main_term_poly(2, 64), 100) / 100) < 1e-8
 
 
 def test_contour_oracle_domain():

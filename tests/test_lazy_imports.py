@@ -26,6 +26,13 @@ def test_importing_the_cli_loads_no_numpy():
     assert fresh("import sys, divisorlab.cli; print('numpy' in sys.modules)") == "False"
 
 
+def test_importing_remainder_loads_no_process_pool():
+    # the contour sweep imports them when it runs; remainder imports laurent
+    assert fresh("import sys, divisorlab.remainder; "
+                 "print('concurrent.futures' in sys.modules, 'multiprocessing' in sys.modules)") \
+        == "False False"
+
+
 @pytest.mark.parametrize("argv, loads_numpy", [
     (["constants"], False),
     (["theta-opt"], False),

@@ -21,13 +21,15 @@ BENCHMARK.json; plus the ``src/`` line count of each tree.
 
 The exit status is 1, with the sets named on standard error, when any run of
 any set is incorrect or has failed operations; every set is still run and
-recorded.
+recorded.  SIGTERM exits as an exception would: the running benchmark is
+killed and the temporary directory removed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import signal
 import statistics
 import subprocess
 import sys
@@ -102,6 +104,10 @@ def parse_set(text: str) -> tuple[str, int, int, int]:
     return parts[0], int(parts[1]), int(parts[2]), trace
 
 
+def _terminate(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="parent revision")
@@ -110,6 +116,7 @@ def main(argv=None) -> int:
     ap.add_argument("--set", dest="sets", type=parse_set, action="append", required=True,
                     metavar="WORKLOAD:SEED:PAIRS[:TRACE]")
     args = ap.parse_args(argv)
+    signal.signal(signal.SIGTERM, _terminate)
     bench = json.loads(Path("BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
     bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
