@@ -397,10 +397,13 @@ def _contour_zetas(nodes: int, prec: int) -> tuple:
     with one int division, both as ints scaled by 2^wp, wp = prec +
     CONTOUR_GUARD_BITS.  The lower half circle holds their conjugates,
     zeta(conj s) = conj zeta(s).  This sweep is the oracle's only mp.zeta call
-    and its cost floor; it is split over up to 8 usable CPUs, worker w taking
-    the nodes j = w mod (workers), in a fork-context pool that is joined
-    before it returns.  Every node is computed as in one process, so the
-    tuple is the same for any number of workers."""
+    and its cost floor, so it is split over w = min(usable CPUs, 8) processes
+    of a fork-context pool, worker i taking the nodes j = i mod w, and the
+    pool is joined before it returns.  Each node is computed as in one
+    process, so the tuple is the same for every w.  With one CPU, no fork, or
+    a daemonic caller (which may not start processes) the one worker runs
+    in-process.  fork, unlike spawn and forkserver, starts no helper process
+    that outlives the call."""
     key = (nodes, prec)
     hit = _contour_cache.get(key)
     if hit is not None:
@@ -409,7 +412,8 @@ def _contour_zetas(nodes: int, prec: int) -> tuple:
     from concurrent.futures import ProcessPoolExecutor
 
     n = nodes // 2 + 1
-    w = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1, 8, n)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    w = min(cpus, 8, n)
     if (w > 1 and "fork" in multiprocessing.get_all_start_methods()
             and not multiprocessing.current_process().daemon):
         with ProcessPoolExecutor(w, mp_context=multiprocessing.get_context("fork")) as pool:
