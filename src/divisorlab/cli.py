@@ -9,7 +9,7 @@ rho orientation, AFE length mode, rounding directions), and no timestamps,
 so reruns are byte-identical.  Every file written (output, plot series)
 is written atomically (temp file, then rename); a file that cannot be
 written exits 2 and leaves no temp file.  No state carries from one run to
-the next: ``--cache-dir`` is accepted and ignored.
+the next.
 
 Exit codes: 0 success, 2 precondition violation, 3 numeric self-check failure.
 """
@@ -24,7 +24,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import mpmath as mp
 
@@ -44,14 +43,9 @@ CONVENTIONS = {
     "rounding": "karatsuba_down_exponents_up_thresholds_up",
 }
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    params: dict
-    precision_bits: int
-    output_format: str
-    output_path: str | None
+# parsed options that are not inputs of the computation: the metadata's
+# params record every other option that has a value
+NON_INPUT_KEYS = ("command", "output_format", "output_path", "precision_bits", "config")
 
 
 # ------------------------------------------------------------ file helpers
@@ -86,18 +80,19 @@ def _fmt(v) -> str:
     return repr(v) if isinstance(v, float) else str(v)
 
 
-def emit(cfg: RunConfig, rows: list[dict], conventions: dict) -> str:
-    """Render rows in the configured format and write/print them."""
+def emit(args, rows: list[dict], conventions: dict) -> str:
+    """Render rows in the format ``args`` asks for and write/print them."""
     meta = {
         "tool": "divisorlab",
         "version": __version__,
-        "command": cfg.command,
-        "format": cfg.output_format,
-        "precision_bits": cfg.precision_bits,
-        "params": {k: str(v) for k, v in sorted(cfg.params.items())},
+        "command": args.command,
+        "format": args.output_format,
+        "precision_bits": args.precision_bits,
+        "params": {k: str(v) for k, v in sorted(vars(args).items())
+                   if k not in NON_INPUT_KEYS and v is not None},
         "conventions": dict(sorted({**CONVENTIONS, **conventions}.items())),
     }
-    if cfg.output_format == "json":
+    if args.output_format == "json":
         payload = {"metadata": meta,
                    "rows": [{k: _jsonable(v) for k, v in r.items()} for r in rows]}
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -117,8 +112,8 @@ def emit(cfg: RunConfig, rows: list[dict], conventions: dict) -> str:
             for r in rows:
                 writer.writerow([_fmt(r.get(c)) for c in cols])
         text = "\n".join(lines) + "\n" + body.getvalue()
-    if cfg.output_path:
-        _atomic_write(cfg.output_path, text)
+    if args.output_path:
+        _atomic_write(args.output_path, text)
     else:
         sys.stdout.write(text)
     return text
@@ -169,8 +164,13 @@ def _parse_list(spec: str, cast, flag: str) -> list:
 
 # ---------------------------------------------------------------- commands
 
-def cmd_constants(cfg: RunConfig, args) -> tuple[list[dict], dict]:
-    B = args.B if args.B is not None else float(exponents.heath_brown_B())
+def _B(args) -> float:
+    """``--B``, or the default B of ``exponents.ExponentParams``."""
+    return exponents.ExponentParams.B if args.B is None else args.B
+
+
+def cmd_constants(args) -> tuple[list[dict], dict]:
+    B = _B(args)
     opt = exponents.optimize_theta(B)
     table = exponents.historical_table(args.B_richert, B)
     route = {rep.name: rep for rep in table}
@@ -203,18 +203,16 @@ def cmd_constants(cfg: RunConfig, args) -> tuple[list[dict], dict]:
     return rows, {}
 
 
-def cmd_theta_opt(cfg: RunConfig, args) -> tuple[list[dict], dict]:
-    B = args.B if args.B is not None else float(exponents.heath_brown_B())
+def cmd_theta_opt(args) -> tuple[list[dict], dict]:
+    B = _B(args)
     opt = exponents.optimize_theta(B)
     return [{"B": B, "theta_star": opt.theta_star, "k1_star": opt.k1_star,
              "k0_star": opt.k0_star, "bracket_lo": opt.bracket[0],
              "bracket_hi": opt.bracket[1]}], {}
 
 
-def cmd_bounds(cfg: RunConfig, args) -> tuple[list[dict], dict]:
-    params = exponents.ExponentParams(
-        B=args.B if args.B is not None else float(exponents.heath_brown_B()),
-        theta=args.theta, eps0=args.eps0)
+def cmd_bounds(args) -> tuple[list[dict], dict]:
+    params = exponents.ExponentParams(B=_B(args), theta=args.theta, eps0=args.eps0)
     ks = _parse_list(args.k_list, int, "--k-list") if args.k_list else [args.k]
     rows = []
     for k in ks:
@@ -231,7 +229,7 @@ def cmd_bounds(cfg: RunConfig, args) -> tuple[list[dict], dict]:
     return rows, {}
 
 
-def cmd_sieve(cfg: RunConfig, args) -> tuple[list[dict], dict]:
+def cmd_sieve(args) -> tuple[list[dict], dict]:
     xs = sorted(set(_parse_list(args.x_list, int, "--x-list")))
     from . import sieve
     series = sieve.dk_partial_sums(args.k, xs[-1], xs)
@@ -245,7 +243,7 @@ def _delta_rows(k: int, xs: list[float], bits: int) -> list[dict]:
         row = {"k": k, "x": s.x, "D": s.D, "main": float(s.main),
                "delta": s.delta, "half_odd": s.half_odd}
         if k >= 2:
-            env = remainder.envelopes(k, s.x, C_tong=5.0)
+            env = remainder.envelopes(k, s.x)
             row.update({"conjecture": env.conjecture,
                         "omega_lower": env.omega_lower,
                         "thm1_upper": env.thm1_upper,
@@ -254,14 +252,14 @@ def _delta_rows(k: int, xs: list[float], bits: int) -> list[dict]:
     return rows
 
 
-def cmd_delta(cfg: RunConfig, args) -> tuple[list[dict], dict]:
+def cmd_delta(args) -> tuple[list[dict], dict]:
     if args.grid:
         xs = _parse_grid(args.grid, not args.integer_x)
     else:
         if args.x is None:
             raise ConfigError("delta needs --x or --grid")
         xs = [args.x]
-    rows = _delta_rows(args.k, xs, cfg.precision_bits)
+    rows = _delta_rows(args.k, xs, args.precision_bits)
     if args.plot_dir:
         curves = ("delta", "conjecture", "tong_window") if args.k >= 2 else ("delta",)
         for col in curves:
@@ -271,10 +269,10 @@ def cmd_delta(cfg: RunConfig, args) -> tuple[list[dict], dict]:
     return rows, {"abscissa_sampling": mode}
 
 
-def cmd_fit(cfg: RunConfig, args) -> tuple[list[dict], dict]:
+def cmd_fit(args) -> tuple[list[dict], dict]:
     from . import remainder
     xs = _parse_grid(args.grid, not args.integer_x)
-    samples = remainder.delta_scan(args.k, xs, cfg.precision_bits)
+    samples = remainder.delta_scan(args.k, xs, args.precision_bits)
     slope, err = remainder.fit_exponent(samples, args.drop_below)
     return ([{"k": args.k, "n_samples": len(samples), "slope": slope,
               "stderr": err,
@@ -282,35 +280,35 @@ def cmd_fit(cfg: RunConfig, args) -> tuple[list[dict], dict]:
             {"abscissa_sampling": "integer" if args.integer_x else "half_odd"})
 
 
-def cmd_signs(cfg: RunConfig, args) -> tuple[list[dict], dict]:
+def cmd_signs(args) -> tuple[list[dict], dict]:
     from . import remainder
     rows = [{"k": args.k, "window_start": w, "change_location": loc,
              "C": args.C}
             for w, loc in remainder.sign_change_scan(args.k, args.X0, args.X1,
-                                                     args.C, cfg.precision_bits)]
+                                                     args.C, args.precision_bits)]
     return rows, {"abscissa_sampling": "half_odd"}
 
 
-def cmd_meansquare(cfg: RunConfig, args) -> tuple[list[dict], dict]:
+def cmd_meansquare(args) -> tuple[list[dict], dict]:
     from . import remainder
     value = remainder.mean_square(args.k, args.x, args.panels,
-                                  precision_bits=cfg.precision_bits)
+                                  precision_bits=args.precision_bits)
     return [{"k": args.k, "x": args.x, "panels_per_unit": args.panels,
              "mean_square": value}], {}
 
 
-def cmd_expsum(cfg: RunConfig, args) -> tuple[list[dict], dict]:
+def cmd_expsum(args) -> tuple[list[dict], dict]:
     if args.N_list:
         if args.t_list is None:
             raise ConfigError("expsum --N-list needs --t-list")
         reports = zetasum.expsum_bound_grid(_parse_list(args.N_list, int, "--N-list"),
                                             _parse_list(args.t_list, float, "--t-list"),
-                                            cfg.precision_bits)
+                                            args.precision_bits)
     else:
         if args.N is None or args.t is None:
             raise ConfigError("expsum needs --N and --t, or --N-list and --t-list")
         Np = args.N_prime if args.N_prime is not None else 2 * args.N
-        reports = [zetasum.exp_sum(args.N, Np, args.t, cfg.precision_bits)]
+        reports = [zetasum.exp_sum(args.N, Np, args.t, args.precision_bits)]
     rows = [{"N": r.N, "N_prime": r.N_prime, "t": r.t,
              "value_re": r.value.real, "value_im": r.value.imag,
              "modulus": r.modulus, "rho": r.rho, "refined_exp": r.refined_exp,
@@ -326,18 +324,18 @@ def cmd_expsum(cfg: RunConfig, args) -> tuple[list[dict], dict]:
     return rows, {}
 
 
-def cmd_zeta(cfg: RunConfig, args) -> tuple[list[dict], dict]:
+def cmd_zeta(args) -> tuple[list[dict], dict]:
     row = {"sigma": args.sigma, "t": args.t}
-    z = zetasum.zeta_em(args.sigma, args.t, cfg.precision_bits)
+    z = zetasum.zeta_em(args.sigma, args.t, args.precision_bits)
     row.update({"zeta_re": float(mp.re(z)), "zeta_im": float(mp.im(z)),
                 "zeta_abs": float(abs(z))})
     if args.chi:
-        c = zetasum.chi_factor(args.sigma, args.t, cfg.precision_bits)
+        c = zetasum.chi_factor(args.sigma, args.t, args.precision_bits)
         row.update({"chi_re": float(mp.re(c)), "chi_im": float(mp.im(c)),
                     "chi_abs": float(abs(c))})
     conventions = {}
     if args.afe:
-        rep = zetasum.afe_residual(args.sigma, args.t, cfg.precision_bits,
+        rep = zetasum.afe_residual(args.sigma, args.t, args.precision_bits,
                                    args.afe_length)
         row.update({"afe_residual": rep.residual, "afe_L": rep.L,
                     "afe_chi_ratio": rep.chi_ratio})
@@ -345,18 +343,18 @@ def cmd_zeta(cfg: RunConfig, args) -> tuple[list[dict], dict]:
     return [row], conventions
 
 
-def cmd_moment(cfg: RunConfig, args) -> tuple[list[dict], dict]:
+def cmd_moment(args) -> tuple[list[dict], dict]:
     est = zetasum.moment_integral(args.k, args.sigma, args.T, args.panels)
     return [{"k": est.k, "sigma": est.sigma, "T": est.T,
              "integral": est.integral, "normalized": est.normalized,
              "mu_slope": est.mu_slope}], {}
 
 
-def cmd_report(cfg: RunConfig, args) -> tuple[list[dict], dict]:
-    rows, _ = cmd_constants(cfg, args)
+def cmd_report(args) -> tuple[list[dict], dict]:
+    rows, _ = cmd_constants(args)
     for r in rows:
         r["section"] = "constants"
-    for d in _delta_rows(2, [10.5, 100.5, 1000.5], cfg.precision_bits):
+    for d in _delta_rows(2, [10.5, 100.5, 1000.5], args.precision_bits):
         d["section"] = "delta_k2"
         rows.append(d)
     return rows, {"abscissa_sampling": "half_odd"}
@@ -390,22 +388,20 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", dest="output_format", choices=("csv", "json"),
                         default="csv")
         sp.add_argument("--output", dest="output_path", default=None)
-        sp.add_argument("--cache-dir", dest="cache_dir", default=None,
-                        help="accepted and ignored: no command keeps a cache")
         sp.add_argument("--precision-bits", dest="precision_bits", type=int,
                         default=192)
 
     sp = sub.add_parser("constants");  common(sp)
     sp.add_argument("--B", type=float, default=None)
-    sp.add_argument("--B-richert", dest="B_richert", type=float, default=4.45)
+    sp.add_argument("--B-richert", dest="B_richert", type=float, default=exponents.RICHERT_B)
 
     sp = sub.add_parser("theta-opt"); common(sp)
     sp.add_argument("--B", type=float, default=None)
 
     sp = sub.add_parser("bounds"); common(sp)
     sp.add_argument("--B", type=float, default=None)
-    sp.add_argument("--theta", type=float, default=0.839427)
-    sp.add_argument("--eps0", type=float, default=1e-6)
+    sp.add_argument("--theta", type=float, default=exponents.ExponentParams.theta)
+    sp.add_argument("--eps0", type=float, default=exponents.ExponentParams.eps0)
     sp.add_argument("--k", type=int, default=30)
     sp.add_argument("--k-list", dest="k_list", default=None)
     sp.add_argument("--which", choices=("alpha", "beta", "both"), default="both")
@@ -463,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("report"); common(sp)
     sp.add_argument("--B", type=float, default=None)
-    sp.add_argument("--B-richert", dest="B_richert", type=float, default=4.45)
+    sp.add_argument("--B-richert", dest="B_richert", type=float, default=exponents.RICHERT_B)
     return p
 
 
@@ -516,18 +512,8 @@ def main(argv=None) -> int:
         if args.precision_bits < MIN_PRECISION_BITS:
             raise ConfigError(f"--precision-bits must be >= {MIN_PRECISION_BITS} "
                               f"(float64), got {args.precision_bits}")
-        cfg = RunConfig(
-            command=args.command,
-            params={k: v for k, v in vars(args).items()
-                    if k not in ("command", "output_format", "output_path",
-                                 "cache_dir", "precision_bits", "config")
-                    and v is not None},
-            precision_bits=args.precision_bits,
-            output_format=args.output_format,
-            output_path=args.output_path,
-        )
-        rows, conventions = COMMANDS[args.command](cfg, args)
-        emit(cfg, rows, conventions)
+        rows, conventions = COMMANDS[args.command](args)
+        emit(args, rows, conventions)
         return 0
     except PreconditionError as e:
         print(f"precondition violation: {e}", file=sys.stderr)

@@ -51,6 +51,13 @@ def _wp():
     return mp.workdps(WORK_DPS)
 
 
+def _finite(name: str, x) -> None:
+    """DomainError unless x is a finite number (NaN and +-inf fail); checks
+    of a validity range, which raise RangeError, come after it."""
+    if not -math.inf < x < math.inf:
+        raise DomainError(f"{name} must be finite, got {x}")
+
+
 def heath_brown_B() -> mp.mpf:
     """Default zeta-growth constant 8*sqrt(15)/63 = 0.4918..."""
     with _wp():
@@ -75,13 +82,13 @@ class ExponentParams:
     k: int = 30
 
     def __post_init__(self):
-        if not self.B > 0:
+        if not 0 < self.B < math.inf:
             raise DomainError(f"B must be positive, got {self.B}")
         if not (0.5 <= self.theta < 1.0):
             raise DomainError(f"theta must lie in [1/2, 1), got {self.theta}")
-        if self.eps0 < 0:
+        if not 0 <= self.eps0 < math.inf:
             raise DomainError(f"eps0 must be non-negative, got {self.eps0}")
-        if self.delta < 0:
+        if not 0 <= self.delta < math.inf:
             raise DomainError(f"delta must be non-negative, got {self.delta}")
         if not (isinstance(self.k, int) and self.k >= 2):
             raise DomainError(f"k must be an integer >= 2, got {self.k}")
@@ -218,9 +225,9 @@ def k1_theta(theta, B):
 def k2_theta(theta, B, eps0):
     """k0(theta) - 1/(3*(B+eps0)*(1-theta)^{3/2}); equals k1 at eps0 = 0."""
     _check_theta(theta)
-    if not B > 0:
+    if not 0 < B < math.inf:
         raise DomainError(f"B must be positive, got {B}")
-    if eps0 < 0:
+    if not 0 <= eps0 < math.inf:
         raise DomainError(f"eps0 must be non-negative, got {eps0}")
     with _wp():
         t = mp.mpf(float(theta)) if not isinstance(theta, mp.mpf) else theta
@@ -243,7 +250,7 @@ def optimize_theta(B) -> ThetaOptimum:
     on the search boundary has no interior maximiser (RangeError); a bracket
     that fails the unimodality check is a self-check failure.
     """
-    if not B > 0:
+    if not 0 < B < math.inf:
         raise DomainError(f"B must be positive, got {B}")
     with _wp():
         Bm = mp.mpf(B)
@@ -273,6 +280,19 @@ def optimize_theta(B) -> ThetaOptimum:
 # the two bound families and the historical table
 # ---------------------------------------------------------------------------
 
+def _bound(name: str, num: int, den: int, m: int, k: int, params: ExponentParams,
+           validity: str) -> BoundReport:
+    """x^{1 - (num/(den*B*(k - m*k1)))^{2/3}} and its Karatsuba constant, in
+    the caller's work precision."""
+    k1 = k1_theta(params.theta, params.B)
+    expo = 1 - (num / (den * mp.mpf(params.B) * (k - m * k1))) ** (mp.mpf(2) / 3)
+    D = (1 - expo) * mp.mpf(k) ** (mp.mpf(2) / 3)
+    return BoundReport(name=name, exponent=float(expo),
+                       exponent_reported=report_exponent(expo),
+                       karatsuba_D=report_karatsuba(D), karatsuba_D_exact=float(D),
+                       validity=validity, k=k, inputs=params)
+
+
 def alpha_bound(k: int, params: ExponentParams) -> BoundReport:
     """Pointwise bound x^{1 - (2/(3B(k-2k1)))^{2/3}}, valid for k >= 2*k0."""
     with _wp():
@@ -280,20 +300,8 @@ def alpha_bound(k: int, params: ExponentParams) -> BoundReport:
         if k < 2 * k0:
             raise RangeError(
                 f"alpha bound needs k >= 2*k0(theta) = {float(2 * k0):.6f}, got k={k}")
-        B = mp.mpf(params.B)
-        k1 = k1_theta(params.theta, params.B)
-        expo = 1 - (2 / (3 * B * (k - 2 * k1))) ** (mp.mpf(2) / 3)
-        D = (1 - expo) * mp.mpf(k) ** (mp.mpf(2) / 3)
-        return BoundReport(
-            name="pointwise-alpha",
-            exponent=float(expo),
-            exponent_reported=report_exponent(expo),
-            karatsuba_D=report_karatsuba(D),
-            karatsuba_D_exact=float(D),
-            validity=f"k >= 2*k0(theta) = {float(2 * k0):.4f}",
-            k=k,
-            inputs=params,
-        )
+        return _bound("pointwise-alpha", 2, 3, 2, k, params,
+                      f"k >= 2*k0(theta) = {float(2 * k0):.4f}")
 
 
 def beta_bound(k: int, params: ExponentParams,
@@ -310,24 +318,15 @@ def beta_bound(k: int, params: ExponentParams,
             raise RangeError(
                 f"beta bound needs k >= {'2*k0' if require_doubled_threshold else 'k0'}"
                 f"(theta) = {float(threshold):.6f}, got k={k}")
-        B = mp.mpf(params.B)
-        k1 = k1_theta(params.theta, params.B)
-        expo = 1 - (5 / (6 * B * (k - k1))) ** (mp.mpf(2) / 3)
-        D = (1 - expo) * mp.mpf(k) ** (mp.mpf(2) / 3)
-        return BoundReport(
-            name="meansquare-beta",
-            exponent=float(expo),
-            exponent_reported=report_exponent(expo),
-            karatsuba_D=report_karatsuba(D),
-            karatsuba_D_exact=float(D),
-            validity=f"k >= {float(threshold):.4f}",
-            k=k,
-            inputs=params,
-        )
+        return _bound("meansquare-beta", 5, 6, 1, k, params,
+                      f"k >= {float(threshold):.4f}")
 
 
 def kolpakova_D(k: int, B: float) -> float:
     """k-dependent constant (2/(3B(1 - 159.9/k)))^{2/3}, for k >= 186."""
+    _finite("k", k)
+    if not 0 < B < math.inf:
+        raise DomainError(f"B must be positive, got {B}")
     if k <= 159.9:
         raise RangeError(f"kolpakova constant needs k > 159.9, got {k}")
     with _wp():
@@ -350,11 +349,11 @@ def historical_table(B_richert: float = RICHERT_B,
     ``B_richert`` feeds the classical entries (default 4.45); ``B_hb`` feeds
     the two modern moment-route entries (default 8*sqrt(15)/63).
     """
-    if not B_richert > 0:
+    if not 0 < B_richert < math.inf:
         raise DomainError(f"B_richert must be positive, got {B_richert}")
     if B_hb is None:
         B_hb = float(heath_brown_B())
-    if not B_hb > 0:
+    if not 0 < B_hb < math.inf:
         raise DomainError(f"B_hb must be positive, got {B_hb}")
     with _wp():
         Br = mp.mpf(B_richert)
@@ -407,16 +406,20 @@ def ivic_m(sigma):
         return 2 * _k0(mp.mpf(s))
 
 
+def _sigma_bound(k: mp.mpf, params: ExponentParams) -> float:
+    """1 - (3(B+eps0)(k - k2))^{-2/3} at work precision, for an mpf k."""
+    with _wp():
+        B = mp.mpf(params.B) + mp.mpf(params.eps0)
+        k2 = k2_theta(params.theta, params.B, params.eps0)
+        return float(1 - (3 * B * (k - k2)) ** (-mp.mpf(2) / 3))
+
+
 def m0_validity_threshold(params: ExponentParams) -> float:
     """Smallest sigma at which m0 is a certified moment-order bound.
 
     Equals 1 - (3(B+eps0)(k0-k2))^{-2/3}, which collapses to theta exactly.
     """
-    with _wp():
-        B = mp.mpf(params.B) + mp.mpf(params.eps0)
-        k0 = k0_theta(float(params.theta))
-        k2 = k2_theta(params.theta, params.B, params.eps0)
-        return float(1 - (3 * B * (k0 - k2)) ** (-mp.mpf(2) / 3))
+    return _sigma_bound(k0_theta(float(params.theta)), params)
 
 
 def _m0_formula(sigma: float, params: ExponentParams) -> float:
@@ -430,7 +433,7 @@ def _m0_formula(sigma: float, params: ExponentParams) -> float:
 def m0_sigma(sigma: float, params: ExponentParams) -> float:
     """Usable moment-order lower bound 2/(3(B+eps0)(1-sigma)^{3/2}) + 2*k2."""
     thr = m0_validity_threshold(params)
-    if sigma >= 1:
+    if not sigma < 1:
         raise DomainError(f"sigma must be below 1, got {sigma}")
     if sigma < thr - 1e-14:
         raise RangeError(
@@ -442,7 +445,7 @@ def carlson_combine(eta: float, mu: float) -> float:
     """max{1 - (1-eta)/(1+mu), 1/2, eta} for eta in (0,1), mu >= 0."""
     if not (0.0 < eta < 1.0):
         raise DomainError(f"eta must lie in (0, 1), got {eta}")
-    if mu < 0:
+    if not 0 <= mu < math.inf:
         raise DomainError(f"mu must be non-negative, got {mu}")
     with _wp():
         e, m = mp.mpf(eta), mp.mpf(mu)
@@ -454,14 +457,13 @@ def inductive_sigma_bound(k: float, params: ExponentParams) -> float:
 
     At k = k0(theta) this returns theta exactly (base case of the induction).
     """
+    _finite("k", k)
     with _wp():
         k0 = k0_theta(float(params.theta))
         if k < float(k0) - 1e-12:
             raise RangeError(
                 f"inductive bound needs k >= k0(theta) = {float(k0):.6f}, got {k}")
-        B = mp.mpf(params.B) + mp.mpf(params.eps0)
-        k2 = k2_theta(params.theta, params.B, params.eps0)
-        return float(1 - (3 * B * (mp.mpf(k) - k2)) ** (-mp.mpf(2) / 3))
+        return _sigma_bound(mp.mpf(k), params)
 
 
 def induction_step_check(r: float, delta_step: float,
@@ -472,8 +474,9 @@ def induction_step_check(r: float, delta_step: float,
     x = delta_step/(r-k2).  Also bisects (to 1e-6 in delta) for the largest
     step size for which the inequality still holds at this r.
     """
-    if delta_step <= 0:
+    if not 0 < delta_step < math.inf:
         raise DomainError(f"delta_step must be positive, got {delta_step}")
+    _finite("r", r)
     with _wp():
         k0 = k0_theta(float(params.theta))
         if r < float(k0) - 1e-12:
@@ -574,10 +577,12 @@ def beta_k_exponent(sigma: float, k: int, params: ExponentParams,
     mean-square threshold; certifying the underlying moment bound at such a
     sigma requires re-choosing theta <= sigma.
     """
+    _finite("k", k)
+    _finite("sigma", sigma)
     if check_range:
         m0 = m0_sigma(sigma, params)  # validates the sigma range
     else:
-        if sigma >= 1:
+        if not sigma < 1:
             raise DomainError(f"sigma must be below 1, got {sigma}")
         m0 = _m0_formula(sigma, params)
     if m0 > 2 * k + 1e-9:
@@ -638,7 +643,7 @@ def refined_exponent(rho):
             raise DomainError(f"rho must be positive, got {rho}")
         return (1 - Fraction(3) / r) / r ** 2
     r = float(rho)
-    if r <= 0:
+    if not 0 < r < math.inf:
         raise DomainError(f"rho must be positive, got {rho}")
     with _wp():
         rm = mp.mpf(r)
@@ -653,7 +658,7 @@ def hb_exponent(rho):
             raise DomainError(f"rho must be positive, got {rho}")
         return Fraction(49, 80) / r ** 2
     r = float(rho)
-    if r <= 0:
+    if not 0 < r < math.inf:
         raise DomainError(f"rho must be positive, got {rho}")
     return 49.0 / 80.0 / r ** 2
 
@@ -728,7 +733,7 @@ def moment_h_max(k: int, alpha: float) -> CubicMax:
     """
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
-    if not alpha > 0:
+    if not 0 < alpha < math.inf:
         raise DomainError(f"alpha must be positive, got {alpha}")
     a13 = alpha * k ** (1.0 / 3.0)
 
@@ -773,7 +778,7 @@ def zeta_h_max(k: int, alpha: float) -> CubicMax:
     """
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
-    if not alpha > 0:
+    if not 0 < alpha < math.inf:
         raise DomainError(f"alpha must be positive, got {alpha}")
     a = alpha * k ** (-2.0 / 3.0)
     if not a < 0.5:
@@ -821,10 +826,13 @@ def m1_sigma(sigma: float, delta: float, A: float = 1.0) -> float:
     1), not certified.  delta = 0 is accepted as a formal limit with the
     range check waived (the threshold degenerates to sigma >= 1).
     """
-    if sigma >= 1:
+    _finite("sigma", sigma)
+    if not sigma < 1:
         raise DomainError(f"sigma must be below 1, got {sigma}")
-    if delta < 0:
+    if not 0 <= delta < math.inf:
         raise DomainError(f"delta must be non-negative, got {delta}")
+    if not 0 < A < math.inf:
+        raise DomainError(f"A must be positive, got {A}")
     if delta > 0:
         thr = 1 - A * delta ** 2
         if sigma < thr - 1e-14:
@@ -847,8 +855,11 @@ def thm3_exponent(k: int, delta: float, A: float = 1.0) -> LargeKExponent:
     whether the steeper floor with constant 3 also holds is recorded in
     ``floor3_holds`` (it fails for delta < (C + 2^{2/3} - 3)/3 ~ 0.159).
     """
-    if not delta > 0:
+    if not 0 < delta < math.inf:
         raise DomainError(f"delta must be positive, got {delta}")
+    if not 0 < A < math.inf:
+        raise DomainError(f"A must be positive, got {A}")
+    _finite("k", k)
     if k < A * delta ** -3:
         raise RangeError(
             f"needs k >= A*delta^-3 = {A * delta ** -3:.6g} "

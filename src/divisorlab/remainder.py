@@ -208,18 +208,19 @@ def sign_change_scan(k: int, X0: float, X1: float, C: float = 5.0,
 
 # -------------------------------------------------------------- mean square
 
-# nodes per reduction group when the budget allows, nodes per cache-sized
-# pass inside a group (256 KiB per float64 array), and the bytes charged per
-# node of a group: a pass's arrays take ~60 B per node and the group's panel
-# 8 / order B (tracemalloc: 5.7 MiB at mean_square(2, 1e5), 0.8 MiB of it
-# the float64 D table)
+# Gauss-Legendre nodes per panel, nodes per reduction group when the budget
+# allows, nodes per cache-sized pass inside a group (256 KiB per float64
+# array), and the bytes charged per node of a group: a pass's arrays take
+# ~60 B per node and the group's panel 8 / MS_ORDER B (tracemalloc: 5.7 MiB
+# at mean_square(2, 1e5), 0.8 MiB of it the float64 D table)
+MS_ORDER = 6
 MS_NODES_PER_CHUNK = 1 << 22
 MS_NODES_PER_SUBCHUNK = 1 << 15
 MS_BYTES_PER_NODE = 64
 
 
 def mean_square(k: int, x: float, panels_per_unit: int = 2,
-                order: int = 6, precision_bits: int = MAIN_BITS_DEFAULT) -> float:
+                precision_bits: int = MAIN_BITS_DEFAULT) -> float:
     """||Delta_k(x)||_2 = ((1/x) int_1^x Delta_k(y)^2 dy)^{1/2}.
 
     On each unit interval the integrand (D_k(n) - y P(log y))^2 is smooth,
@@ -242,7 +243,7 @@ def mean_square(k: int, x: float, panels_per_unit: int = 2,
     n_top = math.floor(x)
     spare = sieve.MEMORY_BUDGET_BYTES - 16 * (n_top + 1)
     chunk_nodes = min(MS_NODES_PER_CHUNK, spare // MS_BYTES_PER_NODE)
-    unit_nodes = 2 * panels_per_unit * order  # one unit interval, doubled panels
+    unit_nodes = 2 * panels_per_unit * MS_ORDER  # one unit interval, doubled panels
     if chunk_nodes < unit_nodes:
         need = 16 * (n_top + 1) + MS_BYTES_PER_NODE * unit_nodes
         raise MemoryBudgetError(f"mean square up to {n_top} needs ~{need >> 20} MiB, "
@@ -253,11 +254,11 @@ def mean_square(k: int, x: float, panels_per_unit: int = 2,
     coeffs = _main_poly(k, precision_bits).as_floats()
 
     def integral(ppu: int) -> float:
-        nodes, weights = np.polynomial.legendre.leggauss(order)
+        nodes, weights = np.polynomial.legendre.leggauss(MS_ORDER)
         offs = np.linspace(0.0, 1.0, ppu + 1)[:-1]
         total = 0.0
-        chunk = chunk_nodes // (ppu * order)  # units per reduction group
-        sub = max(16, MS_NODES_PER_SUBCHUNK // (ppu * order) // 16 * 16)  # units per pass
+        chunk = chunk_nodes // (ppu * MS_ORDER)  # units per reduction group
+        sub = max(16, MS_NODES_PER_SUBCHUNK // (ppu * MS_ORDER) // 16 * 16)  # units per pass
         for n0 in range(1, n_top + 1, chunk):
             n1 = min(n0 + chunk, n_top + 1)
             panel = np.empty((n1 - n0, ppu))
@@ -271,9 +272,9 @@ def mean_square(k: int, x: float, panels_per_unit: int = 2,
                 mid = plo + half
                 y = mid[:, :, None] + half[:, :, None] * nodes[None, None, :]
                 yf = y.reshape(-1)
-                delta = np.repeat(Dfloat[s0 - 1: s1 - 1], ppu * order) \
+                delta = np.repeat(Dfloat[s0 - 1: s1 - 1], ppu * MS_ORDER) \
                     - yf * np.polynomial.polynomial.polyval(np.log(yf), coeffs)
-                vals = (delta ** 2).reshape(-1, order) @ weights
+                vals = (delta ** 2).reshape(-1, MS_ORDER) @ weights
                 np.multiply(vals.reshape(s1 - s0, ppu), half, out=panel[s0 - n0: s1 - n0])
             total += float(np.sum(panel))
         return total

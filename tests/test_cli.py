@@ -1,5 +1,5 @@
 """CLI tests: payload equivalence across formats, metadata conventions,
-ignored cache flags, failed writes, exit codes.
+the ignored cache variable and removed cache flag, failed writes, exit codes.
 """
 
 import contextlib
@@ -126,11 +126,24 @@ FORMER_CACHE_ARGV = [
 
 @pytest.mark.parametrize("argv", FORMER_CACHE_ARGV, ids=lambda a: a[0])
 def test_old_cache_flags_change_nothing(argv, tmp_path):
+    # DIVISORLAB_CACHE is ignored; the --cache-dir flag is gone (next test)
     code1, text1 = run_fresh(argv, tmp_path)
-    code2, text2 = run_fresh(argv + ["--cache-dir", "d"], tmp_path, DIVISORLAB_CACHE="e")
+    code2, text2 = run_fresh(argv, tmp_path, DIVISORLAB_CACHE="e")
     assert code1 == code2 == 0
     assert text2 == text1
     assert list(tmp_path.iterdir()) == []
+
+
+def test_removed_cache_dir_flag_exits_2(tmp_path, capsys):
+    # an unknown option on the command line (argparse's usage error) and as a
+    # config-file key (a precondition violation)
+    assert cli.main(["sieve", "--k", "3", "--x-list", "10", "--cache-dir", "d"]) == 2
+    assert "unrecognized arguments: --cache-dir d" in capsys.readouterr().err
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("cache_dir = d\n")
+    assert cli.main(["--config", str(cfgfile), "sieve", "--k", "3", "--x-list", "10"]) == 2
+    assert capsys.readouterr().err.startswith("precondition violation: unknown configuration keys")
+    assert list(tmp_path.iterdir()) == [cfgfile]
 
 
 @pytest.mark.parametrize("argv, target", [
@@ -228,6 +241,8 @@ def test_exit_code_precondition(tmp_path):
     ["expsum", "--N-list", "100000,100001", "--t-list", "1e12"],
     ["delta", "--k", "2", "--x", "1000000001"],
     ["delta", "--k", "2", "--x", "1e12"],
+    ["constants", "--B-richert", "inf"],
+    ["bounds", "--eps0", "nan"],
 ])
 def test_malformed_input_exits_2_with_message(argv, capsys):
     assert cli.main(argv) == 2

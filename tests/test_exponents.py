@@ -653,6 +653,52 @@ def test_report_rounding_helpers():
         assert ex.report_subtracted_threshold(mp.mpf("8.38") - mp.mpf(2) ** -80) == 8.37
 
 
+NAN, INF = math.nan, math.inf
+P = ex.ExponentParams()
+
+
+@pytest.mark.parametrize("fn, args, name", [
+    (ex.ExponentParams, (INF,), "B"),
+    (ex.ExponentParams, (NAN,), "B"),
+    (ex.ExponentParams, (B_HB, 0.839427, NAN), "eps0"),
+    (ex.ExponentParams, (B_HB, 0.839427, INF), "eps0"),  # optimal_beta_thm2 gave 0.47
+    (ex.ExponentParams, (B_HB, 0.839427, 1e-6, NAN), "delta"),
+    (ex.k2_theta, (0.8, B_HB, NAN), "eps0"),
+    (ex.optimize_theta, (INF,), "B"),
+    (ex.historical_table, (INF,), "B_richert"),
+    (ex.historical_table, (4.45, NAN), "B_hb"),
+    (ex.kolpakova_D, (NAN, 4.45), "k"),
+    (ex.kolpakova_D, (186, NAN), "B"),
+    (ex.kolpakova_D, (186, INF), "B"),
+    (ex.m1_sigma, (NAN, 0.1), "sigma"),
+    (ex.m1_sigma, (0.995, NAN), "delta"),
+    (ex.m1_sigma, (0.995, 0.1, NAN), "A"),
+    (ex.m0_sigma, (NAN, P), "sigma"),
+    (ex.carlson_combine, (0.5, NAN), "mu"),
+    (ex.carlson_combine, (0.5, INF), "mu"),
+    (ex.inductive_sigma_bound, (NAN, P), "k"),
+    (ex.inductive_sigma_bound, (INF, P), "k"),
+    (ex.induction_step_check, (NAN, 1e-3, P), "r"),
+    (ex.induction_step_check, (20.0, NAN, P), "delta_step"),
+    (ex.induction_step_check, (20.0, INF, P), "delta_step"),
+    (ex.beta_k_exponent, (NAN, 30, P), "sigma"),
+    (ex.beta_k_exponent, (0.9, NAN, P), "k"),
+    (ex.beta_k_exponent, (-INF, 30, P, False), "sigma"),
+    (ex.refined_exponent, (NAN,), "rho"),
+    (ex.refined_exponent, (INF,), "rho"),
+    (ex.hb_exponent, (NAN,), "rho"),
+    (ex.hb_exponent, (INF,), "rho"),
+    (ex.zeta_h_max, (10, INF), "alpha"),
+    (ex.thm3_exponent, (NAN, 0.1), "k"),
+    (ex.thm3_exponent, (10 ** 4, 0.1, NAN), "A"),
+], ids=lambda v: v.__name__ if callable(v) else None)
+def test_non_finite_argument_raises_domain_error(fn, args, name):
+    # a guard written as `x < 0` lets NaN through, and `not x > 0` lets inf
+    # through where the quantity is finite
+    with pytest.raises(DomainError, match=f"^{name} must"):
+        fn(*args)
+
+
 def test_params_validation():
     with pytest.raises(DomainError):
         ex.ExponentParams(B=-1)

@@ -29,7 +29,7 @@ EXAMPLES = [
      "a678b1a106a7b704268978835023ee9838089877f9b3a3fff5de07b9949096f6"),
     (["bounds", "--k-list", "30,40,100", "--which", "both"],
      "619140b626805630ecd536472e960f1a380db892f5fdd83f8396b79844786572"),
-    (["sieve", "--k", "3", "--x-list", "10,100,100000", "--cache-dir", "cache"],
+    (["sieve", "--k", "3", "--x-list", "10,100,100000"],
      "bec7b7aac82851e52e04b83b9c5b3e1224bce5bf5f5daee1d85c9830fe8b05de"),
     (["delta", "--k", "2", "--x", "10.5"],
      "ddfd905d7e295a705653766b1847e1e26ca06e1329b1625b735e64f85ae40782"),

@@ -340,7 +340,8 @@ def test_contour_oracle_half_circle(monkeypatch):
     # one sweep of 2N nodes evaluates zeta at the N + 1 nodes of the upper
     # half circle only, and the folded sum equals the full-circle trapezoid;
     # the count sits in shared memory, as the sweep's pool workers call zeta
-    k, bits, x, N = 3, 32, 100.0, la.CONTOUR_MIN_NODES
+    k, bits, x, N = 3, 32, 100.0, 64
+    monkeypatch.setattr(la, "CONTOUR_MIN_NODES", N)
     calls = multiprocessing.Value("q", 0)
     zeta = mp.zeta
 
