@@ -7,7 +7,13 @@ Two families matter for callers (and for the CLI exit codes):
 * ``SelfCheckError`` -- the inputs were legal but an internal numeric
   self-check failed (quadrature non-convergence, tail bound not achieved,
   bracketing failure, integer saturation).  CLI exit 3.
+
+The guards ``check_finite``, ``check_positive`` and ``check_nonnegative`` are
+written in positive form, so NaN and +-inf fail them; each takes int, float,
+Fraction and mpf.
 """
+
+import math
 
 
 class PreconditionError(ValueError):
@@ -52,3 +58,21 @@ class BracketError(SelfCheckError):
 
 class SieveOverflowError(SelfCheckError):
     """64-bit saturation detected in a divisor block."""
+
+
+def check_finite(name: str, x) -> None:
+    """DomainError unless x is finite; a RangeError check of x comes after it."""
+    if not -math.inf < x < math.inf:
+        raise DomainError(f"{name} must be finite, got {x}")
+
+
+def check_positive(name: str, x) -> None:
+    """DomainError unless 0 < x < inf."""
+    if not 0 < x < math.inf:
+        raise DomainError(f"{name} must be positive, got {x}")
+
+
+def check_nonnegative(name: str, x) -> None:
+    """DomainError unless 0 <= x < inf."""
+    if not 0 <= x < math.inf:
+        raise DomainError(f"{name} must be non-negative, got {x}")

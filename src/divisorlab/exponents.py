@@ -26,13 +26,14 @@ Pure functions throughout; safe for concurrent use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import mpmath as mp
 
-from .errors import BracketError, DomainError, RangeError, SelfCheckError
+from .errors import (BracketError, DomainError, RangeError, SelfCheckError, check_finite,
+                     check_nonnegative, check_positive)
 from .numerics import (
     bracket_max,
     check_unimodal,
@@ -44,18 +45,9 @@ from .numerics import (
 
 WORK_DPS = 50  # >= 80-bit significand everywhere in the engine
 
-Rational = Union[int, Fraction]
-
 
 def _wp():
     return mp.workdps(WORK_DPS)
-
-
-def _finite(name: str, x) -> None:
-    """DomainError unless x is a finite number (NaN and +-inf fail); checks
-    of a validity range, which raise RangeError, come after it."""
-    if not -math.inf < x < math.inf:
-        raise DomainError(f"{name} must be finite, got {x}")
 
 
 def heath_brown_B() -> mp.mpf:
@@ -82,14 +74,10 @@ class ExponentParams:
     k: int = 30
 
     def __post_init__(self):
-        if not 0 < self.B < math.inf:
-            raise DomainError(f"B must be positive, got {self.B}")
-        if not (0.5 <= self.theta < 1.0):
-            raise DomainError(f"theta must lie in [1/2, 1), got {self.theta}")
-        if not 0 <= self.eps0 < math.inf:
-            raise DomainError(f"eps0 must be non-negative, got {self.eps0}")
-        if not 0 <= self.delta < math.inf:
-            raise DomainError(f"delta must be non-negative, got {self.delta}")
+        check_positive("B", self.B)
+        _check_theta(self.theta, "theta")
+        check_nonnegative("eps0", self.eps0)
+        check_nonnegative("delta", self.delta)
         if not (isinstance(self.k, int) and self.k >= 2):
             raise DomainError(f"k must be an integer >= 2, got {self.k}")
 
@@ -186,13 +174,10 @@ class ScanReport:
 # k0 / k1 / k2 and the theta optimisation
 # ---------------------------------------------------------------------------
 
-def _check_theta(theta) -> None:
-    if isinstance(theta, (int, Fraction)):
-        ok = Fraction(1, 2) <= Fraction(theta) < 1
-    else:
-        ok = 0.5 <= float(theta) < 1.0
-    if not ok:
-        raise DomainError(f"theta must lie in [1/2, 1), got {theta}")
+def _check_theta(x, name: str) -> None:
+    """DomainError unless x lies in [1/2, 1), exactly for int and Fraction."""
+    if not 0.5 <= (Fraction(x) if isinstance(x, (int, Fraction)) else float(x)) < 1:
+        raise DomainError(f"{name} must lie in [1/2, 1), got {x}")
 
 
 def _k0(t):
@@ -210,7 +195,7 @@ def k0_theta(theta):
 
     Fraction input follows an exact rational path.
     """
-    _check_theta(theta)
+    _check_theta(theta, "theta")
     if isinstance(theta, (int, Fraction)):
         return _k0(Fraction(theta))
     with _wp():
@@ -224,11 +209,9 @@ def k1_theta(theta, B):
 
 def k2_theta(theta, B, eps0):
     """k0(theta) - 1/(3*(B+eps0)*(1-theta)^{3/2}); equals k1 at eps0 = 0."""
-    _check_theta(theta)
-    if not 0 < B < math.inf:
-        raise DomainError(f"B must be positive, got {B}")
-    if not 0 <= eps0 < math.inf:
-        raise DomainError(f"eps0 must be non-negative, got {eps0}")
+    _check_theta(theta, "theta")
+    check_positive("B", B)
+    check_nonnegative("eps0", eps0)
     with _wp():
         t = mp.mpf(float(theta)) if not isinstance(theta, mp.mpf) else theta
         return _k2(t, mp.mpf(B) + mp.mpf(eps0))
@@ -250,8 +233,7 @@ def optimize_theta(B) -> ThetaOptimum:
     on the search boundary has no interior maximiser (RangeError); a bracket
     that fails the unimodality check is a self-check failure.
     """
-    if not 0 < B < math.inf:
-        raise DomainError(f"B must be positive, got {B}")
+    check_positive("B", B)
     with _wp():
         Bm = mp.mpf(B)
 
@@ -295,6 +277,7 @@ def _bound(name: str, num: int, den: int, m: int, k: int, params: ExponentParams
 
 def alpha_bound(k: int, params: ExponentParams) -> BoundReport:
     """Pointwise bound x^{1 - (2/(3B(k-2k1)))^{2/3}}, valid for k >= 2*k0."""
+    check_finite("k", k)
     with _wp():
         k0 = k0_theta(float(params.theta))
         if k < 2 * k0:
@@ -311,6 +294,7 @@ def beta_bound(k: int, params: ExponentParams,
     Default validity threshold is k >= k0(theta); pass
     ``require_doubled_threshold=True`` to insist on k >= 2*k0(theta).
     """
+    check_finite("k", k)
     with _wp():
         k0 = k0_theta(float(params.theta))
         threshold = 2 * k0 if require_doubled_threshold else k0
@@ -324,9 +308,8 @@ def beta_bound(k: int, params: ExponentParams,
 
 def kolpakova_D(k: int, B: float) -> float:
     """k-dependent constant (2/(3B(1 - 159.9/k)))^{2/3}, for k >= 186."""
-    _finite("k", k)
-    if not 0 < B < math.inf:
-        raise DomainError(f"B must be positive, got {B}")
+    check_finite("k", k)
+    check_positive("B", B)
     if k <= 159.9:
         raise RangeError(f"kolpakova constant needs k > 159.9, got {k}")
     with _wp():
@@ -349,12 +332,10 @@ def historical_table(B_richert: float = RICHERT_B,
     ``B_richert`` feeds the classical entries (default 4.45); ``B_hb`` feeds
     the two modern moment-route entries (default 8*sqrt(15)/63).
     """
-    if not 0 < B_richert < math.inf:
-        raise DomainError(f"B_richert must be positive, got {B_richert}")
+    check_positive("B_richert", B_richert)
     if B_hb is None:
         B_hb = float(heath_brown_B())
-    if not 0 < B_hb < math.inf:
-        raise DomainError(f"B_hb must be positive, got {B_hb}")
+    check_positive("B_hb", B_hb)
     with _wp():
         Br = mp.mpf(B_richert)
         Bh = mp.mpf(B_hb)
@@ -391,19 +372,12 @@ def ivic_m(sigma):
     """Classical moment-order lower bound (24s - 9)/((4s - 1)(1 - s)) = 2*k0(s)
     on [1/2, 1).
 
-    Fraction input follows an exact rational path.  The factor 2 is a power
-    of two, so the mpf path rounds exactly as the quotient written out would.
+    Fraction input follows the exact rational path of ``k0_theta``.  The
+    doubling stays inside the work precision, where it is exact (outside, 53 bits).
     """
-    if isinstance(sigma, (int, Fraction)):
-        s = Fraction(sigma)
-        if not (Fraction(1, 2) <= s < 1):
-            raise DomainError(f"sigma must lie in [1/2, 1), got {sigma}")
-        return 2 * _k0(s)
-    s = float(sigma)
-    if not (0.5 <= s < 1.0):
-        raise DomainError(f"sigma must lie in [1/2, 1), got {sigma}")
+    _check_theta(sigma, "sigma")
     with _wp():
-        return 2 * _k0(mp.mpf(s))
+        return 2 * k0_theta(sigma)
 
 
 def _sigma_bound(k: mp.mpf, params: ExponentParams) -> float:
@@ -445,8 +419,7 @@ def carlson_combine(eta: float, mu: float) -> float:
     """max{1 - (1-eta)/(1+mu), 1/2, eta} for eta in (0,1), mu >= 0."""
     if not (0.0 < eta < 1.0):
         raise DomainError(f"eta must lie in (0, 1), got {eta}")
-    if not 0 <= mu < math.inf:
-        raise DomainError(f"mu must be non-negative, got {mu}")
+    check_nonnegative("mu", mu)
     with _wp():
         e, m = mp.mpf(eta), mp.mpf(mu)
         return float(max(1 - (1 - e) / (1 + m), mp.mpf("0.5"), e))
@@ -457,7 +430,7 @@ def inductive_sigma_bound(k: float, params: ExponentParams) -> float:
 
     At k = k0(theta) this returns theta exactly (base case of the induction).
     """
-    _finite("k", k)
+    check_finite("k", k)
     with _wp():
         k0 = k0_theta(float(params.theta))
         if k < float(k0) - 1e-12:
@@ -474,9 +447,8 @@ def induction_step_check(r: float, delta_step: float,
     x = delta_step/(r-k2).  Also bisects (to 1e-6 in delta) for the largest
     step size for which the inequality still holds at this r.
     """
-    if not 0 < delta_step < math.inf:
-        raise DomainError(f"delta_step must be positive, got {delta_step}")
-    _finite("r", r)
+    check_positive("delta_step", delta_step)
+    check_finite("r", r)
     with _wp():
         k0 = k0_theta(float(params.theta))
         if r < float(k0) - 1e-12:
@@ -577,8 +549,8 @@ def beta_k_exponent(sigma: float, k: int, params: ExponentParams,
     mean-square threshold; certifying the underlying moment bound at such a
     sigma requires re-choosing theta <= sigma.
     """
-    _finite("k", k)
-    _finite("sigma", sigma)
+    check_finite("k", k)
+    check_finite("sigma", sigma)
     if check_range:
         m0 = m0_sigma(sigma, params)  # validates the sigma range
     else:
@@ -619,6 +591,8 @@ def phi_piece(rho) -> tuple[Fraction, PhiPiece]:
     phi(rho) = A_k*rho + B_k on [rho_{k-1}, rho_k]; at a node either
     adjacent piece gives the same value.
     """
+    if not isinstance(rho, str):
+        check_finite("rho", rho)
     r = Fraction(rho) if isinstance(rho, (int, Fraction, str)) else Fraction(float(rho))
     if r < 1:
         raise DomainError(f"rho must be >= 1, got {rho}")
@@ -637,30 +611,21 @@ def refined_exponent(rho):
     The exponential-sum bound reads N^{1 - refined + eps}; below rho = 3 the
     trivial bound applies.  Fraction input follows an exact rational path.
     """
+    check_positive("rho", rho)
     if isinstance(rho, (int, Fraction)):
         r = Fraction(rho)
-        if r <= 0:
-            raise DomainError(f"rho must be positive, got {rho}")
         return (1 - Fraction(3) / r) / r ** 2
-    r = float(rho)
-    if not 0 < r < math.inf:
-        raise DomainError(f"rho must be positive, got {rho}")
     with _wp():
-        rm = mp.mpf(r)
+        rm = mp.mpf(float(rho))
         return float((1 - 3 / rm) / rm ** 2)
 
 
 def hb_exponent(rho):
     """Comparison exponent (49/80)/rho^2."""
+    check_positive("rho", rho)
     if isinstance(rho, (int, Fraction)):
-        r = Fraction(rho)
-        if r <= 0:
-            raise DomainError(f"rho must be positive, got {rho}")
-        return Fraction(49, 80) / r ** 2
-    r = float(rho)
-    if not 0 < r < math.inf:
-        raise DomainError(f"rho must be positive, got {rho}")
-    return 49.0 / 80.0 / r ** 2
+        return Fraction(49, 80) / Fraction(rho) ** 2
+    return 49.0 / 80.0 / float(rho) ** 2
 
 
 REFINED_HB_CROSSOVER = Fraction(240, 31)  # where 1 - 3/rho = 49/80 exactly
@@ -713,9 +678,9 @@ def ck_inequality_scan(k_max: int) -> ScanReport:
 # cubic maximisers for the moment and pointwise zeta bounds
 # ---------------------------------------------------------------------------
 
-def _select_local_max(h, roots: Sequence[float], lo: float, hi: float,
+def _select_local_max(roots: Sequence[float], lo: float, hi: float,
                       dd_h) -> Optional[float]:
-    """Largest stationary point in [lo, hi] that is a local maximum of h."""
+    """Largest stationary point in [lo, hi] at which h'' = dd_h is negative."""
     cands = [r for r in roots if lo <= r <= hi and dd_h(r) < 0]
     return max(cands) if cands else None
 
@@ -733,8 +698,8 @@ def moment_h_max(k: int, alpha: float) -> CubicMax:
     """
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
-    if not 0 < alpha < math.inf:
-        raise DomainError(f"alpha must be positive, got {alpha}")
+    check_finite("k", k)
+    check_positive("alpha", alpha)
     a13 = alpha * k ** (1.0 / 3.0)
 
     def h(r):
@@ -747,7 +712,7 @@ def moment_h_max(k: int, alpha: float) -> CubicMax:
 
     roots = real_cubic_roots(a13 + 1.0, 2.0, -3.0 * (k + 4), 12.0 * (k + 1))
     pos = tuple(r for r in roots if r > 0)
-    star = _select_local_max(h, pos, 2.0, float(k), ddh)
+    star = _select_local_max(pos, 2.0, float(k), ddh)
     if star is None:
         lo, hi = 2.0, float(k)
         r0, h0 = (lo, h(lo)) if h(lo) >= h(hi) else (hi, h(hi))
@@ -763,6 +728,7 @@ def moment_h_max(k: int, alpha: float) -> CubicMax:
 
 def moment_h_limit(alpha: float) -> mp.mpf:
     """Large-k limit (4/sqrt(27)) * alpha^{3/2} of the moment maximiser value."""
+    check_positive("alpha", alpha)
     with _wp():
         return 4 / mp.sqrt(27) * mp.mpf(alpha) ** mp.mpf("1.5")
 
@@ -778,8 +744,8 @@ def zeta_h_max(k: int, alpha: float) -> CubicMax:
     """
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
-    if not 0 < alpha < math.inf:
-        raise DomainError(f"alpha must be positive, got {alpha}")
+    check_finite("k", k)
+    check_positive("alpha", alpha)
     a = alpha * k ** (-2.0 / 3.0)
     if not a < 0.5:
         raise RangeError(
@@ -794,7 +760,7 @@ def zeta_h_max(k: int, alpha: float) -> CubicMax:
     roots = real_cubic_roots(a, 0.0, -3.0, 12.0)
     pos = tuple(r for r in roots if r > 0)
     limit = float(2 * mp.mpf(alpha) ** mp.mpf("1.5") / mp.mpf(27) ** mp.mpf("0.5"))
-    star = _select_local_max(h, pos, 3.0, math.inf, ddh)
+    star = _select_local_max(pos, 3.0, math.inf, ddh)
     if star is None:
         return CubicMax(rho_star=3.0, h_star=h(3.0), stationary_points=pos,
                         used_endpoint=True, limit_ratio=k * h(3.0) / limit)
@@ -826,13 +792,11 @@ def m1_sigma(sigma: float, delta: float, A: float = 1.0) -> float:
     1), not certified.  delta = 0 is accepted as a formal limit with the
     range check waived (the threshold degenerates to sigma >= 1).
     """
-    _finite("sigma", sigma)
+    check_finite("sigma", sigma)
     if not sigma < 1:
         raise DomainError(f"sigma must be below 1, got {sigma}")
-    if not 0 <= delta < math.inf:
-        raise DomainError(f"delta must be non-negative, got {delta}")
-    if not 0 < A < math.inf:
-        raise DomainError(f"A must be positive, got {A}")
+    check_nonnegative("delta", delta)
+    check_positive("A", A)
     if delta > 0:
         thr = 1 - A * delta ** 2
         if sigma < thr - 1e-14:
@@ -855,11 +819,9 @@ def thm3_exponent(k: int, delta: float, A: float = 1.0) -> LargeKExponent:
     whether the steeper floor with constant 3 also holds is recorded in
     ``floor3_holds`` (it fails for delta < (C + 2^{2/3} - 3)/3 ~ 0.159).
     """
-    if not 0 < delta < math.inf:
-        raise DomainError(f"delta must be positive, got {delta}")
-    if not 0 < A < math.inf:
-        raise DomainError(f"A must be positive, got {A}")
-    _finite("k", k)
+    check_positive("delta", delta)
+    check_positive("A", A)
+    check_finite("k", k)
     if k < A * delta ** -3:
         raise RangeError(
             f"needs k >= A*delta^-3 = {A * delta ** -3:.6g} "
@@ -900,19 +862,23 @@ def large_k_constant() -> mp.mpf:
 
 def report_karatsuba(D) -> float:
     """Round a Karatsuba constant down at 3 decimals (weakens the claim)."""
+    check_finite("D", D)
     return round_down(D, 3)
 
 
 def report_exponent(a) -> float:
     """Round a bound exponent up at 5 decimals (weakens the claim)."""
+    check_finite("a", a)
     return round_up(a, 5)
 
 
 def report_subtracted_threshold(c) -> float:
     """Round a subtracted constant like 2*k1 down at 2 decimals."""
+    check_finite("c", c)
     return round_down(c, 2)
 
 
 def report_k_threshold(x) -> int:
     """Round a k-range threshold up to the next integer."""
+    check_finite("x", x)
     return int(math.ceil(float(x) - 1e-12))

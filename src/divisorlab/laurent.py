@@ -36,6 +36,7 @@ from .errors import (
     InsufficientOrderError,
     PrecisionError,
     QuadratureError,
+    check_finite,
 )
 
 STIELTJES_MAX_N = 64
@@ -349,6 +350,7 @@ def eval_main_term(poly: MainTermPoly, x) -> mp.mpf:
     """x * P_{k-1}(log x) by Horner at the polynomial's working precision."""
     if not x > 1:
         raise DomainError(f"x must exceed 1, got {x}")
+    check_finite("x", x)
     with mp.workprec(poly.precision_bits + 32):
         xm = mp.mpf(x)
         L = mp.log(xm)
@@ -498,8 +500,7 @@ def residue_contour_oracle(k: int, precision_bits: int, x_probe: float,
         raise DomainError(f"need at least {CONTOUR_MIN_NODES} nodes, got {nodes}")
     if not x_probe > 1:
         raise DomainError(f"x_probe must exceed 1, got {x_probe}")
-    if mp.isinf(x_probe):
-        raise DomainError(f"x_probe must be finite, got {x_probe}")
+    check_finite("x_probe", x_probe)
     prec = precision_bits + 32
     wp = prec + CONTOUR_GUARD_BITS
     P = wp + 8

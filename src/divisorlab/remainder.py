@@ -23,7 +23,8 @@ import mpmath as mp
 import numpy as np
 
 from . import laurent, sieve
-from .errors import DomainError, MemoryBudgetError, QuadratureError, RangeError
+from .errors import (DomainError, MemoryBudgetError, QuadratureError, RangeError,
+                     check_finite, check_positive)
 from .numerics import ols_slope
 
 MAIN_BITS_DEFAULT = 192
@@ -88,7 +89,7 @@ def delta_scan(k: int, x_grid: Sequence[float],
     call over the distinct floors n = floor(x) <= DESK_X_CAP, so x may reach
     just below DESK_X_CAP + 1."""
     xs = list(x_grid)
-    if any(a > b for a, b in zip(xs, xs[1:])):
+    if not all(a <= b for a, b in zip(xs, xs[1:])):  # a NaN fails a <= b
         raise DomainError("grid must be sorted")
     if not xs:
         return []
@@ -131,6 +132,7 @@ def fit_exponent(samples: Sequence[RemainderSample],
 # of `signs --format json`, tuple, CLI row, JSON copy and text (1245 B; 310 B as CSV)
 SCAN_BYTES_PER_POINT = 72
 SCAN_BYTES_PER_WINDOW = 1280
+TONG_C = 5.0  # C of the Tong window C x^{1-1/k}: the scan's default, envelopes' width
 
 
 def _sign_budget(coeffs: list[float], x: float, D: int) -> float:
@@ -166,7 +168,7 @@ def _segment_flips(k: int, n_lo: int, n_hi: int, precision_bits: int):
         prev = signs[-1:]
 
 
-def sign_change_scan(k: int, X0: float, X1: float, C: float = 5.0,
+def sign_change_scan(k: int, X0: float, X1: float, C: float = TONG_C,
                      precision_bits: int = MAIN_BITS_DEFAULT):
     """Scan windows [X, X + C*X^{1-1/k}] tiling [X0, X1] for sign changes of
     Delta_k at half-odd abscissae.
@@ -179,8 +181,7 @@ def sign_change_scan(k: int, X0: float, X1: float, C: float = 5.0,
     """
     if not (1 < X0 < X1 <= sieve.DESK_X_CAP):
         raise DomainError(f"need 1 < X0 < X1 <= {sieve.DESK_X_CAP}")
-    if not C > 0:
-        raise DomainError("C must be positive")
+    check_positive("C", C)
     n_lo, n_hi = max(1, math.ceil(X0 - 0.5)), math.floor(X1 - 0.5)
     if n_hi - n_lo < 1:
         raise DomainError("range too narrow to hold two half-odd points")
@@ -299,12 +300,13 @@ THM1_K_MIN = 30
 
 
 def soundararajan_exponent2(k: int) -> float:
-    """Second-factor exponent ((k+1)/(2k)) * (k^{2k/(k+1)} - 1).
+    """Second-factor exponent ((k+1)/(2k)) * (k^{2k/(k+1)} - 1) of ``envelopes``.
 
     The power is parenthesised as k^(2k/(k+1)); the choice is recorded in
     every EnvelopeSet's notes.
     """
-    return (k + 1) / (2.0 * k) * (float(k) ** (2.0 * k / (k + 1.0)) - 1.0)
+    check_positive("k", k)
+    return float(_envelope_exponents(k)[3])
 
 
 @functools.cache
@@ -322,23 +324,25 @@ def _envelope_exponents(k: int) -> tuple:
                 thm1)
 
 
-def envelopes(k: int, x, C_tong: float = 5.0) -> EnvelopeSet:
+def envelopes(k: int, x) -> EnvelopeSet:
     """Comparison envelopes at (k, x): the conjectured x^{1/2 - 1/(2k)}, the
     omega-result lower envelope, the k>=30 pointwise upper envelope with the
-    published constants (1.224, 8.37), and the Tong window width C x^{1-1/k}.
+    published constants (1.224, 8.37), and the Tong window width TONG_C x^{1-1/k}.
 
     Values are computed in mpmath so astronomically large x (passed as mpf)
     stays finite; plain floats are returned where they fit.
     """
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
+    check_finite("k", k)
     if not x > 1:
         raise DomainError(f"x must exceed 1, got {x}")
+    check_finite("x", x)
     conj_exp, tong_exp, e1, e2, e3, thm1_exp = _envelope_exponents(k)
     with mp.workdps(40):
         xm = mp.mpf(x)
         conjecture = xm ** conj_exp
-        tong = C_tong * xm ** tong_exp
+        tong = TONG_C * xm ** tong_exp
         omega = None
         if xm > E_TRIPLE:
             L1 = mp.log(xm)

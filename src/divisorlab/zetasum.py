@@ -46,7 +46,7 @@ import mpmath as mp
 from mpmath.libmp import to_fixed
 
 from . import exponents
-from .errors import DomainError, PrecisionError, QuadratureError
+from .errors import DomainError, PrecisionError, QuadratureError, check_finite
 from .numerics import ols_slope
 
 # numpy is imported inside the float evaluators that use it, so the mpmath
@@ -383,6 +383,8 @@ def chi_factor(sigma: float, t: float, precision_bits: int = 128) -> mp.mpc:
     Gamma(s/2) poles (s = 0, -2, ...) raise DomainError; Gamma((1-s)/2)
     poles (s = 1, 3, ...) are zeros of chi and return 0.
     """
+    check_finite("sigma", sigma)
+    check_finite("t", t)
     if t == 0 and sigma == int(sigma):
         si = int(sigma)
         if si <= 0 and si % 2 == 0:
@@ -418,6 +420,7 @@ def afe_residual(sigma: float, t: float, precision_bits: int = 128,
     """
     if not t >= 50:
         raise DomainError(f"t must be >= 50, got {t}")
+    check_finite("t", t)
     if not (0.5 <= sigma <= 1):
         raise DomainError(f"sigma must lie in [1/2, 1], got {sigma}")
     if length_mode == "sqrt_t_over_2pi":

@@ -691,6 +691,14 @@ P = ex.ExponentParams()
     (ex.zeta_h_max, (10, INF), "alpha"),
     (ex.thm3_exponent, (NAN, 0.1), "k"),
     (ex.thm3_exponent, (10 ** 4, 0.1, NAN), "A"),
+    # ValueError, OverflowError or TypeError from Fraction, math.ceil or
+    # np.roots, a RangeError, or a NaN or complex result before the shared checks
+    *[(fn, (v,), name) for fn, name in [
+        (ex.phi_piece, "rho"), (ex.report_k_threshold, "x"), (ex.report_karatsuba, "D"),
+        (ex.report_exponent, "a"), (ex.report_subtracted_threshold, "c"),
+        (ex.moment_h_limit, "alpha")] for v in (NAN, INF, -INF)],
+    *[(fn, (v, P), "k") for fn in (ex.alpha_bound, ex.beta_bound) for v in (NAN, INF, -INF)],
+    *[(fn, (v, 1.0), "k") for fn in (ex.moment_h_max, ex.zeta_h_max) for v in (NAN, INF)],
 ], ids=lambda v: v.__name__ if callable(v) else None)
 def test_non_finite_argument_raises_domain_error(fn, args, name):
     # a guard written as `x < 0` lets NaN through, and `not x > 0` lets inf

@@ -313,6 +313,13 @@ def test_eval_main_term_values():
         la.eval_main_term(p2, 0.5)
 
 
+@pytest.mark.parametrize("x", [math.inf, mp.inf])
+def test_non_finite_argument_raises_domain_error(x):
+    # an infinite x passed the x > 1 test and gave mpf nan
+    with pytest.raises(DomainError, match="^x must"):
+        la.eval_main_term(la.main_term_poly(2, 64), x)
+
+
 # ---------------------------------------------------------- contour oracle
 
 def test_contour_oracle_agreement():

@@ -399,3 +399,22 @@ def test_envelope_domain():
         rl.envelopes(1, 100.0)
     with pytest.raises(DomainError):
         rl.envelopes(2, 0.5)
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("fn, args, name", [
+    (rl.delta_scan, (2, [10.5, NAN, 20.5]), "grid"),
+    (rl.sample_from_D, (2, INF, 5, 64), "x"),
+    (rl.sign_change_scan, (2, 10.0, 100.0, INF), "C"),
+    (rl.envelopes, (2, INF), "x"),
+    (rl.envelopes, (NAN, 10), "k"),
+    (rl.envelopes, (INF, 10), "k"),
+    *[(rl.soundararajan_exponent2, (v,), "k") for v in (NAN, INF, -INF)],
+], ids=lambda v: v.__name__ if callable(v) else None)
+def test_non_finite_argument_raises_domain_error(fn, args, name):
+    # a NaN in a grid passed the sortedness test a > b, an infinite x reached
+    # math.floor, and the others returned NaN, one window or a set with that k
+    with pytest.raises(DomainError, match=f"^{name} must"):
+        fn(*args)

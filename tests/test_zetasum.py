@@ -349,6 +349,18 @@ def test_afe_domain():
         zs.afe_residual(0.75, math.nan)
 
 
+@pytest.mark.parametrize("fn, args, name", [
+    *[(zs.chi_factor, (v, 0), "sigma") for v in (math.nan, math.inf, -math.inf)],
+    *[(zs.chi_factor, (0.5, v), "t") for v in (math.nan, math.inf, -math.inf)],
+    (zs.afe_residual, (0.75, math.inf), "t"),
+], ids=lambda v: v.__name__ if callable(v) else None)
+def test_non_finite_argument_raises_domain_error(fn, args, name):
+    # int(sigma) raised ValueError or OverflowError, an infinite t reached
+    # int(sqrt(t)), and a non-finite t at a finite sigma gave chi = nan
+    with pytest.raises(DomainError, match=f"^{name} must"):
+        fn(*args)
+
+
 # ------------------------------------------------------------------ moments
 
 def test_moment_parseval_limit():
