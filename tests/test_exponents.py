@@ -691,8 +691,8 @@ P = ex.ExponentParams()
     (ex.zeta_h_max, (10, INF), "alpha"),
     (ex.thm3_exponent, (NAN, 0.1), "k"),
     (ex.thm3_exponent, (10 ** 4, 0.1, NAN), "A"),
-    # ValueError, OverflowError or TypeError from Fraction, math.ceil or
-    # np.roots, a RangeError, or a NaN or complex result before the shared checks
+    # unguarded, these raise ValueError, OverflowError or TypeError from
+    # Fraction, math.ceil or np.roots, or a RangeError, or return NaN or an mpc
     *[(fn, (v,), name) for fn, name in [
         (ex.phi_piece, "rho"), (ex.report_k_threshold, "x"), (ex.report_karatsuba, "D"),
         (ex.report_exponent, "a"), (ex.report_subtracted_threshold, "c"),

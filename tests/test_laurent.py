@@ -315,7 +315,7 @@ def test_eval_main_term_values():
 
 @pytest.mark.parametrize("x", [math.inf, mp.inf])
 def test_non_finite_argument_raises_domain_error(x):
-    # an infinite x passed the x > 1 test and gave mpf nan
+    # an infinite x passes the x > 1 test and, unguarded, gives mpf nan
     with pytest.raises(DomainError, match="^x must"):
         la.eval_main_term(la.main_term_poly(2, 64), x)
 

@@ -414,7 +414,7 @@ NAN, INF = math.nan, math.inf
     *[(rl.soundararajan_exponent2, (v,), "k") for v in (NAN, INF, -INF)],
 ], ids=lambda v: v.__name__ if callable(v) else None)
 def test_non_finite_argument_raises_domain_error(fn, args, name):
-    # a NaN in a grid passed the sortedness test a > b, an infinite x reached
-    # math.floor, and the others returned NaN, one window or a set with that k
+    # unguarded, a NaN passes the sortedness test a > b, an infinite x reaches
+    # math.floor, and the others return NaN, one window or a set with that k
     with pytest.raises(DomainError, match=f"^{name} must"):
         fn(*args)

@@ -355,8 +355,8 @@ def test_afe_domain():
     (zs.afe_residual, (0.75, math.inf), "t"),
 ], ids=lambda v: v.__name__ if callable(v) else None)
 def test_non_finite_argument_raises_domain_error(fn, args, name):
-    # int(sigma) raised ValueError or OverflowError, an infinite t reached
-    # int(sqrt(t)), and a non-finite t at a finite sigma gave chi = nan
+    # unguarded, int(sigma) raises ValueError or OverflowError, an infinite t
+    # reaches int(sqrt(t)), and a non-finite t at a finite sigma gives chi = nan
     with pytest.raises(DomainError, match=f"^{name} must"):
         fn(*args)
 
