@@ -10,10 +10,10 @@ bound), so the artifact is self-contained.  Series carry an explicit
 truncation order and operations fail loudly when the order is insufficient.
 
 The contour oracle checks those residues independently, by trapezoid
-quadrature of zeta^k(s) x^s / s on |s - 1| = 1/2.  Its cost floor is one
-cached mp.zeta sweep per (nodes, precision), split over the usable CPUs;
-each call forms the integrand from the sweep in fixed-point ints, within a
-stated error bound.
+quadrature of zeta^k(s) x^s / s on |s - 1| = 1/2, at a node count proven
+from the aliasing bound of the trapezoid rule.  Its cost floor is one cached
+mp.zeta sweep per (nodes, precision); each call forms the integrand from the
+sweep in fixed-point ints, within a stated error bound.
 
 All series values are immutable after construction; everything here is pure.
 """
@@ -21,7 +21,6 @@ All series values are immutable after construction; everything here is pure.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
@@ -366,22 +365,48 @@ def eval_main_term(poly: MainTermPoly, x) -> mp.mpf:
 
 _contour_cache: dict[tuple[int, int], tuple] = {}
 
-CONTOUR_MIN_NODES = 4096  # spectral accuracy long before this for radius 1/2
-# fixed-point guard bits of the integrand over the sweep's precision: 2 * 12
-# for |zeta|^k <= 4^k at k <= 12, and 5 for the per-node constant 16 + L/50 < 2^5
-# (see residue_contour_oracle)
+# fixed-point guard bits of the integrand over the sweep's precision: 2 * 12 for
+# |zeta|^k <= 4^k at k <= 12, 5 for the per-node 16 + L/50 < 2^5 (see the oracle)
 CONTOUR_GUARD_BITS = 2 * 12 + 5
 
 
-def _contour_part(nodes: int, prec: int, start: int, step: int) -> list:
-    """Sweep rows for j = start, start + step, ... <= nodes//2 (see
-    ``_contour_zetas``); top level, so a pool worker can run it."""
+def _contour_nodes(prec: int, x_probe) -> int:
+    """Least n whose n-node trapezoid mean on |s - 1| = 1/2 provably aliases
+    by at most 2^-prec x^{1/2} at every k <= 12.  t(w) = zeta(1 + w)^k x^w w/
+    (1 + w) = sum_{m >= 1-k} c_m w^m in 0 < |w| < 1, and its n-node mean on
+    |w| = 1/2 sums c_m 2^-m over m = 0, n, 2n, ... once n >= k.  Cauchy on
+    |w| = rho in (1/2, 1) gives |c_m| <= M rho^-m, so the error is at most
+    M q^n/(1 - q^n), q = 1/(2 rho).  There |s| <= 1 + rho, |s - 1| = rho and
+    sigma >= 1 - rho, so Titchmarsh 2.1 (see the oracle) gives M <= A^k x^rho
+    rho/(1 - rho), A = (1 + rho)/rho + (1 + rho)/(1 - rho) >= 6.  M grows with
+    k, so n is taken at k = 12 and serves every k: the least n, over rho =
+    1/2 + j/64, j = 1..31, with n log2(2 rho) >= prec + 2 + 12 log2 A + (rho -
+    1/2) log2 x + log2(rho/(1 - rho)).  That right side exceeds prec + 2 and
+    12 log2 6 > 31, so n > k and q^n <= 1/2: 1/(1 - q^n) <= 2 costs one bit,
+    and the other absorbs the float logs.  At prec = 64 and x <= 1e4 rho =
+    0.906 mostly wins, with n = 144-150; at prec = 288, x = 100, n = 389.
+    """
+    lx = math.log2(x_probe)
+    return min(math.ceil((prec + 2 + 12 * math.log2((1 + r) / r + (1 + r) / (1 - r))
+                          + (r - 0.5) * lx + math.log2(r / (1 - r))) / math.log2(2 * r))
+               for r in (0.5 + j / 64 for j in range(1, 32)))
+
+
+def _contour_zetas(nodes: int, prec: int) -> tuple:
+    """The oracle's only mp.zeta calls, cached per (nodes, prec): for j =
+    0..nodes//2 and s_j = 1 + e^{2 pi i j / nodes}/2 at ``prec`` bits, the raw
+    mpf parts of s_j - 1, and as ints scaled by 2^wp, wp = prec +
+    CONTOUR_GUARD_BITS, zeta(s_j) floored and h_j = (s_j - 1)/s_j = 1 -
+    conj(s_j)/|s_j|^2 from s_j's floored parts by one int division.  The
+    lower half circle holds their conjugates, zeta(conj s) = conj zeta(s)."""
+    key = (nodes, prec)
+    if key in _contour_cache:
+        return _contour_cache[key]
     wp = prec + CONTOUR_GUARD_BITS
-    one = 1 << wp
-    rows = []
+    one, rows = 1 << wp, []
     with mp.workprec(prec):
         r = mp.mpf(1) / 2
-        for j in range(start, nodes // 2 + 1, step):
+        for j in range(nodes // 2 + 1):
             s = 1 + r * mp.expjpi(mp.mpf(2 * j) / nodes)
             z = mp.zeta(s)
             sr, si = to_fixed(s.real._mpf_, wp), to_fixed(s.imag._mpf_, wp)
@@ -389,45 +414,8 @@ def _contour_part(nodes: int, prec: int, start: int, step: int) -> list:
             rows.append(((s.real - 1)._mpf_, s.imag._mpf_,
                          to_fixed(z.real._mpf_, wp), to_fixed(z.imag._mpf_, wp),
                          one - (sr * inv >> wp), si * inv >> wp))
-    return rows
-
-
-def _contour_zetas(nodes: int, prec: int) -> tuple:
-    """Per node s_j = 1 + e^{2 pi i j / nodes} / 2, j = 0..nodes//2, rounded to
-    ``prec`` bits: the raw mpf parts of s_j - 1, then zeta(s_j), floored, and
-    h_j = (s_j - 1)/s_j = 1 - conj(s_j)/|s_j|^2 from the floored parts of s_j
-    with one int division, both as ints scaled by 2^wp, wp = prec +
-    CONTOUR_GUARD_BITS.  The lower half circle holds their conjugates,
-    zeta(conj s) = conj zeta(s).  This sweep is the oracle's only mp.zeta call
-    and its cost floor, so it is split over w = min(usable CPUs, 8) processes
-    of a fork-context pool, worker i taking the nodes j = i mod w, and the
-    pool is joined before it returns.  Each node is computed as in one
-    process, so the tuple is the same for every w.  With one CPU, no fork, or
-    a daemonic caller (which may not start processes) the one worker runs
-    in-process.  fork, unlike spawn and forkserver, starts no helper process
-    that outlives the call."""
-    key = (nodes, prec)
-    hit = _contour_cache.get(key)
-    if hit is not None:
-        return hit
-    import multiprocessing  # here, not at the top: remainder imports laurent
-    from concurrent.futures import ProcessPoolExecutor
-
-    n = nodes // 2 + 1
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    w = min(cpus, 8, n)
-    if (w > 1 and "fork" in multiprocessing.get_all_start_methods()
-            and not multiprocessing.current_process().daemon):
-        with ProcessPoolExecutor(w, mp_context=multiprocessing.get_context("fork")) as pool:
-            parts = list(pool.map(_contour_part, [nodes] * w, [prec] * w, range(w), [w] * w))
-    else:
-        parts = [_contour_part(nodes, prec, 0, 1)]
-    pts = [None] * n
-    for start, part in enumerate(parts):
-        pts[start::len(parts)] = part
-    out = tuple(pts)
-    _contour_cache[key] = out
-    return out
+    _contour_cache[key] = tuple(rows)
+    return _contour_cache[key]
 
 
 def _fixed_pow(re: int, im: int, k: int, wp: int) -> tuple[int, int]:
@@ -444,17 +432,19 @@ def _fixed_pow(re: int, im: int, k: int, wp: int) -> tuple[int, int]:
 
 
 def residue_contour_oracle(k: int, precision_bits: int, x_probe: float,
-                           nodes: int = CONTOUR_MIN_NODES) -> mp.mpf:
+                           nodes: Optional[int] = None) -> mp.mpf:
     """Residue of zeta^k(s) x^s / s at s=1 by trapezoid quadrature over the
     circle |s-1| = 1/2, scaled by 1/x_probe for direct comparison with
     P_{k-1}(log x_probe).
 
-    The integrand is analytic in an annulus around the circle, so the
-    trapezoid rule converges spectrally (Trefethen and Weideman, SIAM Review
-    56, 2014); node doubling is the convergence check.  It is real on the
-    real axis, so only the upper half circle is evaluated.  This path is
-    independent of the series pipeline: library zeta evaluations and
-    quadrature against series arithmetic over in-repo Stieltjes constants.
+    The integrand is analytic in 0 < |s-1| < 1, so the trapezoid rule
+    converges geometrically (Trefethen and Weideman, SIAM Review 56, 2014,
+    section 2).  ``nodes`` defaults to, and may not be below, the count n of
+    ``_contour_nodes``; the value is the 2n-node mean, and node doubling
+    against the n-node one is the convergence check.  The integrand is real
+    on the real axis, so only the upper half circle is evaluated.  The oracle
+    is independent of the series pipeline: library zeta and quadrature
+    against series arithmetic over in-repo Stieltjes constants.
 
     With ds = i (s - 1) dtheta the scaled residue is the mean over the circle
     of t(s) = zeta(s)^k x^{s-1} h(s), h = (s - 1)/s.  The zeta sweep at prec =
@@ -490,18 +480,30 @@ def residue_contour_oracle(k: int, precision_bits: int, x_probe: float,
         |oracle - F| <= 2^-prec |F| + (16 + L/50) 4^k x^{1/2} 2^-wp
                      <= 2^-prec (|F| + x^{1/2}),
 
-    F the exact folded trapezoid sum at the sweep's nodes and zeta values.
-    At the half-circle test's k = 3, x = 100 and 32 bits the second part is
-    < 2^-prec / 50000, far inside its 2^{8-prec} (1 + |full|).
+    F the exact folded trapezoid sum at the sweep's s_j and zeta_j.  The s_j
+    lie within 4 2^-prec of the circle (expjpi's 4 2^-prec per part, halved,
+    then 1 + e/2 rounded), and zeta_j within 4 2^-prec relative if mpmath's
+    zeta is as accurate as its elementary functions (assumed).  As d log t/ds
+    = k zeta'/zeta + L + 1/(s-1) - 1/s with |zeta'/zeta| < 3 on the circle
+    (2.69 at s = 1/2, the most over 2001 points), each t_j moves by < (16.04 k + 4 L
+    + 16) 2^-prec |t_j| to first order.  With the aliasing bound and m the
+    mean |t_j| over the 2n nodes (<= 4^k x^{1/2}), the total is
+
+        |oracle - P_{k-1}(log x)| <= 2^-prec (|F| + 2 x^{1/2} + (17k + 4L + 16) m),
+
+    a worst case over independent roundings that the mean averages down,
+    less so over fewer nodes.
     """
     if not (1 <= k <= 12):
         raise DomainError(f"contour oracle supports 1 <= k <= 12, got {k}")
-    if nodes < CONTOUR_MIN_NODES:
-        raise DomainError(f"need at least {CONTOUR_MIN_NODES} nodes, got {nodes}")
     if not x_probe > 1:
         raise DomainError(f"x_probe must exceed 1, got {x_probe}")
     check_finite("x_probe", x_probe)
     prec = precision_bits + 32
+    least = _contour_nodes(prec, x_probe)
+    nodes = least if nodes is None else nodes
+    if nodes < least:
+        raise DomainError(f"need at least {least} nodes, got {nodes}")
     wp = prec + CONTOUR_GUARD_BITS
     P = wp + 8
     # the n-node set is the even-index subset of the 2n-node set, so one

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, MemoryBudgetError, SieveOverflowError
+from .errors import DomainError, MemoryBudgetError, SieveOverflowError, check_finite
 
 DESK_X_CAP = 10 ** 9
 DESK_K_CAP = 30
@@ -455,6 +455,7 @@ def dk_partial_sums(k: int, x_max: int, checkpoints) -> PartialSumSeries:
     if not cps or cps[-1] > x_max or cps[0] < 1:
         raise DomainError("checkpoints must lie in [1, x_max]")
     _check_caps(k, x_max + 1, 0)
+    check_finite("x_max", x_max)  # NaN passes the two range tests above
     return PartialSumSeries(k=k, checkpoints=_floor_sums(k, cps, *_floor_bound(k, cps)))
 
 
@@ -492,6 +493,7 @@ def d2_summatory_hyperbola(x: int) -> int:
     """D_2(x) = 2*sum_{m<=sqrt(x)} floor(x/m) - floor(sqrt(x))^2, exactly."""
     if x < 1:
         raise DomainError(f"x must be >= 1, got {x}")
+    check_finite("x", x)
     r = math.isqrt(x)
     return 2 * sum(x // m for m in range(1, r + 1)) - r * r
 

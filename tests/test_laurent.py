@@ -6,7 +6,6 @@ independent route the main-term pipeline is checked against).
 """
 
 import math
-import multiprocessing
 from fractions import Fraction
 
 import mpmath as mp
@@ -344,23 +343,22 @@ def test_contour_oracle_agreement():
 
 
 def test_contour_oracle_half_circle(monkeypatch):
-    # one sweep of 2N nodes evaluates zeta at the N + 1 nodes of the upper
-    # half circle only, and the folded sum equals the full-circle trapezoid;
-    # the count sits in shared memory, as the sweep's pool workers call zeta
-    k, bits, x, N = 3, 32, 100.0, 64
-    monkeypatch.setattr(la, "CONTOUR_MIN_NODES", N)
-    calls = multiprocessing.Value("q", 0)
+    # one sweep of 2N nodes, N the proven count, evaluates zeta at the N + 1
+    # nodes of the upper half circle only, and the folded sum equals the
+    # full-circle trapezoid
+    k, bits, x = 3, 32, 100.0
+    N = la._contour_nodes(bits + 32, x)
+    calls = []
     zeta = mp.zeta
 
     def counted(s, *args, **kw):
-        with calls.get_lock():
-            calls.value += 1
+        calls.append(s)
         return zeta(s, *args, **kw)
 
     monkeypatch.setattr(la, "_contour_cache", {})
     monkeypatch.setattr(mp, "zeta", counted)
-    got = la.residue_contour_oracle(k, bits, x, nodes=N)
-    assert calls.value == N + 1
+    got = la.residue_contour_oracle(k, bits, x)
+    assert len(calls) == N + 1
     monkeypatch.setattr(mp, "zeta", zeta)
 
     prec = bits + 32
@@ -374,10 +372,11 @@ def test_contour_oracle_half_circle(monkeypatch):
         assert abs(got - full) <= mp.mpf(2) ** (8 - prec) * (1 + abs(full))
 
 
-def _reference_trapezoid(k, bits, x, nodes):
+def _reference_trapezoid(k, bits, x, nodes, part=mp.re):
     """The oracle's folded trapezoid sum over its cached sweep, with the
     integrand formed in mpc at twice the working precision from the same
-    nodes and the same floored zeta values."""
+    nodes and the same floored zeta values; ``part=abs`` gives the mean of
+    |t_j| instead of Re t_j."""
     prec = bits + 32
     wp = prec + la.CONTOUR_GUARD_BITS
     with mp.workprec(2 * prec):
@@ -386,7 +385,7 @@ def _reference_trapezoid(k, bits, x, nodes):
         for j, (a, b, zr, zi, _, _) in enumerate(la._contour_zetas(2 * nodes, prec)):
             s1 = mp.mpc(mp.mpf(a), mp.mpf(b))  # s - 1
             z = mp.mpc(mp.mpf((zr, -wp)), mp.mpf((zi, -wp)))
-            t = mp.re(z ** k * mp.exp(L * s1) * s1 / (1 + s1))
+            t = part(z ** k * mp.exp(L * s1) * s1 / (1 + s1))
             total += t if j in (0, nodes) else 2 * t
         return total / (2 * nodes)
 
@@ -415,8 +414,9 @@ def test_contour_oracle_integrand_bound(bits, nodes, k, x):
 
 def test_contour_oracle_large_x():
     # at 1e30 the oracle still meets the series (to about 1e-14, the floor of
-    # the 64-bit sweep); at 1e60 4096 nodes cannot resolve x^s and node
-    # doubling must say so rather than return a value
+    # the 64-bit sweep); at 1e60 x^{1/2} ~ 2^100 swamps the 64-bit sweep's
+    # roundings at any node count, and node doubling must say so rather than
+    # return a value
     poly = la.main_term_poly(12, 64)
     with mp.workprec(96):
         direct = la.eval_main_term(poly, 1e30) / mp.mpf(1e30)
@@ -427,34 +427,44 @@ def test_contour_oracle_large_x():
         la.residue_contour_oracle(12, 32, 1e60)
 
 
-@pytest.mark.parametrize("cpus", [1, 3, 16])
-def test_contour_sweep_any_worker_count(monkeypatch, cpus):
-    # 26 nodes give 14 rows: three workers take 5, 5 and 4 of them, sixteen
-    # CPUs still make 8 workers; the interleaved tuple is the serial one
+def test_contour_oracle_shares_one_sweep_across_k(monkeypatch):
+    # the node count depends on (prec, x) alone, so every k at one (bits, x)
+    # reads one cached sweep rather than sweeping again per k
     monkeypatch.setattr(la, "_contour_cache", {})
-    monkeypatch.setattr(la.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    for prec in (64, 128):
-        assert la._contour_zetas(26, prec) == tuple(la._contour_part(26, prec, 0, 1))
-    assert multiprocessing.active_children() == []
+    for k in range(1, 13):
+        la.residue_contour_oracle(k, 32, 1234.5)
+    assert list(la._contour_cache) == [(2 * la._contour_nodes(64, 1234.5), 64)]
 
 
-def test_contour_oracle_leaves_no_worker(monkeypatch):
-    # a cold sweep runs in a pool of three workers here, whatever the host's
-    # CPUs; each is joined before the oracle returns
-    monkeypatch.setattr(la, "_contour_cache", {})
-    monkeypatch.setattr(la, "CONTOUR_MIN_NODES", 64)
-    monkeypatch.setattr(la.os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    got = la.residue_contour_oracle(2, 32, 100.0, nodes=64)
-    assert multiprocessing.active_children() == []
-    assert len(la._contour_cache[(128, 64)]) == 65
-    with mp.workprec(64):
-        assert abs(got - la.eval_main_term(la.main_term_poly(2, 64), 100) / 100) < 1e-8
+@pytest.mark.parametrize("bits,x", [(32, 1.0001), (32, 1234.5), (64, 1e16)])
+@pytest.mark.parametrize("k", [2, 12])
+def test_contour_oracle_total_bound(k, bits, x):
+    # the docstring's total, |oracle - P_{k-1}(log x)| <= 2^-prec (|F| +
+    # 2 x^{1/2} + (17k + 4L + 16) m) with m the mean of |t_j|, at the proven
+    # count n and at 4n nodes, against the 256-bit series and each other
+    prec = bits + 32
+    n = la._contour_nodes(prec, x)
+    with mp.workprec(2 * prec + 64):
+        series = la.eval_main_term(la.main_term_poly(k, 256), x) / mp.mpf(x)
+    got, bound = {}, {}
+    for nodes in (n, 4 * n):
+        got[nodes] = la.residue_contour_oracle(k, bits, x, nodes=None if nodes == n else nodes)
+        F = _reference_trapezoid(k, bits, x, nodes)
+        m = _reference_trapezoid(k, bits, x, nodes, part=abs)
+        with mp.workprec(2 * prec):
+            bound[nodes] = mp.mpf(2) ** -prec * (
+                abs(F) + 2 * mp.sqrt(x) + (17 * k + 4 * math.log(x) + 16) * m)
+            assert abs(got[nodes] - series) <= bound[nodes], nodes
+    with mp.workprec(2 * prec):
+        assert abs(got[n] - got[4 * n]) <= bound[n] + bound[4 * n]
 
 
 def test_contour_oracle_domain():
     with pytest.raises(DomainError):
         la.residue_contour_oracle(13, 128, 100)
-    with pytest.raises(DomainError):
-        la.residue_contour_oracle(2, 128, 100, nodes=512)
+    # one node below the proven count is refused, naming that count
+    least = la._contour_nodes(128 + 32, 100)
+    with pytest.raises(DomainError, match=f"^need at least {least} nodes, got {least - 1}$"):
+        la.residue_contour_oracle(2, 128, 100, nodes=least - 1)
     with pytest.raises(DomainError, match="finite"):
         la.residue_contour_oracle(2, 128, float("inf"))

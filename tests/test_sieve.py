@@ -353,6 +353,31 @@ def test_precondition_errors():
         sv.dk_partial_sums(2, 10, [5, 5])
 
 
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("fn, args, name", [
+    (sv.dk_partial_sums, (2, NAN, [10]), "x_max"),
+    (sv.d2_summatory_hyperbola, (NAN,), "x"),
+    (sv.d2_summatory_hyperbola, (INF,), "x"),
+], ids=lambda v: v.__name__ if callable(v) else None)
+def test_non_finite_argument_raises_domain_error(fn, args, name):
+    # unguarded, a NaN x_max passes both range tests and D_2(10) = 27 comes
+    # back, and math.isqrt raises TypeError on a float
+    with pytest.raises(DomainError, match=f"^{name} must be finite"):
+        fn(*args)
+
+
+@pytest.mark.parametrize("fn, args, message", [
+    (sv.dk_partial_sums, (2, INF, [10]), "range cap is"),
+    (sv.dk_partial_sums, (2, -INF, [10]), "checkpoints must lie in"),
+    (sv.d2_summatory_hyperbola, (-INF,), "x must be >= 1"),
+], ids=lambda v: v.__name__ if callable(v) else None)
+def test_refused_infinities_keep_their_message(fn, args, message):
+    with pytest.raises(DomainError, match=f"^{message}"):
+        fn(*args)
+
+
 # ------------------------------------------------- the kernel against its reference
 
 def _reference_segments(k: int, lo: int, hi: int):
