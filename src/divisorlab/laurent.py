@@ -371,20 +371,17 @@ CONTOUR_GUARD_BITS = 2 * 12 + 5
 
 
 def _contour_nodes(prec: int, x_probe) -> int:
-    """Least n whose n-node trapezoid mean on |s - 1| = 1/2 provably aliases
-    by at most 2^-prec x^{1/2} at every k <= 12.  t(w) = zeta(1 + w)^k x^w w/
-    (1 + w) = sum_{m >= 1-k} c_m w^m in 0 < |w| < 1, and its n-node mean on
-    |w| = 1/2 sums c_m 2^-m over m = 0, n, 2n, ... once n >= k.  Cauchy on
-    |w| = rho in (1/2, 1) gives |c_m| <= M rho^-m, so the error is at most
-    M q^n/(1 - q^n), q = 1/(2 rho).  There |s| <= 1 + rho, |s - 1| = rho and
-    sigma >= 1 - rho, so Titchmarsh 2.1 (see the oracle) gives M <= A^k x^rho
-    rho/(1 - rho), A = (1 + rho)/rho + (1 + rho)/(1 - rho) >= 6.  M grows with
-    k, so n is taken at k = 12 and serves every k: the least n, over rho =
-    1/2 + j/64, j = 1..31, with n log2(2 rho) >= prec + 2 + 12 log2 A + (rho -
-    1/2) log2 x + log2(rho/(1 - rho)).  That right side exceeds prec + 2 and
-    12 log2 6 > 31, so n > k and q^n <= 1/2: 1/(1 - q^n) <= 2 costs one bit,
-    and the other absorbs the float logs.  At prec = 64 and x <= 1e4 rho =
-    0.906 mostly wins, with n = 144-150; at prec = 288, x = 100, n = 389.
+    """Least n, over rho = 1/2 + j/64 < 1, proven to alias by <= 2^-prec x^{1/2}
+    at every k <= 12.  On |w| = 1/2 the n-node mean of t(w) = zeta(1+w)^k x^w
+    w/(1+w) = sum_{m >= 1-k} c_m w^m is sum c_m 2^-m over m = 0, n, 2n, ...
+    (n >= k), and |c_m| <= M rho^-m (Cauchy), so it errs by <= M q^n/(1 - q^n),
+    q = 1/(2 rho).  On |w| = rho Titchmarsh 2.1 (see the oracle) with |s| <= 1 +
+    rho, |s-1| = rho, sigma >= 1 - rho gives M <= A^k x^rho rho/(1-rho), A =
+    (1+rho)/rho + (1+rho)/(1-rho) >= 6, largest at k = 12: one n serves every
+    k.  n qualifies once n log2(2 rho) >= prec + 2 + 12 log2 A + (rho - 1/2)
+    log2 x + log2(rho/(1-rho)), which exceeds prec + 2 and 31: n > k, q^n <=
+    1/2, and the 2 buys 1/(1 - q^n) <= 2 and the float logs.  At prec = 64,
+    x <= 1e4, rho = 0.906 mostly wins, n = 144-150; prec = 288, x = 100: 389.
     """
     lx = math.log2(x_probe)
     return min(math.ceil((prec + 2 + 12 * math.log2((1 + r) / r + (1 + r) / (1 - r))
@@ -393,12 +390,11 @@ def _contour_nodes(prec: int, x_probe) -> int:
 
 
 def _contour_zetas(nodes: int, prec: int) -> tuple:
-    """The oracle's only mp.zeta calls, cached per (nodes, prec): for j =
-    0..nodes//2 and s_j = 1 + e^{2 pi i j / nodes}/2 at ``prec`` bits, the raw
-    mpf parts of s_j - 1, and as ints scaled by 2^wp, wp = prec +
-    CONTOUR_GUARD_BITS, zeta(s_j) floored and h_j = (s_j - 1)/s_j = 1 -
-    conj(s_j)/|s_j|^2 from s_j's floored parts by one int division.  The
-    lower half circle holds their conjugates, zeta(conj s) = conj zeta(s)."""
+    """The oracle's only mp.zeta calls, cached per (nodes, prec), at s_j = 1 +
+    e^{2 pi i j / nodes}/2 to ``prec`` bits, j = 0..nodes//2 (the lower half
+    circle holds conjugates): the raw mpf parts of s_j - 1 and, as ints scaled
+    by 2^wp, wp = prec + CONTOUR_GUARD_BITS, zeta(s_j) floored and h_j = (s_j -
+    1)/s_j = 1 - conj(s_j)/|s_j|^2 from the floored parts of s_j by one int division."""
     key = (nodes, prec)
     if key in _contour_cache:
         return _contour_cache[key]
@@ -480,19 +476,18 @@ def residue_contour_oracle(k: int, precision_bits: int, x_probe: float,
         |oracle - F| <= 2^-prec |F| + (16 + L/50) 4^k x^{1/2} 2^-wp
                      <= 2^-prec (|F| + x^{1/2}),
 
-    F the exact folded trapezoid sum at the sweep's s_j and zeta_j.  The s_j
-    lie within 4 2^-prec of the circle (expjpi's 4 2^-prec per part, halved,
-    then 1 + e/2 rounded), and zeta_j within 4 2^-prec relative if mpmath's
-    zeta is as accurate as its elementary functions (assumed).  As d log t/ds
-    = k zeta'/zeta + L + 1/(s-1) - 1/s with |zeta'/zeta| < 3 on the circle
-    (2.69 at s = 1/2, the most over 2001 points), each t_j moves by < (16.04 k + 4 L
-    + 16) 2^-prec |t_j| to first order.  With the aliasing bound and m the
-    mean |t_j| over the 2n nodes (<= 4^k x^{1/2}), the total is
+    F the exact folded trapezoid sum at the sweep's s_j and zeta_j.  Taking
+    mpmath's zeta, like its elementary functions, within 4 2^-prec relative
+    (assumed), and the s_j within 4 2^-prec of the circle (expjpi's error
+    halved, then 1 + e/2 rounded), each t_j moves by < (16.04 k + 4 L + 16)
+    2^-prec |t_j| to first order, as d log t/ds = k zeta'/zeta + L + 1/(s-1)
+    - 1/s and |zeta'/zeta| < 3 on the circle (2.69 at s = 1/2, the most over
+    2001 points).  With m the mean |t_j| (<= 4^k x^{1/2}) and the aliasing bound:
 
-        |oracle - P_{k-1}(log x)| <= 2^-prec (|F| + 2 x^{1/2} + (17k + 4L + 16) m),
+        |oracle - P_{k-1}(log x)| <= 2^-prec (|F| + 2 x^{1/2} + (17k + 4L + 16) m);
 
-    a worst case over independent roundings that the mean averages down,
-    less so over fewer nodes.
+    the last term, a worst case over independent roundings, the mean
+    averages down, less so over fewer nodes.
     """
     if not (1 <= k <= 12):
         raise DomainError(f"contour oracle supports 1 <= k <= 12, got {k}")
