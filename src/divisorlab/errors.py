@@ -10,7 +10,8 @@ Two families matter for callers (and for the CLI exit codes):
 
 The guards ``check_finite``, ``check_positive`` and ``check_nonnegative`` are
 written in positive form, so NaN and +-inf fail them; each takes int, float,
-Fraction and mpf.
+Fraction and mpf, as does ``check_within``.  ``check_integral`` refuses any
+float, Fraction or mpf.
 """
 
 import math
@@ -64,6 +65,18 @@ def check_finite(name: str, x) -> None:
     """DomainError unless x is finite; a RangeError check of x comes after it."""
     if not -math.inf < x < math.inf:
         raise DomainError(f"{name} must be finite, got {x}")
+
+
+def check_within(name: str, x, lo, hi) -> None:
+    """DomainError unless lo <= x <= hi, so NaN fails it too."""
+    if not lo <= x <= hi:
+        raise DomainError(f"{name} must lie in [{lo}, {hi}], got {x}")
+
+
+def check_integral(name: str, x) -> None:
+    """DomainError unless x is an int or numpy integer (has ``__index__``)."""
+    if not hasattr(x, "__index__"):
+        raise DomainError(f"{name} must be integral, got {x}")
 
 
 def check_positive(name: str, x) -> None:

@@ -36,6 +36,7 @@ from .errors import (
     PrecisionError,
     QuadratureError,
     check_finite,
+    check_within,
 )
 
 STIELTJES_MAX_N = 64
@@ -118,11 +119,8 @@ def _stieltjes_batch(ns, precision_bits: int) -> list:
     """[gamma_n for n in ns]; those not in the memo at ``precision_bits`` or
     more come from one Euler-Maclaurin pass with one (J, M) (see ``stieltjes``)."""
     for n in ns:
-        if not (0 <= n <= STIELTJES_MAX_N):
-            raise DomainError(f"n must lie in [0, {STIELTJES_MAX_N}], got {n}")
-    if not (1 <= precision_bits <= STIELTJES_MAX_BITS):
-        raise DomainError(
-            f"precision_bits must lie in [1, {STIELTJES_MAX_BITS}], got {precision_bits}")
+        check_within("n", n, 0, STIELTJES_MAX_N)
+    check_within("precision_bits", precision_bits, 1, STIELTJES_MAX_BITS)
     missing = [n for n in ns if _stieltjes_memo.get(n, (0,))[0] < precision_bits]
     if missing:
         polys = {n: _lazy_polys(n) for n in missing}
@@ -252,11 +250,8 @@ def zeta_laurent(terms: int, precision_bits: int = 256) -> LaurentData:
 
     ``terms`` = number of post-pole coefficients retained (order = terms - 1).
     """
-    if not (1 <= terms <= STIELTJES_MAX_N):
-        raise DomainError(f"terms must lie in [1, {STIELTJES_MAX_N}], got {terms}")
-    if not (1 <= precision_bits <= STIELTJES_MAX_BITS - 32):
-        raise DomainError(f"precision_bits must lie in [1, {STIELTJES_MAX_BITS - 32}], "
-                          f"got {precision_bits}")
+    check_within("terms", terms, 1, STIELTJES_MAX_N)
+    check_within("precision_bits", precision_bits, 1, STIELTJES_MAX_BITS - 32)
     gammas = _stieltjes_batch(range(terms), precision_bits + 32)
     with mp.workprec(precision_bits + 32):
         coeffs = [mp.mpf(1)]
@@ -325,11 +320,8 @@ def main_term_poly(k: int, precision_bits: int = 256) -> MainTermPoly:
     The leading coefficient is re-derived through an exact Fraction shadow of
     the same residue algebra (pole-only series) and must equal 1/(k-1)!.
     """
-    if not (1 <= k <= MAIN_TERM_K_CAP):
-        raise DomainError(f"k must lie in [1, {MAIN_TERM_K_CAP}], got {k}")
-    if not (1 <= precision_bits <= MAIN_TERM_MAX_BITS):
-        raise DomainError(
-            f"precision_bits must lie in [1, {MAIN_TERM_MAX_BITS}], got {precision_bits}")
+    check_within("k", k, 1, MAIN_TERM_K_CAP)
+    check_within("precision_bits", precision_bits, 1, MAIN_TERM_MAX_BITS)
     with mp.workprec(precision_bits + 64):
         zser = zeta_laurent(max(k - 1, 1), precision_bits + 64)
         zk = series_pow(zser, k)
@@ -368,6 +360,7 @@ _contour_cache: dict[tuple[int, int], tuple] = {}
 # fixed-point guard bits of the integrand over the sweep's precision: 2 * 12 for
 # |zeta|^k <= 4^k at k <= 12, 5 for the per-node 16 + L/50 < 2^5 (see the oracle)
 CONTOUR_GUARD_BITS = 2 * 12 + 5
+CONTOUR_MAX_NODES = 1 << 13  # above every proven count: 4728 at 4000 bits, x_probe 1e308
 
 
 def _contour_nodes(prec: int, x_probe) -> int:
@@ -436,11 +429,11 @@ def residue_contour_oracle(k: int, precision_bits: int, x_probe: float,
     The integrand is analytic in 0 < |s-1| < 1, so the trapezoid rule
     converges geometrically (Trefethen and Weideman, SIAM Review 56, 2014,
     section 2).  ``nodes`` defaults to, and may not be below, the count n of
-    ``_contour_nodes``; the value is the 2n-node mean, and node doubling
-    against the n-node one is the convergence check.  The integrand is real
-    on the real axis, so only the upper half circle is evaluated.  The oracle
-    is independent of the series pipeline: library zeta and quadrature
-    against series arithmetic over in-repo Stieltjes constants.
+    ``_contour_nodes``, nor above CONTOUR_MAX_NODES; the value is the 2n-node
+    mean, and node doubling against the n-node one is the convergence check.
+    The integrand is real on the real axis, so only the upper half circle is
+    evaluated.  The oracle is independent of the series pipeline: library zeta
+    and quadrature against series arithmetic over in-repo Stieltjes constants.
 
     With ds = i (s - 1) dtheta the scaled residue is the mean over the circle
     of t(s) = zeta(s)^k x^{s-1} h(s), h = (s - 1)/s.  The zeta sweep at prec =
@@ -491,6 +484,7 @@ def residue_contour_oracle(k: int, precision_bits: int, x_probe: float,
     """
     if not (1 <= k <= 12):
         raise DomainError(f"contour oracle supports 1 <= k <= 12, got {k}")
+    check_within("precision_bits", precision_bits, 1, MAIN_TERM_MAX_BITS)
     if not x_probe > 1:
         raise DomainError(f"x_probe must exceed 1, got {x_probe}")
     check_finite("x_probe", x_probe)
@@ -499,6 +493,8 @@ def residue_contour_oracle(k: int, precision_bits: int, x_probe: float,
     nodes = least if nodes is None else nodes
     if nodes < least:
         raise DomainError(f"need at least {least} nodes, got {nodes}")
+    if nodes > CONTOUR_MAX_NODES:
+        raise DomainError(f"nodes must be at most {CONTOUR_MAX_NODES}, got {nodes}")
     wp = prec + CONTOUR_GUARD_BITS
     P = wp + 8
     # the n-node set is the even-index subset of the 2n-node set, so one

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import laurent, sieve
 from .errors import (DomainError, MemoryBudgetError, QuadratureError, RangeError,
-                     check_finite, check_positive)
+                     check_finite, check_positive, check_within)
 from .numerics import ols_slope
 
 MAIN_BITS_DEFAULT = 192
@@ -185,8 +185,7 @@ def sign_change_scan(k: int, X0: float, X1: float, C: float = TONG_C,
     n_lo, n_hi = max(1, math.ceil(X0 - 0.5)), math.floor(X1 - 0.5)
     if n_hi - n_lo < 1:
         raise DomainError("range too narrow to hold two half-odd points")
-    if not (1 <= k <= sieve.DESK_K_CAP):
-        raise DomainError(f"k must lie in [1, {sieve.DESK_K_CAP}], got {k}")
+    check_within("k", k, 1, sieve.DESK_K_CAP)
     windows = min(k * (X1 ** (1 / k) - X0 ** (1 / k)) / C + 1, 2.0 ** 53)
     need = sieve.SEGMENT_BYTES + SCAN_BYTES_PER_POINT * min(n_hi - n_lo + 1, sieve.SEGMENT) \
         + SCAN_BYTES_PER_WINDOW * int(windows)

@@ -1,33 +1,35 @@
 """Exact d_k(n) blocks and partial sums D_k(x) at desk scale.
 
-Blocks come from one segmented multiplicative sieve (after Bays and Hudson,
-BIT 17, 1977): each segment of SEGMENT entries of [lo, hi) strips the
-exponents a_p of every n with the primes p <= sqrt(hi - 1) and sets
-d_k(n) = prod_p C(a_p + k - 1, k - 1), times k where a prime cofactor is
-left.  A block costs only its own range, whatever k is.  One kernel does it
-in four steps (``_dk_segments``):
+d_k(n) = prod_p C(a_p + k - 1, k - 1) depends on n only through its exponent
+signature (a_p); the n <= DESK_X_CAP have 1274 (OEIS A025487).  One segmented
+multiplicative sieve (after Bays and Hudson, BIT 17, 1977) strips the a_p of
+every n in a segment of SEGMENT entries of [lo, hi) with the primes p <=
+sqrt(hi - 1) and sets the signature code prod_p CODE[a_p], times CODE[1] = 3
+where a prime cofactor is left; d_k is then one gather from a table of the
+exact d_k by signature, so one pass serves every k, over its own range only.
+The kernel (``_signature_segments``) takes four steps:
   - Wheel (Pritchard, Acta Inform. 17, 1982): a segment starts from the
     pattern of the period WHEEL = 2^5 3^2 5 7, rotated to s mod WHEEL, which
-    holds the factor, the stripped product and the log2 sum of the prime
-    powers dividing WHEEL.
+    holds the code and stripped product of the prime powers dividing WHEEL.
   - Strided slices: one multiply per higher power of 2, 3, 5 and 7, and per
     prime power up to STRIDE_MAX, on its multiples.
   - Batched scatter: the larger prime powers touch few entries each, so one
     index build per exponent level (in pieces of about SCATTER_PIECE
     indices) and unbuffered ``ufunc.at`` calls strike them all.
-  - Cofactor: v *= cofactor (k - 1) + 1, without a masked (branchy) ufunc.
+  - Cofactor: code *= 2 cofactor + 1, without a masked (branchy) ufunc.
 
 Partial sums take one exact route with a parameter y, isqrt(max x) <= y <=
 max x, that a cost rule picks (``_floor_bound``).  Checkpoints up to y come
 from one streaming pass of the sieve in O(SEGMENT) memory; each larger one
 from the hyperbola identity over the floor values {x // b} (Lagarias, Miller
 and Odlyzko, Math. Comp. 44, 1985; Deleglise and Rivat, Experiment. Math. 5,
-1996), level by level in int64, with d_j and D_j sieved on [0, y].  At y =
-isqrt(x) only floor values are paired, at y = max x only the sieve runs.
+1996), level by level in int64, with every d_j and D_j, 2 <= j < k, on [0, y]
+from one more pass.  At y = isqrt(x) only floor values are paired, at y =
+max x only the sieve runs.
 
-Values are uint64; a segment is flagged as overflowed when a float log2 sum
-of the factors exceeds OVERFLOW_LOG2 = 63, a 2x margin below 2^64.  Partial
-sums are exact Python integers.  Repeated runs are byte-identical.
+Values are uint64, d_k(n) mod 2^64, flagged per segment by the table where
+some d_k(n) > 2^OVERFLOW_LOG2 (63, a 2x margin below 2^64).  Partial sums are
+exact Python integers.  Repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -40,16 +42,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, MemoryBudgetError, SieveOverflowError, check_finite
+from .errors import (DomainError, MemoryBudgetError, SieveOverflowError, check_finite,
+                     check_integral, check_within)
 
 DESK_X_CAP = 10 ** 9
 DESK_K_CAP = 30
 MEMORY_BUDGET_BYTES = 3 << 30
 
 SEGMENT = 1 << 16
-# one segment's working set (values, stripped prime products, log2 sums,
-# their temporaries, the wheel pattern and the prime table); tracemalloc
-# measures 36.5 B per entry in a streaming pass to 1e6, 37.5 near 1e9
+# one segment's working set (codes, stripped prime products, ranks, values,
+# their temporaries and the prime table); tracemalloc measures 35.6 B per entry
+# in a streaming pass to 1e6, 36.6 near 1e9, 39.2 in a first pass (1e6)
 SEGMENT_BYTES = 48 * SEGMENT
 OVERFLOW_LOG2 = 63
 # the wheel period 2^5 3^2 5 7, prime powers up to STRIDE_MAX struck by
@@ -98,44 +101,37 @@ def _primes_upto(m: int) -> np.ndarray:
     return np.flatnonzero(is_prime)
 
 
-def _wheel_classes() -> np.ndarray:
-    """The class of each residue n mod WHEEL: the row of CLASS_EXPONENTS
-    that holds (e_2, e_3, e_5, e_7), e_p = min(a_p, the wheel's exponent)."""
-    cls = np.zeros(WHEEL, dtype=np.intp)
-    for p, e in WHEEL_EXPONENTS:
-        cls *= e + 1
-        for a in range(1, e + 1):
-            cls[::p ** a] += 1
-    return cls
-
-
-WHEEL_CLASS = _wheel_classes()
-# each class's exponents (e_2, e_3, e_5, e_7), at most 5, and stripped product;
-# stripped products divide n <= DESK_X_CAP < 2^32, so they fit uint32
-CLASS_EXPONENTS = np.array(list(itertools.product(*(range(e + 1) for _, e in WHEEL_EXPONENTS))))
-CLASS_STRIPPED = np.prod(np.array([p for p, _ in WHEEL_EXPONENTS]) ** CLASS_EXPONENTS,
-                         axis=1).astype(np.uint32)
+# CODE[a] for an exponent a < 30 (a_p <= log2 DESK_X_CAP) is 1, then the odd
+# primes, so prod_p CODE[a_p] names the signature by unique factorisation
+CODE = (1, *_primes_upto(113)[1:].tolist())
 
 
 @functools.cache
-def _factors(k: int):
-    """C(a + k - 1, k - 1) and the step of its log2 from a - 1 to a, for
-    a < 64 (a_p <= log2(hi - 1) < 30); each wheel class's factor and log2.
-    Cached per k, so all of it is read-only."""
-    binom = tuple(math.comb(a + k - 1, k - 1) for a in range(64))
-    log2_binom = [math.log2(c) for c in binom]
-    dlog = (0.0, *(b - a for a, b in zip(log2_binom, log2_binom[1:])))
-    class_v = np.prod(np.array(binom[:6], dtype=np.uint64)[CLASS_EXPONENTS], axis=1)  # e_p <= 5
-    class_lg = np.array(log2_binom[:6])[CLASS_EXPONENTS].sum(axis=1)
-    class_v.flags.writeable = class_lg.flags.writeable = False
-    return binom, dlog, class_v, class_lg
+def _signatures():
+    """The signatures a_1 >= a_2 >= ... of the n <= DESK_X_CAP (the least n of
+    one puts a_i on the i-th prime), and a read-only uint16 map code -> rank."""
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)  # 2 * 3 * ... * 29 > DESK_X_CAP
+    sigs = [()]
+    for sig in sigs:  # extended while read: each signature by one more prime
+        n = math.prod(map(pow, primes, sig))
+        sigs += [sig + (a,) for a in range(1, sig[-1] + 1 if sig else len(CODE))
+                 if n * primes[len(sig)] ** a <= DESK_X_CAP]
+    rank = np.zeros(1 << 16, dtype=np.uint16)
+    rank[[math.prod(CODE[a] for a in sig) for sig in sigs]] = np.arange(len(sigs))
+    rank.flags.writeable = False
+    return tuple(sigs), rank
 
 
-def _wheel_pattern(lo: int, span: int, class_v: np.ndarray, class_lg: np.ndarray):
-    """(v, stripped, lg) of n = lo, ..., lo + span - 1 with only the prime
-    powers dividing WHEEL stripped."""
-    cls = _rotate(WHEEL_CLASS, lo % WHEEL, span)
-    return class_v[cls], CLASS_STRIPPED[cls], class_lg[cls]
+@functools.cache
+def _dk_by_signature(k: int, log2: int):
+    """d_k mod 2^64 at each signature rank (uint64), and whether d_k > 2^log2
+    there, from the exact integers; cached per (k, log2) and read-only."""
+    binom = [math.comb(a + k - 1, k - 1) for a in range(len(CODE))]
+    exact = [math.prod(binom[a] for a in sig) for sig in _signatures()[0]]
+    values = np.array([d & 0xFFFF_FFFF_FFFF_FFFF for d in exact], dtype=np.uint64)
+    flagged = np.array([d > 1 << log2 for d in exact])
+    values.flags.writeable = flagged.flags.writeable = False
+    return values, flagged
 
 
 def _rotate(pattern: np.ndarray, r: int, n: int) -> np.ndarray:
@@ -176,86 +172,82 @@ def _plan(primes: np.ndarray, hi: int):
     return strided, pieces
 
 
-def _strike(seg, s: int, p: int, a: int, binom, dlog) -> None:
-    """Raise a_p from a - 1 to a on the multiples of p^a in the segment seg =
-    (v, stripped, lg) of n = s, s + 1, ..."""
+def _strike(code, stripped, s: int, p: int, a: int) -> None:
+    """Raise a_p from a - 1 to a on the multiples of p^a in the segment from n = s."""
     q = p ** a
     first = -s % q
-    if first < len(seg[0]):
-        v, stripped, lg = seg[0][first::q], seg[1][first::q], seg[2][first::q]
+    if first < len(code):
+        code, stripped = code[first::q], stripped[first::q]
         if a > 1:
-            v //= binom[a - 1]
-        v *= binom[a]
-        lg += dlog[a]
+            code //= CODE[a - 1]
+        code *= CODE[a]
         stripped *= p
 
 
-def _scatter(seg, s: int, a: int, ps: np.ndarray, qs: np.ndarray, binom, dlog) -> None:
+def _scatter(code, stripped, s: int, a: int, ps: np.ndarray, qs: np.ndarray) -> None:
     """Raise a_p from a - 1 to a on the multiples of every q = p^a of one
-    piece in the segment seg of n = s, s + 1, ...  The unbuffered ufunc.at
+    piece in the segment of n = s, s + 1, ...  The unbuffered ufunc.at
     applies an index as often as it repeats (n divisible by two such q)."""
-    v, stripped, lg = seg
     first = -s % qs
-    cnt = (len(v) - 1 - first) // qs + 1  # >= 0, as first < q
+    cnt = (len(code) - 1 - first) // qs + 1  # >= 0, as first < q
     ends = np.cumsum(cnt)
     if not ends[-1]:
         return
     # the j-th index of the piece is first + (j - head) q, head = ends - cnt
     idx = np.repeat(first - (ends - cnt) * qs, cnt) + np.arange(ends[-1]) * np.repeat(qs, cnt)
     if a > 1:
-        np.floor_divide.at(v, idx, np.uint64(binom[a - 1]))
-    np.multiply.at(v, idx, np.uint64(binom[a]))
-    np.add.at(lg, idx, np.float64(dlog[a]))
+        np.floor_divide.at(code, idx, np.uint16(CODE[a - 1]))
+    np.multiply.at(code, idx, np.uint16(CODE[a]))
     np.multiply.at(stripped, idx, np.repeat(ps, cnt))
 
 
-def _finish(k: int, s: int, seg, strided, pieces, binom, dlog):
-    """(d_k values, overflowed) of the segment seg = (v, stripped, lg) of
-    n = s, s + 1, ..., which holds the wheel pattern: strike the other
-    prime powers, then multiply by k where a prime cofactor is left."""
-    for p, a in strided:
-        _strike(seg, s, p, a, binom, dlog)
-    for a, ps, qs in pieces:
-        _scatter(seg, s, a, ps, qs, binom, dlog)
-    v, stripped, lg = seg
-    cofactor = stripped < np.arange(s, s + len(v), dtype=np.uint32)
-    v *= cofactor * np.uint8(k - 1) + np.uint8(1)
-    # log2 d_k(n) is lg, plus log2 k at a cofactor
-    over = (lg > OVERFLOW_LOG2 - dlog[1]) & cofactor | (lg > OVERFLOW_LOG2)
-    return v, bool(over.any())
+@functools.cache
+def _wheel_pattern():
+    """The codes and stripped products of n = 0, 1, ..., WHEEL - 1 with only
+    the prime powers dividing WHEEL stripped: those of n are at n mod WHEEL."""
+    code, stripped = np.ones(WHEEL, dtype=np.uint16), np.ones(WHEEL, dtype=np.uint32)
+    for p, e in WHEEL_EXPONENTS:
+        for a in range(1, e + 1):
+            _strike(code, stripped, 0, p, a)
+    code.flags.writeable = stripped.flags.writeable = False
+    return code, stripped
+
+
+def _signature_segments(lo: int, hi: int):
+    """Yield (start, signature ranks) for each segment of [lo, hi).
+
+    Stripping 2, 3, 5, 7 and the primes p <= sqrt(hi - 1) from n leaves n /
+    stripped = 1 or one prime above them, so stripped < n marks a cofactor;
+    stripped divides n < 2^32, so it fits uint32.  A step from a_p = a - 1 to
+    a divides the code by CODE[a - 1] before it multiplies by CODE[a], so every
+    partial code is that of a divisor of n, at most n's own: below 2^16
+    (``test_signature_tables_are_exact``).
+    """
+    rank = _signatures()[1]
+    strided, pieces = _plan(_primes_upto(math.isqrt(hi - 1)), hi)
+    for s in range(lo, hi, SEGMENT):
+        code, stripped = (_rotate(x, s % WHEEL, min(SEGMENT, hi - s)) for x in _wheel_pattern())
+        for p, a in strided:
+            _strike(code, stripped, s, p, a)
+        for a, ps, qs in pieces:
+            _scatter(code, stripped, s, a, ps, qs)
+        cofactor = stripped < np.arange(s, s + len(code), dtype=np.uint32)
+        code *= cofactor * np.uint8(2) + np.uint8(1)
+        yield s, rank.take(code)
 
 
 def _dk_segments(k: int, lo: int, hi: int):
-    """Yield (start, d_k values, overflowed) for each segment of [lo, hi).
-
-    Stripping 2, 3, 5, 7 and the primes p <= sqrt(hi - 1) from n leaves
-    n / stripped = 1 or one prime above them, so stripped < n marks a prime
-    cofactor.
-
-    In a segment that is not flagged every product and quotient is exact
-    in uint64 (C(a + k - 1, k - 1) grows with a, so every partial product
-    is at most d_k(n) <= 2^63), and their order does not matter.  The flag
-    sums log2 factors in float: lg of n has at most 35 terms below 64 (4
-    from the wheel class, one per exponent step beyond it, at most 29 for
-    n <= DESK_X_CAP), each off by at most 3 ulp at 64 and each addition by
-    half an ulp, so |lg - log2 d_k(n)| < 35 * 3.5 * 2^-46 < 2e-12.  No
-    n <= DESK_X_CAP and k <= DESK_K_CAP has log2 d_k(n) within 1.16e-3 of
-    OVERFLOW_LOG2 (``test_overflow_flag_is_exact``), so in any order of
-    summation the flag is the exact test d_k(n) > 2^OVERFLOW_LOG2.
-    """
-    binom, dlog, class_v, class_lg = _factors(k)
-    strided, pieces = _plan(_primes_upto(math.isqrt(hi - 1)), hi)
-    # one period of the wheel pattern from n = lo on, or [lo, hi) if shorter
-    pattern = _wheel_pattern(lo, min(WHEEL, hi - lo), class_v, class_lg)
-    for s in range(lo, hi, SEGMENT):
-        yield s, *_finish(k, s, tuple(_rotate(x, (s - lo) % WHEEL, min(SEGMENT, hi - s))
-                                      for x in pattern), strided, pieces, binom, dlog)
+    """Yield (start, d_k values, overflowed) for each segment of [lo, hi), both
+    gathered by signature: d_k(n) mod 2^64, and d_k(n) > 2^OVERFLOW_LOG2 exactly."""
+    values, flagged = _dk_by_signature(k, OVERFLOW_LOG2)
+    for s, ranks in _signature_segments(lo, hi):
+        yield s, values.take(ranks), bool(flagged.any() and flagged.take(ranks).any())
 
 
 def _check_caps(k: int, hi: int, table_bytes: int) -> None:
     """Refuse k or hi beyond the caps, or table_bytes plus a segment over budget."""
-    if not (1 <= k <= DESK_K_CAP):
-        raise DomainError(f"k must lie in [1, {DESK_K_CAP}], got {k}")
+    check_within("k", k, 1, DESK_K_CAP)
+    check_integral("k", k)
     if hi > DESK_X_CAP + 1:
         raise DomainError(f"range cap is {DESK_X_CAP}, requested up to {hi - 1}")
     need = table_bytes + SEGMENT_BYTES
@@ -391,14 +383,14 @@ def _floor_sums(k: int, cps: list[int], y: int, chunk: int) -> tuple:
     low = _sieved_sums(k, cps[:n_low]) if n_low else ()
     if n_low == len(cps):
         return low
-    s = math.isqrt(cps[-1])
-    D, d = np.zeros((k - 2, y + 1), np.int64), np.empty((k - 2, s + 1), np.int64)
-    for j in range(2, k):  # row j - 2 holds d_j, then D_j in place
-        row = D[j - 2]
-        for start, seg, _ in _dk_segments(j, 1, y + 1):
-            row[start:start + len(seg)] = seg
-        d[j - 2] = row[:s + 1]
-        np.cumsum(row, out=row)
+    # row j - 2 holds d_j, then D_j in place, all rows from one sieve pass
+    D = np.zeros((k - 2, y + 1), np.int64)
+    tables = [_dk_by_signature(j, OVERFLOW_LOG2)[0].view(np.int64) for j in range(2, k)]
+    for start, ranks in _signature_segments(1, y + 1) if k > 2 else ():
+        for row, table in zip(D, tables):
+            table.take(ranks, out=row[start:start + len(ranks)], mode="clip")
+    d = D[:, :math.isqrt(cps[-1]) + 1].copy()
+    np.cumsum(D, axis=1, out=D)
     return low + tuple((x, _floor_dk(k, x, y, d, D, chunk)) for x in cps[n_low:])
 
 
@@ -412,8 +404,8 @@ def _floor_bound(k: int, cps: list[int]) -> tuple[int, int]:
     D_{k-1}(x / n) is at most its n = 1 term plus its integral over [1, x],
     x [(k - 1) A^{k-2} + A^{k-1}] / (k - 1)! for A = ln x + k - 2: the top
     two terms of (A + 1)^{k-1}.  That bound at the last checkpoint must lie
-    below 2^min(62, OVERFLOW_LOG2) (in float log2, whose rounding, like the
-    sieve's, is far below the 1e-9 slack).  Then
+    below 2^min(62, OVERFLOW_LOG2) (in float log2, whose rounding is far below
+    the 1e-9 slack).  Then
       - every intermediate is at most 2 D_k(x) < 2^63: a level's terms sum
         to D_j(v) + r D_{j-1}(r), and r D_{j-1}(r) <= D_j(v), so int64
         cannot wrap;
@@ -456,6 +448,8 @@ def dk_partial_sums(k: int, x_max: int, checkpoints) -> PartialSumSeries:
         raise DomainError("checkpoints must lie in [1, x_max]")
     _check_caps(k, x_max + 1, 0)
     check_finite("x_max", x_max)  # NaN passes the two range tests above
+    for c in cps:
+        check_integral("checkpoints", c)
     return PartialSumSeries(k=k, checkpoints=_floor_sums(k, cps, *_floor_bound(k, cps)))
 
 
@@ -469,8 +463,7 @@ def dk_factor(k: int, n: int) -> int:
 
     Trial division with a 2-3-5 wheel; independent of the sieve route.
     """
-    if not (1 <= k <= DESK_K_CAP):
-        raise DomainError(f"k must lie in [1, {DESK_K_CAP}], got {k}")
+    check_within("k", k, 1, DESK_K_CAP)
     if not (1 <= n <= 10 ** 12):
         raise DomainError(f"n must lie in [1, 1e12], got {n}")
     result, m, p = 1, n, 1
@@ -494,6 +487,7 @@ def d2_summatory_hyperbola(x: int) -> int:
     if x < 1:
         raise DomainError(f"x must be >= 1, got {x}")
     check_finite("x", x)
+    check_integral("x", x)
     r = math.isqrt(x)
     return 2 * sum(x // m for m in range(1, r + 1)) - r * r
 

@@ -46,7 +46,7 @@ import mpmath as mp
 from mpmath.libmp import to_fixed
 
 from . import exponents
-from .errors import DomainError, PrecisionError, QuadratureError, check_finite
+from .errors import DomainError, PrecisionError, QuadratureError, check_finite, check_within
 from .numerics import ols_slope
 
 # numpy is imported inside the float evaluators that use it, so the mpmath
@@ -263,8 +263,7 @@ def zeta_em(sigma: float, t: float, precision_bits: int = 128) -> mp.mpc:
     of ``_em_cutoff``: M direct terms and J Bernoulli correction terms, with
     a remainder below 2^{-precision_bits/2}.
     """
-    if not (0 <= sigma <= 3):
-        raise DomainError(f"sigma must lie in [0, 3], got {sigma}")
+    check_within("sigma", sigma, 0, 3)
     if not abs(t) <= T_CAP_ZETA:
         raise DomainError(f"|t| capped at 1e6, got {t}")
     if sigma == 1 and t == 0:
@@ -495,8 +494,7 @@ def moment_integral(k: int, sigma: float, T: float,
     Cost guard: T <= T_CAP_MOMENT, and quadrature nodes times zeta cutoff,
     summed over all six runs, at most MOMENT_COST_CAP = 2e10 (DomainError).
     """
-    if not (1 <= k <= 6):
-        raise DomainError(f"k must lie in [1, 6], got {k}")
+    check_within("k", k, 1, 6)
     if not (0.5 <= sigma <= 3):
         raise DomainError(f"sigma must lie in [1/2, 3], got {sigma}")
     if not (1 < T <= T_CAP_MOMENT):
@@ -547,8 +545,7 @@ def mvt_check(N: int, T: float, coeff_mode: str = "ones",
     import numpy as np
 
     from . import sieve
-    if not (1 <= N <= 4096):
-        raise DomainError(f"N must lie in [1, 4096], got {N}")
+    check_within("N", N, 1, 4096)
     if not (1 < T <= T_CAP_MOMENT):
         raise DomainError(f"T must lie in (1, {T_CAP_MOMENT}], got {T}")
     if coeff_mode == "ones":

@@ -6,6 +6,7 @@ independent route the main-term pipeline is checked against).
 """
 
 import math
+import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -468,3 +469,17 @@ def test_contour_oracle_domain():
         la.residue_contour_oracle(2, 128, 100, nodes=least - 1)
     with pytest.raises(DomainError, match="finite"):
         la.residue_contour_oracle(2, 128, float("inf"))
+    # precision_bits outside main_term_poly's range (NaN and -40 once raised
+    # ValueError and looped), and a node count above the cap
+    for bits in (math.nan, -40, 0, la.MAIN_TERM_MAX_BITS + 1):
+        with pytest.raises(DomainError, match=rf"^precision_bits must lie in \[1, 4000\], got {bits}$"):
+            la.residue_contour_oracle(2, bits, 100)
+    for nodes in (la.CONTOUR_MAX_NODES + 1, 10 ** 9):
+        with pytest.raises(DomainError, match=f"^nodes must be at most 8192, got {nodes}$"):
+            la.residue_contour_oracle(2, 32, 100, nodes=nodes)
+
+
+def test_contour_node_cap_covers_every_proven_count():
+    # the count grows with the precision and with x_probe, so its largest is
+    # at the top of main_term_poly's range and the largest float
+    assert la._contour_nodes(la.MAIN_TERM_MAX_BITS + 32, sys.float_info.max) <= la.CONTOUR_MAX_NODES

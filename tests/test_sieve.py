@@ -358,6 +358,19 @@ def test_precondition_errors():
         sv.dk_partial_sums(2, -math.inf, [10])
     with pytest.raises(DomainError, match="^x must be >= 1"):
         sv.d2_summatory_hyperbola(-math.inf)
+    # non-integers name the argument rather than leaking math.isqrt's or
+    # math.comb's TypeError; a k out of range keeps its message
+    with pytest.raises(DomainError, match="^x must be integral, got 10.5$"):
+        sv.d2_summatory_hyperbola(10.5)
+    with pytest.raises(DomainError, match="^checkpoints must be integral, got 10.5$"):
+        sv.dk_partial_sums(2, 100, [10.5])
+    for call in (lambda: sv.dk_block(2.5, 1, 10), lambda: sv.dk_partial_sums(2.5, 100, [10]),
+                 lambda: list(sv.dk_cumulative_segments(2.0, 10))):
+        with pytest.raises(DomainError, match="^k must be integral, got 2.[05]$"):
+            call()
+    with pytest.raises(DomainError, match=r"^k must lie in \[1, 30\], got nan$"):
+        sv.dk_block(math.nan, 1, 10)
+    assert sv.dk_block(np.int64(3), 1, 13).values[11] == 18  # numpy integers pass
 
 
 NAN, INF = math.nan, math.inf
@@ -437,7 +450,10 @@ def test_kernel_equals_reference(k, lo, width):
         assert flagged or np.array_equal(v, w)
 
 
-# the kernel docstring's bound on |lg - log2 d_k(n)| for n <= DESK_X_CAP
+# the bound on |lg - log2 d_k(n)| of the reference's float flag for n <=
+# DESK_X_CAP: lg has at most 30 terms below 64 (29 exponent steps and a
+# cofactor), each off by at most 3 ulp at 64 and each addition by half an ulp,
+# so it is off by less than 35 * 3.5 * 2^-46 < 2e-12
 FLOAT_SUM_BOUND = 2e-12
 
 
@@ -500,3 +516,42 @@ def test_block_near_cap_within_its_charge():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * (hi - lo) + sv.SEGMENT_BYTES
+
+
+def test_signature_tables_are_exact():
+    # every signature below the cap has its own code below 2^16, and the
+    # tables hold d_k mod 2^64 and the exact flag d_k > 2^OVERFLOW_LOG2 at
+    # its index, for every k; the kernel gives the smallest n of each
+    # signature that index
+    sigs = _signatures(sv.DESK_X_CAP)
+    codes = [math.prod(sv.CODE[a] for a in sig) for sig in sigs]
+    assert len(set(codes)) == len(sigs) == 1274 and max(codes) == 61965 < 1 << 16
+    index = sv._signatures()[1][codes]
+    assert sorted(index) == list(range(len(sigs)))
+    for k in range(1, sv.DESK_K_CAP + 1):
+        values, flagged = sv._dk_by_signature(k, sv.OVERFLOW_LOG2)
+        exact = [math.prod(math.comb(a + k - 1, k - 1) for a in sig) for sig in sigs]
+        assert values[index].tolist() == [d % (1 << 64) for d in exact]
+        assert flagged[index].tolist() == [d > 1 << sv.OVERFLOW_LOG2 for d in exact]
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    for sig, i in zip(sigs, index):
+        n = math.prod(p ** a for p, a in zip(primes, sig))
+        assert list(sv._signature_segments(n, n + 1))[0][1].tolist() == [i]
+
+
+def test_floor_tables_take_one_sieve_pass(monkeypatch):
+    # the rows d_j, 2 <= j < k, of the floor route come from one pass of the
+    # kernel over [1, y], not one pass per j
+    x, y = 10 ** 6, 5000
+    want = {k: sv._sieved_sums(k, [x]) for k in (4, 7, 12)}
+    passes = []
+    kernel = sv._signature_segments
+
+    def counted(lo, hi):
+        passes.append((lo, hi))
+        return kernel(lo, hi)
+    monkeypatch.setattr(sv, "_signature_segments", counted)
+    for k, sums in want.items():
+        passes.clear()
+        assert sv._floor_sums(k, [x], y, sv.SEGMENT) == sums
+        assert passes == [(1, y + 1)]
