@@ -51,8 +51,8 @@ MEMORY_BUDGET_BYTES = 3 << 30
 
 SEGMENT = 1 << 16
 # one segment's working set (codes, stripped prime products, ranks, values,
-# their temporaries and the prime table); tracemalloc measures 35.6 B per entry
-# in a streaming pass to 1e6, 36.6 near 1e9, 39.2 in a first pass (1e6)
+# their temporaries and the prime table); tracemalloc measures 35.0 B per entry
+# in a streaming pass to 1e6, 35.9 near 1e9, 40.8 in a first pass (1e6)
 SEGMENT_BYTES = 48 * SEGMENT
 OVERFLOW_LOG2 = 63
 # the wheel period 2^5 3^2 5 7, prime powers up to STRIDE_MAX struck by
@@ -109,17 +109,21 @@ CODE = (1, *_primes_upto(113)[1:].tolist())
 @functools.cache
 def _signatures():
     """The signatures a_1 >= a_2 >= ... of the n <= DESK_X_CAP (the least n of
-    one puts a_i on the i-th prime), and a read-only uint16 map code -> rank."""
+    one puts a_i on the i-th prime), each after () as a step (rank of the one it
+    extends by one prime, a), and a read-only uint16 map code -> rank."""
     primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)  # 2 * 3 * ... * 29 > DESK_X_CAP
-    sigs = [()]
-    for sig in sigs:  # extended while read: each signature by one more prime
-        n = math.prod(map(pow, primes, sig))
-        sigs += [sig + (a,) for a in range(1, sig[-1] + 1 if sig else len(CODE))
-                 if n * primes[len(sig)] ** a <= DESK_X_CAP]
+    steps, rows = [], [(1, 1, 0, len(CODE) - 1)]  # (least n, code, length, last a)
+    for i, (n, code, length, last) in enumerate(rows):  # extended while read
+        for a in range(1, last + 1):
+            n *= primes[length]
+            if n > DESK_X_CAP:
+                break
+            steps.append((i, a))
+            rows.append((n, code * CODE[a], length + 1, a))
     rank = np.zeros(1 << 16, dtype=np.uint16)
-    rank[[math.prod(CODE[a] for a in sig) for sig in sigs]] = np.arange(len(sigs))
+    rank[[row[1] for row in rows]] = np.arange(len(rows))
     rank.flags.writeable = False
-    return tuple(sigs), rank
+    return tuple(steps), rank
 
 
 @functools.cache
@@ -127,21 +131,13 @@ def _dk_by_signature(k: int, log2: int):
     """d_k mod 2^64 at each signature rank (uint64), and whether d_k > 2^log2
     there, from the exact integers; cached per (k, log2) and read-only."""
     binom = [math.comb(a + k - 1, k - 1) for a in range(len(CODE))]
-    exact = [math.prod(binom[a] for a in sig) for sig in _signatures()[0]]
+    exact = [1]
+    for i, a in _signatures()[0]:
+        exact.append(exact[i] * binom[a])
     values = np.array([d & 0xFFFF_FFFF_FFFF_FFFF for d in exact], dtype=np.uint64)
     flagged = np.array([d > 1 << log2 for d in exact])
     values.flags.writeable = flagged.flags.writeable = False
     return values, flagged
-
-
-def _rotate(pattern: np.ndarray, r: int, n: int) -> np.ndarray:
-    """pattern[(r + i) % len(pattern)] for i < n."""
-    out = np.empty(n, dtype=pattern.dtype)
-    head = min(n, len(pattern) - r)
-    out[:head] = pattern[r:r + head]
-    for pos in range(head, n, len(pattern)):
-        out[pos:pos + len(pattern)] = pattern[:min(n - pos, len(pattern))]
-    return out
 
 
 def _plan(primes: np.ndarray, hi: int):
@@ -226,7 +222,8 @@ def _signature_segments(lo: int, hi: int):
     rank = _signatures()[1]
     strided, pieces = _plan(_primes_upto(math.isqrt(hi - 1)), hi)
     for s in range(lo, hi, SEGMENT):
-        code, stripped = (_rotate(x, s % WHEEL, min(SEGMENT, hi - s)) for x in _wheel_pattern())
+        code, stripped = (np.resize(np.roll(x, -(s % WHEEL)), min(SEGMENT, hi - s))
+                          for x in _wheel_pattern())
         for p, a in strided:
             _strike(code, stripped, s, p, a)
         for a, ps, qs in pieces:
