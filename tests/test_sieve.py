@@ -521,22 +521,22 @@ def test_block_near_cap_within_its_charge():
 def test_signature_tables_are_exact():
     # every signature below the cap has its own code below 2^16, and the
     # tables hold d_k mod 2^64 and the exact flag d_k > 2^OVERFLOW_LOG2 at
-    # its index, for every k; the kernel gives the smallest n of each
-    # signature that index
+    # its rank, for every k; the kernel gives the smallest n of each
+    # signature that rank
     sigs = _signatures(sv.DESK_X_CAP)
     codes = [math.prod(sv.CODE[a] for a in sig) for sig in sigs]
     assert len(set(codes)) == len(sigs) == 1274 and max(codes) == 61965 < 1 << 16
-    index = sv._signatures()[1][codes]
-    assert sorted(index) == list(range(len(sigs)))
+    ranks = sv._signatures()[1][codes]
+    assert sorted(ranks) == list(range(len(sigs)))
     for k in range(1, sv.DESK_K_CAP + 1):
         values, flagged = sv._dk_by_signature(k, sv.OVERFLOW_LOG2)
         exact = [math.prod(math.comb(a + k - 1, k - 1) for a in sig) for sig in sigs]
-        assert values[index].tolist() == [d % (1 << 64) for d in exact]
-        assert flagged[index].tolist() == [d > 1 << sv.OVERFLOW_LOG2 for d in exact]
+        assert values[ranks].tolist() == [d % (1 << 64) for d in exact]
+        assert flagged[ranks].tolist() == [d > 1 << sv.OVERFLOW_LOG2 for d in exact]
     primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-    for sig, i in zip(sigs, index):
+    for sig, r in zip(sigs, ranks):
         n = math.prod(p ** a for p, a in zip(primes, sig))
-        assert list(sv._signature_segments(n, n + 1))[0][1].tolist() == [i]
+        assert list(sv._signature_segments(n, n + 1))[0][1].tolist() == [r]
 
 
 def test_floor_tables_take_one_sieve_pass(monkeypatch):
