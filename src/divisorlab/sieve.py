@@ -19,13 +19,13 @@ The kernel (``_signature_segments``) takes four steps:
   - Cofactor: code *= 2 cofactor + 1, without a masked (branchy) ufunc.
 
 Partial sums take one exact route with a parameter y, isqrt(max x) <= y <=
-max x, that a cost rule picks (``_floor_bound``).  Checkpoints up to y come
-from one streaming pass of the sieve in O(SEGMENT) memory; each larger one
+max x, that a cost rule picks (``_floor_bound``), and one pass of the sieve.
+The pass sums d_k exactly up to each checkpoint <= y, a segment at a time,
+and fills every d_j and D_j, 2 <= j < k, on [0, y] for the larger ones, each
 from the hyperbola identity over the floor values {x // b} (Lagarias, Miller
 and Odlyzko, Math. Comp. 44, 1985; Deleglise and Rivat, Experiment. Math. 5,
-1996), level by level in int64, with every d_j and D_j, 2 <= j < k, on [0, y]
-from one more pass.  At y = isqrt(x) only floor values are paired, at y =
-max x only the sieve runs.
+1996), level by level in int64.  At y = isqrt(x) only floor values are
+paired, at y = max x only the sieve runs.
 
 Values are uint64, d_k(n) mod 2^64, flagged per segment by the table where
 some d_k(n) > 2^OVERFLOW_LOG2 (63, a 2x margin below 2^64).  Partial sums are
@@ -38,6 +38,7 @@ import bisect
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -291,23 +292,6 @@ def _exact_sum_uint64(values: np.ndarray) -> int:
     return lo + (hi << 32)
 
 
-def _sieved_sums(k: int, cps: list[int]) -> tuple:
-    """(x, D_k(x)) at the sorted checkpoints from one streaming sieve pass."""
-    out, acc, i = [], 0, 0
-    for s, seg, over in _dk_segments(k, 1, cps[-1] + 1):
-        if over:
-            raise SieveOverflowError(f"d_{k} may exceed 2^{OVERFLOW_LOG2} below {cps[-1] + 1}")
-        done = 0
-        while i < len(cps) and cps[i] < s + len(seg):
-            end = cps[i] - s + 1
-            acc += _exact_sum_uint64(seg[done:end])
-            done = end
-            out.append((cps[i], acc))
-            i += 1
-        acc += _exact_sum_uint64(seg[done:])
-    return tuple(out)
-
-
 # --------------------------------------------------- floor-value route
 
 # bytes a (b, m) pair holds alive (tracemalloc: 35-44 B), and the cost rule in
@@ -371,24 +355,35 @@ def _floor_dk(k: int, c: int, y: int, d: np.ndarray, D: np.ndarray, chunk: int) 
 
 
 def _floor_sums(k: int, cps: list[int], y: int, chunk: int) -> tuple:
-    """(x, D_k(x)) at the sorted checkpoints, for any isqrt(max x) <= y:
-    those <= y from one streaming sieve pass, the others by ``_floor_dk``
-    from d_j on [0, isqrt(max x)] and D_j on [0, y], 2 <= j < k.  D_1(x) = x."""
-    if k == 1:
-        return tuple((x, x) for x in cps)
+    """(x, D_k(x)) at the sorted checkpoints, for k > 1 and any isqrt(max x) <= y,
+    from one sieve pass over [1, top], top = y if k > 2 and some x > y, else the
+    last x <= y.  The pass sums d_k exactly up to each x <= y and fills d_j on
+    [0, isqrt(max x)] and D_j on [0, y], 2 <= j < k, for ``_floor_dk``."""
     n_low = bisect.bisect_right(cps, y)
-    low = _sieved_sums(k, cps[:n_low]) if n_low else ()
-    if n_low == len(cps):
-        return low
-    # row j - 2 holds d_j, then D_j in place, all rows from one sieve pass
-    D = np.zeros((k - 2, y + 1), np.int64)
-    tables = [_dk_by_signature(j, OVERFLOW_LOG2)[0].view(np.int64) for j in range(2, k)]
-    for start, ranks in _signature_segments(1, y + 1) if k > 2 else ():
+    low_end = cps[n_low - 1] + 1 if n_low else 1  # d_k is summed on [1, low_end)
+    rows = k - 2 if n_low < len(cps) else 0
+    top = y if rows else low_end - 1
+    D = np.zeros((rows, top + 1), np.int64)  # row j - 2: d_j, then D_j in place
+    tables = [_dk_by_signature(j, OVERFLOW_LOG2)[0].view(np.int64) for j in range(2, 2 + rows)]
+    values, flagged = _dk_by_signature(k, OVERFLOW_LOG2)
+    out, acc, i = [], 0, 0
+    for start, ranks in _signature_segments(1, top + 1) if top else ():
         for row, table in zip(D, tables):
             table.take(ranks, out=row[start:start + len(ranks)], mode="clip")
+        if start >= low_end:
+            continue
+        ranks = ranks[:low_end - start]
+        if flagged.any() and flagged.take(ranks).any():
+            raise SieveOverflowError(f"d_{k} may exceed 2^{OVERFLOW_LOG2} below {low_end}")
+        seg, done = values.take(ranks), 0
+        while i < n_low and cps[i] < start + len(seg):
+            acc += _exact_sum_uint64(seg[done:cps[i] + 1 - start])
+            out.append((cps[i], acc))
+            done, i = cps[i] + 1 - start, i + 1
+        acc += _exact_sum_uint64(seg[done:])
     d = D[:, :math.isqrt(cps[-1]) + 1].copy()
     np.cumsum(D, axis=1, out=D)
-    return low + tuple((x, _floor_dk(k, x, y, d, D, chunk)) for x in cps[n_low:])
+    return tuple(out) + tuple((x, _floor_dk(k, x, y, d, D, chunk)) for x in cps[n_low:])
 
 
 def _floor_bound(k: int, cps: list[int]) -> tuple[int, int]:
@@ -408,17 +403,19 @@ def _floor_bound(k: int, cps: list[int]) -> tuple[int, int]:
         cannot wrap;
       - every d_k(n <= x) <= D_k(x) lies below the sieve's flag, so the
         sieve would not have raised SieveOverflowError either.
-    D_1(x) = x needs no y.  Otherwise y is the cheapest of isqrt(x) 2^i and
-    x in sieved entries: the largest streamed checkpoint, (k - 2) y of tables,
-    and per c > y POINT_COST k plus PAIR_COST per pair-level, about (k - 1)
-    2 c / sqrt(y) + sqrt(c) for k > 2 (building pairs costs about a level).
+    y is the cheapest of isqrt(x) 2^i and x in sieved entries: the largest
+    checkpoint <= y, (k - 2) y of tables, and per c > y POINT_COST k plus
+    PAIR_COST per pair-level, about (k - 1) 2 c / sqrt(y) + sqrt(c) for k > 2
+    (building pairs costs about a level).  For k > 2 the first term
+    over-charges, as the c <= y ride on the table pass; it stays as a brake on
+    y, and so on the table memory, until the rule charges bytes.
     A y fits if its tables, 8 (k - 2) (y + s + 2) B for s = isqrt(x), level
     rows and roots for k > 2, 8 (k + 2) x // (y + 1) B, and chunks of
     chunk >= s pairs fit the budget beside a segment.
     """
     x, s = cps[-1], math.isqrt(cps[-1])
-    if k == 1 or (math.log2(x) + (k - 1) * math.log2(math.log(x) + k - 1)
-                  - math.log2(math.factorial(k - 1)) >= min(62, OVERFLOW_LOG2) - 1e-9):
+    if (math.log2(x) + (k - 1) * math.log2(math.log(x) + k - 1)
+            - math.log2(math.factorial(k - 1)) >= min(62, OVERFLOW_LOG2) - 1e-9):
         return x, SEGMENT
     # tail[i]: the sums of c and sqrt(c) over the checkpoints from cps[i] on
     tail = np.cumsum([(c, math.sqrt(c)) for c in reversed(cps)], axis=0)[::-1].tolist()
@@ -447,7 +444,9 @@ def dk_partial_sums(k: int, x_max: int, checkpoints) -> PartialSumSeries:
     check_finite("x_max", x_max)  # NaN passes the two range tests above
     for c in cps:
         check_integral("checkpoints", c)
-    return PartialSumSeries(k=k, checkpoints=_floor_sums(k, cps, *_floor_bound(k, cps)))
+    cps = [operator.index(c) for c in cps]
+    sums = tuple(zip(cps, cps)) if k == 1 else _floor_sums(k, cps, *_floor_bound(k, cps))
+    return PartialSumSeries(k=k, checkpoints=sums)
 
 
 # ---------------------------------------------------------------- oracles

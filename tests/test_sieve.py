@@ -2,6 +2,7 @@
 counting, the factorisation formula, and the Dirichlet hyperbola identity.
 """
 
+import itertools
 import math
 import random
 import tracemalloc
@@ -203,6 +204,17 @@ def test_partial_sums_stream_within_segment_budget(monkeypatch):
         sv.dk_block(2, 1, x + 1)
 
 
+def exact_sums(k, cps):
+    """(x, D_k(x)) at the sorted checkpoints: d_k from one unflagged dk_block
+    over [1, max x], summed exactly between checkpoints.  It shares no code
+    with the partial-sum loop of the floor route."""
+    blk = sv.dk_block(k, 1, cps[-1] + 1)
+    assert not blk.overflow_flag
+    edges = [0, *cps]
+    parts = (sv._exact_sum_uint64(blk.values[a:b]) for a, b in zip(edges, edges[1:]))
+    return tuple(zip(cps, itertools.accumulate(parts)))
+
+
 SEGMENT_EDGES = [sv.SEGMENT - 1, sv.SEGMENT, sv.SEGMENT + 1]
 
 
@@ -220,7 +232,10 @@ def test_isolated_route_equals_sieve(k, xs, roots, chunk, data):
     s = math.isqrt(cps[-1])
     y = data.draw(st.one_of(st.integers(s, cps[-1]),
                             st.sampled_from([c - e for c in cps for e in (0, 1) if c - e >= s])))
-    want = sv._sieved_sums(k, cps)
+    want = exact_sums(k, cps)
+    if k == 1:  # D_1(x) = x is answered before the floor route
+        assert sv.dk_partial_sums(k, cps[-1], cps).checkpoints == want
+        return
     assert sv._floor_sums(k, cps, s, chunk) == want
     assert sv._floor_sums(k, cps, y, chunk) == want
 
@@ -245,9 +260,9 @@ def test_route_choice(monkeypatch):
         raise AssertionError("floor values paired")
     monkeypatch.setattr(sv, "_floor_dk", refuse)
     got = sv.dk_partial_sums(30, 10 ** 6, [10 ** 6])
-    assert got.checkpoints == sv._sieved_sums(30, [10 ** 6])
+    assert got.checkpoints == exact_sums(30, [10 ** 6])
     # D_1(x) = x sieves nothing
-    monkeypatch.setattr(sv, "_dk_segments", refuse)
+    monkeypatch.setattr(sv, "_signature_segments", refuse)
     cps = list(range(1, 10 ** 4))
     assert sv.dk_partial_sums(1, cps[-1], cps).checkpoints == tuple(zip(cps, cps))
 
@@ -262,7 +277,9 @@ def _traced(f):
 
 def test_isolated_route_within_memory_budget(monkeypatch):
     x, k = 3 * 10 ** 6, 5
-    want = sv._sieved_sums(k, [x])
+    want = exact_sums(k, [x])
+    cps = list(range(31250, 10 ** 6 + 1, 31250))
+    want_cps = exact_sums(k, cps)  # before the budget shrinks below a block
     # 1 MiB beside a segment leaves room for tables and chunks of a few
     # thousand pairs; 100 KiB does not hold the tables, so the streaming sieve
     # answers
@@ -280,15 +297,13 @@ def test_isolated_route_within_memory_budget(monkeypatch):
             assert peak <= spare + sv.SEGMENT_BYTES // sv.SEGMENT * y
     # where the cheapest y does not fit, the rule shrinks y rather than
     # refusing, streaming or overrunning
-    cps = list(range(31250, 10 ** 6 + 1, 31250))
-    want = sv._sieved_sums(k, cps)
     y_free = sv._floor_bound(k, cps)[0]
     budget = sv.SEGMENT_BYTES + 8 * (k - 2) * (y_free + 1000 + 2)  # its tables alone
     monkeypatch.setattr(sv, "MEMORY_BUDGET_BYTES", budget)
     y, chunk = sv._floor_bound(k, cps)
     assert 1000 <= y < y_free
     got, peak = _traced(lambda: sv.dk_partial_sums(k, cps[-1], cps))
-    assert got.checkpoints == want
+    assert got.checkpoints == want_cps
     assert peak <= budget
 
 
@@ -311,7 +326,7 @@ def test_int64_bound_holds():
     # checks against 2^62, on a geometric grid of exact sums
     xs = sorted({int(x) for x in np.geomspace(1, 2e5, 40)})
     for k in range(1, sv.DESK_K_CAP + 1):
-        for x, D in sv._sieved_sums(k, xs):
+        for x, D in exact_sums(k, xs):
             bound = x * (mp.log(x) + k - 1) ** (k - 1) / mp.factorial(k - 1)
             assert D <= bound, (k, x)
 
@@ -321,7 +336,7 @@ def test_sharper_bound_reaches_k12_at_1e6():
     # pairs floor values above some y < x, and the values stay exact
     x = 10 ** 6
     assert sv._floor_bound(12, [x])[0] < x
-    assert sv.dk_partial_sums(12, x, [x]).checkpoints == sv._sieved_sums(12, [x])
+    assert sv.dk_partial_sums(12, x, [x]).checkpoints == exact_sums(12, [x])
 
 
 def test_float_isqrt_is_exact_below_the_cap():
@@ -371,6 +386,7 @@ def test_precondition_errors():
     with pytest.raises(DomainError, match=r"^k must lie in \[1, 30\], got nan$"):
         sv.dk_block(math.nan, 1, 10)
     assert sv.dk_block(np.int64(3), 1, 13).values[11] == 18  # numpy integers pass
+    assert sv.dk_partial_sums(3, 100, [np.int64(10)]).checkpoints == ((10, 53),)
 
 
 NAN, INF = math.nan, math.inf
@@ -541,9 +557,13 @@ def test_signature_tables_are_exact():
 
 def test_floor_tables_take_one_sieve_pass(monkeypatch):
     # the rows d_j, 2 <= j < k, of the floor route come from one pass of the
-    # kernel over [1, y], not one pass per j
+    # kernel over [1, y], not one pass per j, and checkpoints <= y are summed
+    # in that pass too; k = 2 needs no rows, so it sieves to its last
+    # checkpoint <= y
     x, y = 10 ** 6, 5000
-    want = {k: sv._sieved_sums(k, [x]) for k in (4, 7, 12)}
+    cps = [1000, 4999, 5000, x]
+    want = {k: exact_sums(k, [x]) for k in (4, 7, 12)}
+    both = {k: exact_sums(k, cps) for k in (2, 4, 7, 12)}
     passes = []
     kernel = sv._signature_segments
 
@@ -554,4 +574,8 @@ def test_floor_tables_take_one_sieve_pass(monkeypatch):
     for k, sums in want.items():
         passes.clear()
         assert sv._floor_sums(k, [x], y, sv.SEGMENT) == sums
+        assert passes == [(1, y + 1)]
+    for k, sums in both.items():
+        passes.clear()
+        assert sv._floor_sums(k, cps, y, sv.SEGMENT) == sums
         assert passes == [(1, y + 1)]
