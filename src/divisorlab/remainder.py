@@ -23,8 +23,8 @@ import mpmath as mp
 import numpy as np
 
 from . import laurent, sieve
-from .errors import (DomainError, MemoryBudgetError, QuadratureError, RangeError,
-                     check_finite, check_positive, check_within)
+from .errors import (DomainError, QuadratureError, RangeError, check_finite, check_integral,
+                     check_positive, check_within)
 from .numerics import ols_slope
 
 MAIN_BITS_DEFAULT = 192
@@ -63,10 +63,6 @@ class EnvelopeSet:
     notes: dict
 
 
-def _is_half_odd(x: float) -> bool:
-    return math.isclose(x - math.floor(x), 0.5, abs_tol=1e-12)
-
-
 def delta_at(k: int, x: float, precision_bits: int = MAIN_BITS_DEFAULT) -> RemainderSample:
     """Delta_k(x) = D_k(floor x) - x P_{k-1}(log x), exactly-minus-smooth:
     the one-point ``delta_scan``."""
@@ -80,7 +76,7 @@ def sample_from_D(k: int, x: float, D: int, bits: int) -> RemainderSample:
     with mp.workprec(bits):
         delta = float(D - main)
     return RemainderSample(k=k, x=float(x), D=D, main=main, delta=delta,
-                           half_odd=_is_half_odd(x))
+                           half_odd=math.isclose(x - math.floor(x), 0.5, abs_tol=1e-12))
 
 
 def delta_scan(k: int, x_grid: Sequence[float],
@@ -187,11 +183,8 @@ def sign_change_scan(k: int, X0: float, X1: float, C: float = TONG_C,
         raise DomainError("range too narrow to hold two half-odd points")
     check_within("k", k, 1, sieve.DESK_K_CAP)
     windows = min(k * (X1 ** (1 / k) - X0 ** (1 / k)) / C + 1, 2.0 ** 53)
-    need = sieve.SEGMENT_BYTES + SCAN_BYTES_PER_POINT * min(n_hi - n_lo + 1, sieve.SEGMENT) \
-        + SCAN_BYTES_PER_WINDOW * int(windows)
-    if need > sieve.MEMORY_BUDGET_BYTES:
-        raise MemoryBudgetError(f"scan up to {n_hi} needs ~{need >> 20} MiB, "
-                                f"budget is {sieve.MEMORY_BUDGET_BYTES >> 20} MiB")
+    sieve.check_budget("scan", n_hi, sieve.SEGMENT_BYTES + SCAN_BYTES_PER_WINDOW * int(windows)
+                       + SCAN_BYTES_PER_POINT * min(n_hi - n_lo + 1, sieve.SEGMENT))
     out, X = [], float(X0)
     for lefts, last in _segment_flips(k, n_lo, n_hi, precision_bits):
         while X < X1:
@@ -228,8 +221,8 @@ def mean_square(k: int, x: float, panels_per_unit: int = 2,
     fast; the panel count is doubled once as a self-check (must agree to
     1e-6 relative).  k is capped at ``sieve.DESK_K_CAP``, as in the sieve.
 
-    Nodes are summed in reduction groups of ``MS_NODES_PER_CHUNK`` nodes,
-    fewer under the memory budget, each ending in one float sum over its
+    Nodes are summed in reduction groups of ``MS_NODES_PER_CHUNK`` nodes (or one
+    unit's), fewer under the memory budget, each ending in one float sum over its
     (units, panels) array; inside a group the integrand is computed in
     cache-sized passes of about ``MS_NODES_PER_SUBCHUNK`` nodes, a multiple
     of 16 units, which give every node the bits one pass over the group
@@ -240,14 +233,12 @@ def mean_square(k: int, x: float, panels_per_unit: int = 2,
         raise DomainError(f"x must lie in [2, 1e7], got {x}")
     if panels_per_unit < 2:
         raise DomainError("panels_per_unit must be >= 2")
+    check_integral("panels_per_unit", panels_per_unit)
     n_top = math.floor(x)
-    spare = sieve.MEMORY_BUDGET_BYTES - 16 * (n_top + 1)
-    chunk_nodes = min(MS_NODES_PER_CHUNK, spare // MS_BYTES_PER_NODE)
     unit_nodes = 2 * panels_per_unit * MS_ORDER  # one unit interval, doubled panels
-    if chunk_nodes < unit_nodes:
-        need = 16 * (n_top + 1) + MS_BYTES_PER_NODE * unit_nodes
-        raise MemoryBudgetError(f"mean square up to {n_top} needs ~{need >> 20} MiB, "
-                                f"budget is {sieve.MEMORY_BUDGET_BYTES >> 20} MiB")
+    sieve.check_budget("mean square", n_top, 16 * (n_top + 1) + MS_BYTES_PER_NODE * unit_nodes)
+    chunk_nodes = min(MS_NODES_PER_CHUNK,
+                      (sieve.MEMORY_BUDGET_BYTES - 16 * (n_top + 1)) // MS_BYTES_PER_NODE)
     Dfloat = np.empty(n_top)
     for s, cums in sieve.dk_cumulative_segments(k, n_top):
         Dfloat[s - 1: s - 1 + len(cums)] = cums
@@ -257,7 +248,7 @@ def mean_square(k: int, x: float, panels_per_unit: int = 2,
         nodes, weights = np.polynomial.legendre.leggauss(MS_ORDER)
         offs = np.linspace(0.0, 1.0, ppu + 1)[:-1]
         total = 0.0
-        chunk = chunk_nodes // (ppu * MS_ORDER)  # units per reduction group
+        chunk = max(1, chunk_nodes // (ppu * MS_ORDER))  # units per reduction group
         sub = max(16, MS_NODES_PER_SUBCHUNK // (ppu * MS_ORDER) // 16 * 16)  # units per pass
         for n0 in range(1, n_top + 1, chunk):
             n1 = min(n0 + chunk, n_top + 1)

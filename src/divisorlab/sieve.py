@@ -20,12 +20,12 @@ The kernel (``_signature_segments``) takes four steps:
 
 Partial sums take one exact route with a parameter y, isqrt(max x) <= y <=
 max x, that a cost rule picks (``_floor_bound``), and one pass of the sieve.
-The pass sums d_k exactly up to each checkpoint <= y, a segment at a time,
-and fills every d_j and D_j, 2 <= j < k, on [0, y] for the larger ones, each
-from the hyperbola identity over the floor values {x // b} (Lagarias, Miller
-and Odlyzko, Math. Comp. 44, 1985; Deleglise and Rivat, Experiment. Math. 5,
-1996), level by level in int64.  At y = isqrt(x) only floor values are
-paired, at y = max x only the sieve runs.
+The pass reads D_k at each checkpoint <= y from one exact prefix sum per
+segment (27 B per entry streaming), and fills every d_j and D_j, 2 <= j < k,
+on [0, y] for the larger ones, each from the hyperbola identity over the
+floor values {x // b} (Lagarias, Miller and Odlyzko, Math. Comp. 44, 1985;
+Deleglise and Rivat, Experiment. Math. 5, 1996), level by level in int64.
+At y = isqrt(x) only floor values are paired, at y = max x only the sieve runs.
 
 Values are uint64, d_k(n) mod 2^64, flagged per segment by the table where
 some d_k(n) > 2^OVERFLOW_LOG2 (63, a 2x margin below 2^64).  Partial sums are
@@ -52,8 +52,8 @@ MEMORY_BUDGET_BYTES = 3 << 30
 
 SEGMENT = 1 << 16
 # one segment's working set (codes, stripped prime products, ranks, values,
-# their temporaries and the prime table); tracemalloc measures 35.0 B per entry
-# in a streaming pass to 1e6, 35.9 near 1e9, 40.8 in a first pass (1e6)
+# their temporaries and the prime table); tracemalloc, warm (cold): 34.7 (40.8) B
+# per entry in a cumulative pass to 1e6, 26.7 (32.9) in partial sums, 35.9 near 1e9
 SEGMENT_BYTES = 48 * SEGMENT
 OVERFLOW_LOG2 = 63
 # the wheel period 2^5 3^2 5 7, prime powers up to STRIDE_MAX struck by
@@ -234,12 +234,22 @@ def _signature_segments(lo: int, hi: int):
         yield s, rank.take(code)
 
 
-def _dk_segments(k: int, lo: int, hi: int):
-    """Yield (start, d_k values, overflowed) for each segment of [lo, hi), both
-    gathered by signature: d_k(n) mod 2^64, and d_k(n) > 2^OVERFLOW_LOG2 exactly."""
+def _dk_gather(k: int, ranks: np.ndarray):
+    """d_k(n) mod 2^64 at the signature ranks, and whether some d_k(n) > 2^OVERFLOW_LOG2."""
     values, flagged = _dk_by_signature(k, OVERFLOW_LOG2)
-    for s, ranks in _signature_segments(lo, hi):
-        yield s, values.take(ranks), bool(flagged.any() and flagged.take(ranks).any())
+    return values.take(ranks), bool(flagged.any() and flagged.take(ranks).any())
+
+
+def _dk_segments(k: int, lo: int, hi: int):
+    """(start, d_k values, overflowed) for each segment of [lo, hi), lazily."""
+    return ((s, *_dk_gather(k, ranks)) for s, ranks in _signature_segments(lo, hi))
+
+
+def check_budget(what: str, top: int, need: int) -> None:
+    """The one MemoryBudgetError: refuse `what` up to top if need > MEMORY_BUDGET_BYTES."""
+    if need > MEMORY_BUDGET_BYTES:
+        raise MemoryBudgetError(f"{what} up to {top} needs ~{need >> 20} MiB, "
+                                f"budget is {MEMORY_BUDGET_BYTES >> 20} MiB")
 
 
 def _check_caps(k: int, hi: int, table_bytes: int) -> None:
@@ -248,11 +258,7 @@ def _check_caps(k: int, hi: int, table_bytes: int) -> None:
     check_integral("k", k)
     if hi > DESK_X_CAP + 1:
         raise DomainError(f"range cap is {DESK_X_CAP}, requested up to {hi - 1}")
-    need = table_bytes + SEGMENT_BYTES
-    if need > MEMORY_BUDGET_BYTES:
-        raise MemoryBudgetError(
-            f"range up to {hi - 1} needs ~{need >> 20} MiB, budget is "
-            f"{MEMORY_BUDGET_BYTES >> 20} MiB")
+    check_budget("range", hi - 1, table_bytes + SEGMENT_BYTES)
 
 
 def dk_block(k: int, lo: int, hi: int) -> DivisorBlock:
@@ -260,6 +266,8 @@ def dk_block(k: int, lo: int, hi: int) -> DivisorBlock:
     if not (1 <= lo < hi):
         raise DomainError(f"need 1 <= lo < hi, got [{lo}, {hi})")
     _check_caps(k, hi, 8 * (hi - lo))
+    check_integral("lo", lo)
+    check_integral("hi", hi)
     values = np.empty(hi - lo, dtype=np.uint64)
     overflowed = False
     for s, seg, over in _dk_segments(k, lo, hi):
@@ -272,6 +280,7 @@ def dk_cumulative_segments(k: int, n_hi: int):
     """Yield (start, uint64 D_k from start on) per segment of [1, n_hi]; refuses a
     flagged segment and a 64-bit wrap (each d_k(m) < 2^64: a wrap steps down)."""
     _check_caps(k, n_hi + 1, 0)
+    check_integral("n_hi", n_hi)  # NaN passes the cap test
     carry = np.uint64(0)
     for s, seg, over in _dk_segments(k, 1, n_hi + 1):
         if over:
@@ -282,14 +291,6 @@ def dk_cumulative_segments(k: int, n_hi: int):
             raise SieveOverflowError("cumulative sum wrapped 64 bits")
         carry = cums[-1]
         yield s, cums
-
-
-def _exact_sum_uint64(values: np.ndarray) -> int:
-    """Exact integer sum of fewer than 2^32 uint64 values via a 32-bit split:
-    neither half's sum can wrap."""
-    lo = int(np.sum(values & np.uint64(0xFFFFFFFF), dtype=np.uint64))
-    hi = int(np.sum(values >> np.uint64(32), dtype=np.uint64))
-    return lo + (hi << 32)
 
 
 # --------------------------------------------------- floor-value route
@@ -357,30 +358,31 @@ def _floor_dk(k: int, c: int, y: int, d: np.ndarray, D: np.ndarray, chunk: int) 
 def _floor_sums(k: int, cps: list[int], y: int, chunk: int) -> tuple:
     """(x, D_k(x)) at the sorted checkpoints, for k > 1 and any isqrt(max x) <= y,
     from one sieve pass over [1, top], top = y if k > 2 and some x > y, else the
-    last x <= y.  The pass sums d_k exactly up to each x <= y and fills d_j on
-    [0, isqrt(max x)] and D_j on [0, y], 2 <= j < k, for ``_floor_dk``."""
+    last x <= y.  It fills d_j on [0, isqrt(max x)] and D_j on [0, y], 2 <= j < k,
+    for ``_floor_dk``, and gives D_k(x <= y) from in-place prefix sums of d_k's
+    32-bit halves, exact per segment (26.7 B per entry streaming to 1e6)."""
     n_low = bisect.bisect_right(cps, y)
     low_end = cps[n_low - 1] + 1 if n_low else 1  # d_k is summed on [1, low_end)
     rows = k - 2 if n_low < len(cps) else 0
     top = y if rows else low_end - 1
     D = np.zeros((rows, top + 1), np.int64)  # row j - 2: d_j, then D_j in place
     tables = [_dk_by_signature(j, OVERFLOW_LOG2)[0].view(np.int64) for j in range(2, 2 + rows)]
-    values, flagged = _dk_by_signature(k, OVERFLOW_LOG2)
-    out, acc, i = [], 0, 0
+    out, acc = [], 0
     for start, ranks in _signature_segments(1, top + 1) if top else ():
         for row, table in zip(D, tables):
             table.take(ranks, out=row[start:start + len(ranks)], mode="clip")
-        if start >= low_end:
-            continue
-        ranks = ranks[:low_end - start]
-        if flagged.any() and flagged.take(ranks).any():
-            raise SieveOverflowError(f"d_{k} may exceed 2^{OVERFLOW_LOG2} below {low_end}")
-        seg, done = values.take(ranks), 0
-        while i < n_low and cps[i] < start + len(seg):
-            acc += _exact_sum_uint64(seg[done:cps[i] + 1 - start])
-            out.append((cps[i], acc))
-            done, i = cps[i] + 1 - start, i + 1
-        acc += _exact_sum_uint64(seg[done:])
+        if start < low_end:
+            lo, over = _dk_gather(k, ranks[:low_end - start])
+            if over:
+                raise SieveOverflowError(f"d_{k} may exceed 2^{OVERFLOW_LOG2} below {low_end}")
+            hi = lo >> np.uint64(32)
+            lo &= np.uint64(0xFFFF_FFFF)
+            np.cumsum(lo, out=lo)  # each half sums below 2^48 over a segment
+            np.cumsum(hi, out=hi)
+            seg_cps = cps[len(out):bisect.bisect_left(cps, start + len(lo), 0, n_low)]
+            out += [(x, acc + lo.item(x - start) + (hi.item(x - start) << 32)) for x in seg_cps]
+            acc += lo.item(-1) + (hi.item(-1) << 32)
+            del lo, hi  # not held through the next segment's kernel steps
     d = D[:, :math.isqrt(cps[-1]) + 1].copy()
     np.cumsum(D, axis=1, out=D)
     return tuple(out) + tuple((x, _floor_dk(k, x, y, d, D, chunk)) for x in cps[n_low:])
@@ -462,6 +464,8 @@ def dk_factor(k: int, n: int) -> int:
     check_within("k", k, 1, DESK_K_CAP)
     if not (1 <= n <= 10 ** 12):
         raise DomainError(f"n must lie in [1, 1e12], got {n}")
+    check_integral("k", k)
+    check_integral("n", n)
     result, m, p = 1, n, 1
     for step in itertools.chain((1, 1, 2, 2), itertools.cycle(_TRIAL_STEPS)):
         p += step  # 2, 3, 5, 7, then the wheel: 11, 13, 17, 19, 23, 29, 31, 37, ...

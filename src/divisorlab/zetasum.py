@@ -46,7 +46,8 @@ import mpmath as mp
 from mpmath.libmp import to_fixed
 
 from . import exponents
-from .errors import DomainError, PrecisionError, QuadratureError, check_finite, check_within
+from .errors import (DomainError, PrecisionError, QuadratureError, check_finite, check_integral,
+                     check_within)
 from .numerics import ols_slope
 
 # numpy is imported inside the float evaluators that use it, so the mpmath
@@ -499,8 +500,10 @@ def moment_integral(k: int, sigma: float, T: float,
         raise DomainError(f"sigma must lie in [1/2, 3], got {sigma}")
     if not (1 < T <= T_CAP_MOMENT):
         raise DomainError(f"T must lie in (1, {T_CAP_MOMENT}] (cost guard), got {T}")
-    if panels is not None and panels < 1:
-        raise DomainError(f"panels must be >= 1, got {panels}")
+    if panels is not None:
+        if panels < 1:
+            raise DomainError(f"panels must be >= 1, got {panels}")
+        check_integral("panels", panels)
     cost = sum(3 * _MOMENT_ORDER * _moment_panels(k, sigma, X, panels)
                * _zeta_cutoff(sigma, 2 * X)[0] for X in (T, 2 * T, 4 * T))
     if cost > MOMENT_COST_CAP:

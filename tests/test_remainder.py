@@ -320,6 +320,9 @@ def test_mean_square_panel_invariance():
         rl.mean_square(2, 500.0, panels_per_unit=1)
     with pytest.raises(DomainError):  # k is capped as in the sieve
         rl.mean_square(31, 500.0)
+    for ppu in (math.nan, 2.5):  # NaN passes the < 2 test
+        with pytest.raises(DomainError, match=f"^panels_per_unit must be integral, got {ppu}$"):
+            rl.mean_square(2, 100.0, ppu)
 
 
 # repr of values from the kernel that computed each reduction group in one
@@ -346,6 +349,14 @@ def test_mean_square_bits_pinned(monkeypatch, k, x, ppu, budget, want):
     if budget:
         monkeypatch.setattr(sv, "MEMORY_BUDGET_BYTES", budget)
     assert repr(rl.mean_square(k, x, panels_per_unit=ppu)) == want
+
+
+def test_mean_square_unit_larger_than_a_group(monkeypatch):
+    # the fine pass's unit of 96 nodes exceeds a group of 64: it forms its
+    # own group rather than being refused with a need below the budget
+    want = rl.mean_square(2, 1000.0, 8)
+    monkeypatch.setattr(rl, "MS_NODES_PER_CHUNK", 64)
+    assert rl.mean_square(2, 1000.0, 8) == pytest.approx(want, rel=1e-15)
 
 
 def test_mean_square_memory_in_cache_sized_passes():

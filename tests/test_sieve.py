@@ -150,10 +150,17 @@ def test_determinism():
     assert sa == sb
 
 
-def test_exact_sum_uint64_wide():
-    vals = np.full(3 * (1 << 20), (1 << 63) + 12345, dtype=np.uint64)
-    got = sv._exact_sum_uint64(vals)
-    assert got == 3 * (1 << 20) * ((1 << 63) + 12345)
+def test_low_sums_exact_beyond_2_64(monkeypatch):
+    # three full segments of one signature with 2^62 < d_30 <= 2^63, just
+    # below the flag: D_30 leaves uint64 at the fifth entry, and neither
+    # 32-bit half's prefix sum may wrap over a whole segment
+    values = sv._dk_by_signature(30, sv.OVERFLOW_LOG2)[0].tolist()
+    rank = next(i for i, d in enumerate(values) if 1 << 62 < d <= 1 << 63)
+    segs = [(1 + i * sv.SEGMENT, np.full(sv.SEGMENT, rank, dtype=np.uint16)) for i in range(3)]
+    monkeypatch.setattr(sv, "_signature_segments", lambda lo, hi: iter(segs))
+    cps = [1, 5, sv.SEGMENT, sv.SEGMENT + 1, 2 * sv.SEGMENT + 7, 3 * sv.SEGMENT]
+    want = tuple((x, x * values[rank]) for x in cps)
+    assert sv._floor_sums(30, cps, cps[-1], sv.SEGMENT) == want
 
 
 def test_overflow_detection_first_wide_value():
@@ -206,12 +213,17 @@ def test_partial_sums_stream_within_segment_budget(monkeypatch):
 
 def exact_sums(k, cps):
     """(x, D_k(x)) at the sorted checkpoints: d_k from one unflagged dk_block
-    over [1, max x], summed exactly between checkpoints.  It shares no code
-    with the partial-sum loop of the floor route."""
+    over [1, max x], summed exactly between checkpoints by a 32-bit split
+    (neither half's sum of fewer than 2^32 values can wrap).  It shares no
+    code with the prefix sums of the floor route."""
     blk = sv.dk_block(k, 1, cps[-1] + 1)
     assert not blk.overflow_flag
+
+    def split_sum(v):
+        lo = int(np.sum(v & np.uint64(0xFFFFFFFF), dtype=np.uint64))
+        return lo + (int(np.sum(v >> np.uint64(32), dtype=np.uint64)) << 32)
     edges = [0, *cps]
-    parts = (sv._exact_sum_uint64(blk.values[a:b]) for a, b in zip(edges, edges[1:]))
+    parts = (split_sum(blk.values[a:b]) for a, b in zip(edges, edges[1:]))
     return tuple(zip(cps, itertools.accumulate(parts)))
 
 
@@ -387,6 +399,17 @@ def test_precondition_errors():
         sv.dk_block(math.nan, 1, 10)
     assert sv.dk_block(np.int64(3), 1, 13).values[11] == 18  # numpy integers pass
     assert sv.dk_partial_sums(3, 100, [np.int64(10)]).checkpoints == ((10, 53),)
+    # a non-integer bound, and NaN, which passes the range tests, reach numpy
+    # or the oracle's trial division unguarded
+    for call, msg in ((lambda: sv.dk_factor(3, 12.5), "n must be integral, got 12.5"),
+                      (lambda: sv.dk_factor(2.5, 12), "k must be integral, got 2.5"),
+                      (lambda: sv.dk_block(2, 1.5, 10), "lo must be integral, got 1.5"),
+                      (lambda: list(sv.dk_cumulative_segments(2, 10.5)),
+                       "n_hi must be integral, got 10.5"),
+                      (lambda: list(sv.dk_cumulative_segments(2, math.nan)),
+                       "n_hi must be integral, got nan")):
+        with pytest.raises(DomainError, match=f"^{msg}$"):
+            call()
 
 
 NAN, INF = math.nan, math.inf

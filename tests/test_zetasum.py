@@ -394,6 +394,9 @@ def test_moment_panels_override_and_domain():
     for panels in (0, -3):
         with pytest.raises(DomainError):
             zs.moment_integral(1, 2.0, 100.0, panels=panels)
+    for panels in (math.nan, 8.5):  # NaN passes the < 1 test
+        with pytest.raises(DomainError, match=f"^panels must be integral, got {panels}$"):
+            zs.moment_integral(1, 2.0, 10.0, panels)
 
 
 def test_moment_panel_doubling_selfcheck_raises():
