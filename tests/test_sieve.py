@@ -152,7 +152,7 @@ def test_determinism():
 
 def test_low_sums_exact_beyond_2_64(monkeypatch):
     # three full segments of one signature with 2^62 < d_30 <= 2^63, just
-    # below the flag: D_30 leaves uint64 at the fifth entry, and neither
+    # below the flag: D_30 leaves uint64 by the fourth entry, and neither
     # 32-bit half's prefix sum may wrap over a whole segment
     values = sv._dk_by_signature(30, sv.OVERFLOW_LOG2)[0].tolist()
     rank = next(i for i, d in enumerate(values) if 1 << 62 < d <= 1 << 63)
@@ -404,6 +404,7 @@ def test_precondition_errors():
     for call, msg in ((lambda: sv.dk_factor(3, 12.5), "n must be integral, got 12.5"),
                       (lambda: sv.dk_factor(2.5, 12), "k must be integral, got 2.5"),
                       (lambda: sv.dk_block(2, 1.5, 10), "lo must be integral, got 1.5"),
+                      (lambda: sv.dk_block(2, 1, 10.5), "hi must be integral, got 10.5"),
                       (lambda: list(sv.dk_cumulative_segments(2, 10.5)),
                        "n_hi must be integral, got 10.5"),
                       (lambda: list(sv.dk_cumulative_segments(2, math.nan)),
