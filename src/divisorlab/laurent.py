@@ -36,6 +36,7 @@ from .errors import (
     PrecisionError,
     QuadratureError,
     check_finite,
+    check_integral,
     check_within,
 )
 
@@ -120,6 +121,7 @@ def _stieltjes_batch(ns, precision_bits: int) -> list:
     more come from one Euler-Maclaurin pass with one (J, M) (see ``stieltjes``)."""
     for n in ns:
         check_within("n", n, 0, STIELTJES_MAX_N)
+        check_integral("n", n)
     check_within("precision_bits", precision_bits, 1, STIELTJES_MAX_BITS)
     missing = [n for n in ns if _stieltjes_memo.get(n, (0,))[0] < precision_bits]
     if missing:
@@ -251,6 +253,7 @@ def zeta_laurent(terms: int, precision_bits: int = 256) -> LaurentData:
     ``terms`` = number of post-pole coefficients retained (order = terms - 1).
     """
     check_within("terms", terms, 1, STIELTJES_MAX_N)
+    check_integral("terms", terms)
     check_within("precision_bits", precision_bits, 1, STIELTJES_MAX_BITS - 32)
     gammas = _stieltjes_batch(range(terms), precision_bits + 32)
     with mp.workprec(precision_bits + 32):
@@ -322,6 +325,7 @@ def main_term_poly(k: int, precision_bits: int = 256) -> MainTermPoly:
     """
     check_within("k", k, 1, MAIN_TERM_K_CAP)
     check_within("precision_bits", precision_bits, 1, MAIN_TERM_MAX_BITS)
+    check_integral("k", k)
     with mp.workprec(precision_bits + 64):
         zser = zeta_laurent(max(k - 1, 1), precision_bits + 64)
         zk = series_pow(zser, k)
@@ -488,6 +492,8 @@ def residue_contour_oracle(k: int, precision_bits: int, x_probe: float,
     if not x_probe > 1:
         raise DomainError(f"x_probe must exceed 1, got {x_probe}")
     check_finite("x_probe", x_probe)
+    check_integral("k", k)
+    check_integral("precision_bits", precision_bits)
     prec = precision_bits + 32
     least = _contour_nodes(prec, x_probe)
     nodes = least if nodes is None else nodes

@@ -123,18 +123,33 @@ def fit_exponent(samples: Sequence[RemainderSample],
 
 # ------------------------------------------------------------ sign changes
 
-# per point of a segment: the scan's arrays beside SEGMENT_BYTES (tracemalloc: about 77 B
-# for both); per window of about k (X1^{1/k} - X0^{1/k}) / C + 1: the output at the peak
-# of `signs --format json`, tuple, CLI row, JSON copy and text (1245 B; 310 B as CSV)
+# per point of a segment: the scan's arrays beside SEGMENT_BYTES (tracemalloc: about 69 B
+# for both in sign_change_scan(2, 1e3, 1e6)); per window of about k (X1^{1/k} - X0^{1/k})
+# / C + 1: the output at the peak of `signs --format json`, tuple, CLI row, JSON copy and
+# text (1245 B; 310 B as CSV)
 SCAN_BYTES_PER_POINT = 72
 SCAN_BYTES_PER_WINDOW = 1280
 TONG_C = 5.0  # C of the Tong window C x^{1-1/k}: the scan's default, envelopes' width
 
 
+def _remainder(D, y, coeffs: list[float], t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = D - y p(log y), p = sum c_j L^j, in float64 with the float ops of
+    ``np.polynomial.polynomial.polyval`` (p = c_n + 0.0, then p = t p + c_j
+    for j = n - 1, ..., 0), so the bits are numpy's; t is scratch for log y.
+    The mean square and the sign scan evaluate the remainder only here."""
+    np.log(y, out=t)
+    out.fill(coeffs[-1] + 0.0)
+    for c in coeffs[-2::-1]:
+        out *= t
+        out += c
+    out *= y
+    return np.subtract(D, out, out=out)
+
+
 def _sign_budget(coeffs: list[float], x: float, D: int) -> float:
     """6k u (D + x S), with u = 2^-53, S = sum |c_j| L^j and L = log x: a bound
     on |fast - exact delta| at every half-odd point up to x (D, x, S grow with x).
-    The fast fl(fl(D) - fl(x fl(p(fl(log x))))), p of degree n = k - 1, errs to
+    ``_remainder``'s fl(fl(D) - fl(x fl(p(fl(log x))))), p of degree n = k - 1, errs to
     first order by x S times u (float c_j), 4n u (numpy's log, taken within 2 ulp;
     NumPy's tests hold it to 1), 2n u (Horner, gamma_{2n} S: Higham, Accuracy and
     Stability of Numerical Algorithms, 2nd ed., 5.1) and u (the product), plus u D
@@ -155,7 +170,7 @@ def _segment_flips(k: int, n_lo: int, n_hi: int, precision_bits: int):
             continue
         xs = np.arange(max(s, n_lo), s + len(cums)) + 0.5
         cums = cums[len(cums) - len(xs):]
-        deltas = cums - xs * np.polynomial.polynomial.polyval(np.log(xs), coeffs)
+        deltas = _remainder(cums, xs, coeffs, np.empty_like(xs), np.empty_like(xs))
         signs = np.sign(deltas)
         for i in np.flatnonzero(np.abs(deltas) <= _sign_budget(coeffs, xs[-1], int(cums[-1]))):
             signs[i] = np.sign(sample_from_D(k, xs[i], int(cums[i]), precision_bits).delta)
@@ -204,7 +219,7 @@ def sign_change_scan(k: int, X0: float, X1: float, C: float = TONG_C,
 # Gauss-Legendre nodes per panel, nodes per reduction group when the budget
 # allows, nodes per cache-sized pass inside a group (256 KiB per float64
 # array), and the bytes charged per node of a group: a pass's arrays take
-# ~60 B per node and the group's panel 8 / MS_ORDER B (tracemalloc: 5.7 MiB
+# ~45 B per node and the group's panel 8 / MS_ORDER B (tracemalloc: 5.5 MiB
 # at mean_square(2, 1e5), 0.8 MiB of it the float64 D table)
 MS_ORDER = 6
 MS_NODES_PER_CHUNK = 1 << 22
@@ -248,25 +263,28 @@ def mean_square(k: int, x: float, panels_per_unit: int = 2,
         nodes, weights = np.polynomial.legendre.leggauss(MS_ORDER)
         offs = np.linspace(0.0, 1.0, ppu + 1)[:-1]
         total = 0.0
-        chunk = max(1, chunk_nodes // (ppu * MS_ORDER))  # units per reduction group
-        sub = max(16, MS_NODES_PER_SUBCHUNK // (ppu * MS_ORDER) // 16 * 16)  # units per pass
+        per = ppu * MS_ORDER  # nodes per unit
+        chunk = max(1, chunk_nodes // per)  # units per reduction group
+        sub = max(16, MS_NODES_PER_SUBCHUNK // per // 16 * 16)  # units per pass
+        tiled = np.tile(nodes, min(sub, chunk) * ppu)
+        bufs = [np.empty(len(tiled)) for _ in range(3)]  # y, log y, the integrand
+        panels = np.empty((min(chunk, n_top), ppu))
         for n0 in range(1, n_top + 1, chunk):
             n1 = min(n0 + chunk, n_top + 1)
-            panel = np.empty((n1 - n0, ppu))
+            panel = panels[:n1 - n0]
             for s0 in range(n0, n1, sub):
                 s1 = min(s0 + sub, n1)
+                y, t, sq = (b[:(s1 - s0) * per] for b in bufs)
                 lo = np.arange(s0, s1, dtype=np.float64)
-                hi = np.minimum(lo + 1.0, x)
-                width = (hi - lo) / ppu
-                plo = lo[:, None] + offs[None, :] * (hi - lo)[:, None]
-                half = 0.5 * width[:, None]
-                mid = plo + half
-                y = mid[:, :, None] + half[:, :, None] * nodes[None, None, :]
-                yf = y.reshape(-1)
-                delta = np.repeat(Dfloat[s0 - 1: s1 - 1], ppu * MS_ORDER) \
-                    - yf * np.polynomial.polynomial.polyval(np.log(yf), coeffs)
-                vals = (delta ** 2).reshape(-1, MS_ORDER) @ weights
-                np.multiply(vals.reshape(s1 - s0, ppu), half, out=panel[s0 - n0: s1 - n0])
+                width = np.minimum(lo + 1.0, x) - lo
+                half = 0.5 * (width / ppu)
+                mid = lo + offs[:, None] * width  # (ppu, units): long inner loops
+                mid += half
+                np.multiply(np.repeat(half, per), tiled[:len(y)], out=y)
+                y += np.repeat(mid.T.ravel(), MS_ORDER)
+                _remainder(np.repeat(Dfloat[s0 - 1: s1 - 1], per), y, coeffs, t, sq)
+                vals = np.square(sq, out=sq).reshape(-1, MS_ORDER) @ weights
+                np.multiply(vals.reshape(s1 - s0, ppu), half[:, None], out=panel[s0 - n0: s1 - n0])
             total += float(np.sum(panel))
         return total
 

@@ -419,12 +419,13 @@ def _floor_bound(k: int, cps: list[int]) -> tuple[int, int]:
     if (math.log2(x) + (k - 1) * math.log2(math.log(x) + k - 1)
             - math.log2(math.factorial(k - 1)) >= min(62, OVERFLOW_LOG2) - 1e-9):
         return x, SEGMENT
-    # tail[i]: the sums of c and sqrt(c) over the checkpoints from cps[i] on
-    tail = np.cumsum([(c, math.sqrt(c)) for c in reversed(cps)], axis=0)[::-1].tolist()
-    best = (x, x, SEGMENT)  # (cost, y, chunk)
-    for y in (s << i for i in range(x.bit_length()) if s << i < x):
+    best, tc, tr, end = (x, x, SEGMENT), 0.0, 0.0, len(cps)  # best: (cost, y, chunk)
+    for y in reversed([s << i for i in range(x.bit_length()) if s << i < x]):
         i = bisect.bisect_right(cps, y)
-        pairs = (k - 2 + (k > 2)) * 2 * tail[i][0] / math.sqrt(y) + tail[i][1]
+        # tc, tr: the sums of c and sqrt(c) over the c > y, added from the last c down
+        stretch = cps[i:end][::-1]
+        tc, tr, end = sum(stretch, tc), sum(map(math.sqrt, stretch), tr), i
+        pairs = (k - 2 + (k > 2)) * 2 * tc / math.sqrt(y) + tr
         cost = ((cps[i - 1] if i else 0) + (k - 2) * y + PAIR_COST * pairs
                 + POINT_COST * k * (len(cps) - i))
         spare = (MEMORY_BUDGET_BYTES - SEGMENT_BYTES - 8 * (k - 2) * (y + s + 2)

@@ -180,6 +180,8 @@ def exp_sum(N: int, N_prime: int, t: float, precision_bits: int = 128) -> ExpSum
         raise PrecisionError(
             f"phase error t*2^-p = {t * 2.0 ** (-precision_bits):.2e} too "
             f"large at {precision_bits} bits; raise precision_bits")
+    check_integral("N", N)
+    check_integral("N_prime", N_prime)
     with mp.workprec(precision_bits):
         value = _dirichlet_sum(complex(0, t), N, N_prime, precision_bits)
         modulus = float(abs(value))
@@ -214,6 +216,8 @@ def expsum_bound_grid(N_list: Sequence[int], t_list: Sequence[float],
         pairs += [(N, t) for N in N_list if N <= math.isqrt(int(t))]
     # an N < 1 adds no terms: exp_sum refuses it
     _check_expsum_terms(sum(max(N, 0) for N, _ in pairs))
+    for N in N_list:  # a NaN N fails N <= isqrt(t), so it would pair with nothing
+        check_integral("N", N)
     return [exp_sum(N, 2 * N, t, precision_bits) for N, t in pairs]
 
 
@@ -551,6 +555,7 @@ def mvt_check(N: int, T: float, coeff_mode: str = "ones",
     check_within("N", N, 1, 4096)
     if not (1 < T <= T_CAP_MOMENT):
         raise DomainError(f"T must lie in (1, {T_CAP_MOMENT}], got {T}")
+    check_integral("N", N)
     if coeff_mode == "ones":
         a = np.ones(N)
     elif coeff_mode == "dk":
@@ -582,6 +587,8 @@ def ell_fold_coefficients(N: int, ell: int) -> dict[int, int]:
     """
     if not (1 <= N <= 128 and 1 <= ell <= 4):
         raise DomainError("enumeration capped at N <= 128, ell <= 4")
+    check_integral("N", N)
+    check_integral("ell", ell)
     counts = {1: 1}
     for _ in range(ell):
         nxt: dict[int, int] = {}

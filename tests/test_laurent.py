@@ -320,6 +320,19 @@ def test_non_finite_argument_raises_domain_error(x):
         la.eval_main_term(la.main_term_poly(2, 64), x)
 
 
+@pytest.mark.parametrize("fn, args, name, bad", [
+    (la.main_term_poly, (2.5,), "k", 2.5),
+    (la.stieltjes, (2.5,), "n", 2.5),
+    (la.zeta_laurent, (2.5,), "terms", 2.5),
+    (la.residue_contour_oracle, (2.5, 64, 100.0), "k", 2.5),
+    (la.residue_contour_oracle, (2, 64.5, 100.0), "precision_bits", 64.5),
+], ids=lambda v: v.__name__ if callable(v) else None)
+def test_non_integral_argument_raises_domain_error(fn, args, name, bad):
+    # each passes its range check and, unguarded, raises a bare TypeError
+    with pytest.raises(DomainError, match=f"^{name} must be integral, got {bad}$"):
+        fn(*args)
+
+
 # ---------------------------------------------------------- contour oracle
 
 def test_contour_oracle_agreement():

@@ -10,6 +10,7 @@ import tracemalloc
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from divisorlab import remainder as rl
 from divisorlab import sieve as sv
@@ -254,6 +255,20 @@ def test_sign_budget_bounds_the_float_delta(k):
         assert abs(float(fast[0]) - exact) <= rl._sign_budget(coeffs, n + 0.5, Ds[n])
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=30),
+       st.lists(st.floats(1.0, 1e9), min_size=1, max_size=40),
+       st.integers(0, 2 ** 64 - 1))
+def test_remainder_kernel_is_polyval_bit_for_bit(coeffs, ys, D):
+    # the in-place kernel against numpy's polyval, for a uint64 D (the scan's
+    # cumulative sums) and a float64 one (the mean square's table)
+    y = np.array(ys)
+    for d in (np.full(len(y), D, dtype=np.uint64), np.full(len(y), float(D))):
+        want = d - y * np.polynomial.polynomial.polyval(np.log(y), coeffs)
+        got = rl._remainder(d, y, coeffs, np.empty_like(y), np.empty_like(y))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_sign_change_scan_charges_its_windows():
     # k = 1 makes (X1 - X0) / C windows, ~2e8 of them up to 1e9 at C = 5:
     # refused before any sieving, though one segment fits the budget
@@ -326,9 +341,11 @@ def test_mean_square_panel_invariance():
 
 
 # repr of values from the kernel that computed each reduction group in one
-# pass; the cache-sized passes must reproduce every bit.  The fine pass of
-# 4e5 + 0.37 and 1e6 spans several groups of 174762 units; 4 MiB shrinks the
-# groups (and moves the last bit); a non-integer x ends in a partial unit
+# pass with numpy's polyval; the cache-sized passes and the in-place
+# remainder must reproduce every bit.  The fine pass of 4e5 + 0.37 and 1e6
+# spans several groups of 174762 units; 4 MiB shrinks the groups (and moves
+# the last bit); a non-integer x ends in a partial unit; k = 30 has 30
+# coefficients, k = 1 one
 MS_PINNED = [
     (2, 1e4, 2, None, "7.768195065444527"),
     (2, 1e5, 2, None, "14.14935154842061"),
@@ -341,6 +358,9 @@ MS_PINNED = [
     (2, 1e5, 3, None, "14.149351548420928"),
     (2, 4e5 + 0.37, 3, None, "20.142124116404826"),
     (5, 54321.25, 3, None, "12807.408497869254"),
+    (12, 99000.3, 2, None, "98317660.18164991"),
+    (3, 99000.3, 4, None, "271.14176078974384"),
+    (30, 2000.5, 2, None, "1079328393.66098"),
 ]
 
 

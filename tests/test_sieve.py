@@ -279,6 +279,37 @@ def test_route_choice(monkeypatch):
     assert sv.dk_partial_sums(1, cps[-1], cps).checkpoints == tuple(zip(cps, cps))
 
 
+# y for k = 2..13 from suffix sums over every checkpoint (np.cumsum of the
+# reversed (c, sqrt c) list); sums over the stretches between candidate y must
+# pick the same (y, chunk).  chunk is SEGMENT except at the listed k; a 16 MiB
+# budget shrinks it
+FLOOR_BOUND_PINNED = [
+    (None, 10 ** 6, "geo", [8000, 16000] + [8000] * 10, {}),
+    (None, 10 ** 6, "top", [10 ** 6] * 12, {}),
+    (None, 10 ** 6, "low", [4000] * 12, {}),
+    (None, 123456789, "geo", [11111] + [177776] * 11, {}),
+    (None, 123456789, "top", [11111] + [123456789] * 11, {}),
+    (None, 123456789, "low", [11111] + [88888] * 11, {}),
+    (None, 10 ** 9, "geo", [31622] + [505952] * 11, {}),
+    (None, 10 ** 9, "top", [31622, 129523712, 129523712] + [10 ** 9] * 9, {}),
+    (None, 10 ** 9, "low", [31622] + [505952] * 4 + [252976] * 7, {}),
+    (16 << 20, 123456789, "geo", [11111] + [177776] * 8 + [88888] * 3, {9: 51235, 10: 19638}),
+    *[(16 << 20, 10 ** 9, shape, [31622, 505952, 505952, 252976, 252976] + [126488] * 3
+       + [63244] * 4, {6: 57364, 9: 53410, 12: 57361, 13: 38915}) for shape in ("geo", "low")],
+]
+
+
+@pytest.mark.parametrize("budget, x, shape, ys, chunks", FLOOR_BOUND_PINNED)
+def test_floor_bound_pinned(monkeypatch, budget, x, shape, ys, chunks):
+    if budget:
+        monkeypatch.setattr(sv, "MEMORY_BUDGET_BYTES", budget)
+    cps = {"geo": sorted({round(10 * (x / 10) ** (i / 39)) for i in range(40)}),
+           "top": list(range(x - 5000, x + 1)),  # a dense stretch below x
+           "low": list(range(1, 3001)) + [x]}[shape]
+    assert [sv._floor_bound(k, cps) for k in range(2, 14)] \
+        == [(y, chunks.get(k, sv.SEGMENT)) for k, y in zip(range(2, 14), ys)]
+
+
 def _traced(f):
     tracemalloc.start()
     try:

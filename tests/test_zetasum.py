@@ -361,6 +361,22 @@ def test_non_finite_argument_raises_domain_error(fn, args, name):
         fn(*args)
 
 
+@pytest.mark.parametrize("fn, args, name, bad", [
+    (zs.exp_sum, (1.5, 3, 10.0), "N", 1.5),
+    (zs.exp_sum, (2, 3.5, 10.0), "N_prime", 3.5),
+    (zs.mvt_check, (10.5, 100.0), "N", 10.5),
+    (zs.ell_fold_coefficients, (10.5, 2), "N", 10.5),
+    (zs.ell_fold_coefficients, (10, 2.5), "ell", 2.5),
+    (zs.expsum_bound_grid, ([math.nan], [1e6]), "N", math.nan),
+    (zs.expsum_bound_grid, ([2.5], [1e6]), "N", 2.5),
+], ids=lambda v: v.__name__ if callable(v) else None)
+def test_non_integral_argument_raises_domain_error(fn, args, name, bad):
+    # unguarded, each raised TypeError or AttributeError in range(), np.ones or
+    # int.bit_length, and a NaN N paired with no t, so the grid returned []
+    with pytest.raises(DomainError, match=f"^{name} must be integral, got {bad}$"):
+        fn(*args)
+
+
 # ------------------------------------------------------------------ moments
 
 def test_moment_parseval_limit():
