@@ -54,7 +54,8 @@ class QuadratureError(SelfCheckError):
 
 
 class BracketError(SelfCheckError):
-    """Failed to bracket an extremum, or the bracket is not unimodal."""
+    """An extremum search got an empty bracket; a bracket that holds more than
+    one critical point raises a plain SelfCheckError (optimize_theta)."""
 
 
 class SieveOverflowError(SelfCheckError):

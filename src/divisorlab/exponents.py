@@ -25,6 +25,7 @@ Pure functions throughout; safe for concurrent use.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,16 +33,11 @@ from typing import Optional, Sequence
 
 import mpmath as mp
 
-from .errors import (BracketError, DomainError, RangeError, SelfCheckError, check_finite,
+from .errors import (DomainError, RangeError, SelfCheckError, check_finite, check_integral,
                      check_nonnegative, check_positive)
-from .numerics import (
-    bracket_max,
-    check_unimodal,
-    golden_max,
-    real_cubic_roots,
-    round_down,
-    round_up,
-)
+from .numerics import (_exact_fraction, golden_max, poly_add, poly_eval, poly_mul,
+                       real_cubic_roots, round_down, round_up, sign_variations,
+                       sturm_sequence, taylor_shift)
 
 WORK_DPS = 50  # >= 80-bit significand everywhere in the engine
 
@@ -222,31 +218,61 @@ THETA_SEARCH_HI = 1.0 - 1e-6
 THETA_SCAN_POINTS = 1000
 
 
-def optimize_theta(B) -> ThetaOptimum:
-    """Maximise k1(theta) over [1/2, 1) by grid bracketing + golden section.
+def _k1_slope_poly(B: Fraction) -> list:
+    """A quintic in theta with the sign of k1'(theta) on [1/2, 1), for B > 0.
 
-    The bracket found by the coarse scan is checked for unimodality by
-    sampling before the golden-section refinement.  The refinement runs to
-    1e-16 in theta (well past the 1e-8 contract) because k1 can be sharply
-    curved near its maximiser for large B; first-order optimality then holds
-    to ~1e-8 even at curvatures of order 1e8.  A B whose scan maximum sits
-    on the search boundary has no interior maximiser (RangeError); a bracket
-    that fails the unimodality check is a self-check failure.
+    From _k0, k1' = (96t^2 - 72t + 21)/(2(4t-1)^2(1-t)^2) - 1/(2B(1-t)^{5/2});
+    times 2B(4t-1)^2(1-t)^{5/2} it is g = B u (96t^2 - 72t + 21) - (4t-1)^2 with
+    u = sqrt(1-t), and g times the positive B u (96t^2 - 72t + 21) + (4t-1)^2
+    is B^2 (1-t)(96t^2 - 72t + 21)^2 - (4t-1)^4.
+    """
+    q = [21, -72, 96]
+    return poly_add(poly_mul([B * B, -B * B], q, q), poly_mul([-1], *[[-1, 4]] * 4))
+
+
+def optimize_theta(B) -> ThetaOptimum:
+    """Maximise k1(theta) over [1/2, 1): the argmax of the THETA_SCAN_POINTS
+    grid xs on [THETA_SEARCH_LO, THETA_SEARCH_HI], refined by golden section.
+
+    k1's critical points are the roots of _k1_slope_poly at the binary value
+    of mp.mpf(B); Sturm counts at the grid's exact points find the cell i0 of
+    each.  An interior grid maximum lies next to a critical point, so the
+    first index of the maximum of k1 over the ends and i0-2 .. i0+3 (i0 and
+    i0+1, with a margin for rounding) is the argmax of the whole grid.  At an end, k1 has no interior maximiser
+    (RangeError).  One root in (xs[i-1], xs[i+1]] proves k1 unimodal there
+    (more is a self-check failure), and golden section runs to 1e-16 in theta
+    (well past the 1e-8 contract) because k1 can be sharply curved near its
+    maximiser for large B; first-order optimality then holds to ~1e-8 even at
+    curvatures of order 1e8.
     """
     check_positive("B", B)
     with _wp():
         Bm = mp.mpf(B)
+        a, b, n = mp.mpf(THETA_SEARCH_LO), mp.mpf(THETA_SEARCH_HI), THETA_SCAN_POINTS
+
+        def grid(i):
+            return a + (b - a) * i / (n - 1)
 
         def f(t):
             return _k2(mp.mpf(t), Bm)
 
-        try:
-            lo, hi = bracket_max(f, mp.mpf(THETA_SEARCH_LO), mp.mpf(THETA_SEARCH_HI),
-                                 n=THETA_SCAN_POINTS)
-        except BracketError as e:  # the input's fault, not a self-check's
+        seq = sturm_sequence(_k1_slope_poly(_exact_fraction(Bm)))
+        var = functools.cache(lambda i: sign_variations(seq, _exact_fraction(grid(i))))
+
+        def cells(i, j):  # the c with a root in (xs[c], xs[c+1]] within (xs[i], xs[j]]
+            if var(i) == var(j):
+                return []
+            m = (i + j) // 2
+            return [i] if j - i == 1 else cells(i, m) + cells(m, j)
+
+        near = {i for c in cells(0, n - 1) for i in range(c - 2, c + 4) if 0 <= i < n}
+        ys = {i: f(grid(i)) for i in sorted(near | {0, n - 1})}
+        i = max(ys, key=ys.__getitem__)
+        if i in (0, n - 1):
             raise RangeError(f"B = {B} gives k1(theta) no interior maximum in "
-                             f"[{THETA_SEARCH_LO}, {THETA_SEARCH_HI}]") from e
-        if not check_unimodal(f, lo, hi):
+                             f"[{THETA_SEARCH_LO}, {THETA_SEARCH_HI}]")
+        lo, hi = grid(i - 1), grid(i + 1)
+        if var(i - 1) - var(i + 1) > 1:
             raise SelfCheckError(
                 f"k1(theta) not unimodal on bracket [{float(lo)}, {float(hi)}]")
         theta_star, k1_star = golden_max(f, lo, hi, xtol=mp.mpf("1e-16"))
@@ -571,6 +597,7 @@ def beta_k_exponent(sigma: float, k: int, params: ExponentParams,
 
 def rho_node(k: int) -> Fraction:
     """Regime node rho_k = (k^2 + 1)/(k + 1)."""
+    check_integral("k", k)
     return Fraction(k * k + 1, k + 1)
 
 
@@ -578,6 +605,7 @@ def phi_piece_for_index(k: int) -> PhiPiece:
     """Exact-rational affine piece on [rho_{k-1}, rho_k], k >= 2."""
     if k < 2:
         raise DomainError(f"piece index must be >= 2, got {k}")
+    check_integral("k", k)
     A = Fraction(2, (k - 1) ** 2 * (k + 2))
     Bc = Fraction(-(3 * k * k - 3 * k + 2), k * (k - 1) ** 2 * (k + 2))
     c = Fraction((k * k + 1) ** 2, k * (k + 1) ** 3)
@@ -631,8 +659,35 @@ def hb_exponent(rho):
 REFINED_HB_CROSSOVER = Fraction(240, 31)  # where 1 - 3/rho = 49/80 exactly
 
 
+def _ck_conditions() -> list:
+    """The conditions of ck_inequality_scan in its order, as (label, integer
+    polynomial P in k, strict): each reads P(k) > 0, or P(k) >= 0 if not strict.
+
+    c_k = mu/nu, and rho = N/D is an end of [rho_k, rho_{k+1}].  (iii) there is
+    A rho^3 + Bcoef rho^2 + c_k <= 0 for the piece of index k+1 (A = 2/alpha,
+    Bcoef = -beta/((k+1)*alpha)) multiplied up by D^3 * alpha * (k+1) * nu > 0.
+    """
+    k1, k2, r1 = [1, 1], [2, 1], [2, 2, 1]  # k + 1, k + 2, (k+1)^2 + 1 = rho_{k+1} (k+2)
+    mu, nu = poly_mul([1, 0, 1], [1, 0, 1]), poly_mul([0, 1], k1, k1, k1)
+    mu1, nu1 = poly_mul(r1, r1), poly_mul(k1, k2, k2, k2)  # c_{k+1} = mu1/nu1
+    alpha, beta = [0, 0, 3, 1], [2, 3, 3]
+    out = [("c_k not increasing", poly_add(poly_mul(mu1, nu), poly_mul([-1], mu, nu1)), True),
+           # 1 - 3/rho_{k+1} = (k^2 - k - 4)/((k+1)^2 + 1)
+           ("c_k <= 1 - 3/rho_{k+1}", poly_add(poly_mul(mu, r1), poly_mul([4, 1, -1], nu)),
+            True)]
+    for where, N, D in (("rho_k", [1, 0, 1], k1), ("rho_{k+1}", r1, k2)):
+        lhs = poly_add(poly_mul([2], k1, nu, N, N, N), poly_mul([-1], beta, nu, N, N, D),
+                       poly_mul(mu, alpha, k1, D, D, D))
+        out.append((f"phi above -c_k/rho^2 at {where}", poly_mul([-1], lhs), False))
+    # at rho_k the two sides are equal for every k: that polynomial is 0
+    return out
+
+
+_CK_CONDITIONS = _ck_conditions()
+
+
 def ck_inequality_scan(k_max: int) -> ScanReport:
-    """Exact-integer verification, for k = 2..k_max, of
+    """Exact proof, for every k >= 2, of
     (i) c_k strictly monotone in the direction the piecewise comparison
     needs (c_{k+1} > c_k, so that -c_{k+1} rho^{-2} <= -c_k rho^{-2}),
     (ii) c_k > 1 - 3/rho_{k+1}, and
@@ -642,35 +697,27 @@ def ck_inequality_scan(k_max: int) -> ScanReport:
     stationary point on rho > 0, -2B/(3A), is a local minimum: the cubic
     peaks at an endpoint of [rho_k, rho_{k+1}], and two endpoints prove (iii).
 
-    All comparisons are cross-multiplied integer comparisons; no rounding.
+    Each condition is an integer polynomial P in k (_ck_conditions: the
+    cross-multiplied comparisons, no rounding).  At k = 2, 3, ... the scan
+    tests P(k), the constant term of P(k + u); once every coefficient of
+    P(k + u) is >= 0, P holds for all larger k too.  Each condition is
+    certified so at k = 2, which covers every k, not only k <= k_max.  A
+    condition not yet certified is tested at each k up to k_max in the order
+    above, so the first failure and its label are those of a scan of every k.
     """
     if k_max < 2:
         raise DomainError(f"k_max must be >= 2, got {k_max}")
+    check_integral("k_max", k_max)
+    pending = [(label, taylor_shift(p, 2), strict) for label, p, strict in _CK_CONDITIONS]
     for k in range(2, k_max + 1):
-        # c_k = mu/nu
-        mu = (k * k + 1) ** 2
-        nu = k * (k + 1) ** 3
-        # (i) c_{k+1} > c_k
-        mu1 = ((k + 1) ** 2 + 1) ** 2
-        nu1 = (k + 1) * (k + 2) ** 3
-        if not mu1 * nu > mu * nu1:
-            return ScanReport(False, k_max, (k, "c_k not increasing"))
-        # (ii) c_k > 1 - 3/rho_{k+1} = (k^2 - k - 4)/((k+1)^2 + 1)
-        den = (k + 1) ** 2 + 1
-        if not mu * den > (k * k - k - 4) * nu:
-            return ScanReport(False, k_max, (k, "c_k <= 1 - 3/rho_{k+1}"))
-        # (iii) on [rho_k, rho_{k+1}] the active piece has index k+1:
-        #   A = 2/alpha, Bcoef = -beta/((k+1)*alpha), alpha = k^2 (k+3)
-        alpha = k * k * (k + 3)
-        beta = 3 * k * k + 3 * k + 2
-        ends = (("rho_k", k * k + 1, k + 1), ("rho_{k+1}", (k + 1) ** 2 + 1, k + 2))
-        for where, N, D in ends:  # rho = N/D
-            # A rho^3 + Bcoef rho^2 + c_k <= 0, multiplied up by
-            # D^3 * alpha * (k+1) * nu > 0:
-            lhs = 2 * (k + 1) * nu * N ** 3 - beta * nu * N * N * D \
-                + mu * alpha * (k + 1) * D ** 3
-            if lhs > 0:
-                return ScanReport(False, k_max, (k, f"phi above -c_k/rho^2 at {where}"))
+        if not pending:
+            break
+        for label, q, strict in pending:
+            v = poly_eval(q, 0)  # = P(k)
+            if not (v > 0 if strict else v >= 0):
+                return ScanReport(False, k_max, (k, label))
+        pending = [(label, taylor_shift(q, 1), strict) for label, q, strict in pending
+                   if any(c < 0 for c in q)]
     return ScanReport(True, k_max, None)
 
 

@@ -1,11 +1,13 @@
-"""Small numerical building blocks: golden-section search, bracketing,
-cubic root finding, directed decimal rounding, and least-squares slopes.
+"""Small numerical building blocks: golden-section search, exact polynomials
+(Sturm root counts, Taylor shifts), cubic root finding, directed decimal
+rounding, and least-squares slopes.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Callable, Sequence
 
 import mpmath as mp
@@ -14,10 +16,8 @@ from .errors import BracketError
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
-# the fixed settings of golden_max, check_unimodal and real_cubic_roots
+# the fixed settings of golden_max and real_cubic_roots
 GOLDEN_MAXITER = 200
-UNIMODAL_SAMPLES = 33
-UNIMODAL_REL_TOL = 1e-12
 NEWTON_STEPS = 3
 
 
@@ -25,7 +25,7 @@ def golden_max(f: Callable, a, b, xtol=1e-10):
     """Golden-section search for the maximum of a unimodal f on [a, b].
 
     Returns (x_star, f(x_star)).  Works with floats or mpmath mpfs; the
-    caller guarantees unimodality (see bracket_max).
+    caller guarantees unimodality.
     """
     if not a < b:
         raise BracketError(f"empty bracket [{a}, {b}]")
@@ -51,42 +51,71 @@ def golden_max(f: Callable, a, b, xtol=1e-10):
     return d, yd
 
 
-def bracket_max(f: Callable, a, b, n: int):
-    """Locate a bracket around the maximum of f on [a, b] by an n-point scan.
-
-    Returns (lo, hi) such that the grid maximum is interior to (lo, hi).
-    Raises BracketError when the scan maximum sits on the boundary (no
-    interior maximum was bracketed).
-    """
-    if n < 3:
-        raise BracketError("bracketing scan needs at least 3 points")
-    xs = [a + (b - a) * i / (n - 1) for i in range(n)]
-    ys = [f(x) for x in xs]
-    i = max(range(n), key=ys.__getitem__)
-    if i == 0 or i == n - 1:
-        raise BracketError(
-            f"scan maximum at boundary x={xs[i]}; no interior maximum in [{a}, {b}]"
-        )
-    return xs[i - 1], xs[i + 1]
+def poly_eval(p, x):
+    """p(x) by Horner.  Polynomials are coefficient lists, constant term first."""
+    acc = 0
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
 
 
-def check_unimodal(f: Callable, lo, hi) -> bool:
-    """Sample f on [lo, hi] and verify a rise-then-fall (unimodal) pattern.
+def poly_add(*ps) -> list:
+    """Sum of polynomials, trailing zeros dropped."""
+    out = [sum(cs) for cs in zip_longest(*ps, fillvalue=0)]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
 
-    Differences smaller than UNIMODAL_REL_TOL * scale are treated as flat so
-    that a numerically flat peak does not count as extra sign changes.
-    """
-    xs = [lo + (hi - lo) * i / (UNIMODAL_SAMPLES - 1) for i in range(UNIMODAL_SAMPLES)]
-    ys = [f(x) for x in xs]
-    scale = max(abs(y) for y in ys) or 1.0
-    fell = False
-    for y0, y1 in zip(ys, ys[1:]):
-        d = y1 - y0
-        if abs(d) > UNIMODAL_REL_TOL * scale:
-            if d > 0 and fell:  # rose again after falling
-                return False
-            fell = fell or d < 0
-    return True
+
+def poly_mul(*ps) -> list:
+    """Product of polynomials."""
+    out = [1]
+    for p in ps:
+        prod = [0] * (len(out) + len(p) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(p):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
+def _poly_divmod(p, q) -> tuple[list, list]:
+    """Quotient and remainder of p by q, in Fractions."""
+    r, quot = [Fraction(c) for c in p], []
+    while len(r) >= len(q):
+        quot.insert(0, r[-1] / q[-1])
+        for i, c in enumerate(q, len(r) - len(q)):
+            r[i] -= quot[0] * c
+        r.pop()
+    return quot, poly_add(r)
+
+
+def sturm_sequence(p) -> list:
+    """Sturm sequence p, p', -rem(p, p'), ... of the square-free part of p."""
+    seq = [list(p), [i * c for i, c in enumerate(p)][1:]]
+    while seq[-1]:
+        seq.append([-c for c in _poly_divmod(seq[-2], seq[-1])[1]])
+    seq.pop()
+    if len(seq[-1]) > 1:  # divide out gcd(p, p'), which holds the repeated roots
+        return sturm_sequence(_poly_divmod(p, seq[-1])[0])
+    return seq
+
+
+def sign_variations(seq, x) -> int:
+    """Sign changes along the sequence at x, zeros skipped.  For a Sturm
+    sequence and a < b, sign_variations(seq, a) - sign_variations(seq, b) is
+    the number of distinct real roots in (a, b], also where a or b is a root."""
+    signs = [v > 0 for v in (poly_eval(q, x) for q in seq) if v != 0]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def taylor_shift(p, s) -> list:
+    """Coefficients in u of p(s + u)."""
+    q = list(p)
+    for i in range(len(q) - 1):
+        for j in range(len(q) - 2, i - 1, -1):
+            q[j] += s * q[j + 1]
+    return q
 
 
 def real_cubic_roots(c3: float, c2: float, c1: float, c0: float) -> list[float]:

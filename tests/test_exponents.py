@@ -6,6 +6,7 @@ finite differences, grid domination, bisection) and frozen here.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import mpmath as mp
@@ -13,7 +14,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from divisorlab import exponents as ex
-from divisorlab.errors import DomainError, RangeError
+from divisorlab.errors import DomainError, RangeError, SelfCheckError
+from divisorlab.numerics import (golden_max, poly_eval, poly_mul, sign_variations,
+                                 sturm_sequence, taylor_shift)
 
 B_HB = float(ex.heath_brown_B())
 
@@ -128,6 +131,107 @@ def test_optimize_theta_bad_B():
     for B in (0.1, 958462.87):
         with pytest.raises(RangeError, match=f"B = {B} "):
             ex.optimize_theta(B)
+
+
+def _scan_optimum(B):
+    """The full 1000-point scan that optimize_theta's Sturm search replaces:
+    k1 at every grid point, the bracket around the first index of the maximum,
+    a 33-sample rise-then-fall check of the bracket, then the same golden
+    section.  An oracle for the bracket and every bit of ThetaOptimum."""
+    with mp.workdps(ex.WORK_DPS):
+        Bm = mp.mpf(B)
+
+        def f(t):
+            return ex._k2(mp.mpf(t), Bm)
+
+        a, b, n = mp.mpf(ex.THETA_SEARCH_LO), mp.mpf(ex.THETA_SEARCH_HI), ex.THETA_SCAN_POINTS
+        xs = [a + (b - a) * i / (n - 1) for i in range(n)]
+        ys = [f(x) for x in xs]
+        i = max(range(n), key=ys.__getitem__)
+        if i == 0 or i == n - 1:
+            raise RangeError(f"B = {B} gives k1(theta) no interior maximum in "
+                             f"[{ex.THETA_SEARCH_LO}, {ex.THETA_SEARCH_HI}]")
+        lo, hi = xs[i - 1], xs[i + 1]
+        samples = [f(lo + (hi - lo) * j / 32) for j in range(33)]
+        scale = max(abs(y) for y in samples) or 1.0
+        fell = False
+        for y0, y1 in zip(samples, samples[1:]):
+            if abs(y1 - y0) > 1e-12 * scale:
+                if y1 > y0 and fell:
+                    raise SelfCheckError(
+                        f"k1(theta) not unimodal on bracket [{float(lo)}, {float(hi)}]")
+                fell = fell or y1 < y0
+        theta_star, k1_star = golden_max(f, lo, hi, xtol=mp.mpf("1e-16"))
+        return ex.ThetaOptimum(theta_star=float(theta_star), k1_star=float(k1_star),
+                               k0_star=float(ex.k0_theta(float(theta_star))),
+                               bracket=(float(lo), float(hi)))
+
+
+_RNG = random.Random(26)
+SCAN_B = [B_HB, 4.45, 1.0, 0.4918, 0.1, 958462.87] + [
+    float(f"{math.exp(_RNG.uniform(math.log(0.25), math.log(3.2e3))):.6g}") for _ in range(56)]
+
+
+@pytest.mark.parametrize("B", SCAN_B)
+def test_optimize_theta_is_the_full_scan_bit_for_bit(B):
+    # the Sturm-located argmax must give the scan's bracket and every bit of
+    # its golden section, or refuse with the scan's class and message
+    def outcome(fn):
+        try:
+            return fn(B)
+        except (RangeError, SelfCheckError) as e:
+            return type(e), str(e)
+    assert outcome(ex.optimize_theta) == outcome(_scan_optimum)
+
+
+def _roots_count(roots, a, b):
+    return len({r for r in roots if a < r <= b})
+
+
+@pytest.mark.parametrize("roots", [
+    [1, 2, 3], [1, 2, 2, 3], [Fraction(1, 3), Fraction(1, 3), Fraction(1, 3), 5],
+    [-2, Fraction(7, 4), Fraction(7, 4), Fraction(9, 4)], [0], [4, 4]])
+def test_sturm_count_matches_known_roots(roots):
+    # (a, b] counts each distinct root once: repeated roots, and roots at
+    # either end of the interval, included
+    p = poly_mul(*[[-r, 1] for r in roots], [3])
+    seq = sturm_sequence(p)
+    ends = sorted({Fraction(x) for x in roots} | {Fraction(x, 4) for x in range(-12, 24)})
+    for a in ends:
+        for b in ends:
+            if a < b:
+                got = sign_variations(seq, a) - sign_variations(seq, b)
+                assert got == _roots_count(roots, a, b), (a, b)
+
+
+def test_sturm_count_of_an_irreducible_factor():
+    # (x^2 - 2)(x^2 + 1)^2: roots +-sqrt(2) only
+    p = poly_mul([-2, 0, 1], [1, 0, 1], [1, 0, 1])
+    seq = sturm_sequence(p)
+    count = lambda a, b: sign_variations(seq, a) - sign_variations(seq, b)
+    assert count(-10, 10) == 2
+    assert count(Fraction(141, 100), Fraction(142, 100)) == 1
+    assert count(Fraction(-142, 100), Fraction(141, 100)) == 1
+    assert count(Fraction(142, 100), 10) == 0
+
+
+def test_taylor_shift_evaluates_p_at_s_plus_u():
+    p = [5, -3, 0, 7, Fraction(1, 2)]
+    for s in (-3, 0, 2, Fraction(5, 7)):
+        q = taylor_shift(p, s)
+        for u in (-2, 0, 1, Fraction(3, 11)):
+            assert poly_eval(q, u) == poly_eval(p, s + u)
+
+
+@pytest.mark.parametrize("B", [0.1, B_HB, 4.45, 1e3])
+def test_k1_slope_poly_has_the_sign_of_dk1(B):
+    # oracle: mpmath's numerical derivative of k1 at 60 digits
+    p = ex._k1_slope_poly(Fraction(B))
+    for t in [0.5 + 0.49 * j / 40 for j in range(1, 40)]:
+        with mp.workdps(60):
+            d = mp.diff(lambda x: ex._k2(x, mp.mpf(B)), mp.mpf(t))
+        v = poly_eval(p, Fraction(t))
+        assert (v > 0) == (d > 0) and abs(d) > 1e-20, (t, float(d))
 
 
 # ------------------------------------------------------------ alpha / beta
@@ -521,6 +625,56 @@ def test_ck_scan_small_cases():
             assert piece.A * rho ** 3 + piece.Bcoef * rho ** 2 + c <= 0
 
 
+def _ck_old_values(k):
+    """The per-k integers of the former k = 2..k_max loop, in its order: (i),
+    (ii), (iii) at rho_k and at rho_{k+1}, read as > 0, > 0, >= 0, >= 0."""
+    mu, nu = (k * k + 1) ** 2, k * (k + 1) ** 3
+    mu1, nu1 = ((k + 1) ** 2 + 1) ** 2, (k + 1) * (k + 2) ** 3
+    den = (k + 1) ** 2 + 1
+    alpha, beta = k * k * (k + 3), 3 * k * k + 3 * k + 2
+    out = [mu1 * nu - mu * nu1, mu * den - (k * k - k - 4) * nu]
+    for N, D in ((k * k + 1, k + 1), ((k + 1) ** 2 + 1, k + 2)):
+        out.append(-(2 * (k + 1) * nu * N ** 3 - beta * nu * N * N * D
+                     + mu * alpha * (k + 1) * D ** 3))
+    return out
+
+
+def test_ck_polynomials_are_the_per_k_comparisons():
+    # every polynomial has degree <= 12, so agreement at 1999 points is identity
+    conds = ex._CK_CONDITIONS
+    assert [strict for _, _, strict in conds] == [True, True, False, False]
+    assert max(len(p) for _, p, _ in conds) <= 13
+    for k in range(2, 2001):
+        assert [poly_eval(p, k) for _, p, _ in conds] == _ck_old_values(k)
+
+
+def test_ck_certificates_hold_from_k_2():
+    for label, p, strict in ex._CK_CONDITIONS:
+        q = taylor_shift(p, 2)
+        assert all(c >= 0 for c in q) and (poly_eval(q, 0) > 0 or not strict), label
+
+
+def test_ck_scan_reports_the_first_false_k(monkeypatch):
+    conds = list(ex._CK_CONDITIONS)
+    labels = [label for label, _, _ in conds]
+    monkeypatch.setattr(ex, "_CK_CONDITIONS", conds)
+    conds[1] = (labels[1], [49, -20, 2], True)  # 2(k-5)^2 - 1, negative at k = 5 only
+    assert ex.ck_inequality_scan(10 ** 4) == ex.ScanReport(False, 10 ** 4, (5, labels[1]))
+    assert ex.ck_inequality_scan(4) == ex.ScanReport(True, 4, None)
+    # 2(k-5)^2 is 0 at k = 5: a non-strict condition allows it, a strict one
+    # fails there, and at the same k an earlier condition is reported first
+    conds[0] = (labels[0], [50, -20, 2], False)
+    assert ex.ck_inequality_scan(10 ** 4).failure == (5, labels[1])
+    conds[0] = (labels[0], [50, -20, 2], True)
+    assert ex.ck_inequality_scan(10 ** 4).failure == (5, labels[0])
+    # a polynomial that never gets a certificate is tested at every k <= k_max
+    conds[:2] = [(labels[0], [1, 1], True), (labels[1], [300, -1], True)]
+    assert ex.ck_inequality_scan(299).ok
+    assert ex.ck_inequality_scan(300).failure == (300, labels[1])
+    conds[1] = (labels[1], [0, 0, -1], False)  # -k^2
+    assert ex.ck_inequality_scan(10).failure == (2, labels[1])
+
+
 # ------------------------------------------------------- cubic maximisers
 
 def test_moment_h_max_asymptotics():
@@ -705,6 +859,22 @@ def test_non_finite_argument_raises_domain_error(fn, args, name):
     # through where the quantity is finite
     with pytest.raises(DomainError, match=f"^{name} must"):
         fn(*args)
+
+
+@pytest.mark.parametrize("fn, arg, name", [
+    (ex.ck_inequality_scan, 10.5, "k_max"),
+    (ex.ck_inequality_scan, NAN, "k_max"),
+    (ex.phi_piece_for_index, 2.5, "k"),
+    (ex.rho_node, NAN, "k"),
+], ids=lambda v: v.__name__ if callable(v) else None)
+def test_non_integral_argument_raises_domain_error(fn, arg, name):
+    # each passes its range check and, unguarded, raises a bare TypeError (or,
+    # for the scan, would run with a fractional bound)
+    with pytest.raises(DomainError, match=f"^{name} must be integral, got {arg}$"):
+        fn(arg)
+    if fn is not ex.rho_node:  # refused today: same class and message
+        with pytest.raises(DomainError, match=r"must be >= 2, got 1\.5$"):
+            fn(1.5)
 
 
 def test_params_validation():
