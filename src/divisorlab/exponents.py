@@ -238,12 +238,13 @@ def optimize_theta(B) -> ThetaOptimum:
     of mp.mpf(B); Sturm counts at the grid's exact points find the cell i0 of
     each.  An interior grid maximum lies next to a critical point, so the
     first index of the maximum of k1 over the ends and i0-2 .. i0+3 (i0 and
-    i0+1, with a margin for rounding) is the argmax of the whole grid.  At an end, k1 has no interior maximiser
-    (RangeError).  One root in (xs[i-1], xs[i+1]] proves k1 unimodal there
-    (more is a self-check failure), and golden section runs to 1e-16 in theta
-    (well past the 1e-8 contract) because k1 can be sharply curved near its
-    maximiser for large B; first-order optimality then holds to ~1e-8 even at
-    curvatures of order 1e8.
+    i0+1, with a margin for rounding) is the argmax of the whole grid.  At
+    an end, k1 has no interior maximiser (RangeError).  One root in
+    (xs[i-1], xs[i+1]] proves k1 unimodal there (more is a self-check
+    failure), and golden section runs to 1e-16 in theta (well past the 1e-8
+    contract) because k1 can be sharply curved near its maximiser for large
+    B; first-order optimality then holds to ~1e-8 even at curvatures of
+    order 1e8.
     """
     check_positive("B", B)
     with _wp():
