@@ -7,9 +7,11 @@ point); any other x is accepted but flagged via ``half_odd=False``.
 
 Exact summatory values come from ``sieve.dk_partial_sums`` (small tables
 sieved to a bound y of its cost rule, floor-value sums above y); main terms
-from the residue polynomials.  High-volume paths (mean square, scans) run
-in float64 with the main-term polynomial coefficients rounded once, one
-sieve segment at a time; per-sample paths keep full mpmath precision.
+from the residue polynomials.  High-volume paths run in float64 with the
+main-term polynomial coefficients rounded once: the mean square one sieve
+segment at a time, the sign scan over segments while its windows are
+narrow and then over each window's stretch from its start to its first
+flip.  Per-sample paths keep full mpmath precision.
 """
 
 from __future__ import annotations
@@ -123,10 +125,12 @@ def fit_exponent(samples: Sequence[RemainderSample],
 
 # ------------------------------------------------------------ sign changes
 
-# per point of a segment: the scan's arrays beside SEGMENT_BYTES (tracemalloc: about 69 B
-# for both in sign_change_scan(2, 1e3, 1e6)); per window of about k (X1^{1/k} - X0^{1/k})
-# / C + 1: the output at the peak of `signs --format json`, tuple, CLI row, JSON copy and
-# text (1245 B; 310 B as CSV)
+# per point of a segment, or of a chunk of a round's blocks: the scan's arrays beside
+# SEGMENT_BYTES (tracemalloc: about 69 B for both in a streamed segment; a full chunk,
+# every window of sign_change_scan(2, 1.2, 1e6, 0.5) jumped, peaks at 6.0 MiB with its
+# 4000 windows); per window of about k (X1^{1/k} - X0^{1/k}) / C + 1: the output at the
+# peak of `signs --format json`, tuple, CLI row, JSON copy and text (1245 B; 310 B as
+# CSV), which the scan's own window list and round state stay below
 SCAN_BYTES_PER_POINT = 72
 SCAN_BYTES_PER_WINDOW = 1280
 TONG_C = 5.0  # C of the Tong window C x^{1-1/k}: the scan's default, envelopes' width
@@ -179,6 +183,64 @@ def _segment_flips(k: int, n_lo: int, n_hi: int, precision_bits: int):
         prev = signs[-1:]
 
 
+def _window_flips(k: int, firsts: list[int], lasts: list[int], hi: int,
+                  precision_bits: int) -> list:
+    """The left point n + 1/2 of the first flip with a <= n < n + 1 <= b in each
+    window of points a..b (firsts, lasts), or None, for k with
+    ``sieve.sums_fit_int64(k, hi - 1)`` and every b < hi.
+
+    One ``sieve.dk_partial_sums`` call gives D_k(a - 1) exactly for every
+    window of two or more points.  Then each open window is sieved forward in
+    rounds of 32, 64, ... (at most SEGMENT) points until its first flip or
+    its end, every open window in one ``sieve.dk_blocks`` call per round.  A
+    chunk's points are signed as a segment's in ``_segment_flips``: one
+    ``_sign_budget`` at its last (largest) point, ``sample_from_D`` within it.
+    """
+    coeffs = _main_poly(k, precision_bits).as_floats()
+    out = [None] * len(firsts)
+    firsts, lasts = np.array(firsts, dtype=np.int64), np.array(lasts, dtype=np.int64)
+    win = np.flatnonzero(firsts < lasts)  # the open windows
+    pos, end = firsts[win], lasts[win]  # each one's next point and last point
+    D = np.zeros(len(win), dtype=np.uint64)  # D_k(pos - 1), exact below 2^62
+    above = pos > 1  # the a are strictly increasing, as a window of two points is 1 wide
+    if above.any():
+        sums = sieve.dk_partial_sums(k, int(pos[-1]) - 1, (pos[above] - 1).tolist())
+        D[above] = [d for _, d in sums.checkpoints]
+    prev = np.zeros(len(win))  # the sign at pos - 1; 0 before a window's first point
+    length = 32
+    while len(win):
+        lens = np.minimum(end - pos + 1, length)
+        keep = np.ones(len(win), dtype=bool)
+        for i, j, values in sieve.dk_blocks(k, pos, lens, hi):
+            ls = lens[i:j]
+            heads = np.cumsum(ls) - ls
+            cums = np.cumsum(values, out=values)  # wraps mod 2^64; the differences are exact
+            done = np.zeros(len(ls), dtype=np.uint64)  # the chunk's sum before each block
+            done[1:] = cums[heads[1:] - 1]
+            cums += np.repeat(D[i:j] - done, ls)
+            xs = np.repeat((pos[i:j] - heads).astype(np.float64), ls)
+            xs += np.arange(len(xs)) + 0.5
+            deltas = _remainder(cums, xs, coeffs, np.empty_like(xs), np.empty_like(xs))
+            signs = np.sign(deltas)
+            for e in np.flatnonzero(np.abs(deltas) <= _sign_budget(coeffs, xs[-1], int(cums[-1]))):
+                signs[e] = np.sign(sample_from_D(k, xs[e], int(cums[e]), precision_bits).delta)
+            before = np.concatenate(([0.0], signs[:-1]))
+            before[heads] = prev[i:j]
+            flips = np.flatnonzero(before * signs < 0)  # between the points e - 1 and e
+            blocks, first = np.unique(np.searchsorted(heads, flips, side="right") - 1,
+                                      return_index=True)
+            for b, e in zip(blocks.tolist(), flips[first].tolist()):
+                out[win[i + b]] = float(xs[e] - 1.0)
+            tails = heads + ls - 1
+            keep[i:j] = pos[i:j] + ls <= end[i:j]
+            keep[i + blocks] = False
+            D[i:j], prev[i:j] = cums[tails], signs[tails]
+        pos += lens
+        win, pos, end, D, prev = win[keep], pos[keep], end[keep], D[keep], prev[keep]
+        length = min(2 * length, sieve.SEGMENT)
+    return out
+
+
 def sign_change_scan(k: int, X0: float, X1: float, C: float = TONG_C,
                      precision_bits: int = MAIN_BITS_DEFAULT):
     """Scan windows [X, X + C*X^{1-1/k}] tiling [X0, X1] for sign changes of
@@ -187,8 +249,16 @@ def sign_change_scan(k: int, X0: float, X1: float, C: float = TONG_C,
     Returns one (window_start, change_location) pair per window, where
     change_location is the left half-odd point of the first unit gap on
     which the sign flips, or None when the window shows no change (absence
-    is data, not an error).  Localisation stops at unit intervals.  Memory
-    is O(segment) plus the windows, and the budget charges both.
+    is data, not an error).  Localisation stops at unit intervals.
+
+    Windows up to ``sieve.SCAN_JUMP`` wide are read from one stream of sieve
+    segments over every point; past them (widths grow with X), each window is
+    sieved from its start only to its first flip (``_window_flips``), where
+    ``sieve.sums_fit_int64`` lets the floor route give the starts' D_k.  Above
+    that bound the starts would cost a full sieve, and the stream keeps its
+    overflow refusals, so every window streams.  Memory is one segment's
+    working set plus the windows, and the budget charges both; the floor
+    route holds its own tables within the budget.
     """
     if not (1 < X0 < X1 <= sieve.DESK_X_CAP):
         raise DomainError(f"need 1 < X0 < X1 <= {sieve.DESK_X_CAP}")
@@ -200,18 +270,33 @@ def sign_change_scan(k: int, X0: float, X1: float, C: float = TONG_C,
     windows = min(k * (X1 ** (1 / k) - X0 ** (1 / k)) / C + 1, 2.0 ** 53)
     sieve.check_budget("scan", n_hi, sieve.SEGMENT_BYTES + SCAN_BYTES_PER_WINDOW * int(windows)
                        + SCAN_BYTES_PER_POINT * min(n_hi - n_lo + 1, sieve.SEGMENT))
-    out, X = [], float(X0)
-    for lefts, last in _segment_flips(k, n_lo, n_hi, precision_bits):
-        while X < X1:
-            width = C * X ** (1.0 - 1.0 / k)
-            x_end = min(X + width, X1)
+    wins, X = [], float(X0)  # (X, the window's end)
+    streamed = None  # the windows before the first one wider than SCAN_JUMP
+    while X < X1:
+        width = C * X ** (1.0 - 1.0 / k)
+        if streamed is None and width > sieve.SCAN_JUMP:
+            streamed = len(wins)
+        wins.append((X, min(X + width, X1)))
+        X += width
+    if streamed is None or not sieve.sums_fit_int64(k, n_hi):
+        streamed = len(wins)
+    out = []
+    # the streamed windows' points lie in [n_lo, floor(x_end - 1/2)] of the last one
+    n_end = max(math.floor(wins[streamed - 1][1] - 0.5), n_lo + 1) if streamed else n_lo
+    for lefts, last in _segment_flips(k, n_lo, n_end, precision_bits) if streamed else ():
+        while len(out) < streamed:
+            X, x_end = wins[len(out)]
             j = np.searchsorted(lefts, X)
             if j == len(lefts) and x_end >= last + 1:
                 break  # the window's first flip may lie in a later segment
             found = j < len(lefts) and lefts[j] + 1 <= x_end
             out.append((X, float(lefts[j]) if found else None))
-            X += width
-    return out
+    # a window's points n + 1/2 lie in [X, x_end]: n from ceil(X - 1/2) to floor(x_end - 1/2)
+    jumped = wins[streamed:]
+    flips = _window_flips(k, [math.ceil(X - 0.5) for X, _ in jumped],
+                          [math.floor(x_end - 0.5) for _, x_end in jumped], n_hi + 1,
+                          precision_bits)
+    return out + [(X, loc) for (X, _), loc in zip(jumped, flips)]
 
 
 # -------------------------------------------------------------- mean square

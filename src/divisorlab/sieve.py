@@ -7,7 +7,7 @@ every n in a segment of SEGMENT entries of [lo, hi) with the primes p <=
 sqrt(hi - 1) and sets the signature code prod_p CODE[a_p], times CODE[1] = 3
 where a prime cofactor is left; d_k is then one gather from a table of the
 exact d_k by signature, so one pass serves every k, over its own range only.
-The kernel (``_signature_segments``) takes four steps:
+The kernel (``_signature_blocks``) takes four steps:
   - Wheel (Pritchard, Acta Inform. 17, 1982): a segment starts from the
     pattern of the period WHEEL = 2^5 3^2 5 7, rotated to s mod WHEEL, which
     holds the code and stripped product of the prime powers dividing WHEEL.
@@ -17,6 +17,9 @@ The kernel (``_signature_segments``) takes four steps:
     index build per exponent level (in pieces of about SCATTER_PIECE
     indices) and unbuffered ``ufunc.at`` calls strike them all.
   - Cofactor: code *= 2 cofactor + 1, without a masked (branchy) ufunc.
+It also takes many short blocks in one chunk (a sign scan's rounds): the
+pattern is gathered at n mod WHEEL and every prime power goes through the
+scatter, from a (block, q) table of first multiples and counts.
 
 Partial sums take one exact route with a parameter y, isqrt(max x) <= y <=
 max x, that a cost rule picks (``_floor_bound``), and one pass of the sieve.
@@ -62,6 +65,9 @@ WHEEL = 10080
 WHEEL_EXPONENTS = ((2, 5), (3, 2), (5, 1), (7, 1))
 STRIDE_MAX = 64
 SCATTER_PIECE = 1 << 13
+# bytes per cell of the (block, q) table of short blocks (a residue and a count,
+# uint32); a piece holds at most SEGMENT cells, fewer where the budget is tight
+TABLE_CELL_BYTES = 8
 
 
 @dataclass(frozen=True)
@@ -141,12 +147,16 @@ def _dk_by_signature(k: int, log2: int):
     return values, flagged
 
 
-def _plan(primes: np.ndarray, hi: int):
-    """Split the prime powers p^a < hi beyond the wheel between the strides
-    and the scatter.  Strided: 2, 3, 5 and 7 (all higher powers) and the
-    p^a <= STRIDE_MAX.  Scattered: the rest, in pieces (a, p, p^a) of one
-    level a with fewer than SCATTER_PIECE + SEGMENT // STRIDE_MAX multiples
-    in any segment.  Levels ascend, so a_p reaches a - 1 before a."""
+@functools.lru_cache(maxsize=1)
+def _plan(hi: int):
+    """Split the prime powers p^a < hi beyond the wheel, p <= sqrt(hi - 1),
+    between the strides and the scatter.  Strided: 2, 3, 5 and 7 (all higher
+    powers) and the p^a <= STRIDE_MAX.  Scattered: the rest, in pieces (a, p,
+    p^a) of one level a with fewer than SCATTER_PIECE + SEGMENT // STRIDE_MAX
+    multiples in any segment.  Levels: all of them as one scatter piece per
+    level, for blocks too short to stride.  Levels ascend, so a_p reaches a -
+    1 before a.  Cached for the last hi, which a scan's rounds share."""
+    primes = _primes_upto(math.isqrt(hi - 1))
     strided = [(p, a) for p, e in WHEEL_EXPONENTS for a in range(e + 1, hi.bit_length())
                if p ** a < hi]
     w = len(WHEEL_EXPONENTS)  # primes[w] = 11, the first prime past the wheel
@@ -164,9 +174,14 @@ def _plan(primes: np.ndarray, hi: int):
             qs = ps ** a
             ends = np.cumsum(SEGMENT // qs + 1)  # multiples of q in a segment, at most
             cuts = np.searchsorted(ends, np.arange(SCATTER_PIECE, ends[-1], SCATTER_PIECE)).tolist()
-            pieces += [(a, ps[i:j].astype(np.uint32), qs[i:j])
+            pieces += [(a, ps[i:j].astype(np.uint32), qs[i:j].astype(np.uint32))
                        for i, j in zip([0, *cuts], [*cuts, len(ps)])]
-    return strided, pieces
+    levels = []
+    for a in sorted({a for _, a in strided} | {a for a, _, _ in pieces}):
+        ps = np.concatenate([np.array([p for p, b in strided if b == a], dtype=np.uint32),
+                             *(ps for b, ps, _ in pieces if b == a)])
+        levels.append((a, ps, ps ** a))
+    return strided, pieces, levels
 
 
 def _strike(code, stripped, s: int, p: int, a: int) -> None:
@@ -181,21 +196,33 @@ def _strike(code, stripped, s: int, p: int, a: int) -> None:
         stripped *= p
 
 
-def _scatter(code, stripped, s: int, a: int, ps: np.ndarray, qs: np.ndarray) -> None:
+def _scatter(code, stripped, starts, heads, lens, a: int, ps: np.ndarray, qs: np.ndarray) -> None:
     """Raise a_p from a - 1 to a on the multiples of every q = p^a of one
-    piece in the segment of n = s, s + 1, ...  The unbuffered ufunc.at
-    applies an index as often as it repeats (n divisible by two such q)."""
-    first = -s % qs
-    cnt = (len(code) - 1 - first) // qs + 1  # >= 0, as first < q
-    ends = np.cumsum(cnt)
-    if not ends[-1]:
+    piece in each block i of n = starts_i + 1, starts_i + 2, ..., held in
+    code from heads_i on for lens_i entries (uint32 starts and lens, int64
+    heads, columns of shape (blocks, 1)); a segment is the one-block case.
+    The (block, q) table holds r = starts mod q, so the first multiple is at
+    q - 1 - r and the block holds (len + r) // q of them; only its nonzero
+    cells go on.  The unbuffered ufunc.at applies an index as often as it
+    repeats (n divisible by two such q)."""
+    rem = starts % qs
+    cnt = lens + rem
+    cnt //= qs
+    hit = cnt.ravel().nonzero()[0]
+    if not len(hit):
         return
-    # the j-th index of the piece is first + (j - head) q, head = ends - cnt
-    idx = np.repeat(first - (ends - cnt) * qs, cnt) + np.arange(ends[-1]) * np.repeat(qs, cnt)
+    b, j = np.divmod(hit, len(qs))
+    q, cnt = qs[j].astype(np.int64), cnt.ravel()[hit].astype(np.int64)
+    ends = cnt.cumsum()
+    # the i-th index is heads_b + first + (i - head) q, head = ends - cnt
+    first = heads[b, 0] + q - 1 - rem.ravel()[hit]
+    first -= (ends - cnt) * q
+    idx = first.repeat(cnt)
+    idx += np.arange(ends[-1]) * q.repeat(cnt)
     if a > 1:
         np.floor_divide.at(code, idx, np.uint16(CODE[a - 1]))
     np.multiply.at(code, idx, np.uint16(CODE[a]))
-    np.multiply.at(stripped, idx, np.repeat(ps, cnt))
+    np.multiply.at(stripped, idx, ps[j].repeat(cnt))
 
 
 @functools.cache
@@ -210,8 +237,26 @@ def _wheel_pattern():
     return code, stripped
 
 
-def _signature_segments(lo: int, hi: int):
-    """Yield (start, signature ranks) for each segment of [lo, hi).
+def _points(starts: np.ndarray, heads: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """n at each entry of the blocks n = starts_b, ... held from heads_b on,
+    in uint32 (n < 2^32: the wrap of starts - heads undoes itself)."""
+    if len(starts) == 1:
+        return np.arange(starts[0], starts[0] + lens[0], dtype=np.uint32)
+    n = (starts - heads).astype(np.uint32).repeat(lens)
+    n += np.arange(len(n), dtype=np.uint32)
+    return n
+
+
+def _signature_blocks(starts: np.ndarray, lens: np.ndarray, hi: int):
+    """Yield (i, j, signature ranks) for the blocks i..j - 1 of n = starts_b,
+    ..., starts_b + lens_b - 1 < hi (int64 arrays, lens_b <= SEGMENT), taken
+    in order and concatenated into chunks of at most SEGMENT entries.
+
+    Each chunk starts from the wheel pattern at n mod WHEEL.  A chunk of one
+    block (a segment) rotates the pattern and strides; shorter blocks gather
+    the pattern and send every prime power through the scatter, one level at
+    a time, its (block, q) table cut into pieces of at most SEGMENT cells
+    that fit the budget beside a segment's working set.
 
     Stripping 2, 3, 5, 7 and the primes p <= sqrt(hi - 1) from n leaves n /
     stripped = 1 or one prime above them, so stripped < n marks a cofactor;
@@ -221,17 +266,42 @@ def _signature_segments(lo: int, hi: int):
     (``test_signature_tables_are_exact``).
     """
     rank = _signatures()[1]
-    strided, pieces = _plan(_primes_upto(math.isqrt(hi - 1)), hi)
-    for s in range(lo, hi, SEGMENT):
-        code, stripped = (np.resize(np.roll(x, -(s % WHEEL)), min(SEGMENT, hi - s))
-                          for x in _wheel_pattern())
-        for p, a in strided:
-            _strike(code, stripped, s, p, a)
-        for a, ps, qs in pieces:
-            _scatter(code, stripped, s, a, ps, qs)
-        cofactor = stripped < np.arange(s, s + len(code), dtype=np.uint32)
-        code *= cofactor * np.uint8(2) + np.uint8(1)
-        yield s, rank.take(code)
+    strided, pieces, levels = _plan(hi)
+    cells = min(SEGMENT, max(1, (MEMORY_BUDGET_BYTES - SEGMENT_BYTES) // TABLE_CELL_BYTES))
+    ends = np.cumsum(lens)
+    i = 0
+    while i < len(starts):
+        done = int(ends[i - 1]) if i else 0
+        j = int(np.searchsorted(ends, done + SEGMENT, side="right"))
+        ls = lens[i:j]
+        heads = ends[i:j] - ls - done
+        if j - i == 1:  # a segment: the pattern rotated to s mod WHEEL, then strides
+            s = int(starts[i])
+            code, stripped = (np.resize(np.roll(x, -(s % WHEEL)), int(ls[0]))
+                              for x in _wheel_pattern())
+            for p, a in strided:
+                _strike(code, stripped, s, p, a)
+        else:
+            at = _points(starts[i:j], heads, ls) % np.uint32(WHEEL)
+            code, stripped = (x.take(at) for x in _wheel_pattern())
+            del at
+        cols = [(starts[i:j] - 1).astype(np.uint32)[:, None], heads[:, None],
+                ls.astype(np.uint32)[:, None]]
+        for a, ps, qs in pieces if j - i == 1 else levels:
+            step = max(1, cells // len(ps))
+            for b in range(0, j - i, step):
+                _scatter(code, stripped, *(c[b:b + step] for c in cols), a, ps, qs)
+        # n is made here: held through the strides, it cost ~6% of a segment
+        code *= (stripped < _points(starts[i:j], heads, ls)) * np.uint8(2) + np.uint8(1)
+        yield i, j, rank.take(code)
+        i = j
+
+
+def _signature_segments(lo: int, hi: int):
+    """Yield (start, signature ranks) for each segment of [lo, hi)."""
+    starts = np.arange(lo, hi, SEGMENT, dtype=np.int64)
+    for i, _, ranks in _signature_blocks(starts, np.minimum(hi - starts, SEGMENT), hi):
+        yield int(starts[i]), ranks
 
 
 def _dk_gather(k: int, ranks: np.ndarray):
@@ -243,6 +313,23 @@ def _dk_gather(k: int, ranks: np.ndarray):
 def _dk_segments(k: int, lo: int, hi: int):
     """(start, d_k values, overflowed) for each segment of [lo, hi), lazily."""
     return ((s, *_dk_gather(k, ranks)) for s, ranks in _signature_segments(lo, hi))
+
+
+def dk_blocks(k: int, starts, lens, hi: int):
+    """Yield (i, j, d_k values) for the blocks i..j - 1 of n = starts_b, ...,
+    starts_b + lens_b - 1 < hi, in chunks of at most SEGMENT entries (see
+    ``_signature_blocks``); refuses a flagged chunk.  Passing one hi for many
+    calls reuses its prime table and plan."""
+    _check_caps(k, hi, 0)
+    starts, lens = np.asarray(starts, dtype=np.int64), np.asarray(lens, dtype=np.int64)
+    if len(starts) and not (starts.min() >= 1 and lens.min() >= 1 and lens.max() <= SEGMENT
+                            and (starts + lens).max() <= hi):
+        raise DomainError(f"blocks must lie in [1, {hi}) and hold 1 to {SEGMENT} entries")
+    for i, j, ranks in _signature_blocks(starts, lens, hi):
+        values, over = _dk_gather(k, ranks)
+        if over:
+            raise SieveOverflowError(f"d_{k} saturated below {hi - 1}")
+        yield i, j, values
 
 
 def check_budget(what: str, top: int, need: int) -> None:
@@ -301,6 +388,21 @@ def dk_cumulative_segments(k: int, n_hi: int):
 PAIR_BYTES = 48
 PAIR_COST = 0.18
 POINT_COST = 800
+# the sign scan streams its windows up to SCAN_JUMP entries wide and jumps to the
+# start of wider ones.  On the same host a streamed entry costs about 48 ns (k = 2,
+# its sign included) and a jumped window about 59 us (k = 2, the 345 windows of
+# [2e4, 1e6]: its exact start and rounds), some 1200 entries; the seed-1 perfbench
+# scans move by under 10% for SCAN_JUMP from 250 to 2000
+SCAN_JUMP = 1000
+
+
+def sums_fit_int64(k: int, x: int) -> bool:
+    """Whether the bound D_k(x) <= x (ln x + k - 1)^{k-1} / (k - 1)! of
+    ``_floor_bound`` lies below 2^min(62, OVERFLOW_LOG2), for x >= 2, in float
+    log2, whose rounding is far below the 1e-9 slack.  Then the floor route
+    runs, no d_k(n <= x) is flagged and no D_k(n <= x) leaves int64."""
+    return (math.log2(x) + (k - 1) * math.log2(math.log(x) + k - 1)
+            - math.log2(math.factorial(k - 1)) < min(62, OVERFLOW_LOG2) - 1e-9)
 
 
 def _pairs(c: int, y: int, b0: int, r: np.ndarray):
@@ -398,8 +500,7 @@ def _floor_bound(k: int, cps: list[int]) -> tuple[int, int]:
     D_{k-1}(x / n) is at most its n = 1 term plus its integral over [1, x],
     x [(k - 1) A^{k-2} + A^{k-1}] / (k - 1)! for A = ln x + k - 2: the top
     two terms of (A + 1)^{k-1}.  That bound at the last checkpoint must lie
-    below 2^min(62, OVERFLOW_LOG2) (in float log2, whose rounding is far below
-    the 1e-9 slack).  Then
+    below 2^min(62, OVERFLOW_LOG2) (``sums_fit_int64``).  Then
       - every intermediate is at most 2 D_k(x) < 2^63: a level's terms sum
         to D_j(v) + r D_{j-1}(r), and r D_{j-1}(r) <= D_j(v), so int64
         cannot wrap;
@@ -416,8 +517,7 @@ def _floor_bound(k: int, cps: list[int]) -> tuple[int, int]:
     chunk >= s pairs fit the budget beside a segment.
     """
     x, s = cps[-1], math.isqrt(cps[-1])
-    if (math.log2(x) + (k - 1) * math.log2(math.log(x) + k - 1)
-            - math.log2(math.factorial(k - 1)) >= min(62, OVERFLOW_LOG2) - 1e-9):
+    if not sums_fit_int64(k, x):
         return x, SEGMENT
     best, tc, tr, end = (x, x, SEGMENT), 0.0, 0.0, len(cps)  # best: (cost, y, chunk)
     for y in reversed([s << i for i in range(x.bit_length()) if s << i < x]):

@@ -240,6 +240,46 @@ def test_exact_fallback_keeps_the_windows(monkeypatch):
     assert len(calls) == 1999 - 10 + 1
 
 
+def test_jumped_windows_match_array_scan(monkeypatch):
+    # SCAN_JUMP = 0 jumps every window: exact D_k at its start, then rounds
+    # of 32, 64, ... points to its first flip
+    monkeypatch.setattr(sv, "SCAN_JUMP", 0)
+    rng = random.Random(29)
+    cases = [(k, 10 ** rng.uniform(0.1, 5), rng.uniform(0.5, 20)) for k in range(2, 13)]
+    cases = [(k, X0, min(X0 + rng.uniform(2, 3e5), 3e5), C) for k, X0, C in cases]
+    # first flips on the last point of round 0 (offsets 30 and 31: the pair
+    # ends there, or straddles into round 1), windows that end with None, and
+    # stretches of several rounds
+    cases += [(2, 1e4, 3e5, 2.0), (4, 100, 2e5, 1.0), (2, 10, 3e4, 0.5), (12, 2, 1e5, 0.5)]
+    offsets, bad = set(), []
+    for k, X0, X1, C in cases:
+        want = _array_scan(k, X0, X1, C)
+        if repr(rl.sign_change_scan(k, X0, X1, C)) != repr(want):
+            bad.append((k, X0, X1, C))
+        offsets |= {math.floor(loc) - math.ceil(X - 0.5) if loc else None for X, loc in want}
+    assert not bad
+    assert {30, 31, None} <= offsets and max(o for o in offsets if o) > 32 + 64 + 128
+    # every window of k = 1 ends with None; a budget of infinity sends every
+    # sieved point through sample_from_D and keeps the windows
+    assert rl.sign_change_scan(1, 10, 2000, C=7.0) == _array_scan(1, 10, 2000, C=7.0)
+    monkeypatch.setattr(rl, "_sign_budget", lambda *a: math.inf)
+    assert rl.sign_change_scan(3, 10, 2000, C=2.0) == _array_scan(3, 10, 2000, C=2.0)
+
+
+def test_scan_sieves_a_small_part_of_the_range(monkeypatch):
+    # the kernel sees 34496 entries for this scan (31520 in the floor route's
+    # table pass, 2976 in four rounds of 49 windows): 3.4% of [1, X1]
+    entries = []
+    kernel = sv._signature_blocks
+
+    def counted(starts, lens, hi):
+        entries.append(int(lens.sum()))
+        return kernel(starts, lens, hi)
+    monkeypatch.setattr(sv, "_signature_blocks", counted)
+    rl.sign_change_scan(3, 1e4, 1e6)
+    assert sum(entries) < 1e6 / 20
+
+
 @pytest.mark.parametrize("k", [2, 5, 8, 12])
 def test_sign_budget_bounds_the_float_delta(k):
     # the scan's float delta against sample_from_D's, at random half-odd points

@@ -634,3 +634,125 @@ def test_floor_tables_take_one_sieve_pass(monkeypatch):
         passes.clear()
         assert sv._floor_sums(k, cps, y, sv.SEGMENT) == sums
         assert passes == [(1, y + 1)]
+
+
+# ------------------------------------------------- short blocks: the many-start kernel
+
+def _blocks_ranks(starts, lens, hi):
+    """The block kernel's ranks, concatenated, checking its chunks on the way:
+    consecutive runs of blocks, at most SEGMENT entries each."""
+    parts, nxt = [], 0
+    for i, j, ranks in sv._signature_blocks(np.array(starts, dtype=np.int64),
+                                            np.array(lens, dtype=np.int64), hi):
+        assert i == nxt < j and len(ranks) == sum(lens[i:j]) <= sv.SEGMENT
+        parts.append(ranks)
+        nxt = j
+    assert nxt == len(starts)
+    return np.concatenate(parts)
+
+
+def _streamed_ranks(starts, lens):
+    """Each block's ranks from the kernel's contiguous pass over that block alone."""
+    return np.concatenate([r for s, n in zip(starts, lens)
+                           for _, r in sv._signature_segments(s, s + n)])
+
+
+def test_block_kernel_equals_streamed_kernel(monkeypatch):
+    # ranks depend on n alone: many blocks in one chunk (wheel gather, every
+    # prime power scattered) give each block's ranks from its own pass
+    rng = random.Random(29)
+    cases = []
+    for _ in range(6):  # sorted as a scan's rounds, and not
+        lens = [rng.choice((1, 2, rng.randint(3, 300), rng.randint(300, 5000)))
+                for _ in range(rng.randint(2, 60))]
+        starts = [rng.randint(1, 10 ** 6 - n) for n in lens]
+        if rng.random() < 0.5:
+            starts.sort()
+        cases.append((starts, lens, max(map(sum, zip(starts, lens))) + rng.randint(0, 999)))
+    # blocks across a WHEEL period, one longer than a period
+    cases.append(([sv.WHEEL - 7, 2 * sv.WHEEL - 1, 5 * sv.WHEEL, 99 * sv.WHEEL - 3],
+                  [14, 2, 1, sv.WHEEL + 30], 100 * sv.WHEEL))
+    for starts, lens, hi in cases:
+        assert np.array_equal(_blocks_ranks(starts, lens, hi), _streamed_ranks(starts, lens))
+    # near the cap (primes to 31623), against the factorisation oracle too
+    cap = sv.DESK_X_CAP
+    starts, lens = [cap - 40, cap - 3 * sv.WHEEL - 5, cap - 20 * sv.WHEEL - 1], [41, 11, 9]
+    ranks = _blocks_ranks(starts, lens, cap + 1)
+    assert np.array_equal(ranks, _streamed_ranks(starts, lens))
+    ns = [s + e for s, n in zip(starts, lens) for e in range(n)]
+    values = sv._dk_by_signature(7, sv.OVERFLOW_LOG2)[0][ranks]
+    assert values.tolist() == [sv.dk_factor(7, n) % (1 << 64) for n in ns]
+    # a budget of 300 table cells beside a segment cuts each level's table
+    # into pieces of one or a few blocks
+    starts, lens, hi = cases[0]
+    calls = []
+    scatter = sv._scatter
+
+    def counted(code, stripped, s, *rest):
+        calls.append(len(s) * len(rest[-1]))  # the piece's cells
+        return scatter(code, stripped, s, *rest)
+    monkeypatch.setattr(sv, "MEMORY_BUDGET_BYTES", sv.SEGMENT_BYTES + 300 * sv.TABLE_CELL_BYTES)
+    monkeypatch.setattr(sv, "_scatter", counted)
+    assert np.array_equal(_blocks_ranks(starts, lens, hi), _streamed_ranks(starts, lens))
+    qs = max(len(ps) for _, ps, _ in sv._plan(hi)[2])
+    assert len(calls) > 2 * len(sv._plan(hi)[2]) and max(calls) <= max(300, qs)
+
+
+def test_dk_blocks_refuses(monkeypatch):
+    with pytest.raises(DomainError, match="blocks must lie in"):
+        list(sv.dk_blocks(2, [5, 90], [3, 20], 100))
+    with pytest.raises(DomainError, match="blocks must lie in"):
+        list(sv.dk_blocks(2, [5], [0], 100))
+    got = [(i, j, v.tolist()) for i, j, v in sv.dk_blocks(2, [10, 96], [3, 4], 100)]
+    assert got == [(0, 2, [4, 2, 6, 12, 2, 6, 6])]  # d(10..12), d(96..99)
+    monkeypatch.setattr(sv, "OVERFLOW_LOG2", 8)  # d_30(4) = 4960 > 2^8
+    with pytest.raises(SieveOverflowError, match="saturated"):
+        list(sv.dk_blocks(30, [3], [2], 10))
+
+
+# ------------------------------------------------- D_3 and D_4 by the hyperbola method
+
+def _d2_many(qs):
+    """D_2(q) at each q of a non-increasing int64 array, by the hyperbola
+    identity 2 sum_{m <= sqrt q} q // m - isqrt(q)^2, one numpy step per m
+    over the prefix of q with isqrt(q) >= m."""
+    r = np.sqrt(qs).astype(np.int64)  # then corrected to isqrt
+    r -= r * r > qs
+    r += (r + 1) * (r + 1) <= qs
+    out = -r * r
+    for m in range(1, int(r[0]) + 1):
+        live = int(np.searchsorted(-r, -m, side="right"))
+        out[:live] += 2 * (qs[:live] // m)
+    return out
+
+
+def _d3_d4_oracle(x, d):
+    """(D_3(x), D_4(x)) by Dirichlet's hyperbola method with s = isqrt(x):
+    D_3 = sum_{a <= s} D_2(x // a) + sum_{b <= s} d(b) (x // b) - s D_2(s),
+    D_4 = 2 sum_{a <= s} d(a) D_2(x // a) - D_2(s)^2; d[b] = d(b) for b <= s."""
+    s = math.isqrt(x)
+    a = np.arange(1, s + 1, dtype=np.int64)
+    d2 = _d2_many(np.append(x // a, s))
+    d2q, d2s = d2[:-1], int(d2[-1])
+    return (int(d2q.sum()) + int((d[1:s + 1] * (x // a)).sum()) - s * d2s,
+            2 * int((d[1:s + 1] * d2q).sum()) - d2s ** 2)
+
+
+def test_d3_d4_match_hyperbola_oracles(monkeypatch):
+    # the floor route's levels (rows j = 3..k) checked by oracles that share
+    # no code with it: dk_factor's d and the D_2 hyperbola identity, here
+    # vectorised and checked against d2_summatory_hyperbola at its extremes;
+    # y = isqrt(max x) sends every checkpoint through the levels, y = 2^20
+    # sums the first from the sieve pass
+    cps = [999_999, 15_000_007, 10 ** 8]
+    s = math.isqrt(cps[-1])
+    d = np.array([0] + [sv.dk_factor(2, b) for b in range(1, s + 1)], dtype=np.int64)
+    qs = np.array([cps[-1], 10 ** 8 // 7, 4096, 1], dtype=np.int64)
+    assert _d2_many(qs).tolist() == [sv.d2_summatory_hyperbola(int(q)) for q in qs]
+    want = {x: _d3_d4_oracle(x, d) for x in cps}
+    assert want[10 ** 8] == (18362473634, 128217432396)
+    for y in (s, 1 << 20):
+        monkeypatch.setattr(sv, "_floor_bound", lambda k, c, y=y: (y, sv.SEGMENT))
+        for k in (3, 4):
+            got = sv.dk_partial_sums(k, cps[-1], cps).checkpoints
+            assert got == tuple((x, want[x][k - 3]) for x in cps)
