@@ -281,16 +281,16 @@ def sign_change_scan(k: int, X0: float, X1: float, C: float = TONG_C,
     if streamed is None or not sieve.sums_fit_int64(k, n_hi):
         streamed = len(wins)
     out = []
-    # the streamed windows' points lie in [n_lo, floor(x_end - 1/2)] of the last one
-    n_end = max(math.floor(wins[streamed - 1][1] - 0.5), n_lo + 1) if streamed else n_lo
-    for lefts, last in _segment_flips(k, n_lo, n_end, precision_bits) if streamed else ():
-        while len(out) < streamed:
-            X, x_end = wins[len(out)]
-            j = np.searchsorted(lefts, X)
-            if j == len(lefts) and x_end >= last + 1:
-                break  # the window's first flip may lie in a later segment
-            found = j < len(lefts) and lefts[j] + 1 <= x_end
-            out.append((X, float(lefts[j]) if found else None))
+    if streamed:  # their points lie in [n_lo, floor(x_end - 1/2)] of the last one
+        n_end = max(math.floor(wins[streamed - 1][1] - 0.5), n_lo + 1)
+        for lefts, last in _segment_flips(k, n_lo, n_end, precision_bits):
+            while len(out) < streamed:
+                X, x_end = wins[len(out)]
+                j = np.searchsorted(lefts, X)
+                if j == len(lefts) and x_end >= last + 1:
+                    break  # the window's first flip may lie in a later segment
+                found = j < len(lefts) and lefts[j] + 1 <= x_end
+                out.append((X, float(lefts[j]) if found else None))
     # a window's points n + 1/2 lie in [X, x_end]: n from ceil(X - 1/2) to floor(x_end - 1/2)
     jumped = wins[streamed:]
     flips = _window_flips(k, [math.ceil(X - 0.5) for X, _ in jumped],
