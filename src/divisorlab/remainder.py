@@ -9,9 +9,9 @@ Exact summatory values come from ``sieve.dk_partial_sums`` (small tables
 sieved to a bound y of its cost rule, floor-value sums above y); main terms
 from the residue polynomials.  High-volume paths run in float64 with the
 main-term polynomial coefficients rounded once: the mean square one sieve
-segment at a time, the sign scan over segments while its windows are
-narrow and then over each window's stretch from its start to its first
-flip.  Per-sample paths keep full mpmath precision.
+segment at a time, the sign scan in rounds over blocks of points, each read
+on from an exact D_k at its start.  Per-sample paths keep full mpmath
+precision.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ import mpmath as mp
 import numpy as np
 
 from . import laurent, sieve
-from .errors import (DomainError, QuadratureError, RangeError, check_finite, check_integral,
-                     check_positive, check_within)
+from .errors import (DomainError, QuadratureError, RangeError, SieveOverflowError, check_finite,
+                     check_integral, check_positive, check_within)
 from .numerics import ols_slope
 
 MAIN_BITS_DEFAULT = 192
@@ -125,15 +125,20 @@ def fit_exponent(samples: Sequence[RemainderSample],
 
 # ------------------------------------------------------------ sign changes
 
-# per point of a segment, or of a chunk of a round's blocks: the scan's arrays beside
-# SEGMENT_BYTES (tracemalloc: about 69 B for both in a streamed segment; a full chunk,
-# every window of sign_change_scan(2, 1.2, 1e6, 0.5) jumped, peaks at 6.0 MiB with its
-# 4000 windows); per window of about k (X1^{1/k} - X0^{1/k}) / C + 1: the output at the
-# peak of `signs --format json`, tuple, CLI row, JSON copy and text (1245 B; 310 B as
-# CSV), which the scan's own window list and round state stay below
+# per point of a chunk of a round's blocks: the scan's arrays beside SEGMENT_BYTES
+# (tracemalloc: about 66 B in a chunk of one segment; a full chunk, every window of
+# sign_change_scan(2, 1.2, 1e6, 0.5) jumped, peaks at 5.1 MiB with its 4000 windows);
+# per window of about k (X1^{1/k} - X0^{1/k}) / C + 1: the output at the peak of
+# `signs --format json`, tuple, CLI row, JSON copy and text (1245 B; 310 B as CSV),
+# which the scan's own window arrays and round state stay below
 SCAN_BYTES_PER_POINT = 72
 SCAN_BYTES_PER_WINDOW = 1280
 TONG_C = 5.0  # C of the Tong window C x^{1-1/k}: the scan's default, envelopes' width
+# the widest window the scan reads in its one block of narrow windows.  On a 2-CPU
+# host a streamed entry cost about 48 ns (k = 2, its sign included) and a window of
+# its own about 59 us (k = 2, the 345 windows of [2e4, 1e6]), some 1200 entries; the
+# seed-1 perfbench scans moved by under 10% for SCAN_JUMP from 250 to 2000
+SCAN_JUMP = 1000
 
 
 def _remainder(D, y, coeffs: list[float], t: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -164,81 +169,16 @@ def _sign_budget(coeffs: list[float], x: float, D: int) -> float:
                                                    for j, c in enumerate(coeffs)))
 
 
-def _segment_flips(k: int, n_lo: int, n_hi: int, precision_bits: int):
-    """Yield (flips' left points, last point) per sieve segment of the n + 1/2,
-    n_lo <= n <= n_hi; ``sample_from_D`` decides |delta| <= budget."""
-    coeffs = _main_poly(k, precision_bits).as_floats()
-    prev = np.empty(0)  # the sign of the previous segment's last point
-    for s, cums in sieve.dk_cumulative_segments(k, n_hi):
-        if s + len(cums) <= n_lo:
-            continue
-        xs = np.arange(max(s, n_lo), s + len(cums)) + 0.5
-        cums = cums[len(cums) - len(xs):]
-        deltas = _remainder(cums, xs, coeffs, np.empty_like(xs), np.empty_like(xs))
-        signs = np.sign(deltas)
-        for i in np.flatnonzero(np.abs(deltas) <= _sign_budget(coeffs, xs[-1], int(cums[-1]))):
-            signs[i] = np.sign(sample_from_D(k, xs[i], int(cums[i]), precision_bits).delta)
-        ext = np.concatenate((prev, signs))
-        yield xs[0] - len(prev) + np.flatnonzero(ext[:-1] * ext[1:] < 0), xs[-1]
-        prev = signs[-1:]
-
-
-def _window_flips(k: int, firsts: list[int], lasts: list[int], hi: int,
-                  precision_bits: int) -> list:
-    """The left point n + 1/2 of the first flip with a <= n < n + 1 <= b in each
-    window of points a..b (firsts, lasts), or None, for k with
-    ``sieve.sums_fit_int64(k, hi - 1)`` and every b < hi.
-
-    One ``sieve.dk_partial_sums`` call gives D_k(a - 1) exactly for every
-    window of two or more points.  Then each open window is sieved forward in
-    rounds of 32, 64, ... (at most SEGMENT) points until its first flip or
-    its end, every open window in one ``sieve.dk_blocks`` call per round.  A
-    chunk's points are signed as a segment's in ``_segment_flips``: one
-    ``_sign_budget`` at its last (largest) point, ``sample_from_D`` within it.
-    """
-    coeffs = _main_poly(k, precision_bits).as_floats()
-    out = [None] * len(firsts)
-    firsts, lasts = np.array(firsts, dtype=np.int64), np.array(lasts, dtype=np.int64)
-    win = np.flatnonzero(firsts < lasts)  # the open windows
-    pos, end = firsts[win], lasts[win]  # each one's next point and last point
-    D = np.zeros(len(win), dtype=np.uint64)  # D_k(pos - 1), exact below 2^62
-    above = pos > 1  # the a are strictly increasing, as a window of two points is 1 wide
-    if above.any():
-        sums = sieve.dk_partial_sums(k, int(pos[-1]) - 1, (pos[above] - 1).tolist())
-        D[above] = [d for _, d in sums.checkpoints]
-    prev = np.zeros(len(win))  # the sign at pos - 1; 0 before a window's first point
-    length = 32
-    while len(win):
-        lens = np.minimum(end - pos + 1, length)
-        keep = np.ones(len(win), dtype=bool)
-        for i, j, values in sieve.dk_blocks(k, pos, lens, hi):
-            ls = lens[i:j]
-            heads = np.cumsum(ls) - ls
-            cums = np.cumsum(values, out=values)  # wraps mod 2^64; the differences are exact
-            done = np.zeros(len(ls), dtype=np.uint64)  # the chunk's sum before each block
-            done[1:] = cums[heads[1:] - 1]
-            cums += np.repeat(D[i:j] - done, ls)
-            xs = np.repeat((pos[i:j] - heads).astype(np.float64), ls)
-            xs += np.arange(len(xs)) + 0.5
-            deltas = _remainder(cums, xs, coeffs, np.empty_like(xs), np.empty_like(xs))
-            signs = np.sign(deltas)
-            for e in np.flatnonzero(np.abs(deltas) <= _sign_budget(coeffs, xs[-1], int(cums[-1]))):
-                signs[e] = np.sign(sample_from_D(k, xs[e], int(cums[e]), precision_bits).delta)
-            before = np.concatenate(([0.0], signs[:-1]))
-            before[heads] = prev[i:j]
-            flips = np.flatnonzero(before * signs < 0)  # between the points e - 1 and e
-            blocks, first = np.unique(np.searchsorted(heads, flips, side="right") - 1,
-                                      return_index=True)
-            for b, e in zip(blocks.tolist(), flips[first].tolist()):
-                out[win[i + b]] = float(xs[e] - 1.0)
-            tails = heads + ls - 1
-            keep[i:j] = pos[i:j] + ls <= end[i:j]
-            keep[i + blocks] = False
-            D[i:j], prev[i:j] = cums[tails], signs[tails]
-        pos += lens
-        win, pos, end, D, prev = win[keep], pos[keep], end[keep], D[keep], prev[keep]
-        length = min(2 * length, sieve.SEGMENT)
-    return out
+def _signs(k: int, cums: np.ndarray, xs: np.ndarray, coeffs: list[float],
+           precision_bits: int) -> np.ndarray:
+    """np.sign of Delta_k at the increasing points xs from their exact D_k (uint64
+    cums): the float64 ``_remainder``, and ``sample_from_D`` where |delta| lies
+    within the ``_sign_budget`` of the last (largest) point."""
+    deltas = _remainder(cums, xs, coeffs, np.empty_like(xs), np.empty_like(xs))
+    signs = np.sign(deltas)
+    for e in np.flatnonzero(np.abs(deltas) <= _sign_budget(coeffs, xs[-1], int(cums[-1]))):
+        signs[e] = np.sign(sample_from_D(k, xs[e], int(cums[e]), precision_bits).delta)
+    return signs
 
 
 def sign_change_scan(k: int, X0: float, X1: float, C: float = TONG_C,
@@ -251,14 +191,17 @@ def sign_change_scan(k: int, X0: float, X1: float, C: float = TONG_C,
     which the sign flips, or None when the window shows no change (absence
     is data, not an error).  Localisation stops at unit intervals.
 
-    Windows up to ``sieve.SCAN_JUMP`` wide are read from one stream of sieve
-    segments over every point; past them (widths grow with X), each window is
-    sieved from its start only to its first flip (``_window_flips``), where
-    ``sieve.sums_fit_int64`` lets the floor route give the starts' D_k.  Above
-    that bound the starts would cost a full sieve, and the stream keeps its
-    overflow refusals, so every window streams.  Memory is one segment's
-    working set plus the windows, and the budget charges both; the floor
-    route holds its own tables within the budget.
+    The windows up to ``SCAN_JUMP`` points wide form one block, and each
+    wider one (widths grow with X) a block of its own.  One
+    ``sieve.dk_partial_sums`` call gives D_k exactly just before each block
+    and at the last point, which must lie below 2^64.  Then every open
+    block is sieved forward in one ``sieve.dk_blocks`` call per round: the
+    first block a segment per round, the others 32, 64, ... (at most a
+    segment) points, until the first flip of its last window or its end.  A
+    chunk's points are signed by ``_signs``, and one ``np.searchsorted``
+    maps its flips to their windows.  Memory is a chunk's working set plus
+    the windows, and the budget charges both; the floor route holds its own
+    tables within the budget.
     """
     if not (1 < X0 < X1 <= sieve.DESK_X_CAP):
         raise DomainError(f"need 1 < X0 < X1 <= {sieve.DESK_X_CAP}")
@@ -271,32 +214,54 @@ def sign_change_scan(k: int, X0: float, X1: float, C: float = TONG_C,
     sieve.check_budget("scan", n_hi, sieve.SEGMENT_BYTES + SCAN_BYTES_PER_WINDOW * int(windows)
                        + SCAN_BYTES_PER_POINT * min(n_hi - n_lo + 1, sieve.SEGMENT))
     wins, X = [], float(X0)  # (X, the window's end)
-    streamed = None  # the windows before the first one wider than SCAN_JUMP
     while X < X1:
         width = C * X ** (1.0 - 1.0 / k)
-        if streamed is None and width > sieve.SCAN_JUMP:
-            streamed = len(wins)
         wins.append((X, min(X + width, X1)))
         X += width
-    if streamed is None or not sieve.sums_fit_int64(k, n_hi):
-        streamed = len(wins)
-    out = []
-    if streamed:  # their points lie in [n_lo, floor(x_end - 1/2)] of the last one
-        n_end = max(math.floor(wins[streamed - 1][1] - 0.5), n_lo + 1)
-        for lefts, last in _segment_flips(k, n_lo, n_end, precision_bits):
-            while len(out) < streamed:
-                X, x_end = wins[len(out)]
-                j = np.searchsorted(lefts, X)
-                if j == len(lefts) and x_end >= last + 1:
-                    break  # the window's first flip may lie in a later segment
-                found = j < len(lefts) and lefts[j] + 1 <= x_end
-                out.append((X, float(lefts[j]) if found else None))
-    # a window's points n + 1/2 lie in [X, x_end]: n from ceil(X - 1/2) to floor(x_end - 1/2)
-    jumped = wins[streamed:]
-    flips = _window_flips(k, [math.ceil(X - 0.5) for X, _ in jumped],
-                          [math.floor(x_end - 0.5) for _, x_end in jumped], n_hi + 1,
-                          precision_bits)
-    return out + [(X, loc) for (X, _), loc in zip(jumped, flips)]
+    Xs, ends = (np.array(v) for v in zip(*wins))
+    narrow = int(np.sum(C * Xs ** (1.0 - 1.0 / k) <= SCAN_JUMP))  # widths grow with X
+    last = np.arange(max(narrow - 1, 0), len(wins))  # each block's last window
+    # a block's points n + 1/2 lie in [X, x_end]: n from ceil(X - 1/2) to floor(x_end - 1/2)
+    pos = np.ceil(Xs[np.r_[0, last[:-1] + 1]] - 0.5).astype(np.int64)  # its next point
+    end = np.floor(ends[last] - 0.5).astype(np.int64)  # and its last
+    pairs = pos < end  # the blocks of two points or more
+    last, pos, end = last[pairs], pos[pairs], end[pairs]
+    sums = sieve.dk_partial_sums(k, n_hi, [*(pos[pos > 1] - 1).tolist(), n_hi]).checkpoints
+    if sums[-1][1] >= 1 << 64:
+        raise SieveOverflowError(f"D_{k}({n_hi}) exceeds 2^64")
+    D = np.zeros(len(pos), dtype=np.uint64)  # D_k(pos - 1), exact: D_k(n_hi) < 2^64
+    D[pos > 1] = [d for _, d in sums[:-1]]
+    prev = np.zeros(len(pos))  # the sign at pos - 1; 0 before a block's first point
+    step = np.where(last < narrow, sieve.SEGMENT, 32)
+    locs = np.full(len(wins), np.nan)  # each window's first flip, its left point
+    coeffs = _main_poly(k, precision_bits).as_floats()
+    while len(pos):
+        lens = np.minimum(end - pos + 1, step)
+        for i, j, values in sieve.dk_blocks(k, pos, lens, n_hi + 1):
+            ls = lens[i:j]
+            heads = np.cumsum(ls) - ls
+            cums = np.cumsum(values, out=values)  # wraps mod 2^64; the differences are exact
+            done = np.zeros(len(ls), dtype=np.uint64)  # the chunk's sum before each block
+            done[1:] = cums[heads[1:] - 1]
+            cums += np.repeat(D[i:j] - done, ls)
+            xs = np.repeat((pos[i:j] - heads).astype(np.float64), ls)
+            xs += np.arange(len(xs)) + 0.5
+            signs = _signs(k, cums, xs, coeffs, precision_bits)
+            before = np.concatenate(([0.0], signs[:-1]))
+            before[heads] = prev[i:j]
+            lefts = xs[before * signs < 0] - 1.0  # a flip's left point, in increasing order
+            # the one window that may hold it is the last one from X <= left on
+            w = np.searchsorted(Xs, lefts, side="right") - 1
+            held = lefts + 1.0 <= ends[w]
+            w, first = np.unique(w[held], return_index=True)
+            locs[w] = np.fmin(locs[w], lefts[held][first])  # an earlier round's stays
+            tails = heads + ls - 1
+            D[i:j], prev[i:j] = cums[tails], signs[tails]
+        pos += lens
+        keep = (pos <= end) & np.isnan(locs[last])  # a flip in the last window ends a block
+        last, pos, end, D, prev = last[keep], pos[keep], end[keep], D[keep], prev[keep]
+        step = np.minimum(2 * step[keep], sieve.SEGMENT)
+    return [(X, None if math.isnan(loc) else loc) for (X, _), loc in zip(wins, locs.tolist())]
 
 
 # -------------------------------------------------------------- mean square

@@ -368,6 +368,8 @@ def dk_cumulative_segments(k: int, n_hi: int):
     flagged segment and a 64-bit wrap (each d_k(m) < 2^64: a wrap steps down)."""
     _check_caps(k, n_hi + 1, 0)
     check_integral("n_hi", n_hi)  # NaN passes the cap test
+    if n_hi < 1:
+        raise DomainError(f"n_hi must be >= 1, got {n_hi}")
     carry = np.uint64(0)
     for s, seg, over in _dk_segments(k, 1, n_hi + 1):
         if over:
@@ -388,23 +390,6 @@ def dk_cumulative_segments(k: int, n_hi: int):
 PAIR_BYTES = 48
 PAIR_COST = 0.18
 POINT_COST = 800
-# the sign scan streams its windows up to SCAN_JUMP entries wide and jumps to the
-# start of wider ones.  On the same host a streamed entry costs about 48 ns (k = 2,
-# its sign included) and a jumped window about 59 us (k = 2, the 345 windows of
-# [2e4, 1e6]: its exact start and rounds), some 1200 entries; the seed-1 perfbench
-# scans move by under 10% for SCAN_JUMP from 250 to 2000
-SCAN_JUMP = 1000
-
-
-def sums_fit_int64(k: int, x: int) -> bool:
-    """Whether the bound D_k(x) <= x (ln x + k - 1)^{k-1} / (k - 1)! of
-    ``_floor_bound`` lies below 2^min(62, OVERFLOW_LOG2), for x >= 2, in float
-    log2, whose rounding is far below the 1e-9 slack.  Then the floor route
-    runs, no d_k(n <= x) is flagged and no D_k(n <= x) leaves int64."""
-    return (math.log2(x) + (k - 1) * math.log2(math.log(x) + k - 1)
-            - math.log2(math.factorial(k - 1)) < min(62, OVERFLOW_LOG2) - 1e-9)
-
-
 def _pairs(c: int, y: int, b0: int, r: np.ndarray):
     """The pairs (b, m) with b0 <= b < b0 + len(r) and m <= r_b, grouped by b:
     group starts, m, q = c // (bm), the pairs with q > y and their bm - 1."""
@@ -500,7 +485,8 @@ def _floor_bound(k: int, cps: list[int]) -> tuple[int, int]:
     D_{k-1}(x / n) is at most its n = 1 term plus its integral over [1, x],
     x [(k - 1) A^{k-2} + A^{k-1}] / (k - 1)! for A = ln x + k - 2: the top
     two terms of (A + 1)^{k-1}.  That bound at the last checkpoint must lie
-    below 2^min(62, OVERFLOW_LOG2) (``sums_fit_int64``).  Then
+    below 2^min(62, OVERFLOW_LOG2) (in float log2, whose rounding is far below
+    the 1e-9 slack).  Then
       - every intermediate is at most 2 D_k(x) < 2^63: a level's terms sum
         to D_j(v) + r D_{j-1}(r), and r D_{j-1}(r) <= D_j(v), so int64
         cannot wrap;
@@ -517,7 +503,8 @@ def _floor_bound(k: int, cps: list[int]) -> tuple[int, int]:
     chunk >= s pairs fit the budget beside a segment.
     """
     x, s = cps[-1], math.isqrt(cps[-1])
-    if not sums_fit_int64(k, x):
+    if (math.log2(x) + (k - 1) * math.log2(math.log(x) + k - 1)
+            - math.log2(math.factorial(k - 1)) >= min(62, OVERFLOW_LOG2) - 1e-9):
         return x, SEGMENT
     best, tc, tr, end = (x, x, SEGMENT), 0.0, 0.0, len(cps)  # best: (cost, y, chunk)
     for y in reversed([s << i for i in range(x.bit_length()) if s << i < x]):
@@ -589,6 +576,8 @@ def d2_summatory_hyperbola(x: int) -> int:
         raise DomainError(f"x must be >= 1, got {x}")
     check_finite("x", x)
     check_integral("x", x)
+    if x > 10 ** 12:
+        raise DomainError(f"x must be <= 1e12, got {x}")
     r = math.isqrt(x)
     return 2 * sum(x // m for m in range(1, r + 1)) - r * r
 

@@ -764,6 +764,9 @@ def test_thm3_floor_diagnostics():
 def test_thm3_range_guard():
     with pytest.raises(RangeError):
         ex.thm3_exponent(100, 0.01)  # needs k >= 1e6
+    # delta^-3 = 1e900 lies past the float range, and so past every k
+    with pytest.raises(RangeError, match=r"needs k >= A\*delta\^-3 = 1\.0e\+900 "):
+        ex.thm3_exponent(10 ** 4, 1e-300)
 
 
 def test_m1_sigma_identity_at_zero_delta():
@@ -790,6 +793,10 @@ def test_m1_sigma_range_guard():
     with pytest.raises(RangeError):
         ex.m1_sigma(0.985, 0.1)  # needs sigma >= 0.99 at A=1
     ex.m1_sigma(0.985, 0.1, A=2.0)  # relaxed calibration constant
+    # delta^2 = 1e600 lies past the float range: the threshold is met, and
+    # the formula's own domain refuses the delta
+    with pytest.raises(DomainError, match="^delta too large"):
+        ex.m1_sigma(0.99, 1e300)
 
 
 # ------------------------------------------------------------- conventions

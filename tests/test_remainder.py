@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from divisorlab import remainder as rl
 from divisorlab import sieve as sv
-from divisorlab.errors import DomainError, MemoryBudgetError, RangeError
+from divisorlab.errors import DomainError, MemoryBudgetError, RangeError, SieveOverflowError
 
 
 def test_delta_at_k2_half_odd():
@@ -198,14 +198,15 @@ def _array_scan(k, X0, X1, C=5.0, precision_bits=rl.MAIN_BITS_DEFAULT):
 
 def test_streaming_scan_matches_array_scan():
     # ranges up to 3e5 cross up to four segment edges; k = 1 has windows of
-    # constant width C, so its ranges stay short
+    # constant width C, so its ranges stay short; C below 1 makes windows of
+    # one point or none, and X0 < 3/2 starts at n = 1, D_k(0) = 0
     rng = random.Random(12)
     bad = []
     for _ in range(40):
         k = rng.randint(1, 12)
-        X0 = 10 ** rng.uniform(0.1, math.log10(2.5e5))
-        X1 = min(rng.uniform(X0 + 2, 3e5), X0 + 2e4 if k == 1 else 3e5)
-        C = rng.uniform(0.5, 20)
+        X0 = 10 ** rng.uniform(math.log10(1.01), math.log10(2.5e5))
+        C = 10 ** rng.uniform(-2, math.log10(20))
+        X1 = min(rng.uniform(X0 + 2, 3e5), X0 + 4e3 * C + 2 if k == 1 else 3e5)
         if repr(rl.sign_change_scan(k, X0, X1, C)) != repr(_array_scan(k, X0, X1, C)):
             bad.append((k, X0, X1, C))
     assert not bad
@@ -243,7 +244,7 @@ def test_exact_fallback_keeps_the_windows(monkeypatch):
 def test_jumped_windows_match_array_scan(monkeypatch):
     # SCAN_JUMP = 0 jumps every window: exact D_k at its start, then rounds
     # of 32, 64, ... points to its first flip
-    monkeypatch.setattr(sv, "SCAN_JUMP", 0)
+    monkeypatch.setattr(rl, "SCAN_JUMP", 0)
     rng = random.Random(29)
     cases = [(k, 10 ** rng.uniform(0.1, 5), rng.uniform(0.5, 20)) for k in range(2, 13)]
     cases = [(k, X0, min(X0 + rng.uniform(2, 3e5), 3e5), C) for k, X0, C in cases]
@@ -267,8 +268,9 @@ def test_jumped_windows_match_array_scan(monkeypatch):
 
 
 def test_scan_sieves_a_small_part_of_the_range(monkeypatch):
-    # the kernel sees 34496 entries for this scan (31520 in the floor route's
-    # table pass, 2976 in four rounds of 49 windows): 3.4% of [1, X1]
+    # the kernel sees 34944 entries for the first scan (31968 in the floor
+    # route's table pass, 2976 in four rounds of 49 windows): 3.5% of [1, X1];
+    # the second, whose windows are all narrow, sieves its 1e5 points alone
     entries = []
     kernel = sv._signature_blocks
 
@@ -276,8 +278,21 @@ def test_scan_sieves_a_small_part_of_the_range(monkeypatch):
         entries.append(int(lens.sum()))
         return kernel(starts, lens, hi)
     monkeypatch.setattr(sv, "_signature_blocks", counted)
-    rl.sign_change_scan(3, 1e4, 1e6)
-    assert sum(entries) < 1e6 / 20
+    for k, X0, X1 in [(3, 1e4, 1e6), (1, 5e7, 5e7 + 1e5)]:
+        entries.clear()
+        rl.sign_change_scan(k, X0, X1)
+        assert sum(entries) < X1 / 20
+
+
+def test_scan_past_the_int64_bound(monkeypatch):
+    # x (ln x + k - 1)^{k-1} / (k - 1)! >= 2^62 at k = 22 and x = 1e6, so the
+    # starts' D_k come from a full sieve, and the rounds read on from them
+    assert repr(rl.sign_change_scan(22, 2, 1e6)) == repr(_array_scan(22, 2, 1e6))
+    monkeypatch.setattr(rl, "SCAN_JUMP", 0)
+    assert repr(rl.sign_change_scan(22, 1.2, 3e5, 0.5)) == repr(_array_scan(22, 1.2, 3e5, 0.5))
+    # D_30(2e7 - 1) >= 2^64, though no d_30(n) there reaches the sieve's flag
+    with pytest.raises(SieveOverflowError, match=r"^D_30\(19999999\) exceeds 2\^64$"):
+        rl.sign_change_scan(30, 1e3, 2e7)
 
 
 @pytest.mark.parametrize("k", [2, 5, 8, 12])

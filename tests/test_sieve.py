@@ -431,7 +431,8 @@ def test_precondition_errors():
     assert sv.dk_block(np.int64(3), 1, 13).values[11] == 18  # numpy integers pass
     assert sv.dk_partial_sums(3, 100, [np.int64(10)]).checkpoints == ((10, 53),)
     # a non-integer bound, and NaN, which passes the range tests, reach numpy
-    # or the oracle's trial division unguarded
+    # or the oracle's trial division unguarded; a negative n_hi reached
+    # math.isqrt, and the oracle's loop would run isqrt(1e30) = 1e15 times
     for call, msg in ((lambda: sv.dk_factor(3, 12.5), "n must be integral, got 12.5"),
                       (lambda: sv.dk_factor(2.5, 12), "k must be integral, got 2.5"),
                       (lambda: sv.dk_block(2, 1.5, 10), "lo must be integral, got 1.5"),
@@ -439,7 +440,10 @@ def test_precondition_errors():
                       (lambda: list(sv.dk_cumulative_segments(2, 10.5)),
                        "n_hi must be integral, got 10.5"),
                       (lambda: list(sv.dk_cumulative_segments(2, math.nan)),
-                       "n_hi must be integral, got nan")):
+                       "n_hi must be integral, got nan"),
+                      (lambda: list(sv.dk_cumulative_segments(3, -3)), "n_hi must be >= 1, got -3"),
+                      (lambda: sv.d2_summatory_hyperbola(10 ** 30),
+                       f"x must be <= 1e12, got {10 ** 30}")):
         with pytest.raises(DomainError, match=f"^{msg}$"):
             call()
 
