@@ -196,12 +196,12 @@ def sign_change_scan(k: int, X0: float, X1: float, C: float = TONG_C,
     ``sieve.dk_partial_sums`` call gives D_k exactly just before each block
     and at the last point, which must lie below 2^64.  Then every open
     block is sieved forward in one ``sieve.dk_blocks`` call per round: the
-    first block a segment per round, the others 32, 64, ... (at most a
-    segment) points, until the first flip of its last window or its end.  A
-    chunk's points are signed by ``_signs``, and one ``np.searchsorted``
-    maps its flips to their windows.  Memory is a chunk's working set plus
-    the windows, and the budget charges both; the floor route holds its own
-    tables within the budget.
+    narrow windows' block a segment per round, the others 32, 64, ... (at
+    most a segment) points, until the first flip of its last window or its
+    end.  A chunk's points are signed by ``_signs``, and one
+    ``np.searchsorted`` maps its flips to their windows.  Memory is a
+    chunk's working set plus the windows, and the budget charges both; the
+    floor route holds its own tables within the budget.
     """
     if not (1 < X0 < X1 <= sieve.DESK_X_CAP):
         raise DomainError(f"need 1 < X0 < X1 <= {sieve.DESK_X_CAP}")
@@ -224,7 +224,7 @@ def sign_change_scan(k: int, X0: float, X1: float, C: float = TONG_C,
     # a block's points n + 1/2 lie in [X, x_end]: n from ceil(X - 1/2) to floor(x_end - 1/2)
     pos = np.ceil(Xs[np.r_[0, last[:-1] + 1]] - 0.5).astype(np.int64)  # its next point
     end = np.floor(ends[last] - 0.5).astype(np.int64)  # and its last
-    pairs = pos < end  # the blocks of two points or more
+    pairs = pos < end  # the blocks of two points or more, whose starts strictly increase
     last, pos, end = last[pairs], pos[pairs], end[pairs]
     sums = sieve.dk_partial_sums(k, n_hi, [*(pos[pos > 1] - 1).tolist(), n_hi]).checkpoints
     if sums[-1][1] >= 1 << 64:
@@ -250,7 +250,7 @@ def sign_change_scan(k: int, X0: float, X1: float, C: float = TONG_C,
             before = np.concatenate(([0.0], signs[:-1]))
             before[heads] = prev[i:j]
             lefts = xs[before * signs < 0] - 1.0  # a flip's left point, in increasing order
-            # the one window that may hold it is the last one from X <= left on
+            # only the last window with X <= left can hold the pair (left, left + 1)
             w = np.searchsorted(Xs, lefts, side="right") - 1
             held = lefts + 1.0 <= ends[w]
             w, first = np.unique(w[held], return_index=True)

@@ -218,14 +218,14 @@ def test_streaming_scan_flips_across_segment_edges(monkeypatch):
     edge = 10 * sv.SEGMENT
     want = [(float(edge), edge + 0.5)]
     assert rl.sign_change_scan(2, edge, edge + 40) == _array_scan(2, edge, edge + 40) == want
-    # 97-entry segments put many flips on an edge (the last n of a segment
-    # is a multiple of 97)
+    # 97-entry segments put many flips on an edge (the narrow windows' block
+    # is read 97 points a round from n = 10, so a round's last n is 9 mod 97)
     monkeypatch.setattr(sv, "SEGMENT", 97)
     on_edge = 0
     for k in (2, 3, 5):
         rows = rl.sign_change_scan(k, 10, 3e4, C=0.5)
         assert repr(rows) == repr(_array_scan(k, 10, 3e4, C=0.5))
-        on_edge += sum(loc is not None and math.floor(loc) % 97 == 0 for _, loc in rows)
+        on_edge += sum(loc is not None and math.floor(loc) % 97 == 9 for _, loc in rows)
     assert on_edge >= 5
 
 
