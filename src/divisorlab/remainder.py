@@ -8,10 +8,9 @@ point); any other x is accepted but flagged via ``half_odd=False``.
 Exact summatory values come from ``sieve.dk_partial_sums`` (small tables
 sieved to a bound y of its cost rule, floor-value sums above y); main terms
 from the residue polynomials.  High-volume paths run in float64 with the
-main-term polynomial coefficients rounded once: the mean square one sieve
-segment at a time, the sign scan in rounds over blocks of points, each read
-on from an exact D_k at its start.  Per-sample paths keep full mpmath
-precision.
+main-term polynomial coefficients rounded once: the mean square over one
+exact D_k table, the sign scan in rounds over blocks of points, each read on
+from an exact D_k at its start.  Per-sample paths keep full mpmath precision.
 """
 
 from __future__ import annotations
@@ -291,8 +290,13 @@ def mean_square(k: int, x: float, panels_per_unit: int = 2,
     (units, panels) array; inside a group the integrand is computed in
     cache-sized passes of about ``MS_NODES_PER_SUBCHUNK`` nodes, a multiple
     of 16 units, which give every node the bits one pass over the group
-    would.  The D table (charged 16 B per n) and the groups (``MS_BYTES_PER_NODE``
-    per node) are held to the memory budget.
+    would.  The D table and the groups (``MS_BYTES_PER_NODE`` per node) are
+    held to the memory budget.
+
+    The table is one ``sieve.dk_block`` over [1, x], summed in place in uint64
+    (refused if flagged or wrapped) and cast in place to float64: 8 B per n.
+    It is charged 16 B per n: the charge sets the group size under a tight
+    budget, so lowering it would move the bits of a budget-bound run.
     """
     if not 2 <= x <= 10 ** 7:
         raise DomainError(f"x must lie in [2, 1e7], got {x}")
@@ -304,9 +308,15 @@ def mean_square(k: int, x: float, panels_per_unit: int = 2,
     sieve.check_budget("mean square", n_top, 16 * (n_top + 1) + MS_BYTES_PER_NODE * unit_nodes)
     chunk_nodes = min(MS_NODES_PER_CHUNK,
                       (sieve.MEMORY_BUDGET_BYTES - 16 * (n_top + 1)) // MS_BYTES_PER_NODE)
-    Dfloat = np.empty(n_top)
-    for s, cums in sieve.dk_cumulative_segments(k, n_top):
-        Dfloat[s - 1: s - 1 + len(cums)] = cums
+    block = sieve.dk_block(k, 1, n_top + 1)
+    if block.overflow_flag:
+        raise SieveOverflowError(f"d_{k} saturated below {n_top}")
+    # unflagged, every d_k is exact and below 2^64, so a wrap steps down
+    D = np.cumsum(block.values, out=block.values)
+    if np.any(D[1:] < D[:-1]):
+        raise SieveOverflowError("cumulative sum wrapped 64 bits")
+    Dfloat = D.view(np.float64)
+    Dfloat[:] = D  # cast in place, element by element: astype would hold a second table
     coeffs = _main_poly(k, precision_bits).as_floats()
 
     def integral(ppu: int) -> float:

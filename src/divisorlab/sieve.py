@@ -55,8 +55,9 @@ MEMORY_BUDGET_BYTES = 3 << 30
 
 SEGMENT = 1 << 16
 # one segment's working set (codes, stripped prime products, ranks, values,
-# their temporaries and the prime table); tracemalloc, warm (cold): 34.7 (40.8) B
-# per entry in a cumulative pass to 1e6, 26.7 (32.9) in partial sums, 35.9 near 1e9
+# their temporaries and the prime table); tracemalloc, warm (cold): 33.7 (40.0) B
+# per entry in a d_k pass to 1e6, 39.1 (47.2) in its first segments near 1e9, and
+# 26.7 (32.9) in partial sums
 SEGMENT_BYTES = 48 * SEGMENT
 OVERFLOW_LOG2 = 63
 # the wheel period 2^5 3^2 5 7, prime powers up to STRIDE_MAX struck by
@@ -147,7 +148,7 @@ def _dk_by_signature(k: int, log2: int):
     return values, flagged
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=2)
 def _plan(hi: int):
     """Split the prime powers p^a < hi beyond the wheel, p <= sqrt(hi - 1),
     between the strides and the scatter.  Strided: 2, 3, 5 and 7 (all higher
@@ -155,7 +156,8 @@ def _plan(hi: int):
     p^a) of one level a with fewer than SCATTER_PIECE + SEGMENT // STRIDE_MAX
     multiples in any segment.  Levels: all of them as one scatter piece per
     level, for blocks too short to stride.  Levels ascend, so a_p reaches a -
-    1 before a.  Cached for the last hi, which a scan's rounds share."""
+    1 before a.  Cached for the last two hi: a sign scan's table pass plans
+    for its own bound and its rounds for n_hi + 1."""
     primes = _primes_upto(math.isqrt(hi - 1))
     strided = [(p, a) for p, e in WHEEL_EXPONENTS for a in range(e + 1, hi.bit_length())
                if p ** a < hi]
@@ -310,11 +312,6 @@ def _dk_gather(k: int, ranks: np.ndarray):
     return values.take(ranks), bool(flagged.any() and flagged.take(ranks).any())
 
 
-def _dk_segments(k: int, lo: int, hi: int):
-    """(start, d_k values, overflowed) for each segment of [lo, hi), lazily."""
-    return ((s, *_dk_gather(k, ranks)) for s, ranks in _signature_segments(lo, hi))
-
-
 def dk_blocks(k: int, starts, lens, hi: int):
     """Yield (i, j, d_k values) for the blocks i..j - 1 of n = starts_b, ...,
     starts_b + lens_b - 1 < hi, in chunks of at most SEGMENT entries (see
@@ -357,29 +354,11 @@ def dk_block(k: int, lo: int, hi: int) -> DivisorBlock:
     check_integral("hi", hi)
     values = np.empty(hi - lo, dtype=np.uint64)
     overflowed = False
-    for s, seg, over in _dk_segments(k, lo, hi):
+    for s, ranks in _signature_segments(lo, hi):
+        seg, over = _dk_gather(k, ranks)
         values[s - lo: s - lo + len(seg)] = seg
         overflowed = overflowed or over
     return DivisorBlock(k=k, lo=lo, hi=hi, values=values, overflow_flag=overflowed)
-
-
-def dk_cumulative_segments(k: int, n_hi: int):
-    """Yield (start, uint64 D_k from start on) per segment of [1, n_hi]; refuses a
-    flagged segment and a 64-bit wrap (each d_k(m) < 2^64: a wrap steps down)."""
-    _check_caps(k, n_hi + 1, 0)
-    check_integral("n_hi", n_hi)  # NaN passes the cap test
-    if n_hi < 1:
-        raise DomainError(f"n_hi must be >= 1, got {n_hi}")
-    carry = np.uint64(0)
-    for s, seg, over in _dk_segments(k, 1, n_hi + 1):
-        if over:
-            raise SieveOverflowError(f"d_{k} saturated below {n_hi}")
-        cums = np.cumsum(seg, out=seg)
-        cums += carry
-        if cums[0] < carry or np.any(cums[1:] < cums[:-1]):
-            raise SieveOverflowError("cumulative sum wrapped 64 bits")
-        carry = cums[-1]
-        yield s, cums
 
 
 # --------------------------------------------------- floor-value route

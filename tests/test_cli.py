@@ -5,6 +5,7 @@ the ignored cache variable and removed cache flag, failed writes, exit codes.
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -192,6 +193,31 @@ def test_config_file_and_unknown_key(tmp_path):
     assert cli.main(["--config", str(binary), "delta"]) == 2
 
 
+def test_config_file_lines(tmp_path, capsys):
+    # blank lines and comments are skipped; a line without "=" is refused
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("# a comment\n\nk=2\n   \n  # indented\nx=10.5\n")
+    code, text = run(["--config", str(cfgfile), "delta"], tmp_path)
+    assert code == 0
+    _, rows = parse_csv(text)
+    assert rows[0]["D"] == "27"
+    cfgfile.write_text("k=2\nx 10.5\n")
+    assert cli.main(["--config", str(cfgfile), "delta"]) == 2
+    err = capsys.readouterr().err
+    assert err == "precondition violation: config line is not key=value: 'x 10.5'\n"
+
+
+def test_delta_integer_x_grid(capsys):
+    assert cli.main(["delta", "--k", "2", "--grid", "10:1000:8", "--integer-x"]) == 0
+    meta, rows = parse_csv(capsys.readouterr().out)
+    assert meta["convention.abscissa_sampling"] == "integer"
+    assert len(rows) == 8
+    for row in rows:
+        x = float(row["x"])
+        assert x == math.floor(x) and row["half_odd"] == "False"
+        assert int(row["D"]) == sieve.d2_summatory_hyperbola(int(x))
+
+
 def test_zeta_command_with_chi_and_afe(tmp_path):
     code, text = run(["zeta", "--sigma", "0.75", "--t", "1000",
                       "--chi", "--afe"], tmp_path)
@@ -243,6 +269,10 @@ def test_exit_code_precondition(tmp_path):
     ["delta", "--k", "2", "--x", "1e12"],
     ["constants", "--B-richert", "inf"],
     ["bounds", "--eps0", "nan"],
+    ["delta", "--k", "2"],
+    ["expsum", "--N-list", "64"],
+    ["constants", "--config"],
+    ["--config", "/nonexistent"],
 ])
 def test_malformed_input_exits_2_with_message(argv, capsys):
     assert cli.main(argv) == 2

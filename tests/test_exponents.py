@@ -729,6 +729,28 @@ def test_zeta_h_max_preconditions():
         ex.zeta_h_max(2, 1.0)  # alpha*k^{-2/3} = 0.63 >= 1/2
 
 
+def test_cubic_maximisers_fall_back_to_an_endpoint():
+    # a rho^3 - 3 rho + 12 at a = 10^(-2/3) has its least value on rho > 0,
+    # 12 - 2 a^(-1/2) = 7.69 at rho = a^(-1/2), above 0: no stationary point,
+    # so rho = 3, where h = a/3 - (1 - 3/3)/27 = a/3
+    a = 10 ** (-2 / 3)
+    res = ex.zeta_h_max(10, 1.0)
+    assert res.used_endpoint and res.stationary_points == ()
+    assert res.rho_star == 3.0
+    assert res.h_star == pytest.approx(a / 3, rel=1e-14)
+    # alpha = 50 leaves the moment cubic no positive root either, and h(2) is
+    # the larger endpoint value on [2, k]
+    k, a13 = 10, 50.0 * 10 ** (1 / 3)
+
+    def h(r):
+        return 2 * a13 / r - 2 * (k + 4) / r ** 3 + 6 * (k + 1) / r ** 4 + 2 / r ** 2 + 2 / r
+
+    res = ex.moment_h_max(k, 50.0)
+    assert res.used_endpoint and res.stationary_points == ()
+    assert res.rho_star == 2.0 and h(2.0) > h(float(k))
+    assert res.h_star == pytest.approx(h(2.0), rel=1e-14)
+
+
 # ------------------------------------------------------ large-k exponents
 
 def test_large_k_constant():

@@ -134,6 +134,13 @@ def test_small_x_sign_values():
     assert any(loc is not None for _, loc in rows)
 
 
+def test_empty_grid_and_narrow_scan_range():
+    assert rl.delta_scan(2, []) == []
+    # the half-odd points of [10.6, 11.4] would be n + 1/2 for n from 11 to 10
+    with pytest.raises(DomainError, match="^range too narrow to hold two half-odd points$"):
+        rl.sign_change_scan(2, 10.6, 11.4)
+
+
 def test_sign_changes_k1_never():
     rows = rl.sign_change_scan(1, 10, 1000, C=5.0)
     assert all(loc is None for _, loc in rows)
@@ -445,6 +452,33 @@ def test_mean_square_memory_in_cache_sized_passes():
     finally:
         tracemalloc.stop()
     assert peak <= 8 << 20
+
+
+def test_mean_square_table_summed_and_cast_in_place():
+    # one 8 MB d_k table, summed and cast to float64 in its own memory, beside
+    # the quadrature's panels and passes; an astype copy of it peaked at 22.1 MiB
+    rl.mean_square(2, 1e4)  # fills the main-term cache outside the trace
+    tracemalloc.start()
+    try:
+        rl.mean_square(2, 1e6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 << 20
+
+
+def test_mean_square_refuses_saturated_and_wrapped(monkeypatch):
+    monkeypatch.setattr(sv, "OVERFLOW_LOG2", 8)  # d_30(4) = 4960 > 2^8
+    with pytest.raises(SieveOverflowError, match="^d_30 saturated below 100$"):
+        rl.mean_square(30, 100.0)
+    monkeypatch.undo()
+    # an unflagged table whose sum wraps: 1 + 2^63 + 2^63 steps down to 1
+    top = 1 << 63
+    fake = sv.DivisorBlock(k=2, lo=1, hi=4, values=np.array([1, top, top], dtype=np.uint64),
+                           overflow_flag=False)
+    monkeypatch.setattr(sv, "dk_block", lambda k, lo, hi: fake)
+    with pytest.raises(SieveOverflowError, match="^cumulative sum wrapped 64 bits$"):
+        rl.mean_square(2, 3.0)
 
 
 # --------------------------------------------------------------- envelopes

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from divisorlab import remainder as rl
 from divisorlab import sieve as sv
 from divisorlab.errors import DomainError, MemoryBudgetError, SieveOverflowError
 
@@ -182,24 +183,6 @@ def test_one_flagged_segment_flags_the_whole_request(monkeypatch):
     # the factor k of a prime cofactor counts too: d_30(31) = 30 > 2^4
     monkeypatch.setattr(sv, "OVERFLOW_LOG2", 4)
     assert sv.dk_block(30, 31, 32).overflow_flag
-
-
-def test_cumulative_segments_carry_and_refuse(monkeypatch):
-    n = 2 * sv.SEGMENT + 123
-    parts = list(sv.dk_cumulative_segments(5, n))
-    assert [s for s, _ in parts] == [1, sv.SEGMENT + 1, 2 * sv.SEGMENT + 1]
-    whole = np.cumsum(sv.dk_block(5, 1, n + 1).values, dtype=np.uint64)
-    assert np.array_equal(np.concatenate([c for _, c in parts]), whole)
-    monkeypatch.setattr(sv, "OVERFLOW_LOG2", 8)  # d_30(4) = 4960 > 2^8
-    with pytest.raises(SieveOverflowError, match="saturated"):
-        list(sv.dk_cumulative_segments(30, 100))
-    # a wrap inside a segment, and one at a segment's first entry
-    top = 1 << 63
-    for segs in ([[1, top, top]], [[top], [top]]):
-        fake = [(1 + i, np.array(v, dtype=np.uint64), False) for i, v in enumerate(segs)]
-        monkeypatch.setattr(sv, "_dk_segments", lambda k, lo, hi, fake=fake: iter(fake))
-        with pytest.raises(SieveOverflowError, match="wrapped 64 bits"):
-            list(sv.dk_cumulative_segments(2, 10))
 
 
 def test_partial_sums_stream_within_segment_budget(monkeypatch):
@@ -423,7 +406,7 @@ def test_precondition_errors():
     with pytest.raises(DomainError, match="^checkpoints must be integral, got 10.5$"):
         sv.dk_partial_sums(2, 100, [10.5])
     for call in (lambda: sv.dk_block(2.5, 1, 10), lambda: sv.dk_partial_sums(2.5, 100, [10]),
-                 lambda: list(sv.dk_cumulative_segments(2.0, 10))):
+                 lambda: rl.mean_square(2.0, 100.0)):
         with pytest.raises(DomainError, match="^k must be integral, got 2.[05]$"):
             call()
     with pytest.raises(DomainError, match=r"^k must lie in \[1, 30\], got nan$"):
@@ -437,11 +420,6 @@ def test_precondition_errors():
                       (lambda: sv.dk_factor(2.5, 12), "k must be integral, got 2.5"),
                       (lambda: sv.dk_block(2, 1.5, 10), "lo must be integral, got 1.5"),
                       (lambda: sv.dk_block(2, 1, 10.5), "hi must be integral, got 10.5"),
-                      (lambda: list(sv.dk_cumulative_segments(2, 10.5)),
-                       "n_hi must be integral, got 10.5"),
-                      (lambda: list(sv.dk_cumulative_segments(2, math.nan)),
-                       "n_hi must be integral, got nan"),
-                      (lambda: list(sv.dk_cumulative_segments(3, -3)), "n_hi must be >= 1, got -3"),
                       (lambda: sv.d2_summatory_hyperbola(10 ** 30),
                        f"x must be <= 1e12, got {10 ** 30}")):
         with pytest.raises(DomainError, match=f"^{msg}$"):
@@ -464,6 +442,12 @@ def test_non_finite_argument_raises_domain_error(fn, args, name):
 
 
 # ------------------------------------------------- the kernel against its reference
+
+def _dk_stream(k: int, lo: int, hi: int):
+    """(start, d_k values, overflowed) for each segment of [lo, hi): the
+    kernel's stream as ``dk_block`` reads it."""
+    return ((s, *sv._dk_gather(k, ranks)) for s, ranks in sv._signature_segments(lo, hi))
+
 
 def _reference_segments(k: int, lo: int, hi: int):
     """The per-prime kernel the wheel, scatter and cofactor steps replaced,
@@ -517,7 +501,7 @@ TOP_PERIOD = sv.DESK_X_CAP // sv.WHEEL * sv.WHEEL  # s = 0 (mod WHEEL) near the 
 def test_kernel_equals_reference(k, lo, width):
     # unflagged values bit-identical, flags identical, segment by segment
     hi = min(lo + width, sv.DESK_X_CAP + 1)
-    got = list(sv._dk_segments(k, lo, hi))
+    got = list(_dk_stream(k, lo, hi))
     want = list(_reference_segments(k, lo, hi))
     assert [(s, len(v), f) for s, v, f in got] == [(s, len(v), f) for s, v, f in want]
     for (_, v, flagged), (_, w, _) in zip(got, want):
@@ -572,7 +556,7 @@ def test_cumulative_pass_within_segment_bytes(n_hi, segments):
     # whose prime table and scatter pieces are the largest
     tracemalloc.start()
     try:
-        for i, _ in enumerate(sv.dk_cumulative_segments(30, n_hi)):
+        for i, _ in enumerate(_dk_stream(30, 1, n_hi + 1)):
             if i + 1 == segments:
                 break
         peak = tracemalloc.get_traced_memory()[1]
