@@ -232,8 +232,7 @@ def cmd_bounds(args) -> tuple[list[dict], dict]:
 def cmd_sieve(args) -> tuple[list[dict], dict]:
     xs = sorted(set(_parse_list(args.x_list, int, "--x-list")))
     from . import sieve
-    series = sieve.dk_partial_sums(args.k, xs[-1], xs)
-    return [{"k": args.k, "x": x, "D": D} for x, D in series.checkpoints], {}
+    return [{"k": args.k, "x": x, "D": D} for x, D in sieve.dk_partial_sums(args.k, xs[-1], xs)], {}
 
 
 def _delta_rows(k: int, xs: list[float], bits: int) -> list[dict]:

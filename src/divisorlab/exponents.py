@@ -61,7 +61,10 @@ RICHERT_B = 4.45  # classical Vinogradov-route value of the same constant
 
 @dataclass(frozen=True)
 class ExponentParams:
-    """Bundle (B, theta, eps0, delta, k) driving every bound formula."""
+    """Bundle (B, theta, eps0, delta, k) of the bound formulas' inputs.
+
+    Nothing reads ``delta``: ``m1_sigma`` and ``thm3_exponent`` take their
+    own.  It stays a field, checked and reported in ``BoundReport.inputs``."""
 
     B: float = float(heath_brown_B())
     theta: float = 0.839427  # near-maximiser of k1 for the default B

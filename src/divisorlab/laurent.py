@@ -39,6 +39,7 @@ from .errors import (
     check_integral,
     check_within,
 )
+from .numerics import poly_eval
 
 STIELTJES_MAX_N = 64
 STIELTJES_MAX_BITS = 4096
@@ -221,10 +222,7 @@ class LaurentData:
         bits = precision_bits or max(self.precision_bits, 53)
         with mp.workprec(bits):
             z = (s if isinstance(s, mp.mpc) else mp.mpf(s)) - 1
-            acc = z * 0
-            for c in reversed(self.coeffs):
-                acc = acc * z + c
-            return acc * z ** self.lowest_power
+            return poly_eval(self.coeffs, z) * z ** self.lowest_power
 
 
 def series_pow(base: LaurentData, k: int) -> LaurentData:
@@ -348,11 +346,7 @@ def eval_main_term(poly: MainTermPoly, x) -> mp.mpf:
     check_finite("x", x)
     with mp.workprec(poly.precision_bits + 32):
         xm = mp.mpf(x)
-        L = mp.log(xm)
-        acc = mp.mpf(0)
-        for c in reversed(poly.coeffs):
-            acc = acc * L + c
-        return acc * xm
+        return poly_eval(poly.coeffs, mp.log(xm)) * xm
 
 
 # ---------------------------------------------------------------------------

@@ -95,8 +95,7 @@ def delta_scan(k: int, x_grid: Sequence[float],
         raise DomainError(f"x must lie in (1, {sieve.DESK_X_CAP + 1}), got {bad}")
     floors = [math.floor(x) for x in xs]
     uniq = sorted(set(floors))
-    series = sieve.dk_partial_sums(k, uniq[-1], uniq)
-    Dmap = dict(series.checkpoints)
+    Dmap = dict(sieve.dk_partial_sums(k, uniq[-1], uniq))
     return [sample_from_D(k, x, Dmap[n], precision_bits)
             for x, n in zip(xs, floors)]
 
@@ -225,7 +224,7 @@ def sign_change_scan(k: int, X0: float, X1: float, C: float = TONG_C,
     end = np.floor(ends[last] - 0.5).astype(np.int64)  # and its last
     pairs = pos < end  # the blocks of two points or more, whose starts strictly increase
     last, pos, end = last[pairs], pos[pairs], end[pairs]
-    sums = sieve.dk_partial_sums(k, n_hi, [*(pos[pos > 1] - 1).tolist(), n_hi]).checkpoints
+    sums = sieve.dk_partial_sums(k, n_hi, [*(pos[pos > 1] - 1).tolist(), n_hi])
     if sums[-1][1] >= 1 << 64:
         raise SieveOverflowError(f"D_{k}({n_hi}) exceeds 2^64")
     D = np.zeros(len(pos), dtype=np.uint64)  # D_k(pos - 1), exact: D_k(n_hi) < 2^64

@@ -46,8 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DomainError, MemoryBudgetError, SieveOverflowError, check_finite,
-                     check_integral, check_within)
+from .errors import (DomainError, MemoryBudgetError, SelfCheckError, SieveOverflowError,
+                     check_finite, check_integral, check_within)
 
 DESK_X_CAP = 10 ** 9
 DESK_K_CAP = 30
@@ -84,19 +84,6 @@ class DivisorBlock:
     def __post_init__(self):
         if len(self.values) != self.hi - self.lo:
             raise DomainError("value count does not match [lo, hi)")
-
-
-@dataclass(frozen=True)
-class PartialSumSeries:
-    """Checkpointed partial sums: tuple of (x, D_k(x)) with exact integer D."""
-
-    k: int
-    checkpoints: tuple
-
-    def __post_init__(self):
-        ds = [d for _, d in self.checkpoints]
-        if any(a >= b for a, b in zip(ds, ds[1:])):
-            raise DomainError("partial sums must be strictly increasing")
 
 
 def _primes_upto(m: int) -> np.ndarray:
@@ -306,10 +293,13 @@ def _signature_segments(lo: int, hi: int):
         yield int(starts[i]), ranks
 
 
-def _dk_gather(k: int, ranks: np.ndarray):
-    """d_k(n) mod 2^64 at the signature ranks, and whether some d_k(n) > 2^OVERFLOW_LOG2."""
+def _dk_gather(k: int, ranks: np.ndarray, out=None):
+    """d_k(n) mod 2^64 at the signature ranks, into out if given, and whether
+    some d_k(n) > 2^OVERFLOW_LOG2.  Every rank is in range; mode "clip" lets
+    take write out unbuffered."""
     values, flagged = _dk_by_signature(k, OVERFLOW_LOG2)
-    return values.take(ranks), bool(flagged.any() and flagged.take(ranks).any())
+    return (values.take(ranks, out=out, mode="clip"),
+            bool(flagged.any() and flagged.take(ranks).any()))
 
 
 def dk_blocks(k: int, starts, lens, hi: int):
@@ -355,9 +345,7 @@ def dk_block(k: int, lo: int, hi: int) -> DivisorBlock:
     values = np.empty(hi - lo, dtype=np.uint64)
     overflowed = False
     for s, ranks in _signature_segments(lo, hi):
-        seg, over = _dk_gather(k, ranks)
-        values[s - lo: s - lo + len(seg)] = seg
-        overflowed = overflowed or over
+        overflowed |= _dk_gather(k, ranks, out=values[s - lo: s - lo + len(ranks)])[1]
     return DivisorBlock(k=k, lo=lo, hi=hi, values=values, overflow_flag=overflowed)
 
 
@@ -502,8 +490,9 @@ def _floor_bound(k: int, cps: list[int]) -> tuple[int, int]:
     return best[1:]
 
 
-def dk_partial_sums(k: int, x_max: int, checkpoints) -> PartialSumSeries:
-    """D_k at each checkpoint (strictly increasing integers <= x_max), exactly."""
+def dk_partial_sums(k: int, x_max: int, checkpoints) -> tuple:
+    """The pairs (x, D_k(x)), exact integers, at each checkpoint x (strictly
+    increasing integers <= x_max); D_k strictly increases, which it checks."""
     cps = list(checkpoints)
     if any(a >= b for a, b in zip(cps, cps[1:])):
         raise DomainError("checkpoints must be strictly increasing")
@@ -515,7 +504,10 @@ def dk_partial_sums(k: int, x_max: int, checkpoints) -> PartialSumSeries:
         check_integral("checkpoints", c)
     cps = [operator.index(c) for c in cps]
     sums = tuple(zip(cps, cps)) if k == 1 else _floor_sums(k, cps, *_floor_bound(k, cps))
-    return PartialSumSeries(k=k, checkpoints=sums)
+    for (a, da), (b, db) in zip(sums, sums[1:]):
+        if da >= db:
+            raise SelfCheckError(f"partial sums: D_{k}({a}) = {da} >= D_{k}({b}) = {db}")
+    return sums
 
 
 # ---------------------------------------------------------------- oracles

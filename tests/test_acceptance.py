@@ -160,12 +160,12 @@ def test_c07_sieve_oracle_equivalence():
             if int(values[n - 1]) != sv.dk_factor(k, n):
                 mismatches += 1
     assert mismatches == 0
-    assert sv.dk_partial_sums(2, 10, [10]).checkpoints[0][1] == 27
-    assert sv.dk_partial_sums(3, 10, [10]).checkpoints[0][1] == 53
+    assert sv.dk_partial_sums(2, 10, [10])[0][1] == 27
+    assert sv.dk_partial_sums(3, 10, [10])[0][1] == 53
     xs = sorted({1, 10, 100, 1234, 99999, 10 ** 6}
                 | {rng.randint(2, 10 ** 6) for _ in range(20)})
     series = sv.dk_partial_sums(2, 10 ** 6, xs)
-    for x, d in series.checkpoints:
+    for x, d in series:
         assert d == sv.d2_summatory_hyperbola(x)
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0

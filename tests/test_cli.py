@@ -411,6 +411,11 @@ def test_exit_code_selfcheck(tmp_path, monkeypatch):
     assert cli.main(["moment", "--k", "1", "--sigma", "2", "--T", "100"]) == 3
 
 
+def test_partial_sums_self_check_exits_3(monkeypatch):
+    monkeypatch.setattr(sieve, "_floor_sums", lambda *a: ((10, 53), (20, 53)))
+    assert cli.main(["sieve", "--k", "3", "--x-list", "10,20"]) == 3
+
+
 def test_report_command(tmp_path):
     code, text = run(["report"], tmp_path)
     assert code == 0

@@ -307,7 +307,7 @@ def test_sign_budget_bounds_the_float_delta(k):
     # the scan's float delta against sample_from_D's, at random half-odd points
     rng = random.Random(k)
     ns = sorted(rng.sample(range(1, 10 ** 6), 40))
-    Ds = dict(sv.dk_partial_sums(k, ns[-1], ns).checkpoints)
+    Ds = dict(sv.dk_partial_sums(k, ns[-1], ns))
     coeffs = rl._main_poly(k).as_floats()
     for n in ns:
         xs = np.array([n + 0.5])

@@ -14,7 +14,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from divisorlab import remainder as rl
 from divisorlab import sieve as sv
-from divisorlab.errors import DomainError, MemoryBudgetError, SieveOverflowError
+from divisorlab.errors import (DomainError, MemoryBudgetError, SelfCheckError,
+                               SieveOverflowError)
 
 
 def d2_brute(n: int) -> int:
@@ -79,19 +80,19 @@ def test_segment_independence():
 
 def test_partial_sums_small_values():
     s2 = sv.dk_partial_sums(2, 10, [10])
-    assert s2.checkpoints == ((10, 27),)
+    assert s2 == ((10, 27),)
     s3 = sv.dk_partial_sums(3, 10, [10])
-    assert s3.checkpoints == ((10, 53),)
+    assert s3 == ((10, 53),)
     s1 = sv.dk_partial_sums(1, 12345, [1, 777, 12345])
-    assert s1.checkpoints == ((1, 1), (777, 777), (12345, 12345))
+    assert s1 == ((1, 1), (777, 777), (12345, 12345))
 
 
 def test_partial_sums_checkpoint_consistency():
     # multiple checkpoints agree with independent single-checkpoint runs
     series = sv.dk_partial_sums(3, 4000, [10, 100, 1000, 4000])
-    for x, d in series.checkpoints:
+    for x, d in series:
         single = sv.dk_partial_sums(3, x, [x])
-        assert single.checkpoints[0][1] == d
+        assert single[0][1] == d
 
 
 def test_hyperbola_identity():
@@ -99,7 +100,7 @@ def test_hyperbola_identity():
     seg = sv.SEGMENT
     xs = [1, 2, 10, 99, 1000, 54321, seg - 1, seg, seg + 1, 3 * seg, 10 ** 6]
     series = sv.dk_partial_sums(2, 10 ** 6, xs)
-    for x, d in series.checkpoints:
+    for x, d in series:
         assert d == sv.d2_summatory_hyperbola(x)
 
 
@@ -185,11 +186,18 @@ def test_one_flagged_segment_flags_the_whole_request(monkeypatch):
     assert sv.dk_block(30, 31, 32).overflow_flag
 
 
+def test_partial_sums_self_check(monkeypatch):
+    # sums that fail to increase are the program's fault, not the input's
+    monkeypatch.setattr(sv, "_floor_sums", lambda *a: ((10, 53), (20, 53)))
+    with pytest.raises(SelfCheckError, match=r"^partial sums: D_3\(10\) = 53 >= D_3\(20\) = 53$"):
+        sv.dk_partial_sums(3, 20, [10, 20])
+
+
 def test_partial_sums_stream_within_segment_budget(monkeypatch):
     # D_2(1e7) needs only one segment at a time, not a 1e7-entry table
     monkeypatch.setattr(sv, "MEMORY_BUDGET_BYTES", 64 << 20)
     x = 10 ** 7
-    assert sv.dk_partial_sums(2, x, [x]).checkpoints == ((x, sv.d2_summatory_hyperbola(x)),)
+    assert sv.dk_partial_sums(2, x, [x]) == ((x, sv.d2_summatory_hyperbola(x)),)
     with pytest.raises(MemoryBudgetError):
         sv.dk_block(2, 1, x + 1)
 
@@ -229,7 +237,7 @@ def test_isolated_route_equals_sieve(k, xs, roots, chunk, data):
                             st.sampled_from([c - e for c in cps for e in (0, 1) if c - e >= s])))
     want = exact_sums(k, cps)
     if k == 1:  # D_1(x) = x is answered before the floor route
-        assert sv.dk_partial_sums(k, cps[-1], cps).checkpoints == want
+        assert sv.dk_partial_sums(k, cps[-1], cps) == want
         return
     assert sv._floor_sums(k, cps, s, chunk) == want
     assert sv._floor_sums(k, cps, y, chunk) == want
@@ -255,11 +263,11 @@ def test_route_choice(monkeypatch):
         raise AssertionError("floor values paired")
     monkeypatch.setattr(sv, "_floor_dk", refuse)
     got = sv.dk_partial_sums(30, 10 ** 6, [10 ** 6])
-    assert got.checkpoints == exact_sums(30, [10 ** 6])
+    assert got == exact_sums(30, [10 ** 6])
     # D_1(x) = x sieves nothing
     monkeypatch.setattr(sv, "_signature_segments", refuse)
     cps = list(range(1, 10 ** 4))
-    assert sv.dk_partial_sums(1, cps[-1], cps).checkpoints == tuple(zip(cps, cps))
+    assert sv.dk_partial_sums(1, cps[-1], cps) == tuple(zip(cps, cps))
 
 
 # y for k = 2..13 from suffix sums over every checkpoint (np.cumsum of the
@@ -315,7 +323,7 @@ def test_isolated_route_within_memory_budget(monkeypatch):
         y, chunk = sv._floor_bound(k, [x])
         assert (y < x and math.isqrt(x) <= chunk < sv.SEGMENT) if paired else y == x
         got, peak = _traced(lambda: sv.dk_partial_sums(k, x, [x]))
-        assert got.checkpoints == want
+        assert got == want
         assert peak <= budget
         if paired:
             # the small tables sieve y entries, not a whole segment, so the
@@ -329,7 +337,7 @@ def test_isolated_route_within_memory_budget(monkeypatch):
     y, chunk = sv._floor_bound(k, cps)
     assert 1000 <= y < y_free
     got, peak = _traced(lambda: sv.dk_partial_sums(k, cps[-1], cps))
-    assert got.checkpoints == want_cps
+    assert got == want_cps
     assert peak <= budget
 
 
@@ -343,7 +351,7 @@ def test_d2_pairs_without_tables(monkeypatch):
     monkeypatch.setattr(sv, "MEMORY_BUDGET_BYTES", budget)
     assert sv._floor_bound(2, [x]) == (s, s + 2)
     got, peak = _traced(lambda: sv.dk_partial_sums(2, x, [x]))
-    assert got.checkpoints == ((x, sv.d2_summatory_hyperbola(x)),)
+    assert got == ((x, sv.d2_summatory_hyperbola(x)),)
     assert peak <= budget - sv.SEGMENT_BYTES  # the pairs alone: no table, no segment
 
 
@@ -362,7 +370,7 @@ def test_sharper_bound_reaches_k12_at_1e6():
     # pairs floor values above some y < x, and the values stay exact
     x = 10 ** 6
     assert sv._floor_bound(12, [x])[0] < x
-    assert sv.dk_partial_sums(12, x, [x]).checkpoints == exact_sums(12, [x])
+    assert sv.dk_partial_sums(12, x, [x]) == exact_sums(12, [x])
 
 
 def test_float_isqrt_is_exact_below_the_cap():
@@ -412,7 +420,7 @@ def test_precondition_errors():
     with pytest.raises(DomainError, match=r"^k must lie in \[1, 30\], got nan$"):
         sv.dk_block(math.nan, 1, 10)
     assert sv.dk_block(np.int64(3), 1, 13).values[11] == 18  # numpy integers pass
-    assert sv.dk_partial_sums(3, 100, [np.int64(10)]).checkpoints == ((10, 53),)
+    assert sv.dk_partial_sums(3, 100, [np.int64(10)]) == ((10, 53),)
     # a non-integer bound, and NaN, which passes the range tests, reach numpy
     # or the oracle's trial division unguarded; a negative n_hi reached
     # math.isqrt, and the oracle's loop would run isqrt(1e30) = 1e15 times
@@ -575,6 +583,16 @@ def test_block_near_cap_within_its_charge():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * (hi - lo) + sv.SEGMENT_BYTES
+
+
+def test_block_gathers_in_place():
+    # each segment's d_k goes straight into the table, whose 8 B per entry are
+    # the block's own: above them a segment's working set (18.6 B per entry),
+    # with no 512 KiB copy per segment (32.6 B per entry with one)
+    hi = 10 ** 6 + 1
+    sv.dk_block(2, 1, hi)  # the plan and the signature tables outside the trace
+    block, peak = _traced(lambda: sv.dk_block(2, 1, hi))
+    assert peak - block.values.nbytes <= 28 * sv.SEGMENT
 
 
 def test_signature_tables_are_exact():
@@ -742,5 +760,5 @@ def test_d3_d4_match_hyperbola_oracles(monkeypatch):
     for y in (s, 1 << 20):
         monkeypatch.setattr(sv, "_floor_bound", lambda k, c, y=y: (y, sv.SEGMENT))
         for k in (3, 4):
-            got = sv.dk_partial_sums(k, cps[-1], cps).checkpoints
+            got = sv.dk_partial_sums(k, cps[-1], cps)
             assert got == tuple((x, want[x][k - 3]) for x in cps)

@@ -1,0 +1,96 @@
+"""sha256 digests of the exact results of a fixed, seeded set of library calls.
+
+    python3 tools/output_digest.py [--src DIR]
+
+perfbench's canonical form rounds floats to 10 digits, so its seed-0 digests
+cannot show a change in the last bit.  This script hashes the ``repr`` of
+every result instead, mpf values to 4096 bits: two trees that print the same
+total returned the same bits on this set.  ``--src`` names the ``src``
+directory to import (default: the one beside this script), so a parent tree
+exported with ``git archive`` can be compared with the change.  It prints one
+line per group, then the total over all groups; about 2 s on a 2-CPU host.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import random
+import sys
+from pathlib import Path
+
+
+def groups():
+    """(name, list of results) for each group, in a fixed order."""
+    from divisorlab import exponents, laurent, remainder, sieve, zetasum
+
+    rng = random.Random(0)
+
+    def grid(top, n):
+        return sorted(rng.uniform(1.5, top) for _ in range(n))
+
+    # k = 30 to 1e5 and k = 22 to 1e6 lie past the int64 bound of the floor
+    # route, which then sieves all of [1, x]
+    yield "delta_scan", [remainder.delta_scan(k, grid(top, 40))
+                         for k, top in ((1, 1e6), (2, 1e6), (3, 1e6), (5, 1e6), (13, 1e6),
+                                        (2, 999999999.5), (22, 1e6), (30, 1e5))]
+
+    def partial_sums(k, x, cps):
+        # the tree before PartialSumSeries was retired wraps the pairs in one
+        got = sieve.dk_partial_sums(k, x, cps)
+        return getattr(got, "checkpoints", got)
+
+    yield "dk_partial_sums", [partial_sums(k, cps[-1], cps)
+                              for k, cps in ((1, [1, 10, 10 ** 6]), (2, [10 ** 9]),
+                                             (3, sorted(rng.sample(range(1, 10 ** 7), 50))),
+                                             (7, [10 ** 5, 3 * 10 ** 5 + 7, 10 ** 8]),
+                                             (13, [10 ** 9 - 1]), (25, [2 * 10 ** 5]))]
+    yield "sign_change_scan", [remainder.sign_change_scan(k, X0, X1)
+                               for k, X0, X1 in ((2, 1e3, 2e5), (3, 5e3, 1e6),
+                                                 (5, 1e3, 1e7), (1, 5e7, 5e7 + 1e4))]
+    cases = [(k, x, ppu) for k in (1, 2, 3, 5, 12, 30) for x, ppu in
+             ((1234.5, 2), (2e4 + rng.random(), 3), (1e5 * rng.uniform(0.5, 1), 2))]
+    mean_squares = [remainder.mean_square(k, x, ppu) for k, x, ppu in cases[:-1]]
+    budget = sieve.MEMORY_BUDGET_BYTES
+    sieve.MEMORY_BUDGET_BYTES = 4 << 20
+    try:
+        mean_squares.append(remainder.mean_square(2, 1e5, 2))
+    finally:
+        sieve.MEMORY_BUDGET_BYTES = budget
+    mean_squares.append(remainder.mean_square(*cases[-1]))
+    yield "mean_square", mean_squares
+    yield "main_term_poly", [laurent.main_term_poly(k, bits).coeffs
+                             for k in range(1, 13) for bits in (64, 256)]
+    yield "exponents", [*(exponents.optimize_theta(B) for B in (4.0, 4.45, 5.0, 8.5)),
+                        exponents.historical_table(),
+                        *(exponents.moment_h_max(k, a) for k, a in ((10, 50.0), (100, 1.0),
+                                                                    (2000, 1.0))),
+                        *(exponents.zeta_h_max(k, a) for k, a in ((10, 1.0), (500, 1.0),
+                                                                  (2000, 0.5)))]
+    yield "zetasum", [zetasum.zeta_em(0.75, 1000.0), zetasum.zeta_em(0.5, 14.134725),
+                      zetasum.zeta_em(2.0, 3.0, 64),
+                      zetasum.moment_integral(1, 2.0, 100.0),
+                      zetasum.moment_integral(2, 0.75, 50.0)]
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"),
+                    help="the src directory whose divisorlab is imported")
+    args = ap.parse_args(argv)
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    import mpmath as mp
+
+    total = hashlib.sha256()
+    for name, results in groups():
+        with mp.workprec(4096):  # an mpf's repr shows the context's digits, not its own
+            text = "\n".join(map(repr, results))
+        h = hashlib.sha256(text.encode()).hexdigest()
+        total.update(f"{name} {h}\n".encode())
+        print(f"{name:18} {h}")
+    print(f"{'total':18} {total.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
