@@ -35,7 +35,7 @@ import mpmath as mp
 
 from .errors import (DomainError, RangeError, SelfCheckError, check_finite, check_integral,
                      check_nonnegative, check_positive)
-from .numerics import (_exact_fraction, golden_max, poly_add, poly_eval, poly_mul,
+from .numerics import (exact_fraction, golden_max, poly_add, poly_eval, poly_mul,
                        real_cubic_roots, round_down, round_up, sign_variations,
                        sturm_sequence, taylor_shift)
 
@@ -260,8 +260,8 @@ def optimize_theta(B) -> ThetaOptimum:
         def f(t):
             return _k2(mp.mpf(t), Bm)
 
-        seq = sturm_sequence(_k1_slope_poly(_exact_fraction(Bm)))
-        var = functools.cache(lambda i: sign_variations(seq, _exact_fraction(grid(i))))
+        seq = sturm_sequence(_k1_slope_poly(exact_fraction(Bm)))
+        var = functools.cache(lambda i: sign_variations(seq, exact_fraction(grid(i))))
 
         def cells(i, j):  # the c with a root in (xs[c], xs[c+1]] within (xs[i], xs[j]]
             if var(i) == var(j):
@@ -628,11 +628,10 @@ def phi_piece(rho) -> tuple[Fraction, PhiPiece]:
     r = Fraction(rho) if isinstance(rho, (int, Fraction, str)) else Fraction(float(rho))
     if r < 1:
         raise DomainError(f"rho must be >= 1, got {rho}")
-    k = max(2, int(r) )
+    # r >= rho_{k-1} = k - 2 + 2/k at k = max(2, int(r)), and k steps only past nodes < r
+    k = max(2, int(r))
     while rho_node(k) < r:
         k += 1
-    while k > 2 and rho_node(k - 1) > r:
-        k -= 1
     piece = phi_piece_for_index(k)
     return piece.A * r + piece.Bcoef, piece
 

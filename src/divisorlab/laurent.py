@@ -15,11 +15,12 @@ from the aliasing bound of the trapezoid rule.  Its cost floor is one cached
 mp.zeta sweep per (nodes, precision); each call forms the integrand from the
 sweep in fixed-point ints, within a stated error bound.
 
-All series values are immutable after construction; everything here is pure.
+Series values are immutable and each memo is keyed by all inputs of its values.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,7 +47,7 @@ STIELTJES_MAX_BITS = 4096
 EM_J_GRID = (8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256)  # Euler-Maclaurin terms
 EM_M_GRID = (64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384)  # direct-sum cutoffs
 
-_stieltjes_memo: dict[int, tuple[int, mp.mpf]] = {}  # n -> (bits, value)
+_stieltjes_memo: dict[tuple[int, int], mp.mpf] = {}  # (n, precision_bits) -> gamma_n
 
 
 # ---------------------------------------------------------------------------
@@ -118,13 +119,13 @@ def _pick_em_parameters(ns, target_log2: float, polys=None) -> tuple[int, int]:
 
 
 def _stieltjes_batch(ns, precision_bits: int) -> list:
-    """[gamma_n for n in ns]; those not in the memo at ``precision_bits`` or
-    more come from one Euler-Maclaurin pass with one (J, M) (see ``stieltjes``)."""
+    """[gamma_n for n in ns]; those not in the memo at ``precision_bits`` come
+    from one Euler-Maclaurin pass with one (J, M) (see ``stieltjes``)."""
     for n in ns:
         check_within("n", n, 0, STIELTJES_MAX_N)
         check_integral("n", n)
     check_within("precision_bits", precision_bits, 1, STIELTJES_MAX_BITS)
-    missing = [n for n in ns if _stieltjes_memo.get(n, (0,))[0] < precision_bits]
+    missing = [n for n in ns if (n, precision_bits) not in _stieltjes_memo]
     if missing:
         polys = {n: _lazy_polys(n) for n in missing}
         J, M = _pick_em_parameters(missing, -(precision_bits + 4), polys)
@@ -150,8 +151,8 @@ def _stieltjes_batch(ns, precision_bits: int) -> list:
         # round to a fixed mantissa, independent of n's guard bits; without it
         # every main term built on gamma_n would move in its last bits
         with mp.workprec(precision_bits + 16):
-            _stieltjes_memo[n] = (precision_bits, +total)
-    return [_stieltjes_memo[n][1] for n in ns]
+            _stieltjes_memo[n, precision_bits] = +total
+    return [_stieltjes_memo[n, precision_bits] for n in ns]
 
 
 def stieltjes(n: int, precision_bits: int = 256) -> mp.mpf:
@@ -316,7 +317,7 @@ def _residue_poly_coeffs(zk: LaurentData, k: int) -> list:
 
 def main_term_poly(k: int, precision_bits: int = 256) -> MainTermPoly:
     """Degree-(k-1) main-term polynomial from the residue of zeta^k(s) x^s / s
-    at s = 1, computed symbolically in L = log x.
+    at s = 1, computed symbolically in L = log x, once per (k, precision_bits).
 
     The leading coefficient is re-derived through an exact Fraction shadow of
     the same residue algebra (pole-only series) and must equal 1/(k-1)!.
@@ -324,12 +325,16 @@ def main_term_poly(k: int, precision_bits: int = 256) -> MainTermPoly:
     check_within("k", k, 1, MAIN_TERM_K_CAP)
     check_within("precision_bits", precision_bits, 1, MAIN_TERM_MAX_BITS)
     check_integral("k", k)
+    return _main_term(k, precision_bits)
+
+
+@functools.cache
+def _main_term(k: int, precision_bits: int) -> MainTermPoly:
+    n_post = max(k - 1, 1)
     with mp.workprec(precision_bits + 64):
-        zser = zeta_laurent(max(k - 1, 1), precision_bits + 64)
-        zk = series_pow(zser, k)
+        zk = series_pow(zeta_laurent(n_post, precision_bits + 64), k)
         coeffs = tuple(+c for c in _residue_poly_coeffs(zk, k))
     # exact shadow: pole-only series through the same code path
-    n_post = max(k - 1, 1)
     pole = LaurentData(-1, (Fraction(1),) + (Fraction(0),) * n_post, n_post - 1, 0)
     shadow = _residue_poly_coeffs(series_pow(pole, k), k)
     lead = shadow[k - 1]
@@ -352,8 +357,6 @@ def eval_main_term(poly: MainTermPoly, x) -> mp.mpf:
 # ---------------------------------------------------------------------------
 # independent contour oracle
 # ---------------------------------------------------------------------------
-
-_contour_cache: dict[tuple[int, int], tuple] = {}
 
 # fixed-point guard bits of the integrand over the sweep's precision: 2 * 12 for
 # |zeta|^k <= 4^k at k <= 12, 5 for the per-node 16 + L/50 < 2^5 (see the oracle)
@@ -380,15 +383,13 @@ def _contour_nodes(prec: int, x_probe) -> int:
                for r in (0.5 + j / 64 for j in range(1, 32)))
 
 
+@functools.cache
 def _contour_zetas(nodes: int, prec: int) -> tuple:
     """The oracle's only mp.zeta calls, cached per (nodes, prec), at s_j = 1 +
     e^{2 pi i j / nodes}/2 to ``prec`` bits, j = 0..nodes//2 (the lower half
     circle holds conjugates): the raw mpf parts of s_j - 1 and, as ints scaled
     by 2^wp, wp = prec + CONTOUR_GUARD_BITS, zeta(s_j) floored and h_j = (s_j -
     1)/s_j = 1 - conj(s_j)/|s_j|^2 from the floored parts of s_j by one int division."""
-    key = (nodes, prec)
-    if key in _contour_cache:
-        return _contour_cache[key]
     wp = prec + CONTOUR_GUARD_BITS
     one, rows = 1 << wp, []
     with mp.workprec(prec):
@@ -401,8 +402,7 @@ def _contour_zetas(nodes: int, prec: int) -> tuple:
             rows.append(((s.real - 1)._mpf_, s.imag._mpf_,
                          to_fixed(z.real._mpf_, wp), to_fixed(z.imag._mpf_, wp),
                          one - (sr * inv >> wp), si * inv >> wp))
-    _contour_cache[key] = tuple(rows)
-    return _contour_cache[key]
+    return tuple(rows)
 
 
 def _fixed_pow(re: int, im: int, k: int, wp: int) -> tuple[int, int]:

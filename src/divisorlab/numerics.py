@@ -137,7 +137,7 @@ def real_cubic_roots(c3: float, c2: float, c1: float, c0: float) -> list[float]:
     return sorted(out)
 
 
-def _exact_fraction(x) -> Fraction:
+def exact_fraction(x) -> Fraction:
     """x as an exact Fraction, an mpf through its mantissa and exponent."""
     if isinstance(x, mp.mpf) and mp.isfinite(x):
         man, exp = x.man_exp  # |x| = man * 2^exp
@@ -148,13 +148,13 @@ def _exact_fraction(x) -> Fraction:
 def round_down(x, decimals: int) -> float:
     """Round x toward -inf at the given number of decimals (exact in Fraction)."""
     q = Fraction(10) ** decimals
-    return float(math.floor(_exact_fraction(x) * q) / q)
+    return float(math.floor(exact_fraction(x) * q) / q)
 
 
 def round_up(x, decimals: int) -> float:
     """Round x toward +inf at the given number of decimals (exact in Fraction)."""
     q = Fraction(10) ** decimals
-    return float(math.ceil(_exact_fraction(x) * q) / q)
+    return float(math.ceil(exact_fraction(x) * q) / q)
 
 
 def ols_slope(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:

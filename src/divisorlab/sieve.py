@@ -307,10 +307,15 @@ def dk_blocks(k: int, starts, lens, hi: int):
     starts_b + lens_b - 1 < hi, in chunks of at most SEGMENT entries (see
     ``_signature_blocks``); refuses a flagged chunk.  Passing one hi for many
     calls reuses its prime table and plan."""
+    check_integral("hi", hi)
     _check_caps(k, hi, 0)
-    starts, lens = np.asarray(starts, dtype=np.int64), np.asarray(lens, dtype=np.int64)
+    starts, lens = np.asarray(starts), np.asarray(lens)
+    for name, a in (("starts", starts), ("lens", lens)):
+        if len(a) and a.dtype.kind not in "iu":  # a cast would truncate 3.9, NaN or '3'
+            raise DomainError(f"{name} must be integral, got dtype {a.dtype}")
+    starts, lens = starts.astype(np.int64, copy=False), lens.astype(np.int64, copy=False)
     if len(starts) and not (starts.min() >= 1 and lens.min() >= 1 and lens.max() <= SEGMENT
-                            and (starts + lens).max() <= hi):
+            and (starts + lens).max() <= hi):
         raise DomainError(f"blocks must lie in [1, {hi}) and hold 1 to {SEGMENT} entries")
     for i, j, ranks in _signature_blocks(starts, lens, hi):
         values, over = _dk_gather(k, ranks)

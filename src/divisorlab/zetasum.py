@@ -291,7 +291,7 @@ def zeta_em(sigma: float, t: float, precision_bits: int = 128) -> mp.mpc:
 # fast float evaluators (calibrated against zeta_em; guarded by self-checks)
 # ---------------------------------------------------------------------------
 
-_ZETA_ABS_TOL = 1e-5  # the absolute error the sigma > 1 cutoff M aims at
+_ZETA_ABS_TOL = 1e-5  # the sigma > 1 cutoff M sizes its first Bernoulli term to this
 _B2J = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
 
 
@@ -307,7 +307,9 @@ def _zeta_series(sigma: float, ts: np.ndarray):
     adding the integral, half and Bernoulli tail terms to sums ``out`` in place.
     M follows the largest of ``ts``: sigma > 1: M ~ (t_max/(12 tol))^{1/(sigma+1)},
     one Bernoulli term; sigma <= 1: float Euler-Maclaurin with M = max(64,
-    t_max/4) and 8 Bernoulli terms (calibrated error ~1e-6).
+    t_max/4) and 8 Bernoulli terms.  Absolute error against mp.zeta, at (sigma, t)
+    and the most over t +- 50: 1.3e-2, 1.5e-2 at (1.05, 1e5), M capped at 4096;
+    6.2e-4, 6.7e-4 at (1.5, 1e4); 2.6e-5, 9.8e-5 at (2, 1e4); 1.5e-5, 1.6e-5 at (0.5, 1e3).
     """
     import numpy as np
     M, J = _zeta_cutoff(sigma, float(ts.max(initial=1.0)))

@@ -31,7 +31,7 @@ def test_stieltjes_vs_library_oracle(n):
     # oracle: mpmath's independent stieltjes implementation; the documented
     # error is below 2^{-bits+8}
     for bits in (128, 256):
-        la._stieltjes_memo.pop(n, None)
+        la._stieltjes_memo.pop((n, bits), None)
         v = la.stieltjes(n, bits)
         with mp.workprec(bits + 48):
             ref = mp.stieltjes(n)
@@ -101,6 +101,17 @@ def test_stieltjes_precision_doubling():
         b = la.stieltjes(n, 256)
         with mp.workdps(90):
             assert abs(a - b) < mp.mpf(2) ** (-120)
+
+
+def test_stieltjes_depends_only_on_its_arguments(monkeypatch):
+    # the memo answers (n, bits) from (n, bits) alone: gamma_1 at 64 bits
+    # has the same bits fresh and after a 256-bit gamma_1
+    monkeypatch.setattr(la, "_stieltjes_memo", {})
+    fresh = la.stieltjes(1, 64)
+    monkeypatch.setattr(la, "_stieltjes_memo", {})
+    la.stieltjes(1, 256)
+    with mp.workprec(4096):
+        assert repr(la.stieltjes(1, 64)) == repr(fresh)
 
 
 def test_stieltjes_domain():
@@ -275,6 +286,11 @@ def test_leading_coefficient_exact(k):
         assert rel < mp.mpf("1e-12")
 
 
+def test_main_term_poly_is_built_once_per_arguments():
+    assert la.main_term_poly(3, 192) is la.main_term_poly(3, 192)
+    assert la.main_term_poly(3, 128) is not la.main_term_poly(3, 192)
+
+
 def test_main_term_precision_doubling():
     a = la.main_term_poly(6, 128)
     b = la.main_term_poly(6, 256)
@@ -369,7 +385,7 @@ def test_contour_oracle_half_circle(monkeypatch):
         calls.append(s)
         return zeta(s, *args, **kw)
 
-    monkeypatch.setattr(la, "_contour_cache", {})
+    la._contour_zetas.cache_clear()
     monkeypatch.setattr(mp, "zeta", counted)
     got = la.residue_contour_oracle(k, bits, x)
     assert len(calls) == N + 1
@@ -441,13 +457,15 @@ def test_contour_oracle_large_x():
         la.residue_contour_oracle(12, 32, 1e60)
 
 
-def test_contour_oracle_shares_one_sweep_across_k(monkeypatch):
+def test_contour_oracle_shares_one_sweep_across_k():
     # the node count depends on (prec, x) alone, so every k at one (bits, x)
     # reads one cached sweep rather than sweeping again per k
-    monkeypatch.setattr(la, "_contour_cache", {})
+    la._contour_zetas.cache_clear()
     for k in range(1, 13):
         la.residue_contour_oracle(k, 32, 1234.5)
-    assert list(la._contour_cache) == [(2 * la._contour_nodes(64, 1234.5), 64)]
+    la._contour_zetas(2 * la._contour_nodes(64, 1234.5), 64)
+    info = la._contour_zetas.cache_info()
+    assert (info.misses, info.hits) == (1, 12)
 
 
 @pytest.mark.parametrize("bits,x", [(32, 1.0001), (32, 1234.5), (64, 1e16)])

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from divisorlab import laurent as la
 from divisorlab import remainder as rl
 from divisorlab import sieve as sv
 from divisorlab.errors import DomainError, MemoryBudgetError, RangeError, SieveOverflowError
@@ -187,7 +188,7 @@ def _array_scan(k, X0, X1, C=5.0, precision_bits=rl.MAIN_BITS_DEFAULT):
     cums = np.cumsum(sv.dk_block(k, 1, n_hi + 1).values, dtype=np.uint64)
     D = cums[ns - 1].astype(np.float64)
     xs = ns.astype(np.float64) + 0.5
-    coeffs = rl._main_poly(k, precision_bits).as_floats()
+    coeffs = la.main_term_poly(k, precision_bits).as_floats()
     signs = np.sign(D - xs * np.polynomial.polynomial.polyval(np.log(xs), coeffs))
     out = []
     X = float(X0)
@@ -308,7 +309,7 @@ def test_sign_budget_bounds_the_float_delta(k):
     rng = random.Random(k)
     ns = sorted(rng.sample(range(1, 10 ** 6), 40))
     Ds = dict(sv.dk_partial_sums(k, ns[-1], ns))
-    coeffs = rl._main_poly(k).as_floats()
+    coeffs = la.main_term_poly(k, rl.MAIN_BITS_DEFAULT).as_floats()
     for n in ns:
         xs = np.array([n + 0.5])
         fast = np.array([Ds[n]], dtype=np.uint64).astype(np.float64) \
@@ -351,7 +352,7 @@ def test_sign_change_scan_charges_its_windows():
 
 
 def test_sign_change_scan_memory_is_one_segment():
-    rl._main_poly(2)  # fills the main-term cache outside the trace
+    la.main_term_poly(2, rl.MAIN_BITS_DEFAULT)  # fills the main-term cache outside the trace
     peaks = []
     for X1 in (2e5, 1e6):
         tracemalloc.start()
@@ -377,7 +378,7 @@ def test_mean_square_riemann_oracle():
     # oracle: midpoint Riemann sum, 1e4 points per unit, in float64
     table = sv.dk_block(2, 1, 10 ** 3 + 1).values
     D = np.cumsum(table, dtype=np.uint64).astype(np.float64)
-    coeffs = rl._main_poly(2).as_floats()
+    coeffs = la.main_term_poly(2, rl.MAIN_BITS_DEFAULT).as_floats()
     total = 0.0
     m = 10 ** 4
     offs = (np.arange(m) + 0.5) / m

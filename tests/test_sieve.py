@@ -709,6 +709,14 @@ def test_dk_blocks_refuses(monkeypatch):
         list(sv.dk_blocks(2, [5, 90], [3, 20], 100))
     with pytest.raises(DomainError, match="blocks must lie in"):
         list(sv.dk_blocks(2, [5], [0], 100))
+    # a cast to int64 would read 3.9 as 3, 2.5 entries as 2 and parse '3'
+    for starts, lens, hi, name in [([3.9], [1], 10, "starts"), ([3], [2.5], 10, "lens"),
+                                   (["3"], [1], 10, "starts"),
+                                   ([float("nan")], [1], 10, "starts"),
+                                   ([3], [1], 10.0, "hi")]:
+        with pytest.raises(DomainError, match=f"^{name} must be integral"):
+            list(sv.dk_blocks(2, starts, lens, hi))
+    assert list(sv.dk_blocks(2, [], [], 10)) == []
     got = [(i, j, v.tolist()) for i, j, v in sv.dk_blocks(2, [10, 96], [3, 4], 100)]
     assert got == [(0, 2, [4, 2, 6, 12, 2, 6, 6])]  # d(10..12), d(96..99)
     monkeypatch.setattr(sv, "OVERFLOW_LOG2", 8)  # d_30(4) = 4960 > 2^8

@@ -35,12 +35,7 @@ def groups():
                          for k, top in ((1, 1e6), (2, 1e6), (3, 1e6), (5, 1e6), (13, 1e6),
                                         (2, 999999999.5), (22, 1e6), (30, 1e5))]
 
-    def partial_sums(k, x, cps):
-        # the tree before PartialSumSeries was retired wraps the pairs in one
-        got = sieve.dk_partial_sums(k, x, cps)
-        return getattr(got, "checkpoints", got)
-
-    yield "dk_partial_sums", [partial_sums(k, cps[-1], cps)
+    yield "dk_partial_sums", [sieve.dk_partial_sums(k, cps[-1], cps)
                               for k, cps in ((1, [1, 10, 10 ** 6]), (2, [10 ** 9]),
                                              (3, sorted(rng.sample(range(1, 10 ** 7), 50))),
                                              (7, [10 ** 5, 3 * 10 ** 5 + 7, 10 ** 8]),
