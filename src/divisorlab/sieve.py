@@ -310,9 +310,9 @@ def dk_blocks(k: int, starts, lens, hi: int):
     check_integral("hi", hi)
     _check_caps(k, hi, 0)
     starts, lens = np.asarray(starts), np.asarray(lens)
-    for name, a in (("starts", starts), ("lens", lens)):
-        if len(a) and a.dtype.kind not in "iu":  # a cast would truncate 3.9, NaN or '3'
-            raise DomainError(f"{name} must be integral, got dtype {a.dtype}")
+    for name, a in (("starts", starts), ("lens", lens)):  # a cast would truncate 3.9 or NaN
+        if a.ndim != 1 or a.size != starts.size or a.size and a.dtype.kind not in "iu":
+            raise DomainError(f"{name} must be integers, one per block, got {a.dtype} {a.shape}")
     starts, lens = starts.astype(np.int64, copy=False), lens.astype(np.int64, copy=False)
     if len(starts) and not (starts.min() >= 1 and lens.min() >= 1 and lens.max() <= SEGMENT
             and (starts + lens).max() <= hi):

@@ -709,12 +709,15 @@ def test_dk_blocks_refuses(monkeypatch):
         list(sv.dk_blocks(2, [5, 90], [3, 20], 100))
     with pytest.raises(DomainError, match="blocks must lie in"):
         list(sv.dk_blocks(2, [5], [0], 100))
-    # a cast to int64 would read 3.9 as 3, 2.5 entries as 2 and parse '3'
+    # a cast to int64 would read 3.9 as 3, 2.5 entries as 2 and parse '3'; a
+    # lens shorter than starts looped without end, a longer one was cut
     for starts, lens, hi, name in [([3.9], [1], 10, "starts"), ([3], [2.5], 10, "lens"),
                                    (["3"], [1], 10, "starts"),
                                    ([float("nan")], [1], 10, "starts"),
-                                   ([3], [1], 10.0, "hi")]:
-        with pytest.raises(DomainError, match=f"^{name} must be integral"):
+                                   ([3], [1], 10.0, "hi"), ([3, 5], [1], 10, "lens"),
+                                   ([3], [1, 2], 10, "lens"), ([[3]], [[1]], 10, "starts"),
+                                   (3, 1, 10, "starts")]:
+        with pytest.raises(DomainError, match=f"^{name} must be (integral|integers)"):
             list(sv.dk_blocks(2, starts, lens, hi))
     assert list(sv.dk_blocks(2, [], [], 10)) == []
     got = [(i, j, v.tolist()) for i, j, v in sv.dk_blocks(2, [10, 96], [3, 4], 100)]
