@@ -15,7 +15,7 @@ from the aliasing bound of the trapezoid rule.  Its cost floor is one cached
 mp.zeta sweep per (nodes, precision); each call forms the integrand from the
 sweep in fixed-point ints, within a stated error bound.
 
-Series values are immutable and each memo is keyed by all inputs of its values.
+Everything here is pure: values are immutable and memos are keyed by all inputs.
 """
 
 from __future__ import annotations

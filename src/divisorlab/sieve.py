@@ -315,7 +315,7 @@ def dk_blocks(k: int, starts, lens, hi: int):
             raise DomainError(f"{name} must be integers, one per block, got {a.dtype} {a.shape}")
     starts, lens = starts.astype(np.int64, copy=False), lens.astype(np.int64, copy=False)
     if len(starts) and not (starts.min() >= 1 and lens.min() >= 1 and lens.max() <= SEGMENT
-            and (starts + lens).max() <= hi):
+                            and (starts + lens).max() <= hi):
         raise DomainError(f"blocks must lie in [1, {hi}) and hold 1 to {SEGMENT} entries")
     for i, j, ranks in _signature_blocks(starts, lens, hi):
         values, over = _dk_gather(k, ranks)
