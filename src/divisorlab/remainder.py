@@ -99,11 +99,13 @@ def fit_exponent(samples: Sequence[RemainderSample],
 
     Samples with |delta| <= drop_below are discarded (they sit near sign
     changes and distort the log regression); the default threshold is
-    1e-3 * median |delta|.
+    1e-3 * median |delta|, and a given one must be finite.
     """
     deltas = [abs(s.delta) for s in samples]
     if drop_below is None:
         drop_below = 1e-3 * float(np.median(deltas)) if deltas else 0.0
+    else:
+        check_finite("drop_below", drop_below)
     kept = [s for s in samples if abs(s.delta) > drop_below]
     if len(kept) < 8:
         raise RangeError(

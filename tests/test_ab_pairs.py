@@ -1,6 +1,7 @@
 """tools/ab_pairs.py: its exit status reports incorrect outputs and failed
-operations, and SIGTERM leaves no export behind.  The git export and the
-benchmark runs are stubbed, so no benchmark runs here."""
+operations, SIGTERM leaves no export behind, and it records per-operation
+medians from each run's result file.  The git export and the benchmark runs
+are stubbed, so no benchmark runs here."""
 
 from __future__ import annotations
 
@@ -9,7 +10,9 @@ import json
 import os
 import shutil
 import signal
+import subprocess
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -33,13 +36,20 @@ def ab_pairs(monkeypatch, tmp_path):
 
 def stub_runs(mod, monkeypatch, bad=None):
     """run_once returns a fixed result; ``bad`` = (side, workload, fields)
-    overrides the result fields of that side's runs of that workload."""
+    overrides the result fields of that side's runs of that workload.  The
+    operation "cold:a" takes 0.1 s more on the parent side, and 0.1 s more
+    again in each later run of a side."""
+    seen = []
+
     def run_once(tree, workload, seed, seconds, trace):
         result = {"correct": True, "attempted": 4, "failed": 0,
                   "metrics": {"wall_s": {"value": 1.0, "unit": "s"}}}
         if bad and tree.name == bad[0] and workload == bad[1]:
             result.update(bad[2])
-        return {"result": result, "facts": {}}
+        seen.append((tree.name, workload))
+        t = 0.1 * seen.count((tree.name, workload)) + (0.1 if tree.name == "parent" else 0)
+        return {"result": result, "facts": {},
+                "ops": {"cold:a": {"wall_s": t, "cpu_s": 2 * t}}}
     monkeypatch.setattr(mod, "run_once", run_once)
 
 
@@ -53,6 +63,37 @@ def test_ab_pairs_exits_0_on_correct_runs(ab_pairs, monkeypatch, capsys):
     assert "incorrect" not in capsys.readouterr().err
     out = json.loads(Path("BENCH_0.json").read_text())
     assert all(s["all_correct"] for s in out["sets"].values())
+    # two runs a side: parent 0.2 and 0.3 s, change 0.1 and 0.2 s
+    op = out["sets"]["remainder-sieve seed=1 trace=0"]["ops"]["cold:a"]
+    assert op["wall_s"] == pytest.approx({"parent": 0.25, "change": 0.15})
+    assert op["cpu_s"] == pytest.approx({"parent": 0.5, "change": 0.3})
+
+
+def test_run_once_reads_each_operations_fastest_round(ab_pairs, monkeypatch, tmp_path):
+    """Per ``pass:label``, the smallest wall_s and cpu_s of the untraced rounds
+    (each minimum on its own); traced rounds are left out."""
+    result = {"correct": True, "attempted": 4, "failed": 0, "metrics": {}}
+
+    def op(pass_name, label, wall, cpu):
+        return {"pass": pass_name, "label": label, "wall_s": wall, "cpu_s": cpu,
+                "error": None, "digest": "d"}
+    saved = {"facts": {"nproc": 2, "unlisted": 1}, "result": result, "rounds": {
+        "plain": [{"ops": [op("cold", "x", 0.3, 0.5), op("warm", "x", 0.2, 0.2)]},
+                  {"ops": [op("cold", "x", 0.4, 0.4), op("warm", "x", 0.1, 0.3)]}],
+        "trace": [{"ops": [op("cold", "x", 0.01, 0.01), op("warm", "x", 0.01, 0.01)]}]}}
+    tree = tmp_path / "tree"
+    (tree / "perfbench" / "out").mkdir(parents=True)
+    (tree / "perfbench" / "out" / "cli-session-seed3-trace0.json").write_text(json.dumps(saved))
+
+    def run(cmd, cwd, capture_output, text):
+        assert cwd == tree and cmd[cmd.index("--seed") + 1] == "3"
+        return subprocess.CompletedProcess(cmd, 0, "rounds: 2\n" + json.dumps(result) + "\n", "")
+    monkeypatch.setattr(ab_pairs, "subprocess", SimpleNamespace(run=run))
+    got = ab_pairs.run_once(tree, "cli-session", 3, 26, 0)
+    assert got["result"] == result
+    assert got["facts"]["nproc"] == 2 and "unlisted" not in got["facts"]
+    assert got["ops"] == {"cold:x": {"wall_s": 0.3, "cpu_s": 0.4},
+                          "warm:x": {"wall_s": 0.1, "cpu_s": 0.2}}
 
 
 @pytest.mark.parametrize("bad", [

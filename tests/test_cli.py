@@ -273,6 +273,8 @@ def test_exit_code_precondition(tmp_path):
     ["expsum", "--N-list", "64"],
     ["constants", "--config"],
     ["--config", "/nonexistent"],
+    ["fit", "--k", "2", "--grid", "1000:100000:16", "--drop-below", "nan"],
+    ["fit", "--k", "2", "--grid", "1000:100000:16", "--drop-below", "inf"],
 ])
 def test_malformed_input_exits_2_with_message(argv, capsys):
     assert cli.main(argv) == 2

@@ -59,16 +59,33 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@pytest.mark.parametrize("argv, want", EXAMPLES,
-                         ids=[f"{i}-{a[0]}" for i, (a, _) in enumerate(EXAMPLES)])
-def test_readme_example_output_is_pinned(argv, want, tmp_path):
-    env = {k: v for k, v in os.environ.items() if k != "DIVISORLAB_CACHE"}
+def run_example(argv, want, tmp_path, blas_threads):
+    """Run one example with OPENBLAS_NUM_THREADS set to ``blas_threads``, or
+    unset when that is None, and check its digests."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("DIVISORLAB_CACHE", "OPENBLAS_NUM_THREADS")}
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    # one BLAS thread: the moment quadrature's GEMM then sums in a fixed order
-    env["OPENBLAS_NUM_THREADS"] = "1"
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
     proc = subprocess.run([sys.executable, "-m", "divisorlab.cli", *argv],
                           cwd=tmp_path, env=env, capture_output=True, timeout=300)
     assert proc.returncode == 0, proc.stderr.decode()[-2000:]
     assert _sha(proc.stdout) == want
     if "--output" in argv:
         assert _sha((tmp_path / "delta.json").read_bytes()) == DELTA_JSON
+
+
+IDS = [f"{i}-{a[0]}" for i, (a, _) in enumerate(EXAMPLES)]
+
+
+@pytest.mark.parametrize("argv, want", EXAMPLES, ids=IDS)
+def test_readme_example_output_is_pinned(argv, want, tmp_path):
+    # one BLAS thread: the moment quadrature's GEMM then sums in a fixed order
+    run_example(argv, want, tmp_path, "1")
+
+
+@pytest.mark.parametrize("argv, want", EXAMPLES, ids=IDS)
+def test_readme_example_output_as_shipped(argv, want, tmp_path):
+    # the variable unset, as a user runs the CLI: moment at the library's
+    # default thread count, every other command at the one thread the CLI sets
+    run_example(argv, want, tmp_path, None)

@@ -419,6 +419,12 @@ def test_precondition_errors():
             call()
     with pytest.raises(DomainError, match=r"^k must lie in \[1, 30\], got nan$"):
         sv.dk_block(math.nan, 1, 10)
+    # a NaN or infinite threshold kept no sample and blamed the sample count
+    samples = rl.delta_scan(2, [10.5 * j for j in range(1, 13)])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError, match=f"^drop_below must be finite, got {bad}$"):
+            rl.fit_exponent(samples, bad)
+    assert rl.fit_exponent(samples, -1.0) == rl.fit_exponent(samples, 0.0)  # negatives keep all
     assert sv.dk_block(np.int64(3), 1, 13).values[11] == 18  # numpy integers pass
     assert sv.dk_partial_sums(3, 100, [np.int64(10)]) == ((10, 53),)
     # a non-integer bound, and NaN, which passes the range tests, reach numpy

@@ -17,7 +17,12 @@ machine facts, every run, and per metric each side's median and quartiles
 (linear interpolation), the number of pairs the change won (ties count for
 neither side), whether the median gap exceeds the parent's interquartile
 range, and whether the change is worse than the parent beyond the bound in
-BENCHMARK.json; plus the ``src/`` line count of each tree.
+BENCHMARK.json; plus the ``src/`` line count of each tree.  To show where a
+gain appears, each set also records per side, per operation (``pass:label``),
+the median over runs of each run's fastest untraced round, read from the
+run's result file ``perfbench/out/<workload>-seed<S>-trace<T>.json``: raw
+wall and CPU seconds, without the calibration scaling that perfbench applies
+to in-process operations.
 
 The exit status is 1, with the sets named on standard error, when any run of
 any set is incorrect or has failed operations; every set is still run and
@@ -29,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import signal
 import statistics
 import subprocess
@@ -69,8 +75,29 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -
                            f"{proc.stderr[-2000:]}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     with open(tree / "perfbench" / "out" / f"{workload}-seed{seed}-trace{trace}.json") as fh:
-        facts = json.load(fh)["facts"]
-    return {"result": result, "facts": {k: facts.get(k) for k in FACT_KEYS}}
+        saved = json.load(fh)
+    return {"result": result, "facts": {k: saved["facts"].get(k) for k in FACT_KEYS},
+            "ops": fastest_ops(saved["rounds"]["plain"])}
+
+
+def fastest_ops(rounds: list) -> dict:
+    """Per ``pass:label``, the smallest wall_s and cpu_s across ``rounds``."""
+    best: dict[str, dict] = {}
+    for r in rounds:
+        for op in r["ops"]:
+            b = best.setdefault(f"{op['pass']}:{op['label']}",
+                                {"wall_s": math.inf, "cpu_s": math.inf})
+            for key in b:
+                b[key] = min(b[key], op[key])
+    return best
+
+
+def op_medians(runs: dict) -> dict:
+    """``{"pass:label": {key: {side: median over the side's runs}}}``."""
+    return {op: {key: {side: statistics.median(r[op][key] for r in runs[side])
+                       for side in runs}
+                 for key in best}
+            for op, best in runs["parent"][0].items()}
 
 
 def quartiles(xs: list[float]) -> dict:
@@ -136,12 +163,14 @@ def main(argv=None) -> int:
         out["src_lines"] = {side: src_lines(tree) for side, tree in trees.items()}
         for workload, seed, pairs, trace in args.sets:
             runs = {"parent": [], "change": []}
+            ops = {"parent": [], "change": []}
             for i in range(pairs):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
                     run = run_once(trees[side], workload, seed, seconds, trace)
                     out["machine"] = out["machine"] or run["facts"]
                     runs[side].append(run["result"])
+                    ops[side].append(run["ops"])
                     print(f"{workload} seed={seed} trace={trace} pair {i + 1}/{pairs} {side}: "
                           + " ".join(f"{k}={v['value']:.4g}"
                                      for k, v in run["result"]["metrics"].items()),
@@ -157,7 +186,7 @@ def main(argv=None) -> int:
                 "ops_attempted": {s: sum(r["attempted"] for r in runs[s]) for s in runs},
                 "ops_failed": {s: sum(r["failed"] for r in runs[s]) for s in runs},
                 "all_correct": all(r["correct"] for s in runs for r in runs[s]),
-                "metrics": metrics}
+                "metrics": metrics, "ops": op_medians(ops)}
             path.write_text(json.dumps(out, indent=1) + "\n")  # after every set
             print(f"wrote {path}", flush=True)
     bad = [name for name, s in out["sets"].items()
