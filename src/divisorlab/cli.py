@@ -511,7 +511,7 @@ def main(argv=None) -> int:
         if args.precision_bits < MIN_PRECISION_BITS:
             raise ConfigError(f"--precision-bits must be >= {MIN_PRECISION_BITS} "
                               f"(float64), got {args.precision_bits}")
-        # one BLAS thread unless the user set one: only moment's GEMM gains from more
+        # idle OpenBLAS workers spin: one thread, unless set; moment's GEMM gains from two
         if args.command != "moment":
             os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
         rows, conventions = COMMANDS[args.command](args)

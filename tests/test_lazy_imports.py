@@ -39,6 +39,14 @@ def test_importing_remainder_loads_no_process_pool():
         == "False False"
 
 
+def cli_call(argv) -> str:
+    """Code that runs ``cli.main(argv)`` with its output discarded."""
+    return ("import contextlib, io, os, sys\n"
+            "from divisorlab import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main({argv!r}) == 0\n")
+
+
 @pytest.mark.parametrize("argv, loads_numpy", [
     (["constants"], False),
     (["theta-opt"], False),
@@ -53,14 +61,6 @@ def test_importing_remainder_loads_no_process_pool():
 ])
 def test_commands_load_numpy_only_when_they_use_it(argv, loads_numpy):
     assert fresh(cli_call(argv) + "print('numpy' in sys.modules)") == str(loads_numpy)
-
-
-def cli_call(argv) -> str:
-    """Code that runs ``cli.main(argv)`` with its output discarded."""
-    return ("import contextlib, io, os, sys\n"
-            "from divisorlab import cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    assert cli.main({argv!r}) == 0\n")
 
 
 # the thread count of the OpenBLAS that numpy loaded, or None, read through ctypes
