@@ -40,6 +40,8 @@ from .numerics import (exact_fraction, golden_max, poly_add, poly_eval, poly_mul
                        sturm_sequence, taylor_shift)
 
 WORK_DPS = 50  # >= 80-bit significand everywhere in the engine
+CUBIC_K_CAP = 1e150  # the float cubics overflow between k = 2e153 and 5e153 (alpha = 1)
+THM3_K_CAP = 1e54  # past it beta keeps too few WORK_DPS digits (see thm3_exponent)
 
 
 def _wp():
@@ -746,11 +748,14 @@ def moment_h_max(k: int, alpha: float) -> CubicMax:
     to about sqrt(2^-53), as h is flat to second order there (5.2e-8 relative
     at worst for k = 10..2000, alpha = 1).  Both roots are recorded in
     ``stationary_points``.  Without an admissible stationary point the larger
-    endpoint is returned with ``used_endpoint=True``.
+    endpoint is returned with ``used_endpoint=True``.  k above CUBIC_K_CAP
+    raises RangeError.
     """
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
     check_finite("k", k)
+    if k > CUBIC_K_CAP:
+        raise RangeError(f"k must be at most {CUBIC_K_CAP:.0e}, got {k}")
     check_positive("alpha", alpha)
     a13 = alpha * k ** (1.0 / 3.0)
 
@@ -794,11 +799,13 @@ def zeta_h_max(k: int, alpha: float) -> CubicMax:
     by golden section to about sqrt(2^-53), as in ``moment_h_max`` (2.0e-8
     relative at worst for k = 10..2000, alpha = 1).  ``limit_ratio`` records
     k*h_star / (2*alpha^{3/2}/3^{3/2}) as a diagnostic against the large-k
-    value of the pointwise zeta exponent.
+    value of the pointwise zeta exponent.  k above CUBIC_K_CAP raises RangeError.
     """
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
     check_finite("k", k)
+    if k > CUBIC_K_CAP:
+        raise RangeError(f"k must be at most {CUBIC_K_CAP:.0e}, got {k}")
     check_positive("alpha", alpha)
     a = alpha * k ** (-2.0 / 3.0)
     if not a < 0.5:
@@ -813,7 +820,7 @@ def zeta_h_max(k: int, alpha: float) -> CubicMax:
 
     roots = real_cubic_roots(a, 0.0, -3.0, 12.0)
     pos = tuple(r for r in roots if r > 0)
-    limit = float(2 * mp.mpf(alpha) ** mp.mpf("1.5") / mp.mpf(27) ** mp.mpf("0.5"))
+    limit = float(moment_h_limit(alpha)) / 2
     star = _select_local_max(pos, 3.0, math.inf, ddh)
     if star is None:
         return CubicMax(rho_star=3.0, h_star=h(3.0), stationary_points=pos,
@@ -871,10 +878,15 @@ def thm3_exponent(k: int, delta: float, A: float = 1.0) -> LargeKExponent:
     C = 3/2^{2/3} is asserted (tangent-line bound, exact for all delta>0);
     whether the steeper floor with constant 3 also holds is recorded in
     ``floor3_holds`` (it fails for delta < (C + 2^{2/3} - 3)/3 ~ 0.159).
+    k above THM3_K_CAP raises RangeError: 1 - beta keeps too few of the
+    WORK_DPS digits (m1(beta)/k - 1 is 2e-16 at k = 1e54, 3e-12 at 1e60; a
+    false RangeError follows from 1e63 and ZeroDivisionError from 1e78).
     """
     check_positive("delta", delta)
     check_positive("A", A)
     check_finite("k", k)
+    if k > THM3_K_CAP:
+        raise RangeError(f"k must be at most {THM3_K_CAP:.0e}, got {k}")
     with _wp():
         d = mp.mpf(delta)
         k_min = A * d ** -3  # in mp, as delta^-3 may leave the float range

@@ -47,8 +47,6 @@ STIELTJES_MAX_BITS = 4096
 EM_J_GRID = (8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256)  # Euler-Maclaurin terms
 EM_M_GRID = (64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384)  # direct-sum cutoffs
 
-_stieltjes_memo: dict[tuple[int, int], mp.mpf] = {}  # (n, precision_bits) -> gamma_n
-
 
 # ---------------------------------------------------------------------------
 # Stieltjes constants by Euler-Maclaurin
@@ -72,87 +70,39 @@ def _em_tail_bound(p2J: list[int], J: int, M: int):
     p2J = p_{2J} of ``_deriv_polys``:
     |R| <= 4/(2 pi)^{2J} * integral_M^inf |f^{(2J)}(x)| dx  (|periodic
     Bernoulli| <= 2 (2J)! zeta(2J) / (2 pi)^{2J} and zeta(2J) < 2), where
-    integral_M^inf (log x)^i x^{-s-1} dx = M^{-s} sum_r (i)_r (log M)^{i-r} / s^{r+1}.
+    integral_M^inf (log x)^i x^{-s-1} dx = M^{-s} T_i, s = 2J, and T_i = sum_r
+    (i)_r (log M)^{i-r} / s^{r+1} obeys T_i = ((log M)^i + i T_{i-1}) / s exactly;
+    its terms are positive, so nothing cancels, and a bound costs O(n) for gamma_n.
     """
     s, lm = 2 * J, mp.log(M)
-    integral = mp.mpf(0)
+    integral, tail, lpow = mp.mpf(0), mp.mpf(0), mp.mpf(1)
     for i, c in enumerate(p2J):
+        tail = (lpow + i * tail) / s
+        lpow *= lm
         if c:
-            tail, fall = mp.mpf(0), 1
-            for r in range(i + 1):
-                tail += fall * lm ** (i - r) / mp.mpf(s) ** (r + 1)
-                fall *= i - r
-            integral += abs(c) * (mp.mpf(M) ** (-s) * tail)
-    return 4 / (2 * mp.pi) ** (2 * J) * integral
+            integral += abs(c) * tail
+    return 4 / (2 * mp.pi) ** (2 * J) * mp.mpf(M) ** (-s) * integral
 
 
-def _lazy_polys(n: int):
-    """upto(m) -> [p_0, ..., p_m, ...] of ``_deriv_polys(n)``, built only as far as asked."""
-    gen, polys = _deriv_polys(n), []
-
-    def upto(m: int) -> list:
-        polys.extend(islice(gen, max(m + 1 - len(polys), 0)))
-        return polys
-    return upto
-
-
-def _pick_em_parameters(ns, target_log2: float, polys=None) -> tuple[int, int]:
-    """Cheapest (J, M) on the grids at which the rigorous tail bound of every
-    gamma_n, n in ``ns``, beats 2^{target_log2}: the smallest M >= 2 max(ns)
-    (the direct sums cost M logarithms, the corrections only J cheap terms)
-    for which some J does, with the smallest such J.  The largest n, whose
-    bound is usually the largest, goes first.  ``polys`` maps n to
-    ``_lazy_polys(n)``.
+def _pick_em_parameters(n: int, target_log2: float) -> tuple[int, int, list]:
+    """Cheapest (J, M) on the grids at which the rigorous tail bound of gamma_n
+    beats 2^{target_log2}: the smallest M >= 2n (the direct sum costs M
+    logarithms, the corrections only J cheap terms) for which some J does,
+    with the smallest such J; and p_0, ..., p_{2J} of ``_deriv_polys(n)``,
+    which the corrections reuse.
     """
-    ns = sorted(ns, reverse=True)
-    polys = polys or {n: _lazy_polys(n) for n in ns}
+    gen, polys = _deriv_polys(n), []
     with mp.workdps(40):
         for M in EM_M_GRID:
-            if M < 2 * ns[0]:
+            if M < 2 * n:
                 continue
             for J in EM_J_GRID:
-                bounds = (_em_tail_bound(polys[n](2 * J)[2 * J], J, M) for n in ns)
-                if all(b > 0 and mp.log(b, 2) < target_log2 - 1 for b in bounds):
-                    return J, M
+                polys.extend(islice(gen, max(2 * J + 1 - len(polys), 0)))
+                bound = _em_tail_bound(polys[2 * J], J, M)
+                if bound > 0 and mp.log(bound, 2) < target_log2 - 1:
+                    return J, M, polys[:2 * J + 1]
     raise PrecisionError(
-        f"no Euler-Maclaurin parameters reach 2^{target_log2:.0f} for gamma_{ns[0]}")
-
-
-def _stieltjes_batch(ns, precision_bits: int) -> list:
-    """[gamma_n for n in ns]; those not in the memo at ``precision_bits`` come
-    from one Euler-Maclaurin pass with one (J, M) (see ``stieltjes``)."""
-    for n in ns:
-        check_within("n", n, 0, STIELTJES_MAX_N)
-        check_integral("n", n)
-    check_within("precision_bits", precision_bits, 1, STIELTJES_MAX_BITS)
-    missing = [n for n in ns if (n, precision_bits) not in _stieltjes_memo]
-    if missing:
-        polys = {n: _lazy_polys(n) for n in missing}
-        J, M = _pick_em_parameters(missing, -(precision_bits + 4), polys)
-    for n in missing:
-        # cancellation headroom: partial sums reach (log M)^{n+1}/(n+1)
-        guard = int((n + 1) * max(math.log2(math.log(M)), 1.0)) + 64
-        with mp.workprec(precision_bits + guard):
-            lm = mp.log(M)
-            total = mp.mpf(0)
-            for k in range(1, M + 1):
-                total += mp.log(k) ** n / k
-            total -= lm ** (n + 1) / (n + 1)
-            total -= lm ** n / (2 * M)
-            lpow = [lm ** i for i in range(n + 1)]
-            odd = polys[n](2 * J)[1:2 * J:2]  # p_1, p_3, ..., p_{2J-1}
-            for j, p in enumerate(odd, 1):
-                deriv = mp.mpf(0)
-                for c, lp in zip(p, lpow):
-                    if c:
-                        deriv += c * lp
-                deriv /= mp.mpf(M) ** (2 * j)
-                total -= mp.bernoulli(2 * j) / mp.factorial(2 * j) * deriv
-        # round to a fixed mantissa, independent of n's guard bits; without it
-        # every main term built on gamma_n would move in its last bits
-        with mp.workprec(precision_bits + 16):
-            _stieltjes_memo[n, precision_bits] = +total
-    return [_stieltjes_memo[n, precision_bits] for n in ns]
+        f"no Euler-Maclaurin parameters reach 2^{target_log2:.0f} for gamma_{n}")
 
 
 def stieltjes(n: int, precision_bits: int = 256) -> mp.mpf:
@@ -163,9 +113,36 @@ def stieltjes(n: int, precision_bits: int = 256) -> mp.mpf:
         gamma_n = sum_{k<=M} f(k) - (log M)^{n+1}/(n+1) - f(M)/2
                   - sum_{j<=J} B_{2j}/(2j)! f^{(2j-1)}(M) + R_J,
 
-    with (J, M) chosen so the rigorous bound on R_J beats the target.
+    with (J, M) of ``_pick_em_parameters``, chosen for gamma_n alone so the
+    rigorous bound on R_J beats the target.  Each value is computed once per
+    (n, precision_bits) and depends on nothing else.
     """
-    return _stieltjes_batch([n], precision_bits)[0]
+    check_within("n", n, 0, STIELTJES_MAX_N)
+    check_within("precision_bits", precision_bits, 1, STIELTJES_MAX_BITS)
+    check_integral("n", n)
+    check_integral("precision_bits", precision_bits)
+    return _stieltjes(n, precision_bits)
+
+
+@functools.cache
+def _stieltjes(n: int, precision_bits: int) -> mp.mpf:
+    J, M, polys = _pick_em_parameters(n, -(precision_bits + 4))
+    # cancellation headroom: partial sums reach (log M)^{n+1}/(n+1)
+    guard = int((n + 1) * max(math.log2(math.log(M)), 1.0)) + 64
+    with mp.workprec(precision_bits + guard):
+        lm = mp.log(M)
+        total = sum((mp.log(k) ** n / k for k in range(1, M + 1)), mp.mpf(0))
+        total -= lm ** (n + 1) / (n + 1)
+        total -= lm ** n / (2 * M)
+        lpow = [lm ** i for i in range(n + 1)]
+        for j, p in enumerate(polys[1:2 * J:2], 1):  # p_1, p_3, ..., p_{2J-1}
+            deriv = sum((c * lp for c, lp in zip(p, lpow) if c), mp.mpf(0))
+            deriv /= mp.mpf(M) ** (2 * j)
+            total -= mp.bernoulli(2 * j) / mp.factorial(2 * j) * deriv
+    # round to a fixed mantissa, independent of n's guard bits; without it
+    # every main term built on gamma_n would move in its last bits
+    with mp.workprec(precision_bits + 16):
+        return +total
 
 
 # ---------------------------------------------------------------------------
@@ -254,11 +231,11 @@ def zeta_laurent(terms: int, precision_bits: int = 256) -> LaurentData:
     check_within("terms", terms, 1, STIELTJES_MAX_N)
     check_integral("terms", terms)
     check_within("precision_bits", precision_bits, 1, STIELTJES_MAX_BITS - 32)
-    gammas = _stieltjes_batch(range(terms), precision_bits + 32)
-    with mp.workprec(precision_bits + 32):
-        coeffs = [mp.mpf(1)]
-        for n, g in enumerate(gammas):
-            coeffs.append((-1) ** n * g / mp.factorial(n))
+    check_integral("precision_bits", precision_bits)
+    bits = precision_bits + 32
+    with mp.workprec(bits):
+        coeffs = [mp.mpf(1)] + [(-1) ** n * stieltjes(n, bits) / mp.factorial(n)
+                                for n in range(terms)]
     return LaurentData(-1, tuple(coeffs), terms - 1, precision_bits)
 
 
@@ -325,6 +302,7 @@ def main_term_poly(k: int, precision_bits: int = 256) -> MainTermPoly:
     check_within("k", k, 1, MAIN_TERM_K_CAP)
     check_within("precision_bits", precision_bits, 1, MAIN_TERM_MAX_BITS)
     check_integral("k", k)
+    check_integral("precision_bits", precision_bits)
     return _main_term(k, precision_bits)
 
 

@@ -47,7 +47,7 @@ from mpmath.libmp import to_fixed
 
 from . import exponents
 from .errors import (DomainError, PrecisionError, QuadratureError, check_finite, check_integral,
-                     check_within)
+                     check_nonnegative, check_positive, check_within)
 from .numerics import ols_slope
 
 # numpy is imported inside the float evaluators that use it, so the mpmath
@@ -176,6 +176,8 @@ def exp_sum(N: int, N_prime: int, t: float, precision_bits: int = 128) -> ExpSum
         raise DomainError(f"need 1 <= N < N' <= 2N, got N={N}, N'={N_prime}")
     _check_expsum_t(t)
     _check_expsum_terms(N_prime - N)
+    check_positive("precision_bits", precision_bits)
+    check_integral("precision_bits", precision_bits)
     if t * 2.0 ** (-precision_bits) >= 1e-6:
         raise PrecisionError(
             f"phase error t*2^-p = {t * 2.0 ** (-precision_bits):.2e} too "
@@ -273,6 +275,8 @@ def zeta_em(sigma: float, t: float, precision_bits: int = 128) -> mp.mpc:
         raise DomainError(f"|t| capped at 1e6, got {t}")
     if sigma == 1 and t == 0:
         raise DomainError("pole at s = 1")
+    check_positive("precision_bits", precision_bits)
+    check_integral("precision_bits", precision_bits)
     M, J = _em_cutoff(sigma, t, precision_bits)
     with mp.workprec(precision_bits + 32):
         s = mp.mpc(sigma, t)
@@ -391,6 +395,8 @@ def chi_factor(sigma: float, t: float, precision_bits: int = 128) -> mp.mpc:
     """
     check_finite("sigma", sigma)
     check_finite("t", t)
+    check_positive("precision_bits", precision_bits)
+    check_integral("precision_bits", precision_bits)
     if t == 0 and sigma == int(sigma):
         si = int(sigma)
         if si <= 0 and si % 2 == 0:
@@ -435,7 +441,7 @@ def afe_residual(sigma: float, t: float, precision_bits: int = 128,
         L = int(math.sqrt(t))
     else:
         raise DomainError(f"unknown length_mode {length_mode!r}")
-    z = zeta_em(sigma, t, precision_bits)
+    z = zeta_em(sigma, t, precision_bits)  # checks precision_bits
     chi1s = chi_factor(1 - sigma, -t, precision_bits)
     with mp.workprec(precision_bits):
         s = mp.mpc(sigma, t)
@@ -558,6 +564,8 @@ def mvt_check(N: int, T: float, coeff_mode: str = "ones",
     if not (1 < T <= T_CAP_MOMENT):
         raise DomainError(f"T must lie in (1, {T_CAP_MOMENT}], got {T}")
     check_integral("N", N)
+    check_nonnegative("seed", seed)
+    check_integral("seed", seed)
     if coeff_mode == "ones":
         a = np.ones(N)
     elif coeff_mode == "dk":

@@ -1,5 +1,5 @@
-"""tools/ab_pairs.py: its exit status reports incorrect outputs and failed
-operations, SIGTERM leaves no export behind, and it records per-operation
+"""tools/ab_pairs.py: its exit status reports incorrect outputs, failed
+operations and failed runs, a failed run does not stop the others, SIGTERM leaves no export behind, and it records per-operation
 medians from each run's result file.  The git export and the benchmark runs
 are stubbed, so no benchmark runs here."""
 
@@ -109,6 +109,61 @@ def test_ab_pairs_exits_1_and_names_the_set(ab_pairs, monkeypatch, capsys, bad):
     # every set is still recorded
     out = json.loads(Path("BENCH_0.json").read_text())
     assert len(out["sets"]) == 2
+
+
+def fail_runs(mod, monkeypatch, failing):
+    """Wrap the stubbed run_once: the calls numbered in ``failing`` (1-based,
+    over the whole session) raise RunFailed instead of running."""
+    run_once, calls = mod.run_once, []
+
+    def wrapped(tree, workload, seed, seconds, trace):
+        calls.append(tree.name)
+        if len(calls) in failing:
+            raise mod.RunFailed(1, "Traceback\nworker crashed\n")
+        return run_once(tree, workload, seed, seconds, trace)
+    monkeypatch.setattr(mod, "run_once", wrapped)
+
+
+def test_ab_pairs_records_a_failed_run_and_carries_on(ab_pairs, monkeypatch, capsys):
+    stub_runs(ab_pairs, monkeypatch)
+    fail_runs(ab_pairs, monkeypatch, {2})  # pair 1 of remainder-sieve, change side
+    assert ab_pairs.main(ARGS) == 1
+    err = capsys.readouterr().err
+    assert "remainder-sieve seed=1 trace=0" in err and "residue-constants" not in err
+    out = json.loads(Path("BENCH_0.json").read_text())
+    s = out["sets"]["remainder-sieve seed=1 trace=0"]
+    assert s["failed_runs"] == [{"side": "change", "pair": 1, "exit_code": 1,
+                                 "stderr_tail": "Traceback\nworker crashed\n"}]
+    wall = s["metrics"]["wall_s"]
+    assert wall["parent_runs"] == [1.0, 1.0] and wall["change_runs"] == [None, 1.0]
+    assert wall["change"]["median"] == 1.0 and wall["change_wins"] == 0
+    assert s["ops_attempted"] == {"parent": 8, "change": 4}
+    # the change's one completed run took 0.1 s
+    assert s["ops"]["cold:a"]["wall_s"] == pytest.approx({"parent": 0.25, "change": 0.1})
+    later = out["sets"]["residue-constants seed=1 trace=0"]
+    assert later["failed_runs"] == [] and len(later["metrics"]["wall_s"]["change_runs"]) == 2
+
+
+def test_ab_pairs_records_a_side_whose_every_run_failed(ab_pairs, monkeypatch, capsys):
+    stub_runs(ab_pairs, monkeypatch)
+    fail_runs(ab_pairs, monkeypatch, {2, 3})  # both change runs of remainder-sieve
+    assert ab_pairs.main(ARGS) == 1
+    out = json.loads(Path("BENCH_0.json").read_text())
+    s = out["sets"]["remainder-sieve seed=1 trace=0"]
+    assert [r["side"] for r in s["failed_runs"]] == ["change", "change"]
+    assert s["metrics"] == {} and s["ops"] == {}
+    assert out["sets"]["residue-constants seed=1 trace=0"]["metrics"]
+
+
+def test_run_once_raises_run_failed_on_a_non_zero_exit(ab_pairs, monkeypatch, tmp_path):
+    def run(cmd, cwd, capture_output, text):
+        return subprocess.CompletedProcess(cmd, 1, "", "x" * 3000 + "deadline reached\n")
+    monkeypatch.setattr(ab_pairs, "subprocess", SimpleNamespace(run=run))
+    with pytest.raises(ab_pairs.RunFailed) as exc:
+        ab_pairs.run_once(tmp_path, "cli-session", 0, 26, 0)
+    assert exc.value.exit_code == 1
+    assert len(exc.value.stderr_tail) == 2000
+    assert exc.value.stderr_tail.endswith("deadline reached\n")
 
 
 def test_ab_pairs_sigterm_removes_the_exports(ab_pairs, monkeypatch):

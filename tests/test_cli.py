@@ -2,7 +2,9 @@
 the ignored cache variable and removed cache flag, failed writes, exit codes.
 """
 
+import argparse
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import divisorlab
-from divisorlab import cli, sieve
+from divisorlab import cli, exponents, remainder, sieve
 from divisorlab import zetasum
 from divisorlab.errors import QuadratureError
 
@@ -170,6 +172,23 @@ def test_precision_error_names_the_given_bits(capsys):
     assert cli.main(["delta", "--k", "3", "--x", "100.5",
                      "--precision-bits", "4050"]) == 2
     assert capsys.readouterr().err.rstrip().endswith("got 4050")
+
+
+SUBPARSERS = next(a for a in cli.build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)).choices
+
+
+@pytest.mark.parametrize("command, dest, owner", [
+    ("signs", "C", remainder.TONG_C),
+    *[(c, "precision_bits", remainder.MAIN_BITS_DEFAULT) for c in SUBPARSERS],
+    ("meansquare", "panels",
+     inspect.signature(remainder.mean_square).parameters["panels_per_unit"].default),
+    ("bounds", "k", exponents.ExponentParams.k),
+])
+def test_literal_default_equals_its_owner(command, dest, owner):
+    # the parser writes these defaults as literals; each must stay the value
+    # the library uses when the caller passes nothing
+    assert SUBPARSERS[command].get_default(dest) == owner
 
 
 def test_config_file_and_unknown_key(tmp_path):

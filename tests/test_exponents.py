@@ -7,6 +7,7 @@ finite differences, grid domination, bisection) and frozen here.
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import mpmath as mp
@@ -715,6 +716,38 @@ def test_zeta_h_max_limit():
         lim = float(2 / mp.mpf(27) ** mp.mpf("0.5"))
     assert abs(10 ** 9 * res.h_star - lim) < 0.01
     assert abs(res.limit_ratio - 1) < 0.03
+
+
+def test_zeta_h_max_limit_ratio_ignores_the_callers_precision():
+    # the limit 2 alpha^{3/2}/sqrt(27) is evaluated at WORK_DPS, not at the
+    # caller's mpmath precision
+    with mp.workprec(20):
+        low = ex.zeta_h_max(500, 1.0)
+    assert repr(low) == repr(ex.zeta_h_max(500, 1.0))
+
+
+@pytest.mark.parametrize("fn, k, cap", [
+    (ex.moment_h_max, 1e308, ex.CUBIC_K_CAP),
+    (ex.moment_h_max, 2 * ex.CUBIC_K_CAP, ex.CUBIC_K_CAP),
+    (ex.zeta_h_max, 1e308, ex.CUBIC_K_CAP),
+    (ex.zeta_h_max, 10 ** 309, ex.CUBIC_K_CAP),
+    (ex.thm3_exponent, 10 ** 400, ex.THM3_K_CAP),
+    (ex.thm3_exponent, 1e63, ex.THM3_K_CAP),
+], ids=["moment-1e308", "moment-2cap", "zeta-1e308", "zeta-int1e309", "thm3-int1e400",
+        "thm3-1e63"])
+def test_huge_k_is_refused_by_name(fn, k, cap):
+    # unguarded: numpy's LinAlgError, OverflowError, "int too large to
+    # convert to float", ZeroDivisionError, and a spurious m1(beta) > k
+    args = (k, 0.1) if fn is ex.thm3_exponent else (k, 1.0)
+    with pytest.raises(RangeError, match=re.escape(f"k must be at most {cap:.0e}, got {k}")):
+        fn(*args)
+
+
+def test_huge_k_at_the_cap_is_finite():
+    assert ex.moment_h_max(ex.CUBIC_K_CAP, 1.0).h_star == pytest.approx(4 / math.sqrt(27))
+    assert ex.zeta_h_max(ex.CUBIC_K_CAP, 1.0).limit_ratio == pytest.approx(1.0)
+    rep = ex.thm3_exponent(ex.THM3_K_CAP, 0.1)
+    assert rep.m1_at_beta == pytest.approx(ex.THM3_K_CAP, rel=1e-14)
 
 
 def test_zeta_h_max_homogeneity():

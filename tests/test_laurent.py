@@ -31,7 +31,7 @@ def test_stieltjes_vs_library_oracle(n):
     # oracle: mpmath's independent stieltjes implementation; the documented
     # error is below 2^{-bits+8}
     for bits in (128, 256):
-        la._stieltjes_memo.pop((n, bits), None)
+        la._stieltjes.cache_clear()
         v = la.stieltjes(n, bits)
         with mp.workprec(bits + 48):
             ref = mp.stieltjes(n)
@@ -76,17 +76,15 @@ def test_pick_em_parameters_smallest_cutoff(n, bits):
                 if bound > 0 and mp.log(bound, 2) < target - 1:
                     feasible.append((M, J))
     M, J = min(feasible)
-    assert la._pick_em_parameters([n], target) == (J, M)
+    assert la._pick_em_parameters(n, target)[:2] == (J, M)
 
 
 def test_pick_em_parameters_small_cutoff_at_352_bits():
     # the main terms ask for gamma_n, n <= 11, at 352 bits: a few hundred
     # logarithms, not the 8192-16384 of a J-first search
     for n in range(12):
-        J, M = la._pick_em_parameters([n], -(352 + 4))
+        J, M, _ = la._pick_em_parameters(n, -(352 + 4))
         assert M <= 128
-    # one pick for all twelve: a pair at which every tail bound holds
-    assert la._pick_em_parameters(range(12), -(352 + 4)) == (64, 64)
 
 
 def test_gamma1_reference():
@@ -103,15 +101,27 @@ def test_stieltjes_precision_doubling():
             assert abs(a - b) < mp.mpf(2) ** (-120)
 
 
-def test_stieltjes_depends_only_on_its_arguments(monkeypatch):
+def test_stieltjes_depends_only_on_its_arguments():
     # the memo answers (n, bits) from (n, bits) alone: gamma_1 at 64 bits
     # has the same bits fresh and after a 256-bit gamma_1
-    monkeypatch.setattr(la, "_stieltjes_memo", {})
+    la._stieltjes.cache_clear()
     fresh = la.stieltjes(1, 64)
-    monkeypatch.setattr(la, "_stieltjes_memo", {})
+    la._stieltjes.cache_clear()
     la.stieltjes(1, 256)
     with mp.workprec(4096):
         assert repr(la.stieltjes(1, 64)) == repr(fresh)
+
+
+@pytest.mark.parametrize("n,bits", [(0, 256), (2, 149), (5, 512)])
+def test_stieltjes_does_not_depend_on_a_main_terms_history(n, bits):
+    # zeta_laurent(12, bits - 32) asks for gamma_0 .. gamma_11 at these bits;
+    # each gamma_n has its own (J, M), so its bits are those of a fresh call
+    la._stieltjes.cache_clear()
+    fresh = la.stieltjes(n, bits)
+    la._stieltjes.cache_clear()
+    la.zeta_laurent(12, bits - 32)
+    with mp.workprec(4096):
+        assert repr(la.stieltjes(n, bits)) == repr(fresh)
 
 
 def test_stieltjes_domain():
@@ -157,15 +167,12 @@ GAMMA_PINS = {
 
 
 @pytest.mark.parametrize("bits", sorted(GAMMA_PINS))
-def test_stieltjes_bits_pinned(bits, monkeypatch):
+def test_stieltjes_bits_pinned(bits):
     def man_exp(v):
         return int(mp.sign(v)) * v.man, v.exp
     pins = GAMMA_PINS[bits]
-    # the one pass of a main term, and each constant on its own
-    monkeypatch.setattr(la, "_stieltjes_memo", {})
-    assert [man_exp(v) for v in la._stieltjes_batch(range(11), bits)] == pins
     for n in range(11):
-        monkeypatch.setattr(la, "_stieltjes_memo", {})
+        la._stieltjes.cache_clear()
         assert man_exp(la.stieltjes(n, bits)) == pins[n]
 
 
@@ -338,8 +345,11 @@ def test_non_finite_argument_raises_domain_error(x):
 
 @pytest.mark.parametrize("fn, args, name, bad", [
     (la.main_term_poly, (2.5,), "k", 2.5),
+    (la.main_term_poly, (2, 2.5), "precision_bits", 2.5),
     (la.stieltjes, (2.5,), "n", 2.5),
+    (la.stieltjes, (1, 100.5), "precision_bits", 100.5),
     (la.zeta_laurent, (2.5,), "terms", 2.5),
+    (la.zeta_laurent, (3, 100.5), "precision_bits", 100.5),
     (la.residue_contour_oracle, (2.5, 64, 100.0), "k", 2.5),
     (la.residue_contour_oracle, (2, 64.5, 100.0), "precision_bits", 64.5),
 ], ids=lambda v: v.__name__ if callable(v) else None)

@@ -369,12 +369,37 @@ def test_non_finite_argument_raises_domain_error(fn, args, name):
     (zs.ell_fold_coefficients, (10, 2.5), "ell", 2.5),
     (zs.expsum_bound_grid, ([math.nan], [1e6]), "N", math.nan),
     (zs.expsum_bound_grid, ([2.5], [1e6]), "N", 2.5),
+    (zs.exp_sum, (10, 20, 100.0, 100.5), "precision_bits", 100.5),
+    (zs.zeta_em, (0.5, 10.0, 2.5), "precision_bits", 2.5),
+    (zs.chi_factor, (0.75, 100.0, 100.5), "precision_bits", 100.5),
+    (zs.afe_residual, (0.75, 100.0, 100.5), "precision_bits", 100.5),
+    (zs.mvt_check, (16, 100.0, "random", 3, 1.5), "seed", 1.5),
 ], ids=lambda v: v.__name__ if callable(v) else None)
 def test_non_integral_argument_raises_domain_error(fn, args, name, bad):
-    # unguarded, each raised TypeError or AttributeError in range(), np.ones or
-    # int.bit_length, and a NaN N paired with no t, so the grid returned []
+    # unguarded, each raised TypeError or AttributeError in range(), np.ones,
+    # int.bit_length or numpy's default_rng, a NaN N paired with no t, so the
+    # grid returned [], and a fractional precision was used as given
     with pytest.raises(DomainError, match=f"^{name} must be integral, got {bad}$"):
         fn(*args)
+
+
+@pytest.mark.parametrize("fn, args, name, bad", [
+    (zs.exp_sum, (10, 20, 100.0, 0), "precision_bits", 0),
+    (zs.zeta_em, (0.5, 10.0, -1), "precision_bits", -1),
+    (zs.chi_factor, (0.75, 100.0, -5), "precision_bits", -5),
+    (zs.afe_residual, (0.75, 100.0, 0), "precision_bits", 0),
+    (zs.afe_residual, (0.75, 100.0, -2), "precision_bits", -2),
+], ids=lambda v: v.__name__ if callable(v) else None)
+def test_non_positive_precision_raises_domain_error(fn, args, name, bad):
+    # unguarded, chi_factor at -5 bits worked at 11 bits and returned a value
+    with pytest.raises(DomainError, match=f"^{name} must be positive, got {bad}$"):
+        fn(*args)
+
+
+def test_negative_seed_raises_domain_error():
+    # unguarded, numpy's default_rng raised a ValueError of its own
+    with pytest.raises(DomainError, match="^seed must be non-negative, got -1$"):
+        zs.mvt_check(16, 100.0, "random", seed=-1)
 
 
 # ------------------------------------------------------------------ moments

@@ -24,8 +24,11 @@ run's result file ``perfbench/out/<workload>-seed<S>-trace<T>.json``: raw
 wall and CPU seconds, without the calibration scaling that perfbench applies
 to in-process operations.
 
-The exit status is 1, with the sets named on standard error, when any run of
-any set is incorrect or has failed operations; every set is still run and
+A run that exits non-zero (a crashed worker, the run deadline) is recorded
+under its set with its side, pair, exit code and the end of its standard
+error, and left out of the medians; its pair counts for neither side.  The
+exit status is 1, with the sets named on standard error, when any run of any
+set failed, is incorrect or has failed operations; every set is still run and
 recorded.  SIGTERM exits as an exception would: the running benchmark is
 killed and the temporary directory removed.
 """
@@ -66,13 +69,20 @@ def src_lines(tree: Path) -> int:
     return sum(len(p.read_text().splitlines()) for p in (tree / "src").rglob("*.py"))
 
 
+class RunFailed(RuntimeError):
+    """A benchmark run exited non-zero."""
+
+    def __init__(self, exit_code: int, stderr_tail: str):
+        super().__init__(f"exited {exit_code}:\n{stderr_tail}")
+        self.exit_code, self.stderr_tail = exit_code, stderr_tail
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", f"{seconds:g}", "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
-        raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n"
-                           f"{proc.stderr[-2000:]}")
+        raise RunFailed(proc.returncode, proc.stderr[-2000:])
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     with open(tree / "perfbench" / "out" / f"{workload}-seed{seed}-trace{trace}.json") as fh:
         saved = json.load(fh)
@@ -93,7 +103,8 @@ def fastest_ops(rounds: list) -> dict:
 
 
 def op_medians(runs: dict) -> dict:
-    """``{"pass:label": {key: {side: median over the side's runs}}}``."""
+    """``{"pass:label": {key: {side: median over the side's runs}}}``; each
+    side needs at least one run."""
     return {op: {key: {side: statistics.median(r[op][key] for r in runs[side])
                        for side in runs}
                  for key in best}
@@ -107,13 +118,16 @@ def quartiles(xs: list[float]) -> dict:
     return {"q1": q1, "median": med, "q3": q3}
 
 
-def summarise(parent: list[float], change: list[float], better: str,
-              bound: float | None) -> dict:
+def summarise(parent: list, change: list, better: str, bound: float | None) -> dict:
+    """Quartiles and pair wins of one metric; ``parent[i]`` and ``change[i]``
+    are pair i's values, None where that run failed."""
     sign = 1 if better == "lower" else -1
-    p, c = quartiles(parent), quartiles(change)
+    p = quartiles([a for a in parent if a is not None])
+    c = quartiles([b for b in change if b is not None])
     out = {"parent": p, "change": c,
            "median_ratio": c["median"] / p["median"] if p["median"] else None,
-           "change_wins": sum(sign * (a - b) > 0 for a, b in zip(parent, change)),
+           "change_wins": sum(sign * (a - b) > 0 for a, b in zip(parent, change)
+                              if a is not None and b is not None),
            "median_gap_exceeds_parent_iqr":
                sign * (p["median"] - c["median"]) > p["q3"] - p["q1"],
            "parent_runs": parent, "change_runs": change}
@@ -162,37 +176,52 @@ def main(argv=None) -> int:
         out["change_commit"] = export(args.change, trees["change"])
         out["src_lines"] = {side: src_lines(tree) for side, tree in trees.items()}
         for workload, seed, pairs, trace in args.sets:
-            runs = {"parent": [], "change": []}
+            runs = {"parent": [], "change": []}  # per pair; None where the run failed
             ops = {"parent": [], "change": []}
+            failed_runs = []
             for i in range(pairs):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
-                    run = run_once(trees[side], workload, seed, seconds, trace)
+                    head = f"{workload} seed={seed} trace={trace} pair {i + 1}/{pairs} {side}"
+                    try:
+                        run = run_once(trees[side], workload, seed, seconds, trace)
+                    except RunFailed as exc:
+                        failed_runs.append({"side": side, "pair": i + 1,
+                                            "exit_code": exc.exit_code,
+                                            "stderr_tail": exc.stderr_tail})
+                        runs[side].append(None)
+                        print(f"{head}: exited {exc.exit_code}", flush=True)
+                        continue
                     out["machine"] = out["machine"] or run["facts"]
                     runs[side].append(run["result"])
                     ops[side].append(run["ops"])
-                    print(f"{workload} seed={seed} trace={trace} pair {i + 1}/{pairs} {side}: "
-                          + " ".join(f"{k}={v['value']:.4g}"
-                                     for k, v in run["result"]["metrics"].items()),
+                    print(f"{head}: " + " ".join(f"{k}={v['value']:.4g}"
+                                                 for k, v in run["result"]["metrics"].items()),
                           flush=True)
+            done = {s: [r for r in runs[s] if r is not None] for s in runs}
             metrics = {}
-            for name, m in runs["parent"][0]["metrics"].items():
-                metrics[name] = {"unit": m["unit"], **summarise(
-                    [r["metrics"][name]["value"] for r in runs["parent"]],
-                    [r["metrics"][name]["value"] for r in runs["change"]],
-                    better.get(name, "lower"), bounds.get(name) if not trace else None)}
+            if all(done.values()):
+                for name, m in done["parent"][0]["metrics"].items():
+                    metrics[name] = {"unit": m["unit"], **summarise(
+                        [None if r is None else r["metrics"][name]["value"]
+                         for r in runs["parent"]],
+                        [None if r is None else r["metrics"][name]["value"]
+                         for r in runs["change"]],
+                        better.get(name, "lower"), bounds.get(name) if not trace else None)}
             out["sets"][f"{workload} seed={seed} trace={trace}"] = {
                 "workload": workload, "seed": seed, "trace": trace, "pairs": pairs,
-                "ops_attempted": {s: sum(r["attempted"] for r in runs[s]) for s in runs},
-                "ops_failed": {s: sum(r["failed"] for r in runs[s]) for s in runs},
-                "all_correct": all(r["correct"] for s in runs for r in runs[s]),
-                "metrics": metrics, "ops": op_medians(ops)}
+                "failed_runs": failed_runs,
+                "ops_attempted": {s: sum(r["attempted"] for r in done[s]) for s in done},
+                "ops_failed": {s: sum(r["failed"] for r in done[s]) for s in done},
+                "all_correct": all(r["correct"] for s in done for r in done[s]),
+                "metrics": metrics, "ops": op_medians(ops) if all(done.values()) else {}}
             path.write_text(json.dumps(out, indent=1) + "\n")  # after every set
             print(f"wrote {path}", flush=True)
     bad = [name for name, s in out["sets"].items()
-           if not s["all_correct"] or any(s["ops_failed"].values())]
+           if s["failed_runs"] or not s["all_correct"] or any(s["ops_failed"].values())]
     if bad:
-        print(f"incorrect outputs or failed operations in: {'; '.join(bad)}", file=sys.stderr)
+        print(f"failed runs, incorrect outputs or failed operations in: {'; '.join(bad)}",
+              file=sys.stderr)
         return 1
     return 0
 
