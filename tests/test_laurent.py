@@ -171,6 +171,10 @@ def test_stieltjes_bits_pinned(bits):
     def man_exp(v):
         return int(mp.sign(v)) * v.man, v.exp
     pins = GAMMA_PINS[bits]
+    # the constants a main term's series computes, and each constant on its own
+    la._stieltjes.cache_clear()
+    la.zeta_laurent(11, bits - 32)
+    assert [man_exp(la.stieltjes(n, bits)) for n in range(11)] == pins
     for n in range(11):
         la._stieltjes.cache_clear()
         assert man_exp(la.stieltjes(n, bits)) == pins[n]
@@ -345,13 +349,13 @@ def test_non_finite_argument_raises_domain_error(x):
 
 @pytest.mark.parametrize("fn, args, name, bad", [
     (la.main_term_poly, (2.5,), "k", 2.5),
-    (la.main_term_poly, (2, 2.5), "precision_bits", 2.5),
     (la.stieltjes, (2.5,), "n", 2.5),
-    (la.stieltjes, (1, 100.5), "precision_bits", 100.5),
     (la.zeta_laurent, (2.5,), "terms", 2.5),
-    (la.zeta_laurent, (3, 100.5), "precision_bits", 100.5),
     (la.residue_contour_oracle, (2.5, 64, 100.0), "k", 2.5),
     (la.residue_contour_oracle, (2, 64.5, 100.0), "precision_bits", 64.5),
+    (la.main_term_poly, (2, 2.5), "precision_bits", 2.5),
+    (la.stieltjes, (1, 100.5), "precision_bits", 100.5),
+    (la.zeta_laurent, (3, 100.5), "precision_bits", 100.5),
 ], ids=lambda v: v.__name__ if callable(v) else None)
 def test_non_integral_argument_raises_domain_error(fn, args, name, bad):
     # each passes its range check and, unguarded, raises a bare TypeError
