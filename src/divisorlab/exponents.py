@@ -41,6 +41,13 @@ from .numerics import (exact_fraction, golden_max, poly_add, poly_eval, poly_mul
 
 WORK_DPS = 50  # >= 80-bit significand everywhere in the engine
 CUBIC_K_CAP = 1e150  # the float cubics overflow between k = 2e153 and 5e153 (alpha = 1)
+# below alpha k^(-2/3) = 5e-103 the cubics' maximiser, about (3 / that)^(1/2), has a
+# sixth power (h'') past the float range; from k = 1.2e77 moment_h_max's endpoint
+# branch takes k^4, once alpha k^(1/3) passes about 0.75 k; 49/80 / rho^2 leaves the
+# normal floats outside rho in [5.9e-155, 5.3e153]
+CUBIC_SCALE_MIN = 1e-100
+MOMENT_SCALE_MAX = 1e75
+HB_RHO_CAP = 1e150
 THM3_K_CAP = 1e54  # past it beta keeps too few WORK_DPS digits (see thm3_exponent)
 
 
@@ -654,10 +661,13 @@ def refined_exponent(rho):
 
 
 def hb_exponent(rho):
-    """Comparison exponent (49/80)/rho^2."""
+    """Comparison exponent (49/80)/rho^2; a float rho must lie in [1/HB_RHO_CAP,
+    HB_RHO_CAP]."""
     check_positive("rho", rho)
     if isinstance(rho, (int, Fraction)):
         return Fraction(49, 80) / Fraction(rho) ** 2
+    if not 1 / HB_RHO_CAP <= rho <= HB_RHO_CAP:
+        raise RangeError(f"rho must lie in [{1 / HB_RHO_CAP:.0e}, {HB_RHO_CAP:.0e}], got {rho}")
     return 49.0 / 80.0 / float(rho) ** 2
 
 
@@ -730,6 +740,21 @@ def ck_inequality_scan(k_max: int) -> ScanReport:
 # cubic maximisers for the moment and pointwise zeta bounds
 # ---------------------------------------------------------------------------
 
+def _check_cubic(k, alpha) -> float:
+    """alpha k^(-2/3), after refusing a k or alpha whose float cubic would overflow:
+    k in [2, CUBIC_K_CAP] and alpha k^(-2/3) >= CUBIC_SCALE_MIN."""
+    if k < 2:
+        raise DomainError(f"k must be >= 2, got {k}")
+    check_finite("k", k)
+    if k > CUBIC_K_CAP:
+        raise RangeError(f"k must be at most {CUBIC_K_CAP:.0e}, got {k}")
+    check_positive("alpha", alpha)
+    a = alpha * k ** (-2.0 / 3.0)
+    if not a >= CUBIC_SCALE_MIN:
+        raise RangeError(f"alpha*k^(-2/3) must be at least {CUBIC_SCALE_MIN:.0e}, got {a:.4g}")
+    return a
+
+
 def _select_local_max(roots: Sequence[float], lo: float, hi: float,
                       dd_h) -> Optional[float]:
     """Largest stationary point in [lo, hi] at which h'' = dd_h is negative."""
@@ -748,16 +773,14 @@ def moment_h_max(k: int, alpha: float) -> CubicMax:
     to about sqrt(2^-53), as h is flat to second order there (5.2e-8 relative
     at worst for k = 10..2000, alpha = 1).  Both roots are recorded in
     ``stationary_points``.  Without an admissible stationary point the larger
-    endpoint is returned with ``used_endpoint=True``.  k above CUBIC_K_CAP
-    raises RangeError.
+    endpoint is returned with ``used_endpoint=True``.  k above CUBIC_K_CAP,
+    alpha*k^(-2/3) below CUBIC_SCALE_MIN or alpha*k^(1/3) above
+    MOMENT_SCALE_MAX raises RangeError.
     """
-    if k < 2:
-        raise DomainError(f"k must be >= 2, got {k}")
-    check_finite("k", k)
-    if k > CUBIC_K_CAP:
-        raise RangeError(f"k must be at most {CUBIC_K_CAP:.0e}, got {k}")
-    check_positive("alpha", alpha)
+    _check_cubic(k, alpha)
     a13 = alpha * k ** (1.0 / 3.0)
+    if not a13 <= MOMENT_SCALE_MAX:
+        raise RangeError(f"alpha*k^(1/3) must be at most {MOMENT_SCALE_MAX:.0e}, got {a13:.4g}")
 
     def h(r):
         return (2 * a13 / r - 2 * (k + 4) / r ** 3 + 6 * (k + 1) / r ** 4
@@ -799,15 +822,10 @@ def zeta_h_max(k: int, alpha: float) -> CubicMax:
     by golden section to about sqrt(2^-53), as in ``moment_h_max`` (2.0e-8
     relative at worst for k = 10..2000, alpha = 1).  ``limit_ratio`` records
     k*h_star / (2*alpha^{3/2}/3^{3/2}) as a diagnostic against the large-k
-    value of the pointwise zeta exponent.  k above CUBIC_K_CAP raises RangeError.
+    value of the pointwise zeta exponent.  k above CUBIC_K_CAP or alpha*k^(-2/3)
+    below CUBIC_SCALE_MIN raises RangeError.
     """
-    if k < 2:
-        raise DomainError(f"k must be >= 2, got {k}")
-    check_finite("k", k)
-    if k > CUBIC_K_CAP:
-        raise RangeError(f"k must be at most {CUBIC_K_CAP:.0e}, got {k}")
-    check_positive("alpha", alpha)
-    a = alpha * k ** (-2.0 / 3.0)
+    a = _check_cubic(k, alpha)
     if not a < 0.5:
         raise RangeError(
             f"need alpha*k^(-2/3) < 1/2 for an interior maximiser, got {a:.4f}")

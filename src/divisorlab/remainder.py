@@ -18,14 +18,16 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import mpmath as mp
 import numpy as np
 
 from . import laurent, sieve
-from .errors import (DomainError, QuadratureError, RangeError, SieveOverflowError, check_finite,
-                     check_integral, check_positive, check_within)
+from .errors import (DomainError, PrecisionError, QuadratureError, RangeError, SelfCheckError,
+                     SieveOverflowError, check_finite, check_integral, check_positive,
+                     check_within)
 from .numerics import ols_slope
 
 MAIN_BITS_DEFAULT = 192
@@ -132,23 +134,34 @@ TONG_C = 5.0  # C of the Tong window C x^{1-1/k}: the scan's default, envelopes'
 SCAN_JUMP = 1000
 
 
-def _remainder(D, y, coeffs: list[float], t: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = D - y p(log y), p = sum c_j L^j, in float64 with the float ops of
-    ``np.polynomial.polynomial.polyval`` (p = c_n + 0.0, then p = t p + c_j
-    for j = n - 1, ..., 0), so the bits are numpy's; t is scratch for log y.
-    The mean square and the sign scan evaluate the remainder only here."""
-    np.log(y, out=t)
-    out.fill(coeffs[-1] + 0.0)
-    for c in coeffs[-2::-1]:
+def _horner(cs: list[float], t: np.ndarray, out: Optional[np.ndarray] = None):
+    """sum c_j t^j in out (new if None) with the float ops of
+    ``np.polynomial.polynomial.polyval`` (c_n + 0.0, then t p + c_j for j = n -
+    1, ..., 0), so the bits are numpy's; a float for a constant without out."""
+    if out is None:
+        if len(cs) < 2:
+            return cs[0] if cs else 0.0
+        out = np.empty_like(t)
+    out.fill(cs[-1] + 0.0)
+    for c in cs[-2::-1]:
         out *= t
         out += c
+    return out
+
+
+def _remainder(D, y, coeffs: list[float], t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = D - y p(log y), p = sum c_j L^j by ``_horner``, in float64; t is
+    scratch for log y.  The mean square and the sign scan evaluate the
+    remainder only here."""
+    np.log(y, out=t)
+    _horner(coeffs, t, out)
     out *= y
     return np.subtract(D, out, out=out)
 
 
 def _sign_budget(coeffs: list[float], x: float, D: int) -> float:
     """6k u (D + x S), with u = 2^-53, S = sum |c_j| L^j and L = log x: a bound
-    on |fast - exact delta| at every half-odd point up to x (D, x, S grow with x).
+    on |fast - exact delta| at every point y in [1, x] (D, x, S grow with x).
     ``_remainder``'s fl(fl(D) - fl(x fl(p(fl(log x))))), p of degree n = k - 1, errs to
     first order by x S times u (float c_j), 4n u (numpy's log, taken within 2 ulp;
     NumPy's tests hold it to 1), 2n u (Horner, gamma_{2n} S: Higham, Accuracy and
@@ -257,40 +270,141 @@ def sign_change_scan(k: int, X0: float, X1: float, C: float = TONG_C,
 
 # -------------------------------------------------------------- mean square
 
-# Gauss-Legendre nodes per panel, nodes per reduction group when the budget
-# allows, nodes per cache-sized pass inside a group (256 KiB per float64
-# array), and the bytes charged per node of a group: a pass's arrays take
-# ~45 B per node and the group's panel 8 / MS_ORDER B (tracemalloc: 5.5 MiB
-# at mean_square(2, 1e5), 0.8 MiB of it the float64 D table)
+# units n < MS_SPLIT are cut into 2^i equal pieces, 2^i >= MS_SPLIT / n, so every
+# piece has h / lo <= 1 / (2 MS_SPLIT); the relative budget of the proven error;
+# pieces per cache-sized pass (32 KiB per float64 array); every MS_CHECK_STRIDE-th
+# piece is re-integrated by MS_ORDER-node Gauss-Legendre; the bytes charged per
+# piece of a pass or node of that check (tracemalloc: 101-133 B for k = 1-30)
+MS_SPLIT = 64
+MS_BUDGET = 1e-6
+MS_PASS = 1 << 12
+MS_CHECK_STRIDE = 64
 MS_ORDER = 6
-MS_NODES_PER_CHUNK = 1 << 22
-MS_NODES_PER_SUBCHUNK = 1 << 15
-MS_BYTES_PER_NODE = 64
+MS_BYTES_PER_PIECE = 136
+
+
+def _taylor_polys(coeffs: list[float]) -> tuple[list, list]:
+    """Coefficients in L of -Q_j / j! (trailing zeros dropped) and |Q_j| / j!,
+    j = 1..5, where f^(j)(y) = y^{1-j} Q_j(log y) for f(y) = y p(log y): Q_0 = p,
+    Q_{j+1} = (1 - j) Q_j + Q_j'.  Exact from the float c_j, rounded once."""
+    q, signed = [Fraction(c) for c in coeffs], []
+    for j in range(1, 6):
+        q = [(2 - j) * c + (i + 1) * d for i, (c, d) in enumerate(zip(q, q[1:] + [0]))]
+        signed.append([float(-c / math.factorial(j)) for c in q])
+        while signed[-1] and not signed[-1][-1]:
+            signed[-1].pop()
+    return signed, [[abs(c) for c in row] for row in signed]
+
+
+@functools.cache
+def _gl_rule(panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes t in [-1, 1] and (node, 2) weights: MS_ORDER-node Gauss-Legendre on
+    ``panels`` and on 2 ``panels`` equal panels."""
+    nodes, weights = np.polynomial.legendre.leggauss(MS_ORDER)
+    ps = (panels, 2 * panels)
+    t = np.concatenate([(2 * np.arange(p)[:, None] + 1 + nodes).ravel() / p - 1 for p in ps])
+    w = np.zeros((len(t), 2))
+    w[:panels * MS_ORDER, 0], w[panels * MS_ORDER:, 1] = (np.tile(weights, p) / p for p in ps)
+    return t, w
+
+
+def _pieces(n: np.ndarray, D: np.ndarray, x: float):
+    """(lo, h, D) of the units n cut into 2^i equal pieces, 2^i >= MS_SPLIT / n,
+    and at x: exact, as the pieces are dyadic and x - lo is exact by Sterbenz."""
+    p = (2 ** np.ceil(np.log2(-(-MS_SPLIT // n)))).astype(np.int64)
+    unit = np.repeat(np.arange(len(n)), p)
+    lo = n[unit] + (np.arange(len(unit)) - np.repeat(np.cumsum(p) - p, p)) / p[unit]
+    hi = np.minimum(lo + 1.0 / p[unit], x)
+    keep = lo < hi
+    return lo[keep], (hi - lo)[keep] / 2, D[unit[keep]]
+
+
+def _taylor_pass(lo: np.ndarray, h, D: np.ndarray, k: int, coeffs: list[float], polys,
+                 first: int, panels: int) -> tuple[float, float]:
+    """(sum of the values, sum of their bounds) over the pieces [lo, lo + 2h] (h a
+    float or one per piece), first, first + 1, ... of the range, where D_k = D.
+
+    With m = lo + h, a = D - f(m) from ``_remainder`` and g_j = -f^(j)(m) / j!,
+    a value is the integral of T^2, T the Taylor polynomial of D - f of degree 4,
+    but for its h^6 and h^8 terms: 2h [a^2 + (2 a g_2 + g_1^2) h^2 / 3 + (2 a
+    g_4 + 2 g_1 g_3 + g_2^2) h^4 / 5].  Its bound: with s = max h / lo, Lmax >=
+    log of the top, |Q| the polynomial of |coefficients| (log y >= 0), G_j = max
+    h s^{j-1} |Q_j|(Lmax) / j! >= |g_j| h^j and G = |a| + E + G_1 + ... + G_4 >=
+    |T|, E the ``_sign_budget`` of a:
+      - D - f = T + R, |R| <= rho = G_5, so int (D - f)^2 - int T^2 = int R (2 (D
+        - f) - R) is at most (2 G + 3 rho) 2h rho / 6; the terms left out, at
+        most 2h [(2 G_2 G_4 + G_3^2) / 7 + G_4^2 / 9];
+      - E moves the value by at most 2h 2 E G, and the other roundings by 2h
+        gamma G^2, gamma = (8k + 72) u, u = 2^-53, twice the first-order sum of
+        the polynomials' (2u), log's (2 deg u, log within 2 ulp), Horner's
+        (2 deg u), the powers' (6u), the form's (10u) and the pairwise sum's (22u);
+      - a midpoint that rounds (the last piece of a fractional x): 2 u m (G + rho)^2.
+    Every MS_CHECK_STRIDE-th piece of the range is integrated again on ``panels``
+    and 2 ``panels`` panels (``_gl_rule``, whose error is below 1e-20 relative at
+    h / lo <= 1/128); both must lie within the bound plus the rule's rounding,
+    the same with E doubled (its nodes round).
+    """
+    u, array = 2.0 ** -53, np.ndim(h) > 0
+    m = lo + h
+    L = np.empty_like(m)
+    a = _remainder(D, m, coeffs, L, np.empty_like(m))  # L = log m
+    q1, q2, q3, q4 = (_horner(row, L) for row in polys[0][:4])
+    r, hh = 1.0 / m, h * h
+    z = hh * r * r
+    value = 2 * h * (a * (a + hh * r * ((2 / 3) * q2 + 0.4 * z * q4))
+                     + hh * (q1 * q1 / 3 + 0.2 * z * (2 * q1 * q3 + q2 * q2)))
+    hmax, smax, hsum = (h.max(), (h / lo).max(), h.sum()) if array else (h, h / lo[0], h * len(m))
+    top = float(lo[-1] + 2 * (h[-1] if array else h))
+    E, Lmax = _sign_budget(coeffs, top, int(D[-1])), math.log(top) * (1 + 2.0 ** -50)
+    G = [float(hmax * smax ** j) * sum(c * Lmax ** i for i, c in enumerate(row))
+         for j, row in enumerate(polys[1])]
+    rho, gamma, c = G[4], (8 * k + 72) * u, E + sum(G[:4])
+    # 2h [G (2E + gamma G) + (2G + 3 rho) rho / 6 + ...] as a polynomial in |a|
+    beta = (gamma, 2 * E + 2 * gamma * c + rho / 3, c * (2 * E + gamma * c)
+            + (2 * c + 3 * rho) * rho / 6 + (2 * G[1] * G[3] + G[2] ** 2) / 7 + G[3] ** 2 / 9)
+    ha = a * h
+    bound = 2 * (beta[0] * float(ha @ a) + beta[1] * float(np.abs(ha).sum()) + beta[2] * hsum)
+    if array and m[-1] - lo[-1] != h[-1]:
+        bound += 2 * u * float(m[-1]) * (abs(float(a[-1])) + c + rho) ** 2
+    t, w = _gl_rule(panels)
+    idx = np.arange(-first % MS_CHECK_STRIDE, len(m), MS_CHECK_STRIDE)
+    group = max(1, MS_PASS // len(t))  # at most a pass of nodes
+    for e in (idx[g:g + group] for g in range(0, len(idx), group)):
+        he, A = h[e] if array else np.full(len(e), h), np.abs(a[e])
+        y = (m[e, None] + he[:, None] * t).ravel()
+        gl = (_remainder(np.repeat(D[e], len(t)), y, coeffs, np.empty_like(y), np.empty_like(y))
+              ** 2).reshape(len(e), len(t)) @ w * he[:, None]
+        Gt = A + (c + rho + 2 * E)
+        tol = 2 * he * ((beta[0] * A + beta[1]) * A + beta[2] + Gt * (4 * E + gamma * Gt))
+        for i in np.flatnonzero(~(np.abs(gl - value[e, None]) <= tol[:, None]).all(axis=1))[:1]:
+            left, right, coarse, fine, taylor = map(float, (lo[e[i]], m[e[i]] + he[i], *gl[i],
+                                                            value[e[i]]))
+            raise QuadratureError(
+                f"mean-square self-check on [{left!r}, {right!r}]: Gauss-Legendre on "
+                f"{panels} and {2 * panels} panels gives {coarse!r} and {fine!r}, the "
+                f"Taylor value {taylor!r}, beyond its bound {tol[i]:.3g}")
+    return float(value.sum()), bound
 
 
 def mean_square(k: int, x: float, panels_per_unit: int = 2,
                 precision_bits: int = MAIN_BITS_DEFAULT) -> float:
-    """||Delta_k(x)||_2 = ((1/x) int_1^x Delta_k(y)^2 dy)^{1/2}.
+    """||Delta_k(x)||_2 = ((1/x) int_1^x Delta_k(y)^2 dy)^{1/2}, within MS_BUDGET
+    relative of its exact value for the main term at ``precision_bits``.
 
-    On each unit interval the integrand (D_k(n) - y P(log y))^2 is smooth,
-    so composite Gauss-Legendre with ``panels_per_unit`` panels converges
-    fast; the panel count is doubled once as a self-check (must agree to
-    1e-6 relative), but no bound is proven: against an 80-bit reference the
-    result errs by 1.3e-13 relative at (k, x) = (2, 1e6) and 1.4e-12 at (2,
-    1e7).  k is capped at ``sieve.DESK_K_CAP``, as in the sieve.
+    On a unit [n, n + 1) (the last one [n, x]) D_k(n) is constant and y P(log y)
+    smooth, so its integral is that of a squared Taylor polynomial about the
+    midpoint, with a proven remainder (``_taylor_pass``; Davis and Rabinowitz,
+    Methods of Numerical Integration, 2nd ed., ch. 2).  Units n < MS_SPLIT are
+    cut into dyadic pieces first.  A sum of bounds, rounding included, above
+    MS_BUDGET times the integral raises PrecisionError; below it the returned
+    root errs by less than MS_BUDGET relative.  Every MS_CHECK_STRIDE-th piece is
+    checked by Gauss-Legendre on ``panels_per_unit`` and twice as many panels.
+    k is capped at ``sieve.DESK_K_CAP``.
 
-    Nodes are summed in reduction groups of ``MS_NODES_PER_CHUNK`` nodes (or one
-    unit's), fewer under the memory budget, each ending in one float sum over its
-    (units, panels) array; inside a group the integrand is computed in
-    cache-sized passes of about ``MS_NODES_PER_SUBCHUNK`` nodes, a multiple
-    of 16 units, which give every node the bits one pass over the group
-    would.  The D table and the groups (``MS_BYTES_PER_NODE`` per node) are
-    held to the memory budget.
-
-    The table is one ``sieve.dk_block`` over [1, x], summed in place in uint64
-    (refused if flagged or wrapped) and cast in place to float64: 8 B per n.
-    It is charged 16 B per n: the charge sets the group size under a tight
-    budget, so lowering it would move the bits of a budget-bound run.
+    It streams: one ``sieve.dk_partial_sums`` call proves D_k(floor x) < 2^64, and
+    ``sieve.dk_blocks`` segments over [1, floor x] feed an exact uint64 running
+    sum, which must end there; passes of MS_PASS pieces, or self-check nodes,
+    are charged MS_BYTES_PER_PIECE each beside a segment.
     """
     if not 2 <= x <= 10 ** 7:
         raise DomainError(f"x must lie in [2, 1e7], got {x}")
@@ -298,58 +412,40 @@ def mean_square(k: int, x: float, panels_per_unit: int = 2,
         raise DomainError("panels_per_unit must be >= 2")
     check_integral("panels_per_unit", panels_per_unit)
     n_top = math.floor(x)
-    unit_nodes = 2 * panels_per_unit * MS_ORDER  # one unit interval, doubled panels
-    sieve.check_budget("mean square", n_top, 16 * (n_top + 1) + MS_BYTES_PER_NODE * unit_nodes)
-    chunk_nodes = min(MS_NODES_PER_CHUNK,
-                      (sieve.MEMORY_BUDGET_BYTES - 16 * (n_top + 1)) // MS_BYTES_PER_NODE)
-    block = sieve.dk_block(k, 1, n_top + 1)
-    if block.overflow_flag:
-        raise SieveOverflowError(f"d_{k} saturated below {n_top}")
-    # unflagged, every d_k is exact and below 2^64, so a wrap steps down
-    D = np.cumsum(block.values, out=block.values)
-    if np.any(D[1:] < D[:-1]):
-        raise SieveOverflowError("cumulative sum wrapped 64 bits")
-    Dfloat = D.view(np.float64)
-    Dfloat[:] = D  # cast in place, element by element: astype would hold a second table
+    sieve.check_budget("mean square", n_top, sieve.SEGMENT_BYTES + MS_BYTES_PER_PIECE
+                       * max(MS_PASS, 3 * MS_ORDER * panels_per_unit))
+    D_top = sieve.dk_partial_sums(k, n_top, [n_top])[0][1]
+    if D_top >= 1 << 64:
+        raise SieveOverflowError(f"D_{k}({n_top}) exceeds 2^64")
     coeffs = laurent.main_term_poly(k, precision_bits).as_floats()
-
-    def integral(ppu: int) -> float:
-        nodes, weights = np.polynomial.legendre.leggauss(MS_ORDER)
-        offs = np.linspace(0.0, 1.0, ppu + 1)[:-1]
-        total = 0.0
-        per = ppu * MS_ORDER  # nodes per unit
-        chunk = max(1, chunk_nodes // per)  # units per reduction group
-        sub = max(16, MS_NODES_PER_SUBCHUNK // per // 16 * 16)  # units per pass
-        tiled = np.tile(nodes, min(sub, chunk) * ppu)
-        bufs = [np.empty(len(tiled)) for _ in range(3)]  # y, log y, the integrand
-        panels = np.empty((min(chunk, n_top), ppu))
-        for n0 in range(1, n_top + 1, chunk):
-            n1 = min(n0 + chunk, n_top + 1)
-            panel = panels[:n1 - n0]
-            for s0 in range(n0, n1, sub):
-                s1 = min(s0 + sub, n1)
-                y, t, sq = (b[:(s1 - s0) * per] for b in bufs)
-                lo = np.arange(s0, s1, dtype=np.float64)
-                width = np.minimum(lo + 1.0, x) - lo
-                half = 0.5 * (width / ppu)
-                mid = lo + offs[:, None] * width  # (ppu, units): long inner loops
-                mid += half
-                np.multiply(np.repeat(half, per), tiled[:len(y)], out=y)
-                y += np.repeat(mid.T.ravel(), MS_ORDER)
-                _remainder(np.repeat(Dfloat[s0 - 1: s1 - 1], per), y, coeffs, t, sq)
-                vals = np.square(sq, out=sq).reshape(-1, MS_ORDER) @ weights
-                np.multiply(vals.reshape(s1 - s0, ppu), half[:, None], out=panel[s0 - n0: s1 - n0])
-            total += float(np.sum(panel))
-        return total
-
-    coarse = integral(panels_per_unit)
-    fine = integral(2 * panels_per_unit)
-    scale = max(abs(fine), 1e-300)
-    if abs(fine - coarse) > 1e-6 * scale:
-        raise QuadratureError(
-            f"mean-square quadrature moved by {abs(fine - coarse) / scale:.3g} "
-            "relative under panel doubling")
-    return math.sqrt(fine / x)
+    polys, starts = _taylor_polys(coeffs), np.arange(1, n_top + 1, sieve.SEGMENT)
+    values, bound, done, carry = [], 0.0, 0, np.uint64(0)
+    for i, _, D in sieve.dk_blocks(k, starts, np.minimum(n_top + 1 - starts, sieve.SEGMENT),
+                                   n_top + 1):
+        np.cumsum(D, out=D)
+        D += carry  # D_k(n) for the segment's n, exact as D_k(n_top) < 2^64
+        n0, n1, carry = int(starts[i]), int(starts[i]) + len(D), D[-1]
+        # the units below MS_SPLIT, those up to n_top - 1, and n_top, in order
+        parts = [(n0, min(n1, MS_SPLIT)), (max(n0, MS_SPLIT), min(n1, n_top)),
+                 (max(n0, MS_SPLIT, n_top), n1)]
+        for part, (u0, u1) in enumerate(parts):
+            if part == 1:  # whole units, one piece each
+                lo, h, Du = np.arange(u0, u1, dtype=np.float64), 0.5, D[u0 - n0:u1 - n0]
+            else:
+                lo, h, Du = _pieces(np.arange(u0, u1), D[u0 - n0:u1 - n0], x)
+            for a in range(0, len(lo), MS_PASS):
+                v, b = _taylor_pass(lo[a:a + MS_PASS], h if part == 1 else h[a:a + MS_PASS],
+                                    Du[a:a + MS_PASS], k, coeffs, polys, done, panels_per_unit)
+                values.append(v)
+                bound += b
+                done += min(MS_PASS, len(lo) - a)
+    if int(carry) != D_top:
+        raise SelfCheckError(f"running sum of d_{k} ends at {int(carry)}, D_{k}({n_top}) = {D_top}")
+    total = math.fsum(values)
+    if not bound <= MS_BUDGET * total:
+        raise PrecisionError(f"mean-square error bound {bound / total:.3g} relative "
+                             f"exceeds MS_BUDGET = {MS_BUDGET:g}")
+    return math.sqrt(total / x)
 
 
 # --------------------------------------------------------------- envelopes

@@ -750,6 +750,37 @@ def test_huge_k_at_the_cap_is_finite():
     assert rep.m1_at_beta == pytest.approx(ex.THM3_K_CAP, rel=1e-14)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: ex.moment_h_max(1e150, 1e100), "alpha*k^(1/3) must be at most 1e+75, got 1e+150"),
+    (lambda: ex.moment_h_max(1e100, 1e100), "alpha*k^(1/3) must be at most 1e+75, got 2.154e+133"),
+    (lambda: ex.moment_h_max(1e150, 1e-300), "alpha*k^(-2/3) must be at least 1e-100, got 0"),
+    (lambda: ex.zeta_h_max(2, 1e-300), "alpha*k^(-2/3) must be at least 1e-100, got 6.3e-301"),
+    (lambda: ex.zeta_h_max(1e150, 1e-300), "alpha*k^(-2/3) must be at least 1e-100, got 0"),
+    (lambda: ex.hb_exponent(1e300), "rho must lie in [1e-150, 1e+150], got 1e+300"),
+    (lambda: ex.hb_exponent(1e-300), "rho must lie in [1e-150, 1e+150], got 1e-300"),
+], ids=["moment-1e150-1e100", "moment-1e100-1e100", "moment-1e150-1e-300", "zeta-2-1e-300",
+        "zeta-1e150-1e-300", "hb-1e300", "hb-1e-300"])
+def test_float_overflow_is_refused_by_name(call, message):
+    # unguarded: OverflowError from the float cubics and rho^2, ZeroDivisionError
+    # from an underflowed limit or rho^2
+    with pytest.raises(RangeError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_float_caps_are_finite():
+    # each cap lies inside the range where the float arithmetic holds (measured
+    # failures: alpha k^(-2/3) below 5e-103, alpha k^(1/3) past 0.75 k from
+    # k = 1.2e77, rho outside [5.9e-155, 5.3e153])
+    k = ex.CUBIC_K_CAP
+    for fn in (ex.moment_h_max, ex.zeta_h_max):
+        for kk in (2, 1e60, k):
+            assert math.isfinite(fn(kk, ex.CUBIC_SCALE_MIN * kk ** (2 / 3) * 1.001).h_star)
+    for kk in (2, 1e77, 1.2e77, 1e100, k):
+        assert math.isfinite(ex.moment_h_max(kk, ex.MOMENT_SCALE_MAX / kk ** (1 / 3) * 0.999).h_star)
+    for rho in (1 / ex.HB_RHO_CAP, ex.HB_RHO_CAP):
+        assert 0 < ex.hb_exponent(rho) < math.inf
+
+
 def test_zeta_h_max_homogeneity():
     # alpha -> 4*alpha scales the limiting value by 8 (3/2-power homogeneity)
     r1 = ex.zeta_h_max(10 ** 9, 1.0)

@@ -41,7 +41,7 @@ EXAMPLES = [
     (["signs", "--k", "2", "--X0", "1000", "--X1", "100000", "--C", "5"],
      "d90fba3cb69cadc3fd36b11efe37af4b2db00d70f6365651b6bc292595273f5e"),
     (["meansquare", "--k", "1", "--x", "10000"],
-     "357d52e176b22640ee6e6984fc014bb49ad4ef8a0a769a5f1b3b6511a0ec1202"),
+     "11de618901ce2a114a93d46147e09e15a82eb02e0b8a75adb3e41cd39dea5886"),
     (["expsum", "--N-list", "256,1024,4096", "--t-list", "1e6,1e8"],
      "f8e3c904b7d97ce048683fcb68f609511df324fdfa9caf26c33768cf2adb1250"),
     (["zeta", "--sigma", "0.75", "--t", "1000", "--chi", "--afe"],

@@ -6,6 +6,7 @@ closed forms for k=1, and a Riemann-sum quadrature cross-check.
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -15,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 from divisorlab import laurent as la
 from divisorlab import remainder as rl
 from divisorlab import sieve as sv
-from divisorlab.errors import DomainError, MemoryBudgetError, RangeError, SieveOverflowError
+from divisorlab.errors import (DomainError, MemoryBudgetError, PrecisionError, QuadratureError,
+                              RangeError, SelfCheckError, SieveOverflowError)
 
 
 def test_delta_at_k2_half_odd():
@@ -367,10 +369,103 @@ def test_sign_change_scan_memory_is_one_segment():
 
 # -------------------------------------------------------------- mean square
 
+def _unit_integrals(k, x, bits=rl.MAIN_BITS_DEFAULT):
+    """A test-local reference: (integral, D).  integral(lo, hi, d) is the exact
+    integral of (d - y P(log y))^2 over [lo, hi] from the antiderivative
+    d^2 y - 2 d A_1(y) + A_2(y), A_a(y) = int y^a P^a(log y) dy = y^{a+1} sum_l
+    B_l L^l with B_l = sum_{j >= l} c_j (-1)^{j-l} j! / (l! (a+1)^{j-l+1}) for
+    P^a = sum c_j L^j, the main term at ``bits``, in the caller's mp context
+    (60 digits here).  D[n] = D_k(n) for n <= x, from ``sieve.dk_factor``."""
+    D = [0]
+    for n in range(1, math.floor(x) + 1):
+        D.append(D[-1] + sv.dk_factor(k, n))
+    P = la.main_term_poly(k, bits).coeffs
+    P2 = [mp.fsum(P[i] * P[j - i] for i in range(max(0, j - len(P) + 1), min(j, len(P) - 1) + 1))
+          for j in range(2 * len(P) - 1)]
+    Bs = [[mp.fsum(c[j] * (-1) ** (j - l) * mp.factorial(j) / mp.factorial(l)
+                   / mp.mpf(a + 1) ** (j - l + 1) for j in range(l, len(c)))
+           for l in range(len(c))] for a, c in ((1, P), (2, P2))]
+    memo = {}
+
+    def prims(y):
+        if y not in memo:
+            ym = mp.mpf(y)
+            L = mp.log(ym)
+            memo[y] = [ym ** (a + 2) * mp.polyval(B[::-1], L) for a, B in enumerate(Bs)]
+        return memo[y]
+
+    def integral(lo, hi, d):
+        (a1, a2), (b1, b2) = prims(lo), prims(hi)
+        return d * d * (mp.mpf(hi) - mp.mpf(lo)) - 2 * d * (b1 - a1) + (b2 - a2)
+    return integral, D
+
+
+def _passes(monkeypatch):
+    """Record every Taylor pass of mean_square: (lo, h, D, value, bound)."""
+    seen, real = [], rl._taylor_pass
+
+    def spy(lo, h, D, *args):
+        v, b = real(lo, h, D, *args)
+        seen.append((lo.tolist(), np.broadcast_to(h, lo.shape).tolist(), D.tolist(), v, b))
+        return v, b
+    monkeypatch.setattr(rl, "_taylor_pass", spy)
+    return seen
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 12])
+@pytest.mark.parametrize("x", [37.6, 130.7, 200.0])
+def test_mean_square_bound_holds_against_mp_reference(monkeypatch, k, x):
+    # x < 64 (only dyadic pieces), a fractional last unit past them, an integer x
+    passes = _passes(monkeypatch)
+    got = rl.mean_square(k, x)
+    with mp.workdps(60):
+        integral, D = _unit_integrals(k, x)
+        total = 0
+        for lo, h, Ds, v, b in passes:
+            assert Ds == [D[math.floor(a)] for a in lo]
+            exact = mp.fsum(integral(a, a + 2 * w, d) for a, w, d in zip(lo, h, Ds))
+            assert abs(v - exact) <= b, (lo[0], v, exact, b)
+            total += exact
+        assert sum(len(p[0]) for p in passes) > 0
+        want = mp.sqrt(total / x)
+        assert abs(got - want) <= rl.MS_BUDGET * want
+
+
+def test_mean_square_shrunk_budget_refuses(monkeypatch):
+    monkeypatch.setattr(rl, "MS_BUDGET", 1e-15)
+    with pytest.raises(PrecisionError, match=r"^mean-square error bound \S+ relative "
+                                             r"exceeds MS_BUDGET = 1e-15$"):
+        rl.mean_square(2, 1000.0)
+
+
 def test_mean_square_k1_closed_form():
-    # per-unit integral of (floor y - y)^2 is exactly 1/3
-    v = rl.mean_square(1, 10 ** 4)
-    assert abs(v - 3 ** -0.5) < 1e-3
+    # Delta_1 = n - y on [n, n + 1): each full unit gives 1/3 and the last, of
+    # width f = x - n, gives f^3 / 3, so ||Delta_1||_2 = sqrt(((n - 1) + f^3) / (3x))
+    for x in (10 ** 4, 10000.37, 37.6, 2.0, 64.5, 999999.25):
+        n, f = math.floor(x), Fraction(x) - math.floor(x)
+        square = (n - 1 + f ** 3) / (3 * Fraction(x))
+        with mp.workdps(40):
+            want = mp.sqrt(mp.mpf(square.numerator) / square.denominator)
+            assert abs(rl.mean_square(1, x) - want) <= rl.MS_BUDGET * want
+
+
+def test_mean_square_k2_cramer_constant():
+    # Cramer (Math. Z. 15, 1922) and Tong (1956): int_1^X Delta_2^2 = C X^{3/2} +
+    # O(X log^5 X), C = zeta(3/2)^4 / (6 pi^2 zeta(3)).  The O-term's constant is
+    # taken as |r(1000)|, r(X) = (int - C X^{3/2}) / (X log^5 X), from the exact
+    # reference; the program's r(X) shrinks from -2.2e-4 at 1e3 to -7.7e-5 at 1e4
+    # and -1.8e-5 at 1e6, as the true second term is of lower order.  At 1e6 the
+    # tolerance is then 1.1e8 of 6.5e8, a root in [23.4, 27.7]
+    C = float(mp.zeta(1.5) ** 4 / (6 * mp.pi ** 2 * mp.zeta(3)))
+    with mp.workdps(60):
+        integral, D = _unit_integrals(2, 1000)
+        ref = float(mp.fsum(integral(n, n + 1, D[n]) for n in range(1, 1000)))
+    r0 = (ref - C * 1000 ** 1.5) / (1000 * math.log(1000) ** 5)
+    assert -3e-4 < r0 < -1e-4
+    X = 10 ** 6
+    ms = rl.mean_square(2, X)
+    assert abs(ms * ms * X - C * X ** 1.5) <= abs(r0) * X * math.log(X) ** 5
+    assert (round(math.sqrt(C * X ** 0.5), 1), round(ms, 2)) == (25.6, 25.40)
 
 
 def test_mean_square_riemann_oracle():
@@ -391,9 +486,11 @@ def test_mean_square_riemann_oracle():
 
 
 def test_mean_square_panel_invariance():
+    # the panels are the self-check's alone: the value does not move with them
     a = rl.mean_square(2, 500.0, panels_per_unit=2)
     b = rl.mean_square(2, 500.0, panels_per_unit=4)
     assert abs(a - b) / a < 1e-6
+    assert a == b
     with pytest.raises(DomainError):
         rl.mean_square(2, 500.0, panels_per_unit=1)
     with pytest.raises(DomainError):  # k is capped as in the sieve
@@ -403,27 +500,40 @@ def test_mean_square_panel_invariance():
             rl.mean_square(2, 100.0, ppu)
 
 
-# repr of values from the kernel that computed each reduction group in one
-# pass with numpy's polyval; the cache-sized passes and the in-place
-# remainder must reproduce every bit.  The fine pass of 4e5 + 0.37 and 1e6
-# spans several groups of 174762 units; 4 MiB shrinks the groups (and moves
-# the last bit); a non-integer x ends in a partial unit; k = 30 has 30
-# coefficients, k = 1 one
+def test_mean_square_self_check_names_the_piece(monkeypatch):
+    # a Taylor coefficient 1% off (that of f'') moves the first piece, [1, 1 + 1/64],
+    # by about 3e-9, far outside its bound: the check names it and every value
+    real = rl._taylor_polys
+
+    def perturbed(coeffs):
+        signed, absolute = real(coeffs)
+        return [signed[0], [1.01 * c for c in signed[1]], *signed[2:]], absolute
+    monkeypatch.setattr(rl, "_taylor_polys", perturbed)
+    with pytest.raises(QuadratureError, match=r"^mean-square self-check on \[1\.0, 1\.015625\]: "
+                                              r"Gauss-Legendre on 2 and 4 panels gives \S+ and "
+                                              r"\S+, the Taylor value \S+, beyond its bound \S+$"):
+        rl.mean_square(2, 1000.0)
+
+
+# repr of the values of the Taylor passes.  4e5 + 0.37 and 1e6 span several
+# segments; 4 MiB is the tightest budget that holds a segment and a pass (the
+# values do not depend on the budget); a non-integer x ends in a partial unit;
+# k = 30 has 30 coefficients, k = 1 one; the panels only steer the self-check
 MS_PINNED = [
-    (2, 1e4, 2, None, "7.768195065444527"),
-    (2, 1e5, 2, None, "14.14935154842061"),
-    (2, 4e5 + 0.37, 2, None, "20.142124116406404"),
-    (2, 1e6, 2, None, "25.404892293051677"),
-    (2, 1e5, 2, 4 << 20, "14.149351548420611"),
-    (2, 10000.37, 2, None, "7.768857481379004"),
-    (3, 12345.5, 2, None, "109.00801507487093"),
-    (1, 1e4, 2, None, "0.5773214009544552"),
-    (2, 1e5, 3, None, "14.149351548420928"),
-    (2, 4e5 + 0.37, 3, None, "20.142124116404826"),
-    (5, 54321.25, 3, None, "12807.408497869254"),
-    (12, 99000.3, 2, None, "98317660.18164991"),
-    (3, 99000.3, 4, None, "271.14176078974384"),
-    (30, 2000.5, 2, None, "1079328393.66098"),
+    (2, 1e4, 2, None, "7.768195065444501"),
+    (2, 1e5, 2, None, "14.149351548421004"),
+    (2, 4e5 + 0.37, 2, None, "20.142124116408606"),
+    (2, 1e6, 2, None, "25.404892293049226"),
+    (2, 1e5, 2, 4 << 20, "14.149351548421004"),
+    (2, 10000.37, 2, None, "7.768857481378977"),
+    (3, 12345.5, 2, None, "109.0080150748711"),
+    (1, 1e4, 2, None, "0.5773214009544423"),
+    (2, 1e5, 3, None, "14.149351548421004"),
+    (2, 4e5 + 0.37, 3, None, "20.142124116408606"),
+    (5, 54321.25, 3, None, "12807.408497869328"),
+    (12, 99000.3, 2, None, "98317660.18164979"),
+    (3, 99000.3, 4, None, "271.1417607897426"),
+    (30, 2000.5, 2, None, "1079328393.6609786"),
 ]
 
 
@@ -434,17 +544,15 @@ def test_mean_square_bits_pinned(monkeypatch, k, x, ppu, budget, want):
     assert repr(rl.mean_square(k, x, panels_per_unit=ppu)) == want
 
 
-def test_mean_square_unit_larger_than_a_group(monkeypatch):
-    # the fine pass's unit of 96 nodes exceeds a group of 64: it forms its
-    # own group rather than being refused with a need below the budget
-    want = rl.mean_square(2, 1000.0, 8)
-    monkeypatch.setattr(rl, "MS_NODES_PER_CHUNK", 64)
-    assert rl.mean_square(2, 1000.0, 8) == pytest.approx(want, rel=1e-15)
+def test_mean_square_self_check_piece_larger_than_a_pass():
+    # 400 panels put 7200 nodes on each self-check piece, more than a pass of
+    # MS_PASS pieces: each piece forms its own group rather than being refused
+    assert 3 * rl.MS_ORDER * 400 > rl.MS_PASS
+    assert rl.mean_square(2, 1000.0, 400) == rl.mean_square(2, 1000.0, 2)
 
 
 def test_mean_square_memory_in_cache_sized_passes():
-    # the 1.5 MiB table, a 3.2 MB panel and ~2 MiB of pass arrays; a group
-    # computed in one pass of 2^22 nodes peaked at 120 MiB
+    # a segment of the sieve and one Taylor pass: the charge covers the peak
     rl.mean_square(2, 1e5)  # fills the main-term cache outside the trace
     tracemalloc.start()
     try:
@@ -452,12 +560,12 @@ def test_mean_square_memory_in_cache_sized_passes():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 << 20
+    assert peak <= sv.SEGMENT_BYTES + rl.MS_BYTES_PER_PIECE * rl.MS_PASS
 
 
-def test_mean_square_table_summed_and_cast_in_place():
-    # one 8 MB d_k table, summed and cast to float64 in its own memory, beside
-    # the quadrature's panels and passes; an astype copy of it peaked at 22.1 MiB
+def test_mean_square_streamed_peak_per_n():
+    # streamed, the peak does not grow with x: 2.2 B per n at 1e6, where the
+    # whole-range table was charged 16 B per n and peaked at 15.1
     rl.mean_square(2, 1e4)  # fills the main-term cache outside the trace
     tracemalloc.start()
     try:
@@ -465,20 +573,21 @@ def test_mean_square_table_summed_and_cast_in_place():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 16 << 20
+    assert peak <= 3 * 10 ** 6
 
 
 def test_mean_square_refuses_saturated_and_wrapped(monkeypatch):
     monkeypatch.setattr(sv, "OVERFLOW_LOG2", 8)  # d_30(4) = 4960 > 2^8
-    with pytest.raises(SieveOverflowError, match="^d_30 saturated below 100$"):
+    with pytest.raises(SieveOverflowError, match="^d_30 may exceed 2\\^8 below 101$"):
         rl.mean_square(30, 100.0)
     monkeypatch.undo()
-    # an unflagged table whose sum wraps: 1 + 2^63 + 2^63 steps down to 1
-    top = 1 << 63
-    fake = sv.DivisorBlock(k=2, lo=1, hi=4, values=np.array([1, top, top], dtype=np.uint64),
-                           overflow_flag=False)
-    monkeypatch.setattr(sv, "dk_block", lambda k, lo, hi: fake)
-    with pytest.raises(SieveOverflowError, match="^cumulative sum wrapped 64 bits$"):
+    # D_k(floor x) of 2^64 or more is refused before any segment is sieved, and a
+    # running sum that does not end at it fails the self-check
+    monkeypatch.setattr(sv, "dk_partial_sums", lambda k, x, cps: ((3, 1 << 64),))
+    with pytest.raises(SieveOverflowError, match="^D_2\\(3\\) exceeds 2\\^64$"):
+        rl.mean_square(2, 3.0)
+    monkeypatch.setattr(sv, "dk_partial_sums", lambda k, x, cps: ((3, 6),))
+    with pytest.raises(SelfCheckError, match="^running sum of d_2 ends at 5, D_2\\(3\\) = 6$"):
         rl.mean_square(2, 3.0)
 
 

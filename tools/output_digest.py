@@ -53,6 +53,10 @@ def groups():
     finally:
         sieve.MEMORY_BUDGET_BYTES = budget
     mean_squares.append(remainder.mean_square(*cases[-1]))
+    # x < 64 lies in the units cut into dyadic pieces; x just above an integer
+    # ends in a last unit of width 2^-20
+    mean_squares += [remainder.mean_square(k, x) for k in (1, 2, 5, 30)
+                     for x in (2.5, 37.6, 63.9, 1000 + 2 ** -20, 70000 + 2 ** -20)]
     yield "mean_square", mean_squares
     yield "main_term_poly", [laurent.main_term_poly(k, bits).coeffs
                              for k in range(1, 13) for bits in (64, 256)]
