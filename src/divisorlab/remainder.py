@@ -305,6 +305,7 @@ def _gl_rule(panels: int) -> tuple[np.ndarray, np.ndarray]:
     t = np.concatenate([(2 * np.arange(p)[:, None] + 1 + nodes).ravel() / p - 1 for p in ps])
     w = np.zeros((len(t), 2))
     w[:panels * MS_ORDER, 0], w[panels * MS_ORDER:, 1] = (np.tile(weights, p) / p for p in ps)
+    t.flags.writeable = w.flags.writeable = False
     return t, w
 
 
@@ -340,9 +341,9 @@ def _taylor_pass(lo: np.ndarray, h, D: np.ndarray, k: int, coeffs: list[float], 
         (2 deg u), the powers' (6u), the form's (10u) and the pairwise sum's (22u);
       - a midpoint that rounds (the last piece of a fractional x): 2 u m (G + rho)^2.
     Every MS_CHECK_STRIDE-th piece of the range is integrated again on ``panels``
-    and 2 ``panels`` panels (``_gl_rule``, whose error is below 1e-20 relative at
-    h / lo <= 1/128); both must lie within the bound plus the rule's rounding,
-    the same with E doubled (its nodes round).
+    and 2 ``panels`` panels (``_gl_rule``, whose own error, of order (h / lo)^12
+    <= 128^-12, is far below the bound); both must lie within the bound plus the
+    rule's rounding, the same with E doubled (its nodes round).
     """
     u, array = 2.0 ** -53, np.ndim(h) > 0
     m = lo + h

@@ -544,9 +544,9 @@ def test_mean_square_bits_pinned(monkeypatch, k, x, ppu, budget, want):
     assert repr(rl.mean_square(k, x, panels_per_unit=ppu)) == want
 
 
-def test_mean_square_self_check_piece_larger_than_a_pass():
-    # 400 panels put 7200 nodes on each self-check piece, more than a pass of
-    # MS_PASS pieces: each piece forms its own group rather than being refused
+def test_mean_square_unit_larger_than_a_group():
+    # 400 panels put 7200 self-check nodes on a unit, more than a group of
+    # MS_PASS nodes: each such unit forms its own group rather than being refused
     assert 3 * rl.MS_ORDER * 400 > rl.MS_PASS
     assert rl.mean_square(2, 1000.0, 400) == rl.mean_square(2, 1000.0, 2)
 
