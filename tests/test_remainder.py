@@ -160,14 +160,14 @@ def test_sign_changes_k2_every_window():
 
 
 def test_sign_change_scan_memory_budget(monkeypatch):
-    # ~72 MB for a scan up to 1e6, and the 1.6 MB d_k table of a mean square
-    # up to 1e5, exceed a 1 MiB budget: refused before anything is allocated
+    # ~72 MB for a scan up to 1e6, and the segment and pass of a mean square,
+    # exceed a 1 MiB budget: refused before anything is allocated
     monkeypatch.setattr(sv, "MEMORY_BUDGET_BYTES", 1 << 20)
     with pytest.raises(MemoryBudgetError, match="budget is 1 MiB"):
         rl.sign_change_scan(2, 1e3, 1e6)
     with pytest.raises(MemoryBudgetError, match="budget is 1 MiB"):
         rl.mean_square(2, 1e5)
-    # 4 MiB holds the table, and the quadrature chunks shrink to fit the rest
+    # 4 MiB holds a segment and a pass, and the value does not depend on the budget
     monkeypatch.undo()
     full = rl.mean_square(2, 1e5)  # also fills the main-term cache outside the trace
     monkeypatch.setattr(sv, "MEMORY_BUDGET_BYTES", 4 << 20)
