@@ -32,7 +32,6 @@ import mpmath as mp
 from . import __version__, exponents, zetasum
 from .errors import ConfigError, PreconditionError, SelfCheckError
 
-MIN_PRECISION_BITS = 53  # results are reported as float64; fewer bits lose digits
 # --grid sizes above this exit 2: each point costs ~0.3 ms of mp main term and
 # envelopes, so `delta --k 2 --grid 10:999999999:20000` takes ~6 s on a 2-CPU
 # x86 host, near the ~8 s of a run at the moment cost cap
@@ -508,8 +507,8 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as e:
             return 2 if e.code not in (0, None) else 0
-        if args.precision_bits < MIN_PRECISION_BITS:
-            raise ConfigError(f"--precision-bits must be >= {MIN_PRECISION_BITS} "
+        if args.precision_bits < zetasum.MIN_PRECISION_BITS:
+            raise ConfigError(f"--precision-bits must be >= {zetasum.MIN_PRECISION_BITS} "
                               f"(float64), got {args.precision_bits}")
         # idle OpenBLAS workers spin: one thread, unless set; moment's GEMM gains from two
         if args.command != "moment":

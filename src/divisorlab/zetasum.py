@@ -18,11 +18,14 @@ operations use a vectorised float64 route whose cutoffs were calibrated
 against the certified one and whose results are guarded by panel-doubling
 self-checks.  All evaluators are pure.
 
-The mp sums (``exp_sum``, the direct part of ``zeta_em``, both sums of
-``afe_residual``) share one kernel, ``_dirichlet_sum``: by complete
-multiplicativity, (mn)^{-s} = m^{-s} n^{-s}, it spends one mp.exp per prime
-and one fixed-point complex product per composite, within an error bound
-no larger than the direct sum's.
+The mp sums (``exp_sum`` and ``expsum_bound_grid``, the direct part of
+``zeta_em``, both sums of ``afe_residual``) share one kernel,
+``_dirichlet_sum``: by complete multiplicativity, (mn)^{-s} = m^{-s} n^{-s},
+it spends one complex exp per prime, made by the libmp calls of
+mp.exp(-s * mp.log(p)) and so to the same bits, and one fixed-point complex
+product per composite, within an error bound no larger than the direct
+sum's.  One pass serves several ranges at one s, each the difference of
+exact prefix sums, so a grid's N at one t share one table.
 
 The moment and mean-value integrals share one kernel, ``_panel_quadrature``:
 composite Gauss-Legendre of a function of S(t) = sum_{n<=M} w_n n^{-it} on
@@ -43,7 +46,7 @@ from itertools import chain
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import mpmath as mp
-from mpmath.libmp import to_fixed
+from mpmath.libmp import from_int, mpc_exp, mpc_mul_mpf, mpf_log, round_nearest, to_fixed
 
 from . import exponents
 from .errors import (DomainError, PrecisionError, QuadratureError, check_finite, check_integral,
@@ -59,10 +62,11 @@ T_CAP_EXPSUM = 10 ** 12
 T_CAP_ZETA = 10 ** 6
 T_CAP_MOMENT = 10 ** 5
 # summed terms per exp_sum call or expsum_bound_grid table: at the cap,
-# exp_sum(2e5, 4e5, 1e12, 192) spends ~40 us of mp.exp on each of the 33860
-# primes up to 4e5 and ~1 us on each composite, ~2-3 s and ~50 MiB RSS on a
-# 2-CPU x86 host
+# exp_sum(2e5, 4e5, 1e12, 192) spends ~20 us of libmp log and exp on each of
+# the 33860 primes up to 4e5 and ~1 us on each composite, ~1.1-1.3 s and
+# ~50 MiB RSS on a 2-CPU x86 host
 EXPSUM_TERMS_CAP = 2 * 10 ** 5
+MIN_PRECISION_BITS = 53  # results are reported as float64; fewer bits lose digits
 
 
 # ---------------------------------------------------------------------------
@@ -79,15 +83,25 @@ def _smallest_prime_factors(n: int) -> array:
     return spf
 
 
-def _dirichlet_sum(s, lo: int, hi: int, precision_bits: int) -> mp.mpc:
-    """sum_{lo < n <= hi} n^{-s} rounded to p = precision_bits bits, by
-    (mn)^{-s} = m^{-s} n^{-s} (Apostol, Introduction to Analytic Number
-    Theory, 2.9).  Entry n is a pair of ints E(n) ~ 2^wp n^{-s}, wp = p +
-    2 bitlen(hi) + 8: a prime gets one mp.exp(-s log p) at P = wp + 8 bits,
-    floored; a composite m the product of E(spf(m)) and E(m / spf(m)),
-    floored by >> wp.  Entries up to hi // 2 are kept, and the terms add up
-    exactly.  Under hi / 8 terms the table costs more than it saves, so none
-    is kept and each term gets its own mp.exp.
+def _power(neg_s, n: int, prec: int) -> tuple:
+    """n^{-s} as an mpc tuple, neg_s = -s as one: the libmp calls of
+    mp.exp(-s * mp.log(n)) at prec bits, rounded to nearest, without
+    mpmath's object layer."""
+    log_n = mpf_log(from_int(n), prec, round_nearest)
+    return mpc_exp(mpc_mul_mpf(neg_s, log_n, prec, round_nearest), prec, round_nearest)
+
+
+def _dirichlet_sum(s, ranges: Sequence[tuple[int, int]], precision_bits: int) -> list[mp.mpc]:
+    """sum_{lo < n <= hi} n^{-s} for each (lo, hi) of ranges, rounded to p =
+    precision_bits bits, in one pass by (mn)^{-s} = m^{-s} n^{-s} (Apostol,
+    Introduction to Analytic Number Theory, 2.9).  With H the largest hi,
+    entry n is a pair of ints E(n) ~ 2^wp n^{-s}, wp = p + 2 bitlen(H) + 8:
+    a prime gets ``_power`` at P = wp + 8 bits, floored; a composite m the
+    product of E(spf(m)) and E(m / spf(m)), floored by >> wp.  Entries up to
+    H // 2 are kept.  The terms add up exactly into prefix sums over the
+    ranges' union, and each range's sum is the difference of the prefix sums
+    at its ends.  Under H / 8 summed terms the table costs more than it
+    saves, so none is kept and each term gets its own ``_power``.
 
     Error, for Re s >= 0 (every caller), so |n^{-s}| <= 1.  Let E(n) =
     2^wp (n^{-s} + e_n), u = 2^-wp.  A prime's rounded log and product with
@@ -97,40 +111,53 @@ def _dirichlet_sum(s, lo: int, hi: int, precision_bits: int) -> mp.mpc:
     <= |e_a| + |e_b| + |e_a e_b| + 1.5 u, so over the Omega(n) <= log2 n
     factors of n, with X = (|s| log n / 64 + 3.02 Omega(n)) u <= 1 (true for
     |s| < 2^p), |e_n| <= e^X - 1 <= 1.72 X <= (|s| log n / 32 + 6 log2 n) u.
-    The integer sum S~ is exact, and its rounding adds <= 2^-p |S~|:
+    A range's integer sum S~ is exact, and its rounding adds <= 2^-p |S~|:
 
         |computed - S| <= 2^-p |S~| + (hi - lo)(|s| log hi / 32 + 6 log2 hi) 2^-wp,
 
-    where 2^-wp < 2^-p / (256 hi^2).  The direct sum pays the same final
-    rounding and charges each term n >= 2 at least (|s| log n + 1) 2^-p
-    n^{-sigma}.  For hi < 2^42 the second part stays below that charge at
-    n = hi when sigma <= 1 (exp_sum, afe_residual's second sum), and at
-    n = 2 when lo = 0 and sigma <= 3 (zeta_em, afe_residual): the bound
-    never exceeds the direct sum's.
+    where 2^-wp < 2^-p / (256 hi^2).  A range that shares the pass with a
+    larger hi gets a larger wp, so its bound is no larger than on its own.
+    The direct sum pays the same final rounding and charges each term n >= 2
+    at least (|s| log n + 1) 2^-p n^{-sigma}.  For hi < 2^42 the second part
+    stays below that charge at n = hi when sigma <= 1 (exp_sum, afe_residual's
+    second sum), and at n = 2 when lo = 0 and sigma <= 3 (zeta_em,
+    afe_residual): the bound never exceeds the direct sum's.
     """
-    wp = precision_bits + 2 * hi.bit_length() + 8
-    keep = hi // 2 if 8 * (hi - lo) >= hi else 0
-    spf = _smallest_prime_factors(hi if keep else 0)
-    re, im = [1 << wp] * (keep + 1), [0] * (keep + 1)
-    sum_re, sum_im = (1 << wp) * (lo == 0), 0
+    top = max(hi for _, hi in ranges)
+
+    def summed(a: int, b: int) -> bool:
+        return any(lo <= a and b <= hi for lo, hi in ranges)
+    ends = sorted({0, *chain.from_iterable(ranges)})
+    terms = sum(b - a for a, b in zip(ends, ends[1:]) if summed(a, b))
+    keep = top // 2 if 8 * terms >= top else 0
+    ends = sorted({keep, *ends})
+    wp = precision_bits + 2 * top.bit_length() + 8
     with mp.workprec(wp + 8):
-        s = mp.mpc(s)
-        for n in chain(range(2, keep + 1), range(max(lo, keep, 1) + 1, hi + 1)):
+        neg_s = (-mp.mpc(s))._mpc_
+    spf = _smallest_prime_factors(top if keep else 0)
+    re, im = [1 << wp] * (keep + 1), [0] * (keep + 1)
+    sum_re = sum_im = 0
+    prefix = {0: (0, 0)}
+    for start, end in zip(ends, ends[1:]):
+        add, store = summed(start, end), end <= keep
+        for n in range(start + 1, end + 1) if add or store else ():
             p = spf[n] if keep else 0
             if p:
                 a, b, m = re[p], im[p], n // p
                 x = (a * re[m] - b * im[m]) >> wp
                 y = (a * im[m] + b * re[m]) >> wp
             else:
-                z = mp.exp(-s * mp.log(n))
-                x, y = to_fixed(z.real._mpf_, wp), to_fixed(z.imag._mpf_, wp)
-            if n <= keep:
+                z = _power(neg_s, n, wp + 8)
+                x, y = to_fixed(z[0], wp), to_fixed(z[1], wp)
+            if store:
                 re[n], im[n] = x, y
-            if n > lo:
+            if add:
                 sum_re += x
                 sum_im += y
+        prefix[end] = sum_re, sum_im
     with mp.workprec(precision_bits):
-        return mp.mpc(mp.mpf((sum_re, -wp)), mp.mpf((sum_im, -wp)))
+        return [mp.mpc(mp.mpf((prefix[hi][0] - prefix[lo][0], -wp)),
+                       mp.mpf((prefix[hi][1] - prefix[lo][1], -wp))) for lo, hi in ranges]
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +186,21 @@ class ExpSumReport:
     trivial: bool
 
 
+def _check_precision_bits(precision_bits: int, t: float = 0.0) -> None:
+    """DomainError unless precision_bits is a positive integer of at least
+    MIN_PRECISION_BITS; a phase error t 2^-precision_bits of 1e-6 or more in
+    a sum at height t raises PrecisionError before the floor is checked."""
+    check_positive("precision_bits", precision_bits)
+    check_integral("precision_bits", precision_bits)
+    if t * 2.0 ** (-precision_bits) >= 1e-6:
+        raise PrecisionError(
+            f"phase error t*2^-p = {t * 2.0 ** (-precision_bits):.2e} too "
+            f"large at {precision_bits} bits; raise precision_bits")
+    if precision_bits < MIN_PRECISION_BITS:
+        raise DomainError(f"precision_bits must be >= {MIN_PRECISION_BITS} (float64 "
+                          f"results), got {precision_bits}")
+
+
 def _check_expsum_t(t: float) -> None:
     if not (0 <= t <= T_CAP_EXPSUM):
         raise DomainError(f"t must lie in [0, 1e12], got {t}")
@@ -170,22 +212,26 @@ def _check_expsum_terms(terms: int) -> None:
                           f"{EXPSUM_TERMS_CAP}")
 
 
-def exp_sum(N: int, N_prime: int, t: float, precision_bits: int = 128) -> ExpSumReport:
-    """sum_{N < n <= N'} e^{-it log n} at precision_bits by ``_dirichlet_sum``."""
+def _check_expsum(N: int, N_prime: int, t: float, precision_bits: int) -> None:
     if not (1 <= N < N_prime <= 2 * N):
         raise DomainError(f"need 1 <= N < N' <= 2N, got N={N}, N'={N_prime}")
     _check_expsum_t(t)
     _check_expsum_terms(N_prime - N)
-    check_positive("precision_bits", precision_bits)
-    check_integral("precision_bits", precision_bits)
-    if t * 2.0 ** (-precision_bits) >= 1e-6:
-        raise PrecisionError(
-            f"phase error t*2^-p = {t * 2.0 ** (-precision_bits):.2e} too "
-            f"large at {precision_bits} bits; raise precision_bits")
+    _check_precision_bits(precision_bits, t)
     check_integral("N", N)
     check_integral("N_prime", N_prime)
+
+
+def exp_sum(N: int, N_prime: int, t: float, precision_bits: int = 128) -> ExpSumReport:
+    """sum_{N < n <= N'} e^{-it log n} at precision_bits by ``_dirichlet_sum``."""
+    _check_expsum(N, N_prime, t, precision_bits)
+    value, = _dirichlet_sum(complex(0, t), [(N, N_prime)], precision_bits)
+    return _expsum_report(N, N_prime, t, value, precision_bits)
+
+
+def _expsum_report(N: int, N_prime: int, t: float, value: mp.mpc,
+                   precision_bits: int) -> ExpSumReport:
     with mp.workprec(precision_bits):
-        value = _dirichlet_sum(complex(0, t), N, N_prime, precision_bits)
         modulus = float(abs(value))
     rho = refined = hb = ratio_r = ratio_h = None
     trivial = False
@@ -210,17 +256,26 @@ def expsum_bound_grid(N_list: Sequence[int], t_list: Sequence[float],
 
     Pairs with N > sqrt(t) fall outside the bound's stated range and are
     omitted; nothing asymptotic is asserted, only ratios are recorded.  The
-    whole table's terms are held to EXPSUM_TERMS_CAP before any is summed.
+    whole table's terms are held to EXPSUM_TERMS_CAP, and every pair meets
+    ``exp_sum``'s checks, before any is summed.  Each t takes one
+    ``_dirichlet_sum`` pass over all of its N, so the table of n^{-it} up to
+    its largest N is built once; the reports equal ``exp_sum``'s.
     """
-    pairs = []
+    rows = []
     for t in t_list:
         _check_expsum_t(t)
-        pairs += [(N, t) for N in N_list if N <= math.isqrt(int(t))]
+        rows.append((t, [N for N in N_list if N <= math.isqrt(int(t))]))
     # an N < 1 adds no terms: exp_sum refuses it
-    _check_expsum_terms(sum(max(N, 0) for N, _ in pairs))
+    _check_expsum_terms(sum(max(N, 0) for _, Ns in rows for N in Ns))
     for N in N_list:  # a NaN N fails N <= isqrt(t), so it would pair with nothing
         check_integral("N", N)
-    return [exp_sum(N, 2 * N, t, precision_bits) for N, t in pairs]
+    for t, Ns in rows:
+        for N in Ns:
+            _check_expsum(N, 2 * N, t, precision_bits)
+    return [_expsum_report(N, 2 * N, t, value, precision_bits)
+            for t, Ns in rows if Ns
+            for N, value in zip(Ns, _dirichlet_sum(complex(0, t), [(N, 2 * N) for N in Ns],
+                                                   precision_bits))]
 
 
 # ---------------------------------------------------------------------------
@@ -275,12 +330,11 @@ def zeta_em(sigma: float, t: float, precision_bits: int = 128) -> mp.mpc:
         raise DomainError(f"|t| capped at 1e6, got {t}")
     if sigma == 1 and t == 0:
         raise DomainError("pole at s = 1")
-    check_positive("precision_bits", precision_bits)
-    check_integral("precision_bits", precision_bits)
+    _check_precision_bits(precision_bits)
     M, J = _em_cutoff(sigma, t, precision_bits)
     with mp.workprec(precision_bits + 32):
         s = mp.mpc(sigma, t)
-        total = _dirichlet_sum(s, 0, M, precision_bits + 32)
+        total, = _dirichlet_sum(s, [(0, M)], precision_bits + 32)
         Ms = mp.exp(-s * mp.log(M))
         total += M * Ms / (s - 1) - Ms / 2
         poch = s
@@ -395,8 +449,7 @@ def chi_factor(sigma: float, t: float, precision_bits: int = 128) -> mp.mpc:
     """
     check_finite("sigma", sigma)
     check_finite("t", t)
-    check_positive("precision_bits", precision_bits)
-    check_integral("precision_bits", precision_bits)
+    _check_precision_bits(precision_bits)
     if t == 0 and sigma == int(sigma):
         si = int(sigma)
         if si <= 0 and si % 2 == 0:
@@ -445,8 +498,8 @@ def afe_residual(sigma: float, t: float, precision_bits: int = 128,
     chi1s = chi_factor(1 - sigma, -t, precision_bits)
     with mp.workprec(precision_bits):
         s = mp.mpc(sigma, t)
-        S1 = _dirichlet_sum(s, 0, L, precision_bits)
-        S2 = _dirichlet_sum(1 - s, 0, L, precision_bits)
+        S1, = _dirichlet_sum(s, [(0, L)], precision_bits)
+        S2, = _dirichlet_sum(1 - s, [(0, L)], precision_bits)
         residual = float(abs(z - S1 - chi1s * S2))
         ratio = float(abs(chi1s) / mp.mpf(t) ** (sigma - mp.mpf(1) / 2))
     return AfeReport(sigma=sigma, t=t, L=L, residual=residual,

@@ -1,6 +1,7 @@
 """tools/ab_pairs.py: its exit status reports incorrect outputs, failed
-operations and failed runs, a failed run does not stop the others, SIGTERM leaves no export behind, and it records per-operation
-medians from each run's result file.  The git export and the benchmark runs
+operations and failed runs, a failed run does not stop the others, SIGTERM leaves no export behind, it records per-operation
+medians from each run's result file, and a parent-against-parent control
+series gives each metric a noise band.  The git export and the benchmark runs
 are stubbed, so no benchmark runs here."""
 
 from __future__ import annotations
@@ -126,7 +127,7 @@ def fail_runs(mod, monkeypatch, failing):
 
 def test_ab_pairs_records_a_failed_run_and_carries_on(ab_pairs, monkeypatch, capsys):
     stub_runs(ab_pairs, monkeypatch)
-    fail_runs(ab_pairs, monkeypatch, {2})  # pair 1 of remainder-sieve, change side
+    fail_runs(ab_pairs, monkeypatch, {1})  # pair 1 of remainder-sieve, change side
     assert ab_pairs.main(ARGS) == 1
     err = capsys.readouterr().err
     assert "remainder-sieve seed=1 trace=0" in err and "residue-constants" not in err
@@ -137,7 +138,7 @@ def test_ab_pairs_records_a_failed_run_and_carries_on(ab_pairs, monkeypatch, cap
     wall = s["metrics"]["wall_s"]
     assert wall["parent_runs"] == [1.0, 1.0] and wall["change_runs"] == [None, 1.0]
     assert wall["change"]["median"] == 1.0 and wall["change_wins"] == 0
-    assert s["ops_attempted"] == {"parent": 8, "change": 4}
+    assert s["ops_attempted"] == {"parent": 8, "change": 4, "control": 8}
     # the change's one completed run took 0.1 s
     assert s["ops"]["cold:a"]["wall_s"] == pytest.approx({"parent": 0.25, "change": 0.1})
     later = out["sets"]["residue-constants seed=1 trace=0"]
@@ -146,13 +147,52 @@ def test_ab_pairs_records_a_failed_run_and_carries_on(ab_pairs, monkeypatch, cap
 
 def test_ab_pairs_records_a_side_whose_every_run_failed(ab_pairs, monkeypatch, capsys):
     stub_runs(ab_pairs, monkeypatch)
-    fail_runs(ab_pairs, monkeypatch, {2, 3})  # both change runs of remainder-sieve
+    fail_runs(ab_pairs, monkeypatch, {1, 6})  # both change runs of remainder-sieve
     assert ab_pairs.main(ARGS) == 1
     out = json.loads(Path("BENCH_0.json").read_text())
     s = out["sets"]["remainder-sieve seed=1 trace=0"]
     assert [r["side"] for r in s["failed_runs"]] == ["change", "change"]
     assert s["metrics"] == {} and s["ops"] == {}
     assert out["sets"]["residue-constants seed=1 trace=0"]["metrics"]
+
+
+def test_ab_pairs_records_the_control_band(ab_pairs, monkeypatch):
+    """Pair i runs the parent between the change and the control, alternating
+    which of them goes first; the control's median gap, the interquartile
+    range of its pair gaps and its wins give each metric a noise band."""
+    walls = {"parent": [1.0, 1.2, 1.1, 1.0], "control": [1.1, 1.0, 1.2, 1.3],
+             "change": [0.8, 0.9, 0.7, 1.0]}
+    order = []
+
+    def run_once(tree, workload, seed, seconds, trace):
+        order.append(tree.name)
+        wall = walls[tree.name][order.count(tree.name) - 1]
+        return {"result": {"correct": True, "attempted": 4, "failed": 0,
+                           "metrics": {"wall_s": {"value": wall, "unit": "s"},
+                                       "cpu_s": {"value": 1.0, "unit": "s"}}},
+                "facts": {}, "ops": {"cold:a": {"wall_s": wall, "cpu_s": wall}}}
+    monkeypatch.setattr(ab_pairs, "run_once", run_once)
+    assert ab_pairs.main(["--parent", "p", "--pr", "0", "--set", "zeta-quadrature:1:4"]) == 0
+    assert order == ["change", "parent", "control", "control", "parent", "change"] * 2
+    s = json.loads(Path("BENCH_0.json").read_text())["sets"]["zeta-quadrature seed=1 trace=0"]
+    wall = s["metrics"]["wall_s"]
+    assert wall["parent"]["median"] == pytest.approx(1.05)
+    assert wall["change"]["median"] == pytest.approx(0.85) and wall["change_wins"] == 3
+    # control gaps 0.1, -0.2, 0.1, 0.3: quartiles 0.025 and 0.15
+    control = wall["control"]
+    assert control["median"] == pytest.approx(1.15)
+    assert control["median_gap"] == pytest.approx(0.1)
+    assert control["pair_gap_iqr"] == pytest.approx(0.125)
+    assert control["band"] == pytest.approx(0.225) and control["wins"] == 1
+    assert control["runs"] == walls["control"]
+    assert wall["median_gap_exceeds_parent_iqr"] is True
+    assert wall["median_gap_exceeds_control_band"] is False  # 0.2 < 0.225
+    # identical sides: a zero gap, a zero band, and nothing exceeds it
+    cpu = s["metrics"]["cpu_s"]
+    assert cpu["control"]["band"] == 0 and cpu["control"]["wins"] == 0
+    assert cpu["median_gap_exceeds_control_band"] is False
+    assert s["ops_attempted"] == {"parent": 16, "change": 16, "control": 16}
+    assert set(s["ops"]["cold:a"]["wall_s"]) == {"parent", "change"}
 
 
 def test_run_once_raises_run_failed_on_a_non_zero_exit(ab_pairs, monkeypatch, tmp_path):

@@ -8,13 +8,14 @@ rational crossover algebra.
 
 import cmath
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from divisorlab import exponents as ex
 from divisorlab import laurent as la
@@ -88,6 +89,37 @@ def test_exp_sum_preconditions():
         zs.expsum_bound_grid([cap // 2, cap // 2 + 1], [1e12])
 
 
+# the README grid, the seed-1 grid of perfbench's zeta-quadrature, and grids
+# with a repeated N, a repeated t, N = 1, t = 0 and 1, and an N past sqrt(t)
+# at one t but not at the other
+@pytest.mark.parametrize("Ns, ts, bits", [
+    ([256, 1024, 4096], [1e6, 1e8], 128),
+    ([515, 2038], [10928993.832391936, 1044617867.2959428], 128),
+    ([16, 1, 16, 200, 64], [1e4, 123456.5, 1e4], 192),
+    ([1, 2, 3], [0.0, 1.0, 9.0, 16.0], 53),
+])
+def test_expsum_grid_equals_exp_sum_per_pair(Ns, ts, bits):
+    # one _dirichlet_sum pass per t, at the wp of its largest N, returns the
+    # reports of one exp_sum call per pair, to the last printed digit
+    pairs = [(N, t) for t in ts for N in Ns if N <= math.isqrt(int(t))]
+    grid = zs.expsum_bound_grid(Ns, ts, bits)
+    assert repr(grid) == repr([zs.exp_sum(N, 2 * N, t, bits) for N, t in pairs])
+
+
+@pytest.mark.parametrize("Ns, ts, bits, pair, error", [
+    ([16, 0], [1e6], 128, (0, 1e6), DomainError),         # exp_sum's range check
+    ([16, 32], [1e12], 16, (16, 1e12), PrecisionError),   # phase error before the floor
+    ([16], [1e6], 52, (16, 1e6), DomainError),            # the precision floor
+    ([16], [1e6], 0, (16, 1e6), DomainError),
+])
+def test_expsum_grid_refuses_as_exp_sum_does(Ns, ts, bits, pair, error):
+    N, t = pair
+    with pytest.raises(error) as one:
+        zs.exp_sum(N, 2 * N, t, bits)
+    with pytest.raises(error, match=f"^{re.escape(str(one.value))}$"):
+        zs.expsum_bound_grid(Ns, ts, bits)
+
+
 def test_expsum_grid_properties():
     Ns = [2 ** j for j in range(8, 15)]
     reports = zs.expsum_bound_grid(Ns, [1e6, 1e8])
@@ -136,7 +168,7 @@ RANGES = st.one_of(
 def test_dirichlet_kernel_within_its_bound(lo_hi, sigma, t, bits):
     lo, hi = lo_hi
     s = complex(sigma, t)
-    value = zs._dirichlet_sum(s, lo, hi, bits)
+    value, = zs._dirichlet_sum(s, [(lo, hi)], bits)
     exact = naive_dirichlet(s, lo, hi, 2 * bits)
     # the oracle's own error at 2 bits: one rounding of the sum, and each
     # term's phase error and rounding
@@ -163,18 +195,61 @@ def test_dirichlet_kernel_memory_per_entry():
     hi, PEAK_BYTES_PER_ENTRY = 20000, 160
     tracemalloc.start()
     try:
-        zs._dirichlet_sum(complex(0.5, 1000.0), 0, hi, 128)
+        zs._dirichlet_sum(complex(0.5, 1000.0), [(0, hi)], 128)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak / (hi // 2) < PEAK_BYTES_PER_ENTRY
 
 
+def test_dirichlet_kernel_memory_per_entry_of_a_shared_table():
+    # one pass for three dyadic ranges keeps the entries of the largest only
+    N, PEAK_BYTES_PER_ENTRY = 10000, 160
+    tracemalloc.start()
+    try:
+        zs._dirichlet_sum(complex(0, 1e8), [(N // 4, N // 2), (N, 2 * N), (N // 2, N)], 128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / N < PEAK_BYTES_PER_ENTRY
+
+
+def test_dirichlet_kernel_ranges_share_one_pass():
+    # overlapping, nested, repeated and disjoint ranges at one s, each equal
+    # to its own pass at the shared pass's precision
+    s, bits = complex(0.5, 1234.5), 128
+    ranges = [(0, 40), (10, 20), (10, 20), (15, 60), (100, 130), (59, 61)]
+    values = zs._dirichlet_sum(s, ranges, bits)
+    for (lo, hi), value in zip(ranges, values):
+        exact = naive_dirichlet(s, lo, hi, 2 * bits)
+        with mp.workprec(2 * bits):
+            err = float(abs(value - exact))
+        assert err <= kernel_bound(s, lo, hi, bits, value) + 2.0 ** -(2 * bits - 10)
+
+
+PRIMES_1E5 = [n for n, f in enumerate(zs._smallest_prime_factors(10 ** 5)) if n >= 2 and not f]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(PRIMES_1E5), st.floats(0, 3), st.floats(-1e12, 1e12),
+       st.sampled_from([53, 128, 192]))
+@example(2, 0.0, 0.0, 53)
+@example(99991, 1.0, 0.0, 128)
+@example(3, 0.0, 1e12, 192)
+def test_power_is_mp_exp_to_the_bit(p, sigma, t, bits):
+    # at the kernel's working precision for a pass up to 2p
+    prec = bits + 2 * (2 * p).bit_length() + 16
+    with mp.workprec(prec):
+        s = mp.mpc(sigma, t)
+        want = mp.exp(-s * mp.log(p))
+        assert zs._power((-s)._mpc_, p, prec) == want._mpc_
+
+
 def test_short_sum_far_out_keeps_no_table():
     # fewer than hi / 8 terms: one mp.exp per term and no table of size hi
     tracemalloc.start()
     try:
-        value = zs._dirichlet_sum(complex(0, 1e6), 10 ** 12, 10 ** 12 + 3, 128)
+        value, = zs._dirichlet_sum(complex(0, 1e6), [(10 ** 12, 10 ** 12 + 3)], 128)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -394,6 +469,22 @@ def test_non_positive_precision_raises_domain_error(fn, args, name, bad):
     # unguarded, chi_factor at -5 bits worked at 11 bits and returned a value
     with pytest.raises(DomainError, match=f"^{name} must be positive, got {bad}$"):
         fn(*args)
+
+
+@pytest.mark.parametrize("fn, args", [
+    (zs.exp_sum, (10, 20, 100.0, 52)),
+    (zs.exp_sum, (10, 20, 0.0, 16)),
+    (zs.zeta_em, (0.5, 10.0, 52)),
+    (zs.chi_factor, (0.75, 100.0, 16)),
+    (zs.chi_factor, (3.0, 0.0, 1)),
+    (zs.afe_residual, (0.75, 100.0, 2)),
+], ids=lambda v: v.__name__ if callable(v) else None)
+def test_precision_below_float64_raises_domain_error(fn, args):
+    # unguarded, afe_residual(0.75, 100.0, 2) returned a residual of 1.0
+    with pytest.raises(DomainError, match=r"^precision_bits must be >= 53 \(float64 "
+                                          rf"results\), got {args[-1]}$"):
+        fn(*args)
+    fn(*args[:-1], 53)
 
 
 def test_negative_seed_raises_domain_error():

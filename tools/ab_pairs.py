@@ -4,20 +4,30 @@
         --set cli-session:1:10 --set remainder-sieve:1:5 [--set W:SEED:PAIRS:1]
 
 Run from the root of a git checkout.  ``git archive`` exports the parent
-revision and the change revision (``--change``, default HEAD; commit the
-change first) into a temporary directory, and ``compileall`` compiles both
-trees, so neither side pays for bytecode compilation the other skips.
-Each ``--set WORKLOAD:SEED:PAIRS[:TRACE]`` then runs
+revision twice, as the parent and as a control, and the change revision
+(``--change``, default HEAD; commit the change first) into a temporary
+directory, and ``compileall`` compiles the trees, so no side pays for
+bytecode compilation another skips.  Each ``--set WORKLOAD:SEED:PAIRS[:TRACE]``
+then runs
 
     python3 perfbench/run.py --workload WORKLOAD --seed SEED --seconds S --trace TRACE
 
-PAIRS times on each side, alternating which side runs first, and reads the
-JSON object on the last line of its output.  ``BENCH_<pr>.json`` gets the
-machine facts, every run, and per metric each side's median and quartiles
-(linear interpolation), the number of pairs the change won (ties count for
-neither side), whether the median gap exceeds the parent's interquartile
-range, and whether the change is worse than the parent beyond the bound in
-BENCHMARK.json; plus the ``src/`` line count of each tree.  To show where a
+PAIRS times on each side and reads the JSON object on the last line of its
+output.  Pair i runs the parent between the change and the control, the
+change first when i is even and the control first when it is odd: the real
+pairs (parent against change) and the control pairs (parent against the same
+code in another directory, an A/A test) interleave, and each alternates
+which side runs first.  ``BENCH_<pr>.json`` gets the machine facts, every
+run, and per metric each side's median and quartiles (linear
+interpolation), the number of pairs the change won (ties count for neither
+side), whether the median gap exceeds the parent's interquartile range, and
+whether the change is worse than the parent beyond the bound in
+BENCHMARK.json; plus the ``src/`` line count of each tree.  The control
+gives the metric's noise floor: its median gap to the parent, the
+interquartile range of its per-pair gaps, the pairs it won, and a band, the
+sum of the first two.  A gap of medians that the control reaches as well
+shows nothing, so each metric also records whether the change's gap exceeds
+that band.  To show where a
 gain appears, each set also records per side, per operation (``pass:label``),
 the median over runs of each run's fastest untraced round, read from the
 run's result file ``perfbench/out/<workload>-seed<S>-trace<T>.json``: raw
@@ -26,7 +36,7 @@ to in-process operations.
 
 A run that exits non-zero (a crashed worker, the run deadline) is recorded
 under its set with its side, pair, exit code and the end of its standard
-error, and left out of the medians; its pair counts for neither side.  The
+error, and left out of the medians; its pairs count for neither side.  The
 exit status is 1, with the sets named on standard error, when any run of any
 set failed, is incorrect or has failed operations; every set is still run and
 recorded.  SIGTERM exits as an exception would: the running benchmark is
@@ -46,6 +56,7 @@ import tarfile
 import tempfile
 from pathlib import Path
 
+SIDES = ("parent", "change", "control")
 FACT_KEYS = ("nproc", "cpu_count", "cpu_model", "L2", "L3", "python", "numpy", "mpmath",
              "mpmath_backend", "openblas_threads")
 
@@ -118,19 +129,40 @@ def quartiles(xs: list[float]) -> dict:
     return {"q1": q1, "median": med, "q3": q3}
 
 
-def summarise(parent: list, change: list, better: str, bound: float | None) -> dict:
-    """Quartiles and pair wins of one metric; ``parent[i]`` and ``change[i]``
-    are pair i's values, None where that run failed."""
+def pair_order(i: int) -> tuple[str, str, str]:
+    return ("change", "parent", "control") if i % 2 == 0 else ("control", "parent", "change")
+
+
+def wins(parent: list, other: list, sign: int) -> int:
+    """Pairs where ``other`` reads better than the parent."""
+    return sum(sign * (a - b) > 0 for a, b in zip(parent, other)
+               if a is not None and b is not None)
+
+
+def summarise(parent: list, change: list, control: list, better: str,
+              bound: float | None) -> dict:
+    """Quartiles and pair wins of one metric, and the control's noise band;
+    ``parent[i]``, ``change[i]`` and ``control[i]`` are pair i's values,
+    None where that run failed."""
     sign = 1 if better == "lower" else -1
     p = quartiles([a for a in parent if a is not None])
     c = quartiles([b for b in change if b is not None])
     out = {"parent": p, "change": c,
            "median_ratio": c["median"] / p["median"] if p["median"] else None,
-           "change_wins": sum(sign * (a - b) > 0 for a, b in zip(parent, change)
-                              if a is not None and b is not None),
+           "change_wins": wins(parent, change, sign),
            "median_gap_exceeds_parent_iqr":
                sign * (p["median"] - c["median"]) > p["q3"] - p["q1"],
            "parent_runs": parent, "change_runs": change}
+    gaps = [b - a for a, b in zip(parent, control) if a is not None and b is not None]
+    if gaps:
+        k = quartiles([b for b in control if b is not None])
+        g = quartiles(gaps)
+        median_gap, iqr = k["median"] - p["median"], g["q3"] - g["q1"]
+        out["control"] = {"median": k["median"], "median_gap": median_gap,
+                          "pair_gap_iqr": iqr, "wins": wins(parent, control, sign),
+                          "band": abs(median_gap) + iqr, "runs": control}
+        out["median_gap_exceeds_control_band"] = \
+            sign * (p["median"] - c["median"]) > abs(median_gap) + iqr
     if bound is not None:
         out["bound"] = bound
         out["worse_beyond_bound"] = sign * (c["median"] - p["median"]) > bound * abs(p["median"])
@@ -166,22 +198,25 @@ def main(argv=None) -> int:
     out = {"parent_commit": None, "change_commit": None, "machine": None,
            "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} "
                       "--trace T",
-           "method": "parent and change exported by git archive and compiled by compileall; "
-                     "pairs alternate which side runs first; quartiles by linear "
-                     "interpolation; a win is a pair whose change reads better",
+           "method": "parent (twice: parent and control) and change exported by git archive "
+                     "and compiled by compileall; pair i runs change, parent, control when i "
+                     "is even and control, parent, change when it is odd; quartiles by "
+                     "linear interpolation; a win is a pair whose change (or control) reads "
+                     "better; the control band is the control's median gap plus the "
+                     "interquartile range of its pair gaps",
            "sets": {}, "src_lines": {}}
     with tempfile.TemporaryDirectory(prefix="ab_pairs-") as tmp:
-        trees = {side: Path(tmp) / side for side in ("parent", "change")}
+        trees = {side: Path(tmp) / side for side in SIDES}
         out["parent_commit"] = export(args.parent, trees["parent"])
         out["change_commit"] = export(args.change, trees["change"])
-        out["src_lines"] = {side: src_lines(tree) for side, tree in trees.items()}
+        export(args.parent, trees["control"])
+        out["src_lines"] = {side: src_lines(trees[side]) for side in ("parent", "change")}
         for workload, seed, pairs, trace in args.sets:
-            runs = {"parent": [], "change": []}  # per pair; None where the run failed
+            runs = {side: [] for side in SIDES}  # per pair; None where the run failed
             ops = {"parent": [], "change": []}
             failed_runs = []
             for i in range(pairs):
-                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-                for side in order:
+                for side in pair_order(i):
                     head = f"{workload} seed={seed} trace={trace} pair {i + 1}/{pairs} {side}"
                     try:
                         run = run_once(trees[side], workload, seed, seconds, trace)
@@ -194,19 +229,18 @@ def main(argv=None) -> int:
                         continue
                     out["machine"] = out["machine"] or run["facts"]
                     runs[side].append(run["result"])
-                    ops[side].append(run["ops"])
+                    if side in ops:
+                        ops[side].append(run["ops"])
                     print(f"{head}: " + " ".join(f"{k}={v['value']:.4g}"
                                                  for k, v in run["result"]["metrics"].items()),
                           flush=True)
             done = {s: [r for r in runs[s] if r is not None] for s in runs}
             metrics = {}
-            if all(done.values()):
+            if all(ops.values()):
                 for name, m in done["parent"][0]["metrics"].items():
                     metrics[name] = {"unit": m["unit"], **summarise(
-                        [None if r is None else r["metrics"][name]["value"]
-                         for r in runs["parent"]],
-                        [None if r is None else r["metrics"][name]["value"]
-                         for r in runs["change"]],
+                        *([None if r is None else r["metrics"][name]["value"]
+                           for r in runs[side]] for side in SIDES),
                         better.get(name, "lower"), bounds.get(name) if not trace else None)}
             out["sets"][f"{workload} seed={seed} trace={trace}"] = {
                 "workload": workload, "seed": seed, "trace": trace, "pairs": pairs,
@@ -214,7 +248,7 @@ def main(argv=None) -> int:
                 "ops_attempted": {s: sum(r["attempted"] for r in done[s]) for s in done},
                 "ops_failed": {s: sum(r["failed"] for r in done[s]) for s in done},
                 "all_correct": all(r["correct"] for s in done for r in done[s]),
-                "metrics": metrics, "ops": op_medians(ops) if all(done.values()) else {}}
+                "metrics": metrics, "ops": op_medians(ops) if all(ops.values()) else {}}
             path.write_text(json.dumps(out, indent=1) + "\n")  # after every set
             print(f"wrote {path}", flush=True)
     bad = [name for name, s in out["sets"].items()

@@ -70,6 +70,13 @@ def groups():
                       zetasum.zeta_em(2.0, 3.0, 64),
                       zetasum.moment_integral(1, 2.0, 100.0),
                       zetasum.moment_integral(2, 0.75, 50.0)]
+    # the README grid and the seed-1 grid of perfbench's zeta-quadrature
+    yield "expsum", [zetasum.exp_sum(1000, 2000, 1e9), zetasum.exp_sum(37, 50, 0.0, 64),
+                     zetasum.expsum_bound_grid([256, 1024, 4096], [1e6, 1e8]),
+                     zetasum.expsum_bound_grid([515, 2038], [10928993.832391936,
+                                                            1044617867.2959428]),
+                     zetasum.afe_residual(0.75, 1000.0), zetasum.afe_residual(0.6, 500.0, 192),
+                     zetasum.chi_factor(0.75, 100.0), zetasum.chi_factor(0.5, 14.134725, 256)]
 
 
 def main(argv=None) -> int:
