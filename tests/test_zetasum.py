@@ -215,16 +215,18 @@ def test_dirichlet_kernel_memory_per_entry_of_a_shared_table():
 
 
 def test_dirichlet_kernel_ranges_share_one_pass():
-    # overlapping, nested, repeated and disjoint ranges at one s, each equal
-    # to its own pass at the shared pass's precision
+    # overlapping, nested, repeated and disjoint ranges at one s, each
+    # within its own bound, with the oracle's slack of the test above
     s, bits = complex(0.5, 1234.5), 128
     ranges = [(0, 40), (10, 20), (10, 20), (15, 60), (100, 130), (59, 61)]
     values = zs._dirichlet_sum(s, ranges, bits)
     for (lo, hi), value in zip(ranges, values):
         exact = naive_dirichlet(s, lo, hi, 2 * bits)
+        slack = 2.0 ** (-2 * bits) * (abs(complex(exact))
+                                      + 8 * (hi - lo) * (abs(s) * math.log(hi) + 1))
         with mp.workprec(2 * bits):
             err = float(abs(value - exact))
-        assert err <= kernel_bound(s, lo, hi, bits, value) + 2.0 ** -(2 * bits - 10)
+        assert err <= kernel_bound(s, lo, hi, bits, value) + slack
 
 
 PRIMES_1E5 = [n for n, f in enumerate(zs._smallest_prime_factors(10 ** 5)) if n >= 2 and not f]
