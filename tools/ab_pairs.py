@@ -129,10 +129,6 @@ def quartiles(xs: list[float]) -> dict:
     return {"q1": q1, "median": med, "q3": q3}
 
 
-def pair_order(i: int) -> tuple[str, str, str]:
-    return ("change", "parent", "control") if i % 2 == 0 else ("control", "parent", "change")
-
-
 def wins(parent: list, other: list, sign: int) -> int:
     """Pairs where ``other`` reads better than the parent."""
     return sum(sign * (a - b) > 0 for a, b in zip(parent, other)
@@ -162,7 +158,7 @@ def summarise(parent: list, change: list, control: list, better: str,
                           "pair_gap_iqr": iqr, "wins": wins(parent, control, sign),
                           "band": abs(median_gap) + iqr, "runs": control}
         out["median_gap_exceeds_control_band"] = \
-            sign * (p["median"] - c["median"]) > abs(median_gap) + iqr
+            sign * (p["median"] - c["median"]) > out["control"]["band"]
     if bound is not None:
         out["bound"] = bound
         out["worse_beyond_bound"] = sign * (c["median"] - p["median"]) > bound * abs(p["median"])
@@ -216,7 +212,9 @@ def main(argv=None) -> int:
             ops = {"parent": [], "change": []}
             failed_runs = []
             for i in range(pairs):
-                for side in pair_order(i):
+                order = (("change", "parent", "control") if i % 2 == 0
+                         else ("control", "parent", "change"))
+                for side in order:
                     head = f"{workload} seed={seed} trace={trace} pair {i + 1}/{pairs} {side}"
                     try:
                         run = run_once(trees[side], workload, seed, seconds, trace)
