@@ -11,10 +11,11 @@ Two families matter for callers (and for the CLI exit codes):
 The guards ``check_finite``, ``check_positive`` and ``check_nonnegative`` are
 written in positive form, so NaN and +-inf fail them; each takes int, float,
 Fraction and mpf, as does ``check_within``.  ``check_integral`` refuses any
-float, Fraction or mpf.
+float, Fraction or mpf, and returns the integer as a Python int.
 """
 
 import math
+import operator
 
 
 class PreconditionError(ValueError):
@@ -74,10 +75,13 @@ def check_within(name: str, x, lo, hi) -> None:
         raise DomainError(f"{name} must lie in [{lo}, {hi}], got {x}")
 
 
-def check_integral(name: str, x) -> None:
-    """DomainError unless x is an int or numpy integer (has ``__index__``)."""
+def check_integral(name: str, x) -> int:
+    """x as a Python int; DomainError unless it is an int or numpy integer
+    (has ``__index__``).  Callers go on with the returned value, since numpy
+    integers lack ``bit_length`` and overflow in mpmath's precisions."""
     if not hasattr(x, "__index__"):
         raise DomainError(f"{name} must be integral, got {x}")
+    return operator.index(x)
 
 
 def check_positive(name: str, x) -> None:

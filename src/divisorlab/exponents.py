@@ -419,20 +419,13 @@ def ivic_m(sigma):
         return 2 * k0_theta(sigma)
 
 
-def _sigma_bound(k: mp.mpf, params: ExponentParams) -> float:
-    """1 - (3(B+eps0)(k - k2))^{-2/3} at work precision, for an mpf k."""
-    with _wp():
-        B = mp.mpf(params.B) + mp.mpf(params.eps0)
-        k2 = k2_theta(params.theta, params.B, params.eps0)
-        return float(1 - (3 * B * (k - k2)) ** (-mp.mpf(2) / 3))
-
-
 def m0_validity_threshold(params: ExponentParams) -> float:
-    """Smallest sigma at which m0 is a certified moment-order bound.
+    """Smallest sigma at which m0 is a certified moment-order bound: theta.
 
-    Equals 1 - (3(B+eps0)(k0-k2))^{-2/3}, which collapses to theta exactly.
+    It is the inductive bound at k0, 1 - (3(B+eps0)(k0-k2))^{-2/3}, and
+    k0 - k2 = 1/(3(B+eps0)(1-theta)^{3/2}) makes that theta exactly.
     """
-    return _sigma_bound(k0_theta(float(params.theta)), params)
+    return float(params.theta)
 
 
 def _m0_formula(sigma: float, params: ExponentParams) -> float:
@@ -475,7 +468,9 @@ def inductive_sigma_bound(k: float, params: ExponentParams) -> float:
         if k < float(k0) - 1e-12:
             raise RangeError(
                 f"inductive bound needs k >= k0(theta) = {float(k0):.6f}, got {k}")
-        return _sigma_bound(mp.mpf(k), params)
+        B = mp.mpf(params.B) + mp.mpf(params.eps0)
+        k2 = k2_theta(params.theta, params.B, params.eps0)
+        return float(1 - (3 * B * (mp.mpf(k) - k2)) ** (-mp.mpf(2) / 3))
 
 
 def induction_step_check(r: float, delta_step: float,
@@ -483,8 +478,10 @@ def induction_step_check(r: float, delta_step: float,
     """Check the step inequality (1+x)^{2/3} >= 1 + c*x of the induction.
 
     c = 2B/(3(B+eps0)) + eps1*(r-k2) with eps1 = eps0/(3(B+eps0)(k-k2)) and
-    x = delta_step/(r-k2).  Also bisects (to 1e-6 in delta) for the largest
-    step size for which the inequality still holds at this r.
+    x = delta_step/(r-k2).  The largest step at this r is x*(r-k2), x* the
+    positive root of (1+cx)^3 = (1+x)^2 over x, c^3 x^2 + (3c^2-1) x + 3c-2 = 0:
+    x* = 2(2 - 3c)/(3c^2 - 1 + sqrt((1-c)^3 (1+3c))).  For c >= 2/3, where the
+    discriminant can go negative, it is 0.
     """
     check_positive("delta_step", delta_step)
     check_finite("r", r)
@@ -503,26 +500,12 @@ def induction_step_check(r: float, delta_step: float,
         c = 2 * B / (3 * (B + eps0)) + eps1 * gap_r
         x = mp.mpf(delta_step) / gap_r
 
-        def g(xx):
-            return (1 + xx) ** (mp.mpf(2) / 3) - 1 - c * xx
-
-        holds = g(x) >= 0
-        # largest admissible step: g(x) >= 0 on (0, x*]; bisect for x*
+        holds = (1 + x) ** (mp.mpf(2) / 3) - 1 - c * x >= 0
         if c >= mp.mpf(2) / 3:
             delta_max = mp.mpf(0)
         else:
-            hi = mp.mpf(1)
-            while g(hi) > 0 and hi < mp.mpf(2) ** 80:
-                hi *= 2
-            lo = mp.mpf(0)
-            tol = mp.mpf("1e-6") / gap_r  # 1e-6 in delta units
-            while hi - lo > tol:
-                mid = (lo + hi) / 2
-                if g(mid) >= 0:
-                    lo = mid
-                else:
-                    hi = mid
-            delta_max = lo * gap_r
+            root = mp.sqrt((1 - c) ** 3 * (1 + 3 * c))
+            delta_max = gap_r * 2 * (2 - 3 * c) / (3 * c ** 2 - 1 + root)
         return StepCheckReport(holds=bool(holds), c=float(c), x=float(x),
                                delta_max=float(delta_max), eps1=float(eps1))
 
@@ -610,7 +593,7 @@ def beta_k_exponent(sigma: float, k: int, params: ExponentParams,
 
 def rho_node(k: int) -> Fraction:
     """Regime node rho_k = (k^2 + 1)/(k + 1)."""
-    check_integral("k", k)
+    k = check_integral("k", k)
     return Fraction(k * k + 1, k + 1)
 
 
@@ -618,7 +601,7 @@ def phi_piece_for_index(k: int) -> PhiPiece:
     """Exact-rational affine piece on [rho_{k-1}, rho_k], k >= 2."""
     if k < 2:
         raise DomainError(f"piece index must be >= 2, got {k}")
-    check_integral("k", k)
+    k = check_integral("k", k)
     A = Fraction(2, (k - 1) ** 2 * (k + 2))
     Bc = Fraction(-(3 * k * k - 3 * k + 2), k * (k - 1) ** 2 * (k + 2))
     c = Fraction((k * k + 1) ** 2, k * (k + 1) ** 3)
@@ -722,7 +705,7 @@ def ck_inequality_scan(k_max: int) -> ScanReport:
     """
     if k_max < 2:
         raise DomainError(f"k_max must be >= 2, got {k_max}")
-    check_integral("k_max", k_max)
+    k_max = check_integral("k_max", k_max)
     pending = [(label, taylor_shift(p, 2), strict) for label, p, strict in _CK_CONDITIONS]
     for k in range(2, k_max + 1):
         if not pending:

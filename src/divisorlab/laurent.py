@@ -119,8 +119,8 @@ def stieltjes(n: int, precision_bits: int = 256) -> mp.mpf:
     """
     check_within("n", n, 0, STIELTJES_MAX_N)
     check_within("precision_bits", precision_bits, 1, STIELTJES_MAX_BITS)
-    check_integral("n", n)
-    check_integral("precision_bits", precision_bits)
+    n = check_integral("n", n)
+    precision_bits = check_integral("precision_bits", precision_bits)
     return _stieltjes(n, precision_bits)
 
 
@@ -229,9 +229,9 @@ def zeta_laurent(terms: int, precision_bits: int = 256) -> LaurentData:
     ``terms`` = number of post-pole coefficients retained (order = terms - 1).
     """
     check_within("terms", terms, 1, STIELTJES_MAX_N)
-    check_integral("terms", terms)
+    terms = check_integral("terms", terms)
     check_within("precision_bits", precision_bits, 1, STIELTJES_MAX_BITS - 32)
-    check_integral("precision_bits", precision_bits)
+    precision_bits = check_integral("precision_bits", precision_bits)
     bits = precision_bits + 32
     with mp.workprec(bits):
         coeffs = [mp.mpf(1)] + [(-1) ** n * stieltjes(n, bits) / mp.factorial(n)
@@ -301,8 +301,8 @@ def main_term_poly(k: int, precision_bits: int = 256) -> MainTermPoly:
     """
     check_within("k", k, 1, MAIN_TERM_K_CAP)
     check_within("precision_bits", precision_bits, 1, MAIN_TERM_MAX_BITS)
-    check_integral("k", k)
-    check_integral("precision_bits", precision_bits)
+    k = check_integral("k", k)
+    precision_bits = check_integral("precision_bits", precision_bits)
     return _main_term(k, precision_bits)
 
 
@@ -464,8 +464,8 @@ def residue_contour_oracle(k: int, precision_bits: int, x_probe: float,
     if not x_probe > 1:
         raise DomainError(f"x_probe must exceed 1, got {x_probe}")
     check_finite("x_probe", x_probe)
-    check_integral("k", k)
-    check_integral("precision_bits", precision_bits)
+    k = check_integral("k", k)
+    precision_bits = check_integral("precision_bits", precision_bits)
     prec = precision_bits + 32
     least = _contour_nodes(prec, x_probe)
     nodes = least if nodes is None else nodes

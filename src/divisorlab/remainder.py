@@ -8,8 +8,9 @@ point); any other x is accepted but flagged via ``half_odd=False``.
 Exact summatory values come from ``sieve.dk_partial_sums`` (small tables
 sieved to a bound y of its cost rule, floor-value sums above y); main terms
 from the residue polynomials.  High-volume paths run in float64 with the
-main-term polynomial coefficients rounded once: the mean square over one
-exact D_k table, the sign scan in rounds over blocks of points, each read on
+main-term polynomial coefficients rounded once: the mean square, streamed
+over ``sieve.dk_blocks`` segments whose exact running sum must end at
+D_k(floor x); the sign scan in rounds over blocks of points, each read on
 from an exact D_k at its start.  Per-sample paths keep full mpmath precision.
 """
 
@@ -411,7 +412,7 @@ def mean_square(k: int, x: float, panels_per_unit: int = 2,
         raise DomainError(f"x must lie in [2, 1e7], got {x}")
     if panels_per_unit < 2:
         raise DomainError("panels_per_unit must be >= 2")
-    check_integral("panels_per_unit", panels_per_unit)
+    panels_per_unit = check_integral("panels_per_unit", panels_per_unit)
     n_top = math.floor(x)
     sieve.check_budget("mean square", n_top, sieve.SEGMENT_BYTES + MS_BYTES_PER_PIECE
                        * max(MS_PASS, 3 * MS_ORDER * panels_per_unit))

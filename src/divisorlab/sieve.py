@@ -41,7 +41,6 @@ import bisect
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -307,8 +306,8 @@ def dk_blocks(k: int, starts, lens, hi: int):
     starts_b + lens_b - 1 < hi, in chunks of at most SEGMENT entries (see
     ``_signature_blocks``); refuses a flagged chunk.  Passing one hi for many
     calls reuses its prime table and plan."""
-    check_integral("hi", hi)
-    _check_caps(k, hi, 0)
+    hi = check_integral("hi", hi)
+    k = _check_caps(k, hi, 0)
     starts, lens = np.asarray(starts), np.asarray(lens)
     for name, a in (("starts", starts), ("lens", lens)):  # a cast would truncate 3.9 or NaN
         if a.ndim != 1 or a.size != starts.size or a.size and a.dtype.kind not in "iu":
@@ -331,22 +330,23 @@ def check_budget(what: str, top: int, need: int) -> None:
                                 f"budget is {MEMORY_BUDGET_BYTES >> 20} MiB")
 
 
-def _check_caps(k: int, hi: int, table_bytes: int) -> None:
-    """Refuse k or hi beyond the caps, or table_bytes plus a segment over budget."""
+def _check_caps(k: int, hi: int, table_bytes: int) -> int:
+    """Refuse k or hi beyond the caps, or table_bytes plus a segment over
+    budget; return k as an int."""
     check_within("k", k, 1, DESK_K_CAP)
-    check_integral("k", k)
+    k = check_integral("k", k)
     if hi > DESK_X_CAP + 1:
         raise DomainError(f"range cap is {DESK_X_CAP}, requested up to {hi - 1}")
     check_budget("range", hi - 1, table_bytes + SEGMENT_BYTES)
+    return k
 
 
 def dk_block(k: int, lo: int, hi: int) -> DivisorBlock:
     """Exact d_k(n) for n in [lo, hi), sieved over [lo, hi) alone."""
     if not (1 <= lo < hi):
         raise DomainError(f"need 1 <= lo < hi, got [{lo}, {hi})")
-    _check_caps(k, hi, 8 * (hi - lo))
-    check_integral("lo", lo)
-    check_integral("hi", hi)
+    k = _check_caps(k, hi, 8 * (hi - lo))
+    lo, hi = check_integral("lo", lo), check_integral("hi", hi)
     values = np.empty(hi - lo, dtype=np.uint64)
     overflowed = False
     for s, ranks in _signature_segments(lo, hi):
@@ -503,11 +503,9 @@ def dk_partial_sums(k: int, x_max: int, checkpoints) -> tuple:
         raise DomainError("checkpoints must be strictly increasing")
     if not cps or cps[-1] > x_max or cps[0] < 1:
         raise DomainError("checkpoints must lie in [1, x_max]")
-    _check_caps(k, x_max + 1, 0)
+    k = _check_caps(k, x_max + 1, 0)
     check_finite("x_max", x_max)  # NaN passes the two range tests above
-    for c in cps:
-        check_integral("checkpoints", c)
-    cps = [operator.index(c) for c in cps]
+    cps = [check_integral("checkpoints", c) for c in cps]
     sums = tuple(zip(cps, cps)) if k == 1 else _floor_sums(k, cps, *_floor_bound(k, cps))
     for (a, da), (b, db) in zip(sums, sums[1:]):
         if da >= db:
@@ -528,8 +526,7 @@ def dk_factor(k: int, n: int) -> int:
     check_within("k", k, 1, DESK_K_CAP)
     if not (1 <= n <= 10 ** 12):
         raise DomainError(f"n must lie in [1, 1e12], got {n}")
-    check_integral("k", k)
-    check_integral("n", n)
+    k, n = check_integral("k", k), check_integral("n", n)
     result, m, p = 1, n, 1
     for step in itertools.chain((1, 1, 2, 2), itertools.cycle(_TRIAL_STEPS)):
         p += step  # 2, 3, 5, 7, then the wheel: 11, 13, 17, 19, 23, 29, 31, 37, ...
@@ -551,7 +548,7 @@ def d2_summatory_hyperbola(x: int) -> int:
     if x < 1:
         raise DomainError(f"x must be >= 1, got {x}")
     check_finite("x", x)
-    check_integral("x", x)
+    x = check_integral("x", x)
     if x > 10 ** 12:
         raise DomainError(f"x must be <= 1e12, got {x}")
     r = math.isqrt(x)

@@ -186,12 +186,12 @@ class ExpSumReport:
     trivial: bool
 
 
-def _check_precision_bits(precision_bits: int, t: float = 0.0) -> None:
-    """DomainError unless precision_bits is a positive integer of at least
-    MIN_PRECISION_BITS; a phase error t 2^-precision_bits of 1e-6 or more in
-    a sum at height t raises PrecisionError before the floor is checked."""
+def _check_precision_bits(precision_bits: int, t: float = 0.0) -> int:
+    """precision_bits as an int; DomainError unless it is a positive integer of
+    at least MIN_PRECISION_BITS; a phase error t 2^-precision_bits of 1e-6 or
+    more in a sum at height t raises PrecisionError before the floor is checked."""
     check_positive("precision_bits", precision_bits)
-    check_integral("precision_bits", precision_bits)
+    precision_bits = check_integral("precision_bits", precision_bits)
     if t * 2.0 ** (-precision_bits) >= 1e-6:
         raise PrecisionError(
             f"phase error t*2^-p = {t * 2.0 ** (-precision_bits):.2e} too "
@@ -199,6 +199,7 @@ def _check_precision_bits(precision_bits: int, t: float = 0.0) -> None:
     if precision_bits < MIN_PRECISION_BITS:
         raise DomainError(f"precision_bits must be >= {MIN_PRECISION_BITS} (float64 "
                           f"results), got {precision_bits}")
+    return precision_bits
 
 
 def _check_expsum_t(t: float) -> None:
@@ -212,19 +213,19 @@ def _check_expsum_terms(terms: int) -> None:
                           f"{EXPSUM_TERMS_CAP}")
 
 
-def _check_expsum(N: int, N_prime: int, t: float, precision_bits: int) -> None:
+def _check_expsum(N: int, N_prime: int, t: float, precision_bits: int) -> tuple[int, int, int]:
+    """``exp_sum``'s checks; returns N, N_prime and precision_bits as ints."""
     if not (1 <= N < N_prime <= 2 * N):
         raise DomainError(f"need 1 <= N < N' <= 2N, got N={N}, N'={N_prime}")
     _check_expsum_t(t)
     _check_expsum_terms(N_prime - N)
-    _check_precision_bits(precision_bits, t)
-    check_integral("N", N)
-    check_integral("N_prime", N_prime)
+    precision_bits = _check_precision_bits(precision_bits, t)
+    return check_integral("N", N), check_integral("N_prime", N_prime), precision_bits
 
 
 def exp_sum(N: int, N_prime: int, t: float, precision_bits: int = 128) -> ExpSumReport:
     """sum_{N < n <= N'} e^{-it log n} at precision_bits by ``_dirichlet_sum``."""
-    _check_expsum(N, N_prime, t, precision_bits)
+    N, N_prime, precision_bits = _check_expsum(N, N_prime, t, precision_bits)
     value, = _dirichlet_sum(complex(0, t), [(N, N_prime)], precision_bits)
     return _expsum_report(N, N_prime, t, value, precision_bits)
 
@@ -269,13 +270,11 @@ def expsum_bound_grid(N_list: Sequence[int], t_list: Sequence[float],
     _check_expsum_terms(sum(max(N, 0) for _, Ns in rows for N in Ns))
     for N in N_list:  # a NaN N fails N <= isqrt(t), so it would pair with nothing
         check_integral("N", N)
-    for t, Ns in rows:
-        for N in Ns:
-            _check_expsum(N, 2 * N, t, precision_bits)
-    return [_expsum_report(N, 2 * N, t, value, precision_bits)
-            for t, Ns in rows if Ns
-            for N, value in zip(Ns, _dirichlet_sum(complex(0, t), [(N, 2 * N) for N in Ns],
-                                                   precision_bits))]
+    rows = [(t, [_check_expsum(N, 2 * N, t, precision_bits) for N in Ns]) for t, Ns in rows]
+    return [_expsum_report(N, N2, t, value, bits)
+            for t, pairs in rows if pairs
+            for (N, N2, bits), value in zip(pairs, _dirichlet_sum(
+                complex(0, t), [(N, N2) for N, N2, _ in pairs], pairs[0][2]))]
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +329,7 @@ def zeta_em(sigma: float, t: float, precision_bits: int = 128) -> mp.mpc:
         raise DomainError(f"|t| capped at 1e6, got {t}")
     if sigma == 1 and t == 0:
         raise DomainError("pole at s = 1")
-    _check_precision_bits(precision_bits)
+    precision_bits = _check_precision_bits(precision_bits)
     M, J = _em_cutoff(sigma, t, precision_bits)
     with mp.workprec(precision_bits + 32):
         s = mp.mpc(sigma, t)
@@ -449,7 +448,7 @@ def chi_factor(sigma: float, t: float, precision_bits: int = 128) -> mp.mpc:
     """
     check_finite("sigma", sigma)
     check_finite("t", t)
-    _check_precision_bits(precision_bits)
+    precision_bits = _check_precision_bits(precision_bits)
     if t == 0 and sigma == int(sigma):
         si = int(sigma)
         if si <= 0 and si % 2 == 0:
@@ -494,7 +493,8 @@ def afe_residual(sigma: float, t: float, precision_bits: int = 128,
         L = int(math.sqrt(t))
     else:
         raise DomainError(f"unknown length_mode {length_mode!r}")
-    z = zeta_em(sigma, t, precision_bits)  # checks precision_bits
+    precision_bits = _check_precision_bits(precision_bits)
+    z = zeta_em(sigma, t, precision_bits)
     chi1s = chi_factor(1 - sigma, -t, precision_bits)
     with mp.workprec(precision_bits):
         s = mp.mpc(sigma, t)
@@ -568,7 +568,7 @@ def moment_integral(k: int, sigma: float, T: float,
     if panels is not None:
         if panels < 1:
             raise DomainError(f"panels must be >= 1, got {panels}")
-        check_integral("panels", panels)
+        panels = check_integral("panels", panels)
     cost = sum(3 * _MOMENT_ORDER * _moment_panels(k, sigma, X, panels)
                * _zeta_cutoff(sigma, 2 * X)[0] for X in (T, 2 * T, 4 * T))
     if cost > MOMENT_COST_CAP:
@@ -616,9 +616,9 @@ def mvt_check(N: int, T: float, coeff_mode: str = "ones",
     check_within("N", N, 1, 4096)
     if not (1 < T <= T_CAP_MOMENT):
         raise DomainError(f"T must lie in (1, {T_CAP_MOMENT}], got {T}")
-    check_integral("N", N)
+    N = check_integral("N", N)
     check_nonnegative("seed", seed)
-    check_integral("seed", seed)
+    seed = check_integral("seed", seed)
     if coeff_mode == "ones":
         a = np.ones(N)
     elif coeff_mode == "dk":
@@ -650,8 +650,7 @@ def ell_fold_coefficients(N: int, ell: int) -> dict[int, int]:
     """
     if not (1 <= N <= 128 and 1 <= ell <= 4):
         raise DomainError("enumeration capped at N <= 128, ell <= 4")
-    check_integral("N", N)
-    check_integral("ell", ell)
+    N, ell = check_integral("N", N), check_integral("ell", ell)
     counts = {1: 1}
     for _ in range(ell):
         nxt: dict[int, int] = {}

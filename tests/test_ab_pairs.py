@@ -1,7 +1,8 @@
 """tools/ab_pairs.py: its exit status reports incorrect outputs, failed
-operations and failed runs, a failed run does not stop the others, SIGTERM leaves no export behind, it records per-operation
-medians from each run's result file, and a parent-against-parent control
-series gives each metric a noise band.  The git export and the benchmark runs
+operations and failed runs, a failed run does not stop the others, SIGTERM
+leaves no export behind, it records per-operation medians from each run's
+result file, a parent-against-parent control series gives each metric a
+noise band, and each tree's ``src/`` lines are counted per module.  The git export and the benchmark runs
 are stubbed, so no benchmark runs here."""
 
 from __future__ import annotations
@@ -68,6 +69,25 @@ def test_ab_pairs_exits_0_on_correct_runs(ab_pairs, monkeypatch, capsys):
     op = out["sets"]["remainder-sieve seed=1 trace=0"]["ops"]["cold:a"]
     assert op["wall_s"] == pytest.approx({"parent": 0.25, "change": 0.15})
     assert op["cpu_s"] == pytest.approx({"parent": 0.5, "change": 0.3})
+
+
+def test_ab_pairs_counts_src_lines_per_module(ab_pairs, monkeypatch):
+    def export(rev, dest):
+        pkg = dest / "src" / "pkg"
+        pkg.mkdir(parents=True)
+        (pkg / "__init__.py").write_text("")
+        (pkg / "a.py").write_text("x = 1\ny = 2\n" if rev == "p" else "x = 1\n")
+        (pkg / "b.py").write_text("z = 3\n\n\nw = 4\n")
+        (pkg / "notes.txt").write_text("not a module\n")
+        return rev
+    monkeypatch.setattr(ab_pairs, "export", export)
+    stub_runs(ab_pairs, monkeypatch)
+    assert ab_pairs.main(ARGS) == 0
+    out = json.loads(Path("BENCH_0.json").read_text())
+    assert out["src_module_lines"] == {
+        "parent": {"pkg.__init__": 0, "pkg.a": 2, "pkg.b": 4},
+        "change": {"pkg.__init__": 0, "pkg.a": 1, "pkg.b": 4}}
+    assert out["src_lines"] == {"parent": 6, "change": 5}
 
 
 def test_run_once_reads_each_operations_fastest_round(ab_pairs, monkeypatch, tmp_path):

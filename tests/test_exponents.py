@@ -385,6 +385,16 @@ def test_m0_range_error(params):
         ex.m0_sigma(0.60, params)
 
 
+@pytest.mark.parametrize("B", [1e40, 1e60])
+def test_m0_threshold_is_theta_at_large_B(B):
+    # k0 - k2 = 1/(3(B+eps0)(1-theta)^{3/2}) falls below k0's last work digit
+    # here; evaluating 1 - (3(B+eps0)(k0-k2))^{-2/3} gave 0.8394270000014 and -inf
+    p = ex.ExponentParams(B=B)
+    assert ex.m0_validity_threshold(p) == p.theta
+    with pytest.raises(RangeError, match="= theta"):
+        ex.m0_sigma(0.6, p)
+
+
 def test_carlson_combine_values():
     assert ex.carlson_combine(0.5, 0.0) == pytest.approx(0.5)
     assert ex.carlson_combine(0.8, 0.1) == pytest.approx(1 - 0.2 / 1.1, abs=1e-12)
@@ -459,6 +469,27 @@ def test_induction_step_delta_max_is_crossover(params):
     below = ex.induction_step_check(r, rep.delta_max * (1 - 1e-4), params)
     above = ex.induction_step_check(r, rep.delta_max + 1e-5, params)
     assert below.holds and not above.holds
+
+
+@pytest.mark.parametrize("p, r", [
+    (ex.ExponentParams(), 15.0), (ex.ExponentParams(), 20.0), (ex.ExponentParams(), 30.0),
+    (ex.ExponentParams(B=1e-3, eps0=1.0, k=40), 20.0),  # eps0 >> B: c near 0.115
+])
+def test_induction_step_delta_max_is_the_root(p, r):
+    # oracle: the positive root of (1+x)^{2/3} = 1 + c x by mp.findroot at 60
+    # digits, with c and k2 from their formulas; a bisection to 1e-6 in delta
+    # left delta_max 0.7% short at r = 20
+    rep = ex.induction_step_check(r, 1e-3, p)
+    with mp.workdps(60):
+        t, B, eps0 = mp.mpf(p.theta), mp.mpf(p.B), mp.mpf(p.eps0)
+        k2 = ((24 * t - 9) / (2 * (4 * t - 1) * (1 - t))
+              - 1 / (3 * (B + eps0) * (1 - t) ** mp.mpf(1.5)))
+        c = 2 * B / (3 * (B + eps0)) + eps0 * (r - k2) / (3 * (B + eps0) * (p.k - k2))
+        x0 = mp.mpf(rep.delta_max) / (r - k2)
+        root = mp.findroot(lambda x: (1 + x) ** (mp.mpf(2) / 3) - 1 - c * x,
+                           (x0 / 2, 2 * x0), solver="anderson")
+        want = root * (r - k2)
+    assert abs(rep.delta_max - want) <= 1e-12 * want
 
 
 def test_induction_step_domain(params):

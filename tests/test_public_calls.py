@@ -1,11 +1,17 @@
-"""Modules of the package call each other through public names only, and
-refuse a request over the memory budget in one place."""
+"""Modules of the package call each other through public names only,
+refuse a request over the memory budget in one place, and go on with a numpy
+integer argument as the Python int it stands for."""
 
 import ast
 import re
+import warnings
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import divisorlab
+from divisorlab import laurent, sieve, zetasum
 
 PACKAGE = Path(divisorlab.__file__).resolve().parent
 
@@ -32,3 +38,29 @@ def test_memory_budget_error_is_built_in_check_budget_alone():
              and ast.unparse(node.func).split(".")[-1] == "MemoryBudgetError"]
     stray = [f"{name}:{line}" for name, line in calls if name != "sieve.py" or line not in inside]
     assert calls and not stray, "\n".join(stray)
+
+
+# each call takes its integer arguments through ``i``; the contour case runs
+# first on an empty sweep cache, where a numpy precision once raised
+# OverflowError (with a sweep of that precision cached, it spun in mpf_log)
+NUMPY_INTEGER_CALLS = {
+    "residue_contour_oracle": lambda i: laurent.residue_contour_oracle(2, i(32), 100.0),
+    "exp_sum": lambda i: zetasum.exp_sum(10, i(20), 100.0),
+    "expsum_bound_grid": lambda i: zetasum.expsum_bound_grid([i(16)], [1e6]),
+    "dk_block": lambda i: sieve.dk_block(3, 1, i(1000)),
+    "dk_blocks": lambda i: list(sieve.dk_blocks(3, [1], [100], i(1000))),
+    "exp_sum_bits": lambda i: zetasum.exp_sum(10, 20, 100.0, precision_bits=i(128)),
+    "zeta_em_bits": lambda i: zetasum.zeta_em(0.75, 100.0, precision_bits=i(128)),
+    "afe_residual_bits": lambda i: zetasum.afe_residual(0.75, 100.0, precision_bits=i(128)),
+}
+
+
+@pytest.mark.parametrize("name", NUMPY_INTEGER_CALLS)
+def test_numpy_integers_act_as_python_ints(name):
+    call = NUMPY_INTEGER_CALLS[name]
+    if name == "residue_contour_oracle":
+        laurent._contour_zetas.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = repr(call(np.int64))
+    assert got == repr(call(int))

@@ -22,7 +22,8 @@ run, and per metric each side's median and quartiles (linear
 interpolation), the number of pairs the change won (ties count for neither
 side), whether the median gap exceeds the parent's interquartile range, and
 whether the change is worse than the parent beyond the bound in
-BENCHMARK.json; plus the ``src/`` line count of each tree.  The control
+BENCHMARK.json; plus the ``src/`` line count of each tree, in total and per
+module.  The control
 gives the metric's noise floor: its median gap to the parent, the
 interquartile range of its per-pair gaps, the pairs it won, and a band, the
 sum of the first two.  A gap of medians that the control reaches as well
@@ -76,8 +77,11 @@ def export(rev: str, dest: Path) -> str:
     return commit
 
 
-def src_lines(tree: Path) -> int:
-    return sum(len(p.read_text().splitlines()) for p in (tree / "src").rglob("*.py"))
+def module_lines(tree: Path) -> dict[str, int]:
+    """Lines of each ``.py`` file under ``tree/src``, keyed by its dotted module name."""
+    src = tree / "src"
+    return {".".join(p.relative_to(src).with_suffix("").parts): len(p.read_text().splitlines())
+            for p in sorted(src.rglob("*.py"))}
 
 
 class RunFailed(RuntimeError):
@@ -200,13 +204,15 @@ def main(argv=None) -> int:
                      "linear interpolation; a win is a pair whose change (or control) reads "
                      "better; the control band is the control's median gap plus the "
                      "interquartile range of its pair gaps",
-           "sets": {}, "src_lines": {}}
+           "sets": {}, "src_lines": {}, "src_module_lines": {}}
     with tempfile.TemporaryDirectory(prefix="ab_pairs-") as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}
         out["parent_commit"] = export(args.parent, trees["parent"])
         out["change_commit"] = export(args.change, trees["change"])
         export(args.parent, trees["control"])
-        out["src_lines"] = {side: src_lines(trees[side]) for side in ("parent", "change")}
+        out["src_module_lines"] = {side: module_lines(trees[side]) for side in ("parent", "change")}
+        out["src_lines"] = {side: sum(lines.values())
+                            for side, lines in out["src_module_lines"].items()}
         for workload, seed, pairs, trace in args.sets:
             runs = {side: [] for side in SIDES}  # per pair; None where the run failed
             ops = {"parent": [], "change": []}

@@ -66,6 +66,25 @@ def groups():
                                                                     (2000, 1.0))),
                         *(exponents.zeta_h_max(k, a) for k, a in ((10, 1.0), (500, 1.0),
                                                                   (2000, 0.5)))]
+    # the induction's inputs and outputs; induction_step_check is left out, its
+    # delta_max moved from a bisection to the exact root
+    yield "exponent-params", [
+        r for p in (exponents.ExponentParams(), exponents.ExponentParams(eps0=1e-8),
+                    exponents.ExponentParams(eps0=1e-3, k=40))
+        for r in (*(exponents.alpha_bound(k, p) for k in (30, 100)),
+                  *(exponents.beta_bound(k, p) for k in (15, 100)),
+                  exponents.beta_bound(30, p, require_doubled_threshold=True),
+                  exponents.m0_validity_threshold(p),
+                  *(exponents.m0_sigma(s, p) for s in (p.theta, 0.9, 0.97)),
+                  *(exponents.inductive_sigma_bound(k, p) for k in (15, 20.5, 30, 1000)),
+                  *(exponents.optimal_beta_thm2(k, p) for k in (30, 100)),
+                  *(exponents.beta_k_exponent(s, k, p) for s, k in ((p.theta, 15), (0.9, 30))),
+                  *(exponents.beta_k_exponent(s, 15, p, check_range=False)
+                    for s in (0.6, 0.8)))] + [
+        *(exponents.m1_sigma(s, d, A) for s, d, A in ((0.99, 0.1, 1.0), (0.995, 0.0, 1.0),
+                                                      (0.9, 0.1, 10.0))),
+        *(exponents.thm3_exponent(k, d) for k, d in ((200, 0.2), (10 ** 4, 0.05),
+                                                     (10 ** 6, 0.1)))]
     yield "zetasum", [zetasum.zeta_em(0.75, 1000.0), zetasum.zeta_em(0.5, 14.134725),
                       zetasum.zeta_em(2.0, 3.0, 64),
                       zetasum.moment_integral(1, 2.0, 100.0),
