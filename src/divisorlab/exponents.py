@@ -48,7 +48,7 @@ CUBIC_K_CAP = 1e150  # the float cubics overflow between k = 2e153 and 5e153 (al
 CUBIC_SCALE_MIN = 1e-100
 MOMENT_SCALE_MAX = 1e75
 HB_RHO_CAP = 1e150
-THM3_K_CAP = 1e54  # past it beta keeps too few WORK_DPS digits (see thm3_exponent)
+THM3_K_CAP = 10 ** 54  # past it beta keeps too few WORK_DPS digits (see thm3_exponent)
 
 
 def _wp():
@@ -86,8 +86,9 @@ class ExponentParams:
         _check_theta(self.theta, "theta")
         check_nonnegative("eps0", self.eps0)
         check_nonnegative("delta", self.delta)
-        if not (isinstance(self.k, int) and self.k >= 2):
+        if not (hasattr(self.k, "__index__") and self.k >= 2):
             raise DomainError(f"k must be an integer >= 2, got {self.k}")
+        object.__setattr__(self, "k", check_integral("k", self.k))
 
 
 @dataclass(frozen=True)
@@ -322,6 +323,7 @@ def alpha_bound(k: int, params: ExponentParams) -> BoundReport:
         if k < 2 * k0:
             raise RangeError(
                 f"alpha bound needs k >= 2*k0(theta) = {float(2 * k0):.6f}, got k={k}")
+        k = check_integral("k", k)
         return _bound("pointwise-alpha", 2, 3, 2, k, params,
                       f"k >= 2*k0(theta) = {float(2 * k0):.4f}")
 
@@ -341,6 +343,7 @@ def beta_bound(k: int, params: ExponentParams,
             raise RangeError(
                 f"beta bound needs k >= {'2*k0' if require_doubled_threshold else 'k0'}"
                 f"(theta) = {float(threshold):.6f}, got k={k}")
+        k = check_integral("k", k)
         return _bound("meansquare-beta", 5, 6, 1, k, params,
                       f"k >= {float(threshold):.4f}")
 
@@ -534,6 +537,7 @@ def optimal_beta_thm2(k: int, params: ExponentParams) -> BalancedExponent:
             raise RangeError(
                 f"balanced exponent needs k >= 2*k0(theta) = {2 * float(k0):.6f}, "
                 f"got k={k}")
+        k = check_integral("k", k)
         B = mp.mpf(params.B)
         eps0 = mp.mpf(params.eps0)
         k2 = k2_theta(params.theta, params.B, params.eps0)
@@ -581,6 +585,7 @@ def beta_k_exponent(sigma: float, k: int, params: ExponentParams,
         m0 = _m0_formula(sigma, params)
     if m0 > 2 * k + 1e-9:
         raise RangeError(f"m0(sigma) = {m0:.6f} exceeds 2k = {2 * k}")
+    k = check_integral("k", k)
     with _wp():
         B = mp.mpf(params.B)
         s = mp.mpf(sigma)
@@ -894,6 +899,7 @@ def thm3_exponent(k: int, delta: float, A: float = 1.0) -> LargeKExponent:
         if k < k_min:
             raise RangeError(f"needs k >= A*delta^-3 = {mp.nstr(k_min, 6)} "
                              f"(calibration constant A={A}), got k={k}")
+        k = check_integral("k", k)
         C = large_k_constant()
         k23 = mp.mpf(k) ** (-mp.mpf(2) / 3)
         one_minus_beta = (C - 2 ** (mp.mpf(2) / 3) * d) * k23

@@ -6,8 +6,12 @@ The zeta expansion used throughout is
     zeta(s) = 1/(s-1) + sum_{n>=0} (-1)^n gamma_n (s-1)^n / n!
 
 with the gamma_n computed in-repo by Euler-Maclaurin (with a rigorous tail
-bound), so the artifact is self-contained.  Series carry an explicit
-truncation order and operations fail loudly when the order is insufficient.
+bound), so the artifact is self-contained.  One fixed-point kernel in Python
+ints forms each gamma_n: its floors stay below 2^{-precision_bits-48}, far
+under the tail bound and the final rounding to precision_bits + 16 bits (see
+``stieltjes``), and the Bernoulli ratios are exact, from tangent numbers.
+Series carry an explicit truncation order and operations fail loudly when the
+order is insufficient.
 
 The contour oracle checks those residues independently, by trapezoid
 quadrature of zeta^k(s) x^s / s on |s - 1| = 1/2, at a node count proven
@@ -108,14 +112,47 @@ def _pick_em_parameters(n: int, target_log2: float) -> tuple[int, int, list]:
 def stieltjes(n: int, precision_bits: int = 256) -> mp.mpf:
     """Stieltjes constant gamma_n with absolute error below 2^{-precision_bits+8}.
 
-    Euler-Maclaurin applied to f(x) = (log x)^n / x:
+    Euler-Maclaurin applied to f(x) = (log x)^n / x (F. Johansson, Numer.
+    Algorithms 69, 2015):
 
         gamma_n = sum_{k<=M} f(k) - (log M)^{n+1}/(n+1) - f(M)/2
                   - sum_{j<=J} B_{2j}/(2j)! f^{(2j-1)}(M) + R_J,
 
     with (J, M) of ``_pick_em_parameters``, chosen for gamma_n alone so the
-    rigorous bound on R_J beats the target.  Each value is computed once per
-    (n, precision_bits) and depends on nothing else.
+    rigorous bound R on R_J is below 2^{-precision_bits-5}.  Each value is
+    computed once per (n, precision_bits) and depends on nothing else.
+
+    The sum is formed in ints scaled by 2^wp, u = 2^-wp, wp = precision_bits
+    + g, g = floor((n+1) log2 l) + 64, l = log M >= log 64 > 4, so that
+    2^g >= 2^63 l^{n+1}.  Each log k is ``mpf_log`` at wp + 8 bits floored to
+    wp, off by < 2u.  Its m-th power, by floored products, is off by
+    e_m < 3 m l^{m-1} u: by induction, as |log k| <= l, e_m <= l e_{m-1} +
+    2 l^{m-1} u + u.  Then
+
+    * the direct sum: M - 1 floored divisions by k, and the powers' errors
+      over sum 1/k <= 1 + l: < (4 n l^n + M) u;
+    * (log M)^{n+1}/(n+1) and (log M)^n/(2M): two floors and < (4 l^n + 2) u;
+    * the corrections: p_{2j-1}(log M) of ``_deriv_polys`` as an exact dot
+      product with the fixed powers of log M, times the exact numerator of
+      B_{2j}/(2j)! (``_bernoulli_ratios``), floored once by its denominator
+      times M^{2j}: J floors, and the powers' errors, < (3n/l) w_j u, w_j =
+      |B_{2j}/(2j)!| |p_{2j-1}|(l) / M^{2j}, |p| with absolute coefficients.
+      The signs of p_m alternate, so nothing cancels in p_m = p_{m-1}' -
+      m p_{m-1}: b_m = |p_m|(l) / (2 pi M)^m moves by a factor in
+      [m, m + n/l] / (2 pi M) per step, falls while m + n/l <= 2 pi M, and
+      at most n/l + 1 < 17 steps of factor > 0.96 (2 pi M >= 402) lie below
+      the rise: b_m <= max(b_0, 2 b_{2J}) for m <= 2J.  b_0 = l^n, and R >=
+      4 |p_{2J}|(l) / (2J (2 pi M)^{2J}) gives b_{2J} <= J R / 2 < 2.  As
+      |B_{2j}/(2j)!| < 4/(2 pi)^{2j}, w_j <= 4 b_{2j-1} / (2 pi M) <=
+      max(l^n, 4) / 100, and the corrections are off by
+      < J u + 119 max(l^n, 4) u.
+
+    In all, at n <= 64, M <= 2^14, J <= 256, the floors cost
+    < (4n + 123) max(l^n, 4) u + (M + J + 3) u < 2^{-precision_bits-48}.
+    The one rounding to precision_bits + 16 bits costs half an ulp, between
+    2^{-precision_bits-32} (|gamma_n| >= 2.6e-5, at n = 17) and
+    2^{-precision_bits+4} (|gamma_n| < 2^21, at n = 64): with R, the error
+    stays below 2^{-precision_bits+5}.
     """
     check_within("n", n, 0, STIELTJES_MAX_N)
     check_within("precision_bits", precision_bits, 1, STIELTJES_MAX_BITS)
@@ -125,24 +162,59 @@ def stieltjes(n: int, precision_bits: int = 256) -> mp.mpf:
 
 
 @functools.cache
+def _bernoulli_ratios(J: int) -> tuple:
+    """(num, den) in lowest terms with num/den = B_{2j}/(2j)!, j = 1..J.
+
+    From the tangent numbers T_j, tan x = sum T_j x^{2j-1}/(2j-1)!, by the
+    integer recurrence of Brent and Harvey ("Fast computation of Bernoulli,
+    tangent and secant numbers", 2013, algorithm TangentNumbers), and
+    B_{2j} = (-1)^{j-1} 2j T_j / (4^j (4^j - 1)), so that
+    B_{2j}/(2j)! = (-1)^{j-1} T_j / (4^j (4^j - 1) (2j-1)!).
+    """
+    t = [0, 1]
+    for k in range(2, J + 1):
+        t.append((k - 1) * t[k - 1])
+    for k in range(2, J + 1):
+        for j in range(k, J + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    out, fact = [], 1  # fact = (2j-1)!
+    for j in range(1, J + 1):
+        r = Fraction((-1) ** (j - 1) * t[j], 4 ** j * (4 ** j - 1) * fact)
+        out.append((r.numerator, r.denominator))
+        fact *= 2 * j * (2 * j + 1)
+    return tuple(out)
+
+
+@functools.cache
 def _stieltjes(n: int, precision_bits: int) -> mp.mpf:
     J, M, polys = _pick_em_parameters(n, -(precision_bits + 4))
     # cancellation headroom: partial sums reach (log M)^{n+1}/(n+1)
     guard = int((n + 1) * max(math.log2(math.log(M)), 1.0)) + 64
-    with mp.workprec(precision_bits + guard):
-        lm = mp.log(M)
-        total = sum((mp.log(k) ** n / k for k in range(1, M + 1)), mp.mpf(0))
-        total -= lm ** (n + 1) / (n + 1)
-        total -= lm ** n / (2 * M)
-        lpow = [lm ** i for i in range(n + 1)]
-        for j, p in enumerate(polys[1:2 * J:2], 1):  # p_1, p_3, ..., p_{2J-1}
-            deriv = sum((c * lp for c, lp in zip(p, lpow) if c), mp.mpf(0))
-            deriv /= mp.mpf(M) ** (2 * j)
-            total -= mp.bernoulli(2 * j) / mp.factorial(2 * j) * deriv
-    # round to a fixed mantissa, independent of n's guard bits; without it
+    wp = precision_bits + guard
+    one = 1 << wp
+
+    def log_fixed(k):
+        return to_fixed(mpf_log(from_int(k), wp + 8, round_nearest), wp)
+
+    total = one if n == 0 else 0  # k = 1
+    for k in range(2, M + 1):
+        lk, p = log_fixed(k), one
+        for _ in range(n):
+            p = p * lk >> wp
+        total += p // k
+    lm, lpow = log_fixed(M), [one]
+    for _ in range(n + 1):
+        lpow.append(lpow[-1] * lm >> wp)
+    total -= lpow[n + 1] // (n + 1)
+    total -= lpow[n] // (2 * M)
+    ratios = _bernoulli_ratios(J)
+    for j, p in enumerate(polys[1:2 * J:2], 1):  # p_1, p_3, ..., p_{2J-1}
+        num, den = ratios[j - 1]
+        deriv = sum(c * lp for c, lp in zip(p, lpow) if c)
+        total -= num * deriv // (den * M ** (2 * j))
+    # round once to a fixed mantissa, independent of n's guard bits; without it
     # every main term built on gamma_n would move in its last bits
-    with mp.workprec(precision_bits + 16):
-        return +total
+    return mp.make_mpf(from_man_exp(total, -wp, precision_bits + 16, round_nearest))
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +545,7 @@ def residue_contour_oracle(k: int, precision_bits: int, x_probe: float,
         raise DomainError(f"need at least {least} nodes, got {nodes}")
     if nodes > CONTOUR_MAX_NODES:
         raise DomainError(f"nodes must be at most {CONTOUR_MAX_NODES}, got {nodes}")
+    nodes = check_integral("nodes", nodes)
     wp = prec + CONTOUR_GUARD_BITS
     P = wp + 8
     # the n-node set is the even-index subset of the 2n-node set, so one

@@ -498,6 +498,7 @@ def envelopes(k: int, x) -> EnvelopeSet:
     if not x > 1:
         raise DomainError(f"x must exceed 1, got {x}")
     check_finite("x", x)
+    k = check_integral("k", k)
     conj_exp, tong_exp, e1, e2, e3, thm1_exp = _envelope_exponents(k)
     with mp.workdps(40):
         xm = mp.mpf(x)

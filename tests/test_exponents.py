@@ -1001,6 +1001,30 @@ def test_non_integral_argument_raises_domain_error(fn, arg, name):
             fn(1.5)
 
 
+@pytest.mark.parametrize("call, bad", [
+    (lambda: ex.alpha_bound(30.5, P), 30.5),
+    (lambda: ex.beta_bound(30.5, P), 30.5),
+    (lambda: ex.optimal_beta_thm2(30.5, P), 30.5),
+    (lambda: ex.beta_k_exponent(0.9, 30.5, P), 30.5),
+    (lambda: ex.beta_k_exponent(0.8, 15.5, P, check_range=False), 15.5),
+    (lambda: ex.thm3_exponent(1e6 + 0.5, 0.1), 1000000.5),
+], ids=["alpha", "beta", "thm2", "beta_k", "beta_k-unchecked", "thm3"])
+def test_non_integral_k_raises_domain_error(call, bad):
+    # each once answered for a k between two integers
+    with pytest.raises(DomainError, match=f"^k must be integral, got {bad}$"):
+        call()
+
+
+def test_k_refused_today_keeps_its_message():
+    # the range checks come before the integral one
+    with pytest.raises(RangeError, match=r"^alpha bound needs k >= 2\*k0\(theta\) = .*, got k=20\.5$"):
+        ex.alpha_bound(20.5, P)
+    with pytest.raises(RangeError, match=r"^needs k >= A\*delta\^-3 = 1000\.0 .*, got k=999\.5$"):
+        ex.thm3_exponent(999.5, 0.1)
+    with pytest.raises(DomainError, match=r"^k must be an integer >= 2, got 30\.5$"):
+        ex.ExponentParams(k=30.5)
+
+
 def test_params_validation():
     with pytest.raises(DomainError):
         ex.ExponentParams(B=-1)

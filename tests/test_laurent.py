@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from mpmath.libmp import bernfrac
 
 from divisorlab import laurent as la
 from divisorlab.errors import DomainError, InsufficientOrderError, QuadratureError
@@ -131,6 +132,48 @@ def test_stieltjes_domain():
         la.stieltjes(65, 128)
     with pytest.raises(DomainError):
         la.stieltjes(0, 10 ** 6)
+
+
+def _stieltjes_mpf_reference(n, bits):
+    """gamma_n by the mpf-object Euler-Maclaurin loop that the fixed-point
+    kernel replaced: the same (J, M), guard and final rounding, with every
+    operation rounded at the working precision."""
+    J, M, polys = la._pick_em_parameters(n, -(bits + 4))
+    guard = int((n + 1) * max(math.log2(math.log(M)), 1.0)) + 64
+    with mp.workprec(bits + guard):
+        lm = mp.log(M)
+        total = sum((mp.log(k) ** n / k for k in range(1, M + 1)), mp.mpf(0))
+        total -= lm ** (n + 1) / (n + 1)
+        total -= lm ** n / (2 * M)
+        lpow = [lm ** i for i in range(n + 1)]
+        for j, p in enumerate(polys[1:2 * J:2], 1):
+            deriv = sum((c * lp for c, lp in zip(p, lpow) if c), mp.mpf(0))
+            deriv /= mp.mpf(M) ** (2 * j)
+            total -= mp.bernoulli(2 * j) / mp.factorial(2 * j) * deriv
+    with mp.workprec(bits + 16):
+        return +total
+
+
+@pytest.mark.parametrize("bits, ns", [
+    *((bits, (*range(13), 20, 40, 64)) for bits in (53, 128, 192, 288, 352, 512)),
+    (1024, (64,)), (2048, (2,)),
+])
+def test_stieltjes_kernel_matches_the_mpf_formula(bits, ns):
+    # the fixed-point floors stay far below the final rounding, so the kernel
+    # returns the bits of the mpf loop
+    with mp.workprec(4096):  # an mpf's repr shows the context's digits
+        for n in ns:
+            assert repr(la.stieltjes(n, bits)) == repr(_stieltjes_mpf_reference(n, bits)), n
+
+
+def test_bernoulli_ratios_from_tangent_numbers():
+    # every 2j the J grid reaches: J <= 256
+    ratios = la._bernoulli_ratios(max(la.EM_J_GRID))
+    assert len(ratios) == 256
+    for j, (num, den) in enumerate(ratios, 1):
+        assert Fraction(num, den) == Fraction(*bernfrac(2 * j)) / math.factorial(2 * j), j
+        assert math.gcd(num, den) == 1 and den > 0
+    assert la._bernoulli_ratios(8) == ratios[:8]
 
 
 # gamma_0 .. gamma_10 as (signed mantissa, exponent), computed one constant at
@@ -356,6 +399,7 @@ def test_non_finite_argument_raises_domain_error(x):
     (la.main_term_poly, (2, 2.5), "precision_bits", 2.5),
     (la.stieltjes, (1, 100.5), "precision_bits", 100.5),
     (la.zeta_laurent, (3, 100.5), "precision_bits", 100.5),
+    (la.residue_contour_oracle, (2, 32, 100.0, 147.5), "nodes", 147.5),
 ], ids=lambda v: v.__name__ if callable(v) else None)
 def test_non_integral_argument_raises_domain_error(fn, args, name, bad):
     # each passes its range check and, unguarded, raises a bare TypeError

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import divisorlab
-from divisorlab import laurent, sieve, zetasum
+from divisorlab import exponents, laurent, remainder, sieve, zetasum
 
 PACKAGE = Path(divisorlab.__file__).resolve().parent
 
@@ -52,6 +52,12 @@ NUMPY_INTEGER_CALLS = {
     "exp_sum_bits": lambda i: zetasum.exp_sum(10, 20, 100.0, precision_bits=i(128)),
     "zeta_em_bits": lambda i: zetasum.zeta_em(0.75, 100.0, precision_bits=i(128)),
     "afe_residual_bits": lambda i: zetasum.afe_residual(0.75, 100.0, precision_bits=i(128)),
+    "contour_nodes": lambda i: laurent.residue_contour_oracle(2, 32, 100.0, nodes=i(147)),
+    "envelopes": lambda i: remainder.envelopes(i(3), 1e4),
+    "alpha_bound": lambda i: exponents.alpha_bound(i(30), exponents.ExponentParams()),
+    "beta_bound": lambda i: exponents.beta_bound(i(30), exponents.ExponentParams()),
+    "thm3_exponent": lambda i: exponents.thm3_exponent(i(10 ** 6), 0.1),
+    "ExponentParams": lambda i: exponents.ExponentParams(k=i(30)),
 }
 
 

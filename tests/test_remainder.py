@@ -629,6 +629,9 @@ def test_envelope_domain():
         rl.envelopes(1, 100.0)
     with pytest.raises(DomainError):
         rl.envelopes(2, 0.5)
+    # a k between two integers once answered
+    with pytest.raises(DomainError, match=r"^k must be integral, got 2\.5$"):
+        rl.envelopes(2.5, 100.0)
 
 
 NAN, INF = math.nan, math.inf

@@ -60,6 +60,12 @@ def groups():
     yield "mean_square", mean_squares
     yield "main_term_poly", [laurent.main_term_poly(k, bits).coeffs
                              for k in range(1, 13) for bits in (64, 256)]
+    # gamma_n off the main terms' (n <= 10 at 160 and 352 bits): every M up to
+    # 256 and J up to 256, the whole Bernoulli table
+    yield "stieltjes", [laurent.stieltjes(n, bits)
+                        for n, bits in ((0, 1024), (1, 700), (5, 1024), (11, 64), (12, 128),
+                                        (13, 192), (17, 100), (20, 288), (24, 512), (32, 64),
+                                        (40, 256), (48, 160), (64, 53), (64, 1024))]
     yield "exponents", [*(exponents.optimize_theta(B) for B in (4.0, 4.45, 5.0, 8.5)),
                         exponents.historical_table(),
                         *(exponents.moment_h_max(k, a) for k, a in ((10, 50.0), (100, 1.0),
