@@ -328,24 +328,16 @@ def alpha_bound(k: int, params: ExponentParams) -> BoundReport:
                       f"k >= 2*k0(theta) = {float(2 * k0):.4f}")
 
 
-def beta_bound(k: int, params: ExponentParams,
-               require_doubled_threshold: bool = False) -> BoundReport:
-    """Mean-square bound x^{1 - (5/(6B(k-k1)))^{2/3}}.
-
-    Default validity threshold is k >= k0(theta); pass
-    ``require_doubled_threshold=True`` to insist on k >= 2*k0(theta).
-    """
+def beta_bound(k: int, params: ExponentParams) -> BoundReport:
+    """Mean-square bound x^{1 - (5/(6B(k-k1)))^{2/3}}, valid for k >= k0."""
     check_finite("k", k)
     with _wp():
         k0 = k0_theta(float(params.theta))
-        threshold = 2 * k0 if require_doubled_threshold else k0
-        if k < threshold:
+        if k < k0:
             raise RangeError(
-                f"beta bound needs k >= {'2*k0' if require_doubled_threshold else 'k0'}"
-                f"(theta) = {float(threshold):.6f}, got k={k}")
+                f"beta bound needs k >= k0(theta) = {float(k0):.6f}, got k={k}")
         k = check_integral("k", k)
-        return _bound("meansquare-beta", 5, 6, 1, k, params,
-                      f"k >= {float(threshold):.4f}")
+        return _bound("meansquare-beta", 5, 6, 1, k, params, f"k >= {float(k0):.4f}")
 
 
 def kolpakova_D(k: int, B: float) -> float:
@@ -354,6 +346,7 @@ def kolpakova_D(k: int, B: float) -> float:
     check_positive("B", B)
     if k <= 159.9:
         raise RangeError(f"kolpakova constant needs k > 159.9, got {k}")
+    k = check_integral("k", k)
     with _wp():
         return float((2 / (3 * mp.mpf(B) * (1 - mp.mpf("159.9") / k))) ** (mp.mpf(2) / 3))
 
@@ -728,19 +721,22 @@ def ck_inequality_scan(k_max: int) -> ScanReport:
 # cubic maximisers for the moment and pointwise zeta bounds
 # ---------------------------------------------------------------------------
 
-def _check_cubic(k, alpha) -> float:
-    """alpha k^(-2/3), after refusing a k or alpha whose float cubic would overflow:
-    k in [2, CUBIC_K_CAP] and alpha k^(-2/3) >= CUBIC_SCALE_MIN."""
+def _check_cubic(k, alpha) -> tuple:
+    """(k, alpha k^(-2/3)), after refusing a k or alpha whose float cubic would
+    overflow: k in [2, CUBIC_K_CAP] and alpha k^(-2/3) >= CUBIC_SCALE_MIN.  A
+    numpy integer k comes back as a Python int, a float k as it is."""
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
     check_finite("k", k)
     if k > CUBIC_K_CAP:
         raise RangeError(f"k must be at most {CUBIC_K_CAP:.0e}, got {k}")
     check_positive("alpha", alpha)
+    if hasattr(k, "__index__"):
+        k = check_integral("k", k)
     a = alpha * k ** (-2.0 / 3.0)
     if not a >= CUBIC_SCALE_MIN:
         raise RangeError(f"alpha*k^(-2/3) must be at least {CUBIC_SCALE_MIN:.0e}, got {a:.4g}")
-    return a
+    return k, a
 
 
 def _select_local_max(roots: Sequence[float], lo: float, hi: float,
@@ -765,7 +761,7 @@ def moment_h_max(k: int, alpha: float) -> CubicMax:
     alpha*k^(-2/3) below CUBIC_SCALE_MIN or alpha*k^(1/3) above
     MOMENT_SCALE_MAX raises RangeError.
     """
-    _check_cubic(k, alpha)
+    k, _ = _check_cubic(k, alpha)
     a13 = alpha * k ** (1.0 / 3.0)
     if not a13 <= MOMENT_SCALE_MAX:
         raise RangeError(f"alpha*k^(1/3) must be at most {MOMENT_SCALE_MAX:.0e}, got {a13:.4g}")
@@ -813,7 +809,7 @@ def zeta_h_max(k: int, alpha: float) -> CubicMax:
     value of the pointwise zeta exponent.  k above CUBIC_K_CAP or alpha*k^(-2/3)
     below CUBIC_SCALE_MIN raises RangeError.
     """
-    a = _check_cubic(k, alpha)
+    k, a = _check_cubic(k, alpha)
     if not a < 0.5:
         raise RangeError(
             f"need alpha*k^(-2/3) < 1/2 for an interior maximiser, got {a:.4f}")

@@ -14,10 +14,10 @@ Series carry an explicit truncation order and operations fail loudly when the
 order is insufficient.
 
 The contour oracle checks those residues independently, by trapezoid
-quadrature of zeta^k(s) x^s / s on |s - 1| = 1/2, at a node count proven
-from the aliasing bound of the trapezoid rule.  Its cost floor is one cached
-mp.zeta sweep per (nodes, precision); each call forms the integrand from the
-sweep in fixed-point ints, within a stated error bound.
+quadrature of zeta^k(s) x^s / s on |s - 1| = 1/2, always at the node count
+proven from the aliasing bound of the trapezoid rule.  Its cost floor is one
+cached mp.zeta sweep per (nodes, precision); each call forms the integrand from
+the sweep in fixed-point ints, within a stated error bound.
 
 Everything here is pure: values are immutable and memos are keyed by all inputs.
 """
@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
-from typing import Optional
 
 import mpmath as mp
 from mpmath.libmp import (from_int, from_man_exp, mpf_cos_sin, mpf_div, mpf_exp, mpf_log,
@@ -267,10 +266,10 @@ class LaurentData:
                     out[i + j] = out[i + j] + a * other.coeffs[j]
         return LaurentData(lowest, tuple(out), order, bits)
 
-    def evaluate(self, s, precision_bits: Optional[int] = None):
-        """Value at a point s != 1 (Horner in (s-1), pole part included)."""
-        bits = precision_bits or max(self.precision_bits, 53)
-        with mp.workprec(bits):
+    def evaluate(self, s):
+        """Value at a point s != 1 (Horner in (s-1), pole part included), at the
+        series' precision (53 bits for exact coefficients)."""
+        with mp.workprec(max(self.precision_bits, 53)):
             z = (s if isinstance(s, mp.mpc) else mp.mpf(s)) - 1
             return poly_eval(self.coeffs, z) * z ** self.lowest_power
 
@@ -411,7 +410,6 @@ def eval_main_term(poly: MainTermPoly, x) -> mp.mpf:
 # fixed-point guard bits of the integrand over the sweep's precision: 2 * 12 for
 # |zeta|^k <= 4^k at k <= 12, 5 for the per-node 16 + L/50 < 2^5 (see the oracle)
 CONTOUR_GUARD_BITS = 2 * 12 + 5
-CONTOUR_MAX_NODES = 1 << 13  # above every proven count: 4728 at 4000 bits, x_probe 1e308
 
 
 def _contour_nodes(prec: int, x_probe) -> int:
@@ -468,17 +466,16 @@ def _fixed_pow(re: int, im: int, k: int, wp: int) -> tuple[int, int]:
     return pr, pi
 
 
-def residue_contour_oracle(k: int, precision_bits: int, x_probe: float,
-                           nodes: Optional[int] = None) -> mp.mpf:
+def residue_contour_oracle(k: int, precision_bits: int, x_probe: float) -> mp.mpf:
     """Residue of zeta^k(s) x^s / s at s=1 by trapezoid quadrature over the
     circle |s-1| = 1/2, scaled by 1/x_probe for direct comparison with
     P_{k-1}(log x_probe).
 
     The integrand is analytic in 0 < |s-1| < 1, so the trapezoid rule
     converges geometrically (Trefethen and Weideman, SIAM Review 56, 2014,
-    section 2).  ``nodes`` defaults to, and may not be below, the count n of
-    ``_contour_nodes``, nor above CONTOUR_MAX_NODES; the value is the 2n-node
-    mean, and node doubling against the n-node one is the convergence check.
+    section 2).  n is the count that ``_contour_nodes`` proves for (prec,
+    x_probe); the value is the 2n-node mean, and node doubling against the
+    n-node one is the convergence check.
     The integrand is real on the real axis, so only the upper half circle is
     evaluated.  The oracle is independent of the series pipeline: library zeta
     and quadrature against series arithmetic over in-repo Stieltjes constants.
@@ -539,18 +536,12 @@ def residue_contour_oracle(k: int, precision_bits: int, x_probe: float,
     k = check_integral("k", k)
     precision_bits = check_integral("precision_bits", precision_bits)
     prec = precision_bits + 32
-    least = _contour_nodes(prec, x_probe)
-    nodes = least if nodes is None else nodes
-    if nodes < least:
-        raise DomainError(f"need at least {least} nodes, got {nodes}")
-    if nodes > CONTOUR_MAX_NODES:
-        raise DomainError(f"nodes must be at most {CONTOUR_MAX_NODES}, got {nodes}")
-    nodes = check_integral("nodes", nodes)
+    n = _contour_nodes(prec, x_probe)
     wp = prec + CONTOUR_GUARD_BITS
     P = wp + 8
     # the n-node set is the even-index subset of the 2n-node set, so one
     # zeta sweep serves both the value and its doubling check
-    pts = _contour_zetas(2 * nodes, prec)
+    pts = _contour_zetas(2 * n, prec)
     with mp.workprec(prec):
         xm = mp.mpf(x_probe)
     logx = mpf_log(xm._mpf_, P, round_nearest)
@@ -562,16 +553,16 @@ def residue_contour_oracle(k: int, precision_bits: int, x_probe: float,
         c, s = to_fixed(c, wp), to_fixed(s, wp)
         qr, qi = (hr * c - hi * s) >> wp, (hr * s + hi * c) >> wp
         t = (pr * qr - pi * qi) * e
-        if j and j != nodes:  # s = 3/2 and s = 1/2 are their own conjugates
+        if j and j != n:  # s = 3/2 and s = 1/2 are their own conjugates
             t *= 2
         fine += t
         if not j & 1:
             coarse += t
     with mp.workprec(prec):
         # the int sums are exact, so each mean rounds once
-        fine = mp.mpf(mpf_div(from_man_exp(fine, -3 * wp), from_int(2 * nodes), prec,
+        fine = mp.mpf(mpf_div(from_man_exp(fine, -3 * wp), from_int(2 * n), prec,
                               round_nearest))
-        coarse = mp.mpf(mpf_div(from_man_exp(coarse, -3 * wp), from_int(nodes), prec,
+        coarse = mp.mpf(mpf_div(from_man_exp(coarse, -3 * wp), from_int(n), prec,
                                 round_nearest))
         tol = mp.mpf(2) ** (-(precision_bits // 2)) * (1 + abs(fine * xm))
         moved = abs(fine - coarse) * xm

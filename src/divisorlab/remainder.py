@@ -466,7 +466,7 @@ def soundararajan_exponent2(k: int) -> float:
     every EnvelopeSet's notes.
     """
     check_positive("k", k)
-    return float(_envelope_exponents(k)[3])
+    return float(_envelope_exponents(check_integral("k", k))[3])
 
 
 @functools.cache

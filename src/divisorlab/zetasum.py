@@ -575,6 +575,7 @@ def moment_integral(k: int, sigma: float, T: float,
         raise DomainError(
             f"moment k={k} sigma={sigma} T={T} needs ~{cost:.2g} quadrature "
             f"node x zeta term products, cost cap is {MOMENT_COST_CAP:.0e}")
+    k = check_integral("k", k)
     base = _moment_dyadic(k, sigma, T, panels)
     logs = [math.log(base / T)]
     for X in (2 * T, 4 * T):

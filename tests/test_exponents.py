@@ -271,10 +271,6 @@ def test_beta_bound_threshold(params):
     ex.beta_bound(15, params)
     with pytest.raises(RangeError):
         ex.beta_bound(14, params)
-    # doubled-threshold mode pushes the cut to 2*k0 ~ 29.44
-    with pytest.raises(RangeError):
-        ex.beta_bound(15, params, require_doubled_threshold=True)
-    ex.beta_bound(30, params, require_doubled_threshold=True)
 
 
 def test_beta_bound_limit_constant(params):
@@ -1008,7 +1004,8 @@ def test_non_integral_argument_raises_domain_error(fn, arg, name):
     (lambda: ex.beta_k_exponent(0.9, 30.5, P), 30.5),
     (lambda: ex.beta_k_exponent(0.8, 15.5, P, check_range=False), 15.5),
     (lambda: ex.thm3_exponent(1e6 + 0.5, 0.1), 1000000.5),
-], ids=["alpha", "beta", "thm2", "beta_k", "beta_k-unchecked", "thm3"])
+    (lambda: ex.kolpakova_D(186.5, 4.45), 186.5),
+], ids=["alpha", "beta", "thm2", "beta_k", "beta_k-unchecked", "thm3", "kolpakova"])
 def test_non_integral_k_raises_domain_error(call, bad):
     # each once answered for a k between two integers
     with pytest.raises(DomainError, match=f"^k must be integral, got {bad}$"):
@@ -1021,6 +1018,8 @@ def test_k_refused_today_keeps_its_message():
         ex.alpha_bound(20.5, P)
     with pytest.raises(RangeError, match=r"^needs k >= A\*delta\^-3 = 1000\.0 .*, got k=999\.5$"):
         ex.thm3_exponent(999.5, 0.1)
+    with pytest.raises(RangeError, match=r"^kolpakova constant needs k > 159\.9, got 150\.5$"):
+        ex.kolpakova_D(150.5, 4.45)
     with pytest.raises(DomainError, match=r"^k must be an integer >= 2, got 30\.5$"):
         ex.ExponentParams(k=30.5)
 

@@ -52,12 +52,15 @@ NUMPY_INTEGER_CALLS = {
     "exp_sum_bits": lambda i: zetasum.exp_sum(10, 20, 100.0, precision_bits=i(128)),
     "zeta_em_bits": lambda i: zetasum.zeta_em(0.75, 100.0, precision_bits=i(128)),
     "afe_residual_bits": lambda i: zetasum.afe_residual(0.75, 100.0, precision_bits=i(128)),
-    "contour_nodes": lambda i: laurent.residue_contour_oracle(2, 32, 100.0, nodes=i(147)),
     "envelopes": lambda i: remainder.envelopes(i(3), 1e4),
     "alpha_bound": lambda i: exponents.alpha_bound(i(30), exponents.ExponentParams()),
     "beta_bound": lambda i: exponents.beta_bound(i(30), exponents.ExponentParams()),
     "thm3_exponent": lambda i: exponents.thm3_exponent(i(10 ** 6), 0.1),
     "ExponentParams": lambda i: exponents.ExponentParams(k=i(30)),
+    "moment_integral": lambda i: zetasum.moment_integral(i(1), 2.0, 50.0),
+    "soundararajan_exponent2": lambda i: remainder.soundararajan_exponent2(i(3)),
+    "moment_h_max": lambda i: exponents.moment_h_max(i(100), 1.0),
+    "zeta_h_max": lambda i: exponents.zeta_h_max(i(500), 1.0),
 }
 
 

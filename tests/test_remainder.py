@@ -634,6 +634,14 @@ def test_envelope_domain():
         rl.envelopes(2.5, 100.0)
 
 
+def test_soundararajan_exponent2_refuses_a_fractional_k():
+    # k = 2.5 once answered 1.8917, an exponent of no envelope
+    with pytest.raises(DomainError, match=r"^k must be integral, got 2\.5$"):
+        rl.soundararajan_exponent2(2.5)
+    with pytest.raises(DomainError, match=r"^k must be positive, got 0$"):
+        rl.soundararajan_exponent2(0)
+
+
 NAN, INF = math.nan, math.inf
 
 

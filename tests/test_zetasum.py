@@ -336,7 +336,7 @@ def test_zeta_em_domain():
 
 def test_laurent_series_matches_zeta_em():
     z = la.zeta_laurent(20, 256)
-    got = z.evaluate(mp.mpf("1.1"), 256)
+    got = z.evaluate(mp.mpf("1.1"))
     ref = zs.zeta_em(1.1, 0.0, 128)
     with mp.workdps(50):
         assert abs(got - ref) < mp.mpf("1e-12")
@@ -451,6 +451,7 @@ def test_non_finite_argument_raises_domain_error(fn, args, name):
     (zs.chi_factor, (0.75, 100.0, 100.5), "precision_bits", 100.5),
     (zs.afe_residual, (0.75, 100.0, 100.5), "precision_bits", 100.5),
     (zs.mvt_check, (16, 100.0, "random", 3, 1.5), "seed", 1.5),
+    (zs.moment_integral, (1.5, 2.0, 50.0), "k", 1.5),
 ], ids=lambda v: v.__name__ if callable(v) else None)
 def test_non_integral_argument_raises_domain_error(fn, args, name, bad):
     # unguarded, each raised TypeError or AttributeError in range(), np.ones,

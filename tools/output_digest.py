@@ -79,7 +79,6 @@ def groups():
                     exponents.ExponentParams(eps0=1e-3, k=40))
         for r in (*(exponents.alpha_bound(k, p) for k in (30, 100)),
                   *(exponents.beta_bound(k, p) for k in (15, 100)),
-                  exponents.beta_bound(30, p, require_doubled_threshold=True),
                   exponents.m0_validity_threshold(p),
                   *(exponents.m0_sigma(s, p) for s in (p.theta, 0.9, 0.97)),
                   *(exponents.inductive_sigma_bound(k, p) for k in (15, 20.5, 30, 1000)),
