@@ -638,8 +638,9 @@ def test_soundararajan_exponent2_refuses_a_fractional_k():
     # k = 2.5 once answered 1.8917, an exponent of no envelope
     with pytest.raises(DomainError, match=r"^k must be integral, got 2\.5$"):
         rl.soundararajan_exponent2(2.5)
-    with pytest.raises(DomainError, match=r"^k must be positive, got 0$"):
-        rl.soundararajan_exponent2(0)
+    # the range check comes first: a k refused today keeps its message
+    with pytest.raises(DomainError, match=r"^k must be positive, got -0\.5$"):
+        rl.soundararajan_exponent2(-0.5)
 
 
 NAN, INF = math.nan, math.inf

@@ -526,6 +526,9 @@ def test_moment_panels_override_and_domain():
     # grow like T^2: refused before any quadrature runs
     with pytest.raises(DomainError, match=r"needs ~3\.1e\+10 .* cost cap is 2e\+10"):
         zs.moment_integral(1, 0.75, 8000.0)
+    # the range checks come before the integral check of k
+    with pytest.raises(DomainError, match=r"^sigma must lie in \[1/2, 3\], got 0\.2$"):
+        zs.moment_integral(1.5, 0.2, 100.0)
     for panels in (0, -3):
         with pytest.raises(DomainError):
             zs.moment_integral(1, 2.0, 100.0, panels=panels)
