@@ -289,10 +289,8 @@ def cmd_signs(args) -> tuple[list[dict], dict]:
 
 def cmd_meansquare(args) -> tuple[list[dict], dict]:
     from . import remainder
-    value = remainder.mean_square(args.k, args.x, args.panels,
-                                  precision_bits=args.precision_bits)
-    return [{"k": args.k, "x": args.x, "panels_per_unit": args.panels,
-             "mean_square": value}], {}
+    value = remainder.mean_square(args.k, args.x, precision_bits=args.precision_bits)
+    return [{"k": args.k, "x": args.x, "mean_square": value}], {}
 
 
 def cmd_expsum(args) -> tuple[list[dict], dict]:
@@ -430,7 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("meansquare"); common(sp)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--x", type=float, required=True)
-    sp.add_argument("--panels", type=int, default=2)
 
     sp = sub.add_parser("expsum"); common(sp)
     sp.add_argument("--N", type=int, default=None)

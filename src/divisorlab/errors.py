@@ -84,6 +84,11 @@ def check_integral(name: str, x) -> int:
     return operator.index(x)
 
 
+def plain_float(x):
+    """x as a Python float if it is a float subclass (numpy's float64), else as it is."""
+    return float(x) if isinstance(x, float) else x
+
+
 def check_positive(name: str, x) -> None:
     """DomainError unless 0 < x < inf."""
     if not 0 < x < math.inf:

@@ -29,12 +29,12 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import mpmath as mp
 
 from .errors import (DomainError, RangeError, SelfCheckError, check_finite, check_integral,
-                     check_nonnegative, check_positive)
+                     check_nonnegative, check_positive, plain_float)
 from .numerics import (exact_fraction, golden_max, poly_add, poly_eval, poly_mul,
                        real_cubic_roots, round_down, round_up, sign_variations,
                        sturm_sequence, taylor_shift)
@@ -89,6 +89,8 @@ class ExponentParams:
         if not (hasattr(self.k, "__index__") and self.k >= 2):
             raise DomainError(f"k must be an integer >= 2, got {self.k}")
         object.__setattr__(self, "k", check_integral("k", self.k))
+        for name in ("B", "theta", "eps0", "delta"):
+            object.__setattr__(self, name, plain_float(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -456,17 +458,20 @@ def carlson_combine(eta: float, mu: float) -> float:
 def inductive_sigma_bound(k: float, params: ExponentParams) -> float:
     """1 - (3(B+eps0)(k - k2))^{-2/3}, valid for k >= k0(theta).
 
-    At k = k0(theta) this returns theta exactly (base case of the induction).
+    k - k2 is formed as max(k - k0, 0) + 1/(3(B+eps0)(1-theta)^{3/2}), which a
+    float k's rounding cannot turn negative: at k = k0(theta) this returns
+    theta (base case of the induction) for every B.
     """
     check_finite("k", k)
     with _wp():
-        k0 = k0_theta(float(params.theta))
+        theta = mp.mpf(float(params.theta))
+        k0 = _k0(theta)
         if k < float(k0) - 1e-12:
             raise RangeError(
                 f"inductive bound needs k >= k0(theta) = {float(k0):.6f}, got {k}")
         B = mp.mpf(params.B) + mp.mpf(params.eps0)
-        k2 = k2_theta(params.theta, params.B, params.eps0)
-        return float(1 - (3 * B * (mp.mpf(k) - k2)) ** (-mp.mpf(2) / 3))
+        gap = max(mp.mpf(k) - k0, 0) + 1 / (3 * B * (1 - theta) ** mp.mpf("1.5"))
+        return float(1 - (3 * B * gap) ** (-mp.mpf(2) / 3))
 
 
 def induction_step_check(r: float, delta_step: float,
@@ -722,28 +727,21 @@ def ck_inequality_scan(k_max: int) -> ScanReport:
 # ---------------------------------------------------------------------------
 
 def _check_cubic(k, alpha) -> tuple:
-    """(k, alpha k^(-2/3)), after refusing a k or alpha whose float cubic would
-    overflow: k in [2, CUBIC_K_CAP] and alpha k^(-2/3) >= CUBIC_SCALE_MIN.  A
-    numpy integer k comes back as a Python int, a float k as it is."""
+    """(k, alpha, alpha k^(-2/3)), after refusing a k or alpha whose float cubic
+    would overflow: k in [2, CUBIC_K_CAP] and alpha k^(-2/3) >= CUBIC_SCALE_MIN.
+    A numpy k or alpha comes back as the Python int or float it stands for."""
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
     check_finite("k", k)
     if k > CUBIC_K_CAP:
         raise RangeError(f"k must be at most {CUBIC_K_CAP:.0e}, got {k}")
     check_positive("alpha", alpha)
-    if hasattr(k, "__index__"):
-        k = check_integral("k", k)
+    k = check_integral("k", k) if hasattr(k, "__index__") else plain_float(k)
+    alpha = plain_float(alpha)
     a = alpha * k ** (-2.0 / 3.0)
     if not a >= CUBIC_SCALE_MIN:
         raise RangeError(f"alpha*k^(-2/3) must be at least {CUBIC_SCALE_MIN:.0e}, got {a:.4g}")
-    return k, a
-
-
-def _select_local_max(roots: Sequence[float], lo: float, hi: float,
-                      dd_h) -> Optional[float]:
-    """Largest stationary point in [lo, hi] at which h'' = dd_h is negative."""
-    cands = [r for r in roots if lo <= r <= hi and dd_h(r) < 0]
-    return max(cands) if cands else None
+    return k, alpha, a
 
 
 def moment_h_max(k: int, alpha: float) -> CubicMax:
@@ -751,17 +749,17 @@ def moment_h_max(k: int, alpha: float) -> CubicMax:
     h(rho) = 2*alpha*k^{1/3}/rho - 2(k+4)/rho^3 + 6(k+1)/rho^4 + 2/rho^2 + 2/rho
     over [2, k] at its interior stationary point.
 
-    Stationary points solve (alpha*k^{1/3}+1) rho^3 + 2 rho^2 - 3(k+4) rho
-    + 12(k+1) = 0; the admissible maximiser is the larger positive root
-    (second-order test), confirmed by golden section, which returns it only
-    to about sqrt(2^-53), as h is flat to second order there (5.2e-8 relative
-    at worst for k = 10..2000, alpha = 1).  Both roots are recorded in
-    ``stationary_points``.  Without an admissible stationary point the larger
-    endpoint is returned with ``used_endpoint=True``.  k above CUBIC_K_CAP,
-    alpha*k^(-2/3) below CUBIC_SCALE_MIN or alpha*k^(1/3) above
-    MOMENT_SCALE_MAX raises RangeError.
+    Stationary points solve C(rho) = (alpha*k^{1/3}+1) rho^3 + 2 rho^2
+    - 3(k+4) rho + 12(k+1) = 0, as h' = -2C/rho^5; at a root h'' = -2C'/rho^5,
+    so the maximiser is the largest root in [2, k] at which C rises.  Golden
+    section confirms it, to about sqrt(2^-53) only, as h is flat to second
+    order there (5.2e-8 relative at worst for k = 10..2000, alpha = 1).  The
+    positive roots are recorded in ``stationary_points``.  Without a rising
+    root in [2, k] the endpoint with the larger h is returned with
+    ``used_endpoint=True``.  k above CUBIC_K_CAP, alpha*k^(-2/3) below
+    CUBIC_SCALE_MIN or alpha*k^(1/3) above MOMENT_SCALE_MAX raises RangeError.
     """
-    k, _ = _check_cubic(k, alpha)
+    k, alpha, _ = _check_cubic(k, alpha)
     a13 = alpha * k ** (1.0 / 3.0)
     if not a13 <= MOMENT_SCALE_MAX:
         raise RangeError(f"alpha*k^(1/3) must be at most {MOMENT_SCALE_MAX:.0e}, got {a13:.4g}")
@@ -770,17 +768,14 @@ def moment_h_max(k: int, alpha: float) -> CubicMax:
         return (2 * a13 / r - 2 * (k + 4) / r ** 3 + 6 * (k + 1) / r ** 4
                 + 2 / r ** 2 + 2 / r)
 
-    def ddh(r):
-        return (4 * a13 / r ** 3 - 24 * (k + 4) / r ** 5
-                + 120 * (k + 1) / r ** 6 + 12 / r ** 4 + 4 / r ** 3)
-
     roots = real_cubic_roots(a13 + 1.0, 2.0, -3.0 * (k + 4), 12.0 * (k + 1))
     pos = tuple(r for r in roots if r > 0)
-    star = _select_local_max(pos, 2.0, float(k), ddh)
+    lo, hi = 2.0, float(k)
+    star = max((r for r in pos if lo <= r <= hi and (3 * (a13 + 1) * r + 4) * r > 3 * (k + 4)),
+               default=None)
     if star is None:
-        lo, hi = 2.0, float(k)
-        r0, h0 = (lo, h(lo)) if h(lo) >= h(hi) else (hi, h(hi))
-        return CubicMax(rho_star=r0, h_star=h0, stationary_points=pos,
+        r0 = lo if h(lo) >= h(hi) else hi
+        return CubicMax(rho_star=r0, h_star=h(r0), stationary_points=pos,
                         used_endpoint=True)
     below = [r for r in pos if r < star]
     lo = max(2.0, below[-1] * 1.000001 if below else 2.0)
@@ -801,15 +796,17 @@ def zeta_h_max(k: int, alpha: float) -> CubicMax:
     """Maximise h(rho) = alpha*k^{-2/3}/rho - (1 - 3/rho)/rho^3 over rho >= 3
     at its interior stationary point.
 
-    Stationary points solve alpha*k^{-2/3} rho^3 - 3 rho + 12 = 0; the local
-    maximum is the larger positive root (in ``stationary_points``), confirmed
-    by golden section to about sqrt(2^-53), as in ``moment_h_max`` (2.0e-8
-    relative at worst for k = 10..2000, alpha = 1).  ``limit_ratio`` records
-    k*h_star / (2*alpha^{3/2}/3^{3/2}) as a diagnostic against the large-k
-    value of the pointwise zeta exponent.  k above CUBIC_K_CAP or alpha*k^(-2/3)
-    below CUBIC_SCALE_MIN raises RangeError.
+    Stationary points solve C(rho) = a rho^3 - 3 rho + 12 = 0 (a = alpha*k^{-2/3}),
+    as h' = -C/rho^5; at a root h'' = -C'/rho^5, so the maximiser is the largest
+    root rho >= 3 at which C rises, a rho^2 > 1 (for a >= 1/36 there is none, and
+    rho = 3 is returned with ``used_endpoint=True``).  Golden section confirms it
+    to about sqrt(2^-53), as in ``moment_h_max`` (2.0e-8 relative at worst for
+    k = 10..2000, alpha = 1).  ``stationary_points`` holds the positive roots;
+    ``limit_ratio`` records k*h_star / (2*alpha^{3/2}/3^{3/2}) as a diagnostic
+    against the large-k value of the pointwise zeta exponent.  k above
+    CUBIC_K_CAP or alpha*k^(-2/3) below CUBIC_SCALE_MIN raises RangeError.
     """
-    k, a = _check_cubic(k, alpha)
+    k, alpha, a = _check_cubic(k, alpha)
     if not a < 0.5:
         raise RangeError(
             f"need alpha*k^(-2/3) < 1/2 for an interior maximiser, got {a:.4f}")
@@ -817,13 +814,10 @@ def zeta_h_max(k: int, alpha: float) -> CubicMax:
     def h(r):
         return a / r - (1 - 3 / r) / r ** 3
 
-    def ddh(r):
-        return 2 * a / r ** 3 - 12 / r ** 5 + 60 / r ** 6
-
     roots = real_cubic_roots(a, 0.0, -3.0, 12.0)
     pos = tuple(r for r in roots if r > 0)
     limit = float(moment_h_limit(alpha)) / 2
-    star = _select_local_max(pos, 3.0, math.inf, ddh)
+    star = max((r for r in pos if r >= 3.0 and a * r * r > 1), default=None)
     if star is None:
         return CubicMax(rho_star=3.0, h_star=h(3.0), stationary_points=pos,
                         used_endpoint=True, limit_ratio=k * h(3.0) / limit)

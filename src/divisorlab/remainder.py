@@ -274,13 +274,14 @@ def sign_change_scan(k: int, X0: float, X1: float, C: float = TONG_C,
 # units n < MS_SPLIT are cut into 2^i equal pieces, 2^i >= MS_SPLIT / n, so every
 # piece has h / lo <= 1 / (2 MS_SPLIT); the relative budget of the proven error;
 # pieces per cache-sized pass (32 KiB per float64 array); every MS_CHECK_STRIDE-th
-# piece is re-integrated by MS_ORDER-node Gauss-Legendre; the bytes charged per
-# piece of a pass or node of that check (tracemalloc: 101-133 B for k = 1-30)
+# piece is re-integrated by MS_ORDER-node Gauss-Legendre on MS_PANELS and twice as
+# many panels; the bytes charged per piece of a pass (tracemalloc: 101-133 B, k <= 30)
 MS_SPLIT = 64
 MS_BUDGET = 1e-6
 MS_PASS = 1 << 12
 MS_CHECK_STRIDE = 64
 MS_ORDER = 6
+MS_PANELS = 2
 MS_BYTES_PER_PIECE = 136
 
 
@@ -298,14 +299,15 @@ def _taylor_polys(coeffs: list[float]) -> tuple[list, list]:
 
 
 @functools.cache
-def _gl_rule(panels: int) -> tuple[np.ndarray, np.ndarray]:
+def _gl_rule() -> tuple[np.ndarray, np.ndarray]:
     """Nodes t in [-1, 1] and (node, 2) weights: MS_ORDER-node Gauss-Legendre on
-    ``panels`` and on 2 ``panels`` equal panels."""
+    MS_PANELS and on 2 MS_PANELS equal panels."""
     nodes, weights = np.polynomial.legendre.leggauss(MS_ORDER)
-    ps = (panels, 2 * panels)
+    ps = (MS_PANELS, 2 * MS_PANELS)
     t = np.concatenate([(2 * np.arange(p)[:, None] + 1 + nodes).ravel() / p - 1 for p in ps])
     w = np.zeros((len(t), 2))
-    w[:panels * MS_ORDER, 0], w[panels * MS_ORDER:, 1] = (np.tile(weights, p) / p for p in ps)
+    coarse = MS_PANELS * MS_ORDER  # nodes of the coarse rule, which come first
+    w[:coarse, 0], w[coarse:, 1] = (np.tile(weights, p) / p for p in ps)
     t.flags.writeable = w.flags.writeable = False
     return t, w
 
@@ -322,7 +324,7 @@ def _pieces(n: np.ndarray, D: np.ndarray, x: float):
 
 
 def _taylor_pass(lo: np.ndarray, h, D: np.ndarray, k: int, coeffs: list[float], polys,
-                 first: int, panels: int) -> tuple[float, float]:
+                 first: int) -> tuple[float, float]:
     """(sum of the values, sum of their bounds) over the pieces [lo, lo + 2h] (h a
     float or one per piece), first, first + 1, ... of the range, where D_k = D.
 
@@ -341,10 +343,11 @@ def _taylor_pass(lo: np.ndarray, h, D: np.ndarray, k: int, coeffs: list[float], 
         the polynomials' (2u), log's (2 deg u, log within 2 ulp), Horner's
         (2 deg u), the powers' (6u), the form's (10u) and the pairwise sum's (22u);
       - a midpoint that rounds (the last piece of a fractional x): 2 u m (G + rho)^2.
-    Every MS_CHECK_STRIDE-th piece of the range is integrated again on ``panels``
-    and 2 ``panels`` panels (``_gl_rule``, whose own error, of order (h / lo)^12
-    <= 128^-12, is far below the bound); both must lie within the bound plus the
-    rule's rounding, the same with E doubled (its nodes round).
+    Every MS_CHECK_STRIDE-th piece of the range is integrated again on MS_PANELS
+    and 2 MS_PANELS panels (``_gl_rule``, whose own error, of order (h / lo)^12 <=
+    128^-12, is far below the bound, so more panels check nothing more); both must
+    lie within the bound plus the rule's rounding, the same with E doubled (its
+    nodes round).
     """
     u, array = 2.0 ** -53, np.ndim(h) > 0
     m = lo + h
@@ -368,28 +371,27 @@ def _taylor_pass(lo: np.ndarray, h, D: np.ndarray, k: int, coeffs: list[float], 
     bound = 2 * (beta[0] * float(ha @ a) + beta[1] * float(np.abs(ha).sum()) + beta[2] * hsum)
     if array and m[-1] - lo[-1] != h[-1]:
         bound += 2 * u * float(m[-1]) * (abs(float(a[-1])) + c + rho) ** 2
-    t, w = _gl_rule(panels)
-    idx = np.arange(-first % MS_CHECK_STRIDE, len(m), MS_CHECK_STRIDE)
-    group = max(1, MS_PASS // len(t))  # at most a pass of nodes
-    for e in (idx[g:g + group] for g in range(0, len(idx), group)):
-        he, A = h[e] if array else np.full(len(e), h), np.abs(a[e])
-        y = (m[e, None] + he[:, None] * t).ravel()
-        gl = (_remainder(np.repeat(D[e], len(t)), y, coeffs, np.empty_like(y), np.empty_like(y))
-              ** 2).reshape(len(e), len(t)) @ w * he[:, None]
-        Gt = A + (c + rho + 2 * E)
-        tol = 2 * he * ((beta[0] * A + beta[1]) * A + beta[2] + Gt * (4 * E + gamma * Gt))
-        for i in np.flatnonzero(~(np.abs(gl - value[e, None]) <= tol[:, None]).all(axis=1))[:1]:
-            left, right, coarse, fine, taylor = map(float, (lo[e[i]], m[e[i]] + he[i], *gl[i],
-                                                            value[e[i]]))
-            raise QuadratureError(
-                f"mean-square self-check on [{left!r}, {right!r}]: Gauss-Legendre on "
-                f"{panels} and {2 * panels} panels gives {coarse!r} and {fine!r}, the "
-                f"Taylor value {taylor!r}, beyond its bound {tol[i]:.3g}")
+    # at most MS_PASS / MS_CHECK_STRIDE = 64 checked pieces of 3 MS_PANELS MS_ORDER
+    # = 36 nodes each: 2304 nodes, fewer than the MS_PASS pieces of the pass
+    t, w = _gl_rule()
+    e = np.arange(-first % MS_CHECK_STRIDE, len(m), MS_CHECK_STRIDE)
+    he, A = h[e] if array else np.full(len(e), h), np.abs(a[e])
+    y = (m[e, None] + he[:, None] * t).ravel()
+    gl = (_remainder(np.repeat(D[e], len(t)), y, coeffs, np.empty_like(y), np.empty_like(y))
+          ** 2).reshape(len(e), len(t)) @ w * he[:, None]
+    Gt = A + (c + rho + 2 * E)
+    tol = 2 * he * ((beta[0] * A + beta[1]) * A + beta[2] + Gt * (4 * E + gamma * Gt))
+    for i in np.flatnonzero(~(np.abs(gl - value[e, None]) <= tol[:, None]).all(axis=1))[:1]:
+        left, right, coarse, fine, taylor = map(float, (lo[e[i]], m[e[i]] + he[i], *gl[i],
+                                                        value[e[i]]))
+        raise QuadratureError(
+            f"mean-square self-check on [{left!r}, {right!r}]: Gauss-Legendre on "
+            f"{MS_PANELS} and {2 * MS_PANELS} panels gives {coarse!r} and {fine!r}, the "
+            f"Taylor value {taylor!r}, beyond its bound {tol[i]:.3g}")
     return float(value.sum()), bound
 
 
-def mean_square(k: int, x: float, panels_per_unit: int = 2,
-                precision_bits: int = MAIN_BITS_DEFAULT) -> float:
+def mean_square(k: int, x: float, *, precision_bits: int = MAIN_BITS_DEFAULT) -> float:
     """||Delta_k(x)||_2 = ((1/x) int_1^x Delta_k(y)^2 dy)^{1/2}, within MS_BUDGET
     relative of its exact value for the main term at ``precision_bits``.
 
@@ -400,22 +402,18 @@ def mean_square(k: int, x: float, panels_per_unit: int = 2,
     cut into dyadic pieces first.  A sum of bounds, rounding included, above
     MS_BUDGET times the integral raises PrecisionError; below it the returned
     root errs by less than MS_BUDGET relative.  Every MS_CHECK_STRIDE-th piece is
-    checked by Gauss-Legendre on ``panels_per_unit`` and twice as many panels.
-    k is capped at ``sieve.DESK_K_CAP``.
+    checked by Gauss-Legendre on MS_PANELS and twice as many panels.  k is
+    capped at ``sieve.DESK_K_CAP``.
 
     It streams: one ``sieve.dk_partial_sums`` call proves D_k(floor x) < 2^64, and
     ``sieve.dk_blocks`` segments over [1, floor x] feed an exact uint64 running
-    sum, which must end there; passes of MS_PASS pieces, or self-check nodes,
-    are charged MS_BYTES_PER_PIECE each beside a segment.
+    sum, which must end there; a pass of MS_PASS pieces is charged
+    MS_BYTES_PER_PIECE each beside a segment.
     """
     if not 2 <= x <= 10 ** 7:
         raise DomainError(f"x must lie in [2, 1e7], got {x}")
-    if panels_per_unit < 2:
-        raise DomainError("panels_per_unit must be >= 2")
-    panels_per_unit = check_integral("panels_per_unit", panels_per_unit)
     n_top = math.floor(x)
-    sieve.check_budget("mean square", n_top, sieve.SEGMENT_BYTES + MS_BYTES_PER_PIECE
-                       * max(MS_PASS, 3 * MS_ORDER * panels_per_unit))
+    sieve.check_budget("mean square", n_top, sieve.SEGMENT_BYTES + MS_BYTES_PER_PIECE * MS_PASS)
     D_top = sieve.dk_partial_sums(k, n_top, [n_top])[0][1]
     if D_top >= 1 << 64:
         raise SieveOverflowError(f"D_{k}({n_top}) exceeds 2^64")
@@ -437,7 +435,7 @@ def mean_square(k: int, x: float, panels_per_unit: int = 2,
                 lo, h, Du = _pieces(np.arange(u0, u1), D[u0 - n0:u1 - n0], x)
             for a in range(0, len(lo), MS_PASS):
                 v, b = _taylor_pass(lo[a:a + MS_PASS], h if part == 1 else h[a:a + MS_PASS],
-                                    Du[a:a + MS_PASS], k, coeffs, polys, done, panels_per_unit)
+                                    Du[a:a + MS_PASS], k, coeffs, polys, done)
                 values.append(v)
                 bound += b
                 done += min(MS_PASS, len(lo) - a)

@@ -50,7 +50,7 @@ from mpmath.libmp import from_int, mpc_exp, mpc_mul_mpf, mpf_log, round_nearest,
 
 from . import exponents
 from .errors import (DomainError, PrecisionError, QuadratureError, check_finite, check_integral,
-                     check_nonnegative, check_positive, check_within)
+                     check_nonnegative, check_positive, check_within, plain_float)
 from .numerics import ols_slope
 
 # numpy is imported inside the float evaluators that use it, so the mpmath
@@ -494,6 +494,7 @@ def afe_residual(sigma: float, t: float, precision_bits: int = 128,
     else:
         raise DomainError(f"unknown length_mode {length_mode!r}")
     precision_bits = _check_precision_bits(precision_bits)
+    sigma, t = plain_float(sigma), plain_float(t)
     z = zeta_em(sigma, t, precision_bits)
     chi1s = chi_factor(1 - sigma, -t, precision_bits)
     with mp.workprec(precision_bits):
@@ -575,7 +576,7 @@ def moment_integral(k: int, sigma: float, T: float,
         raise DomainError(
             f"moment k={k} sigma={sigma} T={T} needs ~{cost:.2g} quadrature "
             f"node x zeta term products, cost cap is {MOMENT_COST_CAP:.0e}")
-    k = check_integral("k", k)
+    k, sigma, T = check_integral("k", k), plain_float(sigma), plain_float(T)
     base = _moment_dyadic(k, sigma, T, panels)
     logs = [math.log(base / T)]
     for X in (2 * T, 4 * T):
@@ -617,7 +618,7 @@ def mvt_check(N: int, T: float, coeff_mode: str = "ones",
     check_within("N", N, 1, 4096)
     if not (1 < T <= T_CAP_MOMENT):
         raise DomainError(f"T must lie in (1, {T_CAP_MOMENT}], got {T}")
-    N = check_integral("N", N)
+    N, T = check_integral("N", N), plain_float(T)
     check_nonnegative("seed", seed)
     seed = check_integral("seed", seed)
     if coeff_mode == "ones":

@@ -1,10 +1,9 @@
 """CLI tests: payload equivalence across formats, metadata conventions,
-the ignored cache variable and removed cache flag, failed writes, exit codes.
+the ignored cache variable and removed flags, failed writes, exit codes.
 """
 
 import argparse
 import contextlib
-import inspect
 import io
 import json
 import math
@@ -137,14 +136,18 @@ def test_old_cache_flags_change_nothing(argv, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_removed_cache_dir_flag_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("argv, flag, key", [
+    (["sieve", "--k", "3", "--x-list", "10"], "--cache-dir", "cache_dir"),
+    (["meansquare", "--k", "1", "--x", "100"], "--panels", "panels"),
+], ids=["cache-dir", "panels"])
+def test_removed_flag_exits_2(argv, flag, key, tmp_path, capsys):
     # an unknown option on the command line (argparse's usage error) and as a
     # config-file key (a precondition violation)
-    assert cli.main(["sieve", "--k", "3", "--x-list", "10", "--cache-dir", "d"]) == 2
-    assert "unrecognized arguments: --cache-dir d" in capsys.readouterr().err
+    assert cli.main([*argv, flag, "2"]) == 2
+    assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("cache_dir = d\n")
-    assert cli.main(["--config", str(cfgfile), "sieve", "--k", "3", "--x-list", "10"]) == 2
+    cfgfile.write_text(f"{key} = 2\n")
+    assert cli.main(["--config", str(cfgfile), *argv]) == 2
     assert capsys.readouterr().err.startswith("precondition violation: unknown configuration keys")
     assert list(tmp_path.iterdir()) == [cfgfile]
 
@@ -181,8 +184,6 @@ SUBPARSERS = next(a for a in cli.build_parser()._actions
 @pytest.mark.parametrize("command, dest, owner", [
     ("signs", "C", remainder.TONG_C),
     *[(c, "precision_bits", remainder.MAIN_BITS_DEFAULT) for c in SUBPARSERS],
-    ("meansquare", "panels",
-     inspect.signature(remainder.mean_square).parameters["panels_per_unit"].default),
     ("bounds", "k", exponents.ExponentParams.k),
 ])
 def test_literal_default_equals_its_owner(command, dest, owner):
@@ -388,7 +389,7 @@ ARGV = st.one_of(
         ("--which", st.sampled_from(["alpha", "beta", "both", "none"]))]),
     command("signs", [("--k", K), ("--X0", NUMBER), ("--X1", NUMBER)],
             [("--C", NUMBER)]),
-    command("meansquare", [("--k", K), ("--x", CHEAP)], [("--panels", SMALL)]),
+    command("meansquare", [("--k", K), ("--x", CHEAP)]),
     command("expsum", optional=[
         ("--N", TERMS), ("--N-prime", SMALL), ("--t", NUMBER),
         ("--N-list", st.lists(TERMS, max_size=3).map(",".join)),

@@ -426,6 +426,14 @@ def test_inductive_sigma_bound_direct_oracle():
     assert abs(ex.inductive_sigma_bound(30, p) - expected) < 1e-12
 
 
+@pytest.mark.parametrize("B", [1e10, 1e20, 1e60])
+def test_inductive_sigma_bound_base_case_at_huge_B(B):
+    # k - k2 formed by subtraction lost 1/(3(B+eps0)(1-theta)^{3/2}) to the float
+    # k0's rounding: 0.839426892306928 at 1e10, a complex power (TypeError) from 1e20
+    p = ex.ExponentParams(B=B)
+    assert abs(ex.inductive_sigma_bound(float(ex.k0_theta(p.theta)), p) - p.theta) < 1e-12
+
+
 # ----------------------------------------------------------- step checking
 
 @pytest.mark.parametrize("eps0", [1e-6, 1e-3, 1e-1])
@@ -840,6 +848,67 @@ def test_cubic_maximisers_fall_back_to_an_endpoint():
     assert res.used_endpoint and res.stationary_points == ()
     assert res.rho_star == 2.0 and h(2.0) > h(float(k))
     assert res.h_star == pytest.approx(h(2.0), rel=1e-14)
+
+
+def _select_local_max(roots, lo, hi, dd_h):
+    """The maximisers' former rule, kept as the reference: the largest
+    stationary point in [lo, hi] at which h'' = dd_h is negative."""
+    cands = [r for r in roots if lo <= r <= hi and dd_h(r) < 0]
+    return max(cands) if cands else None
+
+
+def _moment_ddh(k, alpha):
+    a13 = alpha * k ** (1.0 / 3.0)
+    return lambda r: (4 * a13 / r ** 3 - 24 * (k + 4) / r ** 5
+                      + 120 * (k + 1) / r ** 6 + 12 / r ** 4 + 4 / r ** 3)
+
+
+def _zeta_ddh(k, alpha):
+    a = alpha * k ** (-2.0 / 3.0)
+    return lambda r: 2 * a / r ** 3 - 12 / r ** 5 + 60 / r ** 6
+
+
+def _same_pick(fn, k, alpha):
+    """Assert that fn(k, alpha) picks the root, or the endpoint, that the
+    reference picks from its stationary points; return whether it took an endpoint."""
+    res = fn(k, alpha)
+    lo, hi, ddh = ((2.0, float(k), _moment_ddh(k, alpha)) if fn is ex.moment_h_max
+                   else (3.0, math.inf, _zeta_ddh(k, alpha)))
+    star = _select_local_max(res.stationary_points, lo, hi, ddh)
+    assert res.used_endpoint == (star is None), (k, alpha)
+    if star is not None:  # golden section starts from the pick: the root nearest rho*
+        assert min(res.stationary_points, key=lambda r: abs(r - res.rho_star)) == star
+    return res.used_endpoint
+
+
+@pytest.mark.parametrize("fn", [ex.moment_h_max, ex.zeta_h_max])
+def test_cubic_maximisers_pick_as_the_second_derivative_test(fn):
+    # k from 2 to CUBIC_K_CAP, alpha from 1e-60 to 1e40: both the rising-cubic
+    # rule and the h'' sign pick the same root, or both an endpoint (moment: 92
+    # endpoint and 537 interior cases; zeta: 4 and 576; the rest out of range)
+    picks = []
+    for k in (min(2 * 5e149 ** (i / 30), ex.CUBIC_K_CAP) for i in range(31)):
+        for alpha in (10.0 ** e for e in range(-60, 41, 4)):
+            try:
+                picks.append(_same_pick(fn, k, alpha))
+            except RangeError:
+                continue
+    assert True in picks and False in picks
+
+
+def test_zeta_pick_at_the_tangency():
+    # at a = alpha k^(-2/3) = 1/36 (alpha = 1/9 at k = 8) the cubic a rho^3 - 3 rho
+    # + 12 has a double root at rho = 6, where h'' = -C'/rho^5 = 0: there the
+    # reference's h''(6.0) is 0.0 and the rule's a 6^2 is 1.0, so neither takes
+    # it.  real_cubic_roots finds no positive root at a = 1/36 or 1e-16 below it
+    # (both rules then take rho = 3), and from 3e-16 below it two roots 6 -+ 6e-8
+    # and more, of which both rules take the upper one, where C rises
+    a = 1 / 9 * 8 ** (-2 / 3)
+    assert a == 1 / 36
+    assert _zeta_ddh(8, 1 / 9)(6.0) == 0.0 and a * 6.0 * 6.0 == 1.0
+    for e in (0.0, 1e-16, 3e-16, 1e-15, 1e-12, 1e-8, -1e-12):
+        _same_pick(ex.zeta_h_max, 8, 1 / 9 * (1 - e))
+    assert not _same_pick(ex.zeta_h_max, 8, 1 / 9 * (1 - 1e-8))
 
 
 # ------------------------------------------------------ large-k exponents

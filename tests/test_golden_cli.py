@@ -41,7 +41,7 @@ EXAMPLES = [
     (["signs", "--k", "2", "--X0", "1000", "--X1", "100000", "--C", "5"],
      "d90fba3cb69cadc3fd36b11efe37af4b2db00d70f6365651b6bc292595273f5e"),
     (["meansquare", "--k", "1", "--x", "10000"],
-     "11de618901ce2a114a93d46147e09e15a82eb02e0b8a75adb3e41cd39dea5886"),
+     "b52c9f02486e5f0796accf31c66c2072a965ee559831c13b5ae2a1d47d247d4e"),
     (["expsum", "--N-list", "256,1024,4096", "--t-list", "1e6,1e8"],
      "f8e3c904b7d97ce048683fcb68f609511df324fdfa9caf26c33768cf2adb1250"),
     (["zeta", "--sigma", "0.75", "--t", "1000", "--chi", "--afe"],

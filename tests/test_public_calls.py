@@ -1,6 +1,6 @@
 """Modules of the package call each other through public names only,
 refuse a request over the memory budget in one place, and go on with a numpy
-integer argument as the Python int it stands for."""
+integer or float argument as the Python int or float it stands for."""
 
 import ast
 import re
@@ -73,3 +73,25 @@ def test_numpy_integers_act_as_python_ints(name):
         warnings.simplefilter("error")
         got = repr(call(np.int64))
     assert got == repr(call(int))
+
+
+# each call takes its float arguments through ``f``; the result's fields must
+# hold Python floats, as numpy's float64 repr differs from the float's
+NUMPY_FLOAT_CALLS = {
+    "moment_h_max": lambda f: exponents.moment_h_max(100, f(1.0)),
+    "zeta_h_max": lambda f: exponents.zeta_h_max(f(500.0), 1.0),
+    "afe_residual": lambda f: zetasum.afe_residual(f(0.75), f(100.0)),
+    "moment_integral": lambda f: zetasum.moment_integral(1, f(2.0), f(50.0)),
+    "mvt_check": lambda f: zetasum.mvt_check(8, f(50.0)),
+    "ExponentParams": lambda f: exponents.ExponentParams(B=f(4.45), theta=f(0.8),
+                                                         eps0=f(1e-6), delta=f(1e-3)),
+}
+
+
+@pytest.mark.parametrize("name", NUMPY_FLOAT_CALLS)
+def test_numpy_floats_act_as_python_floats(name):
+    call = NUMPY_FLOAT_CALLS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = repr(call(np.float64))
+    assert got == repr(call(float))

@@ -485,19 +485,25 @@ def test_mean_square_riemann_oracle():
     assert abs(val - ref) / ref < 1e-4
 
 
-def test_mean_square_panel_invariance():
+@pytest.fixture
+def self_check_panels(monkeypatch):
+    """A setter of MS_PANELS for one test; the cached rule is dropped on both sides."""
+    def set_panels(panels):
+        monkeypatch.setattr(rl, "MS_PANELS", panels)
+        rl._gl_rule.cache_clear()
+    yield set_panels
+    rl._gl_rule.cache_clear()
+
+
+def test_mean_square_panel_invariance(self_check_panels):
     # the panels are the self-check's alone: the value does not move with them
-    a = rl.mean_square(2, 500.0, panels_per_unit=2)
-    b = rl.mean_square(2, 500.0, panels_per_unit=4)
-    assert abs(a - b) / a < 1e-6
-    assert a == b
-    with pytest.raises(DomainError):
-        rl.mean_square(2, 500.0, panels_per_unit=1)
+    a = rl.mean_square(2, 500.0)
+    self_check_panels(4)
+    assert rl.mean_square(2, 500.0) == a
     with pytest.raises(DomainError):  # k is capped as in the sieve
         rl.mean_square(31, 500.0)
-    for ppu in (math.nan, 2.5):  # NaN passes the < 2 test
-        with pytest.raises(DomainError, match=f"^panels_per_unit must be integral, got {ppu}$"):
-            rl.mean_square(2, 100.0, ppu)
+    with pytest.raises(TypeError):  # a third argument is never read as precision bits
+        rl.mean_square(2, 100.0, 400)
 
 
 def test_mean_square_self_check_names_the_piece(monkeypatch):
@@ -518,7 +524,8 @@ def test_mean_square_self_check_names_the_piece(monkeypatch):
 # repr of the values of the Taylor passes.  4e5 + 0.37 and 1e6 span several
 # segments; 4 MiB is the tightest budget that holds a segment and a pass (the
 # values do not depend on the budget); a non-integer x ends in a partial unit;
-# k = 30 has 30 coefficients, k = 1 one; the panels only steer the self-check
+# k = 30 has 30 coefficients, k = 1 one; the value does not depend on the
+# self-check's panels (MS_PANELS, set to the third column)
 MS_PINNED = [
     (2, 1e4, 2, None, "7.768195065444501"),
     (2, 1e5, 2, None, "14.149351548421004"),
@@ -537,18 +544,18 @@ MS_PINNED = [
 ]
 
 
-@pytest.mark.parametrize("k, x, ppu, budget, want", MS_PINNED)
-def test_mean_square_bits_pinned(monkeypatch, k, x, ppu, budget, want):
+@pytest.mark.parametrize("k, x, panels, budget, want", MS_PINNED)
+def test_mean_square_bits_pinned(monkeypatch, self_check_panels, k, x, panels, budget, want):
     if budget:
         monkeypatch.setattr(sv, "MEMORY_BUDGET_BYTES", budget)
-    assert repr(rl.mean_square(k, x, panels_per_unit=ppu)) == want
+    self_check_panels(panels)
+    assert repr(rl.mean_square(k, x)) == want
 
 
-def test_mean_square_unit_larger_than_a_group():
-    # 400 panels put 7200 self-check nodes on a unit, more than a group of
-    # MS_PASS nodes: each such unit forms its own group rather than being refused
-    assert 3 * rl.MS_ORDER * 400 > rl.MS_PASS
-    assert rl.mean_square(2, 1000.0, 400) == rl.mean_square(2, 1000.0, 2)
+def test_mean_square_self_check_fits_in_a_pass():
+    # a pass of MS_PASS pieces checks every MS_CHECK_STRIDE-th one on 3 MS_PANELS
+    # MS_ORDER nodes, no more nodes than the pass has pieces
+    assert rl.MS_PASS // rl.MS_CHECK_STRIDE * len(rl._gl_rule()[0]) <= rl.MS_PASS
 
 
 def test_mean_square_memory_in_cache_sized_passes():

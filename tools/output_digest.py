@@ -43,13 +43,13 @@ def groups():
     yield "sign_change_scan", [remainder.sign_change_scan(k, X0, X1)
                                for k, X0, X1 in ((2, 1e3, 2e5), (3, 5e3, 1e6),
                                                  (5, 1e3, 1e7), (1, 5e7, 5e7 + 1e4))]
-    cases = [(k, x, ppu) for k in (1, 2, 3, 5, 12, 30) for x, ppu in
-             ((1234.5, 2), (2e4 + rng.random(), 3), (1e5 * rng.uniform(0.5, 1), 2))]
-    mean_squares = [remainder.mean_square(k, x, ppu) for k, x, ppu in cases[:-1]]
+    cases = [(k, x) for k in (1, 2, 3, 5, 12, 30)
+             for x in (1234.5, 2e4 + rng.random(), 1e5 * rng.uniform(0.5, 1))]
+    mean_squares = [remainder.mean_square(k, x) for k, x in cases[:-1]]
     budget = sieve.MEMORY_BUDGET_BYTES
     sieve.MEMORY_BUDGET_BYTES = 4 << 20
     try:
-        mean_squares.append(remainder.mean_square(2, 1e5, 2))
+        mean_squares.append(remainder.mean_square(2, 1e5))
     finally:
         sieve.MEMORY_BUDGET_BYTES = budget
     mean_squares.append(remainder.mean_square(*cases[-1]))
@@ -101,6 +101,17 @@ def groups():
                                                             1044617867.2959428]),
                      zetasum.afe_residual(0.75, 1000.0), zetasum.afe_residual(0.6, 500.0, 192),
                      zetasum.chi_factor(0.75, 100.0), zetasum.chi_factor(0.5, 14.134725, 256)]
+    # results no other group pins: the independent contour oracle, the envelopes
+    # (omega's from x = e^(e^e), mpf past the float range), the mean-value check
+    # in each coefficient mode, d_k tables of 1000 entries, the most whose numpy
+    # repr lists every entry, and the exact c_k proof
+    yield "oracles", [
+        *(laurent.residue_contour_oracle(k, 32, x) for k, x in ((2, 100.0), (12, 1e4))),
+        *(remainder.envelopes(k, x) for k, x in ((2, 1e4), (30, 1e12), (5, 10 ** 400))),
+        zetasum.mvt_check(1, 50.0),
+        *(zetasum.mvt_check(64, 1000.0, mode) for mode in ("ones", "dk", "random")),
+        sieve.dk_block(3, 1, 1001), sieve.dk_block(30, 10 ** 6, 10 ** 6 + 1000),
+        *(exponents.ck_inequality_scan(k) for k in (2, 300))]
 
 
 def main(argv=None) -> int:
