@@ -16,6 +16,7 @@ float, Fraction or mpf, and returns the integer as a Python int.
 
 import math
 import operator
+import sys
 
 
 class PreconditionError(ValueError):
@@ -85,8 +86,10 @@ def check_integral(name: str, x) -> int:
 
 
 def plain_float(x):
-    """x as a Python float if it is a float subclass (numpy's float64), else as it is."""
-    return float(x) if isinstance(x, float) else x
+    """x as a Python float if it is a float subclass or any numpy float (numpy is
+    looked up, never imported), else as it is: an int, Fraction or mpf stays."""
+    np = sys.modules.get("numpy")
+    return float(x) if isinstance(x, float) or (np and isinstance(x, np.floating)) else x
 
 
 def check_positive(name: str, x) -> None:

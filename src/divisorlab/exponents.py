@@ -82,6 +82,8 @@ class ExponentParams:
     k: int = 30
 
     def __post_init__(self):
+        for name in ("B", "theta", "eps0", "delta"):
+            object.__setattr__(self, name, plain_float(getattr(self, name)))
         check_positive("B", self.B)
         _check_theta(self.theta, "theta")
         check_nonnegative("eps0", self.eps0)
@@ -89,8 +91,6 @@ class ExponentParams:
         if not (hasattr(self.k, "__index__") and self.k >= 2):
             raise DomainError(f"k must be an integer >= 2, got {self.k}")
         object.__setattr__(self, "k", check_integral("k", self.k))
-        for name in ("B", "theta", "eps0", "delta"):
-            object.__setattr__(self, name, plain_float(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -730,14 +730,14 @@ def _check_cubic(k, alpha) -> tuple:
     """(k, alpha, alpha k^(-2/3)), after refusing a k or alpha whose float cubic
     would overflow: k in [2, CUBIC_K_CAP] and alpha k^(-2/3) >= CUBIC_SCALE_MIN.
     A numpy k or alpha comes back as the Python int or float it stands for."""
+    k, alpha = plain_float(k), plain_float(alpha)
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
     check_finite("k", k)
     if k > CUBIC_K_CAP:
         raise RangeError(f"k must be at most {CUBIC_K_CAP:.0e}, got {k}")
     check_positive("alpha", alpha)
-    k = check_integral("k", k) if hasattr(k, "__index__") else plain_float(k)
-    alpha = plain_float(alpha)
+    k = check_integral("k", k) if hasattr(k, "__index__") else k
     a = alpha * k ** (-2.0 / 3.0)
     if not a >= CUBIC_SCALE_MIN:
         raise RangeError(f"alpha*k^(-2/3) must be at least {CUBIC_SCALE_MIN:.0e}, got {a:.4g}")

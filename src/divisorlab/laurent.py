@@ -14,7 +14,7 @@ Series carry an explicit truncation order and operations fail loudly when the
 order is insufficient.
 
 The contour oracle checks those residues independently, by trapezoid
-quadrature of zeta^k(s) x^s / s on |s - 1| = 1/2, always at the node count
+quadrature of zeta^k(s) x^s / s on |s - 1| = 1/4, always at the node count
 proven from the aliasing bound of the trapezoid rule.  Its cost floor is one
 cached mp.zeta sweep per (nodes, precision); each call forms the integrand from
 the sweep in fixed-point ints, within a stated error bound.
@@ -407,41 +407,47 @@ def eval_main_term(poly: MainTermPoly, x) -> mp.mpf:
 # independent contour oracle
 # ---------------------------------------------------------------------------
 
-# fixed-point guard bits of the integrand over the sweep's precision: 2 * 12 for
-# |zeta|^k <= 4^k at k <= 12, 5 for the per-node 16 + L/50 < 2^5 (see the oracle)
-CONTOUR_GUARD_BITS = 2 * 12 + 5
+CONTOUR_RADIUS = 0.25  # the oracle's circle |s - 1| = r0 (see ``_contour_nodes``)
+CONTOUR_SWEEP_BITS = 12  # the zeta sweep's bits over the oracle's prec (see the oracle)
+# fixed-point guard bits of the integrand over the sweep's precision: the
+# per-node (9 + L/300) 6^12 < 2^35 at k <= 12, L < 710 (see the oracle)
+CONTOUR_GUARD_BITS = 35
 
 
 def _contour_nodes(prec: int, x_probe) -> int:
-    """Least n, over rho = 1/2 + j/64 < 1, proven to alias by <= 2^-prec x^{1/2}
-    at every k <= 12.  On |w| = 1/2 the n-node mean of t(w) = zeta(1+w)^k x^w
-    w/(1+w) = sum_{m >= 1-k} c_m w^m is sum c_m 2^-m over m = 0, n, 2n, ...
-    (n >= k), and |c_m| <= M rho^-m (Cauchy), so it errs by <= M q^n/(1 - q^n),
-    q = 1/(2 rho).  On |w| = rho Titchmarsh 2.1 (see the oracle) with |s| <= 1 +
-    rho, |s-1| = rho, sigma >= 1 - rho gives M <= A^k x^rho rho/(1-rho), A =
-    (1+rho)/rho + (1+rho)/(1-rho) >= 6, largest at k = 12: one n serves every
-    k.  n qualifies once n log2(2 rho) >= prec + 2 + 12 log2 A + (rho - 1/2)
-    log2 x + log2(rho/(1-rho)), which exceeds prec + 2 and 31: n > k, q^n <=
-    1/2, and the 2 buys 1/(1 - q^n) <= 2 and the float logs.  At prec = 64,
-    x <= 1e4, rho = 0.906 mostly wins, n = 144-150; prec = 288, x = 100: 389.
+    """Least n, over rho = r0 + j (1 - r0)/64 < 1, r0 = CONTOUR_RADIUS = 1/4,
+    proven to alias by <= 2^-prec x^{r0} at every k <= 12.  On |w| = r0 the
+    n-node mean of t(w) = zeta(1+w)^k x^w w/(1+w) = sum_{m >= 1-k} c_m w^m is
+    sum c_m r0^m over m = 0, n, 2n, ... (n >= k), and |c_m| <= M rho^-m
+    (Cauchy), so it errs by <= M q^n/(1 - q^n), q = r0/rho.  On |w| = rho
+    Titchmarsh 2.1 (see the oracle) with |s| <= 1 + rho, |s-1| = rho, sigma >=
+    1 - rho gives M <= A^k x^rho rho/(1-rho), A = (1+rho)/rho + (1+rho)/(1-rho)
+    > 5.8, largest at k = 12: one n serves every k.  n qualifies once
+    n log2(rho/r0) >= prec + 2 + 12 log2 A + (rho - r0) log2 x + log2(rho/(1-rho)),
+    which exceeds prec + 2 and 31 (12 log2 A + log2(rho/(1-rho)) > 29.8 on the
+    grid): n > k, q^n <= 1/2, and the 2 buys 1/(1 - q^n) <= 2 and the float
+    logs.  At prec = 64, x <= 1e4, rho = 0.789-0.801 wins, n = 66-70; prec =
+    288, x = 100: 189.
     """
-    lx = math.log2(x_probe)
+    r0, lx = CONTOUR_RADIUS, math.log2(x_probe)
     return min(math.ceil((prec + 2 + 12 * math.log2((1 + r) / r + (1 + r) / (1 - r))
-                          + (r - 0.5) * lx + math.log2(r / (1 - r))) / math.log2(2 * r))
-               for r in (0.5 + j / 64 for j in range(1, 32)))
+                          + (r - r0) * lx + math.log2(r / (1 - r))) / math.log2(r / r0))
+               for r in (r0 + j * (1 - r0) / 64 for j in range(1, 64)))
 
 
 @functools.cache
 def _contour_zetas(nodes: int, prec: int) -> tuple:
     """The oracle's only mp.zeta calls, cached per (nodes, prec), at s_j = 1 +
-    e^{2 pi i j / nodes}/2 to ``prec`` bits, j = 0..nodes//2 (the lower half
-    circle holds conjugates): the raw mpf parts of s_j - 1 and, as ints scaled
-    by 2^wp, wp = prec + CONTOUR_GUARD_BITS, zeta(s_j) floored and h_j = (s_j -
-    1)/s_j = 1 - conj(s_j)/|s_j|^2 from the floored parts of s_j by one int division."""
-    wp = prec + CONTOUR_GUARD_BITS
+    r0 e^{2 pi i j / nodes}, r0 = CONTOUR_RADIUS, to sp = prec +
+    CONTOUR_SWEEP_BITS bits, j = 0..nodes//2 (the lower half circle holds
+    conjugates): the raw mpf parts of s_j - 1 and, as ints scaled by 2^wp, wp =
+    sp + CONTOUR_GUARD_BITS, zeta(s_j) floored and h_j = (s_j - 1)/s_j = 1 -
+    conj(s_j)/|s_j|^2 from the floored parts of s_j by one int division."""
+    sp = prec + CONTOUR_SWEEP_BITS
+    wp = sp + CONTOUR_GUARD_BITS
     one, rows = 1 << wp, []
-    with mp.workprec(prec):
-        r = mp.mpf(1) / 2
+    with mp.workprec(sp):
+        r = mp.mpf(CONTOUR_RADIUS)
         for j in range(nodes // 2 + 1):
             s = 1 + r * mp.expjpi(mp.mpf(2 * j) / nodes)
             z = mp.zeta(s)
@@ -468,64 +474,73 @@ def _fixed_pow(re: int, im: int, k: int, wp: int) -> tuple[int, int]:
 
 def residue_contour_oracle(k: int, precision_bits: int, x_probe: float) -> mp.mpf:
     """Residue of zeta^k(s) x^s / s at s=1 by trapezoid quadrature over the
-    circle |s-1| = 1/2, scaled by 1/x_probe for direct comparison with
-    P_{k-1}(log x_probe).
+    circle |s-1| = r0 = CONTOUR_RADIUS = 1/4, scaled by 1/x_probe for direct
+    comparison with P_{k-1}(log x_probe).
 
     The integrand is analytic in 0 < |s-1| < 1, so the trapezoid rule
     converges geometrically (Trefethen and Weideman, SIAM Review 56, 2014,
     section 2).  n is the count that ``_contour_nodes`` proves for (prec,
-    x_probe); the value is the 2n-node mean, and node doubling against the
-    n-node one is the convergence check.
+    x_probe), prec = precision_bits + 32; the value is the 2n-node mean, and
+    node doubling against the n-node one is the convergence check.
     The integrand is real on the real axis, so only the upper half circle is
     evaluated.  The oracle is independent of the series pipeline: library zeta
     and quadrature against series arithmetic over in-repo Stieltjes constants.
 
     With ds = i (s - 1) dtheta the scaled residue is the mean over the circle
-    of t(s) = zeta(s)^k x^{s-1} h(s), h = (s - 1)/s.  The zeta sweep at prec =
-    precision_bits + 32 bits (``_contour_zetas``, cached per (nodes, prec))
-    is the cost floor; each call forms Re t_j in ints scaled by 2^wp, wp =
-    prec + CONTOUR_GUARD_BITS, u = 2^-wp: zeta_j^k by ``_fixed_pow``, x^{s-1}
-    from one mp.exp and one mp.cos_sin of L (s_j - 1), L = log x_probe, at
-    P = wp + 8 bits, and the folded sum is exact.  Per node, with x = x_probe:
+    of t(s) = zeta(s)^k x^{s-1} h(s), h = (s - 1)/s.  The zeta sweep at sp =
+    prec + CONTOUR_SWEEP_BITS bits (``_contour_zetas``, cached per (nodes,
+    prec)) is the cost floor; each call forms Re t_j in ints scaled by 2^wp,
+    wp = sp + CONTOUR_GUARD_BITS, u = 2^-wp: zeta_j^k by ``_fixed_pow``,
+    x^{s-1} from one mp.exp and one mp.cos_sin of L (s_j - 1), L = log x_probe,
+    at P = wp + 8 bits, and the folded sum is exact.  Per node, with x = x_probe:
 
-    * |zeta| <= |s|/|s-1| + |s|/sigma <= 4 on the circle (Titchmarsh, The
+    * |zeta| <= |s|/|s-1| + |s|/sigma <= 6 on the circle (Titchmarsh, The
       Theory of the Riemann Zeta-Function, 2.1: zeta(s) = s/(s-1) -
-      s int_1^inf {v} v^{-s-1} dv for sigma > 0; the bound, 2|s| + |s|/sigma
-      as a function of cos theta, peaks at s = 3/2), |h| <= 1 as |s| >= 1/2,
-      and |x^{s-1}| <= x^{1/2}: every term is at most 4^k x^{1/2};
-    * zeta^k: zeta_j is floored (< sqrt(2) u), and each of the at most
-      2 log2 12 floored products (5 for k <= 12) adds < sqrt(2) u; measured
-      against 4^{m-1} for the m-th power, the errors add, so the computed
-      zeta^k is off by < (k + 5/4) sqrt(2) u 4^{k-1} < 4.7 u 4^k;
+      s int_1^inf {v} v^{-s-1} dv for sigma > 0; the bound, 4|s| + |s|/sigma
+      as a function of cos theta, peaks at s = 5/4), |h| = r0/|s| <= r0/(1 - r0)
+      = 1/3, and |x^{s-1}| <= x^{1/4}: every term is at most 6^k x^{1/4}/3;
+    * zeta^k: zeta_j is floored (< sqrt(2) u), which moves zeta^k by
+      < k sqrt(2) u 6^{k-1}, and each of the at most 2 log2 12 floored
+      products (5 for k <= 12) moves it by < sqrt(2) u 6^{k-2}: the computed
+      zeta^k is off by < (2 + 5/36) sqrt(2) u 6^k < 3.1 u 6^k;
     * x^{s-1}: with mpmath's elementary functions within 4 2^-P, as in the
       n^{-s} kernel of ``zetasum``, the log and its rounded products with the
-      parts of s - 1 (each at most 1/2) put both arguments off by
-      < 2.5 L 2^-P < (L/100) u; the exp adds 4 2^-P relative, cos_sin 4 2^-P
+      parts of s - 1 (each at most 1/4) put both arguments off by
+      < 1.25 L 2^-P < (L/200) u; the exp adds 4 2^-P relative, cos_sin 4 2^-P
       per part, and flooring u per part: e^{L Re(s-1)} is off by
-      < (L/100 + 1.02) u x^{1/2} and e^{i L Im(s-1)} by < (L/100 + 1.44) u;
+      < (L/200 + 1.02) u x^{1/4} and e^{i L Im(s-1)} by < (L/200 + 1.44) u;
     * h_j: the floored parts of s_j are off by < u, which moves 1 - 1/s by
-      < 4 u, and the division and its two products add < 3 u: < 7 u; its
-      floored product with e^{i L Im(s-1)} adds < sqrt(2) u.
+      < sqrt(2) u/|s|^2 < 2.6 u, and the division and its two products add
+      < (|s| + sqrt(2)) u < 2.7 u; its floored product with e^{i L Im(s-1)}
+      adds < sqrt(2) u: that product is off by < (7.2 + L/600) u.
 
-    So each Re t_j is off by < (16 + L/50) u 4^k x^{1/2}, and so is their
-    folded mean, whose weights sum to 2 nodes.  With the final division
-    rounded once, for k <= 12 and any float x_probe (L < 710):
+    So each Re t_j is off by < (3.1/3 + 7.2 + L/600 + (L/200 + 1.02)/3) u 6^k
+    x^{1/4} < (9 + L/300) u 6^k x^{1/4}, and so is their folded mean, whose
+    weights sum to 2 nodes.  With the final division rounded once, for k <= 12
+    and any float x_probe (L < 710):
 
-        |oracle - F| <= 2^-prec |F| + (16 + L/50) 4^k x^{1/2} 2^-wp
-                     <= 2^-prec (|F| + x^{1/2}),
+        |oracle - F| <= 2^-sp |F| + (9 + L/300) 6^k x^{1/4} 2^-wp
+                     <= 2^-sp (|F| + x^{1/4}),
 
     F the exact folded trapezoid sum at the sweep's s_j and zeta_j.  Taking
-    mpmath's zeta, like its elementary functions, within 4 2^-prec relative
-    (assumed), and the s_j within 4 2^-prec of the circle (expjpi's error
-    halved, then 1 + e/2 rounded), each t_j moves by < (16.04 k + 4 L + 16)
-    2^-prec |t_j| to first order, as d log t/ds = k zeta'/zeta + L + 1/(s-1)
-    - 1/s and |zeta'/zeta| < 3 on the circle (2.69 at s = 1/2, the most over
-    2001 points).  With m the mean |t_j| (<= 4^k x^{1/2}) and the aliasing bound:
+    mpmath's zeta, like its elementary functions, within 4 2^-sp relative
+    (assumed), and the s_j within 2.5 2^-sp of the circle's nodes (the rounded
+    angle and expjpi's error quartered, then 1 + e/4 rounded), each t_j moves
+    by < (16.5 k + 2.5 L + 14) 2^-sp |t_j| to first order, as d log t/ds =
+    k zeta'/zeta + L + 1/(s-1) - 1/s and |zeta'/zeta| < 5 on the circle (4.63
+    at s = 3/4, the most over 2001 points).  With m the mean |t_j| (<= 6^k
+    x^{1/4}/3) and the aliasing bound:
 
-        |oracle - P_{k-1}(log x)| <= 2^-prec (|F| + 2 x^{1/2} + (17k + 4L + 16) m);
+        |oracle - P_{k-1}(log x)|
+            <= 2^-prec x^{1/4} + 2^-sp (|F| + x^{1/4} + (17k + 3L + 14) m);
 
     the last term, a worst case over independent roundings, the mean
-    averages down, less so over fewer nodes.
+    averages down, less so over fewer nodes.  Term by term this stays below
+    the same argument's bound on |s - 1| = 1/2 swept at prec, 2^-prec (|F| +
+    2 x^{1/2} + (17k + 4L + 16) m'), m' <= 4^k x^{1/2}: with the sweep's 12
+    bits the worst-case last terms have ratio <= 2^-12 1.5^k / 3 < 0.011.  At
+    x = 1e100 the oracle answers within it (1.3e-9 relative at k = 12, 32
+    bits); from about 1e150, x^{1/4} swamps the sweep and node doubling refuses.
     """
     if not (1 <= k <= 12):
         raise DomainError(f"contour oracle supports 1 <= k <= 12, got {k}")
@@ -537,12 +552,13 @@ def residue_contour_oracle(k: int, precision_bits: int, x_probe: float) -> mp.mp
     precision_bits = check_integral("precision_bits", precision_bits)
     prec = precision_bits + 32
     n = _contour_nodes(prec, x_probe)
-    wp = prec + CONTOUR_GUARD_BITS
+    sp = prec + CONTOUR_SWEEP_BITS
+    wp = sp + CONTOUR_GUARD_BITS
     P = wp + 8
     # the n-node set is the even-index subset of the 2n-node set, so one
     # zeta sweep serves both the value and its doubling check
     pts = _contour_zetas(2 * n, prec)
-    with mp.workprec(prec):
+    with mp.workprec(sp):
         xm = mp.mpf(x_probe)
     logx = mpf_log(xm._mpf_, P, round_nearest)
     fine = coarse = 0  # Re t_j scaled by 2^{3 wp}, each conjugate pair folded
@@ -553,16 +569,16 @@ def residue_contour_oracle(k: int, precision_bits: int, x_probe: float) -> mp.mp
         c, s = to_fixed(c, wp), to_fixed(s, wp)
         qr, qi = (hr * c - hi * s) >> wp, (hr * s + hi * c) >> wp
         t = (pr * qr - pi * qi) * e
-        if j and j != n:  # s = 3/2 and s = 1/2 are their own conjugates
+        if j and j != n:  # s = 5/4 and s = 3/4 are their own conjugates
             t *= 2
         fine += t
         if not j & 1:
             coarse += t
-    with mp.workprec(prec):
+    with mp.workprec(sp):
         # the int sums are exact, so each mean rounds once
-        fine = mp.mpf(mpf_div(from_man_exp(fine, -3 * wp), from_int(2 * n), prec,
+        fine = mp.mpf(mpf_div(from_man_exp(fine, -3 * wp), from_int(2 * n), sp,
                               round_nearest))
-        coarse = mp.mpf(mpf_div(from_man_exp(coarse, -3 * wp), from_int(n), prec,
+        coarse = mp.mpf(mpf_div(from_man_exp(coarse, -3 * wp), from_int(n), sp,
                                 round_nearest))
         tol = mp.mpf(2) ** (-(precision_bits // 2)) * (1 + abs(fine * xm))
         moved = abs(fine - coarse) * xm

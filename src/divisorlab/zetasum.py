@@ -482,6 +482,7 @@ def afe_residual(sigma: float, t: float, precision_bits: int = 128,
     ``length_mode="sqrt_t"`` switches to L = floor(sqrt(t)).  Also records
     |chi(1-s)| / t^{sigma-1/2} as an order-of-magnitude diagnostic.
     """
+    sigma, t = plain_float(sigma), plain_float(t)
     if not t >= 50:
         raise DomainError(f"t must be >= 50, got {t}")
     check_finite("t", t)
@@ -494,7 +495,6 @@ def afe_residual(sigma: float, t: float, precision_bits: int = 128,
     else:
         raise DomainError(f"unknown length_mode {length_mode!r}")
     precision_bits = _check_precision_bits(precision_bits)
-    sigma, t = plain_float(sigma), plain_float(t)
     z = zeta_em(sigma, t, precision_bits)
     chi1s = chi_factor(1 - sigma, -t, precision_bits)
     with mp.workprec(precision_bits):
@@ -561,6 +561,7 @@ def moment_integral(k: int, sigma: float, T: float,
     Cost guard: T <= T_CAP_MOMENT, and quadrature nodes times zeta cutoff,
     summed over all six runs, at most MOMENT_COST_CAP = 2e10 (DomainError).
     """
+    sigma, T = plain_float(sigma), plain_float(T)
     check_within("k", k, 1, 6)
     if not (0.5 <= sigma <= 3):
         raise DomainError(f"sigma must lie in [1/2, 3], got {sigma}")
@@ -576,7 +577,7 @@ def moment_integral(k: int, sigma: float, T: float,
         raise DomainError(
             f"moment k={k} sigma={sigma} T={T} needs ~{cost:.2g} quadrature "
             f"node x zeta term products, cost cap is {MOMENT_COST_CAP:.0e}")
-    k, sigma, T = check_integral("k", k), plain_float(sigma), plain_float(T)
+    k = check_integral("k", k)
     base = _moment_dyadic(k, sigma, T, panels)
     logs = [math.log(base / T)]
     for X in (2 * T, 4 * T):
@@ -615,10 +616,11 @@ def mvt_check(N: int, T: float, coeff_mode: str = "ones",
     import numpy as np
 
     from . import sieve
+    T = plain_float(T)
     check_within("N", N, 1, 4096)
     if not (1 < T <= T_CAP_MOMENT):
         raise DomainError(f"T must lie in (1, {T_CAP_MOMENT}], got {T}")
-    N, T = check_integral("N", N), plain_float(T)
+    N = check_integral("N", N)
     check_nonnegative("seed", seed)
     seed = check_integral("seed", seed)
     if coeff_mode == "ones":

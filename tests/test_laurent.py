@@ -431,7 +431,7 @@ def test_contour_oracle_agreement():
 def test_contour_oracle_half_circle(monkeypatch):
     # one sweep of 2N nodes, N the proven count, evaluates zeta at the N + 1
     # nodes of the upper half circle only, and the folded sum equals the
-    # full-circle trapezoid
+    # full-circle trapezoid on the module's circle at the sweep's precision
     k, bits, x = 3, 32, 100.0
     N = la._contour_nodes(bits + 32, x)
     calls = []
@@ -447,29 +447,33 @@ def test_contour_oracle_half_circle(monkeypatch):
     assert len(calls) == N + 1
     monkeypatch.setattr(mp, "zeta", zeta)
 
-    prec = bits + 32
-    with mp.workprec(prec):
+    sp = bits + 32 + la.CONTOUR_SWEEP_BITS
+    with mp.workprec(sp):
         logx = mp.log(mp.mpf(x))
         total = mp.mpc(0)
         for j in range(2 * N):
-            s = 1 + mp.expjpi(mp.mpf(2 * j) / (2 * N)) / 2
+            s = 1 + la.CONTOUR_RADIUS * mp.expjpi(mp.mpf(2 * j) / (2 * N))
             total += mp.zeta(s) ** k * mp.exp(s * logx) / s * (s - 1)
         full = mp.re(total / (2 * N)) / x
-        assert abs(got - full) <= mp.mpf(2) ** (8 - prec) * (1 + abs(full))
+        assert abs(got - full) <= mp.mpf(2) ** (8 - sp) * (1 + abs(full))
 
 
 def _reference_trapezoid(k, bits, x, nodes, part=mp.re):
     """The oracle's folded trapezoid sum over its cached sweep, with the
     integrand formed in mpc at twice the working precision from the same
     nodes and the same floored zeta values; ``part=abs`` gives the mean of
-    |t_j| instead of Re t_j."""
+    |t_j| instead of Re t_j.  Each node must lie within the documented
+    2.5 2^-sp of its place on the module's circle."""
     prec = bits + 32
-    wp = prec + la.CONTOUR_GUARD_BITS
+    sp = prec + la.CONTOUR_SWEEP_BITS
+    wp = sp + la.CONTOUR_GUARD_BITS
     with mp.workprec(2 * prec):
         L = mp.log(x)
         total = mp.mpf(0)
         for j, (a, b, zr, zi, _, _) in enumerate(la._contour_zetas(2 * nodes, prec)):
             s1 = mp.mpc(mp.mpf(a), mp.mpf(b))  # s - 1
+            place = la.CONTOUR_RADIUS * mp.expjpi(mp.mpf(j) / nodes)
+            assert abs(s1 - place) <= 2.5 * mp.mpf(2) ** -sp
             z = mp.mpc(mp.mpf((zr, -wp)), mp.mpf((zi, -wp)))
             t = part(z ** k * mp.exp(L * s1) * s1 / (1 + s1))
             total += t if j in (0, nodes) else 2 * t
@@ -477,9 +481,9 @@ def _reference_trapezoid(k, bits, x, nodes, part=mp.re):
 
 
 # every k and every x_probe at both precisions, each at its proven count:
-# 144, 147, 150 and 169 nodes at 32 bits, 205, 186, 183 and 180 at 64 bits, so
-# both precisions hold an odd count, whose coarse half of the fold has no node
-# at s = 1/2
+# 66, 68, 70 and 83 nodes at 32 bits, 102, 88, 86 and 83 at 64 bits, so both
+# precisions hold an odd count, whose coarse half of the fold has no node at
+# s = 3/4
 CONTOUR_REFERENCE_CASES = (
     [(32, k, x) for k, x in ((1, 1.0001), (2, 100.0), (7, 1e4), (12, 1e16))]
     + [(64, k, x) for k, x in ((1, 1e16), (2, 1e4), (7, 100.0), (12, 1.0001))])
@@ -487,31 +491,50 @@ CONTOUR_REFERENCE_CASES = (
 
 @pytest.mark.parametrize("bits,k,x", CONTOUR_REFERENCE_CASES)
 def test_contour_oracle_integrand_bound(bits, k, x):
-    # the documented bound of the int integrand: |oracle - F| <= 2^-prec |F|
-    # + (16 + L/50) 4^k x^{1/2} 2^-wp <= 2^-prec (|F| + x^{1/2})
+    # the documented bound of the int integrand: |oracle - F| <= 2^-sp |F|
+    # + (9 + L/300) 6^k x^{1/4} 2^-wp <= 2^-sp (|F| + x^{1/4})
     prec = bits + 32
+    sp = prec + la.CONTOUR_SWEEP_BITS
     got = la.residue_contour_oracle(k, bits, x)
     ref = _reference_trapezoid(k, bits, x, la._contour_nodes(prec, x))
     with mp.workprec(2 * prec):
-        bound = (abs(ref) * mp.mpf(2) ** -prec + (16 + math.log(x) / 50) * 4 ** k
-                 * mp.sqrt(x) * mp.mpf(2) ** -(prec + la.CONTOUR_GUARD_BITS))
+        bound = (abs(ref) * mp.mpf(2) ** -sp + (9 + math.log(x) / 300) * 6 ** k
+                 * mp.root(x, 4) * mp.mpf(2) ** -(sp + la.CONTOUR_GUARD_BITS))
         assert abs(got - ref) <= bound
-        assert bound <= (abs(ref) + mp.sqrt(x)) * mp.mpf(2) ** -prec
+        assert bound <= (abs(ref) + mp.root(x, 4)) * mp.mpf(2) ** -sp
 
 
 def test_contour_oracle_large_x():
-    # at 1e30 the oracle still meets the series (to about 1e-14, the floor of
-    # the 64-bit sweep); at 1e60 x^{1/2} ~ 2^100 swamps the 64-bit sweep's
+    # at 1e30 and 1e60 the oracle still meets the series (to about 1e-22 and
+    # 1e-17); at 1e100 it answers within its documented bound (about 1e-9,
+    # not asserted here); at 1e150 x^{1/4} ~ 2^125 swamps the 76-bit sweep's
     # roundings at any node count, and node doubling must say so rather than
     # return a value
     poly = la.main_term_poly(12, 64)
-    with mp.workprec(96):
-        direct = la.eval_main_term(poly, 1e30) / mp.mpf(1e30)
-    got = la.residue_contour_oracle(12, 32, 1e30)
-    with mp.workprec(96):
-        assert abs(got - direct) <= abs(direct) * mp.mpf(2) ** -32
+    for x in (1e30, 1e60):
+        with mp.workprec(96):
+            direct = la.eval_main_term(poly, x) / mp.mpf(x)
+        got = la.residue_contour_oracle(12, 32, x)
+        with mp.workprec(96):
+            assert abs(got - direct) <= abs(direct) * mp.mpf(2) ** -32
     with pytest.raises(QuadratureError, match="node doubling moved the residue by"):
-        la.residue_contour_oracle(12, 32, 1e60)
+        la.residue_contour_oracle(12, 32, 1e150)
+
+
+@pytest.mark.parametrize("prec,x", [(64, 1.0001), (64, 1e4), (96, 1e16), (320, 100.0)])
+def test_contour_nodes_is_the_least_qualifying_count(prec, x):
+    # the docstring's inequality over its rho grid: the returned n meets it at
+    # some rho, and n - 1 at none
+    r0 = la.CONTOUR_RADIUS
+
+    def qualifies(n):
+        return any(n * math.log2(r / r0)
+                   >= prec + 2 + 12 * math.log2((1 + r) / r + (1 + r) / (1 - r))
+                   + (r - r0) * math.log2(x) + math.log2(r / (1 - r))
+                   for r in (r0 + j * (1 - r0) / 64 for j in range(1, 64)))
+
+    n = la._contour_nodes(prec, x)
+    assert qualifies(n) and not qualifies(n - 1)
 
 
 def test_contour_oracle_shares_one_sweep_across_k():
@@ -528,10 +551,11 @@ def test_contour_oracle_shares_one_sweep_across_k():
 @pytest.mark.parametrize("bits,x", [(32, 1.0001), (32, 1234.5), (64, 1e16)])
 @pytest.mark.parametrize("k", [2, 12])
 def test_contour_oracle_total_bound(k, bits, x):
-    # the docstring's total, |oracle - P_{k-1}(log x)| <= 2^-prec (|F| +
-    # 2 x^{1/2} + (17k + 4L + 16) m) with m the mean of |t_j|, at the proven
-    # count n, against the 256-bit series
+    # the docstring's total, |oracle - P_{k-1}(log x)| <= 2^-prec x^{1/4} +
+    # 2^-sp (|F| + x^{1/4} + (17k + 3L + 14) m) with m the mean of |t_j|, at
+    # the proven count n, against the 256-bit series
     prec = bits + 32
+    sp = prec + la.CONTOUR_SWEEP_BITS
     n = la._contour_nodes(prec, x)
     with mp.workprec(2 * prec + 64):
         series = la.eval_main_term(la.main_term_poly(k, 256), x) / mp.mpf(x)
@@ -539,8 +563,8 @@ def test_contour_oracle_total_bound(k, bits, x):
     F = _reference_trapezoid(k, bits, x, n)
     m = _reference_trapezoid(k, bits, x, n, part=abs)
     with mp.workprec(2 * prec):
-        bound = mp.mpf(2) ** -prec * (
-            abs(F) + 2 * mp.sqrt(x) + (17 * k + 4 * math.log(x) + 16) * m)
+        bound = mp.mpf(2) ** -prec * mp.root(x, 4) + mp.mpf(2) ** -sp * (
+            abs(F) + mp.root(x, 4) + (17 * k + 3 * math.log(x) + 14) * m)
         assert abs(got - series) <= bound
 
 

@@ -76,7 +76,8 @@ def test_numpy_integers_act_as_python_ints(name):
 
 
 # each call takes its float arguments through ``f``; the result's fields must
-# hold Python floats, as numpy's float64 repr differs from the float's
+# hold Python floats, as numpy's float64 repr differs from the float's, and a
+# float32 or float16 argument must act as the Python float it stands for
 NUMPY_FLOAT_CALLS = {
     "moment_h_max": lambda f: exponents.moment_h_max(100, f(1.0)),
     "zeta_h_max": lambda f: exponents.zeta_h_max(f(500.0), 1.0),
@@ -88,10 +89,16 @@ NUMPY_FLOAT_CALLS = {
 }
 
 
-@pytest.mark.parametrize("name", NUMPY_FLOAT_CALLS)
-def test_numpy_floats_act_as_python_floats(name):
+NUMPY_FLOAT_ROWS = [pytest.param(name, ftype, id=name if ftype is np.float64
+                                 else f"{name}-{ftype.__name__}")
+                    for ftype in (np.float64, np.float32, np.float16)
+                    for name in NUMPY_FLOAT_CALLS]
+
+
+@pytest.mark.parametrize("name, ftype", NUMPY_FLOAT_ROWS)
+def test_numpy_floats_act_as_python_floats(name, ftype):
     call = NUMPY_FLOAT_CALLS[name]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = repr(call(np.float64))
-    assert got == repr(call(float))
+        got = repr(call(ftype))
+    assert got == repr(call(lambda v: float(ftype(v))))
