@@ -42,6 +42,7 @@ from .errors import (
     check_finite,
     check_integral,
     check_within,
+    plain_float,
 )
 from .numerics import poly_eval
 
@@ -545,6 +546,7 @@ def residue_contour_oracle(k: int, precision_bits: int, x_probe: float) -> mp.mp
     if not (1 <= k <= 12):
         raise DomainError(f"contour oracle supports 1 <= k <= 12, got {k}")
     check_within("precision_bits", precision_bits, 1, MAIN_TERM_MAX_BITS)
+    x_probe = plain_float(x_probe)
     if not x_probe > 1:
         raise DomainError(f"x_probe must exceed 1, got {x_probe}")
     check_finite("x_probe", x_probe)

@@ -86,6 +86,7 @@ NUMPY_FLOAT_CALLS = {
     "mvt_check": lambda f: zetasum.mvt_check(8, f(50.0)),
     "ExponentParams": lambda f: exponents.ExponentParams(B=f(4.45), theta=f(0.8),
                                                          eps0=f(1e-6), delta=f(1e-3)),
+    "residue_contour_oracle": lambda f: laurent.residue_contour_oracle(2, 32, f(100.0)),
 }
 
 
