@@ -425,10 +425,9 @@ def _contour_nodes(prec: int, x_probe) -> int:
     1 - rho gives M <= A^k x^rho rho/(1-rho), A = (1+rho)/rho + (1+rho)/(1-rho)
     > 5.8, largest at k = 12: one n serves every k.  n qualifies once
     n log2(rho/r0) >= prec + 2 + 12 log2 A + (rho - r0) log2 x + log2(rho/(1-rho)),
-    which exceeds prec + 2 and 31 (12 log2 A + log2(rho/(1-rho)) > 29.8 on the
-    grid): n > k, q^n <= 1/2, and the 2 buys 1/(1 - q^n) <= 2 and the float
-    logs.  At prec = 64, x <= 1e4, rho = 0.789-0.801 wins, n = 66-70; prec =
-    288, x = 100: 189.
+    which exceeds prec + 31 (the last term is > -1.6): n > k, q^n <= 1/2, and the
+    2 buys 1/(1 - q^n) <= 2 and the float logs.  At prec = 64, x <= 1e4, rho =
+    0.789-0.801 wins, n = 66-70; prec = 288, x = 100: 189.
     """
     r0, lx = CONTOUR_RADIUS, math.log2(x_probe)
     return min(math.ceil((prec + 2 + 12 * math.log2((1 + r) / r + (1 + r) / (1 - r))
@@ -515,10 +514,9 @@ def residue_contour_oracle(k: int, precision_bits: int, x_probe: float) -> mp.mp
       < (|s| + sqrt(2)) u < 2.7 u; its floored product with e^{i L Im(s-1)}
       adds < sqrt(2) u: that product is off by < (7.2 + L/600) u.
 
-    So each Re t_j is off by < (3.1/3 + 7.2 + L/600 + (L/200 + 1.02)/3) u 6^k
-    x^{1/4} < (9 + L/300) u 6^k x^{1/4}, and so is their folded mean, whose
-    weights sum to 2 nodes.  With the final division rounded once, for k <= 12
-    and any float x_probe (L < 710):
+    So each Re t_j is off by < (9 + L/300) u 6^k x^{1/4}, and so is their
+    folded mean, whose weights sum to 2 nodes.  With the final division
+    rounded once, for k <= 12 and any float x_probe (L < 710):
 
         |oracle - F| <= 2^-sp |F| + (9 + L/300) 6^k x^{1/4} 2^-wp
                      <= 2^-sp (|F| + x^{1/4}),
@@ -532,16 +530,15 @@ def residue_contour_oracle(k: int, precision_bits: int, x_probe: float) -> mp.mp
     at s = 3/4, the most over 2001 points).  With m the mean |t_j| (<= 6^k
     x^{1/4}/3) and the aliasing bound:
 
-        |oracle - P_{k-1}(log x)|
-            <= 2^-prec x^{1/4} + 2^-sp (|F| + x^{1/4} + (17k + 3L + 14) m);
+        |oracle - P_{k-1}(log x)| <= 2^-prec x^{1/4} + 2^-sp (|F| + x^{1/4} + (17k + 3L + 14) m);
 
     the last term, a worst case over independent roundings, the mean
-    averages down, less so over fewer nodes.  Term by term this stays below
-    the same argument's bound on |s - 1| = 1/2 swept at prec, 2^-prec (|F| +
-    2 x^{1/2} + (17k + 4L + 16) m'), m' <= 4^k x^{1/2}: with the sweep's 12
-    bits the worst-case last terms have ratio <= 2^-12 1.5^k / 3 < 0.011.  At
-    x = 1e100 the oracle answers within it (1.3e-9 relative at k = 12, 32
-    bits); from about 1e150, x^{1/4} swamps the sweep and node doubling refuses.
+    averages down, less so over fewer nodes.  With the sweep's 12 extra bits
+    each term stays below that of the same bound on |s - 1| = 1/2 swept at
+    prec, 2^-prec (|F| + 2 x^{1/2} + (17k + 4L + 16) m'), m' <= 4^k x^{1/2}
+    (worst-case last terms: ratio <= 2^-12 1.5^k / 3 < 0.011).  At x = 1e100
+    it answers within it (1.3e-9 relative at k = 12, 32 bits); from about
+    1e150 x^{1/4} swamps the sweep and node doubling refuses.
     """
     if not (1 <= k <= 12):
         raise DomainError(f"contour oracle supports 1 <= k <= 12, got {k}")
