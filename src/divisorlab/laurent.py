@@ -425,7 +425,7 @@ def _contour_nodes(prec: int, x_probe) -> int:
     1 - rho gives M <= A^k x^rho rho/(1-rho), A = (1+rho)/rho + (1+rho)/(1-rho)
     > 5.8, largest at k = 12: one n serves every k.  n qualifies once
     n log2(rho/r0) >= prec + 2 + 12 log2 A + (rho - r0) log2 x + log2(rho/(1-rho)),
-    which exceeds prec + 31 (the last term is > -1.6): n > k, q^n <= 1/2, and the
+    which exceeds prec + 31 at every rho of the grid: n > k, q^n <= 1/2, and the
     2 buys 1/(1 - q^n) <= 2 and the float logs.  At prec = 64, x <= 1e4, rho =
     0.789-0.801 wins, n = 66-70; prec = 288, x = 100: 189.
     """
