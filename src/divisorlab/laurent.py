@@ -65,46 +65,54 @@ def _deriv_polys(n: int):
     p = [0] * n + [1]
     for m in count(1):
         yield p
-        dp = [(i + 1) * c for i, c in enumerate(p[1:])] + [0]
-        p = [a - m * b for a, b in zip(dp, p)]
+        p = [i * b - m * a for i, (a, b) in enumerate(zip(p, p[1:] + [0]), 1)]
 
 
-def _em_tail_bound(p2J: list[int], J: int, M: int):
-    """Rigorous bound for the Euler-Maclaurin remainder after J terms, given
-    p2J = p_{2J} of ``_deriv_polys``:
+def _em_tail_log2(p2J: list[int], J: int, M: int) -> float:
+    """log2 of a rigorous bound for the Euler-Maclaurin remainder after J
+    terms, given p2J = p_{2J} of ``_deriv_polys``, evaluated in floats:
     |R| <= 4/(2 pi)^{2J} * integral_M^inf |f^{(2J)}(x)| dx  (|periodic
     Bernoulli| <= 2 (2J)! zeta(2J) / (2 pi)^{2J} and zeta(2J) < 2), where
     integral_M^inf (log x)^i x^{-s-1} dx = M^{-s} T_i, s = 2J, and T_i = sum_r
     (i)_r (log M)^{i-r} / s^{r+1} obeys T_i = ((log M)^i + i T_{i-1}) / s exactly;
     its terms are positive, so nothing cancels, and a bound costs O(n) for gamma_n.
+    The coefficients, up to about 2^4000, enter through ``math.log2`` of the
+    ints, and the sum through one ``fsum`` scaled by its largest term.
     """
-    s, lm = 2 * J, mp.log(M)
-    integral, tail, lpow = mp.mpf(0), mp.mpf(0), mp.mpf(1)
+    s, lm = 2 * J, math.log(M)
+    tail, lpow, logs = 0.0, 1.0, []
     for i, c in enumerate(p2J):
         tail = (lpow + i * tail) / s
         lpow *= lm
         if c:
-            integral += abs(c) * tail
-    return 4 / (2 * mp.pi) ** (2 * J) * mp.mpf(M) ** (-s) * integral
+            logs.append(math.log2(abs(c)) + math.log2(tail))
+    top = max(logs)
+    return (2 - s * math.log2(2 * math.pi * M) + top
+            + math.log2(math.fsum(2 ** (t - top) for t in logs)))
 
 
-def _pick_em_parameters(n: int, target_log2: float) -> tuple[int, int, list]:
+def _pick_em_parameters(n: int, target_log2: int) -> tuple[int, int, list]:
     """Cheapest (J, M) on the grids at which the rigorous tail bound of gamma_n
     beats 2^{target_log2}: the smallest M >= 2n (the direct sum costs M
     logarithms, the corrections only J cheap terms) for which some J does,
     with the smallest such J; and p_0, ..., p_{2J} of ``_deriv_polys(n)``,
     which the corrections reuse.
+
+    The rule is ``_em_tail_log2 < target_log2 - 1``, target_log2 an integer
+    at every caller.  At each of the 6083 grid points (n <= 64, M >= 2n, every
+    J) the float log2 lies within 1.7e-12 of the bound's log2 at 40 digits,
+    and that value lies at least 1.16e-4 from an integer (closest at n = 31,
+    M = 16384, J = 128): the float rule picks what the 40-digit rule picks,
+    at every n and every precision, with no mp fallback.
     """
     gen, polys = _deriv_polys(n), []
-    with mp.workdps(40):
-        for M in EM_M_GRID:
-            if M < 2 * n:
-                continue
-            for J in EM_J_GRID:
-                polys.extend(islice(gen, max(2 * J + 1 - len(polys), 0)))
-                bound = _em_tail_bound(polys[2 * J], J, M)
-                if bound > 0 and mp.log(bound, 2) < target_log2 - 1:
-                    return J, M, polys[:2 * J + 1]
+    for M in EM_M_GRID:
+        if M < 2 * n:
+            continue
+        for J in EM_J_GRID:
+            polys.extend(islice(gen, max(2 * J + 1 - len(polys), 0)))
+            if _em_tail_log2(polys[2 * J], J, M) < target_log2 - 1:
+                return J, M, polys[:2 * J + 1]
     raise PrecisionError(
         f"no Euler-Maclaurin parameters reach 2^{target_log2:.0f} for gamma_{n}")
 
@@ -124,10 +132,14 @@ def stieltjes(n: int, precision_bits: int = 256) -> mp.mpf:
 
     The sum is formed in ints scaled by 2^wp, u = 2^-wp, wp = precision_bits
     + g, g = floor((n+1) log2 l) + 64, l = log M >= log 64 > 4, so that
-    2^g >= 2^63 l^{n+1}.  Each log k is ``mpf_log`` at wp + 8 bits floored to
-    wp, off by < 2u.  Its m-th power, by floored products, is off by
-    e_m < 3 m l^{m-1} u: by induction, as |log k| <= l, e_m <= l e_{m-1} +
-    2 l^{m-1} u + u.  Then
+    2^g >= 2^63 l^{n+1}.  Each log k is floor(y 2^wp), y = log k rounded to
+    W + 8 bits, W = wp rounded up to a multiple of 64: ``_log_table``'s
+    floor(y 2^W), cached per (M, W) and shifted down by W - wp bits, so one
+    table serves gamma_0 .. gamma_10 at 352 bits.  As floor(floor(z)/2^k) =
+    floor(z/2^k), the shifted log is off by < 2u, as one rounded at wp + 8
+    bits was.  Its m-th power, by floored products, is off by e_m < 3 m
+    l^{m-1} u: by induction, as |log k| <= l, e_m <= l e_{m-1} + 2 l^{m-1} u
+    + u.  Then
 
     * the direct sum: M - 1 floored divisions by k, and the powers' errors
       over sum 1/k <= 1 + l: < (4 n l^n + M) u;
@@ -186,23 +198,30 @@ def _bernoulli_ratios(J: int) -> tuple:
 
 
 @functools.cache
+def _log_table(M: int, W: int) -> tuple:
+    """floor(y_k 2^W) for k = 0..M, y_k = log k rounded to W + 8 bits (0 at
+    k = 0 and 1); gamma_n shifts it to its own wp <= W."""
+    return (0, 0) + tuple(to_fixed(mpf_log(from_int(k), W + 8, round_nearest), W)
+                          for k in range(2, M + 1))
+
+
+@functools.cache
 def _stieltjes(n: int, precision_bits: int) -> mp.mpf:
     J, M, polys = _pick_em_parameters(n, -(precision_bits + 4))
     # cancellation headroom: partial sums reach (log M)^{n+1}/(n+1)
     guard = int((n + 1) * max(math.log2(math.log(M)), 1.0)) + 64
     wp = precision_bits + guard
     one = 1 << wp
-
-    def log_fixed(k):
-        return to_fixed(mpf_log(from_int(k), wp + 8, round_nearest), wp)
+    W = -(-wp // 64) * 64
+    logs = [y >> (W - wp) for y in _log_table(M, W)]
 
     total = one if n == 0 else 0  # k = 1
     for k in range(2, M + 1):
-        lk, p = log_fixed(k), one
+        lk, p = logs[k], one
         for _ in range(n):
             p = p * lk >> wp
         total += p // k
-    lm, lpow = log_fixed(M), [one]
+    lm, lpow = logs[M], [one]
     for _ in range(n + 1):
         lpow.append(lpow[-1] * lm >> wp)
     total -= lpow[n + 1] // (n + 1)

@@ -90,22 +90,51 @@ def _poly_divmod(p, q) -> tuple[list, list]:
     return quot, poly_add(r)
 
 
+def _primitive(p) -> list:
+    """p times the positive rational that makes its coefficients coprime ints."""
+    den = math.lcm(*(Fraction(c).denominator for c in p))
+    ints = [int(c * den) for c in p]
+    g = math.gcd(*ints) or 1
+    return [c // g for c in ints]
+
+
 def sturm_sequence(p) -> list:
-    """Sturm sequence p, p', -rem(p, p'), ... of the square-free part of p."""
-    seq = [list(p), [i * c for i, c in enumerate(p)][1:]]
-    while seq[-1]:
-        seq.append([-c for c in _poly_divmod(seq[-2], seq[-1])[1]])
-    seq.pop()
+    """Sturm sequence p, p', -rem(p, p'), ... of the square-free part of p.
+
+    Each member is scaled by a positive rational to coprime int coefficients
+    (``_primitive``) before the next remainder: a positive factor moves no
+    sign, and rem(a f, b g) = a rem(f, g) for a, b > 0, so the sign
+    variations at every point are those of the unscaled sequence.
+    """
+    seq, q = [_primitive(p)], [i * c for i, c in enumerate(p)][1:]
+    while q:
+        seq.append(_primitive(q))
+        q = [-c for c in _poly_divmod(seq[-2], seq[-1])[1]]
     if len(seq[-1]) > 1:  # divide out gcd(p, p'), which holds the repeated roots
-        return sturm_sequence(_poly_divmod(p, seq[-1])[0])
+        return sturm_sequence(_poly_divmod(seq[0], seq[-1])[0])
     return seq
 
 
 def sign_variations(seq, x) -> int:
     """Sign changes along the sequence at x, zeros skipped.  For a Sturm
     sequence and a < b, sign_variations(seq, a) - sign_variations(seq, b) is
-    the number of distinct real roots in (a, b], also where a or b is a root."""
-    signs = [v > 0 for v in (poly_eval(q, x) for q in seq) if v != 0]
+    the number of distinct real roots in (a, b], also where a or b is a root.
+
+    With x = r/d in lowest terms (d > 0), each q is evaluated as
+    d^deg q(r/d), which has the sign of q(x), by Horner in ints for int
+    coefficients.
+    """
+    x = Fraction(x)
+    r, d = x.numerator, x.denominator
+    dpow = [d ** i for i in range(max(map(len, seq), default=0))]
+
+    def value(q):
+        v = 0
+        for c, dp in zip(reversed(q), dpow):
+            v = v * r + c * dp
+        return v
+
+    signs = [v > 0 for v in map(value, seq) if v != 0]
     return sum(s != t for s, t in zip(signs, signs[1:]))
 
 

@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import mpmath as mp
@@ -289,29 +289,57 @@ def _em_cutoff(sigma: float, t: float, precision_bits: int) -> tuple[int, int]:
         |R_J| <= |B_{2J+2}/(2J+2)!| |s(s+1)...(s+2J)| M^{-sigma-2J-1}
                  * |(s+2J+1)/(sigma+2J+1)|
 
-    lies below 2^{-precision_bits/2}; the pair with the smallest M + J wins.
-    M is capped at max(8|t|, 256); a precision needing more raises
-    PrecisionError.
+    lies below tol = 2^{-(precision_bits//2)}, i.e. M = floor(X) + 1 with
+    X = (c/tol)^{1/e}, c M^{-e} the bound, e = sigma + 2J + 1; the pair with
+    the smallest M + J wins.  M is capped at max(8|t|, 256); a precision
+    needing more raises PrecisionError.
+
+    X is formed in floats, from |B_n|/n! = 2 zeta(n)/(2 pi)^n, n = 2J + 2:
+
+        log X = (log 2 + log zeta(n) - n log 2 pi + L_n - log e
+                 + (precision_bits//2) log 2) / e,
+
+    L_n = sum_{i<n} log|s + i| a running float sum, the six terms summed by
+    one ``fsum``.  Each log is off by at most 4u times its size plus 4u
+    (u = 2^-53), L_n by a further n u A, A the sum of the terms' sizes at
+    J = 64 (at least each J's), so X is off by less than 2^-50 (A + 1) X; the
+    mp rule's own rounding is far smaller.  Where X (1 +- 2^-48 (A + 1))
+    brackets no integer (the cap is one), floor(X) + 1 is the M that the mp
+    rule finds.  Any other J takes that rule: c from mp.bernoulli,
+    mp.factorial and the Pochhammer product at precision_bits + 32 bits, M
+    from int(X) upwards while c M^{-e} >= tol.
     """
     M_cap = max(8 * math.ceil(abs(t)), 256)
-    best = None
-    with mp.workprec(precision_bits + 32):
-        s = mp.mpc(sigma, t)
-        tol = mp.mpf(2) ** -(precision_bits // 2)
-        poch = mp.mpc(1)
-        i = 0
-        for J in range(8, 65, 4):
-            while i < 2 * J + 1:
-                poch *= s + i
-                i += 1
-            e = sigma + 2 * J + 1
-            c = (abs(mp.bernoulli(2 * J + 2)) / mp.factorial(2 * J + 2)
-                 * abs(poch) * abs(s + 2 * J + 1) / e)
-            M = max(1, int((c / tol) ** (1 / mp.mpf(e))))
-            while c * mp.mpf(M) ** -e >= tol:
-                M += 1
-            if M <= M_cap and (best is None or M + J < sum(best)):
-                best = (M, J)
+    if sigma == 0 and t == 0:  # s = 0 makes every bound 0: M = 1 at the first J
+        return 1, 8
+    half = precision_bits // 2
+    logs = [math.log(math.hypot(sigma + i, t)) for i in range(130)]
+    L = list(accumulate(logs))
+    A = (1 + 130 * math.log(2 * math.pi) + math.fsum(map(abs, logs)) + math.log(sigma + 129)
+         + half * math.log(2))
+    best, poch, i = None, mp.mpc(1), 0
+    for J in range(8, 65, 4):
+        n, e = 2 * J + 2, sigma + 2 * J + 1
+        lx = math.fsum((math.log(2), math.log1p(math.fsum(k ** -n for k in range(2, 9))),
+                        -n * math.log(2 * math.pi), L[n - 1], -math.log(e),
+                        half * math.log(2))) / e
+        X = math.exp(min(lx, 64.0))  # e^64 lies far above every cap
+        lo, hi = X * (1 - 2 ** -48 * (A + 1)), X * (1 + 2 ** -48 * (A + 1))
+        if lo >= M_cap:
+            continue
+        M = math.floor(lo) + 1
+        if M <= hi:  # an integer lies within the margin: the mp rule decides
+            with mp.workprec(precision_bits + 32):
+                s, tol = mp.mpc(sigma, t), mp.mpf(2) ** -half
+                while i < 2 * J + 1:
+                    poch *= s + i
+                    i += 1
+                c = abs(mp.bernoulli(n)) / mp.factorial(n) * abs(poch) * abs(s + 2 * J + 1) / e
+                M = max(1, int((c / tol) ** (1 / mp.mpf(e))))
+                while c * mp.mpf(M) ** -e >= tol:
+                    M += 1
+        if M <= M_cap and (best is None or M + J < sum(best)):
+            best = (M, J)
     if best is None:
         raise PrecisionError(
             f"tail bound 2^-{precision_bits // 2} needs a cutoff above "

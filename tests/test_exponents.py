@@ -14,7 +14,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from divisorlab import exponents as ex
+from divisorlab import exponents as ex, numerics
 from divisorlab.errors import DomainError, RangeError, SelfCheckError
 from divisorlab.numerics import (golden_max, poly_eval, poly_mul, sign_variations,
                                  sturm_sequence, taylor_shift)
@@ -214,6 +214,40 @@ def test_sturm_count_of_an_irreducible_factor():
     assert count(Fraction(141, 100), Fraction(142, 100)) == 1
     assert count(Fraction(-142, 100), Fraction(141, 100)) == 1
     assert count(Fraction(142, 100), 10) == 0
+
+
+def _sturm_sequence_fraction(p):
+    """The Sturm sequence as formed before the integer scaling: every member
+    in Fractions, unscaled."""
+    seq = [list(p), [i * c for i, c in enumerate(p)][1:]]
+    while seq[-1]:
+        seq.append([-c for c in numerics._poly_divmod(seq[-2], seq[-1])[1]])
+    seq.pop()
+    if len(seq[-1]) > 1:
+        return _sturm_sequence_fraction(numerics._poly_divmod(p, seq[-1])[0])
+    return seq
+
+
+def _sign_variations_fraction(seq, x):
+    """Sign changes at x by Fraction Horner, the evaluation before the
+    homogeneous integer one."""
+    signs = [v > 0 for v in (poly_eval(q, Fraction(x)) for q in seq) if v != 0]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+@pytest.mark.parametrize("B", [0.4918, 4, 4.45, 5, 1e3])
+def test_integer_sturm_counts_match_the_fraction_ones(B):
+    p = ex._k1_slope_poly(Fraction(B))
+    seq, ref = sturm_sequence(p), _sturm_sequence_fraction(p)
+    assert all(type(c) is int for q in seq for c in q)
+    assert [len(q) for q in seq] == [len(q) for q in ref]
+    rng = random.Random(45)
+    dens = [2 ** rng.randrange(4, 120) for _ in range(100)]
+    dens += [rng.randrange(1, 10 ** 6) for _ in range(100)]
+    xs = [Fraction(rng.randrange(-d, 2 * d + 1), d) for d in dens]  # in [-1, 2]
+    for x in xs:
+        want = _sign_variations_fraction(ref, x)
+        assert sign_variations(seq, x) == want == _sign_variations_fraction(seq, x), x
 
 
 def test_taylor_shift_evaluates_p_at_s_plus_u():

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from mpmath.libmp import bernfrac
+from mpmath.libmp import bernfrac, mpf_log
 
 from divisorlab import laurent as la
 from divisorlab.errors import DomainError, InsufficientOrderError, QuadratureError
@@ -61,10 +61,25 @@ def test_deriv_polys_sequence():
         assert abs(got - ref) < mp.mpf("1e-30")
 
 
+def _em_tail_bound(p2J, J, M):
+    """The tail bound of ``la._em_tail_log2`` in mpf, at the caller's
+    precision: 4/(2 pi)^{2J} M^{-2J} sum_i |c_i| T_i, T_i = ((log M)^i + i
+    T_{i-1}) / (2J), c_i the coefficients of p_{2J}."""
+    s, lm = 2 * J, mp.log(M)
+    integral, tail, lpow = mp.mpf(0), mp.mpf(0), mp.mpf(1)
+    for i, c in enumerate(p2J):
+        tail = (lpow + i * tail) / s
+        lpow *= lm
+        if c:
+            integral += abs(c) * tail
+    return 4 / (2 * mp.pi) ** (2 * J) * mp.mpf(M) ** (-s) * integral
+
+
 @pytest.mark.parametrize("n,bits", [(0, 128), (5, 352), (11, 352), (20, 512), (40, 256)])
 def test_pick_em_parameters_smallest_cutoff(n, bits):
-    # brute force over the whole grid: the pick is the smallest M >= 2n for
-    # which any J meets the tail bound, with the smallest such J
+    # brute force over the whole grid with the mpf bound: the pick is the
+    # smallest M >= 2n for which any J meets the tail bound, with the
+    # smallest such J
     target = -(bits + 4)
     feasible = []
     with mp.workdps(40):
@@ -72,11 +87,29 @@ def test_pick_em_parameters_smallest_cutoff(n, bits):
             if M < 2 * n:
                 continue
             for J in la.EM_J_GRID:
-                bound = la._em_tail_bound(_deriv_poly_reference(n, 2 * J), J, M)
+                bound = _em_tail_bound(_deriv_poly_reference(n, 2 * J), J, M)
                 if bound > 0 and mp.log(bound, 2) < target - 1:
                     feasible.append((M, J))
     M, J = min(feasible)
     assert la._pick_em_parameters(n, target)[:2] == (J, M)
+
+
+def test_em_tail_log2_agrees_with_the_mpf_bound():
+    # the float search picks what the 40-digit bound picks at every integer
+    # target when, at each grid point, the two log2 agree far closer than the
+    # 40-digit value comes to an integer
+    from itertools import islice
+    for n in (*range(13), 20, 31, 40, 64):
+        polys = list(islice(la._deriv_polys(n), 2 * max(la.EM_J_GRID) + 1))
+        for M in la.EM_M_GRID:
+            if M < 2 * n:
+                continue
+            for J in la.EM_J_GRID:
+                with mp.workdps(40):
+                    ref = mp.log(_em_tail_bound(polys[2 * J], J, M), 2)
+                    got = la._em_tail_log2(polys[2 * J], J, M)
+                    assert abs(got - ref) < 1e-9, (n, M, J)
+                    assert abs(ref - mp.nint(ref)) > 1e-6, (n, M, J)
 
 
 def test_pick_em_parameters_small_cutoff_at_352_bits():
@@ -101,27 +134,88 @@ def test_stieltjes_precision_doubling():
             assert abs(a - b) < mp.mpf(2) ** (-120)
 
 
+def _clear_stieltjes_memos():
+    la._stieltjes.cache_clear()
+    la._log_table.cache_clear()
+
+
 def test_stieltjes_depends_only_on_its_arguments():
-    # the memo answers (n, bits) from (n, bits) alone: gamma_1 at 64 bits
-    # has the same bits fresh and after a 256-bit gamma_1
-    la._stieltjes.cache_clear()
-    fresh = la.stieltjes(1, 64)
-    la._stieltjes.cache_clear()
-    la.stieltjes(1, 256)
-    with mp.workprec(4096):
-        assert repr(la.stieltjes(1, 64)) == repr(fresh)
+    # the memos answer (n, bits) from (n, bits) alone: gamma_1 at 64 bits
+    # has the same bits fresh and after a 256-bit gamma_1, and after gamma_3
+    # at 64 bits, whose log table it shares
+    for before in ((1, 256), (3, 64)):
+        _clear_stieltjes_memos()
+        fresh = la.stieltjes(1, 64)
+        _clear_stieltjes_memos()
+        la.stieltjes(*before)
+        with mp.workprec(4096):
+            assert repr(la.stieltjes(1, 64)) == repr(fresh), before
 
 
 @pytest.mark.parametrize("n,bits", [(0, 256), (2, 149), (5, 512)])
 def test_stieltjes_does_not_depend_on_a_main_terms_history(n, bits):
     # zeta_laurent(12, bits - 32) asks for gamma_0 .. gamma_11 at these bits;
     # each gamma_n has its own (J, M), so its bits are those of a fresh call
-    la._stieltjes.cache_clear()
+    _clear_stieltjes_memos()
     fresh = la.stieltjes(n, bits)
-    la._stieltjes.cache_clear()
+    _clear_stieltjes_memos()
     la.zeta_laurent(12, bits - 32)
     with mp.workprec(4096):
         assert repr(la.stieltjes(n, bits)) == repr(fresh)
+
+
+def test_stieltjes_share_one_log_table(monkeypatch):
+    # gamma_0 .. gamma_10 at 352 bits (the main terms at 256 bits) all take
+    # M = 64 and a wp below 448: one table of log 2 .. log 64
+    calls = []
+
+    def counting_log(*args):
+        calls.append(args)
+        return mpf_log(*args)
+
+    monkeypatch.setattr(la, "mpf_log", counting_log)
+    _clear_stieltjes_memos()
+    for n in range(11):
+        la.stieltjes(n, 352)
+    _clear_stieltjes_memos()
+    assert len(calls) <= 63
+
+
+def _stieltjes_log_per_n_reference(n, bits):
+    """gamma_n by the fixed-point kernel as it was before the shared log
+    table: each log k from ``mpf_log`` at this n's wp + 8 bits, floored to wp."""
+    J, M, polys = la._pick_em_parameters(n, -(bits + 4))
+    wp = bits + int((n + 1) * max(math.log2(math.log(M)), 1.0)) + 64
+    one = 1 << wp
+
+    def log_fixed(k):
+        return la.to_fixed(mpf_log(la.from_int(k), wp + 8, la.round_nearest), wp)
+
+    total = one if n == 0 else 0
+    for k in range(2, M + 1):
+        lk, p = log_fixed(k), one
+        for _ in range(n):
+            p = p * lk >> wp
+        total += p // k
+    lm, lpow = log_fixed(M), [one]
+    for _ in range(n + 1):
+        lpow.append(lpow[-1] * lm >> wp)
+    total -= lpow[n + 1] // (n + 1)
+    total -= lpow[n] // (2 * M)
+    for j, p in enumerate(polys[1:2 * J:2], 1):
+        num, den = la._bernoulli_ratios(J)[j - 1]
+        total -= num * sum(c * lp for c, lp in zip(p, lpow) if c) // (den * M ** (2 * j))
+    return mp.make_mpf(la.from_man_exp(total, -wp, bits + 16, la.round_nearest))
+
+
+@pytest.mark.parametrize("bits", [53, 64, 149, 192, 256, 352, 512])
+def test_stieltjes_shared_log_table_keeps_the_bits(bits):
+    # the table's logs, rounded at W + 8 bits and shifted, return the bits of
+    # logs rounded at each n's own wp + 8 bits
+    _clear_stieltjes_memos()
+    with mp.workprec(4096):
+        for n in range(13):
+            assert repr(la.stieltjes(n, bits)) == repr(_stieltjes_log_per_n_reference(n, bits)), n
 
 
 def test_stieltjes_domain():

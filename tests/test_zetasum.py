@@ -8,6 +8,7 @@ rational crossover algebra.
 
 import cmath
 import math
+import random
 import re
 import tracemalloc
 from fractions import Fraction
@@ -291,6 +292,85 @@ def test_zeta_em_cutoff_is_a_fraction_of_t(bits):
     # the certified cutoff sits near |t|/4, not at the old 2|t|
     M, J = zs._em_cutoff(0.75, 1000.0, bits)
     assert M <= 500 and 8 <= J <= 64
+
+
+def _em_cutoff_reference(sigma, t, precision_bits):
+    """The cutoff rule of ``zs._em_cutoff`` evaluated wholly in mp, as it was
+    before the float search: every J's Pochhammer product, Bernoulli ratio
+    and M search at precision_bits + 32 bits."""
+    M_cap = max(8 * math.ceil(abs(t)), 256)
+    best = None
+    with mp.workprec(precision_bits + 32):
+        s = mp.mpc(sigma, t)
+        tol = mp.mpf(2) ** -(precision_bits // 2)
+        poch = mp.mpc(1)
+        i = 0
+        for J in range(8, 65, 4):
+            while i < 2 * J + 1:
+                poch *= s + i
+                i += 1
+            e = sigma + 2 * J + 1
+            c = (abs(mp.bernoulli(2 * J + 2)) / mp.factorial(2 * J + 2)
+                 * abs(poch) * abs(s + 2 * J + 1) / e)
+            M = max(1, int((c / tol) ** (1 / mp.mpf(e))))
+            while c * mp.mpf(M) ** -e >= tol:
+                M += 1
+            if M <= M_cap and (best is None or M + J < sum(best)):
+                best = (M, J)
+    if best is None:
+        raise PrecisionError(
+            f"tail bound 2^-{precision_bits // 2} needs a cutoff above "
+            f"{M_cap} at s={sigma}+{t}j")
+    return best
+
+
+def _cutoff_or_message(fn, *args):
+    try:
+        return fn(*args)
+    except PrecisionError as exc:
+        return str(exc)
+
+
+def test_em_cutoff_matches_the_mp_rule():
+    # the float search picks the (M, J) of the all-mp rule, or refuses with
+    # its message, on a seeded grid with both ends of sigma and t = 0
+    rng = random.Random(46)
+    cases = [(0.0, 0.0, 128), (3.0, 0.0, 53), (0.5, 14.134725, 128), (0.5, 1000.0, 2048)]
+    for _ in range(150):
+        sigma = rng.choice((0.0, 3.0, 0.5, rng.uniform(0, 3), rng.uniform(0, 3)))
+        t = rng.choice((0.0, rng.uniform(-1e5, 1e5), rng.choice((-1, 1)) * 10 ** rng.uniform(-2, 5)))
+        cases.append((sigma, t, rng.choice((53, 64, 128, 192, 256, 512))))
+    for case in cases:
+        assert (_cutoff_or_message(zs._em_cutoff, *case)
+                == _cutoff_or_message(_em_cutoff_reference, *case)), case
+
+
+def test_em_cutoff_near_an_integer_takes_the_mp_rule(monkeypatch):
+    # bisect t until J = 64's X = (c/tol)^{1/e} lies within the float margin
+    # of an integer: the mp rule then decides that J, and agrees
+    sigma, bits, J = 0.5, 256, 64
+
+    def X(t):
+        with mp.workprec(400):
+            s = mp.mpc(sigma, t)
+            c = (abs(mp.bernoulli(2 * J + 2)) / mp.factorial(2 * J + 2)
+                 * mp.fprod(abs(s + i) for i in range(2 * J + 2)) / (sigma + 2 * J + 1))
+            return (c * mp.mpf(2) ** (bits // 2)) ** (1 / mp.mpf(sigma + 2 * J + 1))
+
+    lo, hi = 1000.0, 1004.0
+    m = math.floor(X(lo)) + 1
+    assert X(hi) > m
+    while lo < math.nextafter(hi, 0) and abs(X(lo) - m) > 1e-12 * m:
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if X(mid) < m else (lo, mid)
+    assert abs(X(lo) - m) < 1e-12 * m
+    calls = []
+    bernoulli = mp.bernoulli
+    monkeypatch.setattr(mp, "bernoulli", lambda n: calls.append(n) or bernoulli(n))
+    got = zs._em_cutoff(sigma, lo, bits)
+    assert calls == [2 * J + 2]
+    monkeypatch.undo()
+    assert got == _em_cutoff_reference(sigma, lo, bits)
 
 
 @pytest.mark.parametrize("bits", [64, 128, 192, 256])

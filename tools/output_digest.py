@@ -8,7 +8,7 @@ every result instead, mpf values to 4096 bits: two trees that print the same
 total returned the same bits on this set.  ``--src`` names the ``src``
 directory to import (default: the one beside this script), so a parent tree
 exported with ``git archive`` can be compared with the change.  It prints one
-line per group, then the total over all groups; about 2 s on a 2-CPU host.
+line per group, then the total over all groups; about 3 s on a 2-CPU host.
 """
 
 from __future__ import annotations
@@ -61,11 +61,13 @@ def groups():
     yield "main_term_poly", [laurent.main_term_poly(k, bits).coeffs
                              for k in range(1, 13) for bits in (64, 256)]
     # gamma_n off the main terms' (n <= 10 at 160 and 352 bits): every M up to
-    # 256 and J up to 256, the whole Bernoulli table
+    # 512 and J up to 256, the whole Bernoulli table; the last four pairs take
+    # (J, M) = (8, 64), (16, 128), (96, 64) and (192, 512), which no other takes
     yield "stieltjes", [laurent.stieltjes(n, bits)
                         for n, bits in ((0, 1024), (1, 700), (5, 1024), (11, 64), (12, 128),
                                         (13, 192), (17, 100), (20, 288), (24, 512), (32, 64),
-                                        (40, 256), (48, 160), (64, 53), (64, 1024))]
+                                        (40, 256), (48, 160), (64, 53), (64, 1024),
+                                        (2, 80), (36, 80), (7, 400), (44, 1500))]
     yield "exponents", [*(exponents.optimize_theta(B) for B in (4.0, 4.45, 5.0, 8.5)),
                         exponents.historical_table(),
                         *(exponents.moment_h_max(k, a) for k, a in ((10, 50.0), (100, 1.0),
@@ -90,8 +92,13 @@ def groups():
                                                       (0.9, 0.1, 10.0))),
         *(exponents.thm3_exponent(k, d) for k, d in ((200, 0.2), (10 ** 4, 0.05),
                                                      (10 ** 6, 0.1)))]
+    # zeta_em's (M, J) from (17, 12) to (18387, 64): perfbench's band sigma in
+    # [0.55, 0.95] near t = 1000, both ends of sigma, t up to 1e5
     yield "zetasum", [zetasum.zeta_em(0.75, 1000.0), zetasum.zeta_em(0.5, 14.134725),
                       zetasum.zeta_em(2.0, 3.0, 64),
+                      *(zetasum.zeta_em(*args) for args in (
+                          (0.55, 1000.5, 192), (0.95, 987.25, 256), (0.0, 250.0, 53),
+                          (3.0, 0.0, 256), (3.0, 40000.0, 53), (0.5, 1e5, 53))),
                       zetasum.moment_integral(1, 2.0, 100.0),
                       zetasum.moment_integral(2, 0.75, 50.0)]
     # the README grid and the seed-1 grid of perfbench's zeta-quadrature
