@@ -345,32 +345,39 @@ def test_em_cutoff_matches_the_mp_rule():
                 == _cutoff_or_message(_em_cutoff_reference, *case)), case
 
 
-def test_em_cutoff_near_an_integer_takes_the_mp_rule(monkeypatch):
-    # bisect t until J = 64's X = (c/tol)^{1/e} lies within the float margin
-    # of an integer: the mp rule then decides that J, and agrees
-    sigma, bits, J = 0.5, 256, 64
+def _em_X(sigma, t, bits, J):
+    """X = (c/tol)^{1/e} of ``zs._em_cutoff`` for one J, at 400 bits."""
+    with mp.workprec(400):
+        s, e = mp.mpc(sigma, t), sigma + 2 * J + 1
+        c = (abs(mp.bernoulli(2 * J + 2)) / mp.factorial(2 * J + 2)
+             * mp.fprod(abs(s + i) for i in range(2 * J + 2)) / e)
+        return (c * mp.mpf(2) ** (bits // 2)) ** (1 / mp.mpf(e))
 
-    def X(t):
-        with mp.workprec(400):
-            s = mp.mpc(sigma, t)
-            c = (abs(mp.bernoulli(2 * J + 2)) / mp.factorial(2 * J + 2)
-                 * mp.fprod(abs(s + i) for i in range(2 * J + 2)) / (sigma + 2 * J + 1))
-            return (c * mp.mpf(2) ** (bits // 2)) ** (1 / mp.mpf(sigma + 2 * J + 1))
 
-    lo, hi = 1000.0, 1004.0
-    m = math.floor(X(lo)) + 1
-    assert X(hi) > m
-    while lo < math.nextafter(hi, 0) and abs(X(lo) - m) > 1e-12 * m:
-        mid = (lo + hi) / 2
-        lo, hi = (mid, hi) if X(mid) < m else (lo, mid)
-    assert abs(X(lo) - m) < 1e-12 * m
-    calls = []
+@pytest.mark.parametrize("sigma, t0, bits, J", [(0.5, 1000.0, 256, 64), (3.0, 40000.0, 53, 8)])
+def test_em_cutoff_near_an_integer(monkeypatch, sigma, t0, bits, J):
+    # X of the winning J grows with t: bisect t to where X crosses the next
+    # integer m.  Within 1e-12 m of m, inside the float margin, the mp rule
+    # decides that J alone; 1e-8 m above m, outside the margin but closer than
+    # log zeta(2J + 2) / e (2.2e-7 at J = 8), the floats decide.  Both agree
+    # with the all-mp rule.
+    def t_where(target):
+        lo, hi = t0, 1.01 * t0
+        assert _em_X(sigma, lo, bits, J) < target < _em_X(sigma, hi, bits, J)
+        while lo < math.nextafter(hi, 0) and abs(_em_X(sigma, lo, bits, J) - target) > 1e-13 * target:
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if _em_X(sigma, mid, bits, J) < target else (lo, mid)
+        return lo
+
+    m = math.floor(_em_X(sigma, t0, bits, J)) + 1
     bernoulli = mp.bernoulli
-    monkeypatch.setattr(mp, "bernoulli", lambda n: calls.append(n) or bernoulli(n))
-    got = zs._em_cutoff(sigma, lo, bits)
-    assert calls == [2 * J + 2]
-    monkeypatch.undo()
-    assert got == _em_cutoff_reference(sigma, lo, bits)
+    for t, mp_calls in ((t_where(m), [2 * J + 2]), (t_where(m * (1 + 1e-8)), [])):
+        calls = []
+        monkeypatch.setattr(mp, "bernoulli", lambda n: calls.append(n) or bernoulli(n))
+        got = zs._em_cutoff(sigma, t, bits)
+        monkeypatch.undo()
+        assert calls == mp_calls, t
+        assert got == _em_cutoff_reference(sigma, t, bits) == (got[0], J), t
 
 
 @pytest.mark.parametrize("bits", [64, 128, 192, 256])
