@@ -6,10 +6,9 @@ Configuration comes from an optional key=value file plus command-line flags
 (flags win); unknown config keys are rejected.  Every output carries a
 metadata header recording inputs and conventions (half-odd sampling flag,
 rho orientation, AFE length mode, rounding directions), and no timestamps,
-so reruns are byte-identical.  Every file written (output, plot series)
-is written atomically (temp file, then rename); a file that cannot be
-written exits 2 and leaves no temp file.  No state carries from one run to
-the next.
+so reruns are byte-identical.  An output file is written atomically (temp
+file, then rename); a file that cannot be written exits 2 and leaves no temp
+file.  No state carries from one run to the next.
 
 Exit codes: 0 success, 2 precondition violation, 3 numeric self-check failure.
 """
@@ -116,18 +115,6 @@ def emit(args, rows: list[dict], conventions: dict) -> str:
     else:
         sys.stdout.write(text)
     return text
-
-
-# ------------------------------------------------------------------ plots
-
-def _write_plot_series(plot_dir: str, name: str, pairs) -> None:
-    """Bare (x, y) CSV series, one file per curve, no header."""
-    try:
-        os.makedirs(plot_dir, exist_ok=True)
-    except OSError as e:
-        raise ConfigError(f"cannot create plot directory {plot_dir!r}: {e.strerror}") from e
-    body = "".join(f"{_fmt(x)},{_fmt(y)}\n" for x, y in pairs if y is not None)
-    _atomic_write(os.path.join(plot_dir, name + ".csv"), body)
 
 
 # ------------------------------------------------------------ grid parsing
@@ -257,14 +244,8 @@ def cmd_delta(args) -> tuple[list[dict], dict]:
         if args.x is None:
             raise ConfigError("delta needs --x or --grid")
         xs = [args.x]
-    rows = _delta_rows(args.k, xs, args.precision_bits)
-    if args.plot_dir:
-        curves = ("delta", "conjecture", "tong_window") if args.k >= 2 else ("delta",)
-        for col in curves:
-            _write_plot_series(args.plot_dir, f"{col}_k{args.k}",
-                               [(r["x"], r[col]) for r in rows])
     mode = "integer" if args.integer_x else "half_odd"
-    return rows, {"abscissa_sampling": mode}
+    return _delta_rows(args.k, xs, args.precision_bits), {"abscissa_sampling": mode}
 
 
 def cmd_fit(args) -> tuple[list[dict], dict]:
@@ -294,6 +275,9 @@ def cmd_meansquare(args) -> tuple[list[dict], dict]:
 
 
 def cmd_expsum(args) -> tuple[list[dict], dict]:
+    if (args.N_list or args.t_list) and {args.N, args.N_prime, args.t} != {None}:
+        raise ConfigError("expsum takes --N, --N-prime and --t, or --N-list and "
+                          "--t-list, not both")
     if args.N_list:
         if args.t_list is None:
             raise ConfigError("expsum --N-list needs --t-list")
@@ -305,19 +289,12 @@ def cmd_expsum(args) -> tuple[list[dict], dict]:
             raise ConfigError("expsum needs --N and --t, or --N-list and --t-list")
         Np = args.N_prime if args.N_prime is not None else 2 * args.N
         reports = [zetasum.exp_sum(args.N, Np, args.t, args.precision_bits)]
-    rows = [{"N": r.N, "N_prime": r.N_prime, "t": r.t,
+    return [{"N": r.N, "N_prime": r.N_prime, "t": r.t,
              "value_re": r.value.real, "value_im": r.value.imag,
              "modulus": r.modulus, "rho": r.rho, "refined_exp": r.refined_exp,
              "hb_exp": r.hb_exp, "ratio_refined": r.ratio_refined,
              "ratio_hb": r.ratio_hb, "trivial": r.trivial}
-            for r in reports]
-    if args.plot_dir:
-        keyed = sorted((r for r in rows if r["rho"] is not None),
-                       key=lambda r: r["rho"])
-        for col in ("refined_exp", "hb_exp", "ratio_refined"):
-            _write_plot_series(args.plot_dir, f"rho_vs_{col}",
-                               [(r["rho"], r[col]) for r in keyed])
-    return rows, {}
+            for r in reports], {}
 
 
 def cmd_zeta(args) -> tuple[list[dict], dict]:
@@ -340,7 +317,7 @@ def cmd_zeta(args) -> tuple[list[dict], dict]:
 
 
 def cmd_moment(args) -> tuple[list[dict], dict]:
-    est = zetasum.moment_integral(args.k, args.sigma, args.T, args.panels)
+    est = zetasum.moment_integral(args.k, args.sigma, args.T)
     return [{"k": est.k, "sigma": est.sigma, "T": est.T,
              "integral": est.integral, "normalized": est.normalized,
              "mu_slope": est.mu_slope}], {}
@@ -408,10 +385,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("delta"); common(sp)
     sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--x", type=float, default=None)
-    sp.add_argument("--grid", default=None)
+    at = sp.add_mutually_exclusive_group()
+    at.add_argument("--x", type=float, default=None)
+    at.add_argument("--grid", default=None)
     sp.add_argument("--integer-x", dest="integer_x", action="store_true")
-    sp.add_argument("--plot-dir", dest="plot_dir", default=None)
 
     sp = sub.add_parser("fit"); common(sp)
     sp.add_argument("--k", type=int, required=True)
@@ -435,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t", type=float, default=None)
     sp.add_argument("--N-list", dest="N_list", default=None)
     sp.add_argument("--t-list", dest="t_list", default=None)
-    sp.add_argument("--plot-dir", dest="plot_dir", default=None)
 
     sp = sub.add_parser("zeta"); common(sp)
     sp.add_argument("--sigma", type=float, required=True)
@@ -450,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--sigma", type=float, required=True)
     sp.add_argument("--T", type=float, required=True)
-    sp.add_argument("--panels", type=int, default=None)
 
     sp = sub.add_parser("report"); common(sp)
     sp.add_argument("--B", type=float, default=None)
@@ -460,14 +435,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
     """Translate config-file entries into leading CLI tokens (flags win)."""
-    if "--config" not in argv:
+    i = next((i for i, tok in enumerate(argv)
+              if tok == "--config" or tok.startswith("--config=")), None)
+    if i is None:
         return argv
-    i = argv.index("--config")
-    try:
-        path = argv[i + 1]
-    except IndexError as e:
-        raise ConfigError("--config needs a path") from e
-    rest = argv[:i] + argv[i + 2:]
+    if argv[i] != "--config":  # --config=PATH
+        path, rest = argv[i][len("--config="):], argv[:i] + argv[i + 1:]
+    elif i + 1 < len(argv):
+        path, rest = argv[i + 1], argv[:i] + argv[i + 2:]
+    else:
+        raise ConfigError("--config needs a path")
     if not rest:
         raise ConfigError("config file requires a command on the CLI")
     command, after = rest[0], rest[1:]
@@ -499,9 +476,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv = _apply_config_file(parser, argv)
-        try:
-            args = parser.parse_args(argv)
+        try:  # argparse exits on a bad flag, in argv or from the config file
+            args = parser.parse_args(_apply_config_file(parser, argv))
         except SystemExit as e:
             return 2 if e.code not in (0, None) else 0
         if args.precision_bits < zetasum.MIN_PRECISION_BITS:

@@ -445,16 +445,6 @@ def m0_sigma(sigma: float, params: ExponentParams) -> float:
     return _m0_formula(sigma, params)
 
 
-def carlson_combine(eta: float, mu: float) -> float:
-    """max{1 - (1-eta)/(1+mu), 1/2, eta} for eta in (0,1), mu >= 0."""
-    if not (0.0 < eta < 1.0):
-        raise DomainError(f"eta must lie in (0, 1), got {eta}")
-    check_nonnegative("mu", mu)
-    with _wp():
-        e, m = mp.mpf(eta), mp.mpf(mu)
-        return float(max(1 - (1 - e) / (1 + m), mp.mpf("0.5"), e))
-
-
 def inductive_sigma_bound(k: float, params: ExponentParams) -> float:
     """1 - (3(B+eps0)(k - k2))^{-2/3}, valid for k >= k0(theta).
 

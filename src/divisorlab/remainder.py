@@ -457,21 +457,12 @@ THM1_SHIFT = 8.37
 THM1_K_MIN = 30
 
 
-def soundararajan_exponent2(k: int) -> float:
-    """Second-factor exponent ((k+1)/(2k)) * (k^{2k/(k+1)} - 1) of ``envelopes``.
-
-    The power is parenthesised as k^(2k/(k+1)); the choice is recorded in
-    every EnvelopeSet's notes.
-    """
-    check_positive("k", k)
-    return float(_envelope_exponents(check_integral("k", k))[3])
-
-
 @functools.cache
 def _envelope_exponents(k: int) -> tuple:
     """The exponents of ``envelopes`` that depend on k alone, at 40 digits:
-    the conjecture's, the Tong window's, the omega envelope's three, and
-    Theorem 1's (None below THM1_K_MIN)."""
+    the conjecture's, the Tong window's, the omega envelope's three (the
+    second ((k+1)/(2k))(k^(2k/(k+1)) - 1), parenthesised as the notes say),
+    and Theorem 1's (None below THM1_K_MIN)."""
     with mp.workdps(40):
         e2 = mp.mpf(k + 1) / (2 * k) * (mp.mpf(k) ** (mp.mpf(2 * k) / (k + 1)) - 1)
         thm1 = None

@@ -562,29 +562,29 @@ MOMENT_COST_CAP = 2 * 10 ** 10
 _MOMENT_ORDER = 8
 
 
-def _moment_panels(k: int, sigma: float, T: float, panels: Optional[int]) -> int:
+def _moment_panels(k: int, sigma: float, T: float) -> int:
     # oscillation-sized panels; for sigma well above 1 the integrand's
     # amplitude-weighted frequency collapses and wider panels suffice
     width = 2 * math.pi / ((4 if sigma > 1.5 else 12) * k)
-    return panels if panels is not None else max(8, int(T / width))
+    return max(8, int(T / width))
 
 
-def _moment_dyadic(k: int, sigma: float, T: float, panels: Optional[int]) -> float:
+def _moment_dyadic(k: int, sigma: float, T: float) -> float:
     import numpy as np
 
     def series(ts: np.ndarray):
         w, logn, add_tail = _zeta_series(sigma, ts)
         return w, logn, lambda t, S: np.abs(add_tail(t, S)) ** (2 * k)
 
-    return _panel_quadrature(series, T, 2 * T, _moment_panels(k, sigma, T, panels),
+    return _panel_quadrature(series, T, 2 * T, _moment_panels(k, sigma, T),
                              _MOMENT_ORDER, f"moment k={k} sigma={sigma}")
 
 
-def moment_integral(k: int, sigma: float, T: float,
-                    panels: Optional[int] = None) -> MomentEstimate:
+def moment_integral(k: int, sigma: float, T: float) -> MomentEstimate:
     """int_T^{2T} |zeta(sigma+it)|^{2k} dt with panel-doubling self-check,
     normalised by T; mu_slope estimates the growth exponent from the dyadic
-    integrals at T, 2T and 4T.
+    integrals at T, 2T and 4T.  The panel count follows the integrand's
+    oscillation (``_moment_panels``); it is not a parameter.
 
     Cost guard: T <= T_CAP_MOMENT, and quadrature nodes times zeta cutoff,
     summed over all six runs, at most MOMENT_COST_CAP = 2e10 (DomainError).
@@ -595,21 +595,17 @@ def moment_integral(k: int, sigma: float, T: float,
         raise DomainError(f"sigma must lie in [1/2, 3], got {sigma}")
     if not (1 < T <= T_CAP_MOMENT):
         raise DomainError(f"T must lie in (1, {T_CAP_MOMENT}] (cost guard), got {T}")
-    if panels is not None:
-        if panels < 1:
-            raise DomainError(f"panels must be >= 1, got {panels}")
-        panels = check_integral("panels", panels)
-    cost = sum(3 * _MOMENT_ORDER * _moment_panels(k, sigma, X, panels)
+    cost = sum(3 * _MOMENT_ORDER * _moment_panels(k, sigma, X)
                * _zeta_cutoff(sigma, 2 * X)[0] for X in (T, 2 * T, 4 * T))
     if cost > MOMENT_COST_CAP:
         raise DomainError(
             f"moment k={k} sigma={sigma} T={T} needs ~{cost:.2g} quadrature "
             f"node x zeta term products, cost cap is {MOMENT_COST_CAP:.0e}")
     k = check_integral("k", k)
-    base = _moment_dyadic(k, sigma, T, panels)
+    base = _moment_dyadic(k, sigma, T)
     logs = [math.log(base / T)]
     for X in (2 * T, 4 * T):
-        logs.append(math.log(_moment_dyadic(k, sigma, X, panels) / X))
+        logs.append(math.log(_moment_dyadic(k, sigma, X) / X))
     slope, _ = ols_slope([math.log(T), math.log(2 * T), math.log(4 * T)], logs)
     return MomentEstimate(k=k, sigma=sigma, T=T, integral=base,
                           normalized=base / T, mu_slope=slope)
@@ -672,23 +668,3 @@ def mvt_check(N: int, T: float, coeff_mode: str = "ones",
     rhs = float(np.sum(a ** 2 * (T + MVT_RHS_BUDGET * n)))
     return MvtReport(N=N, T=T, coeff_mode=coeff_mode, lhs=lhs, rhs=rhs,
                      ratio=lhs / rhs)
-
-
-def ell_fold_coefficients(N: int, ell: int) -> dict[int, int]:
-    """Counts a_n = #{(n_1..n_ell): N < n_i <= 2N, prod n_i = n}.
-
-    Exhaustive; supports the pointwise bound a_n <= d_ell(n) and the
-    support-count bound #support <= N^ell.
-    """
-    if not (1 <= N <= 128 and 1 <= ell <= 4):
-        raise DomainError("enumeration capped at N <= 128, ell <= 4")
-    N, ell = check_integral("N", N), check_integral("ell", ell)
-    counts = {1: 1}
-    for _ in range(ell):
-        nxt: dict[int, int] = {}
-        for m, c in counts.items():
-            for q in range(N + 1, 2 * N + 1):
-                key = m * q
-                nxt[key] = nxt.get(key, 0) + c
-        counts = nxt
-    return counts

@@ -136,19 +136,32 @@ def test_old_cache_flags_change_nothing(argv, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("argv, flag, key", [
-    (["sieve", "--k", "3", "--x-list", "10"], "--cache-dir", "cache_dir"),
-    (["meansquare", "--k", "1", "--x", "100"], "--panels", "panels"),
-], ids=["cache-dir", "panels"])
-def test_removed_flag_exits_2(argv, flag, key, tmp_path, capsys):
+MOMENT_ARGV = ["moment", "--k", "1", "--sigma", "2", "--T", "100"]
+
+
+@pytest.mark.parametrize("argv, flag, key, value", [
+    (["sieve", "--k", "3", "--x-list", "10"], "--cache-dir", "cache_dir", "2"),
+    (["meansquare", "--k", "1", "--x", "100"], "--panels", "panels", "2"),
+    (["delta", "--k", "2", "--x", "10.5"], "--plot-dir", "plot_dir", "plots"),
+    (["expsum", "--N", "16", "--t", "1e6"], "--plot-dir", "plot_dir", "plots"),
+    (MOMENT_ARGV, "--panels", "panels", "2000"),
+    (MOMENT_ARGV, "--panels", "panels", "0"),
+    (MOMENT_ARGV, "--panels", "panels", "-3"),
+], ids=["cache-dir", "panels", "delta-plot-dir", "expsum-plot-dir", "moment-panels",
+        "moment-panels-0", "moment-panels-negative"])
+def test_removed_flag_exits_2(argv, flag, key, value, tmp_path, monkeypatch, capsys):
     # an unknown option on the command line (argparse's usage error) and as a
-    # config-file key (a precondition violation)
-    assert cli.main([*argv, flag, "2"]) == 2
-    assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+    # config-file key (a precondition violation), given as --config PATH and
+    # as --config=PATH; nothing is written
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([*argv, flag, value]) == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text(f"{key} = 2\n")
-    assert cli.main(["--config", str(cfgfile), *argv]) == 2
-    assert capsys.readouterr().err.startswith("precondition violation: unknown configuration keys")
+    cfgfile.write_text(f"{key} = {value}\n")
+    for config in (["--config", str(cfgfile)], [f"--config={cfgfile}"]):
+        assert cli.main([*config, *argv]) == 2
+        assert capsys.readouterr().err.startswith(
+            "precondition violation: unknown configuration keys")
     assert list(tmp_path.iterdir()) == [cfgfile]
 
 
@@ -156,8 +169,7 @@ def test_removed_flag_exits_2(argv, flag, key, tmp_path, capsys):
     (["bounds", "--k", "30", "--output", "missing/x.csv"], "missing/x.csv"),
     (["bounds", "--k", "30", "--output", "file/x.csv"], "file/x.csv"),
     (["bounds", "--k", "30", "--output", "dir"], "dir"),
-    (["delta", "--k", "2", "--x", "10.5", "--plot-dir", "file"], "file"),
-], ids=["missing-dir", "under-a-file", "onto-a-dir", "plot-dir-is-a-file"])
+], ids=["missing-dir", "under-a-file", "onto-a-dir"])
 def test_failed_write_exits_2_and_leaves_no_temp_file(argv, target, tmp_path,
                                                       monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -205,12 +217,40 @@ def test_config_file_and_unknown_key(tmp_path):
     _, rows2 = parse_csv(text2)
     assert rows2[0]["x"] == "100.5"
     # unknown keys rejected
+    # --config=PATH reads the same file
+    code3, text3 = run([f"--config={cfgfile}", "delta"], tmp_path, "o3")
+    assert code3 == 0 and text3 == text
+    cfgfile.write_text("B = 5.0\n")
+    code4, text4 = run([f"--config={cfgfile}", "theta-opt"], tmp_path, "o4")
+    assert code4 == 0 and parse_csv(text4)[1][0]["B"] == "5.0"
     bad = tmp_path / "bad.cfg"
     bad.write_text("k=2\nx=10.5\nwibble=1\n")
     assert cli.main(["--config", str(bad), "delta"]) == 2
+    assert cli.main([f"--config={bad}", "delta"]) == 2
+    assert cli.main(["--config=", "delta"]) == 2
     binary = tmp_path / "binary.cfg"
     binary.write_bytes(b"k=2\n\xff\xfe=1\n")
     assert cli.main(["--config", str(binary), "delta"]) == 2
+
+
+@pytest.mark.parametrize("argv, cfg, flags", [
+    (["delta", "--k", "2", "--x", "7.5", "--grid", "100:200:2"], "", ("--x", "--grid")),
+    (["delta", "--k", "2", "--grid", "100:200:2"], "x = 7.5\n", ("--x", "--grid")),
+    (["expsum", "--N-list", "64", "--t-list", "1e6", "--N", "5", "--N-prime", "100",
+      "--t", "3"], "", ("--N-list", "--N")),
+    (["expsum", "--N", "64", "--t", "1e6", "--t-list", "1e8"], "", ("--t-list", "--t")),
+], ids=["delta", "delta-config", "expsum", "expsum-t-list"])
+def test_mixed_input_forms_exit_2(argv, cfg, flags, tmp_path, capsys):
+    # an answer from one form under a header that records the other's inputs
+    # would misstate the run: a mix is refused, naming both forms
+    if cfg:
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(cfg)
+        argv = ["--config", str(cfgfile), *argv]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert all(flag in captured.err for flag in flags)
 
 
 def test_config_file_lines(tmp_path, capsys):
@@ -225,6 +265,10 @@ def test_config_file_lines(tmp_path, capsys):
     assert cli.main(["--config", str(cfgfile), "delta"]) == 2
     err = capsys.readouterr().err
     assert err == "precondition violation: config line is not key=value: 'x 10.5'\n"
+    # a value argparse refuses is a usage error with exit 2, as on the command line
+    cfgfile.write_text("k = abc\n")
+    assert cli.main(["--config", str(cfgfile), "delta"]) == 2
+    assert "argument --k: invalid int value: 'abc'" in capsys.readouterr().err
 
 
 def test_delta_integer_x_grid(capsys):
@@ -273,8 +317,8 @@ def test_exit_code_precondition(tmp_path):
     ["sieve", "--k", "2", "--x-list", "10,abc"],
     ["expsum", "--N", "10"],
     ["delta", "--k", "2", "--x", "1000.5", "--precision-bits", "-5"],
-    ["moment", "--k", "1", "--sigma", "2", "--T", "100", "--panels", "0"],
-    ["moment", "--k", "1", "--sigma", "2", "--T", "100", "--panels", "-3"],
+    ["expsum", "--N-list", "64", "--t-list", "1e6", "--N", "5"],
+    ["expsum", "--N", "64", "--t", "1e6", "--t-list", "1e8"],
     ["moment", "--k", "1", "--sigma", "0.75", "--T", "8000"],
     ["delta", "--k", "2", "--x", "nan"],
     ["delta", "--k", "2", "--x", "inf"],
@@ -400,8 +444,7 @@ ARGV = st.one_of(
                   ("--afe-length", st.sampled_from(["sqrt_t", "sqrt_t_over_2pi", "x"])),
                   ("--precision-bits", BITS)]),
               switch("--chi"), switch("--afe")),
-    command("moment", [("--k", K), ("--sigma", UNIT), ("--T", CHEAP)],
-            [("--panels", SMALL)]),
+    command("moment", [("--k", K), ("--sigma", UNIT), ("--T", CHEAP)]),
     command("report", optional=[("--B", NUMBER), ("--B-richert", NUMBER)]))
 
 
@@ -461,22 +504,3 @@ def test_every_output_carries_conventions(argv, tmp_path):
     assert meta.get("convention.rho_orientation") == "log_t_over_log_N"
     assert meta.get("convention.rounding") == \
         "karatsuba_down_exponents_up_thresholds_up"
-
-
-def test_plot_data_series(tmp_path):
-    plots = tmp_path / "plots"
-    code, _ = run(["delta", "--k", "2", "--grid", "100:5000:6",
-                   "--plot-dir", str(plots)], tmp_path)
-    assert code == 0
-    series = (plots / "delta_k2.csv").read_text().splitlines()
-    assert len(series) >= 5
-    for line in series:
-        x, y = line.split(",")
-        float(x), float(y)  # bare numeric pairs, no header
-    assert (plots / "conjecture_k2.csv").exists()
-    assert (plots / "tong_window_k2.csv").exists()
-    code2, _ = run(["expsum", "--N-list", "64,128", "--t-list", "1e6",
-                    "--plot-dir", str(plots)], tmp_path, "e")
-    assert code2 == 0
-    rows = (plots / "rho_vs_refined_exp.csv").read_text().splitlines()
-    assert len(rows) == 2

@@ -425,18 +425,6 @@ def test_m0_threshold_is_theta_at_large_B(B):
         ex.m0_sigma(0.6, p)
 
 
-def test_carlson_combine_values():
-    assert ex.carlson_combine(0.5, 0.0) == pytest.approx(0.5)
-    assert ex.carlson_combine(0.8, 0.1) == pytest.approx(1 - 0.2 / 1.1, abs=1e-12)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.floats(1e-6, 1 - 1e-6), st.floats(0, 50))
-def test_carlson_combine_floor(eta, mu):
-    v = ex.carlson_combine(eta, mu)
-    assert v >= eta - 1e-15 and v >= 0.5 - 1e-15
-
-
 def test_inductive_sigma_bound_base_case(params):
     k0 = float(ex.k0_theta(params.theta))
     assert abs(ex.inductive_sigma_bound(k0, params) - params.theta) < 1e-12
@@ -1051,8 +1039,8 @@ P = ex.ExponentParams()
     (ex.m1_sigma, (0.995, NAN), "delta"),
     (ex.m1_sigma, (0.995, 0.1, NAN), "A"),
     (ex.m0_sigma, (NAN, P), "sigma"),
-    (ex.carlson_combine, (0.5, NAN), "mu"),
-    (ex.carlson_combine, (0.5, INF), "mu"),
+    (ex.k2_theta, (0.8, INF, 0.0), "B"),
+    (ex.thm3_exponent, (10 ** 4, NAN), "delta"),
     (ex.inductive_sigma_bound, (NAN, P), "k"),
     (ex.inductive_sigma_bound, (INF, P), "k"),
     (ex.induction_step_check, (NAN, 1e-3, P), "r"),

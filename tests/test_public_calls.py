@@ -58,7 +58,6 @@ NUMPY_INTEGER_CALLS = {
     "thm3_exponent": lambda i: exponents.thm3_exponent(i(10 ** 6), 0.1),
     "ExponentParams": lambda i: exponents.ExponentParams(k=i(30)),
     "moment_integral": lambda i: zetasum.moment_integral(i(1), 2.0, 50.0),
-    "soundararajan_exponent2": lambda i: remainder.soundararajan_exponent2(i(3)),
     "moment_h_max": lambda i: exponents.moment_h_max(i(100), 1.0),
     "zeta_h_max": lambda i: exponents.zeta_h_max(i(500), 1.0),
 }

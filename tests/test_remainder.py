@@ -609,8 +609,16 @@ def test_envelope_conjecture_value():
 
 
 def test_envelope_soundararajan_exponent():
-    assert abs(rl.soundararajan_exponent2(2) - 0.75 * (2 ** (4 / 3) - 1)) < 1e-12
-    assert abs(rl.soundararajan_exponent2(2) - 1.1399) < 1e-4
+    # past e^(e^e) the omega envelope is (x log x)^(1/4) (log log x)^E2
+    # (log log log x)^(-5/8) at k = 2, with E2 = (3/4)(2^(4/3) - 1) = 1.1399
+    e2 = 0.75 * (2 ** (4 / 3) - 1)
+    assert abs(e2 - 1.1399) < 1e-4
+    for x in (1e7, 1e12, 1e40):
+        assert x > rl.E_TRIPLE
+        L1 = math.log(x)
+        L2, L3 = math.log(L1), math.log(math.log(L1))
+        want = (x * L1) ** 0.25 * L2 ** e2 * L3 ** -0.625
+        assert rl.envelopes(2, x).omega_lower == pytest.approx(want, rel=1e-12)
 
 
 def test_envelope_fields_positive_above_threshold():
@@ -641,15 +649,6 @@ def test_envelope_domain():
         rl.envelopes(2.5, 100.0)
 
 
-def test_soundararajan_exponent2_refuses_a_fractional_k():
-    # k = 2.5 once answered 1.8917, an exponent of no envelope
-    with pytest.raises(DomainError, match=r"^k must be integral, got 2\.5$"):
-        rl.soundararajan_exponent2(2.5)
-    # the range check comes first: a k refused today keeps its message
-    with pytest.raises(DomainError, match=r"^k must be positive, got -0\.5$"):
-        rl.soundararajan_exponent2(-0.5)
-
-
 NAN, INF = math.nan, math.inf
 
 
@@ -660,7 +659,6 @@ NAN, INF = math.nan, math.inf
     (rl.envelopes, (2, INF), "x"),
     (rl.envelopes, (NAN, 10), "k"),
     (rl.envelopes, (INF, 10), "k"),
-    *[(rl.soundararajan_exponent2, (v,), "k") for v in (NAN, INF, -INF)],
 ], ids=lambda v: v.__name__ if callable(v) else None)
 def test_non_finite_argument_raises_domain_error(fn, args, name):
     # unguarded, a NaN passes the sortedness test a > b, an infinite x reaches

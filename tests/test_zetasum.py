@@ -529,8 +529,8 @@ def test_non_finite_argument_raises_domain_error(fn, args, name):
     (zs.exp_sum, (1.5, 3, 10.0), "N", 1.5),
     (zs.exp_sum, (2, 3.5, 10.0), "N_prime", 3.5),
     (zs.mvt_check, (10.5, 100.0), "N", 10.5),
-    (zs.ell_fold_coefficients, (10.5, 2), "N", 10.5),
-    (zs.ell_fold_coefficients, (10, 2.5), "ell", 2.5),
+    (zs.expsum_bound_grid, ([16], [1e6], 100.5), "precision_bits", 100.5),
+    (zs.mvt_check, (16, 100.0, "dk", 2.5), "k", 2.5),
     (zs.expsum_bound_grid, ([math.nan], [1e6]), "N", math.nan),
     (zs.expsum_bound_grid, ([2.5], [1e6]), "N", 2.5),
     (zs.exp_sum, (10, 20, 100.0, 100.5), "precision_bits", 100.5),
@@ -595,16 +595,16 @@ def test_moment_parseval_limit():
 
 
 def test_moment_recording_run():
-    # explicit panel count keeps the module test light; the panel-doubling
-    # self-check still guards the quadrature
-    est = zs.moment_integral(2, 0.75, 1024.0, panels=1024)
+    # oscillation-sized panels; the panel-doubling self-check guards them
+    est = zs.moment_integral(2, 0.75, 256.0)
     assert est.integral > 0 and np.isfinite(est.mu_slope)
     assert est.normalized == pytest.approx(est.integral / est.T)
 
 
 def test_moment_panels_override_and_domain():
-    est = zs.moment_integral(1, 2.0, 500.0, panels=2000)
-    assert est.integral > 0
+    # the panel count follows the oscillation; it is no longer a parameter
+    with pytest.raises(TypeError, match="panels"):
+        zs.moment_integral(1, 2.0, 500.0, panels=2000)
     with pytest.raises(DomainError):
         zs.moment_integral(7, 2.0, 100.0)
     with pytest.raises(DomainError):
@@ -616,19 +616,14 @@ def test_moment_panels_override_and_domain():
     # the range checks come before the integral check of k
     with pytest.raises(DomainError, match=r"^sigma must lie in \[1/2, 3\], got 0\.2$"):
         zs.moment_integral(1.5, 0.2, 100.0)
-    for panels in (0, -3):
-        with pytest.raises(DomainError):
-            zs.moment_integral(1, 2.0, 100.0, panels=panels)
-    for panels in (math.nan, 8.5):  # NaN passes the < 1 test
-        with pytest.raises(DomainError, match=f"^panels must be integral, got {panels}$"):
-            zs.moment_integral(1, 2.0, 10.0, panels)
 
 
-def test_moment_panel_doubling_selfcheck_raises():
+def test_moment_panel_doubling_selfcheck_raises(monkeypatch):
     # 16 panels on [1000, 2000] are far too coarse: doubling moves the
     # integral by ~0.2 relative, above the 1% threshold
+    monkeypatch.setattr(zs, "_moment_panels", lambda k, sigma, T: 16)
     with pytest.raises(QuadratureError, match="panel doubling moved the integral"):
-        zs.moment_integral(1, 0.75, 1000.0, panels=16)
+        zs.moment_integral(1, 0.75, 1000.0)
 
 
 @pytest.mark.parametrize("nodes_per_chunk, entries", [
@@ -688,30 +683,3 @@ def test_mvt_other_modes():
     assert rnd.lhs > 0
     with pytest.raises(DomainError):
         zs.mvt_check(32, 500.0, "bogus")
-
-
-# ----------------------------------------------------- ell-fold coefficients
-
-def test_ell_fold_small_brute():
-    # oracle: direct double loop for N=4, ell=2
-    counts = zs.ell_fold_coefficients(4, 2)
-    brute = {}
-    for a in range(5, 9):
-        for b in range(5, 9):
-            brute[a * b] = brute.get(a * b, 0) + 1
-    assert counts == brute
-
-
-def test_ell_fold_bounds():
-    # pointwise a_n <= d_3(n) over the full support, and support <= N^3
-    N = 64
-    counts = zs.ell_fold_coefficients(N, 3)
-    assert len(counts) <= N ** 3
-    lo, hi = N ** 3 + 1, (2 * N) ** 3
-    blk = sv.dk_block(3, lo, hi + 1)
-    for n, c in counts.items():
-        assert lo <= n <= hi
-        assert c <= int(blk.values[n - lo])
-    for NN, ell in ((8, 2), (16, 3)):
-        cc = zs.ell_fold_coefficients(NN, ell)
-        assert len(cc) <= NN ** ell
