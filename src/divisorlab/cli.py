@@ -352,7 +352,8 @@ COMMANDS = {
 # ------------------------------------------------------------- arg parsing
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="divisorlab",
+    # no abbreviations at the top: --conf PATH would set a config never read
+    p = argparse.ArgumentParser(prog="divisorlab", allow_abbrev=False,
                                 description=__doc__.splitlines()[0])
     p.add_argument("--config", help="key=value configuration file")
     sub = p.add_subparsers(dest="command", required=True)

@@ -228,6 +228,8 @@ def test_config_file_and_unknown_key(tmp_path):
     assert cli.main(["--config", str(bad), "delta"]) == 2
     assert cli.main([f"--config={bad}", "delta"]) == 2
     assert cli.main(["--config=", "delta"]) == 2
+    # an abbreviation of --config is refused, not ignored
+    assert cli.main(["--conf", str(cfgfile), "theta-opt"]) == 2
     binary = tmp_path / "binary.cfg"
     binary.write_bytes(b"k=2\n\xff\xfe=1\n")
     assert cli.main(["--config", str(binary), "delta"]) == 2
