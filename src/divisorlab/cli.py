@@ -238,6 +238,9 @@ def _delta_rows(k: int, xs: list[float], bits: int) -> list[dict]:
 
 
 def cmd_delta(args) -> tuple[list[dict], dict]:
+    # a header that says integer above a half-odd row would misstate the run
+    if args.integer_x and args.x is not None and not args.x.is_integer():
+        raise ConfigError(f"--integer-x needs an integral --x, got --x {args.x}")
     if args.grid:
         xs = _parse_grid(args.grid, not args.integer_x)
     else:

@@ -13,11 +13,12 @@ under the tail bound and the final rounding to precision_bits + 16 bits (see
 Series carry an explicit truncation order and operations fail loudly when the
 order is insufficient.
 
-The contour oracle checks those residues independently, by trapezoid
-quadrature of zeta^k(s) x^s / s on |s - 1| = 1/4, always at the node count
-proven from the aliasing bound of the trapezoid rule.  Its cost floor is one
-cached mp.zeta sweep per (nodes, precision); each call forms the integrand from
-the sweep in fixed-point ints, within a stated error bound.
+The contour oracle checks those residues independently: the trapezoid DFT of
+(w zeta(1+w))^k / (1+w) on |w| = 1/4, w = s - 1, at the node count proven from
+the rule's aliasing bound, gives every coefficient of P_{k-1} at once, with no
+x in the quadrature.  Its cost floor is one cached mp.zeta sweep per precision;
+each call forms the k DFT rows from the sweep in fixed-point ints, within a
+stated bound per coefficient.
 
 Everything here is pure: values are immutable and memos are keyed by all inputs.
 """
@@ -31,8 +32,7 @@ from fractions import Fraction
 from itertools import count, islice
 
 import mpmath as mp
-from mpmath.libmp import (from_int, from_man_exp, mpf_cos_sin, mpf_div, mpf_exp, mpf_log,
-                          mpf_mul, round_nearest, to_fixed)
+from mpmath.libmp import from_int, from_man_exp, mpf_div, mpf_log, round_nearest, to_fixed
 
 from .errors import (
     DomainError,
@@ -286,13 +286,6 @@ class LaurentData:
                     out[i + j] = out[i + j] + a * other.coeffs[j]
         return LaurentData(lowest, tuple(out), order, bits)
 
-    def evaluate(self, s):
-        """Value at a point s != 1 (Horner in (s-1), pole part included), at the
-        series' precision (53 bits for exact coefficients)."""
-        with mp.workprec(max(self.precision_bits, 53)):
-            z = (s if isinstance(s, mp.mpc) else mp.mpf(s)) - 1
-            return poly_eval(self.coeffs, z) * z ** self.lowest_power
-
 
 def series_pow(base: LaurentData, k: int) -> LaurentData:
     """Truncated k-th power by binary exponentiation; k >= 1.
@@ -429,39 +422,39 @@ def eval_main_term(poly: MainTermPoly, x) -> mp.mpf:
 
 CONTOUR_RADIUS = 0.25  # the oracle's circle |s - 1| = r0 (see ``_contour_nodes``)
 CONTOUR_SWEEP_BITS = 12  # the zeta sweep's bits over the oracle's prec (see the oracle)
-# fixed-point guard bits of the integrand over the sweep's precision: the
-# per-node (9 + L/300) 6^12 < 2^35 at k <= 12, L < 710 (see the oracle)
-CONTOUR_GUARD_BITS = 35
+# fixed-point guard bits over the sweep's precision: 4^{k-1} (1.5k + 6) (5/3)^k
+# < 2^36 at k <= 12, so the floors of a call cost < 2^-sp (see the oracle)
+CONTOUR_GUARD_BITS = 36
 
 
-def _contour_nodes(prec: int, x_probe) -> int:
+def _contour_nodes(prec: int) -> int:
     """Least n, over rho = r0 + j (1 - r0)/64 < 1, r0 = CONTOUR_RADIUS = 1/4,
-    proven to alias by <= 2^-prec x^{r0} at every k <= 12.  On |w| = r0 the
-    n-node mean of t(w) = zeta(1+w)^k x^w w/(1+w) = sum_{m >= 1-k} c_m w^m is
-    sum c_m r0^m over m = 0, n, 2n, ... (n >= k), and |c_m| <= M rho^-m
-    (Cauchy), so it errs by <= M q^n/(1 - q^n), q = r0/rho.  On |w| = rho
-    Titchmarsh 2.1 (see the oracle) with |s| <= 1 + rho, |s-1| = rho, sigma >=
-    1 - rho gives M <= A^k x^rho rho/(1-rho), A = (1+rho)/rho + (1+rho)/(1-rho)
-    > 5.8, largest at k = 12: one n serves every k.  n qualifies once
-    n log2(rho/r0) >= prec + 2 + 12 log2 A + (rho - r0) log2 x + log2(rho/(1-rho)),
-    which exceeds prec + 31 at every rho of the grid: n > k, q^n <= 1/2, and the
-    2 buys 1/(1 - q^n) <= 2 and the float logs.  At prec = 64, x <= 1e4, rho =
-    0.789-0.801 wins, n = 66-70; prec = 288, x = 100: 189.
+    proven to alias every b_m, m < k <= 12, of g(w) = (w zeta(1+w))^k / (1+w) =
+    sum b_m w^m by <= 2^{-prec-1}.  g is analytic in |w| < 1, and for n > m the
+    n-node mean of g(w) (r0/w)^m on |w| = r0 is sum_{l >= 0} b_{m+ln} r0^{ln}
+    (Henrici, Applied and Computational Complex Analysis III, 13.2).  With |b_p|
+    <= M rho^-p (Cauchy), M the most of |g| on |w| = rho, it aliases by <= M
+    rho^-m q^n/(1 - q^n), q = r0/rho.  On |w| = rho Titchmarsh 2.1 (see the
+    oracle) with |s| <= 1 + rho, sigma >= 1 - rho gives |zeta| <= A = (1+rho)/rho
+    + (1+rho)/(1-rho) > 5.8, and |1 + w| >= 1 - rho: M rho^-m <= A^k rho^{k-m} /
+    (1-rho) <= A^12 rho/(1-rho), as k - m >= 1 and A > 1.  n qualifies once n
+    log2(rho/r0) >= prec + 2 + 12 log2 A + log2(rho/(1-rho)), which exceeds prec +
+    31 at every rho of the grid: then n > 12, q^n <= 1/2, and the 2 buys 1/(1 -
+    q^n) <= 2 and the float logs.  66, 83 and 186 nodes at prec = 64, 96, 288.
     """
-    r0, lx = CONTOUR_RADIUS, math.log2(x_probe)
+    r0 = CONTOUR_RADIUS
     return min(math.ceil((prec + 2 + 12 * math.log2((1 + r) / r + (1 + r) / (1 - r))
-                          + (r - r0) * lx + math.log2(r / (1 - r))) / math.log2(r / r0))
+                          + math.log2(r / (1 - r))) / math.log2(r / r0))
                for r in (r0 + j * (1 - r0) / 64 for j in range(1, 64)))
 
 
 @functools.cache
 def _contour_zetas(nodes: int, prec: int) -> tuple:
     """The oracle's only mp.zeta calls, cached per (nodes, prec), at s_j = 1 +
-    r0 e^{2 pi i j / nodes}, r0 = CONTOUR_RADIUS, to sp = prec +
-    CONTOUR_SWEEP_BITS bits, j = 0..nodes//2 (the lower half circle holds
-    conjugates): the raw mpf parts of s_j - 1 and, as ints scaled by 2^wp, wp =
-    sp + CONTOUR_GUARD_BITS, zeta(s_j) floored and h_j = (s_j - 1)/s_j = 1 -
-    conj(s_j)/|s_j|^2 from the floored parts of s_j by one int division."""
+    w_j, w_j = r0 e^{2 pi i j / nodes} rounded to sp = prec + CONTOUR_SWEEP_BITS
+    bits, j = 0..nodes//2 (the lower half circle holds conjugates): as ints
+    scaled by 2^wp, wp = sp + CONTOUR_GUARD_BITS, the parts of w_j (exact), y_j =
+    w_j zeta(s_j) floored, from zeta floored, and v_j = 1/s_j = conj(s_j)/|s_j|^2."""
     sp = prec + CONTOUR_SWEEP_BITS
     wp = sp + CONTOUR_GUARD_BITS
     one, rows = 1 << wp, []
@@ -470,11 +463,12 @@ def _contour_zetas(nodes: int, prec: int) -> tuple:
         for j in range(nodes // 2 + 1):
             s = 1 + r * mp.expjpi(mp.mpf(2 * j) / nodes)
             z = mp.zeta(s)
-            sr, si = to_fixed(s.real._mpf_, wp), to_fixed(s.imag._mpf_, wp)
-            inv = (one << 2 * wp) // (sr * sr + si * si)  # 2^wp / |s|^2
-            rows.append(((s.real - 1)._mpf_, s.imag._mpf_,
-                         to_fixed(z.real._mpf_, wp), to_fixed(z.imag._mpf_, wp),
-                         one - (sr * inv >> wp), si * inv >> wp))
+            a, b = to_fixed((s.real - 1)._mpf_, wp), to_fixed(s.imag._mpf_, wp)
+            zr, zi = to_fixed(z.real._mpf_, wp), to_fixed(z.imag._mpf_, wp)
+            sr = one + a
+            inv = (one << 2 * wp) // (sr * sr + b * b)  # 2^wp / |s|^2
+            rows.append((a, b, (a * zr - b * zi) >> wp, (a * zi + b * zr) >> wp,
+                         sr * inv >> wp, -b * inv >> wp))
     return tuple(rows)
 
 
@@ -491,73 +485,105 @@ def _fixed_pow(re: int, im: int, k: int, wp: int) -> tuple[int, int]:
     return pr, pi
 
 
+def _contour_coeffs(k: int, precision_bits: int) -> tuple:
+    """The k coefficients of P_{k-1}, constant term first, from the contour
+    oracle's DFT (see ``residue_contour_oracle``), after node doubling."""
+    prec = precision_bits + 32
+    n = _contour_nodes(prec)
+    sp = prec + CONTOUR_SWEEP_BITS
+    wp = sp + CONTOUR_GUARD_BITS
+    # the n-node set is the even-index subset of the 2n-node set, so one
+    # zeta sweep serves both the coefficients and their doubling check
+    fine, coarse = [0] * k, [0] * k  # Re g_j (r0/w_j)^m scaled by 2^wp, folded
+    for j, (a, b, yr, yi, vr, vi) in enumerate(_contour_zetas(2 * n, prec)):
+        pr, pi = _fixed_pow(yr, yi, k, wp)
+        gr, gi = (pr * vr - pi * vi) >> wp, (pr * vi + pi * vr) >> wp
+        wt = 1 if j in (0, n) else 2  # s = 5/4 and s = 3/4 are their own conjugates
+        for m in range(k):
+            fine[m] += wt * gr
+            if not j & 1:
+                coarse[m] += wt * gr
+            # r0/w_j = conj(w_j)/r0 on the circle
+            gr, gi = (gr * a + gi * b) >> (wp - 2), (gi * a - gr * b) >> (wp - 2)
+
+    def coeff(sums, nodes, j):
+        # c_j = b_{k-1-j}/j! = 4^m sums[m] / (nodes j!), m = k-1-j: the int
+        # sums are exact, so each coefficient rounds once
+        m = k - 1 - j
+        return mp.mpf(mpf_div(from_man_exp(sums[m], 2 * m - wp),
+                              from_int(nodes * math.factorial(j)), sp, round_nearest))
+
+    out = []
+    with mp.workprec(sp):
+        for j in range(k):
+            c = coeff(fine, 2 * n, j)
+            moved = abs(c - coeff(coarse, n, j))
+            tol = mp.mpf(2) ** (-(precision_bits // 2)) * (1 + abs(c))
+            if moved > tol:
+                raise QuadratureError(
+                    f"contour oracle did not converge for k={k} at prec={prec}: node "
+                    f"doubling from {n} to {2 * n} nodes moved the L^{j} coefficient "
+                    f"by {mp.nstr(moved, 5)}, above the tolerance {mp.nstr(tol, 5)}")
+            out.append(c)
+    return tuple(out)
+
+
 def residue_contour_oracle(k: int, precision_bits: int, x_probe: float) -> mp.mpf:
-    """Residue of zeta^k(s) x^s / s at s=1 by trapezoid quadrature over the
-    circle |s-1| = r0 = CONTOUR_RADIUS = 1/4, scaled by 1/x_probe for direct
-    comparison with P_{k-1}(log x_probe).
+    """P_{k-1}(log x_probe), the residue of zeta^k(s) x^s / s at s = 1 over
+    x_probe, by Horner's rule at sp bits over coefficients found by trapezoid
+    quadrature on |s - 1| = r0 = CONTOUR_RADIUS = 1/4, with no x in it.
 
-    The integrand is analytic in 0 < |s-1| < 1, so the trapezoid rule
-    converges geometrically (Trefethen and Weideman, SIAM Review 56, 2014,
-    section 2).  n is the count that ``_contour_nodes`` proves for (prec,
-    x_probe), prec = precision_bits + 32; the value is the 2n-node mean, and
-    node doubling against the n-node one is the convergence check.
-    The integrand is real on the real axis, so only the upper half circle is
-    evaluated.  The oracle is independent of the series pipeline: library zeta
-    and quadrature against series arithmetic over in-repo Stieltjes constants.
+    With w = s - 1 and g(w) = (w zeta(1+w))^k / (1+w) = sum_m b_m w^m, analytic
+    in |w| < 1, the residue over x is that of g(w) w^-k e^{Lw}, L = log x, so
+    P_{k-1}(L) = sum_j c_j L^j, c_j = b_{k-1-j}/j!.  The trapezoid rule
+    converges geometrically on the circle (Trefethen and Weideman, SIAM Review
+    56, 2014, section 2): the 2n-node DFT rows m = 0..k-1 of g are b_m r0^m up to
+    the aliasing ``_contour_nodes`` proves below 2^{-prec-1}, prec =
+    precision_bits + 32, with one n for every k <= 12 and every x.  Node
+    doubling against the n-node rows checks every coefficient.  g is real on the
+    real axis, so only the upper half circle is evaluated.  The oracle is
+    independent of the series pipeline: library zeta and quadrature against
+    series arithmetic over in-repo Stieltjes constants.
 
-    With ds = i (s - 1) dtheta the scaled residue is the mean over the circle
-    of t(s) = zeta(s)^k x^{s-1} h(s), h = (s - 1)/s.  The zeta sweep at sp =
-    prec + CONTOUR_SWEEP_BITS bits (``_contour_zetas``, cached per (nodes,
-    prec)) is the cost floor; each call forms Re t_j in ints scaled by 2^wp,
-    wp = sp + CONTOUR_GUARD_BITS, u = 2^-wp: zeta_j^k by ``_fixed_pow``,
-    x^{s-1} from one mp.exp and one mp.cos_sin of L (s_j - 1), L = log x_probe,
-    at P = wp + 8 bits, and the folded sum is exact.  Per node, with x = x_probe:
+    The zeta sweep at sp = prec + CONTOUR_SWEEP_BITS bits (``_contour_zetas``,
+    cached per (nodes, prec)) is the cost floor; each call forms Re g_j
+    (r0/w_j)^m in ints scaled by 2^wp, wp = sp + CONTOUR_GUARD_BITS, u = 2^-wp:
+    y_j^k by ``_fixed_pow``, one product by v_j, m rotations by conj(w_j)/r0,
+    and exact folded sums.  Per node:
 
-    * |zeta| <= |s|/|s-1| + |s|/sigma <= 6 on the circle (Titchmarsh, The
-      Theory of the Riemann Zeta-Function, 2.1: zeta(s) = s/(s-1) -
-      s int_1^inf {v} v^{-s-1} dv for sigma > 0; the bound, 4|s| + |s|/sigma
-      as a function of cos theta, peaks at s = 5/4), |h| = r0/|s| <= r0/(1 - r0)
-      = 1/3, and |x^{s-1}| <= x^{1/4}: every term is at most 6^k x^{1/4}/3;
-    * zeta^k: zeta_j is floored (< sqrt(2) u), which moves zeta^k by
-      < k sqrt(2) u 6^{k-1}, and each of the at most 2 log2 12 floored
-      products (5 for k <= 12) moves it by < sqrt(2) u 6^{k-2}: the computed
-      zeta^k is off by < (2 + 5/36) sqrt(2) u 6^k < 3.1 u 6^k;
-    * x^{s-1}: with mpmath's elementary functions within 4 2^-P, as in the
-      n^{-s} kernel of ``zetasum``, the log and its rounded products with the
-      parts of s - 1 (each at most 1/4) put both arguments off by
-      < 1.25 L 2^-P < (L/200) u; the exp adds 4 2^-P relative, cos_sin 4 2^-P
-      per part, and flooring u per part: e^{L Re(s-1)} is off by
-      < (L/200 + 1.02) u x^{1/4} and e^{i L Im(s-1)} by < (L/200 + 1.44) u;
-    * h_j: the floored parts of s_j are off by < u, which moves 1 - 1/s by
-      < sqrt(2) u/|s|^2 < 2.6 u, and the division and its two products add
-      < (|s| + sqrt(2)) u < 2.7 u; its floored product with e^{i L Im(s-1)}
-      adds < sqrt(2) u: that product is off by < (7.2 + L/600) u.
+    * |zeta| <= |s|/|s-1| + |s|/sigma (Titchmarsh, The Theory of the Riemann
+      Zeta-Function, 2.1: zeta(s) = s/(s-1) - s int_1^inf {v} v^{-s-1} dv for
+      sigma > 0): |y| <= r0 A = (1 + r0)/(1 - r0) = 5/3, |v| <= 4/3;
+    * v_j: 2^wp/|s|^2 floored once from the exact parts of s_j (|Im w_j| >=
+      1/(2n) > 2^-13 off the real axis, as n < 2^12 at every allowed
+      precision), then two floored products: off by < 2.6 u;
+    * y_j^k: at most 5 floored products (k <= 12), each < sqrt(2) u times a
+      power of y of modulus <= (5/3)^{k-2}: < 2.6 u (5/3)^k; with v_j and one
+      more floor, g_j is off by < 7.5 u (5/3)^k;
+    * each rotation, of modulus 1 + O(2^-sp), adds a floor < sqrt(2) u: row m
+      of the folded mean, whose weights sum to 2n, is off by < (1.5m + 7.5) u
+      (5/3)^k.
 
-    So each Re t_j is off by < (9 + L/300) u 6^k x^{1/4}, and so is their
-    folded mean, whose weights sum to 2 nodes.  With the final division
-    rounded once, for k <= 12 and any float x_probe (L < 710):
+    Row m times 4^m = r0^-m is b_m; c_j = b_m/j!, m = k-1-j, rounds once, so
+    |c_j - C_j| <= 2^-sp |C_j| + 4^m (1.5m + 7.5) (5/3)^k 2^-wp / j!, C_j from
+    the exact folded DFT of the sweep; the guard bits, which grow with k as
+    4^{k-1} and not with x, keep the last term below 2^-sp / j!.  Taking
+    mpmath's zeta within 4 2^-sp relative (assumed), and the s_j within 2.5
+    2^-sp of the circle's nodes (the rounded angle and expjpi's error quartered,
+    then 1 + e/4 rounded), g_j (r0/w_j)^m moves by < (26.5k + 30m + 5) 2^-sp
+    |g_j| to first order: 4k from zeta^k; 2.5 (|g'/g| + m/r0), as |g'/g| <=
+    k/r0 + k |zeta'/zeta| + 1/|s| and |zeta'/zeta| < 5 on the circle (4.63 at
+    s = 3/4, the most over 2001 points); 20m, as conj(w_j)/r0 = (r0/w_j)
+    (|w_j|/r0)^2 and |w_j|/r0 - 1 <= 10 2^-sp; and y_j's floors.  With mbar the
+    folded mean of |g_j| (mbar >= b_0 - 2^-prec, b_0 = 1) and the aliasing:
 
-        |oracle - F| <= 2^-sp |F| + (9 + L/300) 6^k x^{1/4} 2^-wp
-                     <= 2^-sp (|F| + x^{1/4}),
+        |c_j - c_j(exact)| <= E_j = 2^-sp |c_j| + (2^{-prec-1} + 4^m ((26.5k
+                              + 30m + 5) 2^-sp mbar + (1.5m + 7.5) (5/3)^k 2^-wp)) / j!,
 
-    F the exact folded trapezoid sum at the sweep's s_j and zeta_j.  Taking
-    mpmath's zeta, like its elementary functions, within 4 2^-sp relative
-    (assumed), and the s_j within 2.5 2^-sp of the circle's nodes (the rounded
-    angle and expjpi's error quartered, then 1 + e/4 rounded), each t_j moves
-    by < (16.5 k + 2.5 L + 14) 2^-sp |t_j| to first order, as d log t/ds =
-    k zeta'/zeta + L + 1/(s-1) - 1/s and |zeta'/zeta| < 5 on the circle (4.63
-    at s = 3/4, the most over 2001 points).  With m the mean |t_j| (<= 6^k
-    x^{1/4}/3) and the aliasing bound:
-
-        |oracle - P_{k-1}(log x)| <= 2^-prec x^{1/4} + 2^-sp (|F| + x^{1/4} + (17k + 3L + 14) m);
-
-    the last term, a worst case over independent roundings, the mean
-    averages down, less so over fewer nodes.  With the sweep's 12 extra bits
-    each term stays below that of the same bound on |s - 1| = 1/2 swept at
-    prec, 2^-prec (|F| + 2 x^{1/2} + (17k + 4L + 16) m'), m' <= 4^k x^{1/2}
-    (worst-case last terms: ratio <= 2^-12 1.5^k / 3 < 0.011).  At x = 1e100
-    it answers within it (1.3e-9 relative at k = 12, 32 bits); from about
-    1e150 x^{1/4} swamps the sweep and node doubling refuses.
+    a worst case over independent roundings, which the mean averages down.
+    Horner's rule and L rounded to sp bits add < (2k + j) 2^-sp |c_j| L^j per
+    term: |oracle - P_{k-1}(L)| <= sum_j (E_j + (2k + j) 2^-sp |c_j|) L^j at
+    every float x_probe > 1, below 2^{4-prec} relative at x = 1e300.
     """
     if not (1 <= k <= 12):
         raise DomainError(f"contour oracle supports 1 <= k <= 12, got {k}")
@@ -568,40 +594,6 @@ def residue_contour_oracle(k: int, precision_bits: int, x_probe: float) -> mp.mp
     check_finite("x_probe", x_probe)
     k = check_integral("k", k)
     precision_bits = check_integral("precision_bits", precision_bits)
-    prec = precision_bits + 32
-    n = _contour_nodes(prec, x_probe)
-    sp = prec + CONTOUR_SWEEP_BITS
-    wp = sp + CONTOUR_GUARD_BITS
-    P = wp + 8
-    # the n-node set is the even-index subset of the 2n-node set, so one
-    # zeta sweep serves both the value and its doubling check
-    pts = _contour_zetas(2 * n, prec)
-    with mp.workprec(sp):
-        xm = mp.mpf(x_probe)
-    logx = mpf_log(xm._mpf_, P, round_nearest)
-    fine = coarse = 0  # Re t_j scaled by 2^{3 wp}, each conjugate pair folded
-    for j, (a, b, zr, zi, hr, hi) in enumerate(pts):
-        pr, pi = _fixed_pow(zr, zi, k, wp)
-        e = to_fixed(mpf_exp(mpf_mul(logx, a, P, round_nearest), P, round_nearest), wp)
-        c, s = mpf_cos_sin(mpf_mul(logx, b, P, round_nearest), P, round_nearest)
-        c, s = to_fixed(c, wp), to_fixed(s, wp)
-        qr, qi = (hr * c - hi * s) >> wp, (hr * s + hi * c) >> wp
-        t = (pr * qr - pi * qi) * e
-        if j and j != n:  # s = 5/4 and s = 3/4 are their own conjugates
-            t *= 2
-        fine += t
-        if not j & 1:
-            coarse += t
-    with mp.workprec(sp):
-        # the int sums are exact, so each mean rounds once
-        fine = mp.mpf(mpf_div(from_man_exp(fine, -3 * wp), from_int(2 * n), sp,
-                              round_nearest))
-        coarse = mp.mpf(mpf_div(from_man_exp(coarse, -3 * wp), from_int(n), sp,
-                                round_nearest))
-        tol = mp.mpf(2) ** (-(precision_bits // 2)) * (1 + abs(fine * xm))
-        moved = abs(fine - coarse) * xm
-        if moved > tol:
-            raise QuadratureError(
-                f"contour oracle did not converge: node doubling moved the "
-                f"residue by {mp.nstr(moved, 5)}")
-        return fine
+    coeffs = _contour_coeffs(k, precision_bits)
+    with mp.workprec(precision_bits + 32 + CONTOUR_SWEEP_BITS):
+        return poly_eval(coeffs, mp.log(x_probe))

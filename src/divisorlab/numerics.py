@@ -187,20 +187,18 @@ def round_up(x, decimals: int) -> float:
 
 
 def ols_slope(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
-    """Least-squares slope of ys against xs and its standard error."""
-    import numpy as np
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    n = len(x)
+    """Least-squares slope of ys against xs and its standard error.  Every sum
+    is ``math.fsum``, correctly rounded, so the bits do not depend on the
+    summation order of a BLAS kernel or SIMD level."""
+    n = len(xs)
     if n < 2:
         raise ValueError("need at least two points for a slope")
-    xm = x - x.mean()
-    ym = y - y.mean()
-    sxx = float(xm @ xm)
+    xbar, ybar = math.fsum(xs) / n, math.fsum(ys) / n
+    dx = [x - xbar for x in xs]
+    dy = [y - ybar for y in ys]
+    sxx = math.fsum(d * d for d in dx)
     if sxx == 0.0:
         raise ValueError("degenerate abscissae")
-    slope = float(xm @ ym) / sxx
-    resid = ym - slope * xm
-    dof = max(n - 2, 1)
-    stderr = math.sqrt(float(resid @ resid) / dof / sxx)
-    return slope, stderr
+    slope = math.fsum(a * b for a, b in zip(dx, dy, strict=True)) / sxx
+    resid = math.fsum((b - slope * a) ** 2 for a, b in zip(dx, dy))
+    return slope, math.sqrt(resid / max(n - 2, 1) / sxx)

@@ -241,7 +241,8 @@ def test_config_file_and_unknown_key(tmp_path):
     (["expsum", "--N-list", "64", "--t-list", "1e6", "--N", "5", "--N-prime", "100",
       "--t", "3"], "", ("--N-list", "--N")),
     (["expsum", "--N", "64", "--t", "1e6", "--t-list", "1e8"], "", ("--t-list", "--t")),
-], ids=["delta", "delta-config", "expsum", "expsum-t-list"])
+    (["delta", "--k", "2", "--x", "10.5", "--integer-x"], "", ("--integer-x", "--x")),
+], ids=["delta", "delta-config", "expsum", "expsum-t-list", "delta-integer-x"])
 def test_mixed_input_forms_exit_2(argv, cfg, flags, tmp_path, capsys):
     # an answer from one form under a header that records the other's inputs
     # would misstate the run: a mix is refused, naming both forms

@@ -37,7 +37,7 @@ EXAMPLES = [
       "--output", "delta.json"],
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (["fit", "--k", "2", "--grid", "10000:10000000:32"],
-     "f2a2dfabb3985a58653b730708710ef0c3c3b5e2c58b17542dafce3d17abd235"),
+     "9067c8bce782b5182c10ad4ecdf7f801222cffe1cc10087066d3147d5c3a4e1f"),
     (["signs", "--k", "2", "--X0", "1000", "--X1", "100000", "--C", "5"],
      "d90fba3cb69cadc3fd36b11efe37af4b2db00d70f6365651b6bc292595273f5e"),
     (["meansquare", "--k", "1", "--x", "10000"],
@@ -59,14 +59,22 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_example(argv, want, tmp_path, blas_threads):
+# the BLAS kernel and numpy loops an AVX2-only x86 host would run; numpy
+# ignores feature names it does not know, so this runs on any host
+OTHER_HOST = {"OPENBLAS_CORETYPE": "Haswell",
+              "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+
+
+def run_example(argv, want, tmp_path, blas_threads, host=None):
     """Run one example with OPENBLAS_NUM_THREADS set to ``blas_threads``, or
-    unset when that is None, and check its digests."""
+    unset when that is None, and the variables of ``host`` set, and check its
+    digests."""
     env = {k: v for k, v in os.environ.items()
-           if k not in ("DIVISORLAB_CACHE", "OPENBLAS_NUM_THREADS")}
+           if k not in ("DIVISORLAB_CACHE", "OPENBLAS_NUM_THREADS", *OTHER_HOST)}
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     if blas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = blas_threads
+    env.update(host or {})
     proc = subprocess.run([sys.executable, "-m", "divisorlab.cli", *argv],
                           cwd=tmp_path, env=env, capture_output=True, timeout=300)
     assert proc.returncode == 0, proc.stderr.decode()[-2000:]
@@ -89,3 +97,12 @@ def test_readme_example_output_as_shipped(argv, want, tmp_path):
     # the variable unset, as a user runs the CLI: moment at the library's
     # default thread count, every other command at the one thread the CLI sets
     run_example(argv, want, tmp_path, None)
+
+
+@pytest.mark.parametrize("argv, want", [
+    pytest.param(argv, want, id=i) for i, (argv, want) in zip(IDS, EXAMPLES)
+    if argv[0] in ("fit", "moment", "meansquare")])
+def test_readme_example_output_on_another_host(argv, want, tmp_path):
+    # the float commands whose sums a BLAS kernel or a SIMD loop could order:
+    # their bytes must not depend on which ones the host picks
+    run_example(argv, want, tmp_path, "1", OTHER_HOST)

@@ -5,6 +5,7 @@ Fraction algebra, and the contour quadrature (which is itself the
 independent route the main-term pipeline is checked against).
 """
 
+import functools
 import math
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ import pytest
 from mpmath.libmp import bernfrac, mpf_log
 
 from divisorlab import laurent as la
+from divisorlab.numerics import poly_eval
 from divisorlab.errors import DomainError, InsufficientOrderError, QuadratureError
 
 BITS = 256
@@ -331,7 +333,7 @@ def test_zeta_laurent_structure():
 def test_zeta_laurent_evaluates_to_zeta():
     z = la.zeta_laurent(20, 256)
     with mp.workdps(60):
-        got = z.evaluate(mp.mpf("1.1"))
+        got = poly_eval(z.coeffs, mp.mpf("0.1")) / mp.mpf("0.1")
         ref = mp.zeta(mp.mpf("1.1"))
         assert abs(got - ref) < mp.mpf("1e-12")
 
@@ -524,10 +526,10 @@ def test_contour_oracle_agreement():
 
 def test_contour_oracle_half_circle(monkeypatch):
     # one sweep of 2N nodes, N the proven count, evaluates zeta at the N + 1
-    # nodes of the upper half circle only, and the folded sum equals the
-    # full-circle trapezoid on the module's circle at the sweep's precision
-    k, bits, x = 3, 32, 100.0
-    N = la._contour_nodes(bits + 32, x)
+    # nodes of the upper half circle only, and the folded DFT rows equal the
+    # full-circle ones on the module's circle at the sweep's precision
+    k, bits = 3, 32
+    N = la._contour_nodes(bits + 32)
     calls = []
     zeta = mp.zeta
 
@@ -535,49 +537,89 @@ def test_contour_oracle_half_circle(monkeypatch):
         calls.append(s)
         return zeta(s, *args, **kw)
 
-    la._contour_zetas.cache_clear()
+    # a cache of its own, so the module's sweeps stay for the other tests
+    monkeypatch.setattr(la, "_contour_zetas", functools.cache(la._contour_zetas.__wrapped__))
     monkeypatch.setattr(mp, "zeta", counted)
-    got = la.residue_contour_oracle(k, bits, x)
+    got = la._contour_coeffs(k, bits)
     assert len(calls) == N + 1
     monkeypatch.setattr(mp, "zeta", zeta)
 
     sp = bits + 32 + la.CONTOUR_SWEEP_BITS
     with mp.workprec(sp):
-        logx = mp.log(mp.mpf(x))
-        total = mp.mpc(0)
+        rows = [mp.mpc(0)] * k
         for j in range(2 * N):
-            s = 1 + la.CONTOUR_RADIUS * mp.expjpi(mp.mpf(2 * j) / (2 * N))
-            total += mp.zeta(s) ** k * mp.exp(s * logx) / s * (s - 1)
-        full = mp.re(total / (2 * N)) / x
-        assert abs(got - full) <= mp.mpf(2) ** (8 - sp) * (1 + abs(full))
+            w = la.CONTOUR_RADIUS * mp.expjpi(mp.mpf(2 * j) / (2 * N))
+            g = (w * mp.zeta(1 + w)) ** k / (1 + w)
+            for m in range(k):
+                rows[m] += g * (la.CONTOUR_RADIUS / w) ** m
+        for j in range(k):
+            m = k - 1 - j
+            full = mp.re(rows[m]) * 4 ** m / (2 * N * math.factorial(j))
+            assert abs(got[j] - full) <= mp.mpf(2) ** (8 - sp) * 4 ** m * (1 + abs(full))
 
 
-def _reference_trapezoid(k, bits, x, nodes, part=mp.re):
-    """The oracle's folded trapezoid sum over its cached sweep, with the
-    integrand formed in mpc at twice the working precision from the same
-    nodes and the same floored zeta values; ``part=abs`` gives the mean of
-    |t_j| instead of Re t_j.  Each node must lie within the documented
-    2.5 2^-sp of its place on the module's circle."""
+def _reference_rows(k, bits, part=mp.re):
+    """The oracle's folded DFT rows m = 0..k-1 over its cached sweep, formed in
+    mpc at twice the working precision from the same nodes and the same y_j;
+    ``part=abs`` gives the folded means of |g_j (r0/w_j)^m| instead, row 0
+    being mbar.  Each node must lie within the documented 2.5 2^-sp of its
+    place on the module's circle."""
     prec = bits + 32
     sp = prec + la.CONTOUR_SWEEP_BITS
     wp = sp + la.CONTOUR_GUARD_BITS
+    n = la._contour_nodes(prec)
     with mp.workprec(2 * prec):
-        L = mp.log(x)
-        total = mp.mpf(0)
-        for j, (a, b, zr, zi, _, _) in enumerate(la._contour_zetas(2 * nodes, prec)):
-            s1 = mp.mpc(mp.mpf(a), mp.mpf(b))  # s - 1
-            place = la.CONTOUR_RADIUS * mp.expjpi(mp.mpf(j) / nodes)
-            assert abs(s1 - place) <= 2.5 * mp.mpf(2) ** -sp
-            z = mp.mpc(mp.mpf((zr, -wp)), mp.mpf((zi, -wp)))
-            t = part(z ** k * mp.exp(L * s1) * s1 / (1 + s1))
-            total += t if j in (0, nodes) else 2 * t
-        return total / (2 * nodes)
+        rows = [mp.mpf(0)] * k
+        for j, (a, b, yr, yi, _, _) in enumerate(la._contour_zetas(2 * n, prec)):
+            w = mp.mpc(mp.mpf((a, -wp)), mp.mpf((b, -wp)))
+            place = la.CONTOUR_RADIUS * mp.expjpi(mp.mpf(j) / n)
+            assert abs(w - place) <= 2.5 * mp.mpf(2) ** -sp
+            g = mp.mpc(mp.mpf((yr, -wp)), mp.mpf((yi, -wp))) ** k / (1 + w)
+            wt = 1 if j in (0, n) else 2
+            for m in range(k):
+                rows[m] += wt * part(g * (mp.conj(w) / la.CONTOUR_RADIUS) ** m)
+        return [r / (2 * n) for r in rows]
 
 
-# every k and every x_probe at both precisions, each at its proven count:
-# 66, 68, 70 and 83 nodes at 32 bits, 102, 88, 86 and 83 at 64 bits, so both
-# precisions hold an odd count, whose coarse half of the fold has no node at
-# s = 3/4
+def _fixed_bound(k, bits, m):
+    """The documented cost of one call's floors in row m, scaled to b_m."""
+    wp = bits + 32 + la.CONTOUR_SWEEP_BITS + la.CONTOUR_GUARD_BITS
+    return 4 ** m * (1.5 * m + 7.5) * mp.mpf(5 / 3) ** k * mp.mpf(2) ** -wp
+
+
+def _coefficient_bounds(k, bits, coeffs):
+    """The documented E_j, j = 0..k-1, at the oracle's coefficients."""
+    prec = bits + 32
+    sp = prec + la.CONTOUR_SWEEP_BITS
+    mbar = _reference_rows(k, bits, part=abs)[0]
+    bounds = []
+    for j, c in enumerate(coeffs):
+        m = k - 1 - j
+        bounds.append(mp.mpf(2) ** -sp * abs(c) + (
+            mp.mpf(2) ** (-prec - 1) + 4 ** m * (26.5 * k + 30 * m + 5) * mp.mpf(2) ** -sp * mbar
+            + _fixed_bound(k, bits, m)) / math.factorial(j))
+    return bounds
+
+
+def _value_bound(k, bits, x, coeffs, bounds):
+    """sum_j (E_j + (2k + j) 2^-sp |c_j|) L^j, the documented value bound."""
+    sp = bits + 32 + la.CONTOUR_SWEEP_BITS
+    L = mp.log(x)
+    return sum((e + (2 * k + j) * mp.mpf(2) ** -sp * abs(c)) * L ** j
+               for j, (c, e) in enumerate(zip(coeffs, bounds)))
+
+
+def _coefficients_off(k, bits, series_coeffs):
+    """The j whose oracle coefficient lies beyond E_j of ``series_coeffs``."""
+    got = la._contour_coeffs(k, bits)
+    with mp.workprec(2 * bits + 128):
+        return [j for j, (c, s, e) in enumerate(zip(got, series_coeffs,
+                                                     _coefficient_bounds(k, bits, got)))
+                if abs(c - s) > e]
+
+
+# every k and every x_probe at both precisions: the coefficients carry no x,
+# the value at x adds Horner's rounding
 CONTOUR_REFERENCE_CASES = (
     [(32, k, x) for k, x in ((1, 1.0001), (2, 100.0), (7, 1e4), (12, 1e16))]
     + [(64, k, x) for k, x in ((1, 1e16), (2, 1e4), (7, 100.0), (12, 1.0001))])
@@ -585,81 +627,143 @@ CONTOUR_REFERENCE_CASES = (
 
 @pytest.mark.parametrize("bits,k,x", CONTOUR_REFERENCE_CASES)
 def test_contour_oracle_integrand_bound(bits, k, x):
-    # the documented bound of the int integrand: |oracle - F| <= 2^-sp |F|
-    # + (9 + L/300) 6^k x^{1/4} 2^-wp <= 2^-sp (|F| + x^{1/4})
-    prec = bits + 32
-    sp = prec + la.CONTOUR_SWEEP_BITS
-    got = la.residue_contour_oracle(k, bits, x)
-    ref = _reference_trapezoid(k, bits, x, la._contour_nodes(prec, x))
-    with mp.workprec(2 * prec):
-        bound = (abs(ref) * mp.mpf(2) ** -sp + (9 + math.log(x) / 300) * 6 ** k
-                 * mp.root(x, 4) * mp.mpf(2) ** -(sp + la.CONTOUR_GUARD_BITS))
-        assert abs(got - ref) <= bound
-        assert bound <= (abs(ref) + mp.root(x, 4)) * mp.mpf(2) ** -sp
+    # the documented bound of one call's int arithmetic, per coefficient:
+    # |c_j - C_j| <= 2^-sp |C_j| + 4^m (1.5m + 7.5) (5/3)^k 2^-wp / j!, the last
+    # term below 2^-sp / j!; at x, Horner's rounding adds (2k + j) 2^-sp |C_j| L^j
+    sp = bits + 32 + la.CONTOUR_SWEEP_BITS
+    got = la._contour_coeffs(k, bits)
+    rows = _reference_rows(k, bits)
+    with mp.workprec(2 * bits + 128):
+        C = [4 ** (k - 1 - j) * rows[k - 1 - j] / math.factorial(j) for j in range(k)]
+        bounds = []
+        for j in range(k):
+            fixed = _fixed_bound(k, bits, k - 1 - j) / math.factorial(j)
+            assert fixed <= mp.mpf(2) ** -sp / math.factorial(j)
+            bounds.append(mp.mpf(2) ** -sp * abs(C[j]) + fixed)
+            assert abs(got[j] - C[j]) <= bounds[j]
+        value = la.residue_contour_oracle(k, bits, x)
+        assert abs(value - poly_eval(C, mp.log(x))) <= _value_bound(k, bits, x, C, bounds)
 
 
 def test_contour_oracle_large_x():
-    # at 1e30 and 1e60 the oracle still meets the series (to about 1e-22 and
-    # 1e-17); at 1e100 it answers within its documented bound (about 1e-9,
-    # not asserted here); at 1e150 x^{1/4} ~ 2^125 swamps the 76-bit sweep's
-    # roundings at any node count, and node doubling must say so rather than
-    # return a value
-    poly = la.main_term_poly(12, 64)
-    for x in (1e30, 1e60):
-        with mp.workprec(96):
-            direct = la.eval_main_term(poly, x) / mp.mpf(x)
-        got = la.residue_contour_oracle(12, 32, x)
-        with mp.workprec(96):
-            assert abs(got - direct) <= abs(direct) * mp.mpf(2) ** -32
-    with pytest.raises(QuadratureError, match="node doubling moved the residue by"):
-        la.residue_contour_oracle(12, 32, 1e150)
+    # no x enters the quadrature: at 1e150 and 1e300 (L = 345 and 691), where
+    # the oracle on x^s once refused, it answers within its documented bound,
+    # about 2^-64 relative, against the 256-bit series
+    k, bits = 12, 32
+    got = la._contour_coeffs(k, bits)
+    poly = la.main_term_poly(k, 256)
+    with mp.workprec(2 * bits + 128):
+        bounds = _coefficient_bounds(k, bits, got)
+        for x in (1e30, 1e150, 1e300):
+            series = poly_eval(poly.coeffs, mp.log(x))
+            bound = _value_bound(k, bits, x, got, bounds)
+            assert abs(la.residue_contour_oracle(k, bits, x) - series) <= bound
+            assert bound <= abs(series) * mp.mpf(2) ** -60
 
 
 @pytest.mark.parametrize("prec,x", [(64, 1.0001), (64, 1e4), (96, 1e16), (320, 100.0)])
-def test_contour_nodes_is_the_least_qualifying_count(prec, x):
-    # the docstring's inequality over its rho grid: the returned n meets it at
-    # some rho, and n - 1 at none
+def test_contour_nodes_is_the_least_qualifying_count(prec, x, monkeypatch):
+    # the docstring's inequality over its rho grid, which holds no x: the
+    # returned n meets it at some rho, and n - 1 at none; and the oracle at
+    # x_probe = x asks for the sweep of 2n nodes at prec whatever x is
     r0 = la.CONTOUR_RADIUS
 
     def qualifies(n):
         return any(n * math.log2(r / r0)
                    >= prec + 2 + 12 * math.log2((1 + r) / r + (1 + r) / (1 - r))
-                   + (r - r0) * math.log2(x) + math.log2(r / (1 - r))
+                   + math.log2(r / (1 - r))
                    for r in (r0 + j * (1 - r0) / 64 for j in range(1, 64)))
 
-    n = la._contour_nodes(prec, x)
+    n = la._contour_nodes(prec)
     assert qualifies(n) and not qualifies(n - 1)
 
+    class Asked(Exception):
+        pass
 
-def test_contour_oracle_shares_one_sweep_across_k():
-    # the node count depends on (prec, x) alone, so every k at one (bits, x)
-    # reads one cached sweep rather than sweeping again per k
-    la._contour_zetas.cache_clear()
+    def sweep(nodes, p):
+        raise Asked(nodes, p)
+
+    monkeypatch.setattr(la, "_contour_zetas", sweep)
+    with pytest.raises(Asked) as asked:
+        la.residue_contour_oracle(12, prec - 32, x)
+    assert asked.value.args == (2 * n, prec)
+
+
+def test_contour_nodes_at_the_tested_precisions():
+    # 66, 83 and 186 nodes at prec 64, 96 and 288 (32, 64 and 256 bits)
+    assert [la._contour_nodes(p) for p in (64, 96, 288)] == [66, 83, 186]
+
+
+def test_contour_oracle_shares_one_sweep_across_k(monkeypatch):
+    # the node count depends on prec alone, so every k and every x at one
+    # precision reads one cached sweep rather than sweeping again
+    monkeypatch.setattr(la, "_contour_zetas", functools.cache(la._contour_zetas.__wrapped__))
+    xs = (1.0001, 1234.5, 1e16, 1e300)
     for k in range(1, 13):
-        la.residue_contour_oracle(k, 32, 1234.5)
-    la._contour_zetas(2 * la._contour_nodes(64, 1234.5), 64)
+        for x in xs:
+            la.residue_contour_oracle(k, 32, x)
     info = la._contour_zetas.cache_info()
-    assert (info.misses, info.hits) == (1, 12)
+    assert (info.misses, info.hits) == (1, 12 * len(xs) - 1)
 
 
 @pytest.mark.parametrize("bits,x", [(32, 1.0001), (32, 1234.5), (64, 1e16)])
 @pytest.mark.parametrize("k", [2, 12])
 def test_contour_oracle_total_bound(k, bits, x):
-    # the docstring's total, |oracle - P_{k-1}(log x)| <= 2^-prec x^{1/4} +
-    # 2^-sp (|F| + x^{1/4} + (17k + 3L + 14) m) with m the mean of |t_j|, at
-    # the proven count n, against the 256-bit series
-    prec = bits + 32
-    sp = prec + la.CONTOUR_SWEEP_BITS
-    n = la._contour_nodes(prec, x)
-    with mp.workprec(2 * prec + 64):
-        series = la.eval_main_term(la.main_term_poly(k, 256), x) / mp.mpf(x)
-    got = la.residue_contour_oracle(k, bits, x)
-    F = _reference_trapezoid(k, bits, x, n)
-    m = _reference_trapezoid(k, bits, x, n, part=abs)
-    with mp.workprec(2 * prec):
-        bound = mp.mpf(2) ** -prec * mp.root(x, 4) + mp.mpf(2) ** -sp * (
-            abs(F) + mp.root(x, 4) + (17 * k + 3 * math.log(x) + 14) * m)
-        assert abs(got - series) <= bound
+    # the docstring's total at the proven count: every coefficient within its
+    # E_j of the 256-bit series, and the value at x within
+    # sum_j (E_j + (2k + j) 2^-sp |c_j|) L^j
+    got = la._contour_coeffs(k, bits)
+    poly = la.main_term_poly(k, 256)
+    assert _coefficients_off(k, bits, poly.coeffs) == []
+    with mp.workprec(2 * bits + 128):
+        series = poly_eval(poly.coeffs, mp.log(x))
+        bound = _value_bound(k, bits, x, got, _coefficient_bounds(k, bits, got))
+        assert abs(la.residue_contour_oracle(k, bits, x) - series) <= bound
+
+
+@pytest.mark.parametrize("bits", [32, 64, 256])
+def test_contour_coefficients_within_the_stated_bound(bits):
+    # every coefficient of P_{k-1}, k <= 12, within its documented E_j of the
+    # 256-bit series
+    for k in range(1, 13):
+        assert _coefficients_off(k, bits, la.main_term_poly(k, 256).coeffs) == [], k
+
+
+def test_contour_coefficients_catch_what_one_x_misses(monkeypatch):
+    # perfbench's residue-constants case checks k = 12 at 32 bits at one x, its
+    # seed-0 probe, to 1e-15 relative.  gamma_10 enters P_11 only through its
+    # constant coefficient, as 12 gamma_10 / 10!: moved so that this
+    # coefficient moves by half that tolerance times P_11(log x), a main term
+    # passes the one-x check and fails the coefficient check
+    k, bits, x = 12, 32, 40.73869
+    poly = la.main_term_poly(k, 256)
+    with mp.workprec(320):
+        shift = poly_eval(poly.coeffs, mp.log(x)) * mp.mpf("0.5e-15")
+    stieltjes = la.stieltjes
+    monkeypatch.setattr(la, "stieltjes", lambda n, b: stieltjes(n, b) + (
+        shift * math.factorial(10) / 12 if n == 10 else 0))
+    moved = la._main_term.__wrapped__(k, 256)
+    monkeypatch.setattr(la, "stieltjes", stieltjes)
+    with mp.workprec(320):
+        assert abs(moved.coeffs[0] - poly.coeffs[0] - shift) <= shift * mp.mpf(2) ** -100
+        assert moved.coeffs[1:] == poly.coeffs[1:]
+        oracle = la.residue_contour_oracle(k, bits, x)
+        series = la.eval_main_term(moved, x) / x
+        assert abs(oracle - series) <= abs(series) * mp.mpf("1e-15")
+    assert _coefficients_off(k, bits, poly.coeffs) == []
+    assert _coefficients_off(k, bits, moved.coeffs) == [0]
+
+
+def test_contour_doubling_names_what_moved(monkeypatch):
+    # far below the proven count (13 nodes where 100 are proven at 128 bits),
+    # node doubling refuses, naming k, both counts, prec, the coefficient and
+    # the tolerance 2^-64 (1 + |c_j|)
+    monkeypatch.setattr(la, "_contour_nodes", lambda prec: 13)
+    with pytest.raises(QuadratureError, match=(
+            r"^contour oracle did not converge for k=12 at prec=160: node doubling "
+            r"from 13 to 26 nodes moved the L\^\d+ coefficient by \S+, above the "
+            r"tolerance \S+$")):
+        la.residue_contour_oracle(12, 128, 100.0)
 
 
 def test_contour_oracle_domain():

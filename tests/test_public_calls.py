@@ -3,6 +3,7 @@ refuse a request over the memory budget in one place, and go on with a numpy
 integer or float argument as the Python int or float it stands for."""
 
 import ast
+import functools
 import re
 import warnings
 from pathlib import Path
@@ -64,10 +65,11 @@ NUMPY_INTEGER_CALLS = {
 
 
 @pytest.mark.parametrize("name", NUMPY_INTEGER_CALLS)
-def test_numpy_integers_act_as_python_ints(name):
+def test_numpy_integers_act_as_python_ints(name, monkeypatch):
     call = NUMPY_INTEGER_CALLS[name]
     if name == "residue_contour_oracle":
-        laurent._contour_zetas.cache_clear()
+        monkeypatch.setattr(laurent, "_contour_zetas",
+                            functools.cache(laurent._contour_zetas.__wrapped__))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = repr(call(np.int64))

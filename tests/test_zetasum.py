@@ -22,6 +22,7 @@ from divisorlab import exponents as ex
 from divisorlab import laurent as la
 from divisorlab import sieve as sv
 from divisorlab import zetasum as zs
+from divisorlab.numerics import poly_eval
 from divisorlab.errors import DomainError, PrecisionError, QuadratureError
 
 
@@ -423,7 +424,8 @@ def test_zeta_em_domain():
 
 def test_laurent_series_matches_zeta_em():
     z = la.zeta_laurent(20, 256)
-    got = z.evaluate(mp.mpf("1.1"))
+    with mp.workprec(256):
+        got = poly_eval(z.coeffs, mp.mpf("0.1")) / mp.mpf("0.1")
     ref = zs.zeta_em(1.1, 0.0, 128)
     with mp.workdps(50):
         assert abs(got - ref) < mp.mpf("1e-12")

@@ -113,7 +113,8 @@ def groups():
     # in each coefficient mode, d_k tables of 1000 entries, the most whose numpy
     # repr lists every entry, and the exact c_k proof
     yield "oracles", [
-        *(laurent.residue_contour_oracle(k, 32, x) for k, x in ((2, 100.0), (12, 1e4))),
+        *(laurent.residue_contour_oracle(k, 32, x)
+          for k, x in ((2, 100.0), (12, 1e4), (12, 1e200))),
         *(remainder.envelopes(k, x) for k, x in ((2, 1e4), (30, 1e12), (5, 10 ** 400))),
         zetasum.mvt_check(1, 50.0),
         *(zetasum.mvt_check(64, 1000.0, mode) for mode in ("ones", "dk", "random")),
