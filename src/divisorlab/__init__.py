@@ -4,8 +4,8 @@ generalised Dirichlet divisor problem.
 Subpackages:
 
 * ``exponents`` -- closed-form constants, bound formulas, scalar optimisation.
-* ``laurent``   -- truncated Laurent series at s=1, Stieltjes constants,
-  main-term polynomials via residue extraction.
+* ``laurent``   -- Stieltjes constants, coefficients of (s - 1)zeta(s) at
+  s = 1, main-term polynomials via residue extraction.
 * ``sieve``     -- exact d_k(n) blocks and partial sums D_k(x).
 * ``remainder`` -- Delta_k(x) samples, exponent fits, sign changes,
   mean squares, comparison envelopes.

@@ -457,6 +457,11 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config file {path!r}: {e}") from e
+    # the command's flags, which take no value: --integer-x, --chi, --afe
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    cmd = sub.choices.get(command)
+    switches = {opt for a in (cmd._actions if cmd else ()) if a.nargs == 0 and a.dest != "help"
+                for opt in a.option_strings}
     tokens = []
     for line in lines:
         line = line.strip()
@@ -466,7 +471,13 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
             raise ConfigError(f"config line is not key=value: {line!r}")
         key, value = (tok.strip() for tok in line.split("=", 1))
         flag = "--" + key.replace("_", "-")
-        tokens.extend([flag, value])
+        if flag not in switches:
+            tokens.extend([flag, value])
+        elif value not in ("true", "false"):
+            raise ConfigError(f"config key {key!r} is a flag: its value must be "
+                              f"true or false, got {value!r}")
+        elif value == "true":
+            tokens.append(flag)
     # config tokens first so explicit flags override them
     merged = [command] + tokens + after
     # reject unknown keys for this command

@@ -3,7 +3,7 @@
 Two families matter for callers (and for the CLI exit codes):
 
 * ``PreconditionError`` -- the input violates a documented precondition
-  (domain, validity range, truncation order, resource budget).  CLI exit 2.
+  (domain, validity range, resource budget).  CLI exit 2.
 * ``SelfCheckError`` -- the inputs were legal but an internal numeric
   self-check failed (quadrature non-convergence, tail bound not achieved,
   bracketing failure, integer saturation).  CLI exit 3.
@@ -29,10 +29,6 @@ class DomainError(PreconditionError):
 
 class RangeError(PreconditionError):
     """Argument outside a bound's validity range; the message names the threshold."""
-
-
-class InsufficientOrderError(PreconditionError):
-    """A truncated series does not carry enough terms for the requested result."""
 
 
 class MemoryBudgetError(PreconditionError):

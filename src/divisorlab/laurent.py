@@ -1,5 +1,5 @@
-"""Truncated Laurent-series arithmetic around s = 1, Stieltjes constants,
-and main-term polynomials extracted as residues of zeta^k(s) x^s / s.
+"""Stieltjes constants, the coefficients of (s - 1) zeta(s) at s = 1, and
+main-term polynomials extracted as residues of zeta^k(s) x^s / s.
 
 The zeta expansion used throughout is
 
@@ -10,8 +10,8 @@ bound), so the artifact is self-contained.  One fixed-point kernel in Python
 ints forms each gamma_n: its floors stay below 2^{-precision_bits-48}, far
 under the tail bound and the final rounding to precision_bits + 16 bits (see
 ``stieltjes``), and the Bernoulli ratios are exact, from tangent numbers.
-Series carry an explicit truncation order and operations fail loudly when the
-order is insufficient.
+P_{k-1} comes from one power series, that of (w zeta(1+w))^k, w = s - 1,
+truncated past the w^{k-1} its residue reads.
 
 The contour oracle checks those residues independently: the trapezoid DFT of
 (w zeta(1+w))^k / (1+w) on |w| = 1/4, w = s - 1, at the node count proven from
@@ -36,7 +36,6 @@ from mpmath.libmp import from_int, from_man_exp, mpf_div, mpf_log, round_nearest
 
 from .errors import (
     DomainError,
-    InsufficientOrderError,
     PrecisionError,
     QuadratureError,
     check_finite,
@@ -237,95 +236,65 @@ def _stieltjes(n: int, precision_bits: int) -> mp.mpf:
 
 
 # ---------------------------------------------------------------------------
-# truncated Laurent series
+# main-term polynomial as a residue
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LaurentData:
-    """Truncated Laurent series sum_{j=lowest_power}^{order} c_j (s-1)^j.
-
-    ``coeffs`` is ascending in the power; len(coeffs) = order - lowest_power + 1.
-    ``precision_bits = 0`` marks exact (Fraction) coefficients.
-    """
-
-    lowest_power: int
-    coeffs: tuple
-    order: int
-    precision_bits: int
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.order - self.lowest_power + 1:
-            raise DomainError(
-                f"coefficient count {len(self.coeffs)} does not match powers "
-                f"[{self.lowest_power}, {self.order}]")
-
-    def __getitem__(self, power: int):
-        if not (self.lowest_power <= power <= self.order):
-            raise InsufficientOrderError(
-                f"power {power} outside retained range "
-                f"[{self.lowest_power}, {self.order}]")
-        return self.coeffs[power - self.lowest_power]
-
-    def __mul__(self, other: "LaurentData") -> "LaurentData":
-        lowest = self.lowest_power + other.lowest_power
-        order = min(self.order + other.lowest_power, other.order + self.lowest_power)
-        if order < lowest:
-            raise InsufficientOrderError(
-                "product retains no coefficients; increase truncation order")
-        n = order - lowest + 1
-        bits = min(self.precision_bits, other.precision_bits)
-        # exact (Fraction) series carry bits=0 and ignore the mp context
-        with mp.workprec(max(53, bits + 32)):
-            zero = self.coeffs[0] * 0
-            out = [zero] * n
-            for i, a in enumerate(self.coeffs):
-                if a == 0 or i >= n:
-                    continue
-                jmax = min(len(other.coeffs), n - i)
-                for j in range(jmax):
-                    out[i + j] = out[i + j] + a * other.coeffs[j]
-        return LaurentData(lowest, tuple(out), order, bits)
-
-
-def series_pow(base: LaurentData, k: int) -> LaurentData:
-    """Truncated k-th power by binary exponentiation; k >= 1.
-
-    Fails loudly (InsufficientOrderError) when the base order cannot support
-    the requested power.
-    """
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
-    result = None
-    sq = base
-    kk = k
-    while kk:
-        if kk & 1:
-            result = sq if result is None else result * sq
-        kk >>= 1
-        if kk:
-            sq = sq * sq
-    return result
-
-
-def zeta_laurent(terms: int, precision_bits: int = 256) -> LaurentData:
-    """Zeta expansion at s=1: pole coefficient 1, then (-1)^n gamma_n / n!.
-
-    ``terms`` = number of post-pole coefficients retained (order = terms - 1).
-    """
+def zeta_laurent(terms: int, precision_bits: int = 256) -> tuple:
+    """Coefficients of w zeta(1+w), w = s - 1, ascending in w: 1, then
+    (-1)^n gamma_n / n! for n < ``terms``, formed at precision_bits + 32 bits."""
     check_within("terms", terms, 1, STIELTJES_MAX_N)
     terms = check_integral("terms", terms)
     check_within("precision_bits", precision_bits, 1, STIELTJES_MAX_BITS - 32)
     precision_bits = check_integral("precision_bits", precision_bits)
     bits = precision_bits + 32
     with mp.workprec(bits):
-        coeffs = [mp.mpf(1)] + [(-1) ** n * stieltjes(n, bits) / mp.factorial(n)
-                                for n in range(terms)]
-    return LaurentData(-1, tuple(coeffs), terms - 1, precision_bits)
+        return (mp.mpf(1),) + tuple((-1) ** n * stieltjes(n, bits) / mp.factorial(n)
+                                    for n in range(terms))
 
 
-# ---------------------------------------------------------------------------
-# main-term polynomial as a residue
-# ---------------------------------------------------------------------------
+def _truncated_mul(a: tuple, b: tuple) -> tuple:
+    """a b truncated to the shorter length, in the mp context (Fractions exact);
+    zero coefficients of a are skipped."""
+    n = min(len(a), len(b))
+    out = [a[0] * 0] * n
+    for i, c in enumerate(a[:n]):
+        if c != 0:
+            for j, d in enumerate(b[:n - i]):
+                out[i + j] = out[i + j] + c * d
+    return tuple(out)
+
+
+def _truncated_pow(a: tuple, k: int) -> tuple:
+    """a^k, k >= 1, truncated to len(a), by binary powering."""
+    result = None
+    while k:
+        if k & 1:
+            result = a if result is None else _truncated_mul(result, a)
+        k >>= 1
+        if k:
+            a = _truncated_mul(a, a)
+    return result
+
+
+def _residue_coeffs(a: tuple, k: int) -> list:
+    """c_j = b_{k-1-j} / j!, j < k, for b = a / (1 + w): b_m = sum_{i<=m}
+    (-1)^{m-i} a_i, summed from i = m down, in the mp context (Fractions exact).
+
+    With a the coefficients of (w zeta(1+w))^k, c_j is the L^j coefficient of the
+    residue of zeta^k(s) e^{L(s-1)} / s at s = 1, L = log x: x^s / s = x e^{Lw} /
+    (1 + w), and e^{Lw} contributes L^j/j! at w^j.
+    """
+    fact = [a[0] * 0 + 1]
+    for j in range(1, k):
+        fact.append(fact[-1] * j)
+    out = []
+    for j in range(k):
+        m, acc = k - 1 - j, a[0] * 0
+        for i in range(m, -1, -1):
+            acc = acc + a[i] * (-1) ** (m - i)
+        out.append(acc / fact[j])
+    return out
+
 
 MAIN_TERM_K_CAP = 40  # factorial coefficient growth past desk scale
 # the Stieltjes constants of a main term carry 96 bits more than it
@@ -353,35 +322,12 @@ class MainTermPoly:
         return [float(c) for c in self.coeffs]
 
 
-def _residue_poly_coeffs(zk: LaurentData, k: int) -> list:
-    """Coefficients in L = log x of the (s-1)^{-1} coefficient of
-    zeta^k(s) e^{L(s-1)} / s, given zk = zeta^k truncated to order >= -1.
-
-    x^s = x e^{L(s-1)} contributes L^b/b! at (s-1)^b and 1/s = sum (-1)^c (s-1)^c,
-    so the L^b coefficient collects zk[-j] * (-1)^{j-1-b} / b! over j > b.
-    """
-    if zk.order < -1:
-        raise InsufficientOrderError(
-            f"zeta^{k} truncated below (s-1)^(-1): order {zk.order}")
-    one = zk.coeffs[0] * 0 + 1
-    fact = [one]
-    for b in range(1, k):
-        fact.append(fact[-1] * b)
-    out = []
-    for b in range(k):
-        acc = zk.coeffs[0] * 0
-        for j in range(b + 1, k + 1):
-            acc = acc + zk[-j] * (-1) ** (j - 1 - b)
-        out.append(acc / fact[b])
-    return out
-
-
 def main_term_poly(k: int, precision_bits: int = 256) -> MainTermPoly:
     """Degree-(k-1) main-term polynomial from the residue of zeta^k(s) x^s / s
     at s = 1, computed symbolically in L = log x, once per (k, precision_bits).
 
     The leading coefficient is re-derived through an exact Fraction shadow of
-    the same residue algebra (pole-only series) and must equal 1/(k-1)!.
+    the same residue algebra (the pole alone) and must equal 1/(k-1)!.
     """
     check_within("k", k, 1, MAIN_TERM_K_CAP)
     check_within("precision_bits", precision_bits, 1, MAIN_TERM_MAX_BITS)
@@ -392,16 +338,19 @@ def main_term_poly(k: int, precision_bits: int = 256) -> MainTermPoly:
 
 @functools.cache
 def _main_term(k: int, precision_bits: int) -> MainTermPoly:
-    n_post = max(k - 1, 1)
+    n = max(k, 2)  # coefficients of w zeta(1+w) kept: w^0 .. w^{n-1}
+    zeta = zeta_laurent(n - 1, precision_bits + 64)
+    with mp.workprec(precision_bits + 96):
+        zk = _truncated_pow(zeta, k)
     with mp.workprec(precision_bits + 64):
-        zk = series_pow(zeta_laurent(n_post, precision_bits + 64), k)
-        coeffs = tuple(+c for c in _residue_poly_coeffs(zk, k))
-    # exact shadow: pole-only series through the same code path
-    pole = LaurentData(-1, (Fraction(1),) + (Fraction(0),) * n_post, n_post - 1, 0)
-    shadow = _residue_poly_coeffs(series_pow(pole, k), k)
-    lead = shadow[k - 1]
-    if lead != Fraction(1, math.factorial(k - 1)):
-        raise PrecisionError(f"leading-coefficient shadow check failed for k={k}")
+        coeffs = tuple(+c for c in _residue_coeffs(zk, k))
+    # exact shadow: the pole alone, w zeta(1+w) = 1, through the same helpers
+    pole = (Fraction(1),) + (Fraction(0),) * (n - 1)
+    lead = _residue_coeffs(_truncated_pow(pole, k), k)[-1]
+    want = Fraction(1, math.factorial(k - 1))
+    if lead != want:
+        raise PrecisionError(f"leading-coefficient shadow check failed for k={k}: "
+                             f"the shadow gives {lead}, not 1/{k - 1}! = {want}")
     return MainTermPoly(k=k, coeffs=coeffs, precision_bits=precision_bits,
                         leading_exact=lead)
 
@@ -495,10 +444,15 @@ def _contour_coeffs(k: int, precision_bits: int) -> tuple:
     # the n-node set is the even-index subset of the 2n-node set, so one
     # zeta sweep serves both the coefficients and their doubling check
     fine, coarse = [0] * k, [0] * k  # Re g_j (r0/w_j)^m scaled by 2^wp, folded
+    size = [0, 0]  # folded sums of |Re g_j| + |Im g_j| >= |g_j|, fine and coarse
     for j, (a, b, yr, yi, vr, vi) in enumerate(_contour_zetas(2 * n, prec)):
         pr, pi = _fixed_pow(yr, yi, k, wp)
         gr, gi = (pr * vr - pi * vi) >> wp, (pr * vi + pi * vr) >> wp
         wt = 1 if j in (0, n) else 2  # s = 5/4 and s = 3/4 are their own conjugates
+        mag = wt * (abs(gr) + abs(gi))
+        size[0] += mag
+        if not j & 1:
+            size[1] += mag
         for m in range(k):
             fine[m] += wt * gr
             if not j & 1:
@@ -513,12 +467,21 @@ def _contour_coeffs(k: int, precision_bits: int) -> tuple:
         return mp.mpf(mpf_div(from_man_exp(sums[m], 2 * m - wp),
                               from_int(nodes * math.factorial(j)), sp, round_nearest))
 
+    def bound(c, gsum, nodes, j):
+        # E_j at this node count (see the oracle), with mbar below the folded
+        # mean of |Re g_j| + |Im g_j| plus the floors' 2^-sp, and 4^m times the
+        # floors' term below 2^-sp
+        m, eps = k - 1 - j, mp.mpf(2) ** -sp
+        mbar = gsum / mp.mpf(nodes << wp) + eps
+        return eps * abs(c) + (mp.mpf(2) ** (-prec - 1) + eps * (
+            1 + 4 ** m * (53 * k + 60 * m + 10) / 2 * mbar)) / math.factorial(j)
+
     out = []
     with mp.workprec(sp):
         for j in range(k):
-            c = coeff(fine, 2 * n, j)
-            moved = abs(c - coeff(coarse, n, j))
-            tol = mp.mpf(2) ** (-(precision_bits // 2)) * (1 + abs(c))
+            c, c_coarse = coeff(fine, 2 * n, j), coeff(coarse, n, j)
+            moved = abs(c - c_coarse)
+            tol = bound(c, size[0], 2 * n, j) + bound(c_coarse, size[1], n, j)
             if moved > tol:
                 raise QuadratureError(
                     f"contour oracle did not converge for k={k} at prec={prec}: node "
@@ -540,7 +503,8 @@ def residue_contour_oracle(k: int, precision_bits: int, x_probe: float) -> mp.mp
     56, 2014, section 2): the 2n-node DFT rows m = 0..k-1 of g are b_m r0^m up to
     the aliasing ``_contour_nodes`` proves below 2^{-prec-1}, prec =
     precision_bits + 32, with one n for every k <= 12 and every x.  Node
-    doubling against the n-node rows checks every coefficient.  g is real on the
+    doubling against the n-node rows checks every coefficient: the two may
+    differ by at most the sum of their E_j (below).  g is real on the
     real axis, so only the upper half circle is evaluated.  The oracle is
     independent of the series pipeline: library zeta and quadrature against
     series arithmetic over in-repo Stieltjes constants.
@@ -580,7 +544,8 @@ def residue_contour_oracle(k: int, precision_bits: int, x_probe: float) -> mp.mp
         |c_j - c_j(exact)| <= E_j = 2^-sp |c_j| + (2^{-prec-1} + 4^m ((26.5k
                               + 30m + 5) 2^-sp mbar + (1.5m + 7.5) (5/3)^k 2^-wp)) / j!,
 
-    a worst case over independent roundings, which the mean averages down.
+    a worst case over independent roundings, which the mean averages down.  The
+    n-node coefficients obey the same bound, with their own mbar, as n is proven.
     Horner's rule and L rounded to sp bits add < (2k + j) 2^-sp |c_j| L^j per
     term: |oracle - P_{k-1}(L)| <= sum_j (E_j + (2k + j) 2^-sp |c_j|) L^j at
     every float x_probe > 1, below 2^{4-prec} relative at x = 1e300.

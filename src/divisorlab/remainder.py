@@ -323,10 +323,10 @@ def _pieces(n: np.ndarray, D: np.ndarray, x: float):
     return lo[keep], (hi - lo)[keep] / 2, D[unit[keep]]
 
 
-def _taylor_pass(lo: np.ndarray, h, D: np.ndarray, k: int, coeffs: list[float], polys,
-                 first: int) -> tuple[float, float]:
-    """(sum of the values, sum of their bounds) over the pieces [lo, lo + 2h] (h a
-    float or one per piece), first, first + 1, ... of the range, where D_k = D.
+def _taylor_pass(lo: np.ndarray, h: np.ndarray, D: np.ndarray, k: int, coeffs: list[float],
+                 polys, first: int) -> tuple[float, float]:
+    """(sum of the values, sum of their bounds) over the pieces [lo, lo + 2h] (one
+    h per piece, lo ascending), first, first + 1, ... of the range, where D_k = D.
 
     With m = lo + h, a = D - f(m) from ``_remainder`` and g_j = -f^(j)(m) / j!,
     a value is the integral of T^2, T the Taylor polynomial of D - f of degree 4,
@@ -349,7 +349,7 @@ def _taylor_pass(lo: np.ndarray, h, D: np.ndarray, k: int, coeffs: list[float], 
     lie within the bound plus the rule's rounding, the same with E doubled (its
     nodes round).
     """
-    u, array = 2.0 ** -53, np.ndim(h) > 0
+    u = 2.0 ** -53
     m = lo + h
     L = np.empty_like(m)
     a = _remainder(D, m, coeffs, L, np.empty_like(m))  # L = log m
@@ -358,8 +358,8 @@ def _taylor_pass(lo: np.ndarray, h, D: np.ndarray, k: int, coeffs: list[float], 
     z = hh * r * r
     value = 2 * h * (a * (a + hh * r * ((2 / 3) * q2 + 0.4 * z * q4))
                      + hh * (q1 * q1 / 3 + 0.2 * z * (2 * q1 * q3 + q2 * q2)))
-    hmax, smax, hsum = (h.max(), (h / lo).max(), h.sum()) if array else (h, h / lo[0], h * len(m))
-    top = float(lo[-1] + 2 * (h[-1] if array else h))
+    hmax, smax, hsum = h.max(), (h / lo).max(), h.sum()
+    top = float(lo[-1] + 2 * h[-1])
     E, Lmax = _sign_budget(coeffs, top, int(D[-1])), math.log(top) * (1 + 2.0 ** -50)
     G = [float(hmax * smax ** j) * sum(c * Lmax ** i for i, c in enumerate(row))
          for j, row in enumerate(polys[1])]
@@ -369,13 +369,13 @@ def _taylor_pass(lo: np.ndarray, h, D: np.ndarray, k: int, coeffs: list[float], 
             + (2 * c + 3 * rho) * rho / 6 + (2 * G[1] * G[3] + G[2] ** 2) / 7 + G[3] ** 2 / 9)
     ha = a * h
     bound = 2 * (beta[0] * float(ha @ a) + beta[1] * float(np.abs(ha).sum()) + beta[2] * hsum)
-    if array and m[-1] - lo[-1] != h[-1]:
+    if m[-1] - lo[-1] != h[-1]:
         bound += 2 * u * float(m[-1]) * (abs(float(a[-1])) + c + rho) ** 2
     # at most MS_PASS / MS_CHECK_STRIDE = 64 checked pieces of 3 MS_PANELS MS_ORDER
     # = 36 nodes each: 2304 nodes, fewer than the MS_PASS pieces of the pass
     t, w = _gl_rule()
     e = np.arange(-first % MS_CHECK_STRIDE, len(m), MS_CHECK_STRIDE)
-    he, A = h[e] if array else np.full(len(e), h), np.abs(a[e])
+    he, A = h[e], np.abs(a[e])
     y = (m[e, None] + he[:, None] * t).ravel()
     gl = (_remainder(np.repeat(D[e], len(t)), y, coeffs, np.empty_like(y), np.empty_like(y))
           ** 2).reshape(len(e), len(t)) @ w * he[:, None]
@@ -429,12 +429,13 @@ def mean_square(k: int, x: float, *, precision_bits: int = MAIN_BITS_DEFAULT) ->
         parts = [(n0, min(n1, MS_SPLIT)), (max(n0, MS_SPLIT), min(n1, n_top)),
                  (max(n0, MS_SPLIT, n_top), n1)]
         for part, (u0, u1) in enumerate(parts):
-            if part == 1:  # whole units, one piece each
-                lo, h, Du = np.arange(u0, u1, dtype=np.float64), 0.5, D[u0 - n0:u1 - n0]
+            if part == 1:  # whole units, one piece each, h a read-only view of 0.5
+                lo, Du = np.arange(u0, u1, dtype=np.float64), D[u0 - n0:u1 - n0]
+                h = np.broadcast_to(0.5, lo.shape)
             else:
                 lo, h, Du = _pieces(np.arange(u0, u1), D[u0 - n0:u1 - n0], x)
             for a in range(0, len(lo), MS_PASS):
-                v, b = _taylor_pass(lo[a:a + MS_PASS], h if part == 1 else h[a:a + MS_PASS],
+                v, b = _taylor_pass(lo[a:a + MS_PASS], h[a:a + MS_PASS],
                                     Du[a:a + MS_PASS], k, coeffs, polys, done)
                 values.append(v)
                 bound += b

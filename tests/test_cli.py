@@ -272,6 +272,26 @@ def test_config_file_lines(tmp_path, capsys):
     cfgfile.write_text("k = abc\n")
     assert cli.main(["--config", str(cfgfile), "delta"]) == 2
     assert "argument --k: invalid int value: 'abc'" in capsys.readouterr().err
+    # a flag key takes true (set) or false (unset), printing what the flag form prints
+    for config, argv in (
+            ("k=2\nx=100\ninteger_x = true\n", ["delta", "--k", "2", "--x", "100", "--integer-x"]),
+            ("k=2\nx=100\ninteger_x=false\n", ["delta", "--k", "2", "--x", "100"]),
+            ("sigma=0.75\nt=1000\nchi = true\nafe=true\n",
+             ["zeta", "--sigma", "0.75", "--t", "1000", "--chi", "--afe"]),
+            ("sigma=0.75\nt=1000\nchi = false\nafe=true\n",
+             ["zeta", "--sigma", "0.75", "--t", "1000", "--afe"])):
+        cfgfile.write_text(config)
+        assert cli.main(["--config", str(cfgfile), argv[0]]) == 0
+        got = capsys.readouterr().out
+        assert cli.main(argv) == 0
+        assert got == capsys.readouterr().out, config
+    # any other value is refused, naming the key and the value
+    for value in ("yes", "True", ""):
+        cfgfile.write_text(f"sigma=0.75\nt=1000\nchi = {value}\n")
+        assert cli.main(["--config", str(cfgfile), "zeta"]) == 2
+        assert capsys.readouterr().err == (
+            f"precondition violation: config key 'chi' is a flag: its value must be "
+            f"true or false, got {value!r}\n")
 
 
 def test_delta_integer_x_grid(capsys):

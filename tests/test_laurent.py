@@ -7,6 +7,7 @@ independent route the main-term pipeline is checked against).
 
 import functools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
@@ -14,7 +15,7 @@ import pytest
 from mpmath.libmp import bernfrac, mpf_log
 
 from divisorlab import laurent as la
-from divisorlab.errors import DomainError, InsufficientOrderError, QuadratureError
+from divisorlab.errors import DomainError, PrecisionError, QuadratureError
 from divisorlab.numerics import poly_eval
 
 BITS = 256
@@ -318,87 +319,124 @@ def test_stieltjes_bits_pinned(bits):
         assert man_exp(la.stieltjes(n, bits)) == pins[n]
 
 
-# -------------------------------------------------------- laurent algebra
+# ------------------------------------------------------------ series algebra
 
 def test_zeta_laurent_structure():
+    # the coefficients of w zeta(1+w): 1, gamma_0, -gamma_1, ...
     z = la.zeta_laurent(8, 128)
-    assert z.lowest_power == -1 and z.order == 7
-    assert z[-1] == 1
+    assert len(z) == 9 and z[0] == 1
     with mp.workdps(45):
-        assert abs(z[0] - la.stieltjes(0, 160)) < mp.mpf(2) ** (-120)
-        # coefficient of (s-1)^1 is -gamma_1
-        assert abs(z[1] + la.stieltjes(1, 160)) < mp.mpf(2) ** (-120)
+        assert abs(z[1] - la.stieltjes(0, 160)) < mp.mpf(2) ** (-120)
+        # coefficient of (s-1)^1 in zeta is -gamma_1
+        assert abs(z[2] + la.stieltjes(1, 160)) < mp.mpf(2) ** (-120)
 
 
 def test_zeta_laurent_evaluates_to_zeta():
     z = la.zeta_laurent(20, 256)
     with mp.workdps(60):
-        got = poly_eval(z.coeffs, mp.mpf("0.1")) / mp.mpf("0.1")
+        got = poly_eval(z, mp.mpf("0.1")) / mp.mpf("0.1")
         ref = mp.zeta(mp.mpf("1.1"))
         assert abs(got - ref) < mp.mpf("1e-12")
 
 
-def test_series_pow_identity_and_monomial():
-    z = la.zeta_laurent(5, 128)
-    same = la.series_pow(z, 1)
-    assert same.coeffs == z.coeffs and same.lowest_power == -1
-    pole = la.LaurentData(-1, (Fraction(1), Fraction(0), Fraction(0)), 1, 0)
-    p4 = la.series_pow(pole, 4)
-    assert p4.lowest_power == -4
-    assert p4[-4] == 1
-
-
 def test_zeta_squared_residue_coefficient():
-    # symbolic oracle at 2 terms: (1/(s-1) + g0 + ...)^2 has 2*g0 at (s-1)^{-1}
+    # symbolic oracle at 2 terms: (1/(s-1) + g0 + ...)^2 has 2*g0 at (s-1)^{-1},
+    # the w^1 coefficient of (w zeta(1+w))^2
     z = la.zeta_laurent(2, 160)
-    z2 = la.series_pow(z, 2)
+    with mp.workprec(192):
+        z2 = la._truncated_mul(z, z)
+    assert len(z2) == 3 and z2[0] == 1
     with mp.workdps(50):
-        assert abs(z2[-1] - 2 * la.stieltjes(0, 192)) < mp.mpf(2) ** (-140)
-        assert z2[-2] == 1
-
-
-def test_mul_insufficient_order():
-    a = la.LaurentData(-3, (mp.mpf(1),), -3, 64)
-    b = la.LaurentData(0, (mp.mpf(1), mp.mpf(2)), 1, 64)
-    with pytest.raises(InsufficientOrderError):
-        _ = a[-1]
-    c = a * b  # order = min(-3+0, 1-3) = -3; single coefficient retained
-    assert c.lowest_power == -3 and c.order == -3
+        assert abs(z2[1] - 2 * la.stieltjes(0, 192)) < mp.mpf(2) ** (-140)
 
 
 def test_mul_associativity_on_truncations():
-    # invariant: (a*b)*c == a*(b*c) to working precision for random series
+    # invariant: (a*b)*c == a*(b*c) to working precision for random series,
+    # each product truncated to the shorter length
     import random
     rng = random.Random(7)
     with mp.workprec(128):
-        def rand_series(lowest, n):
-            return la.LaurentData(
-                lowest, tuple(mp.mpf(rng.uniform(-2, 2)) for _ in range(n)),
-                lowest + n - 1, 128)
+        def rand_series(n):
+            return tuple(mp.mpf(rng.uniform(-2, 2)) for _ in range(n))
         for _ in range(20):
-            a = rand_series(rng.randint(-2, 1), rng.randint(2, 6))
-            b = rand_series(rng.randint(-2, 1), rng.randint(2, 6))
-            c = rand_series(rng.randint(-2, 1), rng.randint(2, 6))
-            left = (a * b) * c
-            right = a * (b * c)
-            assert left.lowest_power == right.lowest_power
-            assert left.order == right.order
-            for x, y in zip(left.coeffs, right.coeffs):
+            a, b, c = (rand_series(rng.randint(2, 6)) for _ in range(3))
+            left = la._truncated_mul(la._truncated_mul(a, b), c)
+            right = la._truncated_mul(a, la._truncated_mul(b, c))
+            assert len(left) == len(right) == min(map(len, (a, b, c)))
+            for x, y in zip(left, right):
                 assert abs(x - y) <= mp.mpf(2) ** (-100) * (1 + abs(x))
 
 
-def test_mul_distributes_over_pole_split():
-    # (pole + tail) * b == pole*b + tail*b on the common retained range
-    z = la.zeta_laurent(6, 128)
-    pole = la.LaurentData(-1, (mp.mpf(1),) + (mp.mpf(0),) * 6, 5, 128)
-    tail = la.LaurentData(-1, (mp.mpf(0),) + z.coeffs[1:], 5, 128)
-    b = la.zeta_laurent(6, 128)
-    whole = z * b
-    split_a = pole * b
-    split_b = tail * b
-    for p in range(whole.lowest_power, whole.order + 1):
-        with mp.workdps(45):
-            assert abs(whole[p] - (split_a[p] + split_b[p])) < mp.mpf(2) ** (-100)
+@dataclass(frozen=True)
+class _Laurent:
+    """The truncated Laurent series main terms were built on before: sum_j
+    coeffs[j - lowest] (s-1)^j for lowest <= j <= order, bits = 0 for Fractions."""
+
+    lowest: int
+    coeffs: tuple
+    order: int
+    bits: int
+
+    def __mul__(self, other):
+        lowest = self.lowest + other.lowest
+        order = min(self.order + other.lowest, other.order + self.lowest)
+        n, bits = order - lowest + 1, min(self.bits, other.bits)
+        with mp.workprec(max(53, bits + 32)):
+            out = [self.coeffs[0] * 0] * n
+            for i, a in enumerate(self.coeffs):
+                if a == 0 or i >= n:
+                    continue
+                for j in range(min(len(other.coeffs), n - i)):
+                    out[i + j] = out[i + j] + a * other.coeffs[j]
+        return _Laurent(lowest, tuple(out), order, bits)
+
+
+def _main_term_reference(k, bits):
+    """P_{k-1}'s coefficients by the Laurent-series route: zeta to (s-1)^{n-1},
+    its k-th power by binary powering, and the L^b coefficient of the residue of
+    zeta^k(s) e^{L(s-1)} / s, sum_{j > b} [(s-1)^-j] zeta^k (-1)^{j-1-b} / b!."""
+    n = max(k - 1, 1)
+    with mp.workprec(bits + 96):
+        zeta = (mp.mpf(1),) + tuple((-1) ** i * la.stieltjes(i, bits + 96) / mp.factorial(i)
+                                    for i in range(n))
+    zk, sq, kk = None, _Laurent(-1, zeta, n - 1, bits + 64), k
+    while kk:
+        if kk & 1:
+            zk = sq if zk is None else zk * sq
+        kk >>= 1
+        if kk:
+            sq = sq * sq
+    with mp.workprec(bits + 64):
+        fact, out = [mp.mpf(1)], []
+        for b in range(1, k):
+            fact.append(fact[-1] * b)
+        for b in range(k):
+            acc = mp.mpf(0)
+            for j in range(b + 1, k + 1):
+                acc = acc + zk.coeffs[-j - zk.lowest] * (-1) ** (j - 1 - b)
+            out.append(+(acc / fact[b]))
+    return out
+
+
+@pytest.mark.parametrize("bits", [53, 64, 128, 192, 256, 512])
+def test_main_term_keeps_the_laurent_bits(bits):
+    # the coefficient tuples return the bits of the Laurent-series route
+    la._main_term.cache_clear()
+    for k in range(1, la.MAIN_TERM_K_CAP + 1):
+        got = [c._mpf_ for c in la.main_term_poly(k, bits).coeffs]
+        assert got == [c._mpf_ for c in _main_term_reference(k, bits)], k
+
+
+def test_main_term_shadow_failure_names_both_numbers(monkeypatch):
+    # a product that doubles Fraction series breaks the exact shadow: the
+    # PrecisionError names k, the shadow's value and 1/(k-1)!
+    mul = la._truncated_mul
+    monkeypatch.setattr(la, "_truncated_mul", lambda a, b: tuple(
+        2 * c for c in mul(a, b)) if isinstance(a[0], Fraction) else mul(a, b))
+    with pytest.raises(PrecisionError, match=(
+            r"^leading-coefficient shadow check failed for k=5: the shadow gives "
+            r"2/3, not 1/4! = 1/24$")):
+        la._main_term.__wrapped__(5, 64)
 
 
 # ------------------------------------------------------ main-term residue
@@ -756,13 +794,33 @@ def test_contour_coefficients_catch_what_one_x_misses(monkeypatch):
 def test_contour_doubling_names_what_moved(monkeypatch):
     # far below the proven count (13 nodes where 100 are proven at 128 bits),
     # node doubling refuses, naming k, both counts, prec, the coefficient and
-    # the tolerance 2^-64 (1 + |c_j|)
+    # the tolerance, the sum of both counts' E_j
     monkeypatch.setattr(la, "_contour_nodes", lambda prec: 13)
     with pytest.raises(QuadratureError, match=(
             r"^contour oracle did not converge for k=12 at prec=160: node doubling "
             r"from 13 to 26 nodes moved the L\^\d+ coefficient by \S+, above the "
             r"tolerance \S+$")):
         la.residue_contour_oracle(12, 128, 100.0)
+
+
+@pytest.mark.parametrize("nodes", [12, 13, 14, 16])
+@pytest.mark.parametrize("bits", [32, 64])
+def test_contour_doubling_refuses_too_few_nodes(monkeypatch, bits, nodes):
+    # below the proven count (66 nodes at 32 bits, 83 at 64) node doubling
+    # refuses at the precision asked for: a tolerance of 2^-(bits // 2)
+    # (1 + |c_j|) let each of these counts pass at both precisions
+    monkeypatch.setattr(la, "_contour_nodes", lambda prec: nodes)
+    with pytest.raises(QuadratureError, match=(
+            rf"^contour oracle did not converge for k=12 at prec={bits + 32}: node "
+            rf"doubling from {nodes} to {2 * nodes} nodes moved the L\^\d+ coefficient")):
+        la.residue_contour_oracle(12, bits, 100.0)
+
+
+@pytest.mark.parametrize("bits", [32, 64, 256, 288])
+def test_contour_doubling_passes_at_the_proven_count(bits):
+    # the proven count answers every k <= 12, its doubling within the tolerance
+    for k in range(1, 13):
+        assert len(la._contour_coeffs(k, bits)) == k
 
 
 def test_contour_oracle_domain():

@@ -58,8 +58,9 @@ def groups():
     mean_squares += [remainder.mean_square(k, x) for k in (1, 2, 5, 30)
                      for x in (2.5, 37.6, 63.9, 1000 + 2 ** -20, 70000 + 2 ** -20)]
     yield "mean_square", mean_squares
+    # k = 20, 30 and 40: the longest power series
     yield "main_term_poly", [laurent.main_term_poly(k, bits).coeffs
-                             for k in range(1, 13) for bits in (64, 256)]
+                             for k in (*range(1, 13), 20, 30, 40) for bits in (64, 256)]
     # gamma_n off the main terms' (n <= 10 at 160 and 352 bits): every M up to
     # 512 and J up to 256, the whole Bernoulli table; the last four pairs take
     # (J, M) = (8, 64), (16, 128), (96, 64) and (192, 512), which no other takes
