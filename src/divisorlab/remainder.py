@@ -312,6 +312,14 @@ def _gl_rule() -> tuple[np.ndarray, np.ndarray]:
     return t, w
 
 
+@functools.cache
+def _halves() -> np.ndarray:
+    """MS_PASS halves, read-only: the h of a pass of whole units."""
+    h = np.full(MS_PASS, 0.5)
+    h.flags.writeable = False
+    return h
+
+
 def _pieces(n: np.ndarray, D: np.ndarray, x: float):
     """(lo, h, D) of the units n cut into 2^i equal pieces, 2^i >= MS_SPLIT / n,
     and at x: exact, as the pieces are dyadic and x - lo is exact by Sterbenz."""
@@ -429,14 +437,14 @@ def mean_square(k: int, x: float, *, precision_bits: int = MAIN_BITS_DEFAULT) ->
         parts = [(n0, min(n1, MS_SPLIT)), (max(n0, MS_SPLIT), min(n1, n_top)),
                  (max(n0, MS_SPLIT, n_top), n1)]
         for part, (u0, u1) in enumerate(parts):
-            if part == 1:  # whole units, one piece each, h a read-only view of 0.5
-                lo, Du = np.arange(u0, u1, dtype=np.float64), D[u0 - n0:u1 - n0]
-                h = np.broadcast_to(0.5, lo.shape)
+            if part == 1:  # whole units, one piece each
+                lo, h, Du = np.arange(u0, u1, dtype=np.float64), _halves(), D[u0 - n0:u1 - n0]
             else:
                 lo, h, Du = _pieces(np.arange(u0, u1), D[u0 - n0:u1 - n0], x)
             for a in range(0, len(lo), MS_PASS):
-                v, b = _taylor_pass(lo[a:a + MS_PASS], h[a:a + MS_PASS],
-                                    Du[a:a + MS_PASS], k, coeffs, polys, done)
+                hp = h[:len(lo) - a] if part == 1 else h[a:a + MS_PASS]
+                v, b = _taylor_pass(lo[a:a + MS_PASS], hp, Du[a:a + MS_PASS], k, coeffs, polys,
+                                    done)
                 values.append(v)
                 bound += b
                 done += min(MS_PASS, len(lo) - a)
