@@ -467,21 +467,19 @@ def _contour_coeffs(k: int, precision_bits: int) -> tuple:
         return mp.mpf(mpf_div(from_man_exp(sums[m], 2 * m - wp),
                               from_int(nodes * math.factorial(j)), sp, round_nearest))
 
-    def bound(c, gsum, nodes, j):
-        # E_j at this node count (see the oracle), with mbar below the folded
-        # mean of |Re g_j| + |Im g_j| plus the floors' 2^-sp, and 4^m times the
-        # floors' term below 2^-sp
-        m, eps = k - 1 - j, mp.mpf(2) ** -sp
-        mbar = gsum / mp.mpf(nodes << wp) + eps
-        return eps * abs(c) + (mp.mpf(2) ** (-prec - 1) + eps * (
-            1 + 4 ** m * (53 * k + 60 * m + 10) / 2 * mbar)) / math.factorial(j)
-
+    # the tolerance: both counts' E_j (see the oracle) summed in floats in units
+    # of 2^-sp; each count's mbar lies below its folded mean of |Re g_j| + |Im g_j|
+    # plus the floors' 2^-sp, which adds < 2^-sp to E_j, as does the floors' term,
+    # and its 2^{-prec-1} is 2^11 2^-sp
+    mbars = size[0] / (2 * n << wp) + size[1] / (n << wp)
     out = []
     with mp.workprec(sp):
         for j in range(k):
             c, c_coarse = coeff(fine, 2 * n, j), coeff(coarse, n, j)
-            moved = abs(c - c_coarse)
-            tol = bound(c, size[0], 2 * n, j) + bound(c_coarse, size[1], n, j)
+            moved, m = abs(c - c_coarse), k - 1 - j
+            tol = mp.ldexp(float(abs(c)) + float(abs(c_coarse)) + (
+                2 ** CONTOUR_SWEEP_BITS + 4 + 4 ** m * (26.5 * k + 30 * m + 5) * mbars)
+                / math.factorial(j), -sp)
             if moved > tol:
                 raise QuadratureError(
                     f"contour oracle did not converge for k={k} at prec={prec}: node "
